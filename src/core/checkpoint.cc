@@ -1,13 +1,11 @@
 #include "core/checkpoint.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -46,27 +44,13 @@ uint64_t MixDouble(uint64_t h, double d) {
 }
 
 uint64_t MixString(uint64_t h, const std::string& s) {
-  uint64_t fnv = 14695981039346656037ull;
-  for (unsigned char c : s) {
-    fnv ^= c;
-    fnv *= 1099511628211ull;
-  }
-  return MixWord(MixWord(h, s.size()), fnv);
-}
-
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return MixWord(MixWord(h, s.size()), Fnv1a64(s));
 }
 
 // ---------------------------------------------------------------------------
 // Serialization helpers. The format is line-based text: space-separated
-// tokens, doubles rendered with %.17g (round-trips exactly), a trailing
-// FNV-1a checksum line over every preceding byte.
+// tokens, doubles rendered with %.17g (round-trips exactly), framed by the
+// magic line and the trailing checksum line of util/atomic_file.
 // ---------------------------------------------------------------------------
 
 void AppendU64(std::string* out, uint64_t v) {
@@ -75,31 +59,6 @@ void AppendU64(std::string* out, uint64_t v) {
 
 void AppendDouble(std::string* out, double v) {
   *out += StrFormat(" %.17g", v);
-}
-
-/// Labels/kinds are dotted identifiers; "-" stands for the empty string
-/// and embedded whitespace (never produced in practice) is made safe.
-std::string EncodeToken(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out = s;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n') c = '_';
-  }
-  return out;
-}
-
-std::string DecodeToken(const std::string& s) { return s == "-" ? "" : s; }
-
-Result<uint64_t> ParseU64(const std::string& text) {
-  if (text.empty()) return Status::InvalidArgument("empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || text[0] == '-') {
-    return Status::InvalidArgument(
-        StrFormat("bad unsigned integer '%s'", text.c_str()));
-  }
-  return static_cast<uint64_t>(v);
 }
 
 void AppendRngState(std::string* out, const RngState& state) {
@@ -198,41 +157,24 @@ std::string RenderCheckpoint(const CheckpointData& data) {
     AppendU64(&out, event.accepted ? 1 : 0);
     out += "\n";
   }
-  out += StrFormat("checksum %016llx\n",
-                   static_cast<unsigned long long>(
-                       Fnv1a(out.data(), out.size())));
+  AppendChecksumLine(&out);
   return out;
 }
 
-Result<CheckpointData> ParseCheckpoint(const std::string& content,
+/// Parses the body ReadChecksummedFile returns (magic and checksum lines
+/// already verified and stripped).
+Result<CheckpointData> ParseCheckpoint(const std::string& body,
                                        const std::string& path) {
-  const size_t checksum_at = content.rfind("\nchecksum ");
-  if (checksum_at == std::string::npos) {
-    return Status::InvalidArgument(path + ": missing checksum line");
-  }
-  const size_t body_size = checksum_at + 1;  // include the preceding '\n'
-  const std::string checksum_line(
-      StripWhitespace(content.substr(body_size)));
-  const std::string expected =
-      StrFormat("checksum %016llx", static_cast<unsigned long long>(
-                                        Fnv1a(content.data(), body_size)));
-  if (checksum_line != expected) {
-    return Status::IOError(
-        path + ": checksum mismatch (corrupt or truncated checkpoint)");
-  }
-
-  std::vector<std::string> lines =
-      StrSplit(content.substr(0, checksum_at), '\n');
-  // Expected line order (see RenderCheckpoint): magic, privacy marker,
-  // spec_hash, algorithm, cursor, stats, sensitivity, rng, outer_rng, w,
-  // iterate_sum, order, ledger count, events.
-  if (lines.size() < 13) {
+  // Every body line ends in '\n', so the split's last field is empty.
+  std::vector<std::string> lines = StrSplit(body, '\n');
+  lines.pop_back();
+  // Expected line order (see RenderCheckpoint): privacy marker, spec_hash,
+  // algorithm, cursor, stats, sensitivity, rng, outer_rng, w, iterate_sum,
+  // order, ledger count, events.
+  if (lines.size() < 12) {
     return Status::InvalidArgument(path + ": truncated checkpoint");
   }
-  if (lines[0] != kMagic) {
-    return Status::InvalidArgument(path + " is not a " + kMagic + " file");
-  }
-  if (!StartsWith(lines[1], "UNRELEASED_PRIVATE")) {
+  if (!StartsWith(lines[0], "UNRELEASED_PRIVATE")) {
     return Status::InvalidArgument(path + ": missing UNRELEASED_PRIVATE marker");
   }
 
@@ -241,24 +183,25 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     std::vector<std::string> tokens = StrSplit(lines[line_index], ' ');
     if (tokens.empty() || tokens[0] != key) {
       return Status::InvalidArgument(StrFormat(
-          "%s: expected '%s' on line %zu", path.c_str(), key, line_index + 1));
+          "%s: expected '%s' on line %zu", path.c_str(), key,
+          line_index + 2));  // 1-based, after the magic line
     }
     return tokens;
   };
 
   CheckpointData data;
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(2, "spec_hash"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(1, "spec_hash"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad spec_hash");
     BOLTON_ASSIGN_OR_RETURN(data.spec_hash, ParseU64(tokens[1]));
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(3, "algorithm"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(2, "algorithm"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad algorithm");
     data.algorithm = DecodeToken(tokens[1]);
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(4, "cursor"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(3, "cursor"));
     if (tokens.size() != 3) return Status::InvalidArgument("bad cursor");
     BOLTON_ASSIGN_OR_RETURN(uint64_t passes, ParseU64(tokens[1]));
     BOLTON_ASSIGN_OR_RETURN(uint64_t step, ParseU64(tokens[2]));
@@ -266,7 +209,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     data.state.step = step;
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(5, "stats"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(4, "stats"));
     if (tokens.size() != 4) return Status::InvalidArgument("bad stats");
     BOLTON_ASSIGN_OR_RETURN(uint64_t ge, ParseU64(tokens[1]));
     BOLTON_ASSIGN_OR_RETURN(uint64_t updates, ParseU64(tokens[2]));
@@ -276,18 +219,18 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     data.state.stats.noise_samples = noise;
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(6, "sensitivity"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(5, "sensitivity"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad sensitivity");
     BOLTON_ASSIGN_OR_RETURN(data.sensitivity, ParseDouble(tokens[1]));
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(7, "rng"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(6, "rng"));
     size_t pos = 1;
     BOLTON_RETURN_IF_ERROR(ParseRngState(tokens, &pos, &data.state.rng));
     if (pos != tokens.size()) return Status::InvalidArgument("bad rng line");
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(8, "outer_rng"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(7, "outer_rng"));
     if (tokens.size() < 2) return Status::InvalidArgument("bad outer_rng");
     BOLTON_ASSIGN_OR_RETURN(uint64_t has, ParseU64(tokens[1]));
     data.has_outer_rng = has != 0;
@@ -300,15 +243,15 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     }
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(9, "w"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(8, "w"));
     BOLTON_ASSIGN_OR_RETURN(data.state.w, ParseVectorLine(tokens));
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(10, "iterate_sum"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(9, "iterate_sum"));
     BOLTON_ASSIGN_OR_RETURN(data.state.iterate_sum, ParseVectorLine(tokens));
   }
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(11, "order"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(10, "order"));
     if (tokens.size() < 2) return Status::InvalidArgument("bad order line");
     BOLTON_ASSIGN_OR_RETURN(uint64_t count, ParseU64(tokens[1]));
     if (tokens.size() != count + 2) {
@@ -322,16 +265,16 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   }
   uint64_t ledger_count = 0;
   {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(12, "ledger"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(11, "ledger"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad ledger line");
     BOLTON_ASSIGN_OR_RETURN(ledger_count, ParseU64(tokens[1]));
   }
-  if (lines.size() < 13 + ledger_count) {
+  if (lines.size() < 12 + ledger_count) {
     return Status::InvalidArgument("truncated ledger events");
   }
   data.ledger.reserve(ledger_count);
   for (uint64_t i = 0; i < ledger_count; ++i) {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(13 + i, "event"));
+    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(12 + i, "event"));
     // 17 fields since the tenant column was added; 16-field events from
     // pre-tenant checkpoints parse with an empty tenant.
     if (tokens.size() != 16 && tokens.size() != 17) {
@@ -362,11 +305,6 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     data.ledger.push_back(std::move(event));
   }
   return data;
-}
-
-Status ErrnoIOError(const std::string& what, const std::string& path) {
-  return Status::IOError(
-      StrFormat("%s %s: %s", what.c_str(), path.c_str(), std::strerror(errno)));
 }
 
 }  // namespace
@@ -406,12 +344,8 @@ Status CheckpointManager::Save(const CheckpointData& data) const {
 
 Result<CheckpointData> CheckpointManager::Load() const {
   BOLTON_FAILPOINT("checkpoint.load");
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return ErrnoIOError("cannot open checkpoint", path_);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return ErrnoIOError("read failed for", path_);
-  return ParseCheckpoint(content, path_);
+  BOLTON_ASSIGN_OR_RETURN(std::string body, ReadChecksummedFile(path_, kMagic));
+  return ParseCheckpoint(body, path_);
 }
 
 bool CheckpointManager::Exists() const {
@@ -420,7 +354,8 @@ bool CheckpointManager::Exists() const {
 
 Status CheckpointManager::Remove() const {
   if (std::remove(path_.c_str()) != 0 && errno != ENOENT) {
-    return ErrnoIOError("cannot remove", path_);
+    return Status::IOError(StrFormat("cannot remove %s: %s", path_.c_str(),
+                                     std::strerror(errno)));
   }
   return Status::OK();
 }

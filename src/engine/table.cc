@@ -173,9 +173,7 @@ Status DiskTable::Shuffle(Rng* rng) {
   out.close();
   if (!out) return Status::IOError("write failed for " + shuffled_path);
 
-  if (std::remove(path_.c_str()) != 0) {
-    return Status::IOError("cannot remove old table file " + path_);
-  }
+  // rename(2) replaces the old table file atomically.
   if (std::rename(shuffled_path.c_str(), path_.c_str()) != 0) {
     return Status::IOError("cannot install shuffled table file");
   }

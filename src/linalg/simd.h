@@ -82,9 +82,8 @@ bool ParseSimdTier(const std::string& name, SimdTier* out);
 /// to flip at any time — concurrent runs can only differ in speed.
 bool ForceSimdTier(SimdTier tier);
 
-/// RAII tier override (test force-tier hook; also powers
-/// ExecutorConfig::simd). Restores the previously active tier on
-/// destruction. The constructor BOLTON_CHECKs that the tier is supported —
+/// RAII tier override (test force-tier hook). Restores the previously
+/// active tier on destruction. The constructor BOLTON_CHECKs that the tier is supported —
 /// gate with SimdTierSupported() first.
 class ScopedSimdTier {
  public:

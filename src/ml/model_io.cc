@@ -3,7 +3,9 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <sstream>
 
+#include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -13,11 +15,12 @@ namespace {
 
 constexpr char kMagic[] = "bolton-model v1";
 
+/// Renders the whole file in memory and replaces `path` atomically, so a
+/// crash or a failed write mid-save leaves the previous model intact.
 Status WriteModelFile(const std::vector<const Vector*>& weights,
                       const std::string& path) {
   BOLTON_FAILPOINT("model_io.save");
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  std::ostringstream out;
   out << kMagic << "\n";
   out << weights.size() << "\n";
   out << weights[0]->dim() << "\n";
@@ -25,8 +28,10 @@ Status WriteModelFile(const std::vector<const Vector*>& weights,
   for (const Vector* w : weights) {
     for (size_t i = 0; i < w->dim(); ++i) out << (*w)[i] << "\n";
   }
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  const size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  return AtomicWriteFile(path + ".tmp", path, dir, out.str(), 0666);
 }
 
 struct ParsedModel {

@@ -18,7 +18,9 @@ namespace bolton {
 ///   <weight values, num_classes * dim lines>
 ///
 /// Text keeps models diff-able and inspectable; doubles round-trip exactly
-/// via max_digits10 formatting. A privately trained model is safe to
+/// via max_digits10 formatting. Saves go through AtomicWriteFile
+/// (util/atomic_file.h), so a crash or failed write mid-save leaves the
+/// previous file at `path` intact. A privately trained model is safe to
 /// persist and share — that is the point of differential privacy — but the
 /// diagnostics in PrivateSgdOutput (noiseless model, noise norm) are NOT;
 /// only the perturbed weights pass through here.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/telemetry.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace bolton {
@@ -300,18 +301,17 @@ std::string RenderSpanJson(const SpanRecord& s) {
 }
 
 std::string RenderRecordedLogJson(const RecordedLogEvent& e) {
-  const std::string thread =
-      !e.thread_name.empty()
-          ? e.thread_name
-          : StrFormat("t%llu", static_cast<unsigned long long>(e.thread_id));
-  return StrFormat(
-      "{\"mono_ns\":%llu,\"level\":\"%s\",\"tid\":%llu,\"thread\":\"%s\","
-      "\"file\":\"%s\",\"line\":%d,\"span\":%llu,\"msg\":\"%s\"}",
-      static_cast<unsigned long long>(e.mono_ns), LogLevelTag(e.level),
-      static_cast<unsigned long long>(e.thread_id),
-      JsonEscape(thread).c_str(), JsonEscape(e.file).c_str(), e.line,
-      static_cast<unsigned long long>(e.span_id),
-      JsonEscape(e.message).c_str());
+  LogEvent event;
+  event.level = e.level;
+  event.mono_ns = e.mono_ns;
+  event.thread_id = e.thread_id;
+  event.thread_name = e.thread_name.c_str();
+  event.file = e.file.c_str();
+  event.line = e.line;
+  event.span_id = e.span_id;
+  event.message = e.message.data();
+  event.message_len = e.message.size();
+  return RenderLogEventJson(event);
 }
 
 std::string RenderRecordedLogsJsonl(

@@ -102,9 +102,9 @@ std::string RenderSpansJsonl(const std::vector<SpanRecord>& spans);
 
 /// -------- Flight recorder --------
 
-/// One retained log event as a single-line JSON object with the exact
-/// schema of the --log-jsonl file sink (util/logging.h), so /logz output
-/// and the JSONL file are interchangeable:
+/// One retained log event as a single-line JSON object, rendered by the
+/// --log-jsonl file sink's RenderLogEventJson (util/logging.h), so /logz
+/// output and the JSONL file are interchangeable:
 ///   {"mono_ns":N,"level":"I","tid":1,"thread":"main","file":"x.cc",
 ///    "line":7,"span":0,"msg":"..."}
 std::string RenderRecordedLogJson(const RecordedLogEvent& event);

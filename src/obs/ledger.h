@@ -29,15 +29,14 @@ struct LedgerEvent {
 
   /// "noise_draw" | "accountant_charge" | "calibration" — the privacy
   /// events proper — plus the robustness audit trail: "fault" (an injected
-  /// or real fault observed at a failpoint site), "retry" (a shard retried
-  /// after a recoverable failure), "checkpoint" (pass-boundary state
-  /// persisted), "resume" (a run continued from a checkpoint) — plus the
-  /// serve budget lifecycle: "budget_reserve" (write-ahead hold before a
-  /// private release), "budget_commit" (hold converted to spend),
-  /// "budget_refund" (hold released, provably no noise drawn),
-  /// "budget_refusal" (request refused as over budget; accepted=false),
-  /// "budget_recover" (a pending hold found at restart, conservatively
-  /// promoted to spend).
+  /// or real fault observed at a failpoint site), "checkpoint"
+  /// (pass-boundary state persisted), "resume" (a run continued from a
+  /// checkpoint) — plus the serve budget lifecycle: "budget_reserve"
+  /// (write-ahead hold before a private release), "budget_commit" (hold
+  /// converted to spend), "budget_refund" (hold released, provably no
+  /// noise drawn), "budget_refusal" (request refused as over budget;
+  /// accepted=false), "budget_recover" (a pending hold found at restart,
+  /// conservatively promoted to spend).
   std::string kind;
   /// "laplace" | "gaussian" | "gaussian_per_step" | "" (charges).
   std::string mechanism;

@@ -1,14 +1,9 @@
 #include "optim/parallel_executor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "linalg/simd.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/telemetry.h"
@@ -16,40 +11,11 @@
 #include "optim/thread_pool.h"
 #include "random/permutation.h"
 #include "util/failpoint.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace bolton {
 
 namespace {
-
-/// Exponential backoff with jitter before retry `attempt` (1-based). The
-/// jitter rng is a timing-only stream: it never feeds shard results.
-void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
-                      Rng* jitter_rng) {
-  if (retry.backoff_base_ms == 0) return;
-  const size_t shift = std::min<size_t>(attempt - 1, 20);
-  double ms = static_cast<double>(retry.backoff_base_ms) *
-              static_cast<double>(uint64_t{1} << shift);
-  if (retry.jitter_frac > 0.0) {
-    ms *= 1.0 + jitter_rng->UniformDouble(0.0, retry.jitter_frac);
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-/// "retry" audit event: shard `shard` is being re-attempted (step = the
-/// attempt number about to run, 1-based).
-void RecordRetryEvent(const char* label, size_t shard, size_t attempt,
-                      size_t shards) {
-  obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
-  if (!ledger.enabled()) return;
-  obs::LedgerEvent event;
-  event.kind = "retry";
-  event.label = StrFormat("%s.shard%zu", label, shard);
-  event.step = attempt;
-  event.shards = shards;
-  ledger.Record(std::move(event));
-}
 
 Status ValidateShardedOptions(const Dataset& data, const PsgdOptions& options) {
   if (options.shards < 1) {
@@ -90,25 +56,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
                                          const PsgdOptions& options, Rng* rng) {
   BOLTON_RETURN_IF_ERROR(ValidateShardedOptions(data, options));
   const ExecutorConfig& executor = options.executor;
-  const ShardRetryPolicy& retry = executor.retry;
-  if (retry.max_attempts < 1) {
-    return Status::InvalidArgument("executor.retry.max_attempts must be >= 1");
-  }
-  // SIMD-tier override (test hook). Installed before the serial delegation
-  // so shards = 1 honors it too; restored on every return path. Safe even
-  // with concurrent runs: all tiers are bit-identical, so a race can only
-  // change speed.
-  std::optional<ScopedSimdTier> simd_scope;
-  if (executor.simd != SimdTier::kAuto) {
-    if (!SimdTierSupported(executor.simd)) {
-      return Status::InvalidArgument(
-          StrFormat("executor.simd tier %s is not supported on this CPU "
-                    "(detected %s)",
-                    SimdTierName(executor.simd),
-                    SimdTierName(DetectedSimdTier())));
-    }
-    simd_scope.emplace(executor.simd);
-  }
 
   if (options.shards == 1) {
     // Bit-identical serial path: same code, same rng consumption.
@@ -169,10 +116,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
       obs::MetricsRegistry::Default().GetCounter("psgd.shard_runs");
   obs::Counter* shard_failures =
       obs::MetricsRegistry::Default().GetCounter("psgd.shard_failures");
-  obs::Counter* shard_retries =
-      obs::MetricsRegistry::Default().GetCounter("psgd.shard_retries");
-  obs::Counter* shard_redispatches =
-      obs::MetricsRegistry::Default().GetCounter("psgd.shard_redispatches");
   obs::Gauge* shard_count =
       obs::MetricsRegistry::Default().GetGauge("psgd.shard_count");
   obs::Histogram* shard_seconds = obs::MetricsRegistry::Default().GetHistogram(
@@ -204,10 +147,9 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
           {0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7});
   shard_count->Set(static_cast<double>(s));
 
-  // One attempt: fault-injection gate, then PSGD from the shard's
-  // counter-based seed. Re-seeding per attempt makes a retried success
-  // bit-identical to a first-try success.
-  auto attempt_shard = [&](size_t j) -> Result<PsgdOutput> {
+  // One shard: fault-injection gate, then PSGD from the shard's
+  // counter-based seed.
+  auto run_shard_psgd = [&](size_t j) -> Result<PsgdOutput> {
     BOLTON_FAILPOINT("shard.worker");
     Rng shard_rng(ShardSeed(seed_base, j));
     return RunPsgd(shard_data[j], loss, schedule, shard_options, &shard_rng);
@@ -218,27 +160,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     obs::ScopedSpan shard_span("psgd.shard");
     obs::CounterScope shard_counters(&shard_span);
     const uint64_t start_ns = obs::MonotonicNanos();
-    // Timing-only stream for backoff jitter, decorrelated from the shard
-    // stream by a distinct tweak word.
-    Rng jitter_rng(ShardSeed(seed_base ^ 0x626f6c746f6e6a74ull, j));
-    Result<PsgdOutput> result = attempt_shard(j);
-    for (size_t attempt = 2;
-         !result.ok() &&
-         result.status().code() != StatusCode::kCancelled &&
-         attempt <= retry.max_attempts;
-         ++attempt) {
-      SleepBeforeRetry(retry, attempt - 1, &jitter_rng);
-      shard_retries->Increment();
-      RecordRetryEvent("psgd.shard_retry", j, attempt, s);
-      // Rate-limited: a flapping shard under an aggressive retry budget
-      // must not flood stderr with one line per attempt.
-      BOLTON_LOG_EVERY_N(kWarning, 10)
-          << "shard " << j << " failed (" << result.status().ToString()
-          << "); retrying, attempt " << attempt << "/"
-          << retry.max_attempts;
-      result = attempt_shard(j);
-    }
-    results[j] = std::move(result);
+    results[j] = run_shard_psgd(j);
     shard_seconds->Observe(
         static_cast<double>(obs::MonotonicNanos() - start_ns) * 1e-9);
     shard_runs->Increment();
@@ -316,34 +238,13 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   }
   const uint64_t dispatch_end_ns = obs::MonotonicNanos();
 
-  // Degradation phase: shards whose worker exhausted its attempts get one
-  // re-dispatch on this (surviving) thread with a fresh attempt budget —
-  // covers a wedged/died worker without changing results (same seeds).
-  // Only active when retry is enabled, so the default path is untouched.
-  if (retry.max_attempts > 1) {
-    for (size_t j = 0; j < s; ++j) {
-      if (results[j].ok()) continue;
-      // A cancelled shard is not a failure to recover from: the caller
-      // withdrew the run. Retrying or re-dispatching would just burn time
-      // against a deadline that has already passed.
-      if (results[j].status().code() == StatusCode::kCancelled) continue;
-      shard_redispatches->Increment();
-      RecordRetryEvent("psgd.shard_redispatch", j, 1, s);
-      run_shard(j);
-    }
-  }
-
-  // HARD POLICY: any shard still failing fails the whole release. Lemma
-  // 10 calibrates the released average to all s shard models; a partial
+  // HARD POLICY: any failing shard fails the whole release. Lemma 10
+  // calibrates the released average to all s shard models; a partial
   // average is never produced.
   for (size_t j = 0; j < s; ++j) {
     if (!results[j].ok()) {
       return results[j].status().WithContext(
-          retry.max_attempts > 1
-              ? StrFormat("psgd shard %zu of %zu (retries exhausted; "
-                          "refusing to average a partial run)",
-                          j, s)
-              : StrFormat("psgd shard %zu of %zu", j, s));
+          StrFormat("psgd shard %zu of %zu", j, s));
     }
   }
 

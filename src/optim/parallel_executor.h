@@ -29,7 +29,7 @@ struct WorkerStats {
   /// pool existed this was per-run thread creation and dominated small
   /// sharded runs.
   uint64_t spawn_ns = 0;
-  uint64_t busy_ns = 0;    // total time executing shard attempts
+  uint64_t busy_ns = 0;    // total time executing shards
   uint64_t idle_ns = 0;    // lifetime - busy (scheduling gaps, imbalance)
   /// Gap time between the worker being ready and each of its shards
   /// starting, net of time spent on earlier shards — nonzero when the OS
@@ -93,28 +93,25 @@ uint64_t ShardSeed(uint64_t seed_base, size_t shard);
 /// Lemma 10's averaging argument bounds the released average by the max
 /// per-shard sensitivity (see core/sensitivity.h, ShardedMaxSensitivity).
 ///
-/// Execution (pool, slice cap, retry policy, SIMD-tier override) is
-/// governed by `options.executor` (ExecutorConfig in sgd_spec.h — the old
-/// positional `max_threads` / `retry` parameters are gone). Worker slices
-/// are dispatched onto options.executor.pool — GlobalThreadPool() when
-/// null — so repeated runs reuse warm, parked workers instead of spawning
-/// threads per call; WorkerStats::spawn_ns is therefore the pool dispatch
-/// latency (submit → slice start), not thread creation.
+/// Execution (pool, slice cap, cancellation) is governed by
+/// `options.executor` (ExecutorConfig in sgd_spec.h). Worker slices are
+/// dispatched onto options.executor.pool — GlobalThreadPool() when null —
+/// so repeated runs reuse warm, parked workers instead of spawning threads
+/// per call; WorkerStats::spawn_ns is therefore the pool dispatch latency
+/// (submit → slice start), not thread creation.
 ///
 /// Contracts:
 ///  * shards = 1 delegates to RunPsgd — bit-identical to the serial path,
 ///    consuming `rng` identically;
 ///  * for a fixed seed and shard count the result is bit-identical at ANY
-///    executor config — max_threads, pool size, warm vs. fresh pool, SIMD
-///    tier (partition and seeds are drawn before workers start, shard
+///    executor config — max_threads, pool size, warm vs. fresh pool — and
+///    SIMD tier (partition and seeds are drawn before workers start, shard
 ///    outputs are averaged in shard order, and every SIMD tier is
 ///    bit-identical to the scalar reference);
-///  * a failing shard surfaces through the returned Result<> (no abort);
-///    after `executor.retry` is exhausted the first failing shard's status
-///    is returned with shard context and NO model is released (never a
-///    partial average — see ShardRetryPolicy);
-///  * retried attempts re-seed the shard rng identically, so recovery
-///    does not perturb the released model.
+///  * fail-fast: a failing shard fails the whole run through the returned
+///    Result<> (no abort) — the first failing shard's status with shard
+///    context — and NO model is released. A partial average is never
+///    produced: Lemma 10 calibrates the release to all s shard models.
 ///
 /// `executor.max_threads` caps the worker slices (0 = auto: one per shard,
 /// clamped to the pool's worker capacity);

@@ -4,47 +4,18 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "linalg/simd.h"
-
 namespace bolton {
 
 class CancellationToken;
 class ThreadPool;
 
-/// Graceful degradation policy for shard workers.
-///
-/// A failed shard attempt is retried in place up to `max_attempts` total
-/// attempts, with exponential backoff (base << attempt) plus uniform
-/// jitter between attempts; shards that exhaust their worker's budget are
-/// re-dispatched once onto the main (surviving) thread with a fresh
-/// attempt budget. Every attempt reconstructs the shard rng from the same
-/// ShardSeed, so a shard that eventually succeeds produces a result
-/// bit-identical to one that succeeded first try — the jitter rng is a
-/// separate stream that only affects timing, never results.
-///
-/// HARD POLICY: a shard that never succeeds fails the WHOLE run. Lemma
-/// 10's sensitivity argument calibrates the released average to all s
-/// shard models; averaging a subset would both change the release and
-/// void the calibration, so a partial average is never produced.
-struct ShardRetryPolicy {
-  /// Total attempts per shard per dispatch; 1 disables retry (and the
-  /// re-dispatch phase), reproducing the fail-fast behavior exactly.
-  size_t max_attempts = 1;
-  /// Backoff before retry a (1-based) is base·2^(a−1) ms; 0 retries
-  /// immediately.
-  uint64_t backoff_base_ms = 0;
-  /// Each backoff is stretched by a uniform factor in [1, 1 + jitter_frac].
-  double jitter_frac = 0.0;
-};
-
 /// How a sharded run executes — everything about the release is in the
-/// rest of the spec; everything here can only change speed and fault
-/// tolerance, never results (the executor's determinism contract).
+/// rest of the spec; everything here can only change speed, never results
+/// (the executor's determinism contract).
 ///
-/// This replaces the old positional `max_threads` / `retry` parameters of
-/// RunShardedPsgd. It rides inside SgdRunSpec, so it flows CLI →
-/// TrainerConfig → SolverSpec → BoltOnOptions → PsgdOptions through the
-/// existing one-line `dst.run() = src.run()` conversions.
+/// It rides inside SgdRunSpec, so it flows CLI → TrainerConfig →
+/// SolverSpec → BoltOnOptions → PsgdOptions through the existing one-line
+/// `dst.run() = src.run()` conversions.
 struct ExecutorConfig {
   /// Pool to dispatch shard slices onto; nullptr = the process-wide
   /// GlobalThreadPool(). Injecting a pool is for tests and embedders that
@@ -57,15 +28,8 @@ struct ExecutorConfig {
   /// bit-identical at ANY value; this only shapes parallelism and the
   /// WorkerStats rows.
   size_t max_threads = 0;
-  /// Per-shard retry/backoff/re-dispatch policy.
-  ShardRetryPolicy retry;
-  /// Force a SIMD kernel tier for this run (test hook; every tier is
-  /// bit-identical to scalar). kAuto = use the process default. An
-  /// unsupported tier fails the run with InvalidArgument.
-  SimdTier simd = SimdTier::kAuto;
   /// Cooperative cancellation (util/cancellation.h): the pass/batch loops
-  /// and the shard retry machinery poll it and abandon the run with
-  /// Status::Cancelled. nullptr = never cancelled. Like everything else
+  /// poll it and abandon the run with Status::Cancelled. nullptr = never cancelled. Like everything else
   /// here it cannot change a released result — a cancelled run releases
   /// nothing. The token must outlive the run.
   const CancellationToken* cancel = nullptr;
@@ -103,8 +67,8 @@ struct SgdRunSpec {
   /// bit-identical to RunPsgd. Only the black-box algorithms (noiseless,
   /// bolt-on) support shards > 1; the white-box baselines reject it.
   size_t shards = 1;
-  /// How (not what) a sharded run executes: pool, slice cap, retry policy,
-  /// SIMD-tier override. Never affects released results.
+  /// How (not what) a sharded run executes: pool, slice cap,
+  /// cancellation. Never affects released results.
   ExecutorConfig executor;
 
   SgdRunSpec() = default;

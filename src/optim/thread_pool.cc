@@ -29,14 +29,13 @@ size_t ResolveMaxThreads(size_t requested) {
 uint64_t EnvOverrideU64(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  auto parsed = ParseU64(value);
+  if (!parsed.ok()) {
     BOLTON_LOG(kWarning) << name << "=" << value
                          << " is not a number; using default";
     return fallback;
   }
-  return static_cast<uint64_t>(parsed);
+  return parsed.value();
 }
 
 }  // namespace

@@ -17,54 +17,25 @@ namespace serve {
 
 namespace {
 
-constexpr char kMagic[] = "bolton-budget v1";
+constexpr char kMagic[] = "bolton-budget v2";
 
 /// Tolerance for the over-budget comparison: ε/δ sums accumulate float
 /// error across many holds; a request within one part in 10⁹ of the line
 /// is admitted rather than refused on rounding noise.
 constexpr double kBudgetSlack = 1e-9;
 
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// Persist retry on I/O failure: up to kPersistAttempts writes; retry r
+/// (1-based) first sleeps kPersistBackoffMs·2^(r−1) ms, stretched by a
+/// uniform factor in [1, 1 + kPersistJitter]. Retries are counted on the
+/// serve.persist_retries metric.
+constexpr size_t kPersistAttempts = 3;
+constexpr double kPersistBackoffMs = 5.0;
+constexpr double kPersistJitter = 0.5;
 
-/// Tenant ids and labels are identifier-ish; "-" stands for the empty
-/// string and embedded whitespace is made safe (same convention as the
-/// checkpoint format).
-std::string EncodeToken(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out = s;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n') c = '_';
-  }
-  return out;
-}
-
-std::string DecodeToken(const std::string& s) { return s == "-" ? "" : s; }
-
-Result<uint64_t> ParseU64Token(const std::string& text) {
-  auto parsed = ParseInt(text);
-  if (!parsed.ok() || parsed.value() < 0) {
-    return Status::InvalidArgument(
-        StrFormat("bad unsigned integer '%s'", text.c_str()));
-  }
-  return static_cast<uint64_t>(parsed.value());
-}
-
-void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
-                      Rng* jitter_rng) {
-  if (retry.backoff_base_ms == 0) return;
-  const size_t shift = std::min<size_t>(attempt - 1, 20);
-  double ms = static_cast<double>(retry.backoff_base_ms) *
-              static_cast<double>(uint64_t{1} << shift);
-  if (retry.jitter_frac > 0.0) {
-    ms *= 1.0 + jitter_rng->UniformDouble(0.0, retry.jitter_frac);
-  }
+void SleepBeforeRetry(size_t retry, Rng* jitter_rng) {
+  const double ms = kPersistBackoffMs *
+                    static_cast<double>(uint64_t{1} << (retry - 1)) *
+                    (1.0 + jitter_rng->UniformDouble(0.0, kPersistJitter));
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
@@ -124,15 +95,17 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
       new TenantBudgetManager(options));
   if (manager->path_.empty()) return manager;
 
-  auto content = ReadFileToString(manager->path_);
-  if (content.status().code() == StatusCode::kNotFound) {
+  // A file from another format version is refused here, before anything
+  // is persisted, so it stays on disk untouched for the operator.
+  auto body = ReadChecksummedFile(manager->path_, kMagic);
+  if (body.status().code() == StatusCode::kNotFound) {
     return manager;  // first boot: empty state
   }
-  BOLTON_RETURN_IF_ERROR(content.status());
+  BOLTON_RETURN_IF_ERROR(body.status().WithContext("budget state"));
 
   std::lock_guard<std::mutex> lock(manager->mu_);
   BOLTON_RETURN_IF_ERROR(
-      manager->RestoreLocked(content.value())
+      manager->RestoreLocked(body.value())
           .WithContext(StrFormat("budget state %s", manager->path_.c_str())));
 
   // Crash recovery: every hold still pending on disk may have released
@@ -364,31 +337,13 @@ std::string TenantBudgetManager::RenderLocked() const {
                      EncodeToken(hold.tenant).c_str(), hold.cost.epsilon,
                      hold.cost.delta, EncodeToken(hold.label).c_str());
   }
-  out += StrFormat("checksum %016llx\n",
-                   static_cast<unsigned long long>(
-                       Fnv1a(out.data(), out.size())));
+  AppendChecksumLine(&out);
   return out;
 }
 
-Status TenantBudgetManager::RestoreLocked(const std::string& content) {
-  const size_t checksum_at = content.rfind("\nchecksum ");
-  if (checksum_at == std::string::npos) {
-    return Status::InvalidArgument("missing checksum line");
-  }
-  const size_t body_size = checksum_at + 1;  // include the preceding '\n'
-  const std::string checksum_line(
-      StripWhitespace(content.substr(body_size)));
-  const std::string expected =
-      StrFormat("checksum %016llx",
-                static_cast<unsigned long long>(
-                    Fnv1a(content.data(), body_size)));
-  if (checksum_line != expected) {
-    return Status::InvalidArgument("checksum mismatch (truncated or "
-                                   "corrupted budget state)");
-  }
-
+Status TenantBudgetManager::RestoreLocked(const std::string& body) {
   std::vector<std::string> lines;
-  for (const std::string& line : StrSplit(content.substr(0, body_size), '\n')) {
+  for (const std::string& line : StrSplit(body, '\n')) {
     if (!std::string(StripWhitespace(line)).empty()) lines.push_back(line);
   }
   size_t at = 0;
@@ -406,20 +361,16 @@ Status TenantBudgetManager::RestoreLocked(const std::string& content) {
     return tokens;
   };
 
-  if (at >= lines.size() || lines[at] != kMagic) {
-    return Status::InvalidArgument("not a bolton-budget v1 file");
-  }
-  ++at;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("next_hold"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad next_hold");
-    BOLTON_ASSIGN_OR_RETURN(next_hold_id_, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(next_hold_id_, ParseU64(tokens[1]));
   }
   uint64_t account_count = 0;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("accounts"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad accounts");
-    BOLTON_ASSIGN_OR_RETURN(account_count, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(account_count, ParseU64(tokens[1]));
   }
   accounts_.clear();
   for (uint64_t i = 0; i < account_count; ++i) {
@@ -441,26 +392,26 @@ Status TenantBudgetManager::RestoreLocked(const std::string& content) {
                                      tenant.c_str())));
     }
     BOLTON_ASSIGN_OR_RETURN(account->second.commits,
-                            ParseU64Token(tokens[6]));
+                            ParseU64(tokens[6]));
     BOLTON_ASSIGN_OR_RETURN(account->second.refunds,
-                            ParseU64Token(tokens[7]));
+                            ParseU64(tokens[7]));
     BOLTON_ASSIGN_OR_RETURN(account->second.refusals,
-                            ParseU64Token(tokens[8]));
+                            ParseU64(tokens[8]));
     BOLTON_ASSIGN_OR_RETURN(account->second.recovered,
-                            ParseU64Token(tokens[9]));
+                            ParseU64(tokens[9]));
   }
   uint64_t hold_count = 0;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("holds"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad holds");
-    BOLTON_ASSIGN_OR_RETURN(hold_count, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(hold_count, ParseU64(tokens[1]));
   }
   holds_.clear();
   for (uint64_t i = 0; i < hold_count; ++i) {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("hold"));
     if (tokens.size() != 6) return Status::InvalidArgument("bad hold line");
     uint64_t id = 0;
-    BOLTON_ASSIGN_OR_RETURN(id, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(id, ParseU64(tokens[1]));
     Hold hold;
     hold.tenant = DecodeToken(tokens[2]);
     BOLTON_ASSIGN_OR_RETURN(hold.cost.epsilon, ParseDouble(tokens[3]));
@@ -480,13 +431,11 @@ Status TenantBudgetManager::RestoreLocked(const std::string& content) {
 Status TenantBudgetManager::PersistLocked() {
   if (path_.empty()) return Status::OK();
   const std::string content = RenderLocked();
-  const ShardRetryPolicy& retry = options_.persist_retry;
-  const size_t attempts = std::max<size_t>(retry.max_attempts, 1);
   Status last;
-  for (size_t attempt = 1; attempt <= attempts; ++attempt) {
+  for (size_t attempt = 1; attempt <= kPersistAttempts; ++attempt) {
     if (attempt > 1) {
       Metrics().persist_retries->Increment();
-      SleepBeforeRetry(retry, attempt - 1, &jitter_rng_);
+      SleepBeforeRetry(attempt - 1, &jitter_rng_);
     }
     Status inject = FailpointRegistry::Default().Evaluate("serve.persist");
     last = inject.ok()
@@ -495,8 +444,8 @@ Status TenantBudgetManager::PersistLocked() {
                : inject;
     if (last.ok()) return last;
   }
-  return last.WithContext(
-      StrFormat("budget persist failed after %zu attempts", attempts));
+  return last.WithContext(StrFormat("budget persist failed after %zu attempts",
+                                    kPersistAttempts));
 }
 
 }  // namespace serve

@@ -10,7 +10,6 @@
 
 #include "core/accountant.h"
 #include "core/privacy.h"
-#include "optim/sgd_spec.h"
 #include "random/rng.h"
 #include "util/result.h"
 
@@ -25,12 +24,10 @@ struct TenantBudgetOptions {
   /// Directory for the persisted budget state ("" = in-memory only; spend
   /// then dies with the process — tests and benches only). The state file
   /// is written with the checkpoint-style atomic tmp+fsync+rename, so a
-  /// crashed daemon never forgets spend.
-  std::string state_dir;
-  /// Bounded retry with jittered exponential backoff on persist I/O
-  /// failures (the ShardRetryPolicy shape, reused verbatim). Retries are
+  /// crashed daemon never forgets spend. A persist that fails on I/O is
+  /// retried a bounded number of times with jittered exponential backoff,
   /// counted on the serve.persist_retries metric.
-  ShardRetryPolicy persist_retry{3, 5, 0.5};
+  std::string state_dir;
 };
 
 /// Read-only view of one tenant's account.
@@ -75,6 +72,8 @@ class TenantBudgetManager {
  public:
   /// Loads (or initializes) the state under options.state_dir, promoting
   /// pending holds as described above, and persists the recovered state.
+  /// A state file of another format version, or one that fails its
+  /// checksum, is refused and left on disk untouched.
   static Result<std::unique_ptr<TenantBudgetManager>> Open(
       const TenantBudgetOptions& options);
 
@@ -137,7 +136,8 @@ class TenantBudgetManager {
   /// jittered retry. No-op without a state_dir.
   Status PersistLocked();
   std::string RenderLocked() const;
-  Status RestoreLocked(const std::string& content);
+  /// Loads accounts and holds from the verified body of the state file.
+  Status RestoreLocked(const std::string& body);
 
   TenantBudgetOptions options_;
   std::string path_;      // "" when in-memory only

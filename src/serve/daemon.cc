@@ -209,7 +209,8 @@ void ServeDaemon::Shutdown() {
   // solver polls it at batch boundaries. A cancelled private run releases
   // nothing (its hold is refunded), so cancellation never corrupts spend.
   drain_cancel_.Cancel();
-  server_->Stop();
+  // Null when Start() failed before the server came up.
+  if (server_ != nullptr) server_->Stop();
 }
 
 Result<std::shared_ptr<const std::pair<Dataset, Dataset>>>

@@ -32,13 +32,13 @@ void StashArmedSpec(const std::string& spec) {
 /// Parses the numeric operand after a fixed prefix ("error@", "1in", ...).
 Result<uint64_t> ParseOperand(const std::string& action,
                               const std::string& text) {
-  auto parsed = ParseInt(text);
+  auto parsed = ParseU64(text);
   if (!parsed.ok() || parsed.value() < 1) {
     return Status::InvalidArgument(StrFormat(
         "failpoint action '%s' needs a positive integer operand, got '%s'",
         action.c_str(), text.c_str()));
   }
-  return static_cast<uint64_t>(parsed.value());
+  return parsed.value();
 }
 
 }  // namespace

@@ -75,21 +75,9 @@ class JsonlFileSink : public LogSink {
   }
 
   void Write(const LogEvent& event) override {
-    const std::string thread =
-        event.thread_name[0] != '\0'
-            ? std::string(event.thread_name)
-            : StrFormat("t%llu",
-                        static_cast<unsigned long long>(event.thread_id));
-    std::fprintf(
-        file_,
-        "{\"mono_ns\":%llu,\"level\":\"%s\",\"tid\":%llu,\"thread\":\"%s\","
-        "\"file\":\"%s\",\"line\":%d,\"span\":%llu,\"msg\":\"%s\"}\n",
-        static_cast<unsigned long long>(event.mono_ns),
-        LogLevelTag(event.level),
-        static_cast<unsigned long long>(event.thread_id),
-        JsonEscape(thread).c_str(), JsonEscape(event.file).c_str(),
-        event.line, static_cast<unsigned long long>(event.span_id),
-        JsonEscape(std::string(event.message, event.message_len)).c_str());
+    std::string line = RenderLogEventJson(event);
+    line += '\n';
+    std::fwrite(line.data(), 1, line.size(), file_);
     // Flushed per line: the JSONL file is a diagnostic artifact that must
     // survive a crash immediately after the write.
     std::fflush(file_);
@@ -180,6 +168,21 @@ void RemoveLogSink(LogSink* sink) {
       return;
     }
   }
+}
+
+std::string RenderLogEventJson(const LogEvent& event) {
+  const std::string thread =
+      event.thread_name[0] != '\0'
+          ? std::string(event.thread_name)
+          : StrFormat("t%llu", static_cast<unsigned long long>(event.thread_id));
+  return StrFormat(
+      "{\"mono_ns\":%llu,\"level\":\"%s\",\"tid\":%llu,\"thread\":\"%s\","
+      "\"file\":\"%s\",\"line\":%d,\"span\":%llu,\"msg\":\"%s\"}",
+      static_cast<unsigned long long>(event.mono_ns), LogLevelTag(event.level),
+      static_cast<unsigned long long>(event.thread_id),
+      JsonEscape(thread).c_str(), JsonEscape(event.file).c_str(), event.line,
+      static_cast<unsigned long long>(event.span_id),
+      JsonEscape(std::string(event.message, event.message_len)).c_str());
 }
 
 Status OpenLogJsonlFile(const std::string& path) {

@@ -85,6 +85,11 @@ void RemoveLogSink(LogSink* sink);
 /// file.
 Status OpenLogJsonlFile(const std::string& path);
 
+/// One event as the JSON object above, without a trailing newline. The
+/// single renderer of that schema: obs /logz and postmortem bundles call
+/// it too, so their lines match the JSONL file byte for byte.
+std::string RenderLogEventJson(const LogEvent& event);
+
 namespace internal {
 
 /// Stream-style log line; dispatches to the sinks on destruction.

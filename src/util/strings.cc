@@ -68,6 +68,35 @@ Result<int64_t> ParseInt(std::string_view text) {
   return static_cast<int64_t>(v);
 }
 
+Result<uint64_t> ParseU64(std::string_view text) {
+  std::string buf(StripWhitespace(text));
+  if (buf.empty()) return Status::InvalidArgument("empty integer field");
+  if (buf[0] == '-') {
+    return Status::InvalidArgument("not an unsigned integer: '" + buf + "'");
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
+  if (errno == ERANGE) {
+    return Status::OutOfRange("integer out of uint64 range: " + buf);
+  }
+  if (end != buf.c_str() + buf.size()) {
+    return Status::InvalidArgument("not an unsigned integer: '" + buf + "'");
+  }
+  return static_cast<uint64_t>(v);
+}
+
+std::string EncodeToken(const std::string& s) {
+  if (s.empty()) return "-";
+  std::string out = s;
+  for (char& c : out) {
+    if (c == ' ' || c == '\t' || c == '\n') c = '_';
+  }
+  return out;
+}
+
+std::string DecodeToken(const std::string& s) { return s == "-" ? "" : s; }
+
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;

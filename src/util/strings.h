@@ -18,6 +18,14 @@ std::string_view StripWhitespace(std::string_view text);
 /// Parses a double / int with full-token validation (rejects trailing junk).
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt(std::string_view text);
+/// Like ParseInt over the full uint64 range; a leading '-' is rejected.
+Result<uint64_t> ParseU64(std::string_view text);
+
+/// One space-free token for the line-based on-disk formats: "-" stands for
+/// the empty string and whitespace becomes '_'. DecodeToken maps "-" back
+/// to "" and returns anything else unchanged.
+std::string EncodeToken(const std::string& s);
+std::string DecodeToken(const std::string& s);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -204,6 +204,31 @@ TEST_F(CheckpointTest, SpecHashTracksTheResumeContract) {
   EXPECT_NE(base, SolverSpecHash(Algorithm::kBoltOn, spec, *loss, smaller));
 }
 
+TEST_F(CheckpointTest, OnDiskBytesAndSpecHashArePinned) {
+  // Golden values from the v1 format as first shipped: any change to the
+  // framing, the token codec or the hash behind SolverSpecHash shows up
+  // here, and such a change needs a new magic version.
+  CheckpointManager manager(MakeCheckpointDir("ckpt_golden"));
+  ASSERT_TRUE(manager.Save(MakeSampleData()).ok());
+  std::ifstream in(manager.path(), std::ios::binary);
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::string checksum_line = "checksum bdb356ff2affa8ca\n";
+  EXPECT_EQ(content.size(), 630u);
+  ASSERT_GE(content.size(), checksum_line.size());
+  EXPECT_EQ(content.substr(content.size() - checksum_line.size()),
+            checksum_line);
+  ASSERT_TRUE(manager.Remove().ok());
+
+  Dataset data = MakeTrainingSet();
+  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
+  SolverSpec spec;
+  spec.passes = 4;
+  spec.privacy = PrivacyParams{1.0, 0.0};
+  EXPECT_EQ(SolverSpecHash(Algorithm::kBoltOn, spec, *loss, data),
+            0x949e8523f956e5f4ull);
+}
+
 TEST_F(CheckpointTest, UninterruptedCheckpointedRunMatchesPlainSolver) {
   Dataset data = MakeTrainingSet();
   auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();

@@ -1,5 +1,8 @@
 #include "ml/model_io.h"
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 
@@ -80,6 +83,32 @@ TEST_F(ModelIoTest, SkipsCommentsAndBlankLines) {
   auto loaded = LoadBinaryModel(path_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value(), (Vector{1.5, -2.5}));
+}
+
+TEST_F(ModelIoTest, FailedSaveLeavesPreviousModelLoadable) {
+  Vector old_model{0.25, -0.5};
+  ASSERT_TRUE(SaveModel(old_model, path_).ok());
+
+  // A file-size cap far below the new model's size makes the save fail
+  // part-way, as a full disk would. SIGXFSZ is ignored so the write
+  // returns EFBIG instead of killing the process.
+  Vector new_model(4096);
+  for (size_t i = 0; i < new_model.dim(); ++i) new_model[i] = 1.0 / (i + 3.0);
+  struct rlimit saved_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  struct rlimit capped = saved_limit;
+  capped.rlim_cur = 1024;
+  auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status saved = SaveModel(new_model, path_);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  std::signal(SIGXFSZ, saved_handler);
+  std::remove((path_ + ".tmp").c_str());
+
+  EXPECT_FALSE(saved.ok());
+  auto loaded = LoadBinaryModel(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value(), old_model);
 }
 
 TEST_F(ModelIoTest, MissingFileIsIOError) {

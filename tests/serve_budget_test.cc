@@ -188,6 +188,37 @@ TEST(TenantBudgetTest, CorruptedStateRefusedAtOpen) {
       << reopened.status().ToString();
 }
 
+TEST(TenantBudgetTest, OlderFormatVersionRefusedByNameAndLeftUntouched) {
+  TenantBudgetOptions options = InMemory();
+  options.state_dir = MakeStateDir("budget_v1");
+  const std::string path = options.state_dir + "/bolton.budget";
+  // A valid v1 state file, checksum included, holding one committed
+  // 0.3-ε spend. v1 seeded FNV-1a with a mistyped offset basis, so its
+  // checksums differ from v2's.
+  const std::string v1 =
+      "bolton-budget v1\n"
+      "next_hold 2\n"
+      "accounts 1\n"
+      "account alice 1 9.9999999999999995e-07 0.29999999999999999 0 1 0 0 0\n"
+      "holds 0\n"
+      "checksum 695de7b2633505eb\n";
+  { std::ofstream out(path, std::ios::binary); out << v1; }
+
+  auto opened = TenantBudgetManager::Open(options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = opened.status().message();
+  EXPECT_NE(message.find("bolton-budget v2"), std::string::npos) << message;
+  EXPECT_NE(message.find("bolton-budget v1"), std::string::npos) << message;
+  EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+
+  // Refused before anything is persisted: the recorded spend survives.
+  std::ifstream in(path, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, v1);
+}
+
 TEST(TenantBudgetTest, BudgetEventsAreTenantKeyed) {
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   ledger.Clear();

@@ -34,8 +34,6 @@ TenantBudgetOptions DiskOptions(const std::string& dir_name) {
   TenantBudgetOptions options;
   options.default_budget = PrivacyParams{1.0, 0.0};
   options.state_dir = MakeStateDir(dir_name);
-  options.persist_retry.max_attempts = 3;
-  options.persist_retry.backoff_base_ms = 0;  // fast tests
   return options;
 }
 

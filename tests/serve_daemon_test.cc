@@ -3,6 +3,9 @@
 // responses are checked with the same JSON parser the daemon uses.
 #include "serve/daemon.h"
 
+#include <sys/stat.h>
+
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -306,6 +309,24 @@ TEST_F(ServeDaemonTest, ShutdownIsIdempotentAndStopsServing) {
   daemon_->Shutdown();
   daemon_->Shutdown();  // second call is a no-op
   EXPECT_FALSE(net::ConnectTcp(static_cast<uint16_t>(port)).ok());
+}
+
+TEST_F(ServeDaemonTest, RefusedBudgetStateFailsStartWithItsReason) {
+  // Start() fails before the HTTP server exists: tearing down the partly
+  // built daemon must hand back the budget store's error, not crash.
+  ServeOptions options;
+  options.budget.state_dir = ::testing::TempDir() + "serve_refused_state";
+  ::mkdir(options.budget.state_dir.c_str(), 0700);
+  {
+    std::ofstream out(options.budget.state_dir + "/bolton.budget");
+    out << "bolton-budget v1\nholds 0\n";
+  }
+  auto daemon = ServeDaemon::Start(options);
+  ASSERT_FALSE(daemon.ok());
+  EXPECT_NE(daemon.status().message().find("bolton-budget v1"),
+            std::string::npos)
+      << daemon.status().ToString();
+  std::remove((options.budget.state_dir + "/bolton.budget").c_str());
 }
 
 }  // namespace

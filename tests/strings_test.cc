@@ -1,5 +1,7 @@
 #include "util/strings.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace bolton {
@@ -55,6 +57,30 @@ TEST(ParseIntTest, RejectsNonIntegers) {
 TEST(ParseIntTest, RangeErrorIsOutOfRange) {
   EXPECT_EQ(ParseInt("99999999999999999999999").status().code(),
             StatusCode::kOutOfRange);
+}
+
+TEST(ParseU64Test, CoversTheFullUnsignedRange) {
+  EXPECT_EQ(ParseU64("0").value(), 0u);
+  EXPECT_EQ(ParseU64(" 42 ").value(), 42u);
+  EXPECT_EQ(ParseU64("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(ParseU64("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ParseU64Test, RejectsSignsAndJunk) {
+  EXPECT_FALSE(ParseU64("-1").ok());
+  EXPECT_FALSE(ParseU64(" -1").ok());
+  EXPECT_FALSE(ParseU64("").ok());
+  EXPECT_FALSE(ParseU64("7x").ok());
+  EXPECT_FALSE(ParseU64("1.5").ok());
+}
+
+TEST(TokenCodecTest, EmptyAndWhitespaceBecomeSingleTokens) {
+  EXPECT_EQ(EncodeToken(""), "-");
+  EXPECT_EQ(DecodeToken("-"), "");
+  EXPECT_EQ(EncodeToken("bolton.sensitivity"), "bolton.sensitivity");
+  EXPECT_EQ(DecodeToken("bolton.sensitivity"), "bolton.sensitivity");
+  EXPECT_EQ(EncodeToken("a b\tc\nd"), "a_b_c_d");
 }
 
 TEST(StartsWithTest, Basics) {

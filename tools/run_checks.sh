@@ -47,7 +47,7 @@ CLI="$BUILD/tools/boltondp"
 # Every ledger line must be one JSON object carrying the full event schema.
 awk '
   !/^\{"seq":[0-9]+,/ || !/\}$/ { bad = 1 }
-  !/"kind":"(noise_draw|accountant_charge|calibration|fault|retry|checkpoint|resume|budget_reserve|budget_commit|budget_refund|budget_refusal|budget_recover)"/ { bad = 1 }
+  !/"kind":"(noise_draw|accountant_charge|calibration|fault|checkpoint|resume|budget_reserve|budget_commit|budget_refund|budget_refusal|budget_recover)"/ { bad = 1 }
   !/"epsilon":/ || !/"sensitivity":/ || !/"noise_norm":/ { bad = 1 }
   !/"rng_fingerprint":/ || !/"accepted":(true|false)/ { bad = 1 }
   bad { print "malformed ledger line " NR ": " $0; exit 1 }
