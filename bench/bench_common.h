@@ -32,6 +32,7 @@
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace bench {
@@ -174,7 +175,6 @@ inline void PrintAccuracyRow(double epsilon,
 template <typename Fn>
 inline double TimedSeconds(const char* name, Fn&& fn) {
   obs::ScopedSpan span(name);
-  obs::CounterScope counters(&span);
   const uint64_t start_ns = obs::MonotonicNanos();
   fn();
   return static_cast<double>(obs::MonotonicNanos() - start_ns) * 1e-9;
@@ -400,8 +400,8 @@ inline std::string BenchResultsToJson() {
         "\n {\"figure\":\"%s\",\"name\":\"%s\",\"dataset\":\"%s\","
         "\"algo\":\"%s\",\"epsilon\":%.17g,\"wall_seconds\":%.17g,"
         "\"rows_per_sec\":%.17g,\"accuracy\":%.17g",
-        obs::JsonEscape(r.figure).c_str(), obs::JsonEscape(r.name).c_str(),
-        obs::JsonEscape(r.dataset).c_str(), obs::JsonEscape(r.algo).c_str(),
+        JsonEscape(r.figure).c_str(), JsonEscape(r.name).c_str(),
+        JsonEscape(r.dataset).c_str(), JsonEscape(r.algo).c_str(),
         r.epsilon, r.wall_seconds, r.rows_per_sec, r.accuracy);
     if (!r.profile_json.empty()) {
       // Already-rendered JSON object; embedded verbatim, not re-escaped.
@@ -481,7 +481,7 @@ struct CommonFlags {
     // carry per-row counter deltas (an explicit {"available":false,...}
     // object when the PMU is unreachable), and the per-scope reads are two
     // fd reads per span — noise at bench granularity.
-    obs::SetCurrentThreadName("main");
+    SetCurrentThreadName("main");
     obs::SetPerfCountersEnabled(true);
     if (metrics) obs::SetMetricsEnabled(true);
     if (!trace_out.empty()) obs::TraceRecorder::Default().SetEnabled(true);

@@ -8,7 +8,6 @@
 #include "core/objective_perturbation.h"
 #include "core/private_sgd.h"
 #include "core/scs13.h"
-#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "optim/parallel_executor.h"
 #include "optim/schedule.h"
@@ -101,11 +100,10 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
   if (data.empty()) return Status::InvalidArgument("empty training set");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  // One top-level span + counter interval over the whole solve, so every
-  // front end (CLI, benches, ml/TrainBinary) gets an end-to-end IPC /
-  // cache-miss reading on the main thread without instrumenting itself.
+  // One top-level span over the whole solve, so every front end (CLI,
+  // benches, ml/TrainBinary) gets an end-to-end IPC / cache-miss reading
+  // on the main thread without instrumenting itself.
   obs::ScopedSpan solver_span("solver.run");
-  obs::CounterScope solver_counters(&solver_span);
 
   switch (algorithm) {
     case Algorithm::kNoiseless:

@@ -78,19 +78,7 @@ Result<DriverOutput> RunSgdDriver(Table* table, const LossFunction& loss,
   }
   out.model = std::move(model);
   out.stats = uda.stats();
-
-  {
-    // One relaxed add per counter per run, mirroring RunPsgd's flush.
-    static obs::Counter* gradient_evaluations =
-        obs::MetricsRegistry::Default().GetCounter("gradient_evaluations");
-    static obs::Counter* model_updates =
-        obs::MetricsRegistry::Default().GetCounter("model_updates");
-    static obs::Counter* noise_samples =
-        obs::MetricsRegistry::Default().GetCounter("noise_samples");
-    gradient_evaluations->Increment(out.stats.gradient_evaluations);
-    model_updates->Increment(out.stats.updates);
-    noise_samples->Increment(out.stats.noise_samples);
-  }
+  FlushPsgdStats(out.stats);
   return out;
 }
 

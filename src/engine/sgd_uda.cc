@@ -26,10 +26,7 @@ void SgdUda::Initialize(const Vector& state) {
 
 void SgdUda::Transition(const Example& row) {
   if (!status_.ok()) return;
-  {
-    obs::PhaseTimer timer(&gradient_phase_);
-    loss_.AddGradient(model_, row, 1.0, &batch_grad_);
-  }
+  loss_.AddGradient(model_, row, 1.0, &batch_grad_);
   ++stats_.gradient_evaluations;
   ++batch_fill_;
   if (batch_fill_ == options_.batch_size) ApplyUpdate();
@@ -38,9 +35,6 @@ void SgdUda::Transition(const Example& row) {
 Vector SgdUda::Terminate() {
   // Flush a trailing partial batch, as Bismarck's terminate function does.
   if (status_.ok() && batch_fill_ > 0) ApplyUpdate();
-  gradient_phase_.Flush();
-  noise_phase_.Flush();
-  projection_phase_.Flush();
   return model_;
 }
 
@@ -48,7 +42,6 @@ void SgdUda::ApplyUpdate() {
   ++step_;
   batch_grad_ *= 1.0 / static_cast<double>(batch_fill_);
   if (noise_ != nullptr) {
-    obs::PhaseTimer timer(&noise_phase_);
     auto z = noise_->Sample(step_, model_.dim(), noise_rng_);
     if (!z.ok()) {
       status_ = z.status().WithContext("white-box noise at transition");
@@ -60,7 +53,6 @@ void SgdUda::ApplyUpdate() {
   double eta = schedule_.StepSize(step_);
   model_.Axpy(-eta, batch_grad_);
   if (std::isfinite(options_.radius)) {
-    obs::PhaseTimer timer(&projection_phase_);
     ProjectToL2BallInPlace(&model_, options_.radius);
   }
   ++stats_.updates;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "engine/uda.h"
-#include "obs/trace.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
 #include "optim/schedule.h"
@@ -63,13 +62,6 @@ class SgdUda final : public Uda {
   size_t step_ = 0;  // global update counter across epochs
   PsgdStats stats_;
   Status status_;
-
-  // Per-epoch phase aggregates (obs/trace.h); flushed at Terminate so each
-  // epoch's span tree carries one uda.* record per phase. No-ops while
-  // tracing is disabled.
-  obs::PhaseAccumulator gradient_phase_{"uda.gradient"};
-  obs::PhaseAccumulator noise_phase_{"uda.noise_draw"};
-  obs::PhaseAccumulator projection_phase_{"uda.projection"};
 };
 
 }  // namespace bolton

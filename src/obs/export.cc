@@ -37,36 +37,6 @@ std::string RenderMetricsText(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string RenderMetricsJsonl(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += StrFormat("{\"type\":\"counter\",\"name\":\"%s\",\"value\":%llu}\n",
-                     JsonEscape(name).c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += StrFormat("{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.17g}\n",
-                     JsonEscape(name).c_str(), value);
-  }
-  for (const MetricsSnapshot::HistogramData& h : snapshot.histograms) {
-    out += StrFormat(
-        "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%llu,"
-        "\"sum\":%.17g,\"buckets\":[",
-        JsonEscape(h.name).c_str(), static_cast<unsigned long long>(h.count),
-        h.sum);
-    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (i > 0) out += ",";
-      const std::string edge = i < h.bounds.size()
-                                   ? StrFormat("%.17g", h.bounds[i])
-                                   : "\"+inf\"";
-      out += StrFormat("{\"le\":%s,\"count\":%llu}", edge.c_str(),
-                       static_cast<unsigned long long>(h.bucket_counts[i]));
-    }
-    out += "]}\n";
-  }
-  return out;
-}
-
 std::string PrometheusName(const std::string& name) {
   std::string out;
   out.reserve(name.size());

@@ -24,9 +24,6 @@ namespace obs {
 /// Aligned human-readable dump (the `--metrics` console format).
 std::string RenderMetricsText(const MetricsSnapshot& snapshot);
 
-/// One JSON object per metric.
-std::string RenderMetricsJsonl(const MetricsSnapshot& snapshot);
-
 /// Prometheus text exposition format (version 0.0.4): counters and gauges
 /// as single samples, histograms as cumulative `_bucket{le="..."}` series
 /// ending in `le="+Inf"` plus `_sum`/`_count`, and derived p50/p95/p99

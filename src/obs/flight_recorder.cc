@@ -11,10 +11,8 @@
 namespace bolton {
 namespace obs {
 
-namespace {
+namespace internal {
 
-/// write(2) with short-write/EINTR handling; the only output primitive in
-/// WriteRawTo, so the whole dump stays async-signal-safe.
 void RawWrite(int fd, const char* data, size_t len) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
@@ -27,7 +25,6 @@ void RawWrite(int fd, const char* data, size_t len) {
   }
 }
 
-/// Minimal hand-rolled formatters: snprintf is not async-signal-safe.
 size_t FormatUint(uint64_t v, char* out) {
   char digits[20];
   size_t n = 0;
@@ -53,47 +50,9 @@ size_t FormatHex(uint64_t v, char* out) {
   return 2 + n;
 }
 
-/// Builds one output line in a stack buffer; silently truncates rather
-/// than overflowing (diagnostics must never make things worse).
-class LineBuilder {
- public:
-  void Text(const char* s) {
-    while (*s != '\0' && len_ < sizeof(buf_) - 1) buf_[len_++] = *s++;
-  }
-  /// A whitespace-free token: spaces/tabs become '_', "" becomes "-".
-  void Token(const char* s) {
-    if (*s == '\0') {
-      Text("-");
-      return;
-    }
-    while (*s != '\0' && len_ < sizeof(buf_) - 1) {
-      const char c = *s++;
-      buf_[len_++] = (c == ' ' || c == '\t') ? '_' : c;
-    }
-  }
-  /// Free text at end of line: newlines become spaces.
-  void Message(const char* s) {
-    while (*s != '\0' && len_ < sizeof(buf_) - 1) {
-      const char c = *s++;
-      buf_[len_++] = (c == '\n' || c == '\r') ? ' ' : c;
-    }
-  }
-  void Uint(uint64_t v) {
-    if (len_ + 20 < sizeof(buf_)) len_ += FormatUint(v, buf_ + len_);
-  }
-  void Hex(uint64_t v) {
-    if (len_ + 18 < sizeof(buf_)) len_ += FormatHex(v, buf_ + len_);
-  }
-  void Flush(int fd) {
-    if (len_ < sizeof(buf_)) buf_[len_] = '\n';
-    RawWrite(fd, buf_, len_ + 1);
-    len_ = 0;
-  }
+}  // namespace internal
 
- private:
-  char buf_[512];
-  size_t len_ = 0;
-};
+namespace {
 
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
@@ -315,7 +274,7 @@ RingStats FlightRecorder::SpanRingStats() const {
 }
 
 void FlightRecorder::WriteRawTo(int fd) const {
-  LineBuilder line;
+  internal::LineBuilder line;
 
   line.Text("flstats logs ");
   line.Uint(kLogSlots);

@@ -113,6 +113,67 @@ struct RingStats {
   uint64_t dropped = 0;
 };
 
+namespace internal {
+
+/// Async-signal-safe line output, shared by FlightRecorder::WriteRawTo and
+/// the crash handler (obs/postmortem.cc): write(2) plus hand-rolled
+/// formatters, because snprintf and FILE* are off-limits in a signal
+/// handler.
+
+/// write(2) with short-write/EINTR handling.
+void RawWrite(int fd, const char* data, size_t len);
+/// Decimal digits of `v` into `out` (at least 20 bytes); returns the count.
+size_t FormatUint(uint64_t v, char* out);
+/// "0x" plus lowercase hex digits of `v` into `out` (at least 18 bytes).
+size_t FormatHex(uint64_t v, char* out);
+
+/// Builds one output line in a stack buffer; silently truncates rather
+/// than overflowing (diagnostics must never make things worse).
+class LineBuilder {
+ public:
+  void Text(const char* s) {
+    while (*s != '\0' && len_ < sizeof(buf_) - 1) buf_[len_++] = *s++;
+  }
+  /// A whitespace-free token: space, tab, CR and LF become '_', and null
+  /// or "" becomes "-" (DecodeToken in util/strings.h maps it back).
+  void Token(const char* s) {
+    if (s == nullptr || *s == '\0') {
+      Text("-");
+      return;
+    }
+    while (*s != '\0' && len_ < sizeof(buf_) - 1) {
+      const char c = *s++;
+      const bool space = c == ' ' || c == '\t' || c == '\r' || c == '\n';
+      buf_[len_++] = space ? '_' : c;
+    }
+  }
+  /// Free text at end of line: newlines become spaces.
+  void Message(const char* s) {
+    while (*s != '\0' && len_ < sizeof(buf_) - 1) {
+      const char c = *s++;
+      buf_[len_++] = (c == '\n' || c == '\r') ? ' ' : c;
+    }
+  }
+  void Uint(uint64_t v) {
+    if (len_ + 20 < sizeof(buf_)) len_ += FormatUint(v, buf_ + len_);
+  }
+  void Hex(uint64_t v) {
+    if (len_ + 18 < sizeof(buf_)) len_ += FormatHex(v, buf_ + len_);
+  }
+  /// Writes the line plus '\n' to `fd` and starts the next one.
+  void Flush(int fd) {
+    if (len_ < sizeof(buf_)) buf_[len_] = '\n';
+    RawWrite(fd, buf_, len_ + 1);
+    len_ = 0;
+  }
+
+ private:
+  char buf_[512];
+  size_t len_ = 0;
+};
+
+}  // namespace internal
+
 class FlightRecorder : public LogSink {
  public:
   static constexpr size_t kLogSlots = 256;

@@ -29,6 +29,10 @@ namespace obs {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 16 * 1024;
+/// Largest accepted request body; bigger POSTs get 413.
+constexpr size_t kMaxBodyBytes = 1 << 20;
+
+constexpr char kPlainText[] = "text/plain; charset=utf-8";
 
 std::string StatusLine(int http_status) {
   switch (http_status) {
@@ -103,36 +107,29 @@ Result<int64_t> ContentLengthOf(const std::string& head) {
   return static_cast<int64_t>(-1);
 }
 
-/// Value of `key` in an "a=1&b=2" query string, or `fallback` when the key
-/// is absent. A key that IS present but malformed (non-numeric, junk) is an
-/// InvalidArgument — handlers answer 400 instead of silently defaulting.
-Result<int64_t> QueryIntParam(const std::string& query, const std::string& key,
-                              int64_t fallback) {
-  for (const std::string& pair : StrSplit(query, '&')) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    if (pair.substr(0, eq) != key) continue;
-    auto parsed = ParseInt(pair.substr(eq + 1));
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "query parameter '%s' must be an integer, got '%s'", key.c_str(),
-          pair.substr(eq + 1).c_str()));
-    }
-    return parsed.value();
-  }
-  return fallback;
+HttpResponse MakeResponse(int status, const char* content_type,
+                          std::string body) {
+  HttpResponse response;
+  response.status = status;
+  response.content_type = content_type;
+  response.body = std::move(body);
+  return response;
 }
 
-/// Value of `key` in an "a=b&c=d" query string, or `fallback`.
-std::string QueryStringParam(const std::string& query, const std::string& key,
-                             const std::string& fallback) {
-  for (const std::string& pair : StrSplit(query, '&')) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    if (pair.substr(0, eq) != key) continue;
-    return pair.substr(eq + 1);
+/// The integer value of query parameter `key`, or `fallback` when it is
+/// absent. A key that IS present but malformed (non-numeric, junk) is an
+/// InvalidArgument — handlers answer 400 instead of silently defaulting.
+Result<int64_t> QueryIntParam(const HttpRequest& request,
+                              const std::string& key, int64_t fallback) {
+  const std::optional<std::string> text = request.QueryParam(key);
+  if (!text.has_value()) return fallback;
+  auto parsed = ParseInt(*text);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("query parameter '%s' must be an integer, got '%s'",
+                  key.c_str(), text->c_str()));
   }
-  return fallback;
+  return parsed.value();
 }
 
 constexpr int64_t kMaxProfileSeconds = 60;
@@ -146,30 +143,29 @@ constexpr int64_t kMaxProfileSeconds = 60;
 /// `train --profile-out`) already started, without stopping it. 503 when a
 /// timed request races a profiling session already in flight — there is
 /// one global profiler.
-std::string HandleProfile(const std::string& query,
-                          const std::atomic<bool>& server_stop,
-                          int* http_status, std::string* content_type) {
-  auto seconds = QueryIntParam(query, "seconds", 2);
-  auto hz = QueryIntParam(query, "hz", 97);
-  auto top = QueryIntParam(query, "top", 30);
+HttpResponse HandleProfile(const HttpRequest& request,
+                           const std::atomic<bool>& server_stop) {
+  auto seconds = QueryIntParam(request, "seconds", 2);
+  auto hz = QueryIntParam(request, "hz", 97);
+  auto top = QueryIntParam(request, "top", 30);
   if (!seconds.ok() || seconds.value() < 0 ||
       seconds.value() > kMaxProfileSeconds) {
-    *http_status = 400;
-    return StrFormat("seconds must be an integer in [0, %lld]\n",
-                     static_cast<long long>(kMaxProfileSeconds));
+    return MakeResponse(
+        400, kPlainText,
+        StrFormat("seconds must be an integer in [0, %lld]\n",
+                  static_cast<long long>(kMaxProfileSeconds)));
   }
   if (!hz.ok() || hz.value() < 1 || hz.value() > 1000) {
-    *http_status = 400;
-    return "hz must be an integer in [1, 1000]\n";
+    return MakeResponse(400, kPlainText,
+                        "hz must be an integer in [1, 1000]\n");
   }
   if (!top.ok() || top.value() < 1) {
-    *http_status = 400;
-    return "top must be a positive integer\n";
+    return MakeResponse(400, kPlainText, "top must be a positive integer\n");
   }
-  const std::string format = QueryStringParam(query, "format", "collapsed");
+  const std::string format = request.QueryParam("format").value_or("collapsed");
   if (format != "collapsed" && format != "json") {
-    *http_status = 400;
-    return "format must be 'collapsed' or 'json'\n";
+    return MakeResponse(400, kPlainText,
+                        "format must be 'collapsed' or 'json'\n");
   }
 
   Profiler& profiler = Profiler::Default();
@@ -177,8 +173,9 @@ std::string HandleProfile(const std::string& query,
   if (seconds.value() == 0) {
     // Live snapshot of an externally managed session.
     if (!profiler.running()) {
-      *http_status = 400;
-      return "seconds=0 snapshots a running profiler, but none is running\n";
+      return MakeResponse(
+          400, kPlainText,
+          "seconds=0 snapshots a running profiler, but none is running\n");
     }
     dump = profiler.Dump();
   } else {
@@ -186,9 +183,9 @@ std::string HandleProfile(const std::string& query,
     options.hz = static_cast<int>(hz.value());
     Status started = profiler.Start(options);
     if (!started.ok()) {
-      *http_status = 503;
-      return StrFormat("profiler busy: %s\n",
-                       started.message().c_str());
+      return MakeResponse(
+          503, kPlainText,
+          StrFormat("profiler busy: %s\n", started.message().c_str()));
     }
     // Sleep in short slices so server Stop() aborts the session promptly
     // instead of holding shutdown for the full window.
@@ -204,14 +201,119 @@ std::string HandleProfile(const std::string& query,
   }
 
   if (format == "json") {
-    *content_type = "application/json";
-    return RenderProfileSummaryJson(dump, static_cast<size_t>(top.value()));
+    return MakeResponse(
+        200, "application/json",
+        RenderProfileSummaryJson(dump, static_cast<size_t>(top.value())));
   }
-  *content_type = "text/plain; charset=utf-8";
-  return RenderCollapsed(dump);
+  return MakeResponse(200, kPlainText, RenderCollapsed(dump));
+}
+
+/// GET /metrics. Prometheus scrapers key on this exact version tag. Memory
+/// and perf gauges are polled on read: every scrape sees current values,
+/// not a stale sample.
+HttpResponse HandleMetrics(const HttpRequest&) {
+  UpdateProcessMemoryGauges();
+  UpdatePerfGauges();
+  return MakeResponse(200, "text/plain; version=0.0.4; charset=utf-8",
+                      RenderPrometheus(MetricsRegistry::Default().Snapshot()));
+}
+
+HttpResponse HandleHealthz(uint64_t start_ns) {
+  const LedgerTotals totals =
+      SummarizeLedger(PrivacyLedger::Default().Snapshot());
+  return MakeResponse(
+      200, "application/json",
+      StrFormat(
+          "{\"status\":\"ok\",\"uptime_ns\":%llu,"
+          "\"metrics_enabled\":%s,\"trace_enabled\":%s,"
+          "\"ledger_enabled\":%s,\"privacy_spend\":{"
+          "\"events\":%llu,\"noise_draws\":%llu,\"charges\":%llu,"
+          "\"rejected\":%llu,\"calibrations\":%llu,"
+          "\"epsilon_charged\":%.17g,\"delta_charged\":%.17g}}\n",
+          static_cast<unsigned long long>(MonotonicNanos() - start_ns),
+          MetricsEnabled() ? "true" : "false",
+          TraceRecorder::Default().enabled() ? "true" : "false",
+          PrivacyLedger::Default().enabled() ? "true" : "false",
+          static_cast<unsigned long long>(totals.events),
+          static_cast<unsigned long long>(totals.noise_draws),
+          static_cast<unsigned long long>(totals.charges),
+          static_cast<unsigned long long>(totals.rejected),
+          static_cast<unsigned long long>(totals.calibrations),
+          totals.epsilon_charged, totals.delta_charged));
+}
+
+HttpResponse HandleLedger(const HttpRequest& request) {
+  auto tail = QueryIntParam(request, "tail", 100);
+  if (!tail.ok() || tail.value() < 0) {
+    return MakeResponse(400, kPlainText,
+                        "tail must be a non-negative integer\n");
+  }
+  std::vector<LedgerEvent> events = PrivacyLedger::Default().Snapshot();
+  if (tail.value() > 0 && static_cast<size_t>(tail.value()) < events.size()) {
+    events.erase(events.begin(),
+                 events.end() - static_cast<size_t>(tail.value()));
+  }
+  return MakeResponse(200, "application/jsonl", RenderLedgerJsonl(events));
+}
+
+HttpResponse HandleSpans(const HttpRequest& request) {
+  const std::string format = request.QueryParam("format").value_or("jsonl");
+  if (format == "chrome") {
+    return MakeResponse(200, "application/json",
+                        RenderChromeTrace(TraceRecorder::Default().Snapshot()));
+  }
+  if (format != "jsonl") {
+    return MakeResponse(400, kPlainText,
+                        "format must be 'jsonl' or 'chrome'\n");
+  }
+  return MakeResponse(200, "application/jsonl",
+                      RenderSpansJsonl(TraceRecorder::Default().Snapshot()));
+}
+
+HttpResponse HandleLogz(const HttpRequest& request) {
+  auto tail = QueryIntParam(request, "tail", 100);
+  if (!tail.ok() || tail.value() < 0) {
+    return MakeResponse(400, kPlainText,
+                        "tail must be a non-negative integer\n");
+  }
+  LogLevel min_level = LogLevel::kDebug;
+  const std::string level_text = request.QueryParam("level").value_or("");
+  if (!level_text.empty() && !ParseLogLevel(level_text, &min_level)) {
+    return MakeResponse(
+        400, kPlainText,
+        "level must be one of D/I/W/E (or debug/info/warning/error)\n");
+  }
+  const size_t max = tail.value() == 0 ? FlightRecorder::kLogSlots
+                                       : static_cast<size_t>(tail.value());
+  return MakeResponse(
+      200, "application/jsonl",
+      RenderRecordedLogsJsonl(
+          FlightRecorder::Default().RecentLogs(max, min_level)));
+}
+
+HttpResponse HandleFlightRecorder(const HttpRequest&) {
+  // Refresh the snapshot so the payload's metrics are current, not up to
+  // a second stale.
+  FlightRecorder::Default().SnapshotMetricsNow();
+  return MakeResponse(200, "application/json",
+                      RenderFlightRecorderJson(FlightRecorder::Default()));
+}
+
+HttpResponse HandleBuildz(const HttpRequest&) {
+  return MakeResponse(200, "application/json", RenderBuildInfoJson() + "\n");
 }
 
 }  // namespace
+
+std::optional<std::string> HttpRequest::QueryParam(
+    const std::string& key) const {
+  for (const std::string& pair : StrSplit(query, '&')) {
+    const size_t eq = pair.find('=');
+    if (eq == std::string::npos) continue;
+    if (pair.substr(0, eq) == key) return pair.substr(eq + 1);
+  }
+  return std::nullopt;
+}
 
 Result<std::unique_ptr<ObsServer>> ObsServer::Start(
     const ObsServerOptions& options) {
@@ -244,6 +346,30 @@ Result<std::unique_ptr<ObsServer>> ObsServer::Start(
   server->wake_read_fd_ = pipe_fds[0];
   server->wake_write_fd_ = pipe_fds[1];
   server->start_ns_ = MonotonicNanos();
+
+  // The built-in endpoints are ordinary GET routes in the one table.
+  ObsServer* self = server.get();
+  self->RegisterHandler("GET", "/metrics", &HandleMetrics);
+  self->RegisterHandler("GET", "/healthz", [self](const HttpRequest&) {
+    return HandleHealthz(self->start_ns_);
+  });
+  self->RegisterHandler("GET", "/ledger", &HandleLedger);
+  self->RegisterHandler("GET", "/spans", &HandleSpans);
+  self->RegisterHandler("GET", "/logz", &HandleLogz);
+  self->RegisterHandler("GET", "/flightrecorder", &HandleFlightRecorder);
+  self->RegisterHandler("GET", "/buildz", &HandleBuildz);
+  self->RegisterHandler("GET", "/profile", [self](const HttpRequest& request) {
+    return HandleProfile(request, self->stop_);
+  });
+  self->RegisterHandler("GET", "/quitquitquit", [self](const HttpRequest&) {
+    {
+      std::lock_guard<std::mutex> lock(self->quit_mu_);
+      self->quit_.store(true, std::memory_order_release);
+    }
+    self->quit_cv_.notify_all();
+    return MakeResponse(200, kPlainText, "quitting\n");
+  });
+
   server->handler_threads_.reserve(options.handler_threads);
   for (size_t i = 0; i < options.handler_threads; ++i) {
     server->handler_threads_.emplace_back(&ObsServer::HandlerLoop,
@@ -251,14 +377,6 @@ Result<std::unique_ptr<ObsServer>> ObsServer::Start(
   }
   server->accept_thread_ = std::thread(&ObsServer::AcceptLoop, server.get());
   return server;
-}
-
-Result<std::unique_ptr<ObsServer>> ObsServer::Start(int port,
-                                                    int io_timeout_ms) {
-  ObsServerOptions options;
-  options.port = port;
-  options.io_timeout_ms = io_timeout_ms;
-  return Start(options);
 }
 
 ObsServer::~ObsServer() { Stop(); }
@@ -341,10 +459,8 @@ void ObsServer::ShedConnection(int fd) {
   response.body = StrFormat(
       "{\"error\":\"overloaded\",\"detail\":\"pending queue full "
       "(%zu)\"}\n", options_.max_pending);
-  response.headers.emplace_back(
-      "Retry-After",
-      StrFormat("%llu", static_cast<unsigned long long>(
-                            options_.retry_after_seconds)));
+  response.headers.emplace_back("Retry-After",
+                                 std::to_string(kRetryAfterSeconds));
   const std::string wire = RenderResponse(response);
   (void)net::SendAll(fd, wire.data(), wire.size(), options_.io_timeout_ms);
   ::shutdown(fd, SHUT_WR);
@@ -383,7 +499,7 @@ void ObsServer::HandleConnection(int fd) {
   const std::string& text = head.value();
 
   HttpResponse response;
-  response.content_type = "text/plain; charset=utf-8";
+  response.content_type = kPlainText;
   const size_t head_end = text.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     // Request head hit the size cap (or the client half-closed) without a
@@ -407,10 +523,10 @@ void ObsServer::HandleConnection(int fd) {
       response.status = 400;
       response.body = content_length.status().message() + "\n";
     } else if (content_length.value() >
-               static_cast<int64_t>(options_.max_body_bytes)) {
+               static_cast<int64_t>(kMaxBodyBytes)) {
       response.status = 413;
-      response.body = StrFormat("request body exceeds %zu bytes\n",
-                                options_.max_body_bytes);
+      response.body =
+          StrFormat("request body exceeds %zu bytes\n", kMaxBodyBytes);
     } else {
       bool body_ok = true;
       if (content_length.value() > 0) {
@@ -450,161 +566,36 @@ HttpResponse ObsServer::Dispatch(const HttpRequest& request) {
       << "obs server request #" << request_number << ": " << request.method
       << " " << request.path;
 
-  // Registered routes take precedence: the serve daemon owns its /v1
-  // namespace outright.
+  HttpHandler handler;
+  bool path_known = false;
+  std::string allow;
   {
-    HttpHandler handler;
-    bool path_known = false;
-    std::string allow;
-    {
-      std::lock_guard<std::mutex> lock(handlers_mu_);
-      auto by_path = handlers_.find(request.path);
-      if (by_path != handlers_.end()) {
-        path_known = true;
-        for (const auto& entry : by_path->second) {
-          if (!allow.empty()) allow += ", ";
-          allow += entry.first;
-        }
-        auto by_method = by_path->second.find(request.method);
-        if (by_method != by_path->second.end()) handler = by_method->second;
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    auto by_path = handlers_.find(request.path);
+    if (by_path != handlers_.end()) {
+      path_known = true;
+      for (const auto& entry : by_path->second) {
+        if (!allow.empty()) allow += ", ";
+        allow += entry.first;
       }
-    }
-    if (handler) return handler(request);
-    if (path_known) {
-      HttpResponse response;
-      response.status = 405;
-      response.content_type = "text/plain; charset=utf-8";
-      response.body =
-          StrFormat("method %s not allowed for %s (allow: %s)\n",
-                    request.method.c_str(), request.path.c_str(),
-                    allow.c_str());
-      response.headers.emplace_back("Allow", allow);
-      return response;
+      auto by_method = by_path->second.find(request.method);
+      if (by_method != by_path->second.end()) handler = by_method->second;
     }
   }
-
-  HttpResponse response;
-  response.content_type = "text/plain; charset=utf-8";
-  if (request.method != "GET") {
-    response.status = 405;
-    response.body = "only GET is supported on built-in endpoints\n";
-    response.headers.emplace_back("Allow", "GET");
-    return response;
+  if (handler) return handler(request);
+  if (!path_known) {
+    return MakeResponse(
+        404, kPlainText,
+        StrFormat("no handler for '%s'; try /metrics /healthz /ledger /spans "
+                  "/logz /flightrecorder /buildz /profile\n",
+                  request.path.c_str()));
   }
-  response.body = HandleBuiltin(request.path, request.query, &response.status,
-                                &response.content_type);
+  HttpResponse response = MakeResponse(
+      405, kPlainText,
+      StrFormat("method %s not allowed for %s (allow: %s)\n",
+                request.method.c_str(), request.path.c_str(), allow.c_str()));
+  response.headers.emplace_back("Allow", allow);
   return response;
-}
-
-std::string ObsServer::HandleBuiltin(const std::string& path,
-                                     const std::string& query,
-                                     int* http_status,
-                                     std::string* content_type) {
-  if (path == "/metrics") {
-    // Prometheus scrapers key on this exact version tag. Memory and perf
-    // gauges are polled on read: every scrape sees current values, not a
-    // stale sample.
-    UpdateProcessMemoryGauges();
-    UpdatePerfGauges();
-    *content_type = "text/plain; version=0.0.4; charset=utf-8";
-    return RenderPrometheus(MetricsRegistry::Default().Snapshot());
-  }
-  if (path == "/healthz") {
-    *content_type = "application/json";
-    const LedgerTotals totals =
-        SummarizeLedger(PrivacyLedger::Default().Snapshot());
-    return StrFormat(
-        "{\"status\":\"ok\",\"uptime_ns\":%llu,"
-        "\"metrics_enabled\":%s,\"trace_enabled\":%s,"
-        "\"ledger_enabled\":%s,\"privacy_spend\":{"
-        "\"events\":%llu,\"noise_draws\":%llu,\"charges\":%llu,"
-        "\"rejected\":%llu,\"calibrations\":%llu,"
-        "\"epsilon_charged\":%.17g,\"delta_charged\":%.17g}}\n",
-        static_cast<unsigned long long>(MonotonicNanos() - start_ns_),
-        MetricsEnabled() ? "true" : "false",
-        TraceRecorder::Default().enabled() ? "true" : "false",
-        PrivacyLedger::Default().enabled() ? "true" : "false",
-        static_cast<unsigned long long>(totals.events),
-        static_cast<unsigned long long>(totals.noise_draws),
-        static_cast<unsigned long long>(totals.charges),
-        static_cast<unsigned long long>(totals.rejected),
-        static_cast<unsigned long long>(totals.calibrations),
-        totals.epsilon_charged, totals.delta_charged);
-  }
-  if (path == "/ledger") {
-    auto tail_param = QueryIntParam(query, "tail", 100);
-    if (!tail_param.ok() || tail_param.value() < 0) {
-      *http_status = 400;
-      return "tail must be a non-negative integer\n";
-    }
-    const int64_t tail = tail_param.value();
-    *content_type = "application/jsonl";
-    std::vector<LedgerEvent> events = PrivacyLedger::Default().Snapshot();
-    if (tail > 0 && static_cast<size_t>(tail) < events.size()) {
-      events.erase(events.begin(),
-                   events.end() - static_cast<size_t>(tail));
-    }
-    return RenderLedgerJsonl(events);
-  }
-  if (path == "/spans") {
-    const std::string format = QueryStringParam(query, "format", "jsonl");
-    if (format == "chrome") {
-      *content_type = "application/json";
-      return RenderChromeTrace(TraceRecorder::Default().Snapshot());
-    }
-    if (format != "jsonl") {
-      *http_status = 400;
-      return "format must be 'jsonl' or 'chrome'\n";
-    }
-    *content_type = "application/jsonl";
-    return RenderSpansJsonl(TraceRecorder::Default().Snapshot());
-  }
-  if (path == "/logz") {
-    auto tail_param = QueryIntParam(query, "tail", 100);
-    if (!tail_param.ok() || tail_param.value() < 0) {
-      *http_status = 400;
-      return "tail must be a non-negative integer\n";
-    }
-    LogLevel min_level = LogLevel::kDebug;
-    const std::string level_text = QueryStringParam(query, "level", "");
-    if (!level_text.empty() && !ParseLogLevel(level_text, &min_level)) {
-      *http_status = 400;
-      return "level must be one of D/I/W/E (or debug/info/warning/error)\n";
-    }
-    const size_t tail = tail_param.value() == 0
-                            ? FlightRecorder::kLogSlots
-                            : static_cast<size_t>(tail_param.value());
-    *content_type = "application/jsonl";
-    return RenderRecordedLogsJsonl(
-        FlightRecorder::Default().RecentLogs(tail, min_level));
-  }
-  if (path == "/flightrecorder") {
-    // Refresh the snapshot so the payload's metrics are current, not up
-    // to a second stale.
-    FlightRecorder::Default().SnapshotMetricsNow();
-    *content_type = "application/json";
-    return RenderFlightRecorderJson(FlightRecorder::Default());
-  }
-  if (path == "/buildz") {
-    *content_type = "application/json";
-    return RenderBuildInfoJson() + "\n";
-  }
-  if (path == "/profile") {
-    return HandleProfile(query, stop_, http_status, content_type);
-  }
-  if (path == "/quitquitquit") {
-    {
-      std::lock_guard<std::mutex> lock(quit_mu_);
-      quit_.store(true, std::memory_order_release);
-    }
-    quit_cv_.notify_all();
-    return "quitting\n";
-  }
-  *http_status = 404;
-  return StrFormat(
-      "no handler for '%s'; try /metrics /healthz /ledger /spans /logz "
-      "/flightrecorder /buildz /profile\n",
-      path.c_str());
 }
 
 namespace {
@@ -623,7 +614,7 @@ Status StartDefaultObsServer(int port) {
     return Status::FailedPrecondition(StrFormat(
         "obs server already running on port %d", slot->port()));
   }
-  BOLTON_ASSIGN_OR_RETURN(slot, ObsServer::Start(port));
+  BOLTON_ASSIGN_OR_RETURN(slot, ObsServer::Start({.port = port}));
   return Status::OK();
 }
 

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +26,9 @@ struct HttpRequest {
   std::string path;    // "/v1/train" (query stripped)
   std::string query;   // "tenant=t1&tail=5" (no leading '?')
   std::string body;    // exactly Content-Length bytes ("" for bodyless)
+
+  /// The value of `key` in `query` ("a=1&b=2"), or nullopt when absent.
+  std::optional<std::string> QueryParam(const std::string& key) const;
 };
 
 /// A handler's answer. `headers` carries extras beyond Content-Type/Length
@@ -38,9 +42,15 @@ struct HttpResponse {
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// Server shape. The defaults reproduce the historical observability
-/// server: one handler thread (requests strictly serialized), a small
-/// accepted-connection queue, GET-only built-in endpoints.
+/// The Retry-After header, in seconds, on every 503 that invites a retry:
+/// the server's own queue-full shed and the serve daemon's overload
+/// refusals.
+inline constexpr int kRetryAfterSeconds = 1;
+
+/// Server shape. The defaults give the plain observability server: one
+/// handler thread (requests strictly serialized) and a small
+/// accepted-connection queue. Request heads are capped at 16 KiB (400
+/// beyond) and bodies at 1 MiB (413 beyond).
 struct ObsServerOptions {
   /// 127.0.0.1:`port`; 0 = kernel-assigned ephemeral port.
   int port = 0;
@@ -53,10 +63,6 @@ struct ObsServerOptions {
   /// immediately with 503 + Retry-After instead of queuing without bound —
   /// overload degrades to fast refusals, not to memory growth.
   size_t max_pending = 16;
-  /// Largest accepted request body; bigger POSTs get 413.
-  size_t max_body_bytes = 1 << 20;
-  /// Advertised in the Retry-After header of shed responses.
-  uint64_t retry_after_seconds = 1;
 };
 
 /// In-process HTTP endpoint: a dependency-free HTTP/1.0 server on
@@ -64,7 +70,8 @@ struct ObsServerOptions {
 /// telemetry pillars, plus any routes registered with RegisterHandler —
 /// the serve daemon mounts its /v1 API here.
 ///
-/// Built-in endpoints (all GET):
+/// Built-in endpoints (all GET, registered by Start in the same route
+/// table as everything else):
 ///   /metrics        Prometheus text exposition of the MetricsRegistry
 ///                   snapshot (cumulative buckets, _sum/_count, +Inf,
 ///                   derived p50/p95/p99 gauges).
@@ -93,17 +100,13 @@ class ObsServer {
   static Result<std::unique_ptr<ObsServer>> Start(
       const ObsServerOptions& options);
 
-  /// Historical signature; equivalent to Start({.port = port,
-  /// .io_timeout_ms = io_timeout_ms}).
-  static Result<std::unique_ptr<ObsServer>> Start(int port,
-                                                  int io_timeout_ms = 5000);
-
   ~ObsServer();
 
   /// Mounts `handler` at exactly (`method`, `path`). A path with handlers
-  /// answers 405 (with an Allow header) for unregistered methods; built-in
-  /// paths stay GET-only. Registering over an existing (method, path)
-  /// replaces it. Thread-safe; callable before or after traffic starts.
+  /// answers 405 (with an Allow header) for unregistered methods, and an
+  /// unknown path answers 404. Registering over an existing (method, path),
+  /// built-in or not, replaces it. Thread-safe; callable before or after
+  /// traffic starts.
   void RegisterHandler(const std::string& method, const std::string& path,
                        HttpHandler handler);
 
@@ -141,8 +144,6 @@ class ObsServer {
   void HandleConnection(int fd);
   void ShedConnection(int fd);
   HttpResponse Dispatch(const HttpRequest& request);
-  std::string HandleBuiltin(const std::string& path, const std::string& query,
-                            int* http_status, std::string* content_type);
 
   ObsServerOptions options_;
   int listen_fd_ = -1;

@@ -1,10 +1,6 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-
 #include "obs/export.h"
-#include "obs/telemetry.h"
-#include "util/strings.h"
 
 namespace bolton {
 namespace obs {
@@ -117,20 +113,6 @@ void MetricsRegistry::Reset() {
 }
 
 std::string MetricsSnapshot::ToText() const { return RenderMetricsText(*this); }
-
-std::string MetricsSnapshot::ToJsonl() const {
-  return RenderMetricsJsonl(*this);
-}
-
-Status WriteMetricsText(const std::string& path) {
-  return internal::WriteStringToFile(
-      path, MetricsRegistry::Default().Snapshot().ToText());
-}
-
-Status WriteMetricsJsonl(const std::string& path) {
-  return internal::WriteStringToFile(
-      path, MetricsRegistry::Default().Snapshot().ToJsonl());
-}
 
 }  // namespace obs
 }  // namespace bolton

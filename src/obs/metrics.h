@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/status.h"
-
 namespace bolton {
 namespace obs {
 
@@ -126,9 +124,6 @@ struct MetricsSnapshot {
   /// Thin wrapper over RenderMetricsText (obs/export.h), which also feeds
   /// the HTTP /metrics endpoint — one rendering path for every surface.
   std::string ToText() const;
-  /// One JSON object per line: {"type":"counter","name":...,"value":...}.
-  /// Wrapper over RenderMetricsJsonl (obs/export.h).
-  std::string ToJsonl() const;
 };
 
 /// Create-or-get registry of named metrics. Returned pointers stay valid
@@ -160,10 +155,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Writes Snapshot().ToText() / ToJsonl() of the default registry to `path`.
-Status WriteMetricsText(const std::string& path);
-Status WriteMetricsJsonl(const std::string& path);
 
 }  // namespace obs
 }  // namespace bolton

@@ -13,7 +13,6 @@
 #include <ctime>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace bolton {
@@ -24,7 +23,7 @@ namespace {
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_force_unavailable{false};
 
-/// Process totals (the sum of every outermost CounterScope). Plain relaxed
+/// Process totals (the sum of every outermost counting span). Plain relaxed
 /// atomics: totals are diagnostics, not a release barrier.
 std::atomic<uint64_t> g_total_cycles{0};
 std::atomic<uint64_t> g_total_instructions{0};
@@ -201,10 +200,6 @@ bool ReadExactly(int fd, void* buffer, size_t size) {
   return n == static_cast<ssize_t>(size);
 }
 
-/// Per-thread depth of live CounterScopes; totals accumulate only when
-/// the outermost one closes.
-thread_local int tls_scope_depth = 0;
-
 }  // namespace
 
 const PerfCapability& PerfCaps() {
@@ -315,24 +310,6 @@ PerfCounterDelta DeltaBetween(const PerfReading& start,
   }
   delta.task_clock_ns = sub(end.task_clock_ns, start.task_clock_ns);
   return delta;
-}
-
-CounterScope::CounterScope(ScopedSpan* span, PerfCounterDelta* out)
-    : span_(span), out_(out) {
-  if (!PerfCountersEnabled()) return;
-  active_ = true;
-  ++tls_scope_depth;
-  start_ = ReadCurrentThreadPerf();
-}
-
-CounterScope::~CounterScope() {
-  if (!active_) return;
-  const PerfCounterDelta delta =
-      DeltaBetween(start_, ReadCurrentThreadPerf());
-  --tls_scope_depth;
-  if (span_ != nullptr) span_->AttachCounters(delta);
-  if (out_ != nullptr) *out_ = delta;
-  if (tls_scope_depth == 0) AddProcessPerfTotals(delta);
 }
 
 PerfCounterDelta ProcessPerfTotals() {

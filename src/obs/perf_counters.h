@@ -7,18 +7,16 @@
 namespace bolton {
 namespace obs {
 
-class ScopedSpan;
-
 /// Hardware performance-counter telemetry over perf_event_open(2).
 ///
 /// Each thread lazily opens one per-thread counter group (leader = CPU
 /// cycles; siblings = instructions, cache-references, cache-misses,
 /// branch-misses; read atomically via PERF_FORMAT_GROUP) plus a separate
-/// PERF_COUNT_SW_TASK_CLOCK event. A CounterScope snapshots the calling
-/// thread's counters at construction and attaches the delta to a trace
-/// span at destruction, so the span tree answers not just "where did the
-/// wall time go" but "was that phase memory-bound (cache misses),
-/// dispatch-bound (low IPC), or compute-bound".
+/// PERF_COUNT_SW_TASK_CLOCK event. Every ScopedSpan (obs/trace.h) reads
+/// the calling thread's counters at open and close while this pillar is
+/// on, so the span tree answers not just "where did the wall time go" but
+/// "was that phase memory-bound (cache misses), dispatch-bound (low IPC),
+/// or compute-bound".
 ///
 /// Degradation is graceful and observable (DESIGN.md §11 has the matrix):
 ///  * kHardwareGroup — the full group opened; every field is real.
@@ -34,7 +32,7 @@ class ScopedSpan;
 /// reporting zeros.
 ///
 /// Like the other telemetry pillars this one is off by default; when
-/// disabled a CounterScope is a relaxed load plus a branch.
+/// disabled a span reads no counters.
 
 enum class PerfTier {
   kHardwareGroup,  // full hardware group + task-clock
@@ -99,32 +97,8 @@ PerfReading ReadCurrentThreadPerf();
 PerfCounterDelta DeltaBetween(const PerfReading& start,
                               const PerfReading& end);
 
-/// RAII counter interval for the enclosing scope, on the calling thread.
-///
-/// At destruction the delta is (a) attached to `span` (visible in JSONL
-/// and Chrome-trace exports), (b) copied to `out` when non-null (the
-/// sharded executor's per-worker accounting), and (c) — only when this is
-/// the thread's OUTERMOST live CounterScope — added to the process-wide
-/// totals behind ProcessPerfTotals(), so nested scopes (solver.run >
-/// psgd.pass) never double-count a cycle.
-class CounterScope {
- public:
-  explicit CounterScope(ScopedSpan* span = nullptr,
-                        PerfCounterDelta* out = nullptr);
-  ~CounterScope();
-
-  CounterScope(const CounterScope&) = delete;
-  CounterScope& operator=(const CounterScope&) = delete;
-
- private:
-  ScopedSpan* span_;
-  PerfCounterDelta* out_;
-  bool active_ = false;
-  PerfReading start_;
-};
-
 /// Process-wide accumulated counters: the sum over every thread's
-/// outermost CounterScopes (plus explicit AddProcessPerfTotals calls).
+/// outermost counting spans (plus explicit AddProcessPerfTotals calls).
 /// `available` is true once any contribution carried hardware counts.
 PerfCounterDelta ProcessPerfTotals();
 void AddProcessPerfTotals(const PerfCounterDelta& delta);

@@ -92,67 +92,6 @@ const Module* FindModule(uintptr_t pc) {
   return nullptr;
 }
 
-/// ----- async-signal-safe output primitives (mirrors flight_recorder.cc's
-/// private helpers; snprintf and FILE* are off-limits here) -----
-
-void RawWrite(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-}
-
-void RawWriteText(int fd, const char* text) {
-  RawWrite(fd, text, std::strlen(text));
-}
-
-void RawWriteUint(int fd, uint64_t v) {
-  char digits[20];
-  size_t n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  char out[20];
-  for (size_t i = 0; i < n; ++i) out[i] = digits[n - 1 - i];
-  RawWrite(fd, out, n);
-}
-
-void RawWriteHex(int fd, uint64_t v) {
-  static const char kHex[] = "0123456789abcdef";
-  char digits[16];
-  size_t n = 0;
-  do {
-    digits[n++] = kHex[v & 0xf];
-    v >>= 4;
-  } while (v != 0);
-  char out[18];
-  out[0] = '0';
-  out[1] = 'x';
-  for (size_t i = 0; i < n; ++i) out[2 + i] = digits[n - 1 - i];
-  RawWrite(fd, out, 2 + n);
-}
-
-/// A token field: "" becomes "-", whitespace becomes '_'.
-void RawWriteToken(int fd, const char* s) {
-  if (s == nullptr || s[0] == '\0') {
-    RawWriteText(fd, "-");
-    return;
-  }
-  char buf[256];
-  size_t n = 0;
-  for (; s[n] != '\0' && n < sizeof(buf); ++n) {
-    const char c = s[n];
-    buf[n] = (c == ' ' || c == '\t' || c == '\n' || c == '\r') ? '_' : c;
-  }
-  RawWrite(fd, buf, n);
-}
-
 const char* SignalName(int sig) {
   switch (sig) {
     case SIGSEGV:
@@ -220,25 +159,27 @@ void CrashSignalHandler(int sig, siginfo_t* info, void*) {
     return;
   }
 
-  RawWriteText(fd, "pmraw bolton-postmortem-raw-v1\n");
-  RawWriteText(fd, "signal ");
-  RawWriteUint(fd, static_cast<uint64_t>(sig));
-  RawWriteText(fd, " ");
-  RawWriteText(fd, SignalName(sig));
-  RawWriteText(fd, "\n");
-  RawWriteText(fd, "fault ");
-  RawWriteHex(fd, info != nullptr
-                      ? reinterpret_cast<uint64_t>(info->si_addr)
-                      : 0);
-  RawWriteText(fd, "\n");
+  // One line per record, built by the flight recorder's signal-safe
+  // writer (obs/flight_recorder.h).
+  internal::LineBuilder line;
+  line.Text("pmraw bolton-postmortem-raw-v1");
+  line.Flush(fd);
+  line.Text("signal ");
+  line.Uint(static_cast<uint64_t>(sig));
+  line.Text(" ");
+  line.Text(SignalName(sig));
+  line.Flush(fd);
+  line.Text("fault ");
+  line.Hex(info != nullptr ? reinterpret_cast<uint64_t>(info->si_addr) : 0);
+  line.Flush(fd);
 
-  RawWriteText(fd, "crash ");
-  RawWriteUint(fd, bolton::internal::LogMonotonicNanos());
-  RawWriteText(fd, " ");
-  RawWriteUint(fd, CurrentThreadSmallId());
-  RawWriteText(fd, " ");
-  RawWriteToken(fd, bolton::internal::CurrentThreadNameCStr());
-  RawWriteText(fd, "\n");
+  line.Text("crash ");
+  line.Uint(bolton::internal::LogMonotonicNanos());
+  line.Text(" ");
+  line.Uint(CurrentThreadSmallId());
+  line.Text(" ");
+  line.Token(bolton::internal::CurrentThreadNameCStr());
+  line.Flush(fd);
 
   // The crashing thread's open span stack (ids + literal names, read
   // straight from its own TLS; see obs/trace.h ThreadSpanState).
@@ -248,11 +189,11 @@ void CrashSignalHandler(int sig, siginfo_t* info, void*) {
                         : internal::ThreadSpanState::kMaxStack;
   for (int i = 0; i < depth; ++i) {
     if (spans.stack_names[i] == nullptr) continue;
-    RawWriteText(fd, "span ");
-    RawWriteUint(fd, spans.stack_ids[i]);
-    RawWriteText(fd, " ");
-    RawWriteToken(fd, spans.stack_names[i]);
-    RawWriteText(fd, "\n");
+    line.Text("span ");
+    line.Uint(spans.stack_ids[i]);
+    line.Text(" ");
+    line.Token(spans.stack_names[i]);
+    line.Flush(fd);
   }
 
   void* pcs[kMaxFrames];
@@ -260,27 +201,28 @@ void CrashSignalHandler(int sig, siginfo_t* info, void*) {
   for (int i = 0; i < n_frames; ++i) {
     const uintptr_t pc = reinterpret_cast<uintptr_t>(pcs[i]);
     const Module* module = FindModule(pc);
-    RawWriteText(fd, "frame ");
+    line.Text("frame ");
     if (module != nullptr) {
-      RawWriteToken(fd, module->path);
-      RawWriteText(fd, " ");
-      RawWriteHex(fd, pc - module->base);
+      line.Token(module->path);
+      line.Text(" ");
+      line.Hex(pc - module->base);
     } else {
-      RawWriteText(fd, "? ");
-      RawWriteHex(fd, pc);
+      line.Text("? ");
+      line.Hex(pc);
     }
-    RawWriteText(fd, "\n");
+    line.Flush(fd);
   }
 
-  RawWriteText(fd, "peakrss ");
-  RawWriteUint(fd, PeakRssBytesSignalSafe());
-  RawWriteText(fd, "\n");
-  RawWriteText(fd, "failpoints ");
-  RawWriteToken(fd, ArmedFailpointSpecCStr());
-  RawWriteText(fd, "\n");
+  line.Text("peakrss ");
+  line.Uint(PeakRssBytesSignalSafe());
+  line.Flush(fd);
+  line.Text("failpoints ");
+  line.Token(ArmedFailpointSpecCStr());
+  line.Flush(fd);
 
   if (g_recorder != nullptr) g_recorder->WriteRawTo(fd);
-  RawWriteText(fd, "pmend\n");
+  line.Text("pmend");
+  line.Flush(fd);
   ::fsync(fd);
   RestoreAndReraise(sig);
 }
@@ -542,10 +484,6 @@ uint64_t ParseUintToken(const std::string& token) {
   return v;
 }
 
-std::string Untoken(const std::string& token) {
-  return token == "-" ? "" : token;
-}
-
 /// Re-bases a (module, offset) frame in the current process and
 /// symbolizes it. `bases` maps module path -> relocation base here.
 PostmortemReport::Frame ResolveFrame(
@@ -635,7 +573,7 @@ Status FinalizePostmortem(const std::string& dir) {
     } else if (tag == "crash" && tokens.size() >= 4) {
       report.mono_ns = ParseUintToken(tokens[1]);
       report.thread_id = ParseUintToken(tokens[2]);
-      report.thread_name = Untoken(tokens[3]);
+      report.thread_name = DecodeToken(tokens[3]);
     } else if (tag == "span" && tokens.size() >= 3) {
       report.active_spans.emplace_back(ParseUintToken(tokens[1]),
                                        tokens[2]);
@@ -653,7 +591,7 @@ Status FinalizePostmortem(const std::string& dir) {
     } else if (tag == "peakrss" && tokens.size() >= 2) {
       report.peak_rss_bytes = ParseUintToken(tokens[1]);
     } else if (tag == "failpoints" && tokens.size() >= 2) {
-      report.failpoints = Untoken(tokens[1]);
+      report.failpoints = DecodeToken(tokens[1]);
     } else if (tag == "flstats" && tokens.size() >= 5) {
       RingStats stats{ParseUintToken(tokens[2]), ParseUintToken(tokens[3]),
                       ParseUintToken(tokens[4])};
@@ -672,8 +610,8 @@ Status FinalizePostmortem(const std::string& dir) {
       event.thread_id = ParseUintToken(tokens[4]);
       event.span_id = ParseUintToken(tokens[5]);
       event.line = static_cast<int>(ParseUintToken(tokens[6]));
-      event.thread_name = Untoken(tokens[7]);
-      event.file = Untoken(tokens[8]);
+      event.thread_name = DecodeToken(tokens[7]);
+      event.file = DecodeToken(tokens[8]);
       event.message = message;
       report.recent_logs.push_back(std::move(event));
     } else if (tag == "flspan" && tokens.size() >= 9) {
@@ -684,8 +622,8 @@ Status FinalizePostmortem(const std::string& dir) {
       span.duration_ns = ParseUintToken(tokens[4]);
       span.count = ParseUintToken(tokens[5]);
       span.thread_id = ParseUintToken(tokens[6]);
-      span.thread_name = Untoken(tokens[7]);
-      span.name = Untoken(tokens[8]);
+      span.thread_name = DecodeToken(tokens[7]);
+      span.name = DecodeToken(tokens[8]);
       report.recent_spans.push_back(std::move(span));
     } else if (tag == "flmetric" && tokens.size() >= 4) {
       RecordedMetric metric;
@@ -698,7 +636,7 @@ Status FinalizePostmortem(const std::string& dir) {
         std::memcpy(&v, &bits, sizeof(v));
         metric.value = v;
       }
-      metric.name = Untoken(tokens[3]);
+      metric.name = DecodeToken(tokens[3]);
       report.metrics.push_back(std::move(metric));
     }
   }

@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
-#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {
@@ -24,18 +23,6 @@ uint64_t MonotonicNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            epoch)
           .count());
-}
-
-uint64_t CurrentThreadId() { return ::bolton::CurrentThreadSmallId(); }
-
-void SetCurrentThreadName(const std::string& name) {
-  ::bolton::SetCurrentThreadName(name);
-}
-
-std::string CurrentThreadName() { return ::bolton::CurrentThreadName(); }
-
-std::string JsonEscape(const std::string& s) {
-  return ::bolton::JsonEscape(s);
 }
 
 void SetAllEnabled(bool enabled) {

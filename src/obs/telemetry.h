@@ -21,27 +21,6 @@ namespace obs {
 /// to the first telemetry call. Never goes backwards; unrelated to wall time.
 uint64_t MonotonicNanos();
 
-/// A stable small integer for the calling thread, used to label spans.
-/// Thin wrapper over util/thread_name.h (kept for source compatibility):
-/// the logger, the trace layer, and the crash postmortem all share the one
-/// id counter and name slot there, so "t4" means the same thread
-/// everywhere.
-uint64_t CurrentThreadId();
-
-/// Names the calling thread for telemetry output ("main", "psgd-shard-3").
-/// Forwards to bolton::SetCurrentThreadName (util/thread_name.h), which
-/// also pushes the name into pthread_setname_np so it shows up in /proc
-/// and debuggers.
-void SetCurrentThreadName(const std::string& name);
-
-/// The name set via SetCurrentThreadName, else the kernel name from
-/// pthread_getname_np, else "thread". Never empty.
-std::string CurrentThreadName();
-
-/// Escapes `s` for embedding inside a double-quoted JSON string.
-/// Forwards to bolton::JsonEscape (util/strings.h).
-std::string JsonEscape(const std::string& s);
-
 /// Master switch: flips metrics, trace, ledger, and perf-counter
 /// recording together.
 void SetAllEnabled(bool enabled);

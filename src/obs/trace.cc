@@ -3,6 +3,7 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {
@@ -59,8 +60,15 @@ uint64_t CurrentSpanIdForLog() { return ThreadState().current_id; }
 
 ScopedSpan::ScopedSpan(const char* name) : name_(name) {
   TraceRecorder& recorder = TraceRecorder::Default();
-  if (!recorder.enabled()) return;
+  traced_ = recorder.enabled();
+  counted_ = PerfCountersEnabled();
+  if (!traced_ && !counted_) return;
   internal::ThreadSpanState& tls = internal::ThreadState();
+  if (counted_) {
+    ++tls.counting;
+    counters_start_ = ReadCurrentThreadPerf();
+  }
+  if (!traced_) return;
   parent_ = tls.current_id;
   depth_ = tls.depth;
   id_ = recorder.NextSpanId();
@@ -70,14 +78,21 @@ ScopedSpan::ScopedSpan(const char* name) : name_(name) {
     tls.stack_ids[depth_] = id_;
     tls.stack_names[depth_] = name_;
   }
-  active_ = true;
   start_ = MonotonicNanos();
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
-  const uint64_t end = MonotonicNanos();
+  if (!traced_ && !counted_) return;
+  const uint64_t end = traced_ ? MonotonicNanos() : 0;
   internal::ThreadSpanState& tls = internal::ThreadState();
+  PerfCounterDelta counters;
+  if (counted_) {
+    counters = DeltaBetween(counters_start_, ReadCurrentThreadPerf());
+    // Only the outermost counting span feeds the totals, so nested spans
+    // (solver.run > psgd.run > psgd.pass) never count a cycle twice.
+    if (--tls.counting == 0) AddProcessPerfTotals(counters);
+  }
+  if (!traced_) return;
   tls.current_id = parent_;
   tls.depth = depth_;
   if (depth_ < internal::ThreadSpanState::kMaxStack) {
@@ -91,34 +106,11 @@ ScopedSpan::~ScopedSpan() {
   record.depth = depth_;
   record.start_ns = start_;
   record.duration_ns = end - start_;
-  record.thread_id = CurrentThreadId();
+  record.thread_id = CurrentThreadSmallId();
   record.thread_name = CurrentThreadName();
-  if (has_counters_) {
-    record.has_counters = true;
-    record.counters = counters_;
-  }
+  record.has_counters = counted_;
+  record.counters = counters;
   TraceRecorder::Default().Record(std::move(record));
-}
-
-void PhaseAccumulator::Flush() {
-  if (count_ == 0) return;
-  TraceRecorder& recorder = TraceRecorder::Default();
-  if (recorder.enabled()) {
-    const internal::ThreadSpanState& tls = internal::ThreadState();
-    SpanRecord record;
-    record.name = name_;
-    record.id = recorder.NextSpanId();
-    record.parent_id = tls.current_id;
-    record.depth = tls.depth;
-    record.start_ns = MonotonicNanos();
-    record.duration_ns = total_ns_;
-    record.count = count_;
-    record.thread_id = CurrentThreadId();
-    record.thread_name = CurrentThreadName();
-    recorder.Record(std::move(record));
-  }
-  total_ns_ = 0;
-  count_ = 0;
 }
 
 }  // namespace obs

@@ -18,28 +18,34 @@ namespace obs {
 ///
 /// A ScopedSpan records one timed interval; spans opened while another span
 /// is live on the same thread become its children, so a run produces a tree
-/// (engine.run → engine.epoch → engine.scan → …). Hot inner phases
-/// (per-batch gradient/projection/noise work) are aggregated through
-/// PhaseAccumulator instead of emitting one span per batch.
+/// (engine.run → engine.epoch → engine.scan → …). Spans mark coarse work
+/// (a run, a pass, a shard), never a single batch: a run's span count does
+/// not grow with its update count.
 ///
-/// Off by default; a disabled span construction is a relaxed load + branch.
+/// A span is also the one perf-counter scope (obs/perf_counters.h): while
+/// that pillar is on, it reads the thread's counters at open and close,
+/// attaches the delta to its record when tracing, and folds it into
+/// ProcessPerfTotals() when it is the thread's outermost counting span.
+///
+/// Off by default; a span with every pillar off costs two relaxed loads
+/// and a branch.
 
-/// One finished (or aggregated) timed interval.
+/// One finished timed interval.
 struct SpanRecord {
   std::string name;
   uint64_t id = 0;         // unique per process, 1-based
   uint64_t parent_id = 0;  // 0 = root
   int depth = 0;
-  uint64_t start_ns = 0;  // MonotonicNanos at open (flush time for phases)
+  uint64_t start_ns = 0;  // MonotonicNanos at open
   uint64_t duration_ns = 0;
-  uint64_t count = 1;  // intervals aggregated into this record
+  uint64_t count = 1;  // intervals in this record; always 1
   uint64_t thread_id = 0;
   /// Human-readable name of the recording thread ("main", "psgd-shard-3";
-  /// see SetCurrentThreadName in obs/telemetry.h) so JSONL and
+  /// see SetCurrentThreadName in util/thread_name.h) so JSONL and
   /// Chrome-trace output read without a tid lookup table.
   std::string thread_name;
-  /// Hardware-counter delta over the span, when a CounterScope was
-  /// attached (obs/perf_counters.h); has_counters gates the export.
+  /// Perf-counter delta over the span, present when the perf pillar was
+  /// on at open (obs/perf_counters.h); has_counters gates the export.
   bool has_counters = false;
   PerfCounterDelta counters;
 };
@@ -85,11 +91,14 @@ namespace internal {
 /// handler: the names are string literals and the arrays are plain
 /// thread-local storage, so the handler can walk its own thread's stack
 /// with async-signal-safe loads (spans nested deeper than kMaxStack are
-/// timed normally but omitted from the mirror).
+/// timed normally but omitted from the mirror). `counting` is the number
+/// of open spans reading perf counters, kept apart from `depth` because
+/// counting does not need tracing.
 struct ThreadSpanState {
   static constexpr int kMaxStack = 16;
   uint64_t current_id = 0;
   int depth = 0;
+  int counting = 0;
   uint64_t stack_ids[kMaxStack] = {0};
   const char* stack_names[kMaxStack] = {nullptr};
 };
@@ -113,69 +122,15 @@ class ScopedSpan {
   /// 0 when tracing is disabled.
   uint64_t id() const { return id_; }
 
-  /// Attaches a perf-counter delta (normally via CounterScope, whose
-  /// destructor runs before the span's) to the record this span will
-  /// emit. A no-op on an inactive (tracing-disabled) span.
-  void AttachCounters(const PerfCounterDelta& delta) {
-    if (!active_) return;
-    counters_ = delta;
-    has_counters_ = true;
-  }
-
  private:
   const char* name_;
   uint64_t id_ = 0;
   uint64_t parent_ = 0;
   uint64_t start_ = 0;
   int depth_ = 0;
-  bool active_ = false;
-  bool has_counters_ = false;
-  PerfCounterDelta counters_;
-};
-
-/// Accumulates many short same-named intervals (e.g. the gradient phase of
-/// every batch in a pass) into one aggregated span, emitted on Flush() or
-/// destruction as a child of the thread's current span. Single-thread use.
-class PhaseAccumulator {
- public:
-  explicit PhaseAccumulator(const char* name) : name_(name) {}
-  ~PhaseAccumulator() { Flush(); }
-
-  PhaseAccumulator(const PhaseAccumulator&) = delete;
-  PhaseAccumulator& operator=(const PhaseAccumulator&) = delete;
-
-  void Add(uint64_t ns) {
-    total_ns_ += ns;
-    ++count_;
-  }
-
-  /// Emits the aggregate (if any intervals were recorded) and resets.
-  void Flush();
-
- private:
-  const char* name_;
-  uint64_t total_ns_ = 0;
-  uint64_t count_ = 0;
-};
-
-/// Times one interval into a PhaseAccumulator; a no-op (branch on a relaxed
-/// atomic) while tracing is disabled.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(PhaseAccumulator* accumulator)
-      : accumulator_(TraceRecorder::Default().enabled() ? accumulator
-                                                        : nullptr),
-        start_(accumulator_ != nullptr ? MonotonicNanos() : 0) {}
-  ~PhaseTimer() {
-    if (accumulator_ != nullptr) accumulator_->Add(MonotonicNanos() - start_);
-  }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseAccumulator* accumulator_;
-  uint64_t start_;
+  bool traced_ = false;
+  bool counted_ = false;
+  PerfReading counters_start_;
 };
 
 }  // namespace obs

@@ -12,6 +12,7 @@
 #include "random/permutation.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 
@@ -158,7 +159,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   std::vector<Result<PsgdOutput>> results(s, Result<PsgdOutput>(PsgdOutput()));
   auto run_shard = [&](size_t j) {
     obs::ScopedSpan shard_span("psgd.shard");
-    obs::CounterScope shard_counters(&shard_span);
     const uint64_t start_ns = obs::MonotonicNanos();
     results[j] = run_shard_psgd(j);
     shard_seconds->Observe(
@@ -195,8 +195,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     // Counters over the slice's whole lifetime, on the executing pool
     // thread (perf events are per-thread: the caller cannot observe
     // cycles spent here; pool workers pre-open their counters on attach).
-    // The scope closes before the span below.
-    obs::CounterScope worker_counters(&worker_span, &stats.counters);
+    const obs::PerfReading counters_start = obs::ReadCurrentThreadPerf();
     for (size_t j = w; j < s; j += worker_count) {
       const uint64_t shard_start_ns = obs::MonotonicNanos();
       shard_queue_wait->Observe(
@@ -208,6 +207,8 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
       stats.busy_ns += obs::MonotonicNanos() - shard_start_ns;
       ++stats.shards_run;
     }
+    stats.counters =
+        obs::DeltaBetween(counters_start, obs::ReadCurrentThreadPerf());
     const uint64_t lifetime_ns = obs::MonotonicNanos() - worker_start_ns;
     stats.idle_ns = lifetime_ns > stats.busy_ns ? lifetime_ns - stats.busy_ns
                                                 : 0;
@@ -217,10 +218,10 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     // (no pool involved; run_worker measures from its own start). It still
     // takes the slice name so trace/profile readers find psgd-shard-0
     // whether or not a pool thread ran it.
-    const std::string caller_name = obs::CurrentThreadName();
-    obs::SetCurrentThreadName("psgd-shard-0");
+    const std::string caller_name = CurrentThreadName();
+    SetCurrentThreadName("psgd-shard-0");
     run_worker(0);
-    obs::SetCurrentThreadName(caller_name);
+    SetCurrentThreadName(caller_name);
     worker_stats[0].spawn_ns = 0;
   } else {
     // Static round-robin: shard j runs on slice j % worker_count, so the
@@ -232,7 +233,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
       // any profile reader) looks for psgd-shard-N regardless of which
       // pool worker picked the slice up. The pool restores its own thread
       // name after the task.
-      obs::SetCurrentThreadName(StrFormat("psgd-shard-%zu", w));
+      SetCurrentThreadName(StrFormat("psgd-shard-%zu", w));
       run_worker(w);
     });
   }

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "random/permutation.h"
 #include "util/cancellation.h"
@@ -36,8 +35,9 @@ Status ValidateOptions(const Dataset& data, const PsgdOptions& options) {
   return Status::OK();
 }
 
-/// One relaxed add per counter per run — never per example.
-void FlushStats(const PsgdStats& stats) {
+}  // namespace
+
+void FlushPsgdStats(const PsgdStats& stats) {
   static obs::Counter* gradient_evaluations =
       obs::MetricsRegistry::Default().GetCounter("gradient_evaluations");
   static obs::Counter* model_updates =
@@ -48,8 +48,6 @@ void FlushStats(const PsgdStats& stats) {
   model_updates->Increment(stats.updates);
   noise_samples->Increment(stats.noise_samples);
 }
-
-}  // namespace
 
 Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
@@ -69,7 +67,6 @@ Result<PsgdOutput> RunPsgd(
   }
 
   obs::ScopedSpan run_span("psgd.run");
-  obs::CounterScope run_counters(&run_span);
 
   const size_t m = data.size();
   const size_t dim = data.dim();
@@ -123,10 +120,6 @@ Result<PsgdOutput> RunPsgd(
   for (size_t pass = first_pass; pass <= options.passes; ++pass) {
     BOLTON_FAILPOINT("psgd.pass");
     obs::ScopedSpan pass_span("psgd.pass");
-    obs::CounterScope pass_counters(&pass_span);
-    obs::PhaseAccumulator gradient_phase("psgd.gradient");
-    obs::PhaseAccumulator noise_phase("psgd.noise_draw");
-    obs::PhaseAccumulator projection_phase("psgd.projection");
     const uint64_t pass_start = obs::MonotonicNanos();
     if (options.sampling == SamplingMode::kPermutation && pass > 1 &&
         options.fresh_permutation_each_pass) {
@@ -148,23 +141,19 @@ Result<PsgdOutput> RunPsgd(
       ++step;
 
       grad.SetZero();
-      {
-        obs::PhaseTimer timer(&gradient_phase);
-        const double scale = 1.0 / static_cast<double>(batch_len);
-        for (size_t j = 0; j < batch_len; ++j) {
-          size_t idx;
-          if (options.sampling == SamplingMode::kPermutation) {
-            idx = order[begin + j];
-          } else {
-            idx = rng->UniformInt(m);
-          }
-          loss.AddGradient(w, data[idx], scale, &grad);
-          ++stats.gradient_evaluations;
+      const double scale = 1.0 / static_cast<double>(batch_len);
+      for (size_t j = 0; j < batch_len; ++j) {
+        size_t idx;
+        if (options.sampling == SamplingMode::kPermutation) {
+          idx = order[begin + j];
+        } else {
+          idx = rng->UniformInt(m);
         }
+        loss.AddGradient(w, data[idx], scale, &grad);
+        ++stats.gradient_evaluations;
       }
 
       if (noise != nullptr) {
-        obs::PhaseTimer timer(&noise_phase);
         BOLTON_ASSIGN_OR_RETURN(Vector z, noise->Sample(step, dim, rng));
         grad += z;
         ++stats.noise_samples;
@@ -177,10 +166,7 @@ Result<PsgdOutput> RunPsgd(
                       schedule.name().c_str(), eta, step));
       }
       w.Axpy(-eta, grad);
-      if (project) {
-        obs::PhaseTimer timer(&projection_phase);
-        ProjectToL2BallInPlace(&w, options.radius);
-      }
+      if (project) ProjectToL2BallInPlace(&w, options.radius);
 
       ++stats.updates;
       if (options.output == OutputMode::kAverageAll) iterate_sum += w;
@@ -211,7 +197,7 @@ Result<PsgdOutput> RunPsgd(
     }
   }
 
-  FlushStats(stats);
+  FlushPsgdStats(stats);
 
   PsgdOutput out;
   out.stats = stats;

@@ -55,6 +55,12 @@ struct PsgdStats {
   size_t noise_samples = 0;
 };
 
+/// Adds a finished run's counts to the `gradient_evaluations`,
+/// `model_updates` and `noise_samples` counters: one relaxed add per
+/// counter per run, never per example. Every SGD front end (dense, sparse,
+/// in-engine) flushes through here.
+void FlushPsgdStats(const PsgdStats& stats);
+
 /// The result of a PSGD run.
 struct PsgdOutput {
   Vector model;

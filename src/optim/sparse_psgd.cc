@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "random/permutation.h"
 #include "util/failpoint.h"
@@ -40,7 +38,6 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
   }
 
   obs::ScopedSpan run_span("sparse_psgd.run");
-  obs::CounterScope run_counters(&run_span);
 
   const size_t m = data.size();
   const size_t dim = data.dim();
@@ -66,10 +63,6 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
   for (size_t pass = 1; pass <= options.passes; ++pass) {
     BOLTON_FAILPOINT("sparse_psgd.pass");
     obs::ScopedSpan pass_span("psgd.pass");
-    obs::CounterScope pass_counters(&pass_span);
-    obs::PhaseAccumulator gradient_phase("psgd.gradient");
-    obs::PhaseAccumulator noise_phase("psgd.noise_draw");
-    obs::PhaseAccumulator projection_phase("psgd.projection");
     if (pass > 1 && options.fresh_permutation_each_pass) {
       obs::ScopedSpan shuffle_span("psgd.shuffle");
       order = RandomPermutation(m, rng);
@@ -78,27 +71,23 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
       const size_t batch_len = std::min(b, m - begin);
       ++step;
 
-      {
-        obs::PhaseTimer timer(&gradient_phase);
-        const double scale = 1.0 / static_cast<double>(batch_len);
-        touched.clear();
-        for (size_t j = 0; j < batch_len; ++j) {
-          const SparseExample& e = data[order[begin + j]];
-          // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
-          double margin = e.label * Dot(e.x, w);
-          double coeff = -e.label * Sigmoid(-margin);
-          e.x.AxpyInto(scale * coeff, &grad);
-          for (const auto& [index, value] : e.x.entries()) {
-            (void)value;
-            touched.push_back(index);
-          }
-          if (lambda > 0.0) grad.Axpy(scale * lambda, w);
-          ++stats.gradient_evaluations;
+      const double scale = 1.0 / static_cast<double>(batch_len);
+      touched.clear();
+      for (size_t j = 0; j < batch_len; ++j) {
+        const SparseExample& e = data[order[begin + j]];
+        // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
+        double margin = e.label * Dot(e.x, w);
+        double coeff = -e.label * Sigmoid(-margin);
+        e.x.AxpyInto(scale * coeff, &grad);
+        for (const auto& [index, value] : e.x.entries()) {
+          (void)value;
+          touched.push_back(index);
         }
+        if (lambda > 0.0) grad.Axpy(scale * lambda, w);
+        ++stats.gradient_evaluations;
       }
 
       if (noise != nullptr) {
-        obs::PhaseTimer timer(&noise_phase);
         BOLTON_ASSIGN_OR_RETURN(Vector z, noise->Sample(step, dim, rng));
         grad += z;
         ++stats.noise_samples;
@@ -125,10 +114,7 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
       } else {
         w.Axpy(-eta, grad);
       }
-      if (project) {
-        obs::PhaseTimer timer(&projection_phase);
-        ProjectToL2BallInPlace(&w, options.radius);
-      }
+      if (project) ProjectToL2BallInPlace(&w, options.radius);
       if (grad_is_sparse) {
         for (size_t index : touched) grad[index] = 0.0;
       } else {
@@ -140,17 +126,7 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
     }
   }
 
-  {
-    static obs::Counter* gradient_evaluations =
-        obs::MetricsRegistry::Default().GetCounter("gradient_evaluations");
-    static obs::Counter* model_updates =
-        obs::MetricsRegistry::Default().GetCounter("model_updates");
-    static obs::Counter* noise_samples =
-        obs::MetricsRegistry::Default().GetCounter("noise_samples");
-    gradient_evaluations->Increment(stats.gradient_evaluations);
-    model_updates->Increment(stats.updates);
-    noise_samples->Increment(stats.noise_samples);
-  }
+  FlushPsgdStats(stats);
 
   PsgdOutput out;
   out.stats = stats;

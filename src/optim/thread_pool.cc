@@ -10,6 +10,7 @@
 #include "obs/telemetry.h"
 #include "util/logging.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 
@@ -135,11 +136,11 @@ void ThreadPool::EnsureWorkersLocked() {
 void ThreadPool::WorkerMain(size_t slot) {
   const std::string worker_name = StrFormat("%s-%zu", name_prefix_.c_str(),
                                             slot);
-  obs::SetCurrentThreadName(worker_name);
+  SetCurrentThreadName(worker_name);
   t_worker_of = this;
   // Attach-time observability: register with the sampling profiler for the
   // thread's whole life, and pre-open this thread's perf counters so the
-  // first task's CounterScope does not pay the lazy perf_event_open.
+  // first task's span does not pay the lazy perf_event_open.
   obs::ProfiledThreadScope profile_scope;
   obs::ReadCurrentThreadPerf();
 
@@ -177,7 +178,7 @@ void ThreadPool::WorkerMain(size_t slot) {
     // The task may have renamed the thread (psgd-shard-N); take the pool
     // name back so inter-task samples attribute to the pool, not a stale
     // shard.
-    obs::SetCurrentThreadName(worker_name);
+    SetCurrentThreadName(worker_name);
 
     lock.lock();
     ++stats_.tasks_run;

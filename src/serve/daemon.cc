@@ -59,15 +59,13 @@ HttpResponse JsonOk(std::string body) {
 }
 
 /// Maps an AdmissionController refusal onto the degradation ladder.
-HttpResponse AdmissionRefusal(const Status& status,
-                              uint64_t retry_after_seconds) {
+HttpResponse AdmissionRefusal(const Status& status) {
   if (status.code() == StatusCode::kFailedPrecondition) {
     return JsonError(429, "tenant_busy", status.message());
   }
   HttpResponse response = JsonError(503, "overloaded", status.message());
-  response.headers.emplace_back(
-      "Retry-After", StrFormat("%llu", static_cast<unsigned long long>(
-                                           retry_after_seconds)));
+  response.headers.emplace_back("Retry-After",
+                                std::to_string(obs::kRetryAfterSeconds));
   return response;
 }
 
@@ -108,16 +106,6 @@ std::string RenderAccountView(const TenantAccountView& view) {
       static_cast<unsigned long long>(view.refunds),
       static_cast<unsigned long long>(view.refusals),
       static_cast<unsigned long long>(view.recovered));
-}
-
-/// One "k=v" pair out of a query string ("" when absent).
-std::string QueryParam(const std::string& query, const std::string& key) {
-  for (const std::string& pair : StrSplit(query, '&')) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    if (pair.substr(0, eq) == key) return pair.substr(eq + 1);
-  }
-  return "";
 }
 
 /// Tracks a request for drain accounting and latency metrics.
@@ -319,7 +307,7 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   // Admission: refuse-fast before any expensive work.
   auto ticket = admission_->Admit(tenant.value());
   if (!ticket.ok()) {
-    return AdmissionRefusal(ticket.status(), /*retry_after_seconds=*/1);
+    return AdmissionRefusal(ticket.status());
   }
 
   auto data = DatasetFor(dataset_name, scale,
@@ -562,7 +550,7 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
 
   auto ticket = admission_->Admit(tenant.value());
   if (!ticket.ok()) {
-    return AdmissionRefusal(ticket.status(), /*retry_after_seconds=*/1);
+    return AdmissionRefusal(ticket.status());
   }
 
   auto data = DatasetFor(dataset_name, scale,
@@ -626,7 +614,7 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
 
 HttpResponse ServeDaemon::HandleBudget(const HttpRequest& request) {
   Metrics().requests->Increment();
-  const std::string tenant = QueryParam(request.query, "tenant");
+  const std::string tenant = request.QueryParam("tenant").value_or("");
   if (!tenant.empty()) {
     return JsonOk(RenderAccountView(budget_->Account(tenant)) + "\n");
   }

@@ -34,8 +34,7 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Escapes `s` for embedding inside a double-quoted JSON string. Lives in
-/// util (not obs) so the structured-log JSONL sink can use it;
-/// obs::JsonEscape forwards here.
+/// util (not obs) so the structured-log JSONL sink can use it.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace bolton

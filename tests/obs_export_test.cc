@@ -162,7 +162,6 @@ TEST_F(ObsExportTest, MemberSerializersDelegateToSharedRenderers) {
       ->Observe(0.5);
   MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
   EXPECT_EQ(snapshot.ToText(), RenderMetricsText(snapshot));
-  EXPECT_EQ(snapshot.ToJsonl(), RenderMetricsJsonl(snapshot));
 
   LedgerEvent event;
   event.kind = "noise_draw";

@@ -19,6 +19,7 @@
 #include "util/logging.h"
 #include "util/net.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {
@@ -136,7 +137,7 @@ class ObsHttpTest : public ::testing::Test {
     PrivacyLedger::Default().Clear();
     TraceRecorder::Default().Clear();
     SetAllEnabled(true);
-    auto server = ObsServer::Start(0);  // ephemeral port
+    auto server = ObsServer::Start({.port = 0});  // ephemeral port
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = server.MoveValue();
     ASSERT_GT(server_->port(), 0);
@@ -430,6 +431,18 @@ TEST_F(ObsHttpTest, UnknownPathIs404AndPostIs405) {
   net::CloseFd(fd.value());
   ASSERT_TRUE(response.ok());
   EXPECT_NE(response.value().find("405"), std::string::npos);
+  EXPECT_NE(response.value().find("Allow: GET"), std::string::npos);
+}
+
+TEST_F(ObsHttpTest, RegisteredHandlerReplacesBuiltin) {
+  server_->RegisterHandler("GET", "/buildz", [](const HttpRequest&) {
+    obs::HttpResponse response;
+    response.body = "replaced\n";
+    return response;
+  });
+  const HttpResponse response = Get(server_->port(), "/buildz");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "replaced\n");
 }
 
 TEST_F(ObsHttpTest, QuitEndpointUnblocksWaitForQuit) {
@@ -470,7 +483,7 @@ TEST_F(ObsHttpTest, SilentClientIsDroppedAndServerStaysResponsive) {
   // A slow-loris peer: connects, never sends a byte. With a short
   // per-connection deadline the server must hang up on it and keep
   // serving other clients instead of wedging its accept loop.
-  auto short_server = ObsServer::Start(0, /*io_timeout_ms=*/100);
+  auto short_server = ObsServer::Start({.port = 0, .io_timeout_ms = 100});
   ASSERT_TRUE(short_server.ok()) << short_server.status().ToString();
   const int port = short_server.value()->port();
 
@@ -490,7 +503,7 @@ TEST_F(ObsHttpTest, ClientStallingMidRequestHeadIsDropped) {
   // Worse than the silent peer: this one sends HALF a request line and
   // then stalls, so the server is already inside its head-read loop when
   // the poll deadline has to fire.
-  auto short_server = ObsServer::Start(0, /*io_timeout_ms=*/100);
+  auto short_server = ObsServer::Start({.port = 0, .io_timeout_ms = 100});
   ASSERT_TRUE(short_server.ok()) << short_server.status().ToString();
   const int port = short_server.value()->port();
 
@@ -527,8 +540,8 @@ TEST_F(ObsHttpTest, UnterminatedOversizedHeadIsRejectedWith400) {
 }
 
 TEST_F(ObsHttpTest, StartRejectsNonPositiveIoTimeout) {
-  EXPECT_FALSE(ObsServer::Start(0, 0).ok());
-  EXPECT_FALSE(ObsServer::Start(0, -5).ok());
+  EXPECT_FALSE(ObsServer::Start({.port = 0, .io_timeout_ms = 0}).ok());
+  EXPECT_FALSE(ObsServer::Start({.port = 0, .io_timeout_ms = -5}).ok());
 }
 
 TEST_F(ObsHttpTest, StopIsIdempotentAndFreesThePort) {
@@ -536,7 +549,7 @@ TEST_F(ObsHttpTest, StopIsIdempotentAndFreesThePort) {
   server_->Stop();
   server_->Stop();
   // The port is free again: a second server can bind it.
-  auto second = ObsServer::Start(port);
+  auto second = ObsServer::Start({.port = port});
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second.value()->port(), port);
 }

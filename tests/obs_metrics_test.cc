@@ -130,7 +130,7 @@ TEST_F(ObsMetricsTest, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(h->TotalCount(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST_F(ObsMetricsTest, TextAndJsonlExports) {
+TEST_F(ObsMetricsTest, TextExport) {
   MetricsRegistry::Default().GetCounter("test.export")->Increment(3);
   MetricsRegistry::Default().GetGauge("test.export_gauge")->Set(1.5);
   MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
@@ -138,12 +138,6 @@ TEST_F(ObsMetricsTest, TextAndJsonlExports) {
   std::string text = snapshot.ToText();
   EXPECT_NE(text.find("# counters"), std::string::npos);
   EXPECT_NE(text.find("test.export"), std::string::npos);
-
-  std::string jsonl = snapshot.ToJsonl();
-  EXPECT_NE(jsonl.find("{\"type\":\"counter\",\"name\":\"test.export\","
-                       "\"value\":3}"),
-            std::string::npos);
-  EXPECT_NE(jsonl.find("\"type\":\"gauge\""), std::string::npos);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {
@@ -19,6 +20,15 @@ void SpinSomeWork() {
   uint64_t acc = 1;
   for (int i = 0; i < 2000000; ++i) acc = acc * 6364136223846793005ull + 1;
   g_sink = acc;
+}
+
+/// The one recorded span named `name`; fails the test when absent.
+SpanRecord RecordNamed(const std::string& name) {
+  for (const SpanRecord& span : TraceRecorder::Default().Snapshot()) {
+    if (span.name == name) return span;
+  }
+  ADD_FAILURE() << "no span named " << name;
+  return SpanRecord();
 }
 
 class PerfCountersTest : public ::testing::Test {
@@ -54,31 +64,34 @@ TEST_F(PerfCountersTest, DisabledPillarYieldsInvalidReadings) {
   EXPECT_EQ(delta.task_clock_ns, 0u);
 }
 
-TEST_F(PerfCountersTest, ScopeMeasuresOnCpuTimeAtEveryTier) {
-  PerfCounterDelta delta;
+TEST_F(PerfCountersTest, SpanMeasuresOnCpuTimeAtEveryTier) {
+  TraceRecorder::Default().SetEnabled(true);
   {
-    CounterScope scope(nullptr, &delta);
+    ScopedSpan span("perf.spin");
     SpinSomeWork();
   }
+  const SpanRecord record = RecordNamed("perf.spin");
+  ASSERT_TRUE(record.has_counters);
   // task_clock_ns is the tier-independent field: real on-CPU time must
   // have elapsed during the spin, whatever the probe found.
-  EXPECT_GT(delta.task_clock_ns, 0u);
+  EXPECT_GT(record.counters.task_clock_ns, 0u);
   if (PerfHardwareAvailable()) {
-    EXPECT_TRUE(delta.available);
-    EXPECT_GT(delta.cycles, 0u);
-    EXPECT_GT(delta.instructions, 0u);
-    EXPECT_GT(delta.Ipc(), 0.0);
+    EXPECT_TRUE(record.counters.available);
+    EXPECT_GT(record.counters.cycles, 0u);
+    EXPECT_GT(record.counters.instructions, 0u);
+    EXPECT_GT(record.counters.Ipc(), 0.0);
   }
 }
 
 TEST_F(PerfCountersTest, ForcedUnavailableFallsBackToTaskClockOnly) {
   internal::ForcePerfUnavailableForTest(true);
   EXPECT_FALSE(PerfHardwareAvailable());
-  PerfCounterDelta delta;
+  TraceRecorder::Default().SetEnabled(true);
   {
-    CounterScope scope(nullptr, &delta);
+    ScopedSpan span("perf.spin");
     SpinSomeWork();
   }
+  const PerfCounterDelta delta = RecordNamed("perf.spin").counters;
   EXPECT_FALSE(delta.available);
   EXPECT_EQ(delta.cycles, 0u);
   EXPECT_EQ(delta.instructions, 0u);
@@ -103,42 +116,105 @@ TEST_F(PerfCountersTest, ForcedUnavailableDrivesPerfAvailableGaugeToZero) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(PerfCountersTest, ScopeAttachesDeltaAndThreadNameToSpan) {
+TEST_F(PerfCountersTest, SpanCarriesDeltaAndThreadName) {
   TraceRecorder::Default().SetEnabled(true);
   SetCurrentThreadName("perf-test-main");
   {
     ScopedSpan span("perf.test_span");
-    CounterScope scope(&span);
     SpinSomeWork();
   }
   const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "perf.test_span");
   EXPECT_EQ(spans[0].thread_name, "perf-test-main");
+  EXPECT_EQ(spans[0].count, 1u);
   EXPECT_TRUE(spans[0].has_counters);
   EXPECT_GT(spans[0].counters.task_clock_ns, 0u);
 }
 
-TEST_F(PerfCountersTest, NestedScopesAccumulateProcessTotalsOnce) {
+TEST_F(PerfCountersTest, NestedSpansAccumulateProcessTotalsOnce) {
+  TraceRecorder::Default().SetEnabled(true);
   const PerfCounterDelta before = ProcessPerfTotals();
-  PerfCounterDelta outer;
-  PerfCounterDelta inner;
   {
-    CounterScope outer_scope(nullptr, &outer);
+    ScopedSpan outer("perf.outer");
     {
-      CounterScope inner_scope(nullptr, &inner);
+      ScopedSpan inner("perf.inner");
       SpinSomeWork();
     }
     SpinSomeWork();
   }
   const PerfCounterDelta after = ProcessPerfTotals();
   const uint64_t total_growth = after.task_clock_ns - before.task_clock_ns;
-  // Only the outermost scope feeds the totals: growth equals the outer
-  // delta exactly, and is strictly less than outer + inner (the
-  // double-counting a naive per-scope accumulation would produce).
+  const PerfCounterDelta outer = RecordNamed("perf.outer").counters;
+  const PerfCounterDelta inner = RecordNamed("perf.inner").counters;
+  // Only the outermost span feeds the totals: growth equals the outer
+  // span's delta exactly, and is strictly less than outer + inner (the
+  // double-counting a naive per-span accumulation would produce).
   EXPECT_EQ(total_growth, outer.task_clock_ns);
   EXPECT_GT(inner.task_clock_ns, 0u);
   EXPECT_LT(total_growth, outer.task_clock_ns + inner.task_clock_ns);
+}
+
+// The `--metrics`-only path: perf on, tracing off. The span records
+// nothing, but its on-CPU time still reaches the process totals behind
+// the perf.* gauges.
+TEST_F(PerfCountersTest, UntracedSpanRecordsNothingButGrowsTotals) {
+  const PerfCounterDelta before = ProcessPerfTotals();
+  {
+    ScopedSpan span("perf.untraced");
+    EXPECT_EQ(span.id(), 0u);
+    SpinSomeWork();
+  }
+  EXPECT_EQ(TraceRecorder::Default().size(), 0u);
+  EXPECT_GT(ProcessPerfTotals().task_clock_ns, before.task_clock_ns);
+}
+
+TEST_F(PerfCountersTest, NestedSpansLinkParentAndDepth) {
+  TraceRecorder::Default().SetEnabled(true);
+  uint64_t outer_id = 0;
+  uint64_t inner_id = 0;
+  {
+    ScopedSpan outer("perf.outer");
+    outer_id = outer.id();
+    {
+      ScopedSpan inner("perf.inner");
+      inner_id = inner.id();
+    }
+    ScopedSpan sibling("perf.sibling");
+  }
+  const SpanRecord outer = RecordNamed("perf.outer");
+  const SpanRecord inner = RecordNamed("perf.inner");
+  const SpanRecord sibling = RecordNamed("perf.sibling");
+  EXPECT_NE(outer_id, 0u);
+  EXPECT_EQ(outer.id, outer_id);
+  EXPECT_EQ(outer.parent_id, 0u);
+  EXPECT_EQ(outer.depth, 0);
+  EXPECT_EQ(inner.id, inner_id);
+  EXPECT_EQ(inner.parent_id, outer_id);
+  EXPECT_EQ(inner.depth, 1);
+  // A closed child hands the parent slot back: the next span is a sibling.
+  EXPECT_EQ(sibling.parent_id, outer_id);
+  EXPECT_EQ(sibling.depth, 1);
+  // Children close first and enclose no more time than their parent.
+  EXPECT_LE(inner.duration_ns, outer.duration_ns);
+  EXPECT_GE(inner.start_ns, outer.start_ns);
+  // Every span closed: the thread is back at the root.
+  EXPECT_EQ(internal::ThreadState().current_id, 0u);
+  EXPECT_EQ(internal::ThreadState().depth, 0);
+}
+
+TEST_F(PerfCountersTest, SpanWithEveryPillarOffRecordsNothing) {
+  SetAllEnabled(false);
+  const PerfCounterDelta before = ProcessPerfTotals();
+  {
+    ScopedSpan span("perf.off");
+    EXPECT_EQ(span.id(), 0u);
+    SpinSomeWork();
+  }
+  EXPECT_EQ(TraceRecorder::Default().size(), 0u);
+  const PerfCounterDelta after = ProcessPerfTotals();
+  EXPECT_EQ(after.task_clock_ns, before.task_clock_ns);
+  EXPECT_EQ(after.cycles, before.cycles);
 }
 
 TEST_F(PerfCountersTest, DeltaArithmeticGuardsUnderflow) {

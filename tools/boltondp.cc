@@ -51,6 +51,7 @@
 #include "util/net.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace {
@@ -188,7 +189,7 @@ int Train(int argc, char** argv) {
     return 0;
   }
 
-  obs::SetCurrentThreadName("main");
+  SetCurrentThreadName("main");
   if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
   if (!postmortem_dir.empty()) {
     obs::PostmortemOptions postmortem;
@@ -214,7 +215,8 @@ int Train(int argc, char** argv) {
     // A live endpoint with nothing recording would scrape all zeros, so
     // --serve-obs implies every pillar.
     obs::SetAllEnabled(true);
-    auto server = obs::ObsServer::Start(static_cast<int>(serve_obs));
+    auto server =
+        obs::ObsServer::Start({.port = static_cast<int>(serve_obs)});
     server.status().CheckOK();
     obs_server = server.MoveValue();
     std::printf("obs server listening on 127.0.0.1:%d\n",
@@ -641,7 +643,7 @@ int Serve(int argc, char** argv) {
     return 0;
   }
 
-  obs::SetCurrentThreadName("main");
+  SetCurrentThreadName("main");
   if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
   // A daemon without its audit trail is not worth running: every pillar on.
   obs::SetAllEnabled(true);

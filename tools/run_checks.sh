@@ -150,6 +150,18 @@ else
        "perf_event_paranoid or missing PMU); task-clock-only checks ran," \
        "hardware-count assertions skipped"
 fi
+# Perf without tracing (the --metrics-only path): no span is recorded, but
+# every span still reads its thread's counters, so the process on-CPU
+# total behind the gauge must be nonzero, not merely present.
+"$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
+    --epsilon 2 --lambda 0.01 --passes 3 --batch 10 \
+    --model "$WORKDIR/metrics_only_model.txt" --metrics \
+    > "$WORKDIR/metrics_only.log" 2>&1
+awk '
+  $1 == "perf.task_clock_seconds_total" && $2 + 0 > 0 { ok = 1 }
+  END { if (!ok) { print "perf.task_clock_seconds_total is zero or missing" \
+                         " in a --metrics-only train"; exit 1 } }
+' "$WORKDIR/metrics_only.log"
 
 echo "== kernel-dispatch pass (BOLTON_SIMD tiers release identical models) =="
 # The SIMD bit-identity contract, end to end: the same sharded train forced
