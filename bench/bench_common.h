@@ -30,6 +30,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/thread_name.h"
@@ -389,33 +390,21 @@ inline std::string BenchResultsToJson() {
   // The build object pins every baseline to the binary that produced it, so
   // a benchdiff regression can be traced to a compiler/SIMD/sha change
   // instead of being mistaken for a code regression.
-  std::string out = "{\"schema\":\"boltondp-bench-v1\",\"build\":";
-  out += obs::RenderBuildInfoJson();
-  out += ",\"results\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Field("schema", "boltondp-bench-v1");
+  w.Key("build").Raw(obs::RenderBuildInfoJson());
+  w.Key("results").BeginArray();
   for (const BenchResultRow& r : BenchResults()) {
-    if (!first) out += ",";
-    first = false;
-    out += StrFormat(
-        "\n {\"figure\":\"%s\",\"name\":\"%s\",\"dataset\":\"%s\","
-        "\"algo\":\"%s\",\"epsilon\":%.17g,\"wall_seconds\":%.17g,"
-        "\"rows_per_sec\":%.17g,\"accuracy\":%.17g",
-        JsonEscape(r.figure).c_str(), JsonEscape(r.name).c_str(),
-        JsonEscape(r.dataset).c_str(), JsonEscape(r.algo).c_str(),
-        r.epsilon, r.wall_seconds, r.rows_per_sec, r.accuracy);
-    if (!r.profile_json.empty()) {
-      // Already-rendered JSON object; embedded verbatim, not re-escaped.
-      out += ",\"profile\":";
-      out += r.profile_json;
-    }
-    if (!r.counters_json.empty()) {
-      out += ",\"counters\":";
-      out += r.counters_json;
-    }
-    out += "}";
+    w.BeginObject().Field("figure", r.figure).Field("name", r.name);
+    w.Field("dataset", r.dataset).Field("algo", r.algo);
+    w.Field("epsilon", r.epsilon).Field("wall_seconds", r.wall_seconds);
+    w.Field("rows_per_sec", r.rows_per_sec).Field("accuracy", r.accuracy);
+    // Already-rendered JSON objects, embedded verbatim.
+    if (!r.profile_json.empty()) w.Key("profile").Raw(r.profile_json);
+    if (!r.counters_json.empty()) w.Key("counters").Raw(r.counters_json);
+    w.EndObject();
   }
-  out += "\n]}\n";
-  return out;
+  return w.EndArray().EndObject().str() + "\n";
 }
 
 /// Standard flags shared by the accuracy benches.

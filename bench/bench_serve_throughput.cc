@@ -13,7 +13,6 @@
 
 #include "bench/bench_common.h"
 #include "serve/daemon.h"
-#include "util/net.h"
 
 namespace bolton {
 namespace bench {
@@ -28,24 +27,9 @@ struct ClientStats {
 
 /// One POST /v1/train; returns the HTTP status (0 on transport failure).
 int PostTrain(int port, const std::string& body) {
-  auto fd = net::ConnectTcp(static_cast<uint16_t>(port));
-  if (!fd.ok()) return 0;
-  const std::string request = StrFormat(
-      "POST /v1/train HTTP/1.0\r\nHost: 127.0.0.1\r\n"
-      "Content-Type: application/json\r\nContent-Length: %zu\r\n"
-      "Connection: close\r\n\r\n%s",
-      body.size(), body.c_str());
-  if (!net::SendAll(fd.value(), request.data(), request.size(), 10000).ok()) {
-    net::CloseFd(fd.value());
-    return 0;
-  }
-  auto response = net::RecvAll(fd.value(), 1 << 20, 30000);
-  net::CloseFd(fd.value());
-  if (!response.ok()) return 0;
-  const std::vector<std::string> parts = StrSplit(response.value(), ' ');
-  if (parts.size() < 2) return 0;
-  auto code = ParseInt(parts[1]);
-  return code.ok() ? static_cast<int>(code.value()) : 0;
+  const Result<obs::HttpReply> reply =
+      obs::HttpCall(port, "POST", "/v1/train", body, 30000);
+  return reply.ok() ? reply.value().status : 0;
 }
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -98,11 +82,13 @@ int Main(int argc, char** argv) {
     auto body_for = [&](size_t tenant) {
       // Heavy enough that solver time dominates the request: saturation
       // then shows up as admission-ladder refusals, not just queueing.
-      return StrFormat(
-          "{\"tenant\":\"t%zu\",\"algorithm\":\"bolton\",\"epsilon\":0.01,"
-          "\"delta\":1e-7,\"passes\":3,\"batch_size\":50,\"scale\":0.05,"
-          "\"seed\":%llu}",
-          tenant, static_cast<unsigned long long>(flags.seed + tenant));
+      JsonWriter w;
+      w.BeginObject().Field("tenant", StrFormat("t%zu", tenant));
+      w.Field("algorithm", "bolton").Field("epsilon", 0.01);
+      w.Field("delta", 1e-7).Field("passes", 3).Field("batch_size", 50);
+      w.Field("scale", 0.05);
+      w.Field("seed", static_cast<uint64_t>(flags.seed) + tenant);
+      return w.EndObject().str();
     };
     // Warm the daemon's dataset cache so the timed window measures request
     // handling, not one-time synthesis.

@@ -2,6 +2,7 @@
 
 #include "linalg/simd.h"
 #include "obs/perf_counters.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 // The build system stamps these onto this one translation unit (see
@@ -71,12 +72,11 @@ const BuildInfo& GetBuildInfo() {
 
 std::string RenderBuildInfoJson() {
   const BuildInfo& b = GetBuildInfo();
-  return StrFormat(
-      "{\"version\":\"%s\",\"git_sha\":\"%s\",\"build_type\":\"%s\","
-      "\"compiler\":\"%s\",\"simd\":\"%s\",\"perf_tier\":\"%s\"}",
-      JsonEscape(b.version).c_str(), JsonEscape(b.git_sha).c_str(),
-      JsonEscape(b.build_type).c_str(), JsonEscape(b.compiler).c_str(),
-      JsonEscape(b.simd).c_str(), JsonEscape(b.perf_tier).c_str());
+  JsonWriter w;
+  w.BeginObject().Field("version", b.version).Field("git_sha", b.git_sha);
+  w.Field("build_type", b.build_type).Field("compiler", b.compiler);
+  w.Field("simd", b.simd).Field("perf_tier", b.perf_tier);
+  return w.EndObject().str();
 }
 
 std::string BuildInfoSummaryLine() {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/telemetry.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -119,22 +120,16 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
 }
 
 std::string RenderLedgerEventJson(const LedgerEvent& e) {
-  return StrFormat(
-      "{\"seq\":%llu,\"time_ns\":%llu,\"kind\":\"%s\",\"mechanism\":\"%s\","
-      "\"label\":\"%s\",\"tenant\":\"%s\",\"epsilon\":%.17g,\"delta\":%.17g,"
-      "\"sensitivity\":%.17g,\"noise_scale\":%.17g,\"noise_norm\":%.17g,"
-      "\"dim\":%llu,\"step\":%llu,\"shards\":%llu,"
-      "\"rng_fingerprint\":%llu,\"accepted\":%s}",
-      static_cast<unsigned long long>(e.seq),
-      static_cast<unsigned long long>(e.time_ns), JsonEscape(e.kind).c_str(),
-      JsonEscape(e.mechanism).c_str(), JsonEscape(e.label).c_str(),
-      JsonEscape(e.tenant).c_str(), e.epsilon,
-      e.delta, e.sensitivity, e.noise_scale, e.noise_norm,
-      static_cast<unsigned long long>(e.dim),
-      static_cast<unsigned long long>(e.step),
-      static_cast<unsigned long long>(e.shards),
-      static_cast<unsigned long long>(e.rng_fingerprint),
-      e.accepted ? "true" : "false");
+  JsonWriter w;
+  w.BeginObject().Field("seq", e.seq).Field("time_ns", e.time_ns);
+  w.Field("kind", e.kind).Field("mechanism", e.mechanism);
+  w.Field("label", e.label).Field("tenant", e.tenant);
+  w.Field("epsilon", e.epsilon).Field("delta", e.delta);
+  w.Field("sensitivity", e.sensitivity).Field("noise_scale", e.noise_scale);
+  w.Field("noise_norm", e.noise_norm).Field("dim", e.dim);
+  w.Field("step", e.step).Field("shards", e.shards);
+  w.Field("rng_fingerprint", e.rng_fingerprint).Field("accepted", e.accepted);
+  return w.EndObject().str();
 }
 
 std::string RenderLedgerJsonl(const std::vector<LedgerEvent>& events) {
@@ -205,69 +200,50 @@ std::string RenderProfileSummaryJson(const ProfileDump& dump, size_t top_n) {
 
   const double total =
       dump.samples > 0 ? static_cast<double>(dump.samples) : 1.0;
-  std::string out = StrFormat(
-      "{\"schema\":\"boltondp-profile-v1\",\"hz\":%d,\"samples\":%llu,"
-      "\"dropped\":%llu,\"duration_ns\":%llu,"
-      "\"leaf_symbolized_pct\":%.2f,\"any_symbolized_pct\":%.2f,"
-      "\"frames\":[",
-      dump.hz, static_cast<unsigned long long>(dump.samples),
-      static_cast<unsigned long long>(dump.dropped),
-      static_cast<unsigned long long>(dump.duration_ns),
-      100.0 * dump.leaf_symbolized_fraction,
-      100.0 * dump.any_symbolized_fraction);
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Field("schema", "boltondp-profile-v1").Field("hz", dump.hz);
+  w.Field("samples", dump.samples).Field("dropped", dump.dropped);
+  w.Field("duration_ns", dump.duration_ns);
+  w.Key("leaf_symbolized_pct").Fixed(100.0 * dump.leaf_symbolized_fraction, 2);
+  w.Key("any_symbolized_pct").Fixed(100.0 * dump.any_symbolized_fraction, 2);
+  w.Key("frames").BeginArray();
   for (const auto& [name, agg] : ranked) {
-    if (!first) out += ",";
-    first = false;
-    out += StrFormat(
-        "{\"name\":\"%s\",\"self\":%llu,\"self_pct\":%.2f,"
-        "\"total\":%llu,\"total_pct\":%.2f}",
-        JsonEscape(name).c_str(), static_cast<unsigned long long>(agg.self),
-        100.0 * static_cast<double>(agg.self) / total,
-        static_cast<unsigned long long>(agg.total),
-        100.0 * static_cast<double>(agg.total) / total);
+    w.BeginObject().Field("name", name).Field("self", agg.self);
+    w.Key("self_pct").Fixed(100.0 * static_cast<double>(agg.self) / total, 2);
+    w.Field("total", agg.total);
+    w.Key("total_pct").Fixed(100.0 * static_cast<double>(agg.total) / total, 2);
+    w.EndObject();
   }
-  out += "]}";
-  return out;
+  return w.EndArray().EndObject().str();
 }
 
 std::string RenderPerfCountersJson(const PerfCounterDelta& d) {
-  if (!d.available) {
-    return StrFormat("{\"available\":false,\"task_clock_ns\":%llu}",
-                     static_cast<unsigned long long>(d.task_clock_ns));
+  JsonWriter w;
+  w.BeginObject().Field("available", d.available);
+  if (d.available) {
+    w.Field("cycles", d.cycles).Field("instructions", d.instructions);
+    w.Field("cache_references", d.cache_references);
+    w.Field("cache_misses", d.cache_misses);
+    w.Field("branch_misses", d.branch_misses);
   }
-  return StrFormat(
-      "{\"available\":true,\"cycles\":%llu,\"instructions\":%llu,"
-      "\"cache_references\":%llu,\"cache_misses\":%llu,"
-      "\"branch_misses\":%llu,\"task_clock_ns\":%llu,"
-      "\"ipc\":%.4f,\"cache_miss_rate\":%.6f,\"branch_miss_rate\":%.6f}",
-      static_cast<unsigned long long>(d.cycles),
-      static_cast<unsigned long long>(d.instructions),
-      static_cast<unsigned long long>(d.cache_references),
-      static_cast<unsigned long long>(d.cache_misses),
-      static_cast<unsigned long long>(d.branch_misses),
-      static_cast<unsigned long long>(d.task_clock_ns), d.Ipc(),
-      d.CacheMissRate(), d.BranchMissRate());
+  w.Field("task_clock_ns", d.task_clock_ns);
+  if (d.available) {
+    w.Key("ipc").Fixed(d.Ipc(), 4);
+    w.Key("cache_miss_rate").Fixed(d.CacheMissRate(), 6);
+    w.Key("branch_miss_rate").Fixed(d.BranchMissRate(), 6);
+  }
+  return w.EndObject().str();
 }
 
 std::string RenderSpanJson(const SpanRecord& s) {
-  std::string out = StrFormat(
-      "{\"name\":\"%s\",\"id\":%llu,\"parent\":%llu,\"depth\":%d,"
-      "\"start_ns\":%llu,\"dur_ns\":%llu,\"count\":%llu,\"thread\":%llu,"
-      "\"thread_name\":\"%s\"",
-      JsonEscape(s.name).c_str(), static_cast<unsigned long long>(s.id),
-      static_cast<unsigned long long>(s.parent_id), s.depth,
-      static_cast<unsigned long long>(s.start_ns),
-      static_cast<unsigned long long>(s.duration_ns),
-      static_cast<unsigned long long>(s.count),
-      static_cast<unsigned long long>(s.thread_id),
-      JsonEscape(s.thread_name).c_str());
-  if (s.has_counters) {
-    out += ",\"counters\":";
-    out += RenderPerfCountersJson(s.counters);
-  }
-  out += '}';
-  return out;
+  JsonWriter w;
+  w.BeginObject().Field("name", s.name).Field("id", s.id);
+  w.Field("parent", s.parent_id).Field("depth", s.depth);
+  w.Field("start_ns", s.start_ns).Field("dur_ns", s.duration_ns);
+  w.Field("count", s.count).Field("thread", s.thread_id);
+  w.Field("thread_name", s.thread_name);
+  if (s.has_counters) w.Key("counters").Raw(RenderPerfCountersJson(s.counters));
+  return w.EndObject().str();
 }
 
 std::string RenderRecordedLogJson(const RecordedLogEvent& e) {
@@ -295,64 +271,49 @@ std::string RenderRecordedLogsJsonl(
 }
 
 std::string RenderRecordedSpanJson(const RecordedSpan& s) {
-  return StrFormat(
-      "{\"name\":\"%s\",\"id\":%llu,\"parent\":%llu,\"start_ns\":%llu,"
-      "\"dur_ns\":%llu,\"count\":%llu,\"thread\":%llu,"
-      "\"thread_name\":\"%s\"}",
-      JsonEscape(s.name).c_str(), static_cast<unsigned long long>(s.id),
-      static_cast<unsigned long long>(s.parent_id),
-      static_cast<unsigned long long>(s.start_ns),
-      static_cast<unsigned long long>(s.duration_ns),
-      static_cast<unsigned long long>(s.count),
-      static_cast<unsigned long long>(s.thread_id),
-      JsonEscape(s.thread_name).c_str());
+  JsonWriter w;
+  w.BeginObject().Field("name", s.name).Field("id", s.id);
+  w.Field("parent", s.parent_id).Field("start_ns", s.start_ns);
+  w.Field("dur_ns", s.duration_ns).Field("count", s.count);
+  w.Field("thread", s.thread_id).Field("thread_name", s.thread_name);
+  return w.EndObject().str();
 }
 
 std::string RenderRecordedMetricJson(const RecordedMetric& m) {
-  return StrFormat("{\"name\":\"%s\",\"kind\":\"%c\",\"value\":%.17g}",
-                   JsonEscape(m.name).c_str(), m.kind, m.value);
+  JsonWriter w;
+  w.BeginObject().Field("name", m.name);
+  w.Field("kind", std::string_view(&m.kind, 1)).Field("value", m.value);
+  return w.EndObject().str();
+}
+
+std::string RenderRingStatsJson(const RingStats& stats) {
+  JsonWriter w;
+  w.BeginObject().Field("capacity", stats.capacity);
+  w.Field("appended", stats.appended).Field("dropped", stats.dropped);
+  return w.EndObject().str();
 }
 
 std::string RenderFlightRecorderJson(const FlightRecorder& recorder) {
-  const RingStats logs = recorder.LogRingStats();
-  const RingStats spans = recorder.SpanRingStats();
-  std::string out = StrFormat(
-      "{\"schema\":\"bolton-flightrecorder-v1\","
-      "\"log_ring\":{\"capacity\":%llu,\"appended\":%llu,\"dropped\":%llu},"
-      "\"span_ring\":{\"capacity\":%llu,\"appended\":%llu,\"dropped\":%llu},"
-      "\"metrics_mono_ns\":%llu",
-      static_cast<unsigned long long>(logs.capacity),
-      static_cast<unsigned long long>(logs.appended),
-      static_cast<unsigned long long>(logs.dropped),
-      static_cast<unsigned long long>(spans.capacity),
-      static_cast<unsigned long long>(spans.appended),
-      static_cast<unsigned long long>(spans.dropped),
-      static_cast<unsigned long long>(recorder.LatestMetricsTimestampNs()));
-  out += ",\"recent_logs\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Field("schema", "bolton-flightrecorder-v1");
+  w.Key("log_ring").Raw(RenderRingStatsJson(recorder.LogRingStats()));
+  w.Key("span_ring").Raw(RenderRingStatsJson(recorder.SpanRingStats()));
+  w.Field("metrics_mono_ns", recorder.LatestMetricsTimestampNs());
+  w.Key("recent_logs").BeginArray();
   for (const RecordedLogEvent& e :
        recorder.RecentLogs(FlightRecorder::kLogSlots, LogLevel::kDebug)) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedLogJson(e);
+    w.Raw(RenderRecordedLogJson(e));
   }
-  out += "],\"recent_spans\":[";
-  first = true;
+  w.EndArray().Key("recent_spans").BeginArray();
   for (const RecordedSpan& s :
        recorder.RecentSpans(FlightRecorder::kSpanSlots)) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedSpanJson(s);
+    w.Raw(RenderRecordedSpanJson(s));
   }
-  out += "],\"metrics\":[";
-  first = true;
+  w.EndArray().Key("metrics").BeginArray();
   for (const RecordedMetric& m : recorder.LatestMetrics()) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedMetricJson(m);
+    w.Raw(RenderRecordedMetricJson(m));
   }
-  out += "]}";
-  return out;
+  return w.EndArray().EndObject().str();
 }
 
 std::string RenderSpansJsonl(const std::vector<SpanRecord>& spans) {
@@ -365,16 +326,16 @@ std::string RenderSpansJsonl(const std::vector<SpanRecord>& spans) {
 }
 
 std::string RenderChromeTrace(const std::vector<SpanRecord>& spans) {
+  // One event per line: the array stays JSON and diffs line by line.
   std::string out = "[";
-  bool first = true;
-  auto append = [&out, &first](const std::string& event) {
-    if (!first) out += ",\n";
-    first = false;
-    out += event;
+  auto append = [&out](const JsonWriter& event) {
+    if (out.size() > 1) out += ",\n";
+    out += event.str();
   };
-  append(
-      "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"boltondp\"}}");
+  JsonWriter process;
+  process.BeginObject().Field("ph", "M").Field("pid", 1);
+  process.Field("name", "process_name").Key("args").BeginObject();
+  append(process.Field("name", "boltondp").EndObject().EndObject());
   // One thread_name metadata event per distinct (tid, name) pair, in first-
   // seen order: a pool worker legitimately carries several names over its
   // lifetime (its own bolton-pool-N plus one psgd-shard-N per slice it ran),
@@ -385,27 +346,23 @@ std::string RenderChromeTrace(const std::vector<SpanRecord>& spans) {
   for (const SpanRecord& s : spans) {
     const std::string name = s.thread_name.empty() ? "thread" : s.thread_name;
     if (!seen_names.insert({s.thread_id, name}).second) continue;
-    append(StrFormat(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":%llu,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"%s\"}}",
-        static_cast<unsigned long long>(s.thread_id),
-        JsonEscape(name).c_str()));
+    JsonWriter event;
+    event.BeginObject().Field("ph", "M").Field("pid", 1);
+    event.Field("tid", s.thread_id).Field("name", "thread_name");
+    event.Key("args").BeginObject().Field("name", name).EndObject();
+    append(event.EndObject());
   }
   for (const SpanRecord& s : spans) {
-    std::string event = StrFormat(
-        "{\"ph\":\"X\",\"pid\":1,\"tid\":%llu,\"name\":\"%s\","
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"count\":%llu",
-        static_cast<unsigned long long>(s.thread_id),
-        JsonEscape(s.name).c_str(),
-        static_cast<double>(s.start_ns) / 1000.0,
-        static_cast<double>(s.duration_ns) / 1000.0,
-        static_cast<unsigned long long>(s.count));
+    JsonWriter event;
+    event.BeginObject().Field("ph", "X").Field("pid", 1);
+    event.Field("tid", s.thread_id).Field("name", s.name);
+    event.Key("ts").Fixed(static_cast<double>(s.start_ns) / 1000.0, 3);
+    event.Key("dur").Fixed(static_cast<double>(s.duration_ns) / 1000.0, 3);
+    event.Key("args").BeginObject().Field("count", s.count);
     if (s.has_counters) {
-      event += ",\"counters\":";
-      event += RenderPerfCountersJson(s.counters);
+      event.Key("counters").Raw(RenderPerfCountersJson(s.counters));
     }
-    event += "}}";
-    append(event);
+    append(event.EndObject().EndObject());
   }
   out += "]\n";
   return out;

@@ -115,6 +115,10 @@ std::string RenderRecordedSpanJson(const RecordedSpan& span);
 /// One snapshot metric as a single-line JSON object (no trailing newline).
 std::string RenderRecordedMetricJson(const RecordedMetric& metric);
 
+/// A ring's {"capacity":N,"appended":N,"dropped":N} object, shared by the
+/// flight-recorder and postmortem documents.
+std::string RenderRingStatsJson(const RingStats& stats);
+
 /// The whole flight recorder as one "bolton-flightrecorder-v1" JSON
 /// document: ring stats, recent logs and spans, and the latest metrics
 /// snapshot. The /flightrecorder endpoint serves exactly this.

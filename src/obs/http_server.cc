@@ -18,6 +18,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/net.h"
 #include "util/strings.h"
@@ -221,25 +222,19 @@ HttpResponse HandleMetrics(const HttpRequest&) {
 HttpResponse HandleHealthz(uint64_t start_ns) {
   const LedgerTotals totals =
       SummarizeLedger(PrivacyLedger::Default().Snapshot());
-  return MakeResponse(
-      200, "application/json",
-      StrFormat(
-          "{\"status\":\"ok\",\"uptime_ns\":%llu,"
-          "\"metrics_enabled\":%s,\"trace_enabled\":%s,"
-          "\"ledger_enabled\":%s,\"privacy_spend\":{"
-          "\"events\":%llu,\"noise_draws\":%llu,\"charges\":%llu,"
-          "\"rejected\":%llu,\"calibrations\":%llu,"
-          "\"epsilon_charged\":%.17g,\"delta_charged\":%.17g}}\n",
-          static_cast<unsigned long long>(MonotonicNanos() - start_ns),
-          MetricsEnabled() ? "true" : "false",
-          TraceRecorder::Default().enabled() ? "true" : "false",
-          PrivacyLedger::Default().enabled() ? "true" : "false",
-          static_cast<unsigned long long>(totals.events),
-          static_cast<unsigned long long>(totals.noise_draws),
-          static_cast<unsigned long long>(totals.charges),
-          static_cast<unsigned long long>(totals.rejected),
-          static_cast<unsigned long long>(totals.calibrations),
-          totals.epsilon_charged, totals.delta_charged));
+  JsonWriter w;
+  w.BeginObject().Field("status", "ok");
+  w.Field("uptime_ns", MonotonicNanos() - start_ns);
+  w.Field("metrics_enabled", MetricsEnabled());
+  w.Field("trace_enabled", TraceRecorder::Default().enabled());
+  w.Field("ledger_enabled", PrivacyLedger::Default().enabled());
+  w.Key("privacy_spend").BeginObject().Field("events", totals.events);
+  w.Field("noise_draws", totals.noise_draws).Field("charges", totals.charges);
+  w.Field("rejected", totals.rejected);
+  w.Field("calibrations", totals.calibrations);
+  w.Field("epsilon_charged", totals.epsilon_charged);
+  w.Field("delta_charged", totals.delta_charged).EndObject().EndObject();
+  return MakeResponse(200, "application/json", w.str() + "\n");
 }
 
 HttpResponse HandleLedger(const HttpRequest& request) {
@@ -456,9 +451,10 @@ void ObsServer::ShedConnection(int fd) {
   HttpResponse response;
   response.status = 503;
   response.content_type = "application/json";
-  response.body = StrFormat(
-      "{\"error\":\"overloaded\",\"detail\":\"pending queue full "
-      "(%zu)\"}\n", options_.max_pending);
+  JsonWriter body;
+  body.BeginObject().Field("error", "overloaded").Field(
+      "detail", StrFormat("pending queue full (%zu)", options_.max_pending));
+  response.body = body.EndObject().str() + "\n";
   response.headers.emplace_back("Retry-After",
                                  std::to_string(kRetryAfterSeconds));
   const std::string wire = RenderResponse(response);
@@ -596,6 +592,42 @@ HttpResponse ObsServer::Dispatch(const HttpRequest& request) {
                 request.method.c_str(), request.path.c_str(), allow.c_str()));
   response.headers.emplace_back("Allow", allow);
   return response;
+}
+
+Result<HttpReply> HttpCall(int port, const std::string& method,
+                           const std::string& target, const std::string& body,
+                           int timeout_ms) {
+  std::string request = StrFormat(
+      "%s %s HTTP/1.0\r\nHost: 127.0.0.1\r\nConnection: close\r\n",
+      method.c_str(), target.c_str());
+  if (!body.empty() || method == "POST") {
+    request += StrFormat(
+        "Content-Type: application/json\r\nContent-Length: %zu\r\n",
+        body.size());
+  }
+  request += "\r\n" + body;
+  const std::string what =
+      StrFormat("%s 127.0.0.1:%d%s", method.c_str(), port, target.c_str());
+  const Result<int> fd = net::ConnectTcp(static_cast<uint16_t>(port));
+  if (!fd.ok()) return fd.status().WithContext(what);
+  const Status sent =
+      net::SendAll(fd.value(), request.data(), request.size(), timeout_ms);
+  const Result<std::string> text =
+      sent.ok() ? net::RecvAll(fd.value(), 16 << 20, timeout_ms)
+                : Result<std::string>(sent);
+  net::CloseFd(fd.value());
+  if (!text.ok()) return text.status().WithContext(what);
+
+  HttpReply reply;
+  const size_t split = text.value().find("\r\n\r\n");
+  reply.head = text.value().substr(0, split);
+  if (split != std::string::npos) reply.body = text.value().substr(split + 4);
+  // "HTTP/1.0 200 OK" -> 200.
+  const std::vector<std::string> words = StrSplit(reply.head, ' ');
+  if (words.size() > 1) {
+    reply.status = static_cast<int>(ParseInt(words[1]).ValueOr(0));
+  }
+  return reply;
 }
 
 namespace {

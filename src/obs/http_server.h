@@ -169,6 +169,21 @@ class ObsServer {
   std::condition_variable quit_cv_;
 };
 
+/// A client's view of a response.
+struct HttpReply {
+  int status = 0;    // from the status line; 0 when it has none
+  std::string head;  // status line and headers
+  std::string body;
+};
+
+/// One HTTP/1.0 request to 127.0.0.1:`port` in one attempt: connect, send,
+/// read to EOF. `timeout_ms` >= 0 bounds the send and the receive each.
+/// Never retried: a request whose answer timed out may still have run, and
+/// sending a POST /v1/train again would train, and charge, twice.
+Result<HttpReply> HttpCall(int port, const std::string& method,
+                           const std::string& target,
+                           const std::string& body = "", int timeout_ms = -1);
+
 /// Process-wide server instance for flag/env wiring (`--serve-obs`,
 /// BOLTON_OBS_PORT): benches and tools that have no natural owner for the
 /// server share this one.

@@ -19,6 +19,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/symbolize.h"
@@ -242,16 +243,6 @@ void FatalHook(const char* message) {
   internal::WritePostmortemNow(message);
 }
 
-std::string RenderFrameJson(const PostmortemReport::Frame& f) {
-  return StrFormat(
-      "{\"module\":\"%s\",\"offset\":\"0x%llx\",\"pc\":\"0x%llx\","
-      "\"symbol\":\"%s\",\"resolved\":%s}",
-      JsonEscape(f.module).c_str(),
-      static_cast<unsigned long long>(f.offset),
-      static_cast<unsigned long long>(f.pc), JsonEscape(f.symbol).c_str(),
-      f.resolved ? "true" : "false");
-}
-
 /// Fills the report fields that both postmortem paths share: the flight
 /// recorder rings, metrics, peak RSS, and the armed failpoints.
 void FillCommonState(PostmortemReport* report) {
@@ -381,80 +372,49 @@ void WritePostmortemNow(const char* fatal_message) {
 }  // namespace internal
 
 std::string RenderPostmortemJson(const PostmortemReport& report) {
-  std::string out = "{\"schema\":\"bolton-postmortem-v1\"";
-  out += StrFormat(",\"reason\":\"%s\"", JsonEscape(report.reason).c_str());
+  JsonWriter w;
+  w.BeginObject().Field("schema", "bolton-postmortem-v1");
+  w.Field("reason", report.reason);
   if (report.reason == "signal") {
-    out += StrFormat(
-        ",\"signal\":{\"number\":%d,\"name\":\"%s\",\"fault_addr\":\"%s\"}",
-        report.signal_number, JsonEscape(report.signal_name).c_str(),
-        JsonEscape(report.fault_addr).c_str());
+    w.Key("signal").BeginObject().Field("number", report.signal_number);
+    w.Field("name", report.signal_name).Field("fault_addr", report.fault_addr);
+    w.EndObject();
   }
   if (!report.fatal_message.empty()) {
-    out += StrFormat(",\"fatal_message\":\"%s\"",
-                     JsonEscape(report.fatal_message).c_str());
+    w.Field("fatal_message", report.fatal_message);
   }
-  out += StrFormat(
-      ",\"crash\":{\"mono_ns\":%llu,\"thread_id\":%llu,"
-      "\"thread_name\":\"%s\"}",
-      static_cast<unsigned long long>(report.mono_ns),
-      static_cast<unsigned long long>(report.thread_id),
-      JsonEscape(report.thread_name).c_str());
-  out += ",\"build\":";
-  out += RenderBuildInfoJson();
-  out += ",\"backtrace\":[";
-  bool first = true;
-  for (const PostmortemReport::Frame& frame : report.frames) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderFrameJson(frame);
+  w.Key("crash").BeginObject().Field("mono_ns", report.mono_ns);
+  w.Field("thread_id", report.thread_id);
+  w.Field("thread_name", report.thread_name).EndObject();
+  w.Key("build").Raw(RenderBuildInfoJson());
+  w.Key("backtrace").BeginArray();
+  for (const PostmortemReport::Frame& f : report.frames) {
+    w.BeginObject().Field("module", f.module);
+    w.Field("offset",
+            StrFormat("0x%llx", static_cast<unsigned long long>(f.offset)));
+    w.Field("pc", StrFormat("0x%llx", static_cast<unsigned long long>(f.pc)));
+    w.Field("symbol", f.symbol).Field("resolved", f.resolved).EndObject();
   }
-  out += "],\"active_spans\":[";
-  first = true;
+  w.EndArray().Key("active_spans").BeginArray();
   for (const auto& [id, name] : report.active_spans) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("{\"id\":%llu,\"name\":\"%s\"}",
-                     static_cast<unsigned long long>(id),
-                     JsonEscape(name).c_str());
+    w.BeginObject().Field("id", id).Field("name", name).EndObject();
   }
-  out += "],\"recent_logs\":[";
-  first = true;
+  w.EndArray().Key("recent_logs").BeginArray();
   for (const RecordedLogEvent& event : report.recent_logs) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedLogJson(event);
+    w.Raw(RenderRecordedLogJson(event));
   }
-  out += StrFormat(
-      "],\"log_ring\":{\"capacity\":%llu,\"appended\":%llu,"
-      "\"dropped\":%llu}",
-      static_cast<unsigned long long>(report.log_ring.capacity),
-      static_cast<unsigned long long>(report.log_ring.appended),
-      static_cast<unsigned long long>(report.log_ring.dropped));
-  out += ",\"recent_spans\":[";
-  first = true;
+  w.EndArray().Key("log_ring").Raw(RenderRingStatsJson(report.log_ring));
+  w.Key("recent_spans").BeginArray();
   for (const RecordedSpan& span : report.recent_spans) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedSpanJson(span);
+    w.Raw(RenderRecordedSpanJson(span));
   }
-  out += StrFormat(
-      "],\"span_ring\":{\"capacity\":%llu,\"appended\":%llu,"
-      "\"dropped\":%llu}",
-      static_cast<unsigned long long>(report.span_ring.capacity),
-      static_cast<unsigned long long>(report.span_ring.appended),
-      static_cast<unsigned long long>(report.span_ring.dropped));
-  out += ",\"metrics\":[";
-  first = true;
+  w.EndArray().Key("span_ring").Raw(RenderRingStatsJson(report.span_ring));
+  w.Key("metrics").BeginArray();
   for (const RecordedMetric& metric : report.metrics) {
-    if (!first) out += ',';
-    first = false;
-    out += RenderRecordedMetricJson(metric);
+    w.Raw(RenderRecordedMetricJson(metric));
   }
-  out += StrFormat(
-      "],\"peak_rss_bytes\":%llu,\"failpoints\":\"%s\"}",
-      static_cast<unsigned long long>(report.peak_rss_bytes),
-      JsonEscape(report.failpoints).c_str());
-  return out;
+  w.EndArray().Field("peak_rss_bytes", report.peak_rss_bytes);
+  return w.Field("failpoints", report.failpoints).EndObject().str();
 }
 
 namespace {

@@ -32,6 +32,16 @@ constexpr size_t kPersistAttempts = 3;
 constexpr double kPersistBackoffMs = 5.0;
 constexpr double kPersistJitter = 0.5;
 
+/// Ids the state file stores intact (EncodeToken leaves them unchanged, and
+/// none is its "-" stand-in for "") and /v1/budget?tenant= needs no
+/// percent-decoding for.
+bool ValidTenantId(const std::string& tenant) {
+  return !tenant.empty() && tenant != "-" &&
+         tenant.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-") ==
+             std::string::npos;
+}
+
 void SleepBeforeRetry(size_t retry, Rng* jitter_rng) {
   const double ms = kPersistBackoffMs *
                     static_cast<double>(uint64_t{1} << (retry - 1)) *
@@ -156,8 +166,9 @@ TenantBudgetManager::AccountState& TenantBudgetManager::GetOrCreateLocked(
 Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
                                               const PrivacyParams& cost,
                                               const std::string& label) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("tenant id must be non-empty");
+  if (!ValidTenantId(tenant)) {
+    return Status::InvalidArgument(
+        "tenant id must be one or more of [A-Za-z0-9._-], and not \"-\"");
   }
   BOLTON_RETURN_IF_ERROR(cost.Validate().WithContext(
       StrFormat("budget reserve for tenant '%s'", tenant.c_str())));

@@ -79,7 +79,9 @@ class TenantBudgetManager {
 
   /// Places a write-ahead hold of `cost` against `tenant`'s remaining
   /// budget (basic composition over spend + existing holds). Returns the
-  /// hold id for Commit/Refund. FailedPrecondition when the hold would
+  /// hold id for Commit/Refund. InvalidArgument for a bad cost, or for a
+  /// tenant id outside [A-Za-z0-9._-]+ or equal to "-" (the state file
+  /// could not store it intact). FailedPrecondition when the hold would
   /// overspend (the refusal is ledgered and counted); IOError when the
   /// write-ahead persist fails after retries (nothing is held).
   Result<uint64_t> Reserve(const std::string& tenant,

@@ -43,19 +43,19 @@ ServeMetrics& Metrics() {
   return *m;
 }
 
-HttpResponse JsonError(int status, const char* code,
-                       const std::string& detail) {
+/// A response whose body is `body`'s document plus a newline.
+HttpResponse JsonReply(int status, const JsonWriter& body) {
   HttpResponse response;
   response.status = status;
-  response.body = StrFormat("{\"error\":\"%s\",\"detail\":\"%s\"}\n", code,
-                            JsonEscape(detail).c_str());
+  response.body = body.str() + "\n";
   return response;
 }
 
-HttpResponse JsonOk(std::string body) {
-  HttpResponse response;
-  response.body = std::move(body);
-  return response;
+HttpResponse JsonError(int status, const char* code,
+                       const std::string& detail) {
+  JsonWriter w;
+  w.BeginObject().Field("error", code).Field("detail", detail);
+  return JsonReply(status, w.EndObject());
 }
 
 /// Maps an AdmissionController refusal onto the degradation ladder.
@@ -72,16 +72,12 @@ HttpResponse AdmissionRefusal(const Status& status) {
 HttpResponse BudgetRefusal(const std::string& tenant,
                            const TenantAccountView& account,
                            const Status& status) {
-  HttpResponse response;
-  response.status = 429;
-  response.body = StrFormat(
-      "{\"error\":\"budget_exhausted\",\"tenant\":\"%s\","
-      "\"budget_epsilon\":%g,\"spent_epsilon\":%g,\"reserved_epsilon\":%g,"
-      "\"detail\":\"%s\"}\n",
-      JsonEscape(tenant).c_str(), account.budget.epsilon,
-      account.spent.epsilon, account.reserved.epsilon,
-      JsonEscape(status.message()).c_str());
-  return response;
+  JsonWriter w;
+  w.BeginObject().Field("error", "budget_exhausted").Field("tenant", tenant);
+  w.Field("budget_epsilon", account.budget.epsilon);
+  w.Field("spent_epsilon", account.spent.epsilon);
+  w.Field("reserved_epsilon", account.reserved.epsilon);
+  return JsonReply(429, w.Field("detail", status.message()).EndObject());
 }
 
 /// True for the algorithms whose only noise draw happens at release
@@ -93,19 +89,17 @@ bool RefundableOnFailure(Algorithm algorithm) {
   return algorithm == Algorithm::kNoiseless || algorithm == Algorithm::kBoltOn;
 }
 
-std::string RenderAccountView(const TenantAccountView& view) {
-  return StrFormat(
-      "{\"tenant\":\"%s\",\"budget_epsilon\":%g,\"budget_delta\":%g,"
-      "\"spent_epsilon\":%.12g,\"spent_delta\":%.12g,"
-      "\"reserved_epsilon\":%.12g,\"reserved_delta\":%.12g,"
-      "\"commits\":%llu,\"refunds\":%llu,\"refusals\":%llu,"
-      "\"recovered\":%llu}",
-      JsonEscape(view.tenant).c_str(), view.budget.epsilon, view.budget.delta,
-      view.spent.epsilon, view.spent.delta, view.reserved.epsilon,
-      view.reserved.delta, static_cast<unsigned long long>(view.commits),
-      static_cast<unsigned long long>(view.refunds),
-      static_cast<unsigned long long>(view.refusals),
-      static_cast<unsigned long long>(view.recovered));
+void WriteAccountView(const TenantAccountView& view, JsonWriter* w) {
+  w->BeginObject().Field("tenant", view.tenant);
+  w->Field("budget_epsilon", view.budget.epsilon);
+  w->Field("budget_delta", view.budget.delta);
+  w->Field("spent_epsilon", view.spent.epsilon);
+  w->Field("spent_delta", view.spent.delta);
+  w->Field("reserved_epsilon", view.reserved.epsilon);
+  w->Field("reserved_delta", view.reserved.delta);
+  w->Field("commits", view.commits).Field("refunds", view.refunds);
+  w->Field("refusals", view.refusals).Field("recovered", view.recovered);
+  w->EndObject();
 }
 
 /// Tracks a request for drain accounting and latency metrics.
@@ -419,17 +413,17 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   }
 
   const TenantAccountView account = budget_->Account(tenant.value());
-  return JsonOk(StrFormat(
-      "{\"model_id\":\"%s\",\"tenant\":\"%s\",\"algorithm\":\"%s\","
-      "\"dataset\":\"%s\",\"dim\":%zu,\"elapsed_ms\":%.3f,"
-      "\"epsilon\":%g,\"delta\":%g,"
-      "\"spent_epsilon\":%.12g,\"remaining_epsilon\":%.12g}\n",
-      JsonEscape(model_id).c_str(), JsonEscape(tenant.value()).c_str(),
-      AlgorithmName(config.algorithm), JsonEscape(dataset_name).c_str(),
-      train->dim(), elapsed_ms, is_private ? epsilon : 0.0,
-      is_private ? delta : 0.0, account.spent.epsilon,
-      account.budget.epsilon - account.spent.epsilon -
-          account.reserved.epsilon));
+  JsonWriter w;
+  w.BeginObject().Field("model_id", model_id).Field("tenant", tenant.value());
+  w.Field("algorithm", AlgorithmName(config.algorithm));
+  w.Field("dataset", dataset_name).Field("dim", train->dim());
+  w.Key("elapsed_ms").Fixed(elapsed_ms, 3);
+  w.Field("epsilon", is_private ? epsilon : 0.0);
+  w.Field("delta", is_private ? delta : 0.0);
+  w.Field("spent_epsilon", account.spent.epsilon);
+  w.Field("remaining_epsilon", account.budget.epsilon - account.spent.epsilon -
+                                   account.reserved.epsilon);
+  return JsonReply(200, w.EndObject());
 }
 
 HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
@@ -493,11 +487,15 @@ HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
   // The released model is already differentially private (or noiseless by
   // request); scoring it is post-processing and spends no budget.
   const double score = Dot(weights, x);
-  return JsonOk(StrFormat(
-      "{\"model_id\":\"%s\",\"algorithm\":\"%s\",\"score\":%.12g,"
-      "\"prediction\":%d}\n",
-      JsonEscape(model_id.value()).c_str(), algorithm.c_str(), score,
-      score >= 0.0 ? 1 : -1));
+  // Finite features can still overflow the dot product to ±inf or NaN.
+  if (!std::isfinite(score)) {
+    return JsonError(400, "bad_request", "features overflow the model score");
+  }
+  JsonWriter w;
+  w.BeginObject().Field("model_id", model_id.value());
+  w.Field("algorithm", algorithm).Field("score", score);
+  w.Field("prediction", score >= 0.0 ? 1 : -1);
+  return JsonReply(200, w.EndObject());
 }
 
 HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
@@ -602,31 +600,29 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
     return JsonError(500, "budget_commit_failed", committed.message());
   }
   const TenantAccountView account = budget_->Account(tenant.value());
-  return JsonOk(StrFormat(
-      "{\"op\":\"%s\",\"dataset\":\"%s\",\"value\":%.12g,"
-      "\"epsilon\":%g,\"delta\":%g,\"spent_epsilon\":%.12g,"
-      "\"remaining_epsilon\":%.12g}\n",
-      op.c_str(), JsonEscape(dataset_name).c_str(), released.value().noisy,
-      epsilon, delta, account.spent.epsilon,
-      account.budget.epsilon - account.spent.epsilon -
-          account.reserved.epsilon));
+  JsonWriter w;
+  w.BeginObject().Field("op", op).Field("dataset", dataset_name);
+  w.Field("value", released.value().noisy);
+  w.Field("epsilon", epsilon).Field("delta", delta);
+  w.Field("spent_epsilon", account.spent.epsilon);
+  w.Field("remaining_epsilon", account.budget.epsilon - account.spent.epsilon -
+                                   account.reserved.epsilon);
+  return JsonReply(200, w.EndObject());
 }
 
 HttpResponse ServeDaemon::HandleBudget(const HttpRequest& request) {
   Metrics().requests->Increment();
   const std::string tenant = request.QueryParam("tenant").value_or("");
+  JsonWriter w;
   if (!tenant.empty()) {
-    return JsonOk(RenderAccountView(budget_->Account(tenant)) + "\n");
+    WriteAccountView(budget_->Account(tenant), &w);
+    return JsonReply(200, w);
   }
-  std::string body = "[";
-  bool first = true;
+  w.BeginArray();
   for (const TenantAccountView& view : budget_->Snapshot()) {
-    if (!first) body += ",";
-    first = false;
-    body += RenderAccountView(view);
+    WriteAccountView(view, &w);
   }
-  body += "]\n";
-  return JsonOk(std::move(body));
+  return JsonReply(200, w.EndArray());
 }
 
 }  // namespace serve

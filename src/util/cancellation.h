@@ -1,6 +1,7 @@
 #ifndef BOLTON_UTIL_CANCELLATION_H_
 #define BOLTON_UTIL_CANCELLATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,7 +40,11 @@ class CancellationToken {
   /// Arms a deadline `timeout_ms` from now; 0 disarms. Call before handing
   /// the token to workers (not thread-safe against concurrent polls).
   void SetTimeout(uint64_t timeout_ms) {
-    deadline_ns_ = timeout_ms == 0 ? 0 : NowNanos() + timeout_ms * 1000000ull;
+    const uint64_t now = NowNanos();
+    // Saturates: a deadline past the clock's end must not wrap into the past.
+    const uint64_t ms =
+        std::min<uint64_t>(timeout_ms, (UINT64_MAX - now) / 1000000);
+    deadline_ns_ = timeout_ms == 0 ? 0 : now + ms * 1000000;
   }
 
   /// True once Cancel() was called, the deadline passed, or an ancestor is

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -316,10 +317,14 @@ Result<double> JsonValue::GetNumber(const std::string& key,
 
 Result<int64_t> JsonValue::GetInt(const std::string& key,
                                   int64_t fallback) const {
+  // Beyond 2^53 a double no longer holds every integer, so the value may not
+  // be the one the client sent (and beyond 2^63 the cast is undefined).
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
   const JsonValue* v = Find(key);
   if (v == nullptr) return fallback;
   if (!v->is_number() ||
-      v->number_value() != std::floor(v->number_value())) {
+      v->number_value() != std::floor(v->number_value()) ||
+      std::fabs(v->number_value()) > kMaxExactInteger) {
     return Status::InvalidArgument(
         StrFormat("field '%s' must be an integer", key.c_str()));
   }
@@ -339,6 +344,67 @@ Result<bool> JsonValue::GetBool(const std::string& key, bool fallback) const {
 Result<JsonValue> ParseJson(const std::string& text) {
   Parser parser(text);
   return parser.ParseDocument();
+}
+
+namespace {
+
+void AppendQuoted(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          *out += c;
+        } else {
+          *out += "\\u00";
+          *out += kHex[c >> 4];
+          *out += kHex[c & 0xf];
+        }
+    }
+  }
+  *out += '"';
+}
+
+}  // namespace
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  AppendQuoted(key, &Next(false));
+  out_ += ':';
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  AppendQuoted(value, &Next(true));
+  return *this;
+}
+
+template <typename... Args>
+JsonWriter& JsonWriter::Chars(Args... args) {
+  char buf[512];  // any double in fixed notation: 309 digits, plus decimals
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), args...);
+  if (result.ec != std::errc()) return Raw("null");
+  return Raw(std::string_view(buf, static_cast<size_t>(result.ptr - buf)));
+}
+
+JsonWriter& JsonWriter::Int(int64_t value) { return Chars(value); }
+
+JsonWriter& JsonWriter::Uint(uint64_t value) { return Chars(value); }
+
+JsonWriter& JsonWriter::Double(double value) {
+  return std::isfinite(value) ? Chars(value) : Raw("null");
+}
+
+JsonWriter& JsonWriter::Fixed(double value, int decimals) {
+  return std::isfinite(value)
+             ? Chars(value, std::chars_format::fixed, decimals)
+             : Raw("null");
 }
 
 }  // namespace bolton

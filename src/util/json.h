@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,7 +17,7 @@ namespace bolton {
 /// (no comments, no trailing commas, UTF-8 passed through opaquely except
 /// for \uXXXX escapes of BMP code points), a depth cap, and whole-input
 /// validation — trailing garbage after the document is an error. Writing
-/// JSON stays where it always was: StrFormat + JsonEscape.
+/// goes through JsonWriter below.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -71,6 +73,77 @@ class JsonValue {
 /// Parses one JSON document covering the whole input. InvalidArgument with
 /// byte offset on malformed input; nesting beyond 64 levels is rejected.
 Result<JsonValue> ParseJson(const std::string& text);
+
+/// The one JSON writer: every JSON document the program renders goes
+/// through it, so commas, string escaping and number syntax are decided
+/// here. Output is compact. Integers print exactly; doubles print as the
+/// shortest text that parses back to the same value; NaN and ±inf, which
+/// JSON cannot spell, print as null. Callers pair Begin/End themselves.
+///
+///   JsonWriter w;
+///   w.BeginObject().Field("name", "x").Field("n", 3).EndObject();
+///   w.str();  // {"name":"x","n":3}
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  /// An object member's key; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Int(int64_t value);
+  JsonWriter& Uint(uint64_t value);
+  JsonWriter& Double(double value);
+  /// Exactly `decimals` digits after the point, for consumers that pin them.
+  JsonWriter& Fixed(double value, int decimals);
+  JsonWriter& Bool(bool value) { return Raw(value ? "true" : "false"); }
+  /// Inserts a finished JSON value from another renderer, not re-escaped.
+  JsonWriter& Raw(std::string_view json) {
+    Next(true) += json;
+    return *this;
+  }
+
+  /// Key(key) and the value, written by type: bool, integer, floating
+  /// point, or text (so a string literal renders as a string, not `true`).
+  template <typename T>
+  JsonWriter& Field(std::string_view key, const T& value) {
+    static_assert(!std::is_same_v<T, char>, "pass a char as a string_view");
+    Key(key);
+    if constexpr (std::is_same_v<T, bool>) return Bool(value);
+    else if constexpr (std::is_floating_point_v<T>) return Double(value);
+    else if constexpr (std::is_signed_v<T>) return Int(value);
+    else if constexpr (std::is_integral_v<T>) return Uint(value);
+    else return String(value);
+  }
+
+  const std::string& str() const { return out_; }
+
+ private:
+  /// The output, after the comma owed to a preceding sibling; `then_comma`
+  /// says whether what is appended next is owed one itself.
+  std::string& Next(bool then_comma) {
+    if (need_comma_) out_ += ',';
+    need_comma_ = then_comma;
+    return out_;
+  }
+  JsonWriter& Open(char bracket) {
+    Next(false) += bracket;
+    return *this;
+  }
+  JsonWriter& Close(char bracket) {
+    out_ += bracket;
+    need_comma_ = true;
+    return *this;
+  }
+  /// std::to_chars(args...), or null when it does not fit.
+  template <typename... Args>
+  JsonWriter& Chars(Args... args);
+
+  std::string out_;
+  bool need_comma_ = false;
+};
 
 }  // namespace bolton
 

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <vector>
 
+#include "util/json.h"
 #include "util/strings.h"
 #include "util/thread_name.h"
 
@@ -175,14 +176,13 @@ std::string RenderLogEventJson(const LogEvent& event) {
       event.thread_name[0] != '\0'
           ? std::string(event.thread_name)
           : StrFormat("t%llu", static_cast<unsigned long long>(event.thread_id));
-  return StrFormat(
-      "{\"mono_ns\":%llu,\"level\":\"%s\",\"tid\":%llu,\"thread\":\"%s\","
-      "\"file\":\"%s\",\"line\":%d,\"span\":%llu,\"msg\":\"%s\"}",
-      static_cast<unsigned long long>(event.mono_ns), LogLevelTag(event.level),
-      static_cast<unsigned long long>(event.thread_id),
-      JsonEscape(thread).c_str(), JsonEscape(event.file).c_str(), event.line,
-      static_cast<unsigned long long>(event.span_id),
-      JsonEscape(std::string(event.message, event.message_len)).c_str());
+  JsonWriter w;
+  w.BeginObject().Field("mono_ns", event.mono_ns);
+  w.Field("level", LogLevelTag(event.level)).Field("tid", event.thread_id);
+  w.Field("thread", thread).Field("file", event.file);
+  w.Field("line", event.line).Field("span", event.span_id);
+  w.Field("msg", std::string_view(event.message, event.message_len));
+  return w.EndObject().str();
 }
 
 Status OpenLogJsonlFile(const std::string& path) {

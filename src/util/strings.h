@@ -33,10 +33,6 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Escapes `s` for embedding inside a double-quoted JSON string. Lives in
-/// util (not obs) so the structured-log JSONL sink can use it.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace bolton
 
 #endif  // BOLTON_UTIL_STRINGS_H_

@@ -202,11 +202,12 @@ fi
 # --- serve: the multi-tenant daemon end to end ------------------------------
 # Start on an ephemeral port with a persistent budget store, train within
 # budget, get refused beyond it, drain on SIGTERM, then restart and check
-# the spend survived the process.
+# the spend survived the process. Every training pass sleeps 200ms, so a
+# call can time out before its train ends on any machine.
 servedir="$WORKDIR/serve_state"
 mkdir -p "$servedir"
-"$CLI" serve --port 0 --state-dir "$servedir" \
-    --budget-epsilon 1.0 --budget-delta 1e-5 \
+BOLTON_FAILPOINTS="psgd.pass:delay@200" "$CLI" serve --port 0 \
+    --state-dir "$servedir" --budget-epsilon 1.0 --budget-delta 1e-5 \
     --ledger-out "$WORKDIR/serve.ledger.jsonl" \
     > "$WORKDIR/serve.log" 2>&1 &
 serve_pid=$!
@@ -250,6 +251,15 @@ grep -q '"spent_epsilon":0.6' "$WORKDIR/serve.budget.json"
 grep -q '"commits":1' "$WORKDIR/serve.budget.json"
 grep -q '"refusals":1' "$WORKDIR/serve.budget.json"
 
+# A call whose --timeout-ms is shorter than its train fails, and is not sent
+# again (which would train and charge twice).
+if "$CLI" call --port "$serve_port" --timeout-ms 100 \
+    --body '{"tenant":"slow","epsilon":0.5,"passes":1,"scale":0.02}' \
+    > /dev/null 2>&1; then
+  echo "a train longer than --timeout-ms should have failed the call" >&2
+  exit 1
+fi
+
 # SIGTERM drains gracefully: clean exit, drain lines, ledger flushed.
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
@@ -289,6 +299,9 @@ test -n "$serve_port"
 "$CLI" call --port "$serve_port" --method GET \
     --path "/v1/budget?tenant=acme" > "$WORKDIR/serve.budget2.json"
 grep -q '"spent_epsilon":0.6' "$WORKDIR/serve.budget2.json"
+# The timed-out call trained and charged once, not once per attempt.
+"$CLI" call --port "$serve_port" --method GET \
+    --path "/v1/budget?tenant=slow" | grep -q '"commits":1,'
 if "$CLI" call --port "$serve_port" --path /v1/train \
     --body '{"tenant":"acme","algorithm":"bolton","epsilon":0.6,"passes":1,"scale":0.02}' \
     > /dev/null 2>&1; then

@@ -1,5 +1,7 @@
 #include "util/json.h"
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -110,6 +112,46 @@ TEST(JsonAccessorTest, TypedGettersWithFallbacks) {
   EXPECT_NE(wrong.status().message().find("s"), std::string::npos);
   // Non-integral number refused by GetInt.
   EXPECT_FALSE(root.GetInt("f", 0).ok());
+  // So is one beyond 2^53, where doubles stop holding every integer (1e19
+  // would not even fit int64); 2^53 itself is exact.
+  const JsonValue big = ParseJson(R"({"edge": 9007199254740992,)"
+                                  R"( "over": 9007199254740994, "huge": 1e19,)"
+                                  R"( "neg": -1e19})").MoveValue();
+  EXPECT_EQ(big.GetInt("edge", 0).MoveValue(), 9007199254740992);
+  for (const char* key : {"over", "huge", "neg"}) {
+    EXPECT_FALSE(big.GetInt(key, 0).ok()) << key;
+  }
+}
+
+TEST(JsonWriterTest, EscapesNestsAndWritesFieldsByType) {
+  JsonWriter w;
+  w.BeginObject().Field("s", std::string("q\"b\\\n\t\x01\x1f\0", 9));
+  w.Field("literal", "v").Field("b", true).Field("i", -3).Field("u", 4u);
+  w.Key("a").BeginArray().BeginObject().EndObject().BeginArray().EndArray();
+  w.Raw(R"({"r":1})").Int(2).EndArray().EndObject();
+  EXPECT_EQ(w.str(), R"({"s":"q\"b\\\n\t\u0001\u001f\u0000","literal":"v",)"
+                     R"("b":true,"i":-3,"u":4,"a":[{},[],{"r":1},2]})");
+}
+
+TEST(JsonWriterTest, NumbersAreExactShortestOrNull) {
+  JsonWriter w;
+  w.BeginArray().Double(0.1).Double(0.6).Double(1e-06).Double(1.0);
+  w.Uint(UINT64_MAX).Fixed(2.5, 3).Double(std::nan("")).Double(HUGE_VAL);
+  w.Double(-HUGE_VAL).Fixed(-HUGE_VAL, 3).EndArray();
+  EXPECT_EQ(w.str(),
+            "[0.1,0.6,1e-06,1,18446744073709551615,2.500,null,null,null,null]");
+}
+
+TEST(JsonWriterTest, OutputParsesBackToTheSameValues) {
+  const std::string text("tab\there \"q\" \\ \x02", 16);
+  JsonWriter w;
+  w.BeginObject().Field("s", text).Field("third", 1.0 / 3.0);
+  w.Field("big", 1e308).EndObject();
+  auto parsed = ParseJson(w.str());
+  ASSERT_TRUE(parsed.ok()) << w.str();
+  EXPECT_EQ(parsed.value().GetString("s", "").MoveValue(), text);
+  EXPECT_EQ(parsed.value().GetNumber("third", 0).MoveValue(), 1.0 / 3.0);
+  EXPECT_EQ(parsed.value().GetNumber("big", 0).MoveValue(), 1e308);
 }
 
 }  // namespace

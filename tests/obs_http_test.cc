@@ -25,46 +25,11 @@ namespace bolton {
 namespace obs {
 namespace {
 
-/// Raw-socket HTTP client: one GET, reads to EOF, splits head from body.
-struct HttpResponse {
-  int status = 0;
-  std::string head;
-  std::string body;
-};
-
-HttpResponse Get(int port, const std::string& target) {
-  HttpResponse out;
-  auto fd = net::ConnectTcp(static_cast<uint16_t>(port));
-  if (!fd.ok()) {
-    ADD_FAILURE() << "connect: " << fd.status().ToString();
-    return out;
-  }
-  const std::string request = StrFormat(
-      "GET %s HTTP/1.0\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n",
-      target.c_str());
-  Status sent = net::SendAll(fd.value(), request.data(), request.size());
-  if (!sent.ok()) {
-    ADD_FAILURE() << "send: " << sent.ToString();
-    net::CloseFd(fd.value());
-    return out;
-  }
-  auto response = net::RecvAll(fd.value(), 16 * 1024 * 1024);
-  net::CloseFd(fd.value());
-  if (!response.ok()) {
-    ADD_FAILURE() << "recv: " << response.status().ToString();
-    return out;
-  }
-  const std::string& text = response.value();
-  const size_t split = text.find("\r\n\r\n");
-  out.head = split == std::string::npos ? text : text.substr(0, split);
-  out.body = split == std::string::npos ? "" : text.substr(split + 4);
-  // "HTTP/1.0 200 OK" -> 200.
-  std::vector<std::string> parts = StrSplit(out.head, ' ');
-  if (parts.size() >= 2) {
-    auto code = ParseInt(parts[1]);
-    if (code.ok()) out.status = static_cast<int>(code.value());
-  }
-  return out;
+/// One GET; a transport failure fails the test.
+HttpReply Get(int port, const std::string& target) {
+  auto reply = HttpCall(port, "GET", target);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? reply.MoveValue() : HttpReply();
 }
 
 /// One parsed exposition sample: name, optional {label="value"} pairs, and
@@ -163,7 +128,7 @@ TEST_F(ObsHttpTest, MetricsScrapeIsValidExposition) {
   h->Observe(0.5);
   h->Observe(10.0);
 
-  HttpResponse response = Get(server_->port(), "/metrics");
+  HttpReply response = Get(server_->port(), "/metrics");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("text/plain; version=0.0.4"),
             std::string::npos)
@@ -213,7 +178,7 @@ TEST_F(ObsHttpTest, HealthzReportsLivenessAndSpendTotals) {
   draw.epsilon = 1.0;
   PrivacyLedger::Default().Record(draw);
 
-  HttpResponse response = Get(server_->port(), "/healthz");
+  HttpReply response = Get(server_->port(), "/healthz");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("application/json"), std::string::npos);
   EXPECT_NE(response.body.find("\"status\":\"ok\""), std::string::npos)
@@ -232,7 +197,7 @@ TEST_F(ObsHttpTest, LedgerTailReturnsLastNEvents) {
     event.label = StrFormat("draw%d", i);
     PrivacyLedger::Default().Record(event);
   }
-  HttpResponse response = Get(server_->port(), "/ledger?tail=2");
+  HttpReply response = Get(server_->port(), "/ledger?tail=2");
   ASSERT_EQ(response.status, 200);
   std::vector<std::string> lines;
   for (const std::string& line : StrSplit(response.body, '\n')) {
@@ -244,7 +209,7 @@ TEST_F(ObsHttpTest, LedgerTailReturnsLastNEvents) {
   EXPECT_NE(lines[1].find("\"label\":\"draw4\""), std::string::npos);
 
   // tail=0 means everything.
-  HttpResponse all = Get(server_->port(), "/ledger?tail=0");
+  HttpReply all = Get(server_->port(), "/ledger?tail=0");
   int count = 0;
   for (const std::string& line : StrSplit(all.body, '\n')) {
     if (!line.empty()) ++count;
@@ -256,7 +221,7 @@ TEST_F(ObsHttpTest, LedgerTailRejectsMalformedValues) {
   EXPECT_EQ(Get(server_->port(), "/ledger?tail=abc").status, 400);
   EXPECT_EQ(Get(server_->port(), "/ledger?tail=-1").status, 400);
   EXPECT_EQ(Get(server_->port(), "/ledger?tail=").status, 400);
-  HttpResponse response = Get(server_->port(), "/ledger?tail=abc");
+  HttpReply response = Get(server_->port(), "/ledger?tail=abc");
   EXPECT_NE(response.body.find("tail must be"), std::string::npos)
       << response.body;
   // A well-formed request still works afterwards.
@@ -275,7 +240,7 @@ TEST_F(ObsHttpTest, ProfileRejectsMalformedParams) {
 }
 
 TEST_F(ObsHttpTest, ProfileSnapshotWithoutRunningProfilerIs400) {
-  HttpResponse response = Get(server_->port(), "/profile?seconds=0");
+  HttpReply response = Get(server_->port(), "/profile?seconds=0");
   EXPECT_EQ(response.status, 400);
   EXPECT_NE(response.body.find("none is running"), std::string::npos)
       << response.body;
@@ -287,7 +252,7 @@ TEST_F(ObsHttpTest, ProfileTimedRequestIs503WhileProfilerBusy) {
   // seconds=0 reads the live session.
   ASSERT_TRUE(Profiler::Default().Start().ok());
   EXPECT_EQ(Get(server_->port(), "/profile?seconds=5").status, 503);
-  HttpResponse live = Get(server_->port(), "/profile?seconds=0&format=json");
+  HttpReply live = Get(server_->port(), "/profile?seconds=0&format=json");
   EXPECT_EQ(live.status, 200);
   EXPECT_NE(live.body.find("\"schema\":\"boltondp-profile-v1\""),
             std::string::npos)
@@ -306,7 +271,7 @@ TEST_F(ObsHttpTest, ProfileTimedWindowReturnsCollapsedStacks) {
       for (int i = 0; i < 4000; ++i) acc = acc + i * 0.5;
     }
   });
-  HttpResponse response = Get(server_->port(), "/profile?seconds=1&hz=499");
+  HttpReply response = Get(server_->port(), "/profile?seconds=1&hz=499");
   done.store(true);
   burner.join();
   ASSERT_EQ(response.status, 200);
@@ -321,7 +286,7 @@ TEST_F(ObsHttpTest, ProfileTimedWindowReturnsCollapsedStacks) {
 
 TEST_F(ObsHttpTest, SpansEndpointDumpsCompletedSpans) {
   { ScopedSpan span("http_test.work"); }
-  HttpResponse response = Get(server_->port(), "/spans");
+  HttpReply response = Get(server_->port(), "/spans");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"name\":\"http_test.work\""),
             std::string::npos)
@@ -333,7 +298,7 @@ TEST_F(ObsHttpTest, SpansEndpointDumpsCompletedSpans) {
 TEST_F(ObsHttpTest, SpansChromeFormatRendersTraceEventJson) {
   SetCurrentThreadName("http-test");
   { ScopedSpan span("http_test.chrome"); }
-  HttpResponse response = Get(server_->port(), "/spans?format=chrome");
+  HttpReply response = Get(server_->port(), "/spans?format=chrome");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("application/json"), std::string::npos);
   EXPECT_EQ(response.body.front(), '[');
@@ -352,7 +317,7 @@ TEST_F(ObsHttpTest, LogzServesRecentLogsAsJsonl) {
   BOLTON_LOG(kWarning) << "logz marker warning";
   ::testing::internal::GetCapturedStderr();
 
-  HttpResponse response = Get(server_->port(), "/logz");
+  HttpReply response = Get(server_->port(), "/logz");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("application/jsonl"), std::string::npos);
   EXPECT_NE(response.body.find("logz marker info"), std::string::npos)
@@ -362,14 +327,14 @@ TEST_F(ObsHttpTest, LogzServesRecentLogsAsJsonl) {
   EXPECT_NE(response.body.find("\"level\":\"W\""), std::string::npos);
 
   // tail caps the event count; level filters below-threshold events out.
-  HttpResponse one = Get(server_->port(), "/logz?tail=1");
+  HttpReply one = Get(server_->port(), "/logz?tail=1");
   ASSERT_EQ(one.status, 200);
   int lines = 0;
   for (const std::string& line : StrSplit(one.body, '\n')) {
     if (!line.empty()) ++lines;
   }
   EXPECT_EQ(lines, 1);
-  HttpResponse warnings = Get(server_->port(), "/logz?level=W");
+  HttpReply warnings = Get(server_->port(), "/logz?level=W");
   ASSERT_EQ(warnings.status, 200);
   EXPECT_EQ(warnings.body.find("\"level\":\"I\""), std::string::npos)
       << warnings.body;
@@ -392,7 +357,7 @@ TEST_F(ObsHttpTest, FlightRecorderEndpointDumpsRingsAndMetrics) {
   ::testing::internal::GetCapturedStderr();
   { ScopedSpan span("flightrec.span"); }
 
-  HttpResponse response = Get(server_->port(), "/flightrecorder");
+  HttpReply response = Get(server_->port(), "/flightrecorder");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("application/json"), std::string::npos);
   EXPECT_NE(response.body.find("\"schema\":\"bolton-flightrecorder-v1\""),
@@ -407,7 +372,7 @@ TEST_F(ObsHttpTest, FlightRecorderEndpointDumpsRingsAndMetrics) {
 }
 
 TEST_F(ObsHttpTest, BuildzReportsBuildIdentity) {
-  HttpResponse response = Get(server_->port(), "/buildz");
+  HttpReply response = Get(server_->port(), "/buildz");
   ASSERT_EQ(response.status, 200);
   EXPECT_NE(response.head.find("application/json"), std::string::npos);
   EXPECT_NE(response.body.find("\"git_sha\":\""), std::string::npos)
@@ -422,16 +387,10 @@ TEST_F(ObsHttpTest, BuildzReportsBuildIdentity) {
 TEST_F(ObsHttpTest, UnknownPathIs404AndPostIs405) {
   EXPECT_EQ(Get(server_->port(), "/nope").status, 404);
 
-  auto fd = net::ConnectTcp(static_cast<uint16_t>(server_->port()));
-  ASSERT_TRUE(fd.ok());
-  const std::string request =
-      "POST /metrics HTTP/1.0\r\nHost: x\r\nContent-Length: 0\r\n\r\n";
-  ASSERT_TRUE(net::SendAll(fd.value(), request.data(), request.size()).ok());
-  auto response = net::RecvAll(fd.value(), 1 << 20);
-  net::CloseFd(fd.value());
+  auto response = HttpCall(server_->port(), "POST", "/metrics");
   ASSERT_TRUE(response.ok());
-  EXPECT_NE(response.value().find("405"), std::string::npos);
-  EXPECT_NE(response.value().find("Allow: GET"), std::string::npos);
+  EXPECT_EQ(response.value().status, 405);
+  EXPECT_NE(response.value().head.find("Allow: GET"), std::string::npos);
 }
 
 TEST_F(ObsHttpTest, RegisteredHandlerReplacesBuiltin) {
@@ -440,7 +399,7 @@ TEST_F(ObsHttpTest, RegisteredHandlerReplacesBuiltin) {
     response.body = "replaced\n";
     return response;
   });
-  const HttpResponse response = Get(server_->port(), "/buildz");
+  const HttpReply response = Get(server_->port(), "/buildz");
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "replaced\n");
 }
@@ -470,12 +429,12 @@ TEST_F(ObsHttpTest, ScrapesWhileRecordingThreadsAreHot) {
     }
   });
   for (int i = 0; i < 20; ++i) {
-    HttpResponse response = Get(server_->port(), "/metrics");
+    HttpReply response = Get(server_->port(), "/metrics");
     EXPECT_EQ(response.status, 200);
   }
   done.store(true);
   writer.join();
-  HttpResponse response = Get(server_->port(), "/metrics");
+  HttpReply response = Get(server_->port(), "/metrics");
   EXPECT_NE(response.body.find("hot_counter"), std::string::npos);
 }
 

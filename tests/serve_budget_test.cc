@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -113,8 +114,14 @@ TEST(TenantBudgetTest, TenantsAreIsolated) {
 
 TEST(TenantBudgetTest, InvalidCostAndUnknownHolds) {
   auto manager = TenantBudgetManager::Open(InMemory()).MoveValue();
-  EXPECT_EQ(manager->Reserve("", {0.1, 0.0}, "x").status().code(),
-            StatusCode::kInvalidArgument);
+  // Ids the state file cannot store intact: "-" reloads as "", "a b" as
+  // "a_b", and a NUL cuts the id short.
+  for (const std::string& tenant :
+       std::vector<std::string>{"", "-", "a b", "a%20b", {"a\0b", 3}}) {
+    EXPECT_EQ(manager->Reserve(tenant, {0.1, 0.0}, "x").status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(manager->Reserve("t-1.a_B", {0.1, 0.0}, "x").ok());
   EXPECT_EQ(manager->Reserve("a", {-1.0, 0.0}, "x").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(manager->Commit(999).code(), StatusCode::kNotFound);

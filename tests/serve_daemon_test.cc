@@ -1,4 +1,4 @@
-// End-to-end HTTP tests for the `boltondp serve` daemon: a raw-socket
+// End-to-end HTTP tests for the `boltondp serve` daemon: the library's HTTP
 // client drives the /v1 JSON API against an in-process ServeDaemon and the
 // responses are checked with the same JSON parser the daemon uses.
 #include "serve/daemon.h"
@@ -7,67 +7,28 @@
 
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/failpoint.h"
 #include "util/json.h"
-#include "util/net.h"
 #include "util/strings.h"
 
 namespace bolton {
 namespace serve {
 namespace {
 
-struct HttpResponse {
-  int status = 0;
-  std::string head;
-  std::string body;
-};
+using obs::HttpReply;
 
-/// One HTTP/1.0 exchange: send, read to EOF, split head from body.
-HttpResponse Call(int port, const std::string& method,
-                  const std::string& target, const std::string& body) {
-  HttpResponse out;
-  auto fd = net::ConnectTcp(static_cast<uint16_t>(port));
-  if (!fd.ok()) {
-    ADD_FAILURE() << "connect: " << fd.status().ToString();
-    return out;
-  }
-  std::string request = StrFormat("%s %s HTTP/1.0\r\nHost: 127.0.0.1\r\n",
-                                  method.c_str(), target.c_str());
-  if (!body.empty() || method == "POST") {
-    request += StrFormat("Content-Type: application/json\r\n"
-                         "Content-Length: %zu\r\n",
-                         body.size());
-  }
-  request += "Connection: close\r\n\r\n";
-  request += body;
-  if (!net::SendAll(fd.value(), request.data(), request.size(), 5000).ok()) {
-    ADD_FAILURE() << "send failed";
-    net::CloseFd(fd.value());
-    return out;
-  }
-  auto response = net::RecvAll(fd.value(), 16 * 1024 * 1024, 30000);
-  net::CloseFd(fd.value());
-  if (!response.ok()) {
-    ADD_FAILURE() << "recv: " << response.status().ToString();
-    return out;
-  }
-  const std::string& text = response.value();
-  const size_t split = text.find("\r\n\r\n");
-  out.head = split == std::string::npos ? text : text.substr(0, split);
-  out.body = split == std::string::npos ? "" : text.substr(split + 4);
-  std::vector<std::string> parts = StrSplit(out.head, ' ');
-  if (parts.size() >= 2) {
-    auto code = ParseInt(parts[1]);
-    if (code.ok()) out.status = static_cast<int>(code.value());
-  }
-  return out;
+/// One request; a transport failure fails the test.
+HttpReply Call(int port, const std::string& method, const std::string& target,
+               const std::string& body) {
+  auto reply = obs::HttpCall(port, method, target, body, 30000);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? reply.MoveValue() : HttpReply();
 }
 
-JsonValue ParseBody(const HttpResponse& response) {
+JsonValue ParseBody(const HttpReply& response) {
   auto value = ParseJson(response.body);
   EXPECT_TRUE(value.ok()) << "unparseable body: " << response.body;
   return value.ok() ? value.MoveValue() : JsonValue();
@@ -88,7 +49,7 @@ class ServeDaemonTest : public ::testing::Test {
     if (daemon_) daemon_->Shutdown();
   }
 
-  HttpResponse Train(const std::string& json) {
+  HttpReply Train(const std::string& json) {
     return Call(daemon_->port(), "POST", "/v1/train", json);
   }
 
@@ -97,7 +58,7 @@ class ServeDaemonTest : public ::testing::Test {
 
 TEST_F(ServeDaemonTest, TrainPredictRoundTrip) {
   StartDaemon();
-  HttpResponse trained = Train(
+  HttpReply trained = Train(
       R"({"tenant":"alice","algorithm":"bolton","epsilon":0.4,)"
       R"("delta":1e-6,"passes":1,"scale":0.02})");
   ASSERT_EQ(trained.status, 200) << trained.body;
@@ -111,13 +72,14 @@ TEST_F(ServeDaemonTest, TrainPredictRoundTrip) {
   EXPECT_DOUBLE_EQ(result.GetNumber("remaining_epsilon", 0).MoveValue(), 0.6);
 
   // Predict against the released model — budget-free post-processing.
-  std::string features = "[";
-  for (int i = 0; i < dim; ++i) features += (i ? ",0.1" : "0.1");
-  features += "]";
-  HttpResponse predicted = Call(
-      daemon_->port(), "POST", "/v1/predict",
-      StrFormat(R"({"tenant":"alice","model_id":"%s","features":%s})",
-                model_id.c_str(), features.c_str()));
+  auto predict = [&](const char* value) {  // `dim` features of `value`
+    std::string body = StrFormat(
+        R"({"tenant":"alice","model_id":"%s","features":[%s)",
+        model_id.c_str(), value);
+    for (int i = 1; i < dim; ++i) body += StrFormat(",%s", value);
+    return Call(daemon_->port(), "POST", "/v1/predict", body + "]}");
+  };
+  HttpReply predicted = predict("0.1");
   ASSERT_EQ(predicted.status, 200) << predicted.body;
   JsonValue score = ParseBody(predicted);
   const double prediction = score.GetNumber("prediction", 0.0).MoveValue();
@@ -125,8 +87,12 @@ TEST_F(ServeDaemonTest, TrainPredictRoundTrip) {
   // Prediction spent nothing.
   EXPECT_DOUBLE_EQ(daemon_->budget().Account("alice").spent.epsilon, 0.4);
 
+  // Finite features whose score overflows (this model's weights sum to
+  // about -1.5) are refused, not scored -inf.
+  EXPECT_EQ(predict("1.7e308").status, 400);
+
   // Wrong dimensionality is a client error, not a crash.
-  HttpResponse short_features = Call(
+  HttpReply short_features = Call(
       daemon_->port(), "POST", "/v1/predict",
       StrFormat(R"({"tenant":"alice","model_id":"%s","features":[1]})",
                 model_id.c_str()));
@@ -139,6 +105,12 @@ TEST_F(ServeDaemonTest, MalformedRequestsGet400) {
   EXPECT_EQ(Train(R"({"algorithm":"bolton"})").status, 400);  // no tenant
   EXPECT_EQ(Train(R"({"tenant":"a","algorithm":"martian"})").status, 400);
   EXPECT_EQ(Train(R"({"tenant":"a","epsilon":-2})").status, 400);
+  // Tenant ids the budget file cannot store intact.
+  for (const char* tenant : {"-", "a b", "a\\u0000b"}) {
+    const std::string body =
+        StrFormat(R"({"tenant":"%s","epsilon":0.1,"scale":0.02})", tenant);
+    EXPECT_EQ(Train(body).status, 400) << tenant;
+  }
   JsonValue error = ParseBody(Train("{not json"));
   EXPECT_EQ(error.GetString("error", "").MoveValue(), "bad_request");
 }
@@ -157,7 +129,7 @@ TEST_F(ServeDaemonTest, ExhaustedTenantGets429AndLedgeredRefusal) {
                   R"("epsilon":0.4,"passes":1,"scale":0.02})")
                 .status,
             200);
-  HttpResponse refused = Train(
+  HttpReply refused = Train(
       R"({"tenant":"alice","algorithm":"bolton","epsilon":0.4,)"
       R"("passes":1,"scale":0.02})");
   ASSERT_EQ(refused.status, 429) << refused.body;
@@ -186,18 +158,18 @@ TEST_F(ServeDaemonTest, NoiselessTrainingSpendsNothing) {
 
 TEST_F(ServeDaemonTest, ForeignModelLooksMissing) {
   StartDaemon();
-  HttpResponse trained = Train(
+  HttpReply trained = Train(
       R"({"tenant":"alice","algorithm":"noiseless","passes":1,"scale":0.02})");
   ASSERT_EQ(trained.status, 200);
   const std::string model_id =
       ParseBody(trained).GetString("model_id", "").MoveValue();
   // Bob probing Alice's model id gets the same 404 as a nonexistent id —
   // the API does not disclose other tenants' model namespace.
-  HttpResponse foreign = Call(
+  HttpReply foreign = Call(
       daemon_->port(), "POST", "/v1/predict",
       StrFormat(R"({"tenant":"bob","model_id":"%s","features":[1]})",
                 model_id.c_str()));
-  HttpResponse missing = Call(
+  HttpReply missing = Call(
       daemon_->port(), "POST", "/v1/predict",
       R"({"tenant":"bob","model_id":"no-such","features":[1]})");
   EXPECT_EQ(foreign.status, 404);
@@ -207,7 +179,7 @@ TEST_F(ServeDaemonTest, ForeignModelLooksMissing) {
 
 TEST_F(ServeDaemonTest, AggregateSpendsUnderTheSameBudget) {
   StartDaemon();
-  HttpResponse counted = Call(
+  HttpReply counted = Call(
       daemon_->port(), "POST", "/v1/aggregate",
       R"({"tenant":"alice","op":"count","epsilon":0.2,"scale":0.02})");
   ASSERT_EQ(counted.status, 200) << counted.body;
@@ -222,7 +194,7 @@ TEST_F(ServeDaemonTest, BudgetEndpointReportsAccounts) {
                   R"("passes":1,"scale":0.02})")
                 .status,
             200);
-  HttpResponse single =
+  HttpReply single =
       Call(daemon_->port(), "GET", "/v1/budget?tenant=alice", "");
   ASSERT_EQ(single.status, 200);
   JsonValue view = ParseBody(single);
@@ -230,7 +202,7 @@ TEST_F(ServeDaemonTest, BudgetEndpointReportsAccounts) {
   EXPECT_DOUBLE_EQ(view.GetNumber("spent_epsilon", 0).MoveValue(), 0.3);
   EXPECT_EQ(view.GetInt("commits", 0).MoveValue(), 1);
 
-  HttpResponse all = Call(daemon_->port(), "GET", "/v1/budget", "");
+  HttpReply all = Call(daemon_->port(), "GET", "/v1/budget", "");
   ASSERT_EQ(all.status, 200);
   auto list = ParseJson(all.body);
   ASSERT_TRUE(list.ok()) << all.body;
@@ -247,7 +219,7 @@ TEST_F(ServeDaemonTest, SaturatedTenantGets429OthersProceed) {
   // tenant_busy while bob is unaffected. Deterministic — no racing threads.
   auto ticket = daemon_->admission().Admit("alice");
   ASSERT_TRUE(ticket.ok());
-  HttpResponse busy = Train(
+  HttpReply busy = Train(
       R"({"tenant":"alice","algorithm":"noiseless","passes":1,"scale":0.02})");
   EXPECT_EQ(busy.status, 429);
   EXPECT_EQ(ParseBody(busy).GetString("error", "").MoveValue(),
@@ -267,7 +239,7 @@ TEST_F(ServeDaemonTest, OverloadedDaemonShedsWithRetryAfter) {
   auto slot2 = daemon_->admission().Admit("y");
   ASSERT_TRUE(slot1.ok());
   ASSERT_TRUE(slot2.ok());
-  HttpResponse shed = Train(
+  HttpReply shed = Train(
       R"({"tenant":"alice","algorithm":"noiseless","passes":1,"scale":0.02})");
   EXPECT_EQ(shed.status, 503);
   EXPECT_EQ(ParseBody(shed).GetString("error", "").MoveValue(), "overloaded");
@@ -281,7 +253,7 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
   // and — bolton draws noise only at release — the hold must be refunded.
   ASSERT_TRUE(
       FailpointRegistry::Default().Configure("psgd.pass:delay@300").ok());
-  HttpResponse timed_out = Train(
+  HttpReply timed_out = Train(
       R"({"tenant":"alice","algorithm":"bolton","epsilon":0.4,)"
       R"("passes":3,"scale":0.02,"timeout_ms":50})");
   FailpointRegistry::Default().Clear();
@@ -297,6 +269,10 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
                   R"("passes":1,"scale":0.02})")
                 .status,
             200);
+  // A deadline past the end of the clock must not wrap into the past.
+  EXPECT_EQ(Train(R"({"tenant":"bob","epsilon":0.4,"passes":1,"scale":0.02,)"
+                  R"("timeout_ms":18446744073709})").status,
+            200);
 }
 
 TEST_F(ServeDaemonTest, ShutdownIsIdempotentAndStopsServing) {
@@ -308,7 +284,7 @@ TEST_F(ServeDaemonTest, ShutdownIsIdempotentAndStopsServing) {
             200);
   daemon_->Shutdown();
   daemon_->Shutdown();  // second call is a no-op
-  EXPECT_FALSE(net::ConnectTcp(static_cast<uint16_t>(port)).ok());
+  EXPECT_FALSE(obs::HttpCall(port, "GET", "/v1/budget").ok());
 }
 
 TEST_F(ServeDaemonTest, RefusedBudgetStateFailsStartWithItsReason) {

@@ -48,7 +48,6 @@
 #include "serve/daemon.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/net.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_name.h"
@@ -356,98 +355,6 @@ int Train(int argc, char** argv) {
   return 0;
 }
 
-struct HttpGetReply {
-  std::string head;  // status line + headers
-  std::string body;
-  bool ok200 = false;
-};
-
-// Raw-TCP HTTP request against a local server with a bounded retry loop:
-// the server may still be binding (the smoke test races it) or wedged, so
-// refused connections and timeouts are retried kAttempts times with
-// exponential backoff plus jitter before declaring the request dead.
-// Shared by `scrape`, `profile`, and `call`; exists so shell tests can
-// talk to the server without needing curl in the image. Retrying a POST is
-// safe against THIS server: a connection that failed before the response
-// never reached a handler (requests are parsed before dispatch), and the
-// failure modes retried here are connect/timeout, not half-done work.
-Result<HttpGetReply> HttpCallWithRetry(int64_t port, const std::string& method,
-                                       const std::string& path,
-                                       const std::string& body,
-                                       int io_timeout_ms) {
-  std::string request = StrFormat(
-      "%s %s HTTP/1.0\r\nHost: 127.0.0.1\r\nConnection: close\r\n",
-      method.c_str(), path.c_str());
-  if (!body.empty() || method == "POST") {
-    request += StrFormat("Content-Type: application/json\r\n"
-                         "Content-Length: %zu\r\n",
-                         body.size());
-  }
-  request += "\r\n";
-  request += body;
-
-  constexpr int kAttempts = 3;
-  constexpr int kBackoffBaseMs = 200;
-  Rng jitter_rng(static_cast<uint64_t>(port) ^ 0x626f6c746f6e6a74ull);
-  Status last_error = Status::OK();
-  std::string text;
-  bool have_response = false;
-  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
-    if (attempt > 1) {
-      const int64_t base_ms = static_cast<int64_t>(kBackoffBaseMs)
-                              << (attempt - 2);
-      const int64_t sleep_ms = static_cast<int64_t>(
-          static_cast<double>(base_ms) * jitter_rng.UniformDouble(1.0, 1.5));
-      std::fprintf(stderr,
-                   "scrape attempt %d/%d failed (%s); retrying in %lldms\n",
-                   attempt - 1, kAttempts, last_error.message().c_str(),
-                   static_cast<long long>(sleep_ms));
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    }
-    auto fd = net::ConnectTcp(static_cast<uint16_t>(port));
-    if (!fd.ok()) {
-      last_error = fd.status();
-      continue;
-    }
-    Status sent =
-        net::SendAll(fd.value(), request.data(), request.size(), io_timeout_ms);
-    if (!sent.ok()) {
-      last_error = sent;
-      net::CloseFd(fd.value());
-      continue;
-    }
-    auto response = net::RecvAll(fd.value(), 16 * 1024 * 1024, io_timeout_ms);
-    net::CloseFd(fd.value());
-    if (!response.ok()) {
-      last_error = response.status();
-      continue;
-    }
-    text = response.MoveValue();
-    have_response = true;
-    break;
-  }
-  if (!have_response) {
-    return last_error.WithContext(
-        StrFormat("giving up on 127.0.0.1:%lld%s after %d attempts",
-                  static_cast<long long>(port), path.c_str(), kAttempts));
-  }
-  HttpGetReply reply;
-  const size_t body_at = text.find("\r\n\r\n");
-  if (body_at == std::string::npos) {
-    reply.head = text;
-  } else {
-    reply.head = text.substr(0, body_at);
-    reply.body = text.substr(body_at + 4);
-  }
-  reply.ok200 = reply.head.find(" 200 ") != std::string::npos;
-  return reply;
-}
-
-Result<HttpGetReply> HttpGetWithRetry(int64_t port, const std::string& path,
-                                      int io_timeout_ms) {
-  return HttpCallWithRetry(port, "GET", path, "", io_timeout_ms);
-}
-
 // Prints the response body; exits non-zero unless the status line says 200.
 int Scrape(int argc, char** argv) {
   int64_t port = 0;
@@ -459,7 +366,7 @@ int Scrape(int argc, char** argv) {
   parser.AddString("endpoint", &path,
                    "alias for --path (e.g. /profile?seconds=1)");
   parser.AddInt("timeout-ms", &timeout_ms,
-                "per-attempt IO deadline; raise it for blocking endpoints "
+                "send and receive deadline; raise it for blocking endpoints "
                 "like /profile");
   parser.Parse(argc, argv).CheckOK();
   if (parser.help_requested()) {
@@ -467,13 +374,14 @@ int Scrape(int argc, char** argv) {
     return 0;
   }
 
-  auto reply = HttpGetWithRetry(port, path, static_cast<int>(timeout_ms));
+  auto reply = obs::HttpCall(static_cast<int>(port), "GET", path, "",
+                             static_cast<int>(timeout_ms));
   if (!reply.ok()) {
     std::fprintf(stderr, "scrape: %s\n", reply.status().message().c_str());
     return 1;
   }
   std::printf("%s", reply.value().body.c_str());
-  return reply.value().ok200 ? 0 : 1;
+  return reply.value().status == 200 ? 0 : 1;
 }
 
 // Asks a live obs server to run its sampling profiler and prints (or
@@ -508,12 +416,13 @@ int Profile(int argc, char** argv) {
   // The endpoint blocks for the whole sampling window, so the IO deadline
   // must outlast it.
   const int timeout_ms = static_cast<int>(seconds) * 1000 + 5000;
-  auto reply = HttpGetWithRetry(port, path, timeout_ms);
+  auto reply = obs::HttpCall(static_cast<int>(port), "GET", path, "",
+                             timeout_ms);
   if (!reply.ok()) {
     std::fprintf(stderr, "profile: %s\n", reply.status().message().c_str());
     return 1;
   }
-  if (!reply.value().ok200) {
+  if (reply.value().status != 200) {
     std::fprintf(stderr, "profile: server answered non-200:\n%s\n",
                  reply.value().body.c_str());
     return 1;
@@ -704,7 +613,8 @@ int Call(int argc, char** argv) {
   parser.AddString("body", &body, "JSON request body");
   parser.AddString("body-file", &body_file,
                    "read the request body from this file instead");
-  parser.AddInt("timeout-ms", &timeout_ms, "per-attempt IO deadline");
+  parser.AddInt("timeout-ms", &timeout_ms,
+                "send and receive deadline; the request is not retried");
   parser.Parse(argc, argv).CheckOK();
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp call");
@@ -721,8 +631,8 @@ int Call(int argc, char** argv) {
     body = buffer.str();
   }
 
-  auto reply =
-      HttpCallWithRetry(port, method, path, body, static_cast<int>(timeout_ms));
+  auto reply = obs::HttpCall(static_cast<int>(port), method, path, body,
+                             static_cast<int>(timeout_ms));
   if (!reply.ok()) {
     std::fprintf(stderr, "call: %s\n", reply.status().message().c_str());
     return 1;
@@ -733,7 +643,7 @@ int Call(int argc, char** argv) {
   std::fprintf(stderr, "%s\n",
                reply.value().head.substr(0, eol).c_str());
   std::printf("%s", reply.value().body.c_str());
-  return reply.value().ok200 ? 0 : 1;
+  return reply.value().status == 200 ? 0 : 1;
 }
 
 int Version() {

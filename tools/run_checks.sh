@@ -35,6 +35,21 @@ ctest --test-dir "$BUILD" --output-on-failure -j 4
 echo "== telemetry schema check =="
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
+
+# check_json [--lines] FILE: FILE is one JSON document, or with --lines
+# every non-empty line is. Stricter than the key-name greps: a bad escape,
+# a NaN or a misplaced comma fails here.
+check_json() {
+  command -v python3 > /dev/null 2>&1 \
+      || { echo "note: python3 missing, skipping JSON check of $*"; return 0; }
+  python3 -c 'import json, sys
+def reject(word): raise ValueError(word + " is not JSON")
+text = open(sys.argv[-1]).read()
+for doc in text.splitlines() if len(sys.argv) > 2 else [text]:
+    if doc.strip(): json.loads(doc, parse_constant=reject)' "$@" \
+      || { echo "invalid JSON in $*"; exit 1; }
+}
+
 CLI="$BUILD/tools/boltondp"
 "$CLI" datagen --dataset protein --scale 0.02 --seed 3 \
     --out "$WORKDIR/train.libsvm" > /dev/null
@@ -65,6 +80,8 @@ awk '
   bad { print "malformed trace line " NR ": " $0; exit 1 }
   END { if (NR == 0) { print "empty trace"; exit 1 } }
 ' "$WORKDIR/trace.jsonl"
+check_json --lines "$WORKDIR/ledger.jsonl"
+check_json --lines "$WORKDIR/trace.jsonl"
 
 # The live scrape surface must serve valid exposition during a train run.
 "$CLI" train --data "$WORKDIR/train.libsvm" --algo scs13 \
@@ -84,10 +101,18 @@ port=$(sed -n 's/^obs server listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
 # The flight-recorder surfaces must serve during the same linger: /logz
 # replays the recent-log ring as JSONL (the request-path rate-limited log
 # guarantees at least one event by now), /buildz identifies the binary.
-"$CLI" scrape --port "$port" --path "/logz?tail=50" | grep -q '"msg":'
+"$CLI" scrape --port "$port" --path "/logz?tail=50" > "$WORKDIR/logz.jsonl"
+grep -q '"msg":' "$WORKDIR/logz.jsonl"
+check_json --lines "$WORKDIR/logz.jsonl"
 "$CLI" scrape --port "$port" --path /flightrecorder \
-    | grep -q '"schema":"bolton-flightrecorder-v1"'
-"$CLI" scrape --port "$port" --path /buildz | grep -q '"git_sha":'
+    > "$WORKDIR/flightrecorder.json"
+grep -q '"schema":"bolton-flightrecorder-v1"' "$WORKDIR/flightrecorder.json"
+check_json "$WORKDIR/flightrecorder.json"
+"$CLI" scrape --port "$port" --path /buildz > "$WORKDIR/buildz.json"
+grep -q '"git_sha":' "$WORKDIR/buildz.json"
+check_json "$WORKDIR/buildz.json"
+"$CLI" scrape --port "$port" --path /healthz > "$WORKDIR/healthz.json"
+check_json "$WORKDIR/healthz.json"
 # The /profile endpoint must serve a valid timed profile of the live
 # process (the lingering server thread is what gets sampled here; the
 # point is the end-to-end path and the JSON schema, not hot frames).
@@ -130,11 +155,7 @@ echo "== perf-counter pass (hardware counters + Chrome trace export) =="
     --metrics --trace-chrome-out "$WORKDIR/trace_chrome.json" \
     > "$WORKDIR/perf.log" 2>&1
 grep -q "wrote .* spans as Chrome trace" "$WORKDIR/perf.log"
-if command -v python3 > /dev/null 2>&1; then
-  python3 -m json.tool "$WORKDIR/trace_chrome.json" > /dev/null
-else
-  echo "note: python3 missing, skipping Chrome-trace JSON validation"
-fi
+check_json "$WORKDIR/trace_chrome.json"
 grep -q '"name":"thread_name"' "$WORKDIR/trace_chrome.json"
 grep -q 'psgd-shard-' "$WORKDIR/trace_chrome.json"
 grep -q '"ph":"X"' "$WORKDIR/trace_chrome.json"
@@ -290,11 +311,7 @@ if BOLTON_FAILPOINTS="psgd.pass:panic@2" "$CLI" train \
 fi
 "$CLI" postmortem finalize --dir "$PM" > /dev/null
 [ -f "$PM/postmortem.json" ] || { echo "no postmortem.json"; exit 1; }
-if command -v python3 > /dev/null 2>&1; then
-  python3 -m json.tool "$PM/postmortem.json" > /dev/null
-else
-  echo "note: python3 missing, skipping postmortem JSON validation"
-fi
+check_json "$PM/postmortem.json"
 grep -q '"schema":"bolton-postmortem-v1"' "$PM/postmortem.json"
 grep -q '"backtrace":\[' "$PM/postmortem.json"
 grep -q '"resolved":true' "$PM/postmortem.json"
