@@ -4,17 +4,16 @@
 // against the same table, and the total privacy loss composes. This
 // example runs a session end to end:
 //
-//   1. register the training table in the engine's catalog,
+//   1. load the training set into an engine table,
 //   2. open a PrivacyAccountant with the session's total (ε, δ) budget,
-//   3. answer a private COUNT, a private feature-mean vector, and train a
-//      private model, charging each release to the accountant,
+//   3. answer a private COUNT, a private column mean, and train a private
+//      model, charging each release to the accountant,
 //   4. show the accountant refusing a query that would overspend.
 #include <cstdio>
 
 #include "core/accountant.h"
 #include "data/synthetic.h"
 #include "engine/bolt_on_driver.h"
-#include "engine/catalog.h"
 #include "engine/private_aggregates.h"
 #include "ml/metrics.h"
 #include "util/flags.h"
@@ -31,18 +30,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // 1. The catalog holds the session's tables.
+  // 1. The session's table.
   auto split = GenerateCovertypeLike(/*scale=*/0.03, /*seed=*/61);
   split.status().CheckOK();
-  Catalog catalog;
-  catalog.CreateTable("forest", split.value().first, StorageMode::kMemory)
-      .CheckOK();
-  Table* table = catalog.Get("forest").MoveValue();
-  std::printf("catalog tables:");
-  for (const auto& name : catalog.ListTables()) {
-    std::printf(" %s(%zu rows)", name.c_str(), table->num_rows());
-  }
-  std::printf("\n");
+  auto made = MakeTable(split.value().first, StorageMode::kMemory);
+  made.status().CheckOK();
+  Table* table = made.value().get();
+  std::printf("table forest   : %zu rows, d=%zu\n", table->num_rows(),
+              table->dim());
 
   // 2. One budget for the whole session.
   PrivacyAccountant accountant(PrivacyParams{total_epsilon, 0.0});
@@ -56,13 +51,12 @@ int main(int argc, char** argv) {
   std::printf("private COUNT  : %.1f (true %zu)\n", count.value().noisy,
               table->num_rows());
 
-  // 3b. Private feature means (15%).
+  // 3b. Private mean of the first feature column (15%).
   PrivacyParams mean_budget{0.15 * total_epsilon, 0.0};
-  accountant.Charge(mean_budget, "avg(features)").CheckOK();
-  auto means = PrivateFeatureMeans(*table, mean_budget, &rng);
-  means.status().CheckOK();
-  std::printf("private AVG    : d=%zu vector released (||.||=%.3f)\n",
-              means.value().dim(), means.value().Norm());
+  accountant.Charge(mean_budget, "avg(x0)").CheckOK();
+  auto mean = PrivateFeatureMean(*table, /*column=*/0, mean_budget, &rng);
+  mean.status().CheckOK();
+  std::printf("private AVG(x0): %.4f\n", mean.value().noisy);
 
   // 3c. Private model (the remaining 80%), trained through the engine's
   // black-box bolt-on driver.

@@ -1,5 +1,6 @@
 #include "data/loaders.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -12,13 +13,13 @@ namespace bolton {
 
 namespace {
 
-struct SparseRow {
+struct LibsvmRow {
   int label;
-  std::vector<std::pair<size_t, double>> entries;  // 0-based index -> value
+  std::vector<SparseVector::Entry> entries;  // 0-based index -> value
 };
 
-Result<SparseRow> ParseLibsvmLine(const std::string& line, size_t line_no) {
-  SparseRow row;
+Result<LibsvmRow> ParseLibsvmLine(const std::string& line, size_t line_no) {
+  LibsvmRow row;
   std::istringstream in(line);
   std::string token;
   if (!(in >> token)) {
@@ -63,17 +64,33 @@ Result<SparseRow> ParseLibsvmLine(const std::string& line, size_t line_no) {
     }
     row.entries.emplace_back(static_cast<size_t>(idx.value() - 1), val.value());
   }
+  // A repeated index has no one value; refuse it rather than let one copy
+  // win.
+  std::sort(row.entries.begin(), row.entries.end());
+  const auto repeat = std::adjacent_find(
+      row.entries.begin(), row.entries.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (repeat != row.entries.end()) {
+    return Status::InvalidArgument(StrFormat(
+        "line %zu: duplicate index %zu", line_no, repeat->first + 1));
+  }
   return row;
 }
 
-}  // namespace
+// Every row of a LIBSVM file, with 0/1 binary labels already mapped to ±1.
+struct LibsvmFile {
+  size_t dim = 0;
+  int num_classes = 2;
+  std::vector<LibsvmRow> rows;
+};
 
-Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
+Result<LibsvmFile> ReadLibsvm(const std::string& path, size_t dim) {
   BOLTON_FAILPOINT("loader.open");
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path);
 
-  std::vector<SparseRow> rows;
+  LibsvmFile file;
+  std::vector<LibsvmRow>& rows = file.rows;
   size_t max_index = 0;
   bool saw_zero_label = false;
   std::string line;
@@ -83,7 +100,7 @@ Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty() || stripped[0] == '#') continue;
     BOLTON_FAILPOINT("loader.row");
-    BOLTON_ASSIGN_OR_RETURN(SparseRow row,
+    BOLTON_ASSIGN_OR_RETURN(LibsvmRow row,
                             ParseLibsvmLine(std::string(stripped), line_no));
     for (const auto& [idx, val] : row.entries) {
       (void)val;
@@ -99,22 +116,38 @@ Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
   }
   if (rows.empty()) return Status::InvalidArgument(path + " holds no examples");
 
-  size_t final_dim = dim == 0 ? max_index : dim;
+  file.dim = dim == 0 ? max_index : dim;
   int max_label = 0;
-  for (const SparseRow& r : rows) max_label = std::max(max_label, r.label);
+  for (const LibsvmRow& r : rows) max_label = std::max(max_label, r.label);
   // 0/1 files: map to ±1. Multiclass files keep labels as class ids.
-  bool binary01 = saw_zero_label && max_label <= 1;
-  int num_classes = binary01 ? 2 : std::max(2, max_label + (saw_zero_label ? 1 : 0));
-  bool binary_pm1 = !saw_zero_label && max_label <= 1;
-  if (binary_pm1) num_classes = 2;
+  file.num_classes = std::max(2, max_label + (saw_zero_label ? 1 : 0));
+  if (saw_zero_label && max_label <= 1) {
+    for (LibsvmRow& r : rows) r.label = (r.label == 0) ? -1 : +1;
+  }
+  return file;
+}
 
-  Dataset out(final_dim, num_classes);
-  for (SparseRow& r : rows) {
-    Vector x(final_dim);
+}  // namespace
+
+Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
+  BOLTON_ASSIGN_OR_RETURN(LibsvmFile file, ReadLibsvm(path, dim));
+  Dataset out(file.dim, file.num_classes);
+  for (const LibsvmRow& r : file.rows) {
+    Vector x(file.dim);
     for (const auto& [idx, val] : r.entries) x[idx] = val;
-    int label = r.label;
-    if (binary01) label = (label == 0) ? -1 : +1;
-    out.Add(Example{std::move(x), label});
+    out.Add(Example{std::move(x), r.label});
+  }
+  return out;
+}
+
+Result<SparseDataset> LoadLibsvmSparse(const std::string& path, size_t dim) {
+  BOLTON_ASSIGN_OR_RETURN(LibsvmFile file, ReadLibsvm(path, dim));
+  SparseDataset out(file.dim, file.num_classes);
+  for (LibsvmRow& r : file.rows) {
+    BOLTON_ASSIGN_OR_RETURN(
+        SparseVector x,
+        SparseVector::FromEntries(file.dim, std::move(r.entries)));
+    out.Add(SparseExample{std::move(x), r.label});
   }
   return out;
 }

@@ -1,12 +1,10 @@
 #ifndef BOLTON_DATA_SPARSE_DATASET_H_
 #define BOLTON_DATA_SPARSE_DATASET_H_
 
-#include <string>
 #include <vector>
 
 #include "data/dataset.h"
 #include "linalg/sparse_vector.h"
-#include "util/result.h"
 
 namespace bolton {
 
@@ -53,10 +51,6 @@ class SparseDataset {
   int num_classes_ = 2;
   std::vector<SparseExample> examples_;
 };
-
-/// Loads LIBSVM keeping sparsity (same format rules as LoadLibsvm).
-Result<SparseDataset> LoadLibsvmSparse(const std::string& path,
-                                       size_t dim = 0);
 
 }  // namespace bolton
 

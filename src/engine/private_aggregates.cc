@@ -66,32 +66,4 @@ Result<PrivateScalar> PrivateFeatureMean(const Table& table, size_t column,
   return out;
 }
 
-Result<Vector> PrivateFeatureMeans(const Table& table,
-                                   const PrivacyParams& privacy, Rng* rng) {
-  BOLTON_RETURN_IF_ERROR(privacy.Validate());
-  if (table.num_rows() == 0) return Status::InvalidArgument("empty table");
-
-  Vector sum(table.dim());
-  bool in_unit_ball = true;
-  BOLTON_RETURN_IF_ERROR(table.Scan([&](const Example& row) {
-    sum += row.x;
-    if (row.x.Norm() > 1.0 + 1e-12) in_unit_ball = false;
-  }));
-  if (!in_unit_ball) {
-    return Status::FailedPrecondition(
-        "feature vectors must satisfy ||x|| <= 1 (run NormalizeToUnitBall)");
-  }
-  sum *= 1.0 / static_cast<double>(table.num_rows());
-
-  const double sensitivity = 2.0 / static_cast<double>(table.num_rows());
-  NoiseMechanism mechanism = privacy.IsPure() ? NoiseMechanism::kLaplace
-                                              : NoiseMechanism::kGaussian;
-  BOLTON_ASSIGN_OR_RETURN(
-      Vector noise,
-      SampleDpNoise(mechanism, table.dim(), sensitivity, privacy.epsilon,
-                    privacy.delta, rng));
-  sum += noise;
-  return sum;
-}
-
 }  // namespace bolton

@@ -38,13 +38,6 @@ Result<PrivateScalar> PrivateFeatureMean(const Table& table, size_t column,
                                          const PrivacyParams& privacy,
                                          Rng* rng);
 
-/// Private mean feature vector (all d columns at once): L2 sensitivity
-/// 2/m under replace-one with ‖x‖ ≤ 1, perturbed with the same spherical
-/// Laplace / Gaussian mechanisms as the SGD output. Returns the noisy
-/// vector only (no diagnostics) to keep the API hard to misuse.
-Result<Vector> PrivateFeatureMeans(const Table& table,
-                                   const PrivacyParams& privacy, Rng* rng);
-
 }  // namespace bolton
 
 #endif  // BOLTON_ENGINE_PRIVATE_AGGREGATES_H_

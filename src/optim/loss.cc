@@ -31,13 +31,6 @@ double Log1pExp(double z) {
   return std::log1p(std::exp(z));
 }
 
-// Numerically stable logistic sigmoid 1 / (1 + e^{-z}).
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
 class LogisticLoss final : public LossFunction {
  public:
   LogisticLoss(double lambda, double radius) : lambda_(lambda), radius_(radius) {}
@@ -174,6 +167,12 @@ class SquaredLoss final : public LossFunction {
 };
 
 }  // namespace
+
+double Sigmoid(double z) {
+  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
 
 Vector LossFunction::Gradient(const Vector& w, const Example& example) const {
   Vector grad(w.dim());

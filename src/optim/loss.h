@@ -54,6 +54,11 @@ class LossFunction {
   double EmpiricalRisk(const Vector& w, const Dataset& dataset) const;
 };
 
+/// Numerically stable logistic sigmoid 1 / (1 + e^{-z}). Every logistic
+/// gradient (dense, sparse, objective perturbation) calls this one, so they
+/// round alike.
+double Sigmoid(double z);
+
 /// Logistic loss, optionally L2-regularized (paper Eq. 1):
 ///   ℓ(w,(x,y)) = ln(1 + exp(−y⟨w,x⟩)) + (λ/2)‖w‖²,  y ∈ {±1}.
 /// Constants (paper §2): λ = 0 ⇒ L = β = 1, γ = 0;

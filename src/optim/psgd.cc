@@ -1,5 +1,6 @@
 #include "optim/psgd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -13,16 +14,16 @@ namespace bolton {
 
 namespace {
 
-Status ValidateOptions(const Dataset& data, const PsgdOptions& options) {
-  if (data.empty()) return Status::InvalidArgument("empty training set");
+Status ValidateOptions(size_t m, const PsgdOptions& options) {
+  if (m == 0) return Status::InvalidArgument("empty training set");
   if (options.passes < 1) return Status::InvalidArgument("passes must be >= 1");
   if (options.batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.batch_size > data.size()) {
+  if (options.batch_size > m) {
     return Status::InvalidArgument(
         StrFormat("batch_size %zu exceeds training size %zu",
-                  options.batch_size, data.size()));
+                  options.batch_size, m));
   }
   if (options.radius <= 0.0) {
     return Status::InvalidArgument("radius must be > 0 (may be +inf)");
@@ -49,13 +50,94 @@ void FlushPsgdStats(const PsgdStats& stats) {
   noise_samples->Increment(stats.noise_samples);
 }
 
-Result<PsgdOutput> RunPsgd(
-    const Dataset& data, const LossFunction& loss,
-    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
-    GradientNoiseSource* noise,
+namespace {
+
+// The row sources RunLoop is instantiated over. Each supplies the
+// per-example gradient and the two steps whose cost depends on where the
+// batch gradient can be nonzero: zeroing it before a batch, and applying
+// it to the iterate.
+
+// Dataset rows under any LossFunction; every step is dense.
+class DenseRows {
+ public:
+  DenseRows(const Dataset& data, const LossFunction& loss)
+      : data_(data), loss_(loss) {}
+
+  size_t size() const { return data_.size(); }
+  size_t dim() const { return data_.dim(); }
+  void BeginBatch(Vector* grad) { grad->SetZero(); }
+  void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {
+    loss_.AddGradient(w, data_[i], scale, grad);
+  }
+  void Step(double neg_eta, const Vector& grad, Vector* w) {
+    w->Axpy(neg_eta, grad);
+  }
+
+ private:
+  const Dataset& data_;
+  const LossFunction& loss_;
+};
+
+// SparseDataset rows under the logistic loss. With no regularizer and no
+// noise densifying the gradient, it is zero off the batch's touched
+// coordinates, so the step and the next batch's reset visit only those;
+// elsewhere they would apply an exact −η·0.
+class SparseLogisticRows {
+ public:
+  SparseLogisticRows(const SparseDataset& data, double lambda,
+                     bool sparse_steps)
+      : data_(data), lambda_(lambda), sparse_steps_(sparse_steps) {}
+
+  size_t size() const { return data_.size(); }
+  size_t dim() const { return data_.dim(); }
+  void BeginBatch(Vector* grad) {
+    if (sparse_steps_) {
+      for (size_t index : touched_) (*grad)[index] = 0.0;
+    } else {
+      grad->SetZero();
+    }
+    touched_.clear();
+  }
+  void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {
+    const SparseExample& e = data_[i];
+    // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
+    double margin = e.label * Dot(e.x, w);
+    double coeff = -e.label * Sigmoid(-margin);
+    e.x.AxpyInto(scale * coeff, grad);
+    for (const auto& [index, value] : e.x.entries()) {
+      (void)value;
+      touched_.push_back(index);
+    }
+    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
+  }
+  void Step(double neg_eta, const Vector& grad, Vector* w) {
+    if (!sparse_steps_) {
+      w->Axpy(neg_eta, grad);
+      return;
+    }
+    // Examples in a batch can share coordinates, so dedupe first — each
+    // coordinate must be stepped exactly once.
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    for (size_t index : touched_) (*w)[index] += neg_eta * grad[index];
+  }
+
+ private:
+  const SparseDataset& data_;
+  double lambda_;
+  bool sparse_steps_;
+  std::vector<size_t> touched_;  // grad coordinates the batch wrote
+};
+
+// The one pass/batch loop of the optimizer layer.
+template <typename Rows>
+Result<PsgdOutput> RunLoop(
+    Rows& rows, const StepSizeSchedule& schedule, const PsgdOptions& options,
+    Rng* rng, GradientNoiseSource* noise,
     const std::function<void(size_t, const Vector&)>& pass_callback,
     const PsgdCheckpointPlan* checkpoint) {
-  BOLTON_RETURN_IF_ERROR(ValidateOptions(data, options));
+  BOLTON_RETURN_IF_ERROR(ValidateOptions(rows.size(), options));
   const PsgdResumeState* resume =
       checkpoint != nullptr ? checkpoint->resume : nullptr;
   if (checkpoint != nullptr &&
@@ -68,8 +150,8 @@ Result<PsgdOutput> RunPsgd(
 
   obs::ScopedSpan run_span("psgd.run");
 
-  const size_t m = data.size();
-  const size_t dim = data.dim();
+  const size_t m = rows.size();
+  const size_t dim = rows.dim();
   const size_t b = options.batch_size;
   const bool project = std::isfinite(options.radius);
 
@@ -140,7 +222,7 @@ Result<PsgdOutput> RunPsgd(
               : b;
       ++step;
 
-      grad.SetZero();
+      rows.BeginBatch(&grad);
       const double scale = 1.0 / static_cast<double>(batch_len);
       for (size_t j = 0; j < batch_len; ++j) {
         size_t idx;
@@ -149,7 +231,7 @@ Result<PsgdOutput> RunPsgd(
         } else {
           idx = rng->UniformInt(m);
         }
-        loss.AddGradient(w, data[idx], scale, &grad);
+        rows.AddGradient(w, idx, scale, &grad);
         ++stats.gradient_evaluations;
       }
 
@@ -165,7 +247,7 @@ Result<PsgdOutput> RunPsgd(
             StrFormat("schedule '%s' produced invalid step size %g at t=%zu",
                       schedule.name().c_str(), eta, step));
       }
-      w.Axpy(-eta, grad);
+      rows.Step(-eta, grad, &w);
       if (project) ProjectToL2BallInPlace(&w, options.radius);
 
       ++stats.updates;
@@ -208,6 +290,29 @@ Result<PsgdOutput> RunPsgd(
     out.model = std::move(w);
   }
   return out;
+}
+
+}  // namespace
+
+Result<PsgdOutput> RunPsgd(
+    const Dataset& data, const LossFunction& loss,
+    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
+    GradientNoiseSource* noise,
+    const std::function<void(size_t, const Vector&)>& pass_callback,
+    const PsgdCheckpointPlan* checkpoint) {
+  DenseRows rows(data, loss);
+  return RunLoop(rows, schedule, options, rng, noise, pass_callback,
+                 checkpoint);
+}
+
+Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
+                                         double lambda,
+                                         const StepSizeSchedule& schedule,
+                                         const PsgdOptions& options, Rng* rng,
+                                         GradientNoiseSource* noise) {
+  if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
+  SparseLogisticRows rows(data, lambda, lambda == 0.0 && noise == nullptr);
+  return RunLoop(rows, schedule, options, rng, noise, nullptr, nullptr);
 }
 
 }  // namespace bolton

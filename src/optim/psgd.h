@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "data/dataset.h"
+#include "data/sparse_dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/schedule.h"
@@ -57,8 +58,8 @@ struct PsgdStats {
 
 /// Adds a finished run's counts to the `gradient_evaluations`,
 /// `model_updates` and `noise_samples` counters: one relaxed add per
-/// counter per run, never per example. Every SGD front end (dense, sparse,
-/// in-engine) flushes through here.
+/// counter per run, never per example. Every SGD front end (RunPsgd's loop
+/// and the in-engine UDA) flushes through here.
 void FlushPsgdStats(const PsgdStats& stats);
 
 /// The result of a PSGD run.
@@ -131,6 +132,18 @@ Result<PsgdOutput> RunPsgd(
     GradientNoiseSource* noise = nullptr,
     const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,
     const PsgdCheckpointPlan* checkpoint = nullptr);
+
+/// RunPsgd's loop over sparse rows under the L2-regularized logistic loss
+/// (λ passed directly; `options.radius` controls projection). Each
+/// gradient costs O(nnz) instead of O(d), and with λ = 0 and no noise
+/// source each update touches only the batch's nonzero coordinates. The
+/// model is bit-for-bit RunPsgd's on the densified data with the same seed,
+/// so every sensitivity bound and BoltOnPerturb() apply unchanged.
+Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
+                                         double lambda,
+                                         const StepSizeSchedule& schedule,
+                                         const PsgdOptions& options, Rng* rng,
+                                         GradientNoiseSource* noise = nullptr);
 
 }  // namespace bolton
 

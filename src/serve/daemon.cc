@@ -388,6 +388,10 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
     if (cancelled) {
       return JsonError(408, "timeout", trained.status().message());
     }
+    if (trained.status().code() == StatusCode::kInvalidArgument) {
+      // The trainer refused the request's parameters: a client error.
+      return JsonError(400, "bad_request", trained.status().message());
+    }
     return JsonError(500, "train_failed", trained.status().message());
   }
   if (is_private) {

@@ -112,7 +112,9 @@ Status SendAll(int fd, const char* data, size_t len, int timeout_ms) {
   while (sent < len) {
     BOLTON_ASSIGN_OR_RETURN(bool ready, WaitReady(fd, POLLOUT, deadline));
     if (!ready) return Status::IOError("send timed out");
-    ssize_t n = ::send(fd, data + sent, len - sent, 0);
+    // A peer that hung up answers EPIPE here, not SIGPIPE, whose default
+    // action would kill the whole process.
+    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return ErrnoStatus("send");

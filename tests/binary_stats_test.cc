@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
-#include "ml/cross_validation.h"
 #include "ml/metrics.h"
 #include "ml/trainer.h"
 
@@ -114,77 +113,6 @@ TEST(RocAucTest, TrainedModelBeatsChance) {
   Rng rng(1);
   Vector model = TrainBinary(data, trainer, &rng).MoveValue();
   EXPECT_GT(RocAuc(model, data).value(), 0.9);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-validation.
-// ---------------------------------------------------------------------------
-
-TEST(KFoldSplitTest, FoldsPartitionTheData) {
-  SyntheticConfig config;
-  config.num_examples = 103;  // not divisible by k
-  config.dim = 4;
-  config.seed = 202;
-  Dataset data = GenerateSynthetic(config).MoveValue();
-  Rng rng(2);
-  auto folds = KFoldSplit(data, 5, &rng);
-  ASSERT_TRUE(folds.ok());
-  ASSERT_EQ(folds.value().size(), 5u);
-  size_t total_validation = 0;
-  for (const Fold& fold : folds.value()) {
-    EXPECT_EQ(fold.train.size() + fold.validation.size(), data.size());
-    total_validation += fold.validation.size();
-  }
-  EXPECT_EQ(total_validation, data.size());
-}
-
-TEST(KFoldSplitTest, Validation) {
-  SyntheticConfig config;
-  config.num_examples = 10;
-  config.dim = 2;
-  Dataset data = GenerateSynthetic(config).MoveValue();
-  Rng rng(3);
-  EXPECT_FALSE(KFoldSplit(data, 1, &rng).ok());
-  EXPECT_FALSE(KFoldSplit(data, 11, &rng).ok());
-  EXPECT_TRUE(KFoldSplit(data, 10, &rng).ok());
-}
-
-TEST(CrossValidateTest, ScoresEveryFold) {
-  SyntheticConfig config;
-  config.num_examples = 500;
-  config.dim = 6;
-  config.margin = 2.0;
-  config.noise_stddev = 0.5;
-  config.seed = 203;
-  Dataset data = GenerateSynthetic(config).MoveValue();
-
-  FoldTrainFn train = [](const Dataset& train_data,
-                         Rng* rng) -> Result<Vector> {
-    TrainerConfig trainer;
-    trainer.passes = 5;
-    trainer.batch_size = 10;
-    return TrainBinary(train_data, trainer, rng);
-  };
-  FoldScoreFn score = [](const Vector& model, const Dataset& validation) {
-    return BinaryAccuracy(model, validation);
-  };
-  Rng rng(4);
-  auto result = CrossValidate(data, 5, train, score, &rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().fold_scores.size(), 5u);
-  EXPECT_GT(result.value().mean, 0.85);
-  EXPECT_GE(result.value().stddev, 0.0);
-  EXPECT_LT(result.value().stddev, 0.2);
-}
-
-TEST(CrossValidateTest, NullFunctionsRejected) {
-  SyntheticConfig config;
-  config.num_examples = 20;
-  config.dim = 2;
-  Dataset data = GenerateSynthetic(config).MoveValue();
-  Rng rng(5);
-  FoldScoreFn score = [](const Vector&, const Dataset&) { return 0.0; };
-  EXPECT_FALSE(CrossValidate(data, 2, nullptr, score, &rng).ok());
 }
 
 }  // namespace

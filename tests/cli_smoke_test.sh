@@ -199,6 +199,17 @@ if "$CLI" frobnicate > /dev/null 2>&1; then
   exit 1
 fi
 
+# A LIBSVM line that repeats an index is refused, naming the line.
+printf '1 1:0.5 2:0.25\n-1 3:0.5 3:0.7\n' > "$WORKDIR/dup.libsvm"
+if "$CLI" train --data "$WORKDIR/dup.libsvm" --algo noiseless \
+    --model "$WORKDIR/dup.model" > /dev/null 2> "$WORKDIR/dup.err"; then
+  echo "train accepted a duplicate LIBSVM index" >&2
+  exit 1
+fi
+grep -q "line 2: duplicate index 3" "$WORKDIR/dup.err" \
+    || { echo "duplicate-index error does not name the line" >&2; \
+         cat "$WORKDIR/dup.err" >&2; exit 1; }
+
 # --- serve: the multi-tenant daemon end to end ------------------------------
 # Start on an ephemeral port with a persistent budget store, train within
 # budget, get refused beyond it, drain on SIGTERM, then restart and check

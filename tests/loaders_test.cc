@@ -162,6 +162,31 @@ TEST_F(LoadersTest, LibsvmRejectsNonFiniteLabel) {
   EXPECT_FALSE(LoadLibsvm(path_).ok());
 }
 
+// The dense and sparse loaders share one line parser, so they give one
+// verdict on every line.
+TEST_F(LoadersTest, DenseAndSparseLibsvmLoadersAgree) {
+  const struct {
+    const char* line;
+    bool accepted;
+  } cases[] = {
+      {"1 1:nan\n", false},
+      {"1 1:inf\n", false},
+      {"1 1:0.5 1:0.7\n", false},  // duplicate index
+      {"1.0 1:0.5\n", true},       // integral real label
+  };
+  for (const auto& c : cases) {
+    WriteFile(c.line);
+    auto dense = LoadLibsvm(path_);
+    auto sparse = LoadLibsvmSparse(path_);
+    EXPECT_EQ(dense.ok(), c.accepted) << c.line << dense.status().ToString();
+    EXPECT_EQ(sparse.ok(), c.accepted) << c.line << sparse.status().ToString();
+    if (!c.accepted) {
+      EXPECT_EQ(dense.status().ToString(), sparse.status().ToString());
+      EXPECT_NE(dense.status().message().find("line 1"), std::string::npos);
+    }
+  }
+}
+
 TEST_F(LoadersTest, CsvRejectsNonFiniteValuesWithRowColumnContext) {
   WriteFile("0.5,1.5,1\n0.25,nan,1\n");
   auto loaded = LoadCsv(path_);

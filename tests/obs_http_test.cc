@@ -1,8 +1,10 @@
 #include "obs/http_server.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -480,6 +482,35 @@ TEST_F(ObsHttpTest, ClientStallingMidRequestHeadIsDropped) {
 
   // The accept loop survived: the next request is answered.
   EXPECT_EQ(Get(port, "/healthz").status, 200);
+}
+
+TEST_F(ObsHttpTest, ClientHangingUpBeforeLargeReplyLeavesServerUp) {
+  // The client sends its request and closes (a FIN, not a reset) before
+  // the first reply byte, so the server's sends meet a peer that answers
+  // with RST. One of them fails with EPIPE, which must not be SIGPIPE: that
+  // signal's default action kills the process.
+  auto client_gone = std::make_shared<std::atomic<bool>>(false);
+  server_->RegisterHandler("GET", "/large", [client_gone](const HttpRequest&) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!client_gone->load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    obs::HttpResponse response;
+    response.content_type = "text/plain";
+    response.body.assign(8 << 20, 'x');
+    return response;
+  });
+  auto fd = net::ConnectTcp(static_cast<uint16_t>(server_->port()));
+  ASSERT_TRUE(fd.ok());
+  const std::string request = "GET /large HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(
+      net::SendAll(fd.value(), request.data(), request.size(), 5000).ok());
+  net::CloseFd(fd.value());
+  client_gone->store(true);
+
+  // The one handler thread finished (or abandoned) that reply first.
+  EXPECT_EQ(Get(server_->port(), "/healthz").status, 200);
 }
 
 TEST_F(ObsHttpTest, UnterminatedOversizedHeadIsRejectedWith400) {

@@ -88,27 +88,5 @@ TEST(PrivateFeatureMeanTest, RejectsOutOfRangeFeatures) {
       StatusCode::kFailedPrecondition);
 }
 
-TEST(PrivateFeatureMeansTest, VectorReleaseNearTruth) {
-  auto table = MakeSmallTable(1000, 285);
-  Vector truth(table->dim());
-  table->Scan([&](const Example& e) { truth += e.x; }).CheckOK();
-  truth *= 1.0 / 1000.0;
-
-  Rng rng(6);
-  auto means = PrivateFeatureMeans(*table, PrivacyParams{1.0, 0.0}, &rng);
-  ASSERT_TRUE(means.ok());
-  // Laplace noise norm E = d·(2/m)/ε = 6·0.002 = 0.012.
-  EXPECT_LT(Distance(means.value(), truth), 0.2);
-}
-
-TEST(PrivateFeatureMeansTest, EmptyTableRejected) {
-  // MakeTable rejects empty datasets, so exercise the validation through a
-  // direct empty-table scan guard via the smallest valid table instead.
-  auto table = MakeSmallTable(1, 286);
-  Rng rng(7);
-  EXPECT_TRUE(
-      PrivateFeatureMeans(*table, PrivacyParams{1.0, 0.0}, &rng).ok());
-}
-
 }  // namespace
 }  // namespace bolton

@@ -100,7 +100,9 @@ TEST_F(ServeDaemonTest, TrainPredictRoundTrip) {
 }
 
 TEST_F(ServeDaemonTest, MalformedRequestsGet400) {
-  StartDaemon();
+  ServeOptions options;
+  options.budget.default_budget = PrivacyParams{2.0, 1e-5};  // admits ε=1
+  StartDaemon(options);
   EXPECT_EQ(Train("{not json").status, 400);
   EXPECT_EQ(Train(R"({"algorithm":"bolton"})").status, 400);  // no tenant
   EXPECT_EQ(Train(R"({"tenant":"a","algorithm":"martian"})").status, 400);
@@ -111,6 +113,17 @@ TEST_F(ServeDaemonTest, MalformedRequestsGet400) {
         StrFormat(R"({"tenant":"%s","epsilon":0.1,"scale":0.02})", tenant);
     EXPECT_EQ(Train(body).status, 400) << tenant;
   }
+  // Parameters the trainer refuses (the default ε=1 with δ>0, a batch
+  // larger than the data) are client errors too, and bolt-on refunds them.
+  const double spent = daemon_->budget().Account("a").spent.epsilon;
+  for (const char* body :
+       {R"({"tenant":"a"})", R"({"tenant":"a","batch_size":100000})"}) {
+    HttpReply refused = Train(body);
+    EXPECT_EQ(refused.status, 400) << body << " -> " << refused.body;
+    EXPECT_EQ(ParseBody(refused).GetString("error", "").MoveValue(),
+              "bad_request");
+  }
+  EXPECT_EQ(daemon_->budget().Account("a").spent.epsilon, spent);
   JsonValue error = ParseBody(Train("{not json"));
   EXPECT_EQ(error.GetString("error", "").MoveValue(), "bad_request");
 }

@@ -12,8 +12,8 @@
 #include "ml/metrics.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
-#include "optim/sparse_psgd.h"
 #include "optim/schedule.h"
+#include "util/cancellation.h"
 
 namespace bolton {
 namespace {
@@ -126,7 +126,7 @@ TEST(SparseLoaderTest, RejectsMalformedInput) {
 
 // The headline property: the sparse engine is BIT-FOR-BIT the dense engine
 // on densified data with the same seed, so every sensitivity bound (and
-// the bolt-on wrapper) transfers unchanged.
+// the bolt-on wrapper) transfers unchanged. Both sampling modes.
 TEST(SparsePsgdTest, BitExactWithDenseEngineConvex) {
   SyntheticConfig config;
   config.num_examples = 300;
@@ -139,18 +139,22 @@ TEST(SparsePsgdTest, BitExactWithDenseEngineConvex) {
 
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   auto schedule = MakeConstantStep(0.1).MoveValue();
-  PsgdOptions options;
-  options.passes = 3;
-  options.batch_size = 7;
+  for (SamplingMode sampling :
+       {SamplingMode::kPermutation, SamplingMode::kWithReplacement}) {
+    PsgdOptions options;
+    options.passes = 3;
+    options.batch_size = 7;
+    options.sampling = sampling;
 
-  Rng rng_dense(9), rng_sparse(9);
-  auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
-  auto sparse_run =
-      RunSparseLogisticPsgd(sparse, 0.0, *schedule, options, &rng_sparse);
-  ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
-  EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
-  EXPECT_EQ(dense_run.value().stats.updates,
-            sparse_run.value().stats.updates);
+    Rng rng_dense(9), rng_sparse(9);
+    auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
+    auto sparse_run =
+        RunSparseLogisticPsgd(sparse, 0.0, *schedule, options, &rng_sparse);
+    ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
+    EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
+    EXPECT_EQ(dense_run.value().stats.updates,
+              sparse_run.value().stats.updates);
+  }
 }
 
 TEST(SparsePsgdTest, BitExactWithDenseEngineRegularizedProjected) {
@@ -166,17 +170,21 @@ TEST(SparsePsgdTest, BitExactWithDenseEngineRegularizedProjected) {
   auto schedule =
       MakeInverseTimeStep(loss->strong_convexity(), loss->smoothness())
           .MoveValue();
-  PsgdOptions options;
-  options.passes = 2;
-  options.batch_size = 5;
-  options.radius = loss->radius();
+  for (SamplingMode sampling :
+       {SamplingMode::kPermutation, SamplingMode::kWithReplacement}) {
+    PsgdOptions options;
+    options.passes = 2;
+    options.batch_size = 5;
+    options.radius = loss->radius();
+    options.sampling = sampling;
 
-  Rng rng_dense(11), rng_sparse(11);
-  auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
-  auto sparse_run = RunSparseLogisticPsgd(sparse, lambda, *schedule, options,
-                                          &rng_sparse);
-  ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
-  EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
+    Rng rng_dense(11), rng_sparse(11);
+    auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
+    auto sparse_run = RunSparseLogisticPsgd(sparse, lambda, *schedule,
+                                            options, &rng_sparse);
+    ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
+    EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
+  }
 }
 
 TEST(SparsePsgdTest, LearnsOnGenuinelySparseData) {
@@ -223,10 +231,35 @@ TEST(SparsePsgdTest, Validation) {
   ds.Add(SparseExample{SparseVector::FromDense(Vector{1.0, 0, 0, 0}), +1});
   EXPECT_FALSE(
       RunSparseLogisticPsgd(ds, -1.0, *schedule, options, &rng).ok());
-  options.sampling = SamplingMode::kWithReplacement;
+}
+
+// The sparse front end shares RunPsgd's validation: it is the serial black
+// box too, so a sharded request is refused rather than run serially.
+TEST(SparsePsgdTest, ShardedRequestRefused) {
+  SparseDataset ds(4, 2);
+  ds.Add(SparseExample{SparseVector::FromDense(Vector{1.0, 0, 0, 0}), +1});
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  PsgdOptions options;
+  options.shards = 4;
+  Rng rng(16);
   EXPECT_EQ(
       RunSparseLogisticPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
-      StatusCode::kNotImplemented);
+      StatusCode::kInvalidArgument);
+}
+
+// ... and its batch-boundary cancellation poll.
+TEST(SparsePsgdTest, CancelledTokenStopsTheRun) {
+  SparseDataset ds(4, 2);
+  ds.Add(SparseExample{SparseVector::FromDense(Vector{1.0, 0, 0, 0}), +1});
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  CancellationToken cancel;
+  cancel.Cancel();
+  PsgdOptions options;
+  options.executor.cancel = &cancel;
+  Rng rng(17);
+  EXPECT_EQ(
+      RunSparseLogisticPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
+      StatusCode::kCancelled);
 }
 
 }  // namespace

@@ -390,4 +390,31 @@ else
   echo "skipped (python3 or BENCH_PR10.json missing)"
 fi
 
+echo "== sparse PSGD gate (sparse rows >= 4x dense rows at d=10000) =="
+# Sparse rows exist in RunPsgd's loop for one property: on ~1%-density data
+# the O(nnz) gradient and update beat the O(d) ones. Both rows come from the
+# same run of the unsanitized build, so the gate needs no baseline file.
+if command -v python3 > /dev/null 2>&1; then
+  cmake -S "$ROOT" -B "$PRIMARY_BUILD" \
+      > "$WORKDIR/primary.configure.log" 2>&1 \
+      || { cat "$WORKDIR/primary.configure.log"; exit 1; }
+  cmake --build "$PRIMARY_BUILD" -j -t bench_ablation_sparse
+  "$PRIMARY_BUILD/bench/bench_ablation_sparse" --benchmark_format=json \
+      --benchmark_filter='BM_(Sparse|Dense)Psgd/10000' \
+      > "$WORKDIR/ablation_sparse.json"
+  python3 - "$WORKDIR/ablation_sparse.json" <<'EOF'
+import json, sys
+rows = {b["name"].split("/min_time")[0]: b
+        for b in json.load(open(sys.argv[1]))["benchmarks"]}
+dense, sparse = rows["BM_DensePsgd/10000"], rows["BM_SparsePsgd/10000"]
+assert dense["time_unit"] == sparse["time_unit"], "mixed time units"
+ratio = dense["real_time"] / sparse["real_time"]
+print(f"dense {dense['real_time']:.3g} {dense['time_unit']}, sparse "
+      f"{sparse['real_time']:.3g} {sparse['time_unit']}: {ratio:.1f}x")
+assert ratio >= 4.0, f"sparse PSGD only {ratio:.2f}x faster than dense (gate: 4x)"
+EOF
+else
+  echo "skipped (python3 missing)"
+fi
+
 echo "all checks passed"
