@@ -12,11 +12,15 @@
 // of eyeballing two. The shards=1 row is the executor's serial delegation
 // and should track the serial row to noise.
 //
-// Expected shape: each shard runs PSGD over m/s examples, so with ≥ s
-// hardware threads the wall time drops ~s× (minus partition/average
-// overhead); on a single-core machine the pool removes the old per-run
-// thread-spawn penalty, so shards ≥ 2 should at worst track serial (and can
-// beat it when a shard's working set drops into cache). Accuracy is NOT
+// Sizes: m = 1e6 is perfbench's train_1m shape (~400 MB of rows, far
+// beyond the caches); at m = 2.5e5 the shortest row (shards = 8) still
+// lasts ~90 ms on a 4-core host. Every row must last ≥ 50 ms to measure
+// work rather than scheduler noise. --scale multiplies both sizes.
+//
+// Expected shape: each shard runs PSGD over m/s examples, read in place
+// through its index slice, so with ≥ s hardware threads the wall time
+// drops ~s× (minus the permutation draw and the average); on a single-core
+// machine shards ≥ 2 should at worst track serial. Accuracy is NOT
 // compared here: sharding trades sensitivity (noise grows with the
 // per-shard bound) for wall time; that trade is DESIGN.md §8's topic.
 #include <cstdio>
@@ -86,7 +90,7 @@ int Run(int argc, char** argv) {
 
   auto loss = MakeLogisticLoss(1e-4, 1e4).MoveValue();
   std::vector<size_t> sizes;
-  for (size_t base : {50000, 100000}) {
+  for (size_t base : {250000, 1000000}) {
     sizes.push_back(static_cast<size_t>(base * flags.scale));
   }
   for (size_t m : sizes) {

@@ -1,6 +1,7 @@
 #include "optim/parallel_executor.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -87,24 +88,15 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   const uint64_t seed_base = rng->Next();
 
   // Balanced contiguous split of the permutation: the first m mod s shards
-  // take ⌈m/s⌉ indices, the rest ⌊m/s⌋.
-  std::vector<Dataset> shard_data;
-  std::vector<size_t> shard_sizes;
-  shard_data.reserve(s);
-  shard_sizes.reserve(s);
-  {
-    obs::ScopedSpan split_span("psgd.shard_split");
-    const size_t base = m / s;
-    const size_t remainder = m % s;
-    size_t offset = 0;
-    for (size_t j = 0; j < s; ++j) {
-      const size_t size_j = base + (j < remainder ? 1 : 0);
-      std::vector<size_t> indices(order.begin() + offset,
-                                  order.begin() + offset + size_j);
-      shard_data.push_back(data.Subset(indices));
-      shard_sizes.push_back(size_j);
-      offset += size_j;
-    }
+  // take ⌈m/s⌉ indices, the rest ⌊m/s⌋. Shard j reads the caller's rows
+  // through its slice of `order`; no row is copied.
+  std::vector<std::span<const size_t>> slices;
+  slices.reserve(s);
+  size_t offset = 0;
+  for (size_t j = 0; j < s; ++j) {
+    const size_t size_j = m / s + (j < m % s ? 1 : 0);
+    slices.emplace_back(order.data() + offset, size_j);
+    offset += size_j;
   }
   const uint64_t partition_end_ns = obs::MonotonicNanos();
 
@@ -153,7 +145,8 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   auto run_shard_psgd = [&](size_t j) -> Result<PsgdOutput> {
     BOLTON_FAILPOINT("shard.worker");
     Rng shard_rng(ShardSeed(seed_base, j));
-    return RunPsgd(shard_data[j], loss, schedule, shard_options, &shard_rng);
+    return RunPsgdOnRows(data, slices[j], loss, schedule, shard_options,
+                         &shard_rng);
   };
 
   std::vector<Result<PsgdOutput>> results(s, Result<PsgdOutput>(PsgdOutput()));
@@ -254,9 +247,9 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   const uint64_t average_start_ns = obs::MonotonicNanos();
   ShardedPsgdOutput out;
   out.shards = s;
-  out.shard_sizes = std::move(shard_sizes);
   Vector average(data.dim());
   for (size_t j = 0; j < s; ++j) {
+    out.shard_sizes.push_back(slices[j].size());
     average += results[j].value().model;
     out.stats.gradient_evaluations +=
         results[j].value().stats.gradient_evaluations;

@@ -47,7 +47,7 @@ struct WorkerStats {
 /// run-level phases that are not attributable to any worker.
 struct WorkerUtilization {
   std::vector<WorkerStats> workers;
-  uint64_t partition_ns = 0;  // permutation draw + shard split
+  uint64_t partition_ns = 0;  // partition permutation draw
   uint64_t dispatch_ns = 0;   // pool submit to last slice completion
   uint64_t average_ns = 0;    // fixed-order model averaging
   /// Σ busy / Σ (busy + idle) over all workers; 1.0 when every worker was
@@ -80,11 +80,17 @@ uint64_t ShardSeed(uint64_t seed_base, size_t shard);
 
 /// Shard-parallel black-box PSGD (paper §3.2.3, Lemma 10):
 ///
-///   1. draw one permutation τ of [m] from `rng` and partition it into
-///      `options.shards` disjoint contiguous shards (shared-nothing);
-///   2. run black-box RunPsgd per shard on its own worker thread, each with
-///      an independent counter-seeded RNG stream (ShardSeed);
+///   1. draw one permutation τ of [m] from `rng` and cut it into
+///      `options.shards` disjoint contiguous index slices;
+///   2. run the black box per shard on its own worker thread
+///      (RunPsgdOnRows over the shard's slice of the caller's read-only
+///      `data`; no row is copied), each with an independent counter-seeded
+///      RNG stream (ShardSeed);
 ///   3. release the uniform average of the shard models.
+///
+/// Shard j's model is bit-for-bit RunPsgd(data.Subset(slice_j), …) with
+/// Rng(ShardSeed(seed_base, j)), where seed_base is the draw from `rng`
+/// that follows τ.
 ///
 /// Privacy-wise this is exactly the hook the bolt-on analysis allows: each
 /// shard is an independent PSGD run over its own m_j ≈ m/s examples, so

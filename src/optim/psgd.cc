@@ -57,14 +57,24 @@ namespace {
 // batch gradient can be nonzero: zeroing it before a batch, and applying
 // it to the iterate.
 
-// Dataset rows under any LossFunction; every step is dense.
+// Dataset rows under any LossFunction; every step is dense. A nonempty
+// slice restricts the run to data[slice[k]], k < slice.size(): MapOrder
+// turns each permutation of [size()) into data indices once per draw, so
+// the batch loop reads data_ directly. An empty slice means every row.
 class DenseRows {
  public:
-  DenseRows(const Dataset& data, const LossFunction& loss)
-      : data_(data), loss_(loss) {}
+  DenseRows(const Dataset& data, const LossFunction& loss,
+            std::span<const size_t> slice = {})
+      : data_(data), loss_(loss), slice_(slice) {}
 
-  size_t size() const { return data_.size(); }
+  size_t size() const {
+    return slice_.empty() ? data_.size() : slice_.size();
+  }
   size_t dim() const { return data_.dim(); }
+  void MapOrder(std::vector<size_t>* order) const {
+    if (slice_.empty()) return;
+    for (size_t& k : *order) k = slice_[k];
+  }
   void BeginBatch(Vector* grad) { grad->SetZero(); }
   void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {
     loss_.AddGradient(w, data_[i], scale, grad);
@@ -76,6 +86,7 @@ class DenseRows {
  private:
   const Dataset& data_;
   const LossFunction& loss_;
+  std::span<const size_t> slice_;
 };
 
 // SparseDataset rows under the logistic loss. With no regularizer and no
@@ -90,6 +101,7 @@ class SparseLogisticRows {
 
   size_t size() const { return data_.size(); }
   size_t dim() const { return data_.dim(); }
+  void MapOrder(std::vector<size_t>*) const {}
   void BeginBatch(Vector* grad) {
     if (sparse_steps_) {
       for (size_t index : touched_) (*grad)[index] = 0.0;
@@ -192,6 +204,7 @@ Result<PsgdOutput> RunLoop(
   } else if (options.sampling == SamplingMode::kPermutation) {
     obs::ScopedSpan shuffle_span("psgd.shuffle");
     order = RandomPermutation(m, rng);
+    rows.MapOrder(&order);
   } else {
     order.resize(b);  // reused scratch for with-replacement draws
   }
@@ -207,6 +220,7 @@ Result<PsgdOutput> RunLoop(
         options.fresh_permutation_each_pass) {
       obs::ScopedSpan shuffle_span("psgd.shuffle");
       order = RandomPermutation(m, rng);
+      rows.MapOrder(&order);
     }
     for (size_t begin = 0; begin < m; begin += b) {
       // Batch-boundary cancellation poll: a serve request whose deadline
@@ -303,6 +317,27 @@ Result<PsgdOutput> RunPsgd(
   DenseRows rows(data, loss);
   return RunLoop(rows, schedule, options, rng, noise, pass_callback,
                  checkpoint);
+}
+
+Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
+                                 std::span<const size_t> rows,
+                                 const LossFunction& loss,
+                                 const StepSizeSchedule& schedule,
+                                 const PsgdOptions& options, Rng* rng) {
+  // Checked here: an empty slice would mean every row to DenseRows.
+  if (rows.empty()) return Status::InvalidArgument("empty row slice");
+  if (options.sampling != SamplingMode::kPermutation) {
+    return Status::InvalidArgument(
+        "a row slice requires permutation sampling");
+  }
+  for (size_t i : rows) {
+    if (i >= data.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "row index %zu out of range for %zu rows", i, data.size()));
+    }
+  }
+  DenseRows dense(data, loss, rows);
+  return RunLoop(dense, schedule, options, rng, nullptr, nullptr, nullptr);
 }
 
 Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,

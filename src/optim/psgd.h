@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <limits>
+#include <span>
 
 #include "data/dataset.h"
 #include "data/sparse_dataset.h"
@@ -132,6 +133,19 @@ Result<PsgdOutput> RunPsgd(
     GradientNoiseSource* noise = nullptr,
     const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,
     const PsgdCheckpointPlan* checkpoint = nullptr);
+
+/// RunPsgd over the rows data[rows[0]], …, data[rows[n−1]] without copying
+/// them: bit-for-bit RunPsgd(data.Subset(rows), …) with the same rng. Each
+/// permutation the run draws is over [n) and is mapped through `rows` once,
+/// so the batch loop reads `data` with one indirection. This is the
+/// sharded executor's per-shard black box; it takes no noise source, pass
+/// callback or checkpoint plan. Refuses an empty slice, an index
+/// >= data.size() and with-replacement sampling.
+Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
+                                 std::span<const size_t> rows,
+                                 const LossFunction& loss,
+                                 const StepSizeSchedule& schedule,
+                                 const PsgdOptions& options, Rng* rng);
 
 /// RunPsgd's loop over sparse rows under the L2-regularized logistic loss
 /// (λ passed directly; `options.radius` controls projection). Each

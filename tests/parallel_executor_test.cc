@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "optim/schedule.h"
 #include "optim/thread_pool.h"
+#include "random/permutation.h"
 #include "util/failpoint.h"
 
 namespace bolton {
@@ -122,6 +124,60 @@ TEST(ParallelExecutorTest, BalancedPartitionAndSummedStats) {
   EXPECT_EQ(run.value().stats.gradient_evaluations, 2u * 103u);
   // ⌈26/5⌉ = 6 updates per pass on the big shards, ⌈25/5⌉ = 5 on the last.
   EXPECT_EQ(run.value().stats.updates, 2u * (6u + 6u + 6u + 5u));
+}
+
+TEST(ParallelExecutorTest, ShardsRunTheSerialLoopOverTheirSlices) {
+  // The released model rebuilt from public pieces: the partition
+  // permutation, then the seed base, then serial RunPsgd over a copy of
+  // each shard's rows, averaged in shard order.
+  Dataset data = MakeTrainingSet(103);
+  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
+  auto schedule = MakeInverseTimeStep(0.1, 1.1).MoveValue();
+  for (size_t shards : {2u, 3u, 4u}) {
+    for (size_t batch : {1u, 5u}) {
+      for (bool fresh : {false, true}) {
+        for (OutputMode output :
+             {OutputMode::kLastIterate, OutputMode::kAverageAll}) {
+          PsgdOptions options;
+          options.passes = 3;
+          options.batch_size = batch;
+          options.radius = 10.0;
+          options.fresh_permutation_each_pass = fresh;
+          options.output = output;
+          options.shards = shards;
+          Rng rng(47);
+          auto run = RunShardedPsgd(data, *loss, *schedule, options, &rng);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+          Rng reference_rng(47);
+          const std::vector<size_t> order =
+              RandomPermutation(data.size(), &reference_rng);
+          const uint64_t seed_base = reference_rng.Next();
+          PsgdOptions serial = options;
+          serial.shards = 1;
+          Vector expected(data.dim());
+          size_t offset = 0;
+          for (size_t j = 0; j < shards; ++j) {
+            const size_t size_j =
+                data.size() / shards + (j < data.size() % shards ? 1 : 0);
+            const std::vector<size_t> slice(order.begin() + offset,
+                                            order.begin() + offset + size_j);
+            offset += size_j;
+            Rng shard_rng(ShardSeed(seed_base, j));
+            auto shard = RunPsgd(data.Subset(slice), *loss, *schedule,
+                                 serial, &shard_rng);
+            ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+            expected += shard.value().model;
+          }
+          expected *= 1.0 / static_cast<double>(shards);
+          EXPECT_EQ(run.value().model, expected)
+              << "shards=" << shards << " b=" << batch
+              << " fresh=" << fresh
+              << " averaged=" << (output == OutputMode::kAverageAll);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelExecutorTest, ShardFailureSurfacesThroughResult) {

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "ml/metrics.h"
 #include "optim/schedule.h"
+#include "random/permutation.h"
 
 namespace bolton {
 namespace {
@@ -256,6 +259,73 @@ TEST(PsgdTest, ValidationErrors) {
   options = PsgdOptions{};
   options.radius = 0.0;
   EXPECT_FALSE(RunPsgd(data, *loss, *schedule, options, &rng).ok());
+}
+
+TEST(PsgdTest, RowSliceMatchesRunPsgdOverTheSubset) {
+  Dataset data = MakeTrainingSet(120);
+  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
+  auto schedule = MakeInverseTimeStep(0.1, 1.1).MoveValue();
+  // Unsorted, with a repeated row: the slice names rows in the order
+  // Subset would copy them.
+  Rng pick(14);
+  std::vector<size_t> rows = RandomPermutation(data.size(), &pick);
+  rows.resize(45);
+  rows.push_back(rows[3]);
+  const Dataset subset = data.Subset(rows);
+  for (size_t batch : {1u, 4u}) {
+    for (bool fresh : {false, true}) {
+      for (OutputMode output :
+           {OutputMode::kLastIterate, OutputMode::kAverageAll}) {
+        PsgdOptions options;
+        options.passes = 3;
+        options.batch_size = batch;
+        options.radius = 10.0;
+        options.fresh_permutation_each_pass = fresh;
+        options.output = output;
+        Rng slice_rng(15), subset_rng(15);
+        auto sliced =
+            RunPsgdOnRows(data, rows, *loss, *schedule, options, &slice_rng);
+        auto copied = RunPsgd(subset, *loss, *schedule, options, &subset_rng);
+        ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+        ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+        EXPECT_EQ(sliced.value().model, copied.value().model)
+            << "b=" << batch << " fresh=" << fresh;
+        EXPECT_EQ(sliced.value().stats.gradient_evaluations,
+                  copied.value().stats.gradient_evaluations);
+        EXPECT_EQ(sliced.value().stats.updates, copied.value().stats.updates);
+        // Both consume the rng identically.
+        EXPECT_EQ(slice_rng.Next(), subset_rng.Next());
+      }
+    }
+  }
+}
+
+TEST(PsgdTest, RowSliceValidation) {
+  Dataset data = MakeTrainingSet(50);
+  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  const std::vector<size_t> rows = {4, 0, 9, 2};
+  Rng rng(16);
+  auto code = [&](std::span<const size_t> slice, const PsgdOptions& options) {
+    return RunPsgdOnRows(data, slice, *loss, *schedule, options, &rng)
+        .status()
+        .code();
+  };
+
+  EXPECT_EQ(code({}, PsgdOptions{}), StatusCode::kInvalidArgument);
+
+  PsgdOptions big_batch;
+  big_batch.batch_size = rows.size() + 1;
+  EXPECT_EQ(code(rows, big_batch), StatusCode::kInvalidArgument);
+
+  PsgdOptions with_replacement;
+  with_replacement.sampling = SamplingMode::kWithReplacement;
+  EXPECT_EQ(code(rows, with_replacement), StatusCode::kInvalidArgument);
+
+  const std::vector<size_t> out_of_range = {0, data.size()};
+  EXPECT_EQ(code(out_of_range, PsgdOptions{}), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(code(rows, PsgdOptions{}), StatusCode::kOk);
 }
 
 }  // namespace
