@@ -13,9 +13,11 @@
 // and should track the serial row to noise.
 //
 // Sizes: m = 1e6 is perfbench's train_1m shape (~400 MB of rows, far
-// beyond the caches); at m = 2.5e5 the shortest row (shards = 8) still
-// lasts ~90 ms on a 4-core host. Every row must last ≥ 50 ms to measure
-// work rather than scheduler noise. --scale multiplies both sizes.
+// beyond the caches) and m = 2e6 doubles it. With PSGD's row prefetch the
+// shortest row (shards = 8 at m = 1e6) lasts ~120 ms on a 4-core host;
+// at m = 2.5e5, 4 and 8 shards fell under 40 ms. Every row must last
+// ≥ 50 ms to measure work rather than scheduler noise. --scale multiplies
+// both sizes.
 //
 // Expected shape: each shard runs PSGD over m/s examples, read in place
 // through its index slice, so with ≥ s hardware threads the wall time
@@ -90,7 +92,7 @@ int Run(int argc, char** argv) {
 
   auto loss = MakeLogisticLoss(1e-4, 1e4).MoveValue();
   std::vector<size_t> sizes;
-  for (size_t base : {250000, 1000000}) {
+  for (size_t base : {1000000, 2000000}) {
     sizes.push_back(static_cast<size_t>(base * flags.scale));
   }
   for (size_t m : sizes) {

@@ -111,24 +111,10 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
       obs::MetricsRegistry::Default().GetCounter("psgd.shard_failures");
   obs::Gauge* shard_count =
       obs::MetricsRegistry::Default().GetGauge("psgd.shard_count");
-  obs::Histogram* shard_seconds = obs::MetricsRegistry::Default().GetHistogram(
-      "psgd.shard_seconds", obs::LatencySecondsBuckets());
-  // Worker-utilization accounting (the WorkerUtilization section of
-  // /metrics): where worker wall time went, so "shards lose to serial" is
-  // attributable to spawn cost vs. idle/imbalance vs. actual shard work.
   obs::Histogram* worker_busy = obs::MetricsRegistry::Default().GetHistogram(
       "psgd.worker_busy_seconds", obs::LatencySecondsBuckets());
-  obs::Histogram* worker_idle = obs::MetricsRegistry::Default().GetHistogram(
-      "psgd.worker_idle_seconds", obs::LatencySecondsBuckets());
-  obs::Histogram* worker_spawn = obs::MetricsRegistry::Default().GetHistogram(
-      "psgd.worker_spawn_seconds", obs::LatencySecondsBuckets());
-  obs::Histogram* shard_queue_wait =
-      obs::MetricsRegistry::Default().GetHistogram(
-          "psgd.shard_queue_wait_seconds", obs::LatencySecondsBuckets());
   obs::Gauge* worker_count_gauge =
       obs::MetricsRegistry::Default().GetGauge("psgd.worker_count");
-  obs::Gauge* worker_busy_frac =
-      obs::MetricsRegistry::Default().GetGauge("psgd.worker_busy_frac");
   // Per-worker hardware-counter distributions (only observed when the PMU
   // delivered real counts — a task-clock-only run records nothing here).
   obs::Histogram* worker_ipc = obs::MetricsRegistry::Default().GetHistogram(
@@ -152,10 +138,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   std::vector<Result<PsgdOutput>> results(s, Result<PsgdOutput>(PsgdOutput()));
   auto run_shard = [&](size_t j) {
     obs::ScopedSpan shard_span("psgd.shard");
-    const uint64_t start_ns = obs::MonotonicNanos();
     results[j] = run_shard_psgd(j);
-    shard_seconds->Observe(
-        static_cast<double>(obs::MonotonicNanos() - start_ns) * 1e-9);
     shard_runs->Increment();
     if (!results[j].ok()) shard_failures->Increment();
   };
@@ -191,8 +174,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     const obs::PerfReading counters_start = obs::ReadCurrentThreadPerf();
     for (size_t j = w; j < s; j += worker_count) {
       const uint64_t shard_start_ns = obs::MonotonicNanos();
-      shard_queue_wait->Observe(
-          static_cast<double>(shard_start_ns - dispatch_start_ns) * 1e-9);
       const uint64_t ready_gap_ns =
           shard_start_ns - worker_start_ns - stats.busy_ns;
       stats.queue_wait_ns += ready_gap_ns;
@@ -268,8 +249,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   uint64_t total_busy_ns = 0, total_alive_ns = 0;
   for (const WorkerStats& stats : out.utilization.workers) {
     worker_busy->Observe(static_cast<double>(stats.busy_ns) * 1e-9);
-    worker_idle->Observe(static_cast<double>(stats.idle_ns) * 1e-9);
-    worker_spawn->Observe(static_cast<double>(stats.spawn_ns) * 1e-9);
     if (stats.counters.available) {
       worker_ipc->Observe(stats.counters.Ipc());
       worker_cache_miss_rate->Observe(stats.counters.CacheMissRate());
@@ -283,7 +262,6 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
                          : 0.0;
   worker_count_gauge->Set(
       static_cast<double>(out.utilization.workers.size()));
-  worker_busy_frac->Set(out.utilization.busy_fraction);
   return out;
 }
 

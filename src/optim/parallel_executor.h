@@ -20,8 +20,8 @@ namespace bolton {
 /// spawn cost (thread creation to first instruction), busy time (inside
 /// shard PSGD), and idle time (alive but waiting — load imbalance or
 /// serialization on an undersubscribed machine). All nanoseconds on the
-/// obs monotonic clock. Exposed as psgd.worker_* histograms//metrics and
-/// aggregated here in the run output.
+/// obs monotonic clock. Reported here in the run output; of these only
+/// busy time is also a metric (psgd.worker_busy_seconds).
 struct WorkerStats {
   size_t worker = 0;       // worker slice index (0-based)
   /// Pool-dispatch latency: ParallelRun submit -> first instruction of the

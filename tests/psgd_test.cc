@@ -1,8 +1,11 @@
 #include "optim/psgd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,6 +329,94 @@ TEST(PsgdTest, RowSliceValidation) {
   EXPECT_EQ(code(out_of_range, PsgdOptions{}), StatusCode::kInvalidArgument);
 
   EXPECT_EQ(code(rows, PsgdOptions{}), StatusCode::kOk);
+}
+
+// PSGD over data[slice[k]], k < slice.size(), rebuilt from public pieces:
+// a permutation of the slice for the run (or one per pass), a mini-batch
+// gradient over each run of it, the scheduled step, the projection, then
+// the last iterate or the average of all of them.
+Vector HandRolledPsgd(const Dataset& data, std::span<const size_t> slice,
+                      const LossFunction& loss,
+                      const StepSizeSchedule& schedule,
+                      const PsgdOptions& options, Rng* rng) {
+  const size_t m = slice.size();
+  Vector w(data.dim());
+  Vector grad(data.dim());
+  Vector iterate_sum(data.dim());
+  std::vector<size_t> order;
+  size_t t = 0;
+  for (size_t pass = 1; pass <= options.passes; ++pass) {
+    if (pass == 1 || options.fresh_permutation_each_pass) {
+      order = RandomPermutation(m, rng);
+    }
+    for (size_t begin = 0; begin < m; begin += options.batch_size) {
+      const size_t end = std::min(m, begin + options.batch_size);
+      grad.SetZero();
+      for (size_t k = begin; k < end; ++k) {
+        loss.AddGradient(w, data[slice[order[k]]],
+                         1.0 / static_cast<double>(end - begin), &grad);
+      }
+      w.Axpy(-schedule.StepSize(++t), grad);
+      ProjectToL2BallInPlace(&w, options.radius);
+      iterate_sum += w;
+    }
+  }
+  if (options.output == OutputMode::kLastIterate) return w;
+  iterate_sum *= 1.0 / static_cast<double>(t);
+  return iterate_sum;
+}
+
+// The loop reads ahead of the row it updates on; at every size, including
+// those shorter than its read-ahead, it must still be exactly the update
+// rule above.
+TEST(PsgdTest, LoopMatchesHandRolledUpdateRule) {
+  const Dataset data = MakeTrainingSet(60);
+  auto loss = MakeLogisticLoss(0.1, 0.5).MoveValue();
+  auto schedule = MakeInverseSqrtStep(0.8).MoveValue();
+  Rng pick(17);
+  const std::vector<size_t> shuffled = RandomPermutation(data.size(), &pick);
+  for (size_t m : {1u, 2u, 8u, 9u, 16u, 17u, 40u}) {
+    std::vector<size_t> head(m);
+    std::iota(head.begin(), head.end(), size_t{0});
+    const Dataset first_m = data.Subset(head);
+    const std::span<const size_t> slice(shuffled.data(), m);
+    for (size_t batch : {1u, 3u}) {
+      if (batch > m) continue;
+      for (bool fresh : {false, true}) {
+        for (OutputMode output :
+             {OutputMode::kLastIterate, OutputMode::kAverageAll}) {
+          PsgdOptions options;
+          options.passes = 2;
+          options.batch_size = batch;
+          options.radius = 0.5;
+          options.fresh_permutation_each_pass = fresh;
+          options.output = output;
+          const std::string where = "m=" + std::to_string(m) +
+                                    " b=" + std::to_string(batch) +
+                                    " fresh=" + std::to_string(fresh);
+
+          Rng run_rng(18), ref_rng(18);
+          auto run = RunPsgd(first_m, *loss, *schedule, options, &run_rng);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          EXPECT_EQ(run.value().model,
+                    HandRolledPsgd(first_m, head, *loss, *schedule, options,
+                                   &ref_rng))
+              << where;
+          EXPECT_EQ(run_rng.Next(), ref_rng.Next()) << where;
+
+          Rng slice_rng(19), slice_ref_rng(19);
+          auto sliced = RunPsgdOnRows(data, slice, *loss, *schedule, options,
+                                      &slice_rng);
+          ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+          EXPECT_EQ(sliced.value().model,
+                    HandRolledPsgd(data, slice, *loss, *schedule, options,
+                                   &slice_ref_rng))
+              << where << " (slice)";
+          EXPECT_EQ(slice_rng.Next(), slice_ref_rng.Next()) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

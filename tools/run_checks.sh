@@ -339,18 +339,42 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" \
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
   -R '^(obs_(metrics|ledger|export|http)|profiler|perf_counters|thread_pool|parallel_executor|solver|failpoint|checkpoint|logging|postmortem|serve_(budget|chaos|daemon))_test$'
 
-echo "== bench regression gate (parallel scaling vs BENCH_PR17.json) =="
+# The checks below run the primary, unsanitized build: the bench baselines
+# were captured without sanitizers, and the prefetch check reads the
+# optimized object code.
+cmake -S "$ROOT" -B "$PRIMARY_BUILD" > "$WORKDIR/primary.configure.log" 2>&1 \
+    || { cat "$WORKDIR/primary.configure.log"; exit 1; }
+
+echo "== prefetch check (PSGD's dense batch loop keeps its row prefetch) =="
+# RunLoop<DenseRows> (optim/psgd.cc) prefetches the rows its permutation
+# reads next. Released models are the same with or without it, so no test
+# can see a compiler drop it; only speed is lost. The source issues three
+# prefetches: both lines an Example may span, and one per feature line in
+# a loop of its own. GCC 12 at -O2 deletes a __builtin_prefetch whose loop
+# does nothing else, which leaves two.
+cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bolton_optim
+if [ "$(uname -m)" != "x86_64" ]; then
+  echo "skipped (prefetcht0 is x86-64; this host is $(uname -m))"
+elif ! command -v objdump > /dev/null 2>&1; then
+  echo "skipped (objdump missing)"
+else
+  prefetches=$(objdump -d -C \
+      "$PRIMARY_BUILD/src/optim/CMakeFiles/bolton_optim.dir/psgd.cc.o" \
+      | awk '/^[0-9a-f]+ </ { inside = /RunLoop<[^>]*DenseRows>/ }
+             inside && /prefetcht0/ { n++ }
+             END { print n + 0 }')
+  echo "RunLoop<DenseRows> issues $prefetches prefetcht0"
+  [ "$prefetches" -ge 3 ] \
+      || { echo "RunLoop<DenseRows> lost its row prefetch (want >= 3)"; exit 1; }
+fi
+
+echo "== bench regression gate (parallel scaling vs BENCH_PR18.json) =="
 # Gate only when python3 and the baseline are available (the baseline rows
 # were captured on the reference machine; the generous threshold absorbs
 # machine-to-machine noise while still catching order-of-magnitude
-# regressions in the sharded executor). BENCH_PR17 carries an explicit
-# serial row per m, at m = 2.5e5 and 1e6, where every row runs >= 50 ms.
-if command -v python3 > /dev/null 2>&1 && [ -f "$ROOT/BENCH_PR17.json" ]; then
-  # Run the unsanitized build — the baseline was captured without
-  # sanitizers, so an ASan binary would always look like a regression.
-  cmake -S "$ROOT" -B "$PRIMARY_BUILD" \
-      > "$WORKDIR/primary.configure.log" 2>&1 \
-      || { cat "$WORKDIR/primary.configure.log"; exit 1; }
+# regressions in the sharded executor). BENCH_PR18 carries an explicit
+# serial row per m, at m = 1e6 and 2e6, where every row runs >= 50 ms.
+if command -v python3 > /dev/null 2>&1 && [ -f "$ROOT/BENCH_PR18.json" ]; then
   cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bench_parallel_scaling
   "$PRIMARY_BUILD/bench/bench_parallel_scaling" \
       --json-out "$WORKDIR/parallel_scaling.json" > /dev/null
@@ -372,10 +396,10 @@ for row in rows:
 print(f"checked counters on {len(rows)} bench rows")
 EOF
   python3 "$ROOT/tools/benchdiff.py" diff \
-      "$ROOT/BENCH_PR17.json" "$WORKDIR/parallel_scaling.json" \
+      "$ROOT/BENCH_PR18.json" "$WORKDIR/parallel_scaling.json" \
       --threshold 0.75
 else
-  echo "skipped (python3 or BENCH_PR17.json missing)"
+  echo "skipped (python3 or BENCH_PR18.json missing)"
 fi
 
 echo "== bench regression gate (serve throughput vs BENCH_PR10.json) =="
@@ -398,9 +422,6 @@ echo "== sparse PSGD gate (sparse rows >= 4x dense rows at d=10000) =="
 # the O(nnz) gradient and update beat the O(d) ones. Both rows come from the
 # same run of the unsanitized build, so the gate needs no baseline file.
 if command -v python3 > /dev/null 2>&1; then
-  cmake -S "$ROOT" -B "$PRIMARY_BUILD" \
-      > "$WORKDIR/primary.configure.log" 2>&1 \
-      || { cat "$WORKDIR/primary.configure.log"; exit 1; }
   cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bench_ablation_sparse
   "$PRIMARY_BUILD/bench/bench_ablation_sparse" --benchmark_format=json \
       --benchmark_filter='BM_(Sparse|Dense)Psgd/10000' \
