@@ -45,8 +45,7 @@ int Run(int argc, char** argv) {
       ours.passes = 10;
       ours.batch_size = 50;
       Rng rng_ours(flags.seed + 100 * r);
-      auto ours_out = PrivateStronglyConvexPsgd(train, *loss, ours,
-                                                &rng_ours);
+      auto ours_out = PrivatePsgd(train, *loss, ours, &rng_ours);
       ours_out.status().CheckOK();
       ours_total += BinaryAccuracy(ours_out.value().model, test);
       noiseless = BinaryAccuracy(ours_out.value().noiseless_model, test);

@@ -88,7 +88,7 @@ int Run(int argc, char** argv) {
         options.batch_size = b;
         options.use_corrected_minibatch_sensitivity = (variant == 1);
         Rng rng(flags.seed + 100 * r + variant);
-        auto out = PrivateStronglyConvexPsgd(train, *loss, options, &rng);
+        auto out = PrivatePsgd(train, *loss, options, &rng);
         out.status().CheckOK();
         total += BinaryAccuracy(out.value().model, test);
       }
@@ -101,8 +101,7 @@ int Run(int argc, char** argv) {
     reference_options.batch_size = b;
     Rng reference_rng(flags.seed);
     auto reference =
-        PrivateStronglyConvexPsgd(train, *loss, reference_options,
-                                  &reference_rng);
+        PrivatePsgd(train, *loss, reference_options, &reference_rng);
     reference.status().CheckOK();
     std::printf("  %-8.3g %-14.4f %-14.4f %-12.4f\n", epsilon, accs[0],
                 accs[1],

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   options.passes = 10;
   options.batch_size = 50;
   Rng rng(54);
-  auto out = PrivateStronglyConvexPsgd(train, *loss.value(), options, &rng);
+  auto out = PrivatePsgd(train, *loss.value(), options, &rng);
   out.status().CheckOK();
 
   std::printf("\nprivate least-squares model (Algorithm 2, squared loss):\n");

@@ -3,15 +3,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
-#include <memory>
 #include <utility>
 
 #include "core/private_sgd.h"
-#include "optim/schedule.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -364,7 +360,6 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     Algorithm algorithm, const Dataset& data, const LossFunction& loss,
     const SolverSpec& spec, Rng* rng, const CheckpointOptions& checkpoint) {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  if (data.empty()) return Status::InvalidArgument("empty training set");
   if (checkpoint.dir.empty()) {
     return Status::InvalidArgument("checkpoint dir must not be empty");
   }
@@ -385,14 +380,8 @@ Result<SolverOutput> RunSolverWithCheckpoints(
         "got %zu)",
         spec.shards));
   }
-  if (bolton) {
-    BOLTON_RETURN_IF_ERROR(spec.privacy.Validate());
-    if (loss.IsStronglyConvex() && !std::isfinite(loss.radius())) {
-      return Status::FailedPrecondition(
-          "Algorithm 2 runs constrained optimization; the loss must carry "
-          "a finite radius (the paper uses R = 1/lambda)");
-    }
-  }
+  BOLTON_ASSIGN_OR_RETURN(BlackBoxPlan black_box,
+                          PlanBlackBoxRun(loss, data.size(), spec, bolton));
 
   const uint64_t spec_hash = SolverSpecHash(algorithm, spec, loss, data);
   CheckpointManager manager(checkpoint.dir);
@@ -418,48 +407,19 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     resuming = true;
   }
 
-  // Step-size schedule and (for bolt-on) the sensitivity calibration,
-  // mirroring RunPrivateSolver's Table 4 conventions exactly.
-  std::unique_ptr<StepSizeSchedule> schedule;
   double sensitivity = 0.0;
-  if (!bolton) {
-    if (loss.IsStronglyConvex()) {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule,
-          MakeInverseTimeStep(loss.strong_convexity(),
-                              std::numeric_limits<double>::infinity()));
-    } else {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule, MakeConstantStep(
-                        1.0 / std::sqrt(static_cast<double>(data.size()))));
-    }
-  } else {
-    double eta = 0.0;
-    if (loss.IsStronglyConvex()) {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule,
-          MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
-    } else {
-      eta = spec.constant_step > 0.0
-                ? spec.constant_step
-                : 1.0 / std::sqrt(static_cast<double>(data.size()));
-      BOLTON_ASSIGN_OR_RETURN(schedule, MakeConstantStep(eta));
-    }
-    if (resuming) {
-      // The original run calibrated (and ledger-recorded) this Δ₂; reuse it
-      // rather than re-recording a duplicate calibration event.
-      sensitivity = loaded.sensitivity;
-    } else {
-      SensitivitySetup setup;
-      setup.passes = spec.passes;
-      setup.batch_size = spec.batch_size;
-      setup.num_examples = data.size();
-      BOLTON_ASSIGN_OR_RETURN(
-          sensitivity,
-          BoltOnSensitivity(loss, eta, setup, /*shards=*/1,
-                            spec.use_corrected_minibatch_sensitivity,
-                            spec.privacy));
-    }
+  if (bolton && resuming) {
+    // The original run calibrated (and ledger-recorded) this Δ₂; reuse it
+    // rather than re-recording a duplicate calibration event.
+    sensitivity = loaded.sensitivity;
+  } else if (bolton) {
+    BOLTON_ASSIGN_OR_RETURN(
+        sensitivity,
+        BoltOnSensitivity(
+            loss, black_box.eta,
+            SensitivitySetup{spec.passes, spec.batch_size, data.size()},
+            /*shards=*/1, spec.use_corrected_minibatch_sensitivity,
+            spec.privacy));
   }
 
   if (resuming) {
@@ -492,11 +452,6 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     // the checkpointed PsgdResumeState before consuming anything.
     psgd_rng = &psgd_rng_storage;
   }
-
-  PsgdOptions options;
-  options.run() = spec.run();
-  options.radius = loss.radius();
-  options.sampling = SamplingMode::kPermutation;
 
   auto sink = [&](const PsgdResumeState& state) -> Status {
     CheckpointData out;
@@ -532,9 +487,9 @@ Result<SolverOutput> RunSolverWithCheckpoints(
   if (resuming) plan.resume = &loaded.state;
 
   BOLTON_ASSIGN_OR_RETURN(
-      PsgdOutput run, RunPsgd(data, loss, *schedule, options, psgd_rng,
-                              /*noise=*/nullptr, /*pass_callback=*/nullptr,
-                              &plan));
+      PsgdOutput run,
+      RunPsgd(data, loss, *black_box.schedule, black_box.psgd, psgd_rng,
+              /*noise=*/nullptr, /*pass_callback=*/nullptr, &plan));
 
   SolverOutput out;
   if (bolton) {

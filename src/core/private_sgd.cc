@@ -1,14 +1,13 @@
 #include "core/private_sgd.h"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optim/parallel_executor.h"
-#include "optim/schedule.h"
 #include "util/failpoint.h"
-#include "util/strings.h"
 
 namespace bolton {
 
@@ -17,22 +16,6 @@ namespace {
 NoiseMechanism MechanismFor(const PrivacyParams& privacy) {
   return privacy.IsPure() ? NoiseMechanism::kLaplace
                           : NoiseMechanism::kGaussian;
-}
-
-SensitivitySetup SetupFor(const Dataset& data, const BoltOnOptions& options) {
-  SensitivitySetup setup;
-  setup.passes = options.passes;
-  setup.batch_size = options.batch_size;
-  setup.num_examples = data.size();
-  return setup;
-}
-
-PsgdOptions PsgdOptionsFor(const BoltOnOptions& options, double radius) {
-  PsgdOptions psgd;
-  psgd.run() = options.run();
-  psgd.radius = radius;
-  psgd.sampling = SamplingMode::kPermutation;
-  return psgd;
 }
 
 }  // namespace
@@ -96,91 +79,63 @@ Result<PrivateSgdOutput> BoltOnPerturb(const Vector& model, double sensitivity,
   return out;
 }
 
-Result<PrivateSgdOutput> PrivateConvexPsgd(const Dataset& data,
-                                           const LossFunction& loss,
-                                           const BoltOnOptions& options,
-                                           Rng* rng) {
-  BOLTON_RETURN_IF_ERROR(options.privacy.Validate());
+Result<BlackBoxPlan> PlanBlackBoxRun(const LossFunction& loss,
+                                     size_t num_examples,
+                                     const BoltOnOptions& options,
+                                     bool bolt_on) {
+  if (bolt_on) BOLTON_RETURN_IF_ERROR(options.privacy.Validate());
+  if (num_examples == 0) {
+    return Status::InvalidArgument("empty training set");
+  }
+  BlackBoxPlan plan;
+  plan.psgd.run() = options.run();
+  plan.psgd.radius = loss.radius();
   if (loss.IsStronglyConvex()) {
-    return Status::FailedPrecondition(
-        "Algorithm 1 requires a merely convex loss; use "
-        "PrivateStronglyConvexPsgd for gamma > 0");
+    if (bolt_on && !std::isfinite(loss.radius())) {
+      return Status::FailedPrecondition(
+          "Algorithm 2 runs constrained optimization; the loss must carry a "
+          "finite radius (the paper uses R = 1/lambda)");
+    }
+    // Algorithm 2, line 2: η_t = min(1/β, 1/(γt)); noiseless drops the cap.
+    BOLTON_ASSIGN_OR_RETURN(
+        plan.schedule,
+        MakeInverseTimeStep(loss.strong_convexity(),
+                            bolt_on ? loss.smoothness()
+                                    : std::numeric_limits<double>::infinity()));
+  } else {
+    plan.eta = bolt_on && options.constant_step > 0.0
+                   ? options.constant_step
+                   : 1.0 / std::sqrt(static_cast<double>(num_examples));
+    BOLTON_ASSIGN_OR_RETURN(plan.schedule, MakeConstantStep(plan.eta));
   }
-  if (data.empty()) return Status::InvalidArgument("empty training set");
-
-  // Table 4's default constant step: η = 1/√m.
-  const double eta =
-      options.constant_step > 0.0
-          ? options.constant_step
-          : 1.0 / std::sqrt(static_cast<double>(data.size()));
-  BOLTON_ASSIGN_OR_RETURN(
-      double sensitivity,
-      BoltOnSensitivity(loss, eta, SetupFor(data, options), options.shards,
-                        options.use_corrected_minibatch_sensitivity,
-                        options.privacy));
-  BOLTON_ASSIGN_OR_RETURN(auto schedule, MakeConstantStep(eta));
-
-  Rng psgd_rng = rng->Split();
-  BOLTON_ASSIGN_OR_RETURN(
-      ShardedPsgdOutput run,
-      RunShardedPsgd(data, loss, *schedule,
-                     PsgdOptionsFor(options, loss.radius()), &psgd_rng));
-
-  BOLTON_ASSIGN_OR_RETURN(
-      PrivateSgdOutput out,
-      BoltOnPerturb(run.model, sensitivity, options.privacy, rng));
-  out.stats = run.stats;
-  out.shards = run.shards;
-  return out;
-}
-
-Result<PrivateSgdOutput> PrivateStronglyConvexPsgd(const Dataset& data,
-                                                   const LossFunction& loss,
-                                                   const BoltOnOptions& options,
-                                                   Rng* rng) {
-  BOLTON_RETURN_IF_ERROR(options.privacy.Validate());
-  if (!loss.IsStronglyConvex()) {
-    return Status::FailedPrecondition(
-        "Algorithm 2 requires a strongly convex loss (gamma > 0)");
-  }
-  if (data.empty()) return Status::InvalidArgument("empty training set");
-  if (!std::isfinite(loss.radius())) {
-    return Status::FailedPrecondition(
-        "Algorithm 2 runs constrained optimization; the loss must carry a "
-        "finite radius (the paper uses R = 1/lambda)");
-  }
-
-  BOLTON_ASSIGN_OR_RETURN(
-      double sensitivity,
-      BoltOnSensitivity(loss, /*eta=*/0.0, SetupFor(data, options),
-                        options.shards,
-                        options.use_corrected_minibatch_sensitivity,
-                        options.privacy));
-  // Algorithm 2, line 2: η_t = min(1/β, 1/(γt)).
-  BOLTON_ASSIGN_OR_RETURN(
-      auto schedule,
-      MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
-
-  Rng psgd_rng = rng->Split();
-  BOLTON_ASSIGN_OR_RETURN(
-      ShardedPsgdOutput run,
-      RunShardedPsgd(data, loss, *schedule,
-                     PsgdOptionsFor(options, loss.radius()), &psgd_rng));
-
-  BOLTON_ASSIGN_OR_RETURN(
-      PrivateSgdOutput out,
-      BoltOnPerturb(run.model, sensitivity, options.privacy, rng));
-  out.stats = run.stats;
-  out.shards = run.shards;
-  return out;
+  return plan;
 }
 
 Result<PrivateSgdOutput> PrivatePsgd(const Dataset& data,
                                      const LossFunction& loss,
                                      const BoltOnOptions& options, Rng* rng) {
-  return loss.IsStronglyConvex()
-             ? PrivateStronglyConvexPsgd(data, loss, options, rng)
-             : PrivateConvexPsgd(data, loss, options, rng);
+  BOLTON_ASSIGN_OR_RETURN(
+      BlackBoxPlan plan,
+      PlanBlackBoxRun(loss, data.size(), options, /*bolt_on=*/true));
+  BOLTON_ASSIGN_OR_RETURN(
+      double sensitivity,
+      BoltOnSensitivity(
+          loss, plan.eta,
+          SensitivitySetup{options.passes, options.batch_size, data.size()},
+          options.shards, options.use_corrected_minibatch_sensitivity,
+          options.privacy));
+
+  Rng psgd_rng = rng->Split();
+  BOLTON_ASSIGN_OR_RETURN(
+      ShardedPsgdOutput run,
+      RunShardedPsgd(data, loss, *plan.schedule, plan.psgd, &psgd_rng));
+
+  BOLTON_ASSIGN_OR_RETURN(
+      PrivateSgdOutput out,
+      BoltOnPerturb(run.model, sensitivity, options.privacy, rng));
+  out.stats = run.stats;
+  out.shards = run.shards;
+  return out;
 }
 
 }  // namespace bolton

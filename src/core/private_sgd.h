@@ -1,32 +1,39 @@
 #ifndef BOLTON_CORE_PRIVATE_SGD_H_
 #define BOLTON_CORE_PRIVATE_SGD_H_
 
+#include <memory>
+
 #include "core/privacy.h"
 #include "core/sensitivity.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
+#include "optim/schedule.h"
 #include "random/dp_noise.h"
 #include "random/rng.h"
 #include "util/result.h"
 
 namespace bolton {
 
-/// Options shared by the bolt-on private PSGD algorithms. Embeds the
+/// Options shared by the bolt-on private PSGD algorithms. Extends the
 /// uniform SgdRunSpec (passes k, batch size b, output mode, fresh
-/// permutation, shards) with the bolt-on defaults k = 10, b = 50; shards
-/// > 1 runs the shard-parallel executor with noise calibrated to the max
-/// per-shard sensitivity (Lemma 10, core/sensitivity.h).
+/// permutation, shards) with the bolt-on defaults k = 10, b = 50 and the
+/// privacy budget; shards > 1 runs the shard-parallel executor with noise
+/// calibrated to the max per-shard sensitivity (Lemma 10,
+/// core/sensitivity.h). SolverSpec extends it in turn, and TrainerConfig
+/// extends SolverSpec, so a config reaches PrivatePsgd by reference, with
+/// no field copied.
 struct BoltOnOptions : SgdRunSpec {
   BoltOnOptions() : SgdRunSpec(/*passes=*/10, /*batch_size=*/50) {}
 
-  /// Privacy budget. delta == 0 selects the spherical-Laplace mechanism
-  /// (pure ε-DP, Theorems 4/5); delta > 0 selects the Gaussian mechanism
-  /// ((ε, δ)-DP, Theorems 6/7) and then requires epsilon < 1.
+  /// Privacy budget, ignored by noiseless runs. delta == 0 selects the
+  /// spherical-Laplace mechanism (pure ε-DP, Theorems 4/5; BST14 does not
+  /// support it); delta > 0 selects the Gaussian mechanism ((ε, δ)-DP,
+  /// Theorems 6/7) and then requires epsilon < 1.
   PrivacyParams privacy;
   /// Constant step size η for Algorithm 1. 0 selects the paper's default
-  /// η = 1/√m (Table 4). Ignored by Algorithm 2.
+  /// η = 1/√m (Table 4). Ignored by Algorithm 2 and by noiseless runs.
   double constant_step = 0.0;
   /// Algorithm 2 only. When false (default), calibrate noise to the
   /// paper's mini-batch sensitivity Δ₂ = 2L/(γmb) — faithful to the
@@ -70,32 +77,42 @@ Result<double> BoltOnSensitivity(const LossFunction& loss, double eta,
                                  bool use_corrected_minibatch,
                                  const PrivacyParams& privacy);
 
-/// Algorithm 1 — Private Convex Permutation-based SGD.
-///
-/// Requires a convex, non-strongly-convex loss (γ = 0) and η ≤ 2/β. Runs
-/// black-box PSGD with constant step η, computes Δ₂ = 2kLη/b (Corollary 1),
-/// and publishes w + κ with κ from the mechanism selected by
-/// `options.privacy`. Optimization is unconstrained unless the loss carries
-/// a finite radius, in which case iterates are projected (rule (7), which
-/// leaves the sensitivity argument unchanged).
-Result<PrivateSgdOutput> PrivateConvexPsgd(const Dataset& data,
-                                           const LossFunction& loss,
-                                           const BoltOnOptions& options,
-                                           Rng* rng);
+/// How one black-box run executes, chosen by PlanBlackBoxRun.
+struct BlackBoxPlan {
+  /// The Table 4 step size.
+  std::unique_ptr<StepSizeSchedule> schedule;
+  /// Algorithm 1's constant step η, the one BoltOnSensitivity calibrates
+  /// Corollary 1 with; 0 when the loss is strongly convex.
+  double eta = 0.0;
+  /// The caller's run spec, projected onto the loss's radius.
+  PsgdOptions psgd;
+};
 
-/// Algorithm 2 — Private Strongly Convex Permutation-based SGD.
-///
-/// Requires γ > 0 and a finite hypothesis radius R (the paper sets
-/// R = 1/λ). Runs black-box projected PSGD with η_t = min(1/β, 1/(γt)),
-/// computes Δ₂ = 2L/(γmb) (Lemma 8 — independent of k), and publishes
-/// w + κ.
-Result<PrivateSgdOutput> PrivateStronglyConvexPsgd(const Dataset& data,
-                                                   const LossFunction& loss,
-                                                   const BoltOnOptions& options,
-                                                   Rng* rng);
+/// The one place a black-box run (noiseless or bolt-on) chooses its step
+/// size, per Table 4 and the loss's convexity:
+///   noiseless: convex η = 1/√m; strongly convex η_t = 1/(γt), no 1/β cap;
+///   bolt-on:   Algorithm 1 (γ = 0) η = options.constant_step, or 1/√m
+///              when that is 0; Algorithm 2 (γ > 0) η_t = min(1/β, 1/(γt)),
+///              and the loss must carry a finite radius (the paper uses
+///              R = 1/λ), since Lemma 8 holds for projected PSGD only.
+/// A bolt-on plan first validates options.privacy. PrivatePsgd, the
+/// noiseless solver, RunSolverWithCheckpoints and the engine's
+/// RunBoltOnPrivateDriver all take their schedule from here.
+Result<BlackBoxPlan> PlanBlackBoxRun(const LossFunction& loss,
+                                     size_t num_examples,
+                                     const BoltOnOptions& options,
+                                     bool bolt_on);
 
-/// Dispatches on loss.IsStronglyConvex(): Algorithm 2 when γ > 0, else
-/// Algorithm 1. The convenience entry point used by examples and benches.
+/// Algorithms 1 and 2 — private permutation-based SGD. The loss picks the
+/// algorithm: Algorithm 1 for a merely convex loss (γ = 0, η ≤ 2/β, Δ₂ =
+/// 2kLη/b by Corollary 1), Algorithm 2 for a strongly convex one (γ > 0,
+/// Δ₂ = 2L/(γmb) by Lemma 8, independent of k). Both are one recipe: plan the
+/// step size (PlanBlackBoxRun), calibrate Δ₂ (BoltOnSensitivity), split
+/// the caller's rng, run black-box PSGD (RunShardedPsgd, serial when
+/// options.shards is 1) and publish w + κ (BoltOnPerturb) with κ from the
+/// mechanism `options.privacy` selects. Iterates are projected onto the
+/// loss's radius when it is finite (rule (7), which leaves Corollary 1
+/// unchanged).
 Result<PrivateSgdOutput> PrivatePsgd(const Dataset& data,
                                      const LossFunction& loss,
                                      const BoltOnOptions& options, Rng* rng);

@@ -1,7 +1,5 @@
 #include "core/solver.h"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/bst14.h"
@@ -10,14 +8,11 @@
 #include "core/scs13.h"
 #include "obs/trace.h"
 #include "optim/parallel_executor.h"
-#include "optim/schedule.h"
 #include "util/strings.h"
 
 namespace bolton {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One row per algorithm; AlgorithmName / ParseAlgorithm / the error
 /// message all read this table, so adding an algorithm cannot leave one of
@@ -53,21 +48,12 @@ Status RejectShards(Algorithm algorithm, size_t shards) {
 Result<SolverOutput> RunNoiseless(const Dataset& data,
                                   const LossFunction& loss,
                                   const SolverSpec& spec, Rng* rng) {
-  std::unique_ptr<StepSizeSchedule> schedule;
-  if (loss.IsStronglyConvex()) {
-    // Table 4: noiseless strongly convex uses 1/(γt), no 1/β cap.
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule, MakeInverseTimeStep(loss.strong_convexity(), kInf));
-  } else {
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule,
-        MakeConstantStep(1.0 / std::sqrt(static_cast<double>(data.size()))));
-  }
-  PsgdOptions options;
-  options.run() = spec.run();
-  options.radius = loss.radius();
-  BOLTON_ASSIGN_OR_RETURN(ShardedPsgdOutput run,
-                          RunShardedPsgd(data, loss, *schedule, options, rng));
+  BOLTON_ASSIGN_OR_RETURN(
+      BlackBoxPlan plan,
+      PlanBlackBoxRun(loss, data.size(), spec, /*bolt_on=*/false));
+  BOLTON_ASSIGN_OR_RETURN(
+      ShardedPsgdOutput run,
+      RunShardedPsgd(data, loss, *plan.schedule, plan.psgd, rng));
   SolverOutput out;
   out.model = std::move(run.model);
   out.stats = run.stats;
@@ -110,14 +96,8 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
       return RunNoiseless(data, loss, spec, rng);
 
     case Algorithm::kBoltOn: {
-      BoltOnOptions options;
-      options.run() = spec.run();
-      options.privacy = spec.privacy;
-      options.constant_step = spec.constant_step;
-      options.use_corrected_minibatch_sensitivity =
-          spec.use_corrected_minibatch_sensitivity;
       BOLTON_ASSIGN_OR_RETURN(PrivateSgdOutput run,
-                              PrivatePsgd(data, loss, options, rng));
+                              PrivatePsgd(data, loss, spec, rng));
       SolverOutput out;
       out.model = std::move(run.model);
       out.stats = run.stats;
@@ -132,7 +112,6 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
       options.privacy = spec.privacy;
       options.passes = spec.passes;
       options.batch_size = spec.batch_size;
-      options.step_scale = spec.scs13_step_scale;
       BOLTON_ASSIGN_OR_RETURN(Scs13Output run,
                               RunScs13(data, loss, options, rng));
       SolverOutput out;

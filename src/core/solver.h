@@ -4,12 +4,11 @@
 #include <cstddef>
 #include <string>
 
-#include "core/privacy.h"
+#include "core/private_sgd.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
-#include "optim/sgd_spec.h"
 #include "random/rng.h"
 #include "util/result.h"
 
@@ -32,25 +31,14 @@ const char* AlgorithmName(Algorithm algorithm);
 /// an unknown name returns NotFound listing every valid choice.
 Result<Algorithm> ParseAlgorithm(const std::string& name);
 
-/// One private (or noiseless) training run's configuration: the shared
-/// SgdRunSpec (passes, batch size, output mode, fresh permutation, shards)
-/// with the training defaults k = 10, b = 50, plus the per-algorithm knobs.
-/// This is the single surface RunPrivateSolver dispatches on; TrainerConfig
-/// and the engine driver both convert into it rather than re-implementing
-/// the dispatch.
-struct SolverSpec : SgdRunSpec {
-  SolverSpec() : SgdRunSpec(/*passes=*/10, /*batch_size=*/50) {}
-
-  /// Ignored by kNoiseless. delta == 0 ⇒ pure ε-DP (not supported by
-  /// BST14); delta > 0 ⇒ (ε, δ)-DP.
-  PrivacyParams privacy;
-  /// Bolt-on Algorithm 1's constant step η; 0 = the paper's 1/√m default.
-  double constant_step = 0.0;
-  /// Calibrate bolt-on noise to the corrected mini-batch bound instead of
-  /// the paper's /b-scaled one (DESIGN.md §6).
-  bool use_corrected_minibatch_sensitivity = false;
-  /// Scale c of SCS13's η_t = c/√t schedule (Table 4 uses 1).
-  double scs13_step_scale = 1.0;
+/// One private (or noiseless) training run's configuration: BoltOnOptions
+/// (the shared SgdRunSpec with the training defaults k = 10, b = 50, the
+/// privacy budget, Algorithm 1's constant step and the mini-batch bound)
+/// plus BST14's convex radius. SCS13 runs Table 4's η_t = 1/√t. This is
+/// the surface RunPrivateSolver dispatches on; TrainerConfig extends it, so
+/// a config reaches the solver, and the solver reaches PrivatePsgd, by
+/// reference.
+struct SolverSpec : BoltOnOptions {
   /// Hypothesis radius handed to BST14 in the convex case, where the loss
   /// itself is unconstrained but Algorithm 4 needs a finite R.
   double bst14_convex_radius = 10.0;
@@ -70,8 +58,8 @@ struct SolverOutput {
 
 /// The single dispatch point for every training algorithm, with the Table 4
 /// step-size conventions applied per (algorithm, convexity):
-///   noiseless: convex 1/√m, strongly convex 1/(γt) — sharded when
-///              spec.shards > 1;
+///   noiseless: PlanBlackBoxRun's schedule (convex 1/√m, strongly convex
+///              1/(γt)) — sharded when spec.shards > 1;
 ///   bolt-on:   Algorithms 1/2 via PrivatePsgd (sharding per Lemma 10);
 ///   SCS13:     1/√t per-update noise — rejects shards > 1;
 ///   BST14:     Algorithm 4/5 schedules — rejects shards > 1;

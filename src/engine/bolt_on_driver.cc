@@ -1,106 +1,70 @@
 #include "engine/bolt_on_driver.h"
 
-#include <cmath>
 #include <utility>
 
 #include "core/sensitivity.h"
 #include "obs/trace.h"
 #include "optim/parallel_executor.h"
-#include "optim/schedule.h"
 
 namespace bolton {
-
-namespace {
-
-/// Shard-parallel variant of the driver run: materializes the table into a
-/// Dataset and hands it to RunShardedPsgd, so each shard runs the identical
-/// serial black box over its slice. Epoch-level instrumentation
-/// (epoch_seconds, convergence testing) is per-shard here and not surfaced,
-/// so the driver reports exactly options.passes epochs.
-Result<DriverOutput> RunShardedDriver(Table* table, const LossFunction& loss,
-                                      const StepSizeSchedule& schedule,
-                                      const BoltOnOptions& options, Rng* rng) {
-  BOLTON_ASSIGN_OR_RETURN(Dataset data, table->ToDataset());
-  PsgdOptions psgd;
-  psgd.run() = options.run();
-  psgd.radius = loss.radius();
-  psgd.sampling = SamplingMode::kPermutation;
-  BOLTON_ASSIGN_OR_RETURN(ShardedPsgdOutput run,
-                          RunShardedPsgd(data, loss, schedule, psgd, rng));
-  DriverOutput out;
-  out.model = std::move(run.model);
-  out.epochs_run = options.passes;
-  out.stats = run.stats;
-  return out;
-}
-
-}  // namespace
 
 Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
                                                   const LossFunction& loss,
                                                   const BoltOnOptions& options,
                                                   double tolerance, Rng* rng) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  BOLTON_RETURN_IF_ERROR(options.privacy.Validate());
   const size_t m = table->num_rows();
-  if (m == 0) return Status::InvalidArgument("empty table");
+  BOLTON_ASSIGN_OR_RETURN(BlackBoxPlan plan,
+                          PlanBlackBoxRun(loss, m, options, /*bolt_on=*/true));
+  if (tolerance > 0.0 && !loss.IsStronglyConvex()) {
+    // Algorithm 1 on the engine: the epoch count enters the sensitivity, so
+    // it must be fixed up front.
+    return Status::FailedPrecondition(
+        "convex bolt-on training must run a fixed number of epochs; "
+        "convergence-based stopping would leak the realized pass count "
+        "into the sensitivity (see Lemma 6)");
+  }
+  if (tolerance > 0.0 && options.shards > 1) {
+    // Algorithm 2's k-oblivious sensitivity allows the convergence test,
+    // but only the serial driver runs it.
+    return Status::FailedPrecondition(
+        "sharded bolt-on training runs a fixed number of epochs per "
+        "shard; convergence-based stopping is serial-only (shards=1)");
+  }
 
   obs::ScopedSpan train_span("bolton.train");
 
-  DriverOptions driver_options;
-  driver_options.max_epochs = options.passes;
-  driver_options.batch_size = options.batch_size;
-  driver_options.radius = loss.radius();
-
-  std::unique_ptr<StepSizeSchedule> schedule;
-  double eta = 0.0;
-  if (loss.IsStronglyConvex()) {
-    // Algorithm 2 on the engine: k-oblivious sensitivity allows the
-    // convergence test (serial path only — shards run fixed epochs).
-    if (tolerance > 0.0 && options.shards > 1) {
-      return Status::FailedPrecondition(
-          "sharded bolt-on training runs a fixed number of epochs per "
-          "shard; convergence-based stopping is serial-only (shards=1)");
-    }
-    driver_options.tolerance = tolerance;
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule,
-        MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
-  } else {
-    // Algorithm 1 on the engine: the epoch count enters the sensitivity, so
-    // it must be fixed up front.
-    if (tolerance > 0.0) {
-      return Status::FailedPrecondition(
-          "convex bolt-on training must run a fixed number of epochs; "
-          "convergence-based stopping would leak the realized pass count "
-          "into the sensitivity (see Lemma 6)");
-    }
-    eta = options.constant_step > 0.0
-              ? options.constant_step
-              : 1.0 / std::sqrt(static_cast<double>(m));
-    BOLTON_ASSIGN_OR_RETURN(schedule, MakeConstantStep(eta));
-  }
-
   // --- The unmodified black box: the serial engine driver, or s parallel
-  // copies of it over disjoint shards (Lemma 10). ---
+  // copies of it over disjoint shards (Lemma 10). The sharded run
+  // materializes the table and hands it to RunShardedPsgd; its per-shard
+  // epoch instrumentation is not surfaced, so it reports exactly
+  // options.passes epochs. ---
   DriverOutput run;
   if (options.shards > 1) {
+    BOLTON_ASSIGN_OR_RETURN(Dataset data, table->ToDataset());
     BOLTON_ASSIGN_OR_RETURN(
-        run, RunShardedDriver(table, loss, *schedule, options, rng));
+        ShardedPsgdOutput sharded,
+        RunShardedPsgd(data, loss, *plan.schedule, plan.psgd, rng));
+    run.model = std::move(sharded.model);
+    run.epochs_run = options.passes;
+    run.stats = sharded.stats;
   } else {
+    DriverOptions driver_options;
+    driver_options.max_epochs = options.passes;
+    driver_options.tolerance = tolerance;
+    driver_options.batch_size = options.batch_size;
+    driver_options.radius = loss.radius();
     BOLTON_ASSIGN_OR_RETURN(
-        run, RunSgdDriver(table, loss, *schedule, driver_options, rng));
+        run, RunSgdDriver(table, loss, *plan.schedule, driver_options, rng));
   }
 
   // --- The bolt-on: compute Δ₂ for the run that actually happened, draw
   // one noise vector, add it in the front end. ---
-  SensitivitySetup setup;
-  setup.passes = run.epochs_run;
-  setup.batch_size = options.batch_size;
-  setup.num_examples = m;
   BOLTON_ASSIGN_OR_RETURN(
       double sensitivity,
-      BoltOnSensitivity(loss, eta, setup, options.shards,
+      BoltOnSensitivity(loss, plan.eta,
+                        SensitivitySetup{run.epochs_run, options.batch_size, m},
+                        options.shards,
                         options.use_corrected_minibatch_sensitivity,
                         options.privacy));
 

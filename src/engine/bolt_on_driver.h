@@ -19,14 +19,15 @@ struct BoltOnDriverOutput {
 /// controller. This function is the C++ equivalent of the "about 10 lines
 /// of Python" of §4.2; it contains no SGD logic of its own.
 ///
-/// Convex losses (γ = 0) run Algorithm 1: constant step η (options.
-/// constant_step, default 1/√m), exactly options.passes epochs (the driver's
-/// convergence test is disabled because Δ₂ = 2kLη/b depends on the realized
-/// epoch count k). Strongly convex losses run Algorithm 2: η_t =
-/// min(1/β, 1/(γt)), projection onto R, and — because Δ₂ = 2L/(γmb) is
-/// k-oblivious (§4.3 "the number of passes k is oblivious to private
-/// SGD") — `tolerance` MAY be set to stop early on convergence with
-/// options.passes as the cap K.
+/// The step size and its preconditions come from PlanBlackBoxRun, as in
+/// PrivatePsgd. Convex losses (γ = 0) run Algorithm 1: constant step η
+/// (options.constant_step, default 1/√m), exactly options.passes epochs
+/// (the driver's convergence test is disabled because Δ₂ = 2kLη/b depends
+/// on the realized epoch count k). Strongly convex losses run Algorithm 2:
+/// η_t = min(1/β, 1/(γt)), projection onto R, and — because Δ₂ =
+/// 2L/(γmb) is k-oblivious (§4.3 "the number of passes k is oblivious to
+/// private SGD") — `tolerance` MAY be set to stop early on convergence
+/// with options.passes as the cap K.
 ///
 /// options.shards > 1 runs s copies of the unchanged black box over
 /// disjoint shards of the table and averages them (Lemma 10), with the

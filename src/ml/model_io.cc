@@ -1,6 +1,5 @@
 #include "ml/model_io.h"
 
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -13,7 +12,7 @@ namespace bolton {
 
 namespace {
 
-constexpr char kMagic[] = "bolton-model v1";
+constexpr char kMagic[] = "bolton-model v2";
 
 /// Renders the whole file in memory and replaces `path` atomically, so a
 /// crash or a failed write mid-save leaves the previous model intact.
@@ -28,10 +27,12 @@ Status WriteModelFile(const std::vector<const Vector*>& weights,
   for (const Vector* w : weights) {
     for (size_t i = 0; i < w->dim(); ++i) out << (*w)[i] << "\n";
   }
+  std::string content = out.str();
+  AppendChecksumLine(&content);
   const size_t slash = path.rfind('/');
   const std::string dir =
       slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  return AtomicWriteFile(path + ".tmp", path, dir, out.str(), 0666);
+  return AtomicWriteFile(path + ".tmp", path, dir, content, 0666);
 }
 
 struct ParsedModel {
@@ -42,44 +43,34 @@ struct ParsedModel {
 
 Result<ParsedModel> ReadModelFile(const std::string& path) {
   BOLTON_FAILPOINT("model_io.load");
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-
-  auto next_line = [&in](std::string* line) -> bool {
-    while (std::getline(in, *line)) {
-      std::string_view stripped = StripWhitespace(*line);
-      if (stripped.empty() || stripped[0] == '#') continue;
-      *line = std::string(stripped);
-      return true;
-    }
-    return false;
-  };
-
-  std::string line;
-  if (!next_line(&line) || line != kMagic) {
-    return Status::InvalidArgument(path + " is not a bolton-model v1 file");
+  BOLTON_ASSIGN_OR_RETURN(std::string body, ReadChecksummedFile(path, kMagic));
+  // Every body line ends in '\n', so the split's last field is empty.
+  std::vector<std::string> lines = StrSplit(body, '\n');
+  lines.pop_back();
+  if (lines.size() < 2) {
+    return Status::InvalidArgument(path + ": truncated header");
   }
-  if (!next_line(&line)) return Status::InvalidArgument("truncated header");
-  BOLTON_ASSIGN_OR_RETURN(int64_t num_classes, ParseInt(line));
-  if (!next_line(&line)) return Status::InvalidArgument("truncated header");
-  BOLTON_ASSIGN_OR_RETURN(int64_t dim, ParseInt(line));
+  BOLTON_ASSIGN_OR_RETURN(int64_t num_classes, ParseInt(lines[0]));
+  BOLTON_ASSIGN_OR_RETURN(int64_t dim, ParseInt(lines[1]));
   if (num_classes < 1 || dim < 1) {
-    return Status::InvalidArgument("non-positive model dimensions");
+    return Status::InvalidArgument(path + ": non-positive model dimensions");
   }
 
   ParsedModel model;
   model.num_classes = static_cast<size_t>(num_classes);
   model.dim = static_cast<size_t>(dim);
+  const size_t values = lines.size() - 2;
+  if (values % model.dim != 0 || values / model.dim != model.num_classes) {
+    return Status::InvalidArgument(
+        StrFormat("%s: expected %zu x %zu weight values, found %zu",
+                  path.c_str(), model.num_classes, model.dim, values));
+  }
   model.weights.reserve(model.num_classes);
+  size_t line = 2;
   for (size_t c = 0; c < model.num_classes; ++c) {
     Vector w(model.dim);
     for (size_t i = 0; i < model.dim; ++i) {
-      if (!next_line(&line)) {
-        return Status::InvalidArgument(
-            StrFormat("truncated weights: expected %zu x %zu values",
-                      model.num_classes, model.dim));
-      }
-      BOLTON_ASSIGN_OR_RETURN(w[i], ParseDouble(line));
+      BOLTON_ASSIGN_OR_RETURN(w[i], ParseDouble(lines[line++]));
     }
     model.weights.push_back(std::move(w));
   }

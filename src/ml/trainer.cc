@@ -24,21 +24,13 @@ Result<std::unique_ptr<LossFunction>> MakeLossForConfig(
   return Status::Internal("unknown model kind");
 }
 
-SolverSpec SolverSpecForConfig(const TrainerConfig& config) {
-  SolverSpec spec;
-  spec.run() = config.run();
-  spec.privacy = config.privacy;
-  spec.bst14_convex_radius = config.bst14_convex_radius;
-  return spec;
-}
-
 Result<Vector> TrainBinary(const Dataset& train, const TrainerConfig& config,
                            Rng* rng) {
   if (train.empty()) return Status::InvalidArgument("empty training set");
   BOLTON_ASSIGN_OR_RETURN(auto loss, MakeLossForConfig(config));
   BOLTON_ASSIGN_OR_RETURN(
-      SolverOutput out, RunPrivateSolver(config.algorithm, train, *loss,
-                                         SolverSpecForConfig(config), rng));
+      SolverOutput out,
+      RunPrivateSolver(config.algorithm, train, *loss, config, rng));
   return std::move(out.model);
 }
 

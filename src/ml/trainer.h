@@ -5,11 +5,9 @@
 #include <string>
 
 #include "core/multiclass.h"
-#include "core/privacy.h"
 #include "core/solver.h"
 #include "data/dataset.h"
 #include "optim/loss.h"
-#include "optim/sgd_spec.h"
 #include "random/rng.h"
 #include "util/result.h"
 
@@ -23,15 +21,16 @@ namespace bolton {
 enum class ModelKind { kLogistic, kHuberSvm };
 
 /// One experiment's training configuration — the uniform surface every
-/// bench and example drives. Embeds the shared SgdRunSpec (passes, batch
-/// size, output mode, fresh permutation, shards) with the training defaults
-/// k = 10, b = 50; set `output = OutputMode::kAverageAll` to average all
-/// iterates, and `shards > 1` to run the noiseless / bolt-on algorithms on
-/// the shard-parallel executor. The Table 4 step-size conventions are
-/// applied automatically per (algorithm, convexity).
-struct TrainerConfig : SgdRunSpec {
-  TrainerConfig() : SgdRunSpec(/*passes=*/10, /*batch_size=*/50) {}
-
+/// bench and example drives. Extends SolverSpec, so it carries everything
+/// a solver run takes (the SgdRunSpec with the training defaults k = 10,
+/// b = 50, the privacy budget, Algorithm 1's constant step, the mini-batch
+/// bound and BST14's convex radius) and hands it to RunPrivateSolver by
+/// reference; this struct adds only what picks and builds the loss. Set
+/// `output = OutputMode::kAverageAll` to average all iterates, and
+/// `shards > 1` to run the noiseless / bolt-on algorithms on the
+/// shard-parallel executor. The Table 4 step-size conventions are applied
+/// automatically per (algorithm, convexity).
+struct TrainerConfig : SolverSpec {
   Algorithm algorithm = Algorithm::kNoiseless;
   ModelKind model = ModelKind::kLogistic;
   /// λ = 0 selects the convex tests (plain loss, unconstrained);
@@ -39,12 +38,6 @@ struct TrainerConfig : SgdRunSpec {
   double lambda = 0.0;
   /// Huber smoothing width (Appendix B uses h = 0.1).
   double huber_h = 0.1;
-  /// Ignored for kNoiseless. delta == 0 ⇒ pure ε-DP (not supported by
-  /// BST14); delta > 0 ⇒ (ε, δ)-DP.
-  PrivacyParams privacy;
-  /// Hypothesis radius handed to BST14 in the convex case, where the loss
-  /// itself is unconstrained but Algorithm 4 needs a finite R.
-  double bst14_convex_radius = 10.0;
   /// Threads for one-vs-all sub-model training (1 = serial; results are
   /// bit-identical at any thread count).
   size_t training_threads = 1;
@@ -55,15 +48,11 @@ struct TrainerConfig : SgdRunSpec {
 Result<std::unique_ptr<LossFunction>> MakeLossForConfig(
     const TrainerConfig& config);
 
-/// The SolverSpec a config denotes — the conversion TrainBinary uses to
-/// delegate to RunPrivateSolver. Exposed so callers that already hold the
-/// loss can drive the core dispatch directly.
-SolverSpec SolverSpecForConfig(const TrainerConfig& config);
-
 /// Trains one ±1 binary linear model per the config: builds the loss and
 /// delegates to core/RunPrivateSolver. Step sizes follow Table 4:
 ///   noiseless: convex 1/√m, strongly convex 1/(γt);
-///   bolt-on:   convex 1/√m, strongly convex min(1/β, 1/(γt));
+///   bolt-on:   convex constant_step or 1/√m, strongly convex
+///              min(1/β, 1/(γt));
 ///   SCS13:     1/√t;
 ///   BST14:     Algorithm 4/5 schedules.
 Result<Vector> TrainBinary(const Dataset& train, const TrainerConfig& config,

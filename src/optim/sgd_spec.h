@@ -13,9 +13,9 @@ class ThreadPool;
 /// rest of the spec; everything here can only change speed, never results
 /// (the executor's determinism contract).
 ///
-/// It rides inside SgdRunSpec, so it flows CLI → TrainerConfig →
-/// SolverSpec → BoltOnOptions → PsgdOptions through the existing one-line
-/// `dst.run() = src.run()` conversions.
+/// It rides inside SgdRunSpec, so it flows from the CLI's TrainerConfig
+/// (which is-a SolverSpec, which is-a BoltOnOptions) to the PsgdOptions the
+/// executor reads with one `psgd.run() = options.run()` copy.
 struct ExecutorConfig {
   /// Pool to dispatch shard slices onto; nullptr = the process-wide
   /// GlobalThreadPool(). Injecting a pool is for tests and embedders that
@@ -46,10 +46,13 @@ enum class OutputMode {
 
 /// The run parameters every SGD-driving surface in the library shares.
 ///
-/// PsgdOptions, BoltOnOptions, TrainerConfig, and SolverSpec all embed this
-/// spec (by inheritance, so existing `options.passes`-style call sites stay
-/// one-line) instead of re-declaring the fields; converting between layers
-/// is a single `dst.run() = src.run();` assignment.
+/// PsgdOptions and BoltOnOptions extend this spec (by inheritance, so
+/// `options.passes`-style call sites stay one-line) instead of
+/// re-declaring the fields. The solver-side option structs form one chain,
+/// TrainerConfig : SolverSpec : BoltOnOptions : SgdRunSpec, in which each
+/// struct declares only its own fields, so a config reaches the solver by
+/// reference. The one conversion left, into the black box's PsgdOptions,
+/// is a single `psgd.run() = options.run();` assignment.
 struct SgdRunSpec {
   /// Number of passes over the data (k).
   size_t passes = 1;

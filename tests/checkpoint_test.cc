@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -229,70 +230,81 @@ TEST_F(CheckpointTest, OnDiskBytesAndSpecHashArePinned) {
             0x949e8523f956e5f4ull);
 }
 
+/// The logistic loss at λ: Algorithm 2's R = 1/λ when λ > 0, otherwise
+/// Algorithm 1's unconstrained convex loss.
+std::unique_ptr<LossFunction> LogisticLossAt(double lambda) {
+  return MakeLogisticLoss(lambda, lambda > 0.0 ? 1.0 / lambda : kInf)
+      .MoveValue();
+}
+
 TEST_F(CheckpointTest, UninterruptedCheckpointedRunMatchesPlainSolver) {
   Dataset data = MakeTrainingSet();
-  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
   SolverSpec spec;
   spec.passes = 3;
   spec.batch_size = 4;
   spec.privacy = PrivacyParams{1.0, 0.0};
 
-  for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
-    Rng plain_rng(17), ckpt_rng(17);
-    auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (double lambda : {0.1, 0.0}) {
+    auto loss = LogisticLossAt(lambda);
+    for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
+      Rng plain_rng(17), ckpt_rng(17);
+      auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
-    CheckpointOptions options;
-    options.dir = MakeCheckpointDir("ckpt_uninterrupted");
-    auto checkpointed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
-                                                 &ckpt_rng, options);
-    ASSERT_TRUE(checkpointed.ok()) << checkpointed.status().ToString();
-    EXPECT_EQ(plain.value().model, checkpointed.value().model)
-        << "algorithm " << AlgorithmName(algorithm);
-    EXPECT_EQ(plain.value().sensitivity, checkpointed.value().sensitivity);
-    // A successful run removes its checkpoint: it holds pre-noise state.
-    EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+      CheckpointOptions options;
+      options.dir = MakeCheckpointDir("ckpt_uninterrupted");
+      auto checkpointed = RunSolverWithCheckpoints(algorithm, data, *loss,
+                                                   spec, &ckpt_rng, options);
+      ASSERT_TRUE(checkpointed.ok()) << checkpointed.status().ToString();
+      EXPECT_EQ(plain.value().model, checkpointed.value().model)
+          << "algorithm " << AlgorithmName(algorithm) << " lambda " << lambda;
+      EXPECT_EQ(plain.value().sensitivity, checkpointed.value().sensitivity);
+      // A successful run removes its checkpoint: it holds pre-noise state.
+      EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+    }
   }
 }
 
 TEST_F(CheckpointTest, ResumeAfterInjectedCrashIsBitIdentical) {
   Dataset data = MakeTrainingSet();
-  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   SolverSpec spec;
   spec.passes = 4;
   spec.batch_size = 4;
   spec.privacy = PrivacyParams{0.5, 0.0};
 
-  for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
-    Rng plain_rng(23);
-    auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (double lambda : {0.0, 0.1}) {
+    auto loss = LogisticLossAt(lambda);
+    for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
+      Rng plain_rng(23);
+      auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
-    CheckpointOptions options;
-    options.dir = MakeCheckpointDir("ckpt_resume");
+      CheckpointOptions options;
+      options.dir = MakeCheckpointDir("ckpt_resume");
 
-    // "Crash" when pass 3 begins: passes 1 and 2 are checkpointed.
-    ASSERT_TRUE(
-        FailpointRegistry::Default().Configure("psgd.pass:error@3").ok());
-    Rng crash_rng(23);
-    auto crashed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
-                                            &crash_rng, options);
-    FailpointRegistry::Default().Clear();
-    ASSERT_FALSE(crashed.ok());
-    EXPECT_NE(crashed.status().message().find("failpoint"),
-              std::string::npos);
-    ASSERT_TRUE(CheckpointManager(options.dir).Exists());
+      // "Crash" when pass 3 begins: passes 1 and 2 are checkpointed.
+      ASSERT_TRUE(
+          FailpointRegistry::Default().Configure("psgd.pass:error@3").ok());
+      Rng crash_rng(23);
+      auto crashed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
+                                              &crash_rng, options);
+      FailpointRegistry::Default().Clear();
+      ASSERT_FALSE(crashed.ok());
+      EXPECT_NE(crashed.status().message().find("failpoint"),
+                std::string::npos);
+      ASSERT_TRUE(CheckpointManager(options.dir).Exists());
 
-    // Resume in a fresh "process" (fresh rng object; its seed is irrelevant
-    // because every stream is restored from the checkpoint).
-    options.resume = true;
-    Rng resume_rng(99);
-    auto resumed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
-                                            &resume_rng, options);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    EXPECT_EQ(plain.value().model, resumed.value().model)
-        << "algorithm " << AlgorithmName(algorithm);
-    EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+      // Resume in a fresh "process" (fresh rng object; its seed is
+      // irrelevant because every stream is restored from the checkpoint).
+      options.resume = true;
+      Rng resume_rng(99);
+      auto resumed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
+                                              &resume_rng, options);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      EXPECT_EQ(plain.value().model, resumed.value().model)
+          << "algorithm " << AlgorithmName(algorithm) << " lambda " << lambda;
+      EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+    }
   }
 }
 

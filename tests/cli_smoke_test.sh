@@ -39,6 +39,19 @@ if [ "$ok" != "1" ]; then
   exit 1
 fi
 
+# An edited model is refused, not scored: evaluate names the checksum on
+# stderr and exits 1 (an ordinary failure, not an abort).
+sed '4s/$/1/' "$WORKDIR/noiseless.model" > "$WORKDIR/edited.model"
+status=0
+"$CLI" evaluate --data "$WORKDIR/train.libsvm.test" \
+    --model "$WORKDIR/edited.model" > /dev/null 2> "$WORKDIR/edited.err" ||
+  status=$?
+if [ "$status" != "1" ]; then
+  echo "evaluate on an edited model exited $status, expected 1" >&2
+  exit 1
+fi
+grep -q "checksum mismatch" "$WORKDIR/edited.err"
+
 # Telemetry: --metrics dumps counters, --trace-out/--ledger-out write JSONL.
 "$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
     --epsilon 4 --lambda 0.01 --passes 5 --batch 10 \

@@ -73,7 +73,7 @@ class DpPropertyTest : public ::testing::Test {
     auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
     for (int r = 0; r < runs; ++r) {
       Rng rng(seed_base + r);
-      auto out = PrivateConvexPsgd(data, *loss, options, &rng);
+      auto out = PrivatePsgd(data, *loss, options, &rng);
       out.status().CheckOK();
       projections.push_back(Dot(out.value().model, direction));
     }

@@ -214,27 +214,36 @@ TEST(DriverTest, Validation) {
 // ---------------------------------------------------------------------------
 
 TEST(BoltOnDriverTest, ConvexPrivateModelIsDriverPlusNoise) {
-  Dataset data = MakeData();
+  // m = 256, so Table 4's default η = 1/√m = 1/16 differs from the set
+  // constant step 0.05 (at m = 400 the two would coincide).
+  Dataset data = MakeData(256);
   auto table = MakeTable(data, StorageMode::kMemory).MoveValue();
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
-  BoltOnOptions options;
-  options.privacy = PrivacyParams{1.0, 0.0};
-  options.passes = 5;
-  options.batch_size = 10;
-  Rng rng(6);
-  auto out = RunBoltOnPrivateDriver(table.get(), *loss, options,
-                                    /*tolerance=*/0.0, &rng);
-  ASSERT_TRUE(out.ok());
-  const auto& priv = out.value().private_output;
-  Vector kappa = priv.model - priv.noiseless_model;
-  EXPECT_NEAR(kappa.Norm(), priv.noise_norm, 1e-12);
-  EXPECT_EQ(out.value().driver.epochs_run, 5u);
-  // Sensitivity matches Corollary 1 with the realized epoch count.
-  const double eta = 1.0 / std::sqrt(static_cast<double>(data.size()));
-  EXPECT_DOUBLE_EQ(priv.sensitivity,
-                   2.0 * 5 * loss->lipschitz() * eta / 10.0);
-  // Zero white-box noise draws — black-box integration.
-  EXPECT_EQ(out.value().driver.stats.noise_samples, 0u);
+  for (double constant_step : {0.0, 0.05}) {
+    BoltOnOptions options;
+    options.privacy = PrivacyParams{1.0, 0.0};
+    options.passes = 5;
+    options.batch_size = 10;
+    options.constant_step = constant_step;
+    Rng rng(6);
+    auto out = RunBoltOnPrivateDriver(table.get(), *loss, options,
+                                      /*tolerance=*/0.0, &rng);
+    ASSERT_TRUE(out.ok());
+    const auto& priv = out.value().private_output;
+    Vector kappa = priv.model - priv.noiseless_model;
+    EXPECT_NEAR(kappa.Norm(), priv.noise_norm, 1e-12);
+    EXPECT_EQ(out.value().driver.epochs_run, 5u);
+    // Sensitivity matches Corollary 1 with the realized epoch count.
+    const double eta =
+        constant_step > 0.0
+            ? constant_step
+            : 1.0 / std::sqrt(static_cast<double>(data.size()));
+    EXPECT_DOUBLE_EQ(priv.sensitivity,
+                     2.0 * 5 * loss->lipschitz() * eta / 10.0)
+        << "constant_step " << constant_step;
+    // Zero white-box noise draws — black-box integration.
+    EXPECT_EQ(out.value().driver.stats.noise_samples, 0u);
+  }
 }
 
 TEST(BoltOnDriverTest, ConvexRejectsConvergenceStopping) {

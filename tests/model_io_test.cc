@@ -5,8 +5,12 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "util/atomic_file.h"
 
 namespace bolton {
 namespace {
@@ -17,6 +21,14 @@ class ModelIoTest : public ::testing::Test {
     path_ = ::testing::TempDir() + "model_io_test.model";
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Writes `body` between a v2 magic line and its valid checksum line.
+  void WriteFramed(const std::string& body) {
+    std::string content = "bolton-model v2\n" + body;
+    AppendChecksumLine(&content);
+    std::ofstream out(path_);
+    out << content;
+  }
 
   std::string path_;
 };
@@ -62,27 +74,59 @@ TEST_F(ModelIoTest, RejectsCorruptFiles) {
   }
   EXPECT_FALSE(LoadBinaryModel(path_).ok());
 
-  {
-    std::ofstream out(path_);
-    out << "bolton-model v1\n1\n3\n0.5\n";  // truncated weights
-  }
-  EXPECT_FALSE(LoadBinaryModel(path_).ok());
+  // Bodies with a valid checksum, so the parser's own checks are reached.
+  WriteFramed("1\n3\n0.5\n");  // truncated weights
+  auto truncated = LoadBinaryModel(path_);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_NE(truncated.status().message().find("expected 1 x 3"),
+            std::string::npos)
+      << truncated.status().ToString();
 
-  {
-    std::ofstream out(path_);
-    out << "bolton-model v1\n1\n2\n0.5\nnot-a-number\n";
-  }
-  EXPECT_FALSE(LoadBinaryModel(path_).ok());
+  WriteFramed("1\n2\n0.5\nnot-a-number\n");
+  EXPECT_EQ(LoadBinaryModel(path_).status().code(),
+            StatusCode::kInvalidArgument);
+
+  WriteFramed("1\n");  // truncated header
+  EXPECT_EQ(LoadBinaryModel(path_).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST_F(ModelIoTest, SkipsCommentsAndBlankLines) {
+TEST_F(ModelIoTest, FlippedByteIsRefused) {
+  Vector model{-0.3408, 1.25, 7.0};
+  ASSERT_TRUE(SaveModel(model, path_).ok());
+  std::string content;
+  {
+    std::ifstream in(path_);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  // The first weight's leading digit: -0.3408 becomes -1.3408, which
+  // parses as well as the original did.
+  const size_t first_weight = content.find("\n-0.") + 2;
+  ASSERT_NE(first_weight, std::string::npos + 2);
+  content[first_weight] = '1';
   {
     std::ofstream out(path_);
-    out << "# a comment\nbolton-model v1\n\n1\n2\n# weights\n1.5\n-2.5\n";
+    out << content;
   }
   auto loaded = LoadBinaryModel(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), (Vector{1.5, -2.5}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(ModelIoTest, V1FileIsRefusedByName) {
+  {
+    std::ofstream out(path_);
+    out << "bolton-model v1\n1\n2\n1.5\n-2.5\n";
+  }
+  auto loaded = LoadMulticlassModel(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = loaded.status().message();
+  EXPECT_NE(message.find("bolton-model v2"), std::string::npos) << message;
+  EXPECT_NE(message.find("bolton-model v1"), std::string::npos) << message;
 }
 
 TEST_F(ModelIoTest, FailedSaveLeavesPreviousModelLoadable) {
@@ -111,9 +155,9 @@ TEST_F(ModelIoTest, FailedSaveLeavesPreviousModelLoadable) {
   EXPECT_EQ(loaded.value(), old_model);
 }
 
-TEST_F(ModelIoTest, MissingFileIsIOError) {
+TEST_F(ModelIoTest, MissingFileIsNotFound) {
   EXPECT_EQ(LoadBinaryModel("/nonexistent/model").status().code(),
-            StatusCode::kIOError);
+            StatusCode::kNotFound);
 }
 
 TEST_F(ModelIoTest, EmptyModelRejected) {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -61,7 +63,7 @@ TEST(PrivateConvexPsgdTest, SensitivityMatchesCorollary1) {
   options.passes = 10;
   options.batch_size = 50;
   Rng rng(4);
-  auto out = PrivateConvexPsgd(data, *loss, options, &rng);
+  auto out = PrivatePsgd(data, *loss, options, &rng);
   ASSERT_TRUE(out.ok());
   const double eta = 1.0 / std::sqrt(static_cast<double>(data.size()));
   EXPECT_DOUBLE_EQ(out.value().sensitivity,
@@ -69,16 +71,6 @@ TEST(PrivateConvexPsgdTest, SensitivityMatchesCorollary1) {
   EXPECT_EQ(out.value().stats.gradient_evaluations, 10 * data.size());
   // One noise draw only — that is the whole point of the bolt-on approach.
   EXPECT_EQ(out.value().stats.noise_samples, 0u);
-}
-
-TEST(PrivateConvexPsgdTest, RejectsStronglyConvexLoss) {
-  Dataset data = MakeData();
-  auto loss = MakeLogisticLoss(0.01, 100.0).MoveValue();
-  BoltOnOptions options;
-  options.privacy = PrivacyParams{1.0, 0.0};
-  Rng rng(5);
-  EXPECT_EQ(PrivateConvexPsgd(data, *loss, options, &rng).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(PrivateStronglyConvexPsgdTest, SensitivityMatchesLemma8) {
@@ -90,22 +82,11 @@ TEST(PrivateStronglyConvexPsgdTest, SensitivityMatchesLemma8) {
   options.passes = 10;
   options.batch_size = 50;
   Rng rng(6);
-  auto out = PrivateStronglyConvexPsgd(data, *loss, options, &rng);
+  auto out = PrivatePsgd(data, *loss, options, &rng);
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ(
       out.value().sensitivity,
       2.0 * loss->lipschitz() / (lambda * data.size() * 50.0));
-}
-
-TEST(PrivateStronglyConvexPsgdTest, RejectsConvexLoss) {
-  Dataset data = MakeData();
-  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
-  BoltOnOptions options;
-  options.privacy = PrivacyParams{1.0, 0.0};
-  Rng rng(7);
-  EXPECT_EQ(
-      PrivateStronglyConvexPsgd(data, *loss, options, &rng).status().code(),
-      StatusCode::kFailedPrecondition);
 }
 
 TEST(PrivatePsgdTest, DispatchesOnConvexity) {
@@ -129,10 +110,10 @@ TEST(PrivatePsgdTest, GaussianMechanismSelectedForDeltaPositive) {
   options.passes = 5;
   options.batch_size = 10;
   Rng rng(9);
-  EXPECT_TRUE(PrivateConvexPsgd(data, *loss, options, &rng).ok());
+  EXPECT_TRUE(PrivatePsgd(data, *loss, options, &rng).ok());
   // Gaussian mechanism (Theorem 3) requires ε < 1.
   options.privacy = PrivacyParams{2.0, 1e-6};
-  EXPECT_FALSE(PrivateConvexPsgd(data, *loss, options, &rng).ok());
+  EXPECT_FALSE(PrivatePsgd(data, *loss, options, &rng).ok());
 }
 
 TEST(PrivatePsgdTest, NoiseShrinksWithEpsilon) {
@@ -148,7 +129,7 @@ TEST(PrivatePsgdTest, NoiseShrinksWithEpsilon) {
       Rng rng(100 + seed);
       BoltOnOptions o = options;
       o.privacy = PrivacyParams{eps, 0.0};
-      total += PrivateConvexPsgd(data, *loss, o, &rng).value().noise_norm;
+      total += PrivatePsgd(data, *loss, o, &rng).value().noise_norm;
     }
     return total / 30.0;
   };
@@ -163,7 +144,7 @@ TEST(PrivatePsgdTest, HighEpsilonApproachesNoiselessAccuracy) {
   options.batch_size = 50;
   options.privacy = PrivacyParams{100.0, 0.0};
   Rng rng(10);
-  auto out = PrivateConvexPsgd(data, *loss, options, &rng);
+  auto out = PrivatePsgd(data, *loss, options, &rng);
   ASSERT_TRUE(out.ok());
   double noiseless_acc = BinaryAccuracy(out.value().noiseless_model, data);
   double private_acc = BinaryAccuracy(out.value().model, data);
@@ -181,14 +162,40 @@ TEST(PrivatePsgdTest, StronglyConvexPassCountDoesNotChangeSensitivity) {
   options.batch_size = 10;
   Rng rng_a(11), rng_b(12);
   options.passes = 1;
-  double s1 =
-      PrivateStronglyConvexPsgd(data, *loss, options, &rng_a).value()
-          .sensitivity;
+  double s1 = PrivatePsgd(data, *loss, options, &rng_a).value().sensitivity;
   options.passes = 20;
-  double s20 =
-      PrivateStronglyConvexPsgd(data, *loss, options, &rng_b).value()
-          .sensitivity;
+  double s20 = PrivatePsgd(data, *loss, options, &rng_b).value().sensitivity;
   EXPECT_DOUBLE_EQ(s1, s20);
+}
+
+/// A strongly convex loss with no hypothesis ball, as a caller's own
+/// LossFunction may report; the built-in factories refuse to build one.
+class UnconstrainedStronglyConvexLoss : public LossFunction {
+ public:
+  double Loss(const Vector&, const Example&) const override { return 0.0; }
+  void AddGradient(const Vector&, const Example&, double,
+                   Vector*) const override {}
+  double lipschitz() const override { return 1.0; }
+  double smoothness() const override { return 1.25; }
+  double strong_convexity() const override { return 0.01; }
+  double radius() const override { return kInf; }
+  std::string name() const override { return "unconstrained"; }
+  std::unique_ptr<LossFunction> Clone() const override {
+    return std::make_unique<UnconstrainedStronglyConvexLoss>();
+  }
+};
+
+TEST(PrivatePsgdTest, StronglyConvexLossNeedsFiniteRadius) {
+  // Lemma 8 holds for projected PSGD only; a noiseless run needs no radius.
+  Dataset data = MakeData();
+  UnconstrainedStronglyConvexLoss loss;
+  BoltOnOptions options;
+  options.privacy = PrivacyParams{1.0, 0.0};
+  Rng rng(14);
+  EXPECT_EQ(PrivatePsgd(data, loss, options, &rng).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(
+      PlanBlackBoxRun(loss, data.size(), options, /*bolt_on=*/false).ok());
 }
 
 TEST(PrivatePsgdTest, EmptyDataRejected) {
@@ -197,7 +204,7 @@ TEST(PrivatePsgdTest, EmptyDataRejected) {
   BoltOnOptions options;
   options.privacy = PrivacyParams{1.0, 0.0};
   Rng rng(13);
-  EXPECT_FALSE(PrivateConvexPsgd(empty, *loss, options, &rng).ok());
+  EXPECT_FALSE(PrivatePsgd(empty, *loss, options, &rng).ok());
 }
 
 }  // namespace

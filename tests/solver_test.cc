@@ -1,12 +1,18 @@
 #include "core/solver.h"
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/private_sgd.h"
 #include "data/synthetic.h"
 #include "ml/trainer.h"
+#include "optim/parallel_executor.h"
+#include "optim/schedule.h"
 
 namespace bolton {
 namespace {
@@ -72,8 +78,8 @@ TEST(RunPrivateSolverTest, MatchesTrainBinaryForEveryAlgorithm) {
 
     Rng trainer_rng(51), solver_rng(51);
     auto trained = TrainBinary(data, config, &trainer_rng);
-    auto solved = RunPrivateSolver(algorithm, data, *loss.value(),
-                                   SolverSpecForConfig(config), &solver_rng);
+    auto solved =
+        RunPrivateSolver(algorithm, data, *loss.value(), config, &solver_rng);
     ASSERT_TRUE(trained.ok()) << AlgorithmName(algorithm) << ": "
                               << trained.status().ToString();
     ASSERT_TRUE(solved.ok()) << AlgorithmName(algorithm) << ": "
@@ -81,6 +87,98 @@ TEST(RunPrivateSolverTest, MatchesTrainBinaryForEveryAlgorithm) {
     EXPECT_EQ(trained.value(), solved.value().model)
         << AlgorithmName(algorithm);
   }
+}
+
+// The black-box release rebuilt from its public stages, with Table 4's
+// constants written out here rather than taken from the library's planner:
+// noiseless runs PSGD on the caller's rng; bolt-on calibrates Δ₂, splits
+// the caller's rng for PSGD and perturbs from the caller's rng.
+TEST(RunPrivateSolverTest, BlackBoxReleaseIsItsStagesComposedByHand) {
+  Dataset data = MakeTrainingSet(203);
+  const double m = static_cast<double>(data.size());
+  const PrivacyParams privacy{0.5, 0.0};
+  size_t cases = 0;
+  for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
+    const bool bolt_on = algorithm == Algorithm::kBoltOn;
+    for (double lambda : {0.0, 0.01}) {
+      auto loss = lambda > 0.0 ? MakeLogisticLoss(lambda, 1.0 / lambda)
+                               : MakeLogisticLoss(0.0, kInf);
+      ASSERT_TRUE(loss.ok());
+      const LossFunction& l = *loss.value();
+      for (size_t shards : {1, 4}) {
+        for (size_t batch : {1, 10}) {
+          for (double constant_step : {0.0, 0.05}) {
+            if (lambda > 0.0 && constant_step > 0.0) continue;
+            SCOPED_TRACE(testing::Message()
+                         << AlgorithmName(algorithm) << " lambda=" << lambda
+                         << " shards=" << shards << " b=" << batch
+                         << " constant_step=" << constant_step);
+            SolverSpec spec;
+            spec.passes = 2;
+            spec.batch_size = batch;
+            spec.shards = shards;
+            spec.privacy = privacy;
+            spec.constant_step = constant_step;
+            Rng solver_rng(71);
+            auto solved =
+                RunPrivateSolver(algorithm, data, l, spec, &solver_rng);
+            ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+
+            // Table 4: convex runs take η = 1/√m (Algorithm 1 takes the
+            // caller's η when set); strongly convex ones take 1/(γt),
+            // capped at 1/β for Algorithm 2.
+            double eta = 0.0;
+            std::unique_ptr<StepSizeSchedule> schedule;
+            if (lambda > 0.0) {
+              schedule = MakeInverseTimeStep(lambda, bolt_on ? l.smoothness()
+                                                             : kInf)
+                             .MoveValue();
+            } else {
+              eta = bolt_on && constant_step > 0.0 ? constant_step
+                                                   : 1.0 / std::sqrt(m);
+              schedule = MakeConstantStep(eta).MoveValue();
+            }
+            PsgdOptions psgd;
+            psgd.run() = spec.run();
+            psgd.radius = l.radius();
+            Rng reference_rng(71);
+            Vector model;
+            double sensitivity = 0.0;
+            if (bolt_on) {
+              sensitivity =
+                  BoltOnSensitivity(l, eta,
+                                    SensitivitySetup{spec.passes, batch,
+                                                     data.size()},
+                                    shards, /*use_corrected_minibatch=*/false,
+                                    privacy)
+                      .MoveValue();
+              Rng psgd_rng = reference_rng.Split();
+              Vector noiseless =
+                  RunShardedPsgd(data, l, *schedule, psgd, &psgd_rng)
+                      .MoveValue()
+                      .model;
+              model = BoltOnPerturb(noiseless, sensitivity, privacy,
+                                    &reference_rng)
+                          .MoveValue()
+                          .model;
+            } else {
+              model = RunShardedPsgd(data, l, *schedule, psgd, &reference_rng)
+                          .MoveValue()
+                          .model;
+            }
+            ASSERT_EQ(solved.value().model.dim(), model.dim());
+            EXPECT_EQ(std::memcmp(solved.value().model.data(), model.data(),
+                                  model.dim() * sizeof(double)),
+                      0);
+            EXPECT_EQ(solved.value().sensitivity, sensitivity);
+            EXPECT_EQ(solver_rng.Next(), reference_rng.Next());
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24u);
 }
 
 TEST(RunPrivateSolverTest, NoiselessShardedRunsAndReportsShards) {

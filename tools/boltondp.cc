@@ -268,8 +268,7 @@ int Train(int argc, char** argv) {
     ckpt.every_passes = static_cast<size_t>(checkpoint_every);
     ckpt.resume = resume;
     auto run = RunSolverWithCheckpoints(config.algorithm, data.value(),
-                                        *loss.value(), SolverSpecForConfig(config),
-                                        &rng, ckpt);
+                                        *loss.value(), config, &rng, ckpt);
     run.status().CheckOK();
     SaveModel(run.value().model, model_path).CheckOK();
     std::printf("trained binary %s model with %s in %.2fs%s -> %s\n",
@@ -449,9 +448,15 @@ int Evaluate(int argc, char** argv) {
   }
 
   auto data = LoadTrainingData(data_flags);
-  data.status().CheckOK();
+  if (!data.ok()) {
+    std::fprintf(stderr, "evaluate: %s\n", data.status().ToString().c_str());
+    return 1;
+  }
   auto model = LoadMulticlassModel(model_path);
-  model.status().CheckOK();
+  if (!model.ok()) {
+    std::fprintf(stderr, "evaluate: %s\n", model.status().ToString().c_str());
+    return 1;
+  }
 
   if (model.value().num_classes() == 1) {
     const Vector& w = model.value().weights[0];

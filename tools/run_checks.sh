@@ -22,6 +22,21 @@ PRIMARY_BUILD="${3:-$ROOT/build}"
 # and the sanitized tree alone starts enough of them to exhaust a 16 GB host.
 JOBS="$(nproc)"
 
+echo "== step-size check (Table 4's schedule is chosen in one place) =="
+# Noiseless and bolt-on runs take their step size from PlanBlackBoxRun in
+# core/private_sgd.cc. Besides it, only the schedule library and the two
+# algorithms that build their own schedules (BST14, objective
+# perturbation) may call the makers: any other caller in src/ is a second
+# copy of the Table 4 decision.
+STRAY="$(cd "$ROOT" && grep -rlE 'Make(ConstantStep|InverseTimeStep)\(' src |
+  grep -vxE 'src/optim/schedule\.(h|cc)|src/core/(private_sgd|bst14|objective_perturbation)\.cc' ||
+  true)"
+if [ -n "$STRAY" ]; then
+  echo "Table 4 step sizes chosen outside core/private_sgd.cc in:"
+  echo "$STRAY"
+  exit 1
+fi
+
 echo "== configure (Debug, -fsanitize=address,undefined) =="
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=Debug \
