@@ -1,13 +1,17 @@
 // Serve-daemon throughput under multi-tenant load: 1 / 4 / 16 concurrent
 // tenants hammer POST /v1/train on an in-process ServeDaemon and we report
 // p50/p99 latency, sustained request rate, and the refusal rate produced by
-// the admission ladder (tenant caps + global cap). The budget store runs
-// in-memory so the numbers measure the daemon, not the host's fsync; the
-// persistence path has its own tests and the cli smoke test.
+// the admission ladder (tenant caps + global cap). Each daemon keeps its
+// budget state in a fresh directory under $TMPDIR (removed afterwards), so
+// every reserve and commit is durable before the request is answered.
 //
 // Rows land in --json-out as figure "serve_throughput" for benchdiff.
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -32,6 +36,17 @@ int PostTrain(int port, const std::string& body) {
   return reply.ok() ? reply.value().status : 0;
 }
 
+/// A fresh, empty budget state directory under $TMPDIR (default /tmp).
+Result<std::string> MakeStateDir() {
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string dir = (tmpdir != nullptr && *tmpdir != '\0') ? tmpdir : "/tmp";
+  dir += "/bolton_serve_bench.XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    return Status::IOError("cannot create a state dir from " + dir);
+  }
+  return dir;
+}
+
 double Percentile(std::vector<double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   const size_t index = std::min(
@@ -49,9 +64,10 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Enough requests per tenant that p99 means something, scaled by --scale.
+  // Enough requests per tenant that p99 means something and every row
+  // lasts over benchdiff's 50 ms floor, scaled by --scale.
   const int requests_per_tenant =
-      std::max(8, static_cast<int>(24 * flags.scale));
+      std::max(8, static_cast<int>(192 * flags.scale));
 
   std::printf("Serve throughput: POST /v1/train, bolton, protein@0.05\n");
   std::printf("  %-8s %-8s %-6s %-8s %-12s %-9s %-9s %-10s\n", "tenants",
@@ -71,10 +87,17 @@ int Main(int argc, char** argv) {
     options.budget.default_budget = PrivacyParams{1e9, 1e-3};
     options.admission.max_inflight = 8;
     options.admission.max_inflight_per_tenant = 2;
+    Result<std::string> state_dir = MakeStateDir();
+    if (!state_dir.ok()) {
+      std::fprintf(stderr, "%s\n", state_dir.status().ToString().c_str());
+      return 1;
+    }
+    options.budget.state_dir = state_dir.value();
     auto daemon = serve::ServeDaemon::Start(options);
     if (!daemon.ok()) {
       std::fprintf(stderr, "daemon start failed: %s\n",
                    daemon.status().ToString().c_str());
+      std::filesystem::remove_all(state_dir.value());
       return 1;
     }
     const int port = daemon.value()->port();
@@ -154,6 +177,7 @@ int Main(int argc, char** argv) {
     AddBenchResult(std::move(row));
 
     daemon.value()->Shutdown();
+    std::filesystem::remove_all(state_dir.value());
   }
   return 0;
 }

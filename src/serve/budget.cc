@@ -1,7 +1,13 @@
 #include "serve/budget.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -18,6 +24,19 @@ namespace serve {
 namespace {
 
 constexpr char kMagic[] = "bolton-budget v2";
+
+/// The journal is a record log (util/atomic_file) of one record per
+/// transition, each led by its sequence number:
+///
+///   <seq> reserve <tenant> <budget ε> <budget δ> <ε> <δ> <label>
+///   <seq> commit <hold>
+///   <seq> refund <hold>
+///   <seq> refusal <tenant> <budget ε> <budget δ>
+///
+/// A reserve's hold id is its sequence number. Reserve and refusal records
+/// carry the tenant's budget, so that replay grants an account the budget
+/// it was created with. Doubles are printed shortest-round-trip.
+constexpr char kJournalMagic[] = "bolton-journal v1";
 
 /// Tolerance for the over-budget comparison: ε/δ sums accumulate float
 /// error across many holds; a request within one part in 10⁹ of the line
@@ -47,6 +66,25 @@ void SleepBeforeRetry(size_t retry, Rng* jitter_rng) {
                     static_cast<double>(uint64_t{1} << (retry - 1)) *
                     (1.0 + jitter_rng->UniformDouble(0.0, kPersistJitter));
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+}
+
+/// Appends ' ' and the shortest text that parses back to `value`.
+void AppendField(double value, std::string* out) {
+  char buf[32];
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  *out += ' ';
+  out->append(buf, result.ptr);
+}
+
+/// "<kind> <tenant> <budget ε> <budget δ>", the head of a reserve or
+/// refusal record.
+std::string AccountRecord(const char* kind, const std::string& tenant,
+                          const PrivacyParams& budget) {
+  std::string out = StrFormat("%s %s", kind, tenant.c_str());
+  AppendField(budget.epsilon, &out);
+  AppendField(budget.delta, &out);
+  return out;
 }
 
 void RecordBudgetEvent(const std::string& kind, const std::string& tenant,
@@ -93,8 +131,12 @@ TenantBudgetManager::TenantBudgetManager(const TenantBudgetOptions& options)
     : options_(options) {
   if (!options_.state_dir.empty()) {
     path_ = options_.state_dir + "/bolton.budget";
-    tmp_path_ = path_ + ".tmp";
+    journal_path_ = options_.state_dir + "/bolton.journal";
   }
+}
+
+TenantBudgetManager::~TenantBudgetManager() {
+  if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
 Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
@@ -105,18 +147,43 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
       new TenantBudgetManager(options));
   if (manager->path_.empty()) return manager;
 
-  // A file from another format version is refused here, before anything
-  // is persisted, so it stays on disk untouched for the operator.
-  auto body = ReadChecksummedFile(manager->path_, kMagic);
-  if (body.status().code() == StatusCode::kNotFound) {
-    return manager;  // first boot: empty state
+  // Both files are read and checked before anything is written, so a
+  // refused snapshot or journal stays on disk untouched for the operator.
+  auto snapshot = ReadChecksummedFile(manager->path_, kMagic);
+  if (!snapshot.ok() && snapshot.status().code() != StatusCode::kNotFound) {
+    return snapshot.status().WithContext("budget state");
   }
-  BOLTON_RETURN_IF_ERROR(body.status().WithContext("budget state"));
+  auto journal = ReadRecordLog(manager->journal_path_, kJournalMagic);
+  if (!journal.ok() && journal.status().code() != StatusCode::kNotFound) {
+    return journal.status().WithContext("budget journal");
+  }
+  if (!snapshot.ok() && journal.ok()) {
+    // The first boot writes the snapshot before it creates the journal, so
+    // this is a state dir missing its snapshot; replaying the journal over
+    // an empty state would forget the spend the snapshot held.
+    return Status::FailedPrecondition(StrFormat(
+        "budget journal %s has no snapshot %s beside it",
+        manager->journal_path_.c_str(), manager->path_.c_str()));
+  }
 
-  std::lock_guard<std::mutex> lock(manager->mu_);
-  BOLTON_RETURN_IF_ERROR(
-      manager->RestoreLocked(body.value())
-          .WithContext(StrFormat("budget state %s", manager->path_.c_str())));
+  std::unique_lock<std::mutex> lock(manager->mu_);
+  if (snapshot.ok()) {
+    BOLTON_RETURN_IF_ERROR(
+        manager->RestoreLocked(snapshot.value())
+            .WithContext(StrFormat("budget state %s", manager->path_.c_str())));
+  }
+  if (journal.ok()) {
+    if (journal.value().torn_bytes > 0) {
+      // A torn append was never acknowledged, so no caller acted on it.
+      BOLTON_LOG(kWarning) << "budget journal " << manager->journal_path_
+                           << ": dropped a torn last record ("
+                           << journal.value().torn_bytes << " bytes)";
+    }
+    BOLTON_RETURN_IF_ERROR(manager->ReplayLocked(journal.value().records)
+                               .WithContext(StrFormat(
+                                   "budget journal %s",
+                                   manager->journal_path_.c_str())));
+  }
 
   // Crash recovery: every hold still pending on disk may have released
   // noise before the commit persisted — promote it to spend. Charging an
@@ -124,10 +191,9 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
   // under-count (a privacy violation), so pending always promotes.
   for (const auto& entry : manager->holds_) {
     const Hold& hold = entry.second;
-    auto account = manager->accounts_.find(hold.tenant);
-    if (account == manager->accounts_.end()) continue;  // unreachable
-    Status charged = account->second.accountant.Charge(
-        hold.cost, hold.label + " (recovered)");
+    AccountState& account = manager->accounts_.at(hold.tenant);
+    Status charged =
+        account.accountant.Charge(hold.cost, hold.label + " (recovered)");
     if (!charged.ok()) {
       // A reserve was only ever admitted within budget, so this means the
       // state file is inconsistent; surface it rather than dropping spend.
@@ -135,9 +201,9 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
           StrFormat("promoting recovered hold for tenant '%s'",
                     hold.tenant.c_str()));
     }
-    account->second.reserved.epsilon -= hold.cost.epsilon;
-    account->second.reserved.delta -= hold.cost.delta;
-    account->second.recovered += 1;
+    account.reserved.epsilon -= hold.cost.epsilon;
+    account.reserved.delta -= hold.cost.delta;
+    account.recovered += 1;
     manager->recovered_holds_ += 1;
     Metrics().recovered->Increment();
     RecordBudgetEvent("budget_recover", hold.tenant, hold.label, hold.cost,
@@ -150,17 +216,147 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
   for (auto& entry : manager->accounts_) {
     entry.second.reserved = PrivacyParams{0.0, 0.0};
   }
-  BOLTON_RETURN_IF_ERROR(manager->PersistLocked());
+  // The recovered state goes out as a fresh snapshot beside an empty
+  // journal (snapshot_due_ starts true), so a dropped torn record is gone
+  // before anything is appended; a dir that cannot be written fails here.
+  BOLTON_RETURN_IF_ERROR(manager->FlushLocked(&lock));
   return manager;
 }
 
 TenantBudgetManager::AccountState& TenantBudgetManager::GetOrCreateLocked(
-    const std::string& tenant) {
+    const std::string& tenant, const PrivacyParams& budget) {
   auto it = accounts_.find(tenant);
   if (it == accounts_.end()) {
-    it = accounts_.emplace(tenant, AccountState(options_.default_budget)).first;
+    it = accounts_.emplace(tenant, AccountState(budget)).first;
   }
   return it->second;
+}
+
+void TenantBudgetManager::HoldLocked(uint64_t id, Hold hold) {
+  AccountState& account = accounts_.at(hold.tenant);
+  account.reserved.epsilon += hold.cost.epsilon;
+  account.reserved.delta += hold.cost.delta;
+  holds_[id] = std::move(hold);
+}
+
+Status TenantBudgetManager::CommitLocked(
+    std::map<uint64_t, Hold>::iterator hold) {
+  AccountState& account = accounts_.at(hold->second.tenant);
+  BOLTON_RETURN_IF_ERROR(
+      account.accountant.Charge(hold->second.cost, hold->second.label));
+  account.commits += 1;
+  ReleaseLocked(hold);
+  return Status::OK();
+}
+
+void TenantBudgetManager::ReleaseLocked(
+    std::map<uint64_t, Hold>::iterator hold) {
+  AccountState& account = accounts_.at(hold->second.tenant);
+  account.reserved.epsilon -= hold->second.cost.epsilon;
+  account.reserved.delta -= hold->second.cost.delta;
+  holds_.erase(hold);
+}
+
+uint64_t TenantBudgetManager::AppendLocked(const std::string& record,
+                                           Waiter* waiter) {
+  const uint64_t seq = next_seq_++;
+  if (path_.empty()) {
+    if (waiter != nullptr) waiter->done = true;
+    return seq;
+  }
+  AppendLogRecord(StrFormat("%llu %s", static_cast<unsigned long long>(seq),
+                            record.c_str()),
+                  &queue_);
+  if (waiter != nullptr) queue_waiters_.push_back(waiter);
+  return seq;
+}
+
+Status TenantBudgetManager::AwaitLocked(Waiter* waiter,
+                                        std::unique_lock<std::mutex>* lock) {
+  while (!waiter->done) {
+    flushed_.wait(*lock, [&] { return waiter->done || !flushing_; });
+    // Not done and no flush running, so none has taken this record.
+    if (!waiter->done) FlushLocked(lock);
+  }
+  return waiter->status;
+}
+
+Status TenantBudgetManager::FlushLocked(std::unique_lock<std::mutex>* lock) {
+  flushing_ = true;
+  std::vector<Waiter*> waiters;
+  Status status;
+  for (size_t attempt = 1; attempt <= kPersistAttempts; ++attempt) {
+    if (attempt > 1) {
+      Metrics().persist_retries->Increment();
+      lock->unlock();
+      SleepBeforeRetry(attempt - 1, &jitter_rng_);
+      lock->lock();
+    }
+    // Whoever flushes takes the whole queue, records queued during an
+    // earlier attempt's backoff included.
+    std::string content;
+    content.swap(queue_);
+    waiters.insert(waiters.end(), queue_waiters_.begin(),
+                   queue_waiters_.end());
+    queue_waiters_.clear();
+    const bool snapshot =
+        snapshot_due_ || journal_bytes_ >= kJournalCompactBytes;
+    // A snapshot covers every record applied so far, the ones just taken
+    // included, so those never reach the journal.
+    if (snapshot) content = RenderLocked();
+    lock->unlock();
+    status = FailpointRegistry::Default().Evaluate("serve.persist");
+    if (status.ok()) {
+      status = snapshot ? WriteSnapshot(content)
+                        : AppendAndSync(journal_fd_, content, journal_path_);
+    }
+    lock->lock();
+    if (status.ok()) {
+      journal_bytes_ = snapshot ? std::strlen(kJournalMagic) + 1
+                                : journal_bytes_ + content.size();
+      snapshot_due_ = false;
+      break;
+    }
+    // The journal may now end in a torn record, or in pages the kernel
+    // dropped: the next attempt starts a fresh one instead of appending.
+    snapshot_due_ = true;
+  }
+  if (!status.ok()) {
+    status = status.WithContext(StrFormat(
+        "budget persist failed after %zu attempts", kPersistAttempts));
+    // Write-ahead: a hold that is not durable is not granted. Rolled back
+    // here, under the mutex, so that the next snapshot never shows it.
+    for (const Waiter* waiter : waiters) {
+      if (waiter->hold != 0) ReleaseLocked(holds_.find(waiter->hold));
+    }
+  }
+  for (Waiter* waiter : waiters) {
+    waiter->status = status;
+    waiter->done = true;
+  }
+  flushing_ = false;
+  flushed_.notify_all();
+  return status;
+}
+
+Status TenantBudgetManager::WriteSnapshot(const std::string& snapshot) {
+  // Snapshot first, then a fresh journal: after a crash between the two,
+  // the old journal's records all lie below the new snapshot's next_hold,
+  // so replay skips them.
+  BOLTON_RETURN_IF_ERROR(AtomicWriteFile(path_ + ".tmp", path_,
+                                         options_.state_dir, snapshot));
+  if (journal_fd_ >= 0) ::close(journal_fd_);
+  journal_fd_ = -1;
+  BOLTON_RETURN_IF_ERROR(
+      AtomicWriteFile(journal_path_ + ".tmp", journal_path_,
+                      options_.state_dir, std::string(kJournalMagic) + "\n"));
+  journal_fd_ = ::open(journal_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (journal_fd_ < 0) {
+    return Status::IOError(StrFormat("cannot open %s: %s",
+                                     journal_path_.c_str(),
+                                     std::strerror(errno)));
+  }
+  return Status::OK();
 }
 
 Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
@@ -172,15 +368,25 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
   }
   BOLTON_RETURN_IF_ERROR(cost.Validate().WithContext(
       StrFormat("budget reserve for tenant '%s'", tenant.c_str())));
+  // Fault gate before any mutation: an injected reserve error refuses the
+  // request cleanly (nothing held, nothing persisted). Evaluated before the
+  // mutex, so an injected delay never stalls other tenants.
+  BOLTON_FAILPOINT("serve.budget_reserve");
 
-  std::lock_guard<std::mutex> lock(mu_);
-  AccountState& account = GetOrCreateLocked(tenant);
+  std::unique_lock<std::mutex> lock(mu_);
+  AccountState& account = GetOrCreateLocked(tenant, options_.default_budget);
   const PrivacyParams remaining = account.accountant.Remaining();
   const double epsilon_free = remaining.epsilon - account.reserved.epsilon;
   const double delta_free = remaining.delta - account.reserved.delta;
   if (cost.epsilon > epsilon_free + kBudgetSlack ||
       cost.delta > delta_free + kBudgetSlack) {
     account.refusals += 1;
+    // A refusal holds no spend, so nobody waits for its record: it reaches
+    // disk with the next flush, or now if refusals alone fill the queue.
+    AppendLocked(AccountRecord("refusal", tenant, account.budget), nullptr);
+    if (queue_.size() >= kJournalCompactBytes && !flushing_) {
+      FlushLocked(&lock);
+    }
     Metrics().refusals->Increment();
     RecordBudgetEvent("budget_refusal", tenant, label, cost, false);
     return Status::FailedPrecondition(StrFormat(
@@ -190,31 +396,34 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
         std::max(0.0, delta_free)));
   }
 
-  // Fault gate before any mutation: an injected reserve error refuses the
-  // request cleanly (nothing held, nothing persisted).
-  BOLTON_FAILPOINT("serve.budget_reserve");
-
-  const uint64_t hold_id = next_hold_id_++;
-  holds_[hold_id] = Hold{tenant, cost, label};
-  account.reserved.epsilon += cost.epsilon;
-  account.reserved.delta += cost.delta;
+  std::string record = AccountRecord("reserve", tenant, account.budget);
+  AppendField(cost.epsilon, &record);
+  AppendField(cost.delta, &record);
+  record += ' ';
+  record += EncodeToken(label);
+  Waiter waiter;
+  waiter.hold = AppendLocked(record, &waiter);
+  HoldLocked(waiter.hold, Hold{tenant, cost, label});
 
   // Write-ahead: the hold must be durable before any training work (and
-  // certainly before any noise) happens under it.
-  Status persisted = PersistLocked();
-  if (!persisted.ok()) {
-    holds_.erase(hold_id);
-    account.reserved.epsilon -= cost.epsilon;
-    account.reserved.delta -= cost.delta;
-    return persisted.WithContext("budget reserve write-ahead");
-  }
+  // certainly before any noise) happens under it. A failed flush has
+  // already rolled the hold back.
+  BOLTON_RETURN_IF_ERROR(AwaitLocked(&waiter, &lock).WithContext(
+      "budget reserve write-ahead"));
   Metrics().reserves->Increment();
   RecordBudgetEvent("budget_reserve", tenant, label, cost, true);
-  return hold_id;
+  return waiter.hold;
 }
 
 Status TenantBudgetManager::Commit(uint64_t hold_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Fault gate on the commit persist path (chaos tests arm error/panic
+  // here: error = the record is queued but not waited for, as if its
+  // flush failed; panic = crash between the spend and its record reaching
+  // disk, resolved by recovery promotion). Evaluated before the mutex, so
+  // an injected delay never stalls other tenants.
+  const Status inject =
+      FailpointRegistry::Default().Evaluate("serve.budget_commit");
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = holds_.find(hold_id);
   if (it == holds_.end()) {
     return Status::NotFound(
@@ -222,30 +431,24 @@ Status TenantBudgetManager::Commit(uint64_t hold_id) {
                   static_cast<unsigned long long>(hold_id)));
   }
   const Hold hold = it->second;
-  AccountState& account = GetOrCreateLocked(hold.tenant);
 
   // The in-memory transition happens unconditionally: by commit time the
   // noisy model has been (or is about to be) released, so the spend is a
   // fact. Only the persist below can fail, and that failure is tolerable —
   // the disk still shows the hold as pending and recovery promotes it.
-  Status charged = account.accountant.Charge(hold.cost, hold.label);
-  if (!charged.ok()) {
-    // Reserve guaranteed capacity; this is bookkeeping corruption.
-    return charged.WithContext("budget commit");
-  }
-  account.reserved.epsilon -= hold.cost.epsilon;
-  account.reserved.delta -= hold.cost.delta;
-  account.commits += 1;
-  holds_.erase(it);
+  // Reserve guaranteed capacity, so a refused charge is bookkeeping
+  // corruption.
+  BOLTON_RETURN_IF_ERROR(CommitLocked(it).WithContext("budget commit"));
+  Waiter waiter;
+  AppendLocked(StrFormat("commit %llu",
+                         static_cast<unsigned long long>(hold_id)),
+               inject.ok() ? &waiter : nullptr);
   Metrics().commits->Increment();
   RecordBudgetEvent("budget_commit", hold.tenant, hold.label, hold.cost,
                     true);
 
-  // Fault gate on the commit persist path (chaos tests arm error/panic
-  // here: error = persist failure tolerated; panic = crash between spend
-  // and persist, resolved by recovery promotion).
-  Status inject = FailpointRegistry::Default().Evaluate("serve.budget_commit");
-  Status persisted = inject.ok() ? PersistLocked() : inject;
+  Status persisted = inject.ok() ? AwaitLocked(&waiter, &lock) : inject;
+  lock.unlock();  // the warning below writes to the log
   if (!persisted.ok()) {
     Metrics().persist_errors->Increment();
     BOLTON_LOG(kWarning)
@@ -256,7 +459,7 @@ Status TenantBudgetManager::Commit(uint64_t hold_id) {
 }
 
 Status TenantBudgetManager::Refund(uint64_t hold_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = holds_.find(hold_id);
   if (it == holds_.end()) {
     return Status::NotFound(
@@ -264,18 +467,20 @@ Status TenantBudgetManager::Refund(uint64_t hold_id) {
                   static_cast<unsigned long long>(hold_id)));
   }
   const Hold hold = it->second;
-  AccountState& account = GetOrCreateLocked(hold.tenant);
-  account.reserved.epsilon -= hold.cost.epsilon;
-  account.reserved.delta -= hold.cost.delta;
-  account.refunds += 1;
-  holds_.erase(it);
+  accounts_.at(hold.tenant).refunds += 1;
+  ReleaseLocked(it);
+  Waiter waiter;
+  AppendLocked(StrFormat("refund %llu",
+                         static_cast<unsigned long long>(hold_id)),
+               &waiter);
   Metrics().refunds->Increment();
   RecordBudgetEvent("budget_refund", hold.tenant, hold.label, hold.cost,
                     true);
   // Best-effort persist: a failure leaves the hold pending on disk, and a
   // later crash would conservatively promote it — an over-charge, never an
   // under-charge.
-  Status persisted = PersistLocked();
+  Status persisted = AwaitLocked(&waiter, &lock);
+  lock.unlock();  // the warning below writes to the log
   if (!persisted.ok()) {
     Metrics().persist_errors->Increment();
     BOLTON_LOG(kWarning) << "budget refund persist failed (refund stands "
@@ -326,7 +531,7 @@ std::string TenantBudgetManager::RenderLocked() const {
   std::string out = kMagic;
   out += "\n";
   out += StrFormat("next_hold %llu\n",
-                   static_cast<unsigned long long>(next_hold_id_));
+                   static_cast<unsigned long long>(next_seq_));
   out += StrFormat("accounts %zu\n", accounts_.size());
   for (const auto& entry : accounts_) {
     const AccountState& a = entry.second;
@@ -375,7 +580,7 @@ Status TenantBudgetManager::RestoreLocked(const std::string& body) {
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("next_hold"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad next_hold");
-    BOLTON_ASSIGN_OR_RETURN(next_hold_id_, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(next_seq_, ParseU64(tokens[1]));
   }
   uint64_t account_count = 0;
   {
@@ -432,31 +637,68 @@ Status TenantBudgetManager::RestoreLocked(const std::string& body) {
       return Status::InvalidArgument(
           StrFormat("hold for unknown tenant '%s'", hold.tenant.c_str()));
     }
-    accounts_.at(hold.tenant).reserved.epsilon += hold.cost.epsilon;
-    accounts_.at(hold.tenant).reserved.delta += hold.cost.delta;
-    holds_[id] = std::move(hold);
+    HoldLocked(id, std::move(hold));
   }
   return Status::OK();
 }
 
-Status TenantBudgetManager::PersistLocked() {
-  if (path_.empty()) return Status::OK();
-  const std::string content = RenderLocked();
-  Status last;
-  for (size_t attempt = 1; attempt <= kPersistAttempts; ++attempt) {
-    if (attempt > 1) {
-      Metrics().persist_retries->Increment();
-      SleepBeforeRetry(attempt - 1, &jitter_rng_);
+Status TenantBudgetManager::ReplayLocked(
+    const std::vector<std::string>& records) {
+  // Records below the snapshot's next_hold are already in it: a snapshot
+  // written just before a crash sits beside the journal it replaced.
+  const uint64_t covered = next_seq_;
+  uint64_t expected = 0;  // the sequence number the next record must carry
+  for (const std::string& record : records) {
+    const std::vector<std::string> fields = StrSplit(record, ' ');
+    BOLTON_ASSIGN_OR_RETURN(const uint64_t seq, ParseU64(fields[0]));
+    if (expected == 0 ? seq > covered : seq != expected) {
+      return Status::InvalidArgument(StrFormat(
+          "record %llu follows %llu: records are missing",
+          static_cast<unsigned long long>(seq),
+          static_cast<unsigned long long>(expected == 0 ? covered - 1
+                                                        : expected - 1)));
     }
-    Status inject = FailpointRegistry::Default().Evaluate("serve.persist");
-    last = inject.ok()
-               ? AtomicWriteFile(tmp_path_, path_, options_.state_dir,
-                                 content)
-               : inject;
-    if (last.ok()) return last;
+    expected = seq + 1;
+    if (seq < covered) continue;
+    next_seq_ = seq + 1;
+    const std::string kind = fields.size() > 1 ? fields[1] : "";
+    if ((kind == "reserve" && fields.size() == 8) ||
+        (kind == "refusal" && fields.size() == 5)) {
+      PrivacyParams budget;
+      BOLTON_ASSIGN_OR_RETURN(budget.epsilon, ParseDouble(fields[3]));
+      BOLTON_ASSIGN_OR_RETURN(budget.delta, ParseDouble(fields[4]));
+      AccountState& account = GetOrCreateLocked(fields[2], budget);
+      if (kind == "refusal") {
+        account.refusals += 1;
+        continue;
+      }
+      Hold hold{fields[2], PrivacyParams{0.0, 0.0}, DecodeToken(fields[7])};
+      BOLTON_ASSIGN_OR_RETURN(hold.cost.epsilon, ParseDouble(fields[5]));
+      BOLTON_ASSIGN_OR_RETURN(hold.cost.delta, ParseDouble(fields[6]));
+      HoldLocked(seq, std::move(hold));
+    } else if ((kind == "commit" || kind == "refund") && fields.size() == 3) {
+      BOLTON_ASSIGN_OR_RETURN(const uint64_t hold_id, ParseU64(fields[2]));
+      auto hold = holds_.find(hold_id);
+      if (hold == holds_.end()) {
+        return Status::InvalidArgument(StrFormat(
+            "record %llu settles unknown hold %llu",
+            static_cast<unsigned long long>(seq),
+            static_cast<unsigned long long>(hold_id)));
+      }
+      if (kind == "commit") {
+        BOLTON_RETURN_IF_ERROR(CommitLocked(hold).WithContext(
+            StrFormat("replaying record %llu",
+                      static_cast<unsigned long long>(seq))));
+      } else {
+        accounts_.at(hold->second.tenant).refunds += 1;
+        ReleaseLocked(hold);
+      }
+    } else {
+      return Status::InvalidArgument(
+          StrFormat("bad journal record '%s'", record.c_str()));
+    }
   }
-  return last.WithContext(StrFormat("budget persist failed after %zu attempts",
-                                    kPersistAttempts));
+  return Status::OK();
 }
 
 }  // namespace serve

@@ -1,6 +1,8 @@
 #ifndef BOLTON_SERVE_BUDGET_H_
 #define BOLTON_SERVE_BUDGET_H_
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -21,12 +23,16 @@ struct TenantBudgetOptions {
   /// Budget granted to a tenant on first contact. Existing accounts loaded
   /// from the state file keep their recorded budget even if this changes.
   PrivacyParams default_budget{1.0, 1e-6};
-  /// Directory for the persisted budget state ("" = in-memory only; spend
-  /// then dies with the process — tests and benches only). The state file
-  /// is written with the checkpoint-style atomic tmp+fsync+rename, so a
-  /// crashed daemon never forgets spend. A persist that fails on I/O is
-  /// retried a bounded number of times with jittered exponential backoff,
-  /// counted on the serve.persist_retries metric.
+  /// Existing directory for the persisted budget state ("" = in-memory
+  /// only; spend then dies with the process — tests and benches only). It
+  /// holds two files that belong together: the snapshot `bolton.budget`,
+  /// replaced by atomic tmp+fsync+rename, and the append-only journal
+  /// `bolton.journal`, one checksummed record per transition, each made
+  /// durable (fdatasync) before the caller is answered. A crashed daemon
+  /// never forgets spend. A write that fails on I/O is retried a bounded
+  /// number of times with jittered exponential backoff, counted on the
+  /// serve.persist_retries metric. Open() refuses a directory it cannot
+  /// write.
   std::string state_dir;
 };
 
@@ -48,8 +54,8 @@ struct TenantAccountView {
 /// the budget it spends was actually available).
 ///
 /// Exactly-once spend across crashes:
-///   * Reserve() persists the hold (write-ahead) BEFORE any work runs —
-///     a crash after the noise draw can never forget the charge;
+///   * Reserve() makes the hold durable (write-ahead) BEFORE any work
+///     runs — a crash after the noise draw can never forget the charge;
 ///   * Commit() converts the hold to spend on the tenant's
 ///     PrivacyAccountant (core/accountant). A persist failure at commit is
 ///     tolerated: the disk still shows the hold, and recovery promotes it;
@@ -62,6 +68,17 @@ struct TenantAccountView {
 ///     resolution is to charge. Over-counting ε is safe; under-counting is
 ///     a privacy violation.
 ///
+/// Durable state is a snapshot plus an append-only journal with group
+/// commit. Each reserve, commit, refund or refusal appends one record to
+/// an in-memory queue while holding the state mutex; the caller then
+/// waits, outside that mutex, until one flusher — whichever waiting caller
+/// finds no flush running — has written and fdatasync'd the whole queue.
+/// No lock is held across a write, an fsync or a retry sleep, so a
+/// persist costs one append whatever the tenant count. The snapshot is
+/// rewritten only by Open() and when the journal passes
+/// kJournalCompactBytes, and after a failed write, which may have left a
+/// torn record behind: the journal is never appended to after a failure.
+///
 /// Every transition is recorded on the privacy ledger keyed by tenant
 /// (budget_reserve / budget_commit / budget_refund / budget_refusal /
 /// budget_recover). An over-budget Reserve() refuses with
@@ -70,12 +87,25 @@ struct TenantAccountView {
 /// Thread-safe; all methods may be called from concurrent handler threads.
 class TenantBudgetManager {
  public:
-  /// Loads (or initializes) the state under options.state_dir, promoting
-  /// pending holds as described above, and persists the recovered state.
-  /// A state file of another format version, or one that fails its
-  /// checksum, is refused and left on disk untouched.
+  /// Journal size at which the next flush writes a snapshot and starts a
+  /// fresh journal instead of appending.
+  static constexpr size_t kJournalCompactBytes = size_t{256} << 10;
+
+  /// Loads (or initializes) the state under options.state_dir: reads the
+  /// snapshot, replays the journal records it does not cover, promotes
+  /// pending holds as described above, then writes a fresh snapshot and
+  /// an empty journal. A torn last journal record (never acknowledged) is
+  /// dropped with a warning. A snapshot of another format version, one
+  /// that fails its checksum, a bad journal record before the last line,
+  /// a gap in the record sequence and a journal without a snapshot are
+  /// refused, with both files left on disk untouched. IOError naming the
+  /// path when the directory cannot be written.
   static Result<std::unique_ptr<TenantBudgetManager>> Open(
       const TenantBudgetOptions& options);
+
+  /// Closes the journal and writes nothing: records still queued (only
+  /// refusals and unwaited commits can be) are lost, as in a crash.
+  ~TenantBudgetManager();
 
   /// Places a write-ahead hold of `cost` against `tenant`'s remaining
   /// budget (basic composition over spend + existing holds). Returns the
@@ -96,10 +126,10 @@ class TenantBudgetManager {
   Status Refund(uint64_t hold_id);
 
   /// The account view for `tenant`; a never-seen tenant reports the
-  /// default budget with zero spend.
+  /// default budget with zero spend. Never waits on I/O.
   TenantAccountView Account(const std::string& tenant) const;
 
-  /// All known accounts, tenant-sorted.
+  /// All known accounts, tenant-sorted. Never waits on I/O.
   std::vector<TenantAccountView> Snapshot() const;
 
   /// Holds promoted to spend by Open() — the crash-recovery telltale.
@@ -129,27 +159,69 @@ class TenantBudgetManager {
     std::string label;
   };
 
+  /// A caller waiting for its journal record to become durable.
+  struct Waiter {
+    uint64_t hold = 0;  // a reserve's hold, rolled back if the flush fails
+    bool done = false;
+    Status status;
+  };
+
   explicit TenantBudgetManager(const TenantBudgetOptions& options);
 
-  AccountState& GetOrCreateLocked(const std::string& tenant);
+  AccountState& GetOrCreateLocked(const std::string& tenant,
+                                  const PrivacyParams& budget);
   TenantAccountView ViewLocked(const std::string& tenant,
                                const AccountState& account) const;
-  /// Serializes and atomically replaces the state file, with bounded
-  /// jittered retry. No-op without a state_dir.
-  Status PersistLocked();
+  /// The transitions of a hold, shared by the live calls and journal
+  /// replay, so that replay repeats the live arithmetic bit for bit.
+  void HoldLocked(uint64_t id, Hold hold);
+  Status CommitLocked(std::map<uint64_t, Hold>::iterator hold);
+  void ReleaseLocked(std::map<uint64_t, Hold>::iterator hold);
+  /// Takes the next sequence number and returns it; with a state_dir,
+  /// queues `record` (the fields after the sequence number) for the next
+  /// flush, which completes `waiter` (null when nobody waits).
+  uint64_t AppendLocked(const std::string& record, Waiter* waiter);
+  /// Waits, with `lock` released, until `waiter`'s record is durable or
+  /// its flush failed; flushes the queue itself when no flush is running.
+  Status AwaitLocked(Waiter* waiter, std::unique_lock<std::mutex>* lock);
+  /// The group commit: takes the whole queue, then appends it to the
+  /// journal — or, after a failed write or once the journal has passed
+  /// kJournalCompactBytes, writes a snapshot covering it and starts a
+  /// fresh journal — with `lock` released, retrying with jittered backoff.
+  /// If every attempt fails, the holds of waiting reserves are rolled
+  /// back. Completes every waiter it took.
+  Status FlushLocked(std::unique_lock<std::mutex>* lock);
+  /// Writes `snapshot` over the state file, then replaces the journal
+  /// with an empty one; outside the mutex.
+  Status WriteSnapshot(const std::string& snapshot);
   std::string RenderLocked() const;
-  /// Loads accounts and holds from the verified body of the state file.
+  /// Loads accounts and holds from the verified body of the snapshot.
   Status RestoreLocked(const std::string& body);
+  /// Applies the journal records the snapshot does not cover, in order.
+  Status ReplayLocked(const std::vector<std::string>& records);
 
   TenantBudgetOptions options_;
-  std::string path_;      // "" when in-memory only
-  std::string tmp_path_;
+  std::string path_;  // snapshot; "" when in-memory only
+  std::string journal_path_;
 
   mutable std::mutex mu_;
   std::map<std::string, AccountState> accounts_;
   std::map<uint64_t, Hold> holds_;
-  uint64_t next_hold_id_ = 1;
+  /// Sequence number of the next record, and so the next hold id; the
+  /// snapshot's `next_hold` line.
+  uint64_t next_seq_ = 1;
   uint64_t recovered_holds_ = 0;
+
+  // Group commit, under mu_.
+  std::string queue_;  // rendered records no flush has taken yet
+  std::vector<Waiter*> queue_waiters_;
+  bool flushing_ = false;
+  bool snapshot_due_ = true;  // the next write must be a snapshot
+  size_t journal_bytes_ = 0;
+  std::condition_variable flushed_;
+
+  // Owned by the one running flush.
+  int journal_fd_ = -1;
   Rng jitter_rng_{0x73657276656a6974ull};  // persist-backoff jitter stream
 };
 

@@ -35,6 +35,40 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return content;
 }
 
+Status WriteAll(int fd, std::string_view data, const std::string& path) {
+  size_t written = 0;
+  while (written < data.size()) {
+    ssize_t n = ::write(fd, data.data() + written, data.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoIOError("write failed for", path);
+    }
+    written += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+/// The hash field that ends a record log line.
+std::string RecordChecksum(std::string_view fields) {
+  return StrFormat("%016llx",
+                   static_cast<unsigned long long>(Fnv1a64(fields)));
+}
+
+/// Refuses `content` unless its first line is `magic`, naming both.
+Status CheckMagicLine(const std::string& path, std::string_view content,
+                      std::string_view magic) {
+  const size_t magic_end = content.find('\n');
+  if (magic_end != std::string::npos && content.substr(0, magic_end) == magic) {
+    return Status::OK();
+  }
+  const std::string_view found =
+      content.substr(0, std::min<size_t>(magic_end, 64));
+  return Status::InvalidArgument(StrFormat(
+      "%s: expected a '%.*s' file, found '%.*s'", path.c_str(),
+      static_cast<int>(magic.size()), magic.data(),
+      static_cast<int>(found.size()), found.data()));
+}
+
 }  // namespace
 
 Status AtomicWriteFile(const std::string& tmp_path, const std::string& path,
@@ -43,16 +77,10 @@ Status AtomicWriteFile(const std::string& tmp_path, const std::string& path,
   int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   mode);
   if (fd < 0) return ErrnoIOError("cannot open", tmp_path);
-  size_t written = 0;
-  while (written < content.size()) {
-    ssize_t n = ::write(fd, content.data() + written, content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = ErrnoIOError("write failed for", tmp_path);
-      ::close(fd);
-      return status;
-    }
-    written += static_cast<size_t>(n);
+  Status written = WriteAll(fd, content, tmp_path);
+  if (!written.ok()) {
+    ::close(fd);
+    return written;
   }
   if (::fsync(fd) != 0) {
     Status status = ErrnoIOError("fsync failed for", tmp_path);
@@ -92,16 +120,8 @@ Result<std::string> ReadChecksummedFile(const std::string& path,
   BOLTON_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
   // The version check comes first, so a file in another format or version
   // is refused by name rather than reported as corrupt.
+  BOLTON_RETURN_IF_ERROR(CheckMagicLine(path, content, magic));
   const size_t magic_end = content.find('\n');
-  if (magic_end == std::string::npos ||
-      std::string_view(content).substr(0, magic_end) != magic) {
-    const std::string_view found =
-        std::string_view(content).substr(0, std::min<size_t>(magic_end, 64));
-    return Status::InvalidArgument(StrFormat(
-        "%s: expected a '%.*s' file, found '%.*s'", path.c_str(),
-        static_cast<int>(magic.size()), magic.data(),
-        static_cast<int>(found.size()), found.data()));
-  }
   const size_t checksum_at = content.rfind("\nchecksum ");
   if (checksum_at == std::string::npos) {
     return Status::IOError(path + ": missing checksum line (truncated file)");
@@ -119,6 +139,47 @@ Result<std::string> ReadChecksummedFile(const std::string& path,
   content.erase(body_end);
   content.erase(0, magic_end + 1);
   return content;
+}
+
+void AppendLogRecord(std::string_view fields, std::string* log) {
+  log->append(fields);
+  *log += ' ';
+  *log += RecordChecksum(fields);
+  *log += '\n';
+}
+
+Result<RecordLog> ReadRecordLog(const std::string& path,
+                                std::string_view magic) {
+  BOLTON_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
+  BOLTON_RETURN_IF_ERROR(CheckMagicLine(path, content, magic));
+  RecordLog log;
+  for (size_t at = content.find('\n') + 1; at < content.size();) {
+    const size_t newline = content.find('\n', at);
+    const size_t end = std::min(newline, content.size());
+    const std::string_view line(content.data() + at, end - at);
+    const size_t split = line.rfind(' ');
+    const bool intact = newline != std::string::npos &&
+                        split != std::string_view::npos &&
+                        line.substr(split + 1) ==
+                            RecordChecksum(line.substr(0, split));
+    if (intact) {
+      log.records.emplace_back(line.substr(0, split));
+    } else if (end + 1 >= content.size()) {
+      log.torn_bytes = content.size() - at;  // the last append tore
+    } else {
+      return Status::IOError(StrFormat(
+          "%s: line %zu is a bad record followed by others (corrupted file)",
+          path.c_str(), log.records.size() + 2));
+    }
+    at = end + 1;
+  }
+  return log;
+}
+
+Status AppendAndSync(int fd, std::string_view data, const std::string& path) {
+  BOLTON_RETURN_IF_ERROR(WriteAll(fd, data, path));
+  if (::fdatasync(fd) != 0) return ErrnoIOError("fdatasync failed for", path);
+  return Status::OK();
 }
 
 }  // namespace bolton

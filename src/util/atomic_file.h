@@ -3,9 +3,11 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/result.h"
 
@@ -40,6 +42,35 @@ void AppendChecksumLine(std::string* content);
 /// (a truncated or corrupted file).
 Result<std::string> ReadChecksummedFile(const std::string& path,
                                         std::string_view magic);
+
+/// Append-only record logs (the serve budget journal) are a magic line
+/// followed by one record per line: the record's fields, a space, and the
+/// 16-hex-digit FNV-1a hash of the fields. Each record is checked on its
+/// own, so a log is read back record by record after a crash.
+///
+/// Appends `fields` (no '\n') to `*log` as one framed record.
+void AppendLogRecord(std::string_view fields, std::string* log);
+
+struct RecordLog {
+  /// The fields of every intact record, in file order.
+  std::vector<std::string> records;
+  /// Bytes of a torn last record — incomplete, or failing its checksum —
+  /// which are not in `records`; 0 when the log ends cleanly.
+  size_t torn_bytes = 0;
+};
+
+/// Reads a record log. NotFound when the path does not exist;
+/// InvalidArgument naming both when the first line is not `magic`; IOError
+/// when a bad record is followed by another line (corruption, not a torn
+/// append).
+Result<RecordLog> ReadRecordLog(const std::string& path,
+                                std::string_view magic);
+
+/// Appends `data` to the file open on `fd` (opened with O_APPEND), then
+/// fdatasyncs it. After a failure the file may end in any prefix of
+/// `data`, and the kernel may have dropped pages it wrote, so the caller
+/// must not append to it again. `path` names the file in errors.
+Status AppendAndSync(int fd, std::string_view data, const std::string& path);
 
 }  // namespace bolton
 

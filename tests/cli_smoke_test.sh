@@ -212,6 +212,33 @@ if "$CLI" frobnicate > /dev/null 2>&1; then
   exit 1
 fi
 
+# A refused input, flag or state dir is an ordinary failure: the verb prints
+# "<verb>: <status>" to stderr and exits 1 (an abort would exit 134). The
+# serve cases run under a timeout, so a daemon that wrongly starts fails
+# the test instead of hanging it.
+expect_refusal() {
+  needle="$1"
+  shift
+  status=0
+  "$@" > /dev/null 2> "$WORKDIR/refusal.err" || status=$?
+  if [ "$status" != "1" ] || ! grep -q "$needle" "$WORKDIR/refusal.err"; then
+    echo "'$*' exited $status, expected 1 and '$needle' on stderr:" >&2
+    cat "$WORKDIR/refusal.err" >&2
+    exit 1
+  fi
+}
+expect_refusal "^train: io-error: cannot open $WORKDIR/missing.libsvm" \
+    "$CLI" train --data "$WORKDIR/missing.libsvm"
+expect_refusal "^train: invalid-argument: unknown flag --no-such-flag" \
+    "$CLI" train --no-such-flag
+mkdir -p "$WORKDIR/v1_state"
+printf 'bolton-budget v1\nnext_hold 1\naccounts 0\nholds 0\nchecksum 0000000000000000\n' \
+    > "$WORKDIR/v1_state/bolton.budget"
+expect_refusal "^serve: invalid-argument: .*found 'bolton-budget v1'" \
+    timeout 20 "$CLI" serve --port 0 --state-dir "$WORKDIR/v1_state"
+expect_refusal "^serve: io-error: .*$WORKDIR/no_such_dir/bolton.budget" \
+    timeout 20 "$CLI" serve --port 0 --state-dir "$WORKDIR/no_such_dir"
+
 # A LIBSVM line that repeats an index is refused, naming the line.
 printf '1 1:0.5 2:0.25\n-1 3:0.5 3:0.7\n' > "$WORKDIR/dup.libsvm"
 if "$CLI" train --data "$WORKDIR/dup.libsvm" --algo noiseless \

@@ -27,6 +27,7 @@ std::string MakeStateDir(const std::string& name) {
   ::mkdir(dir.c_str(), 0700);
   std::remove((dir + "/bolton.budget").c_str());
   std::remove((dir + "/bolton.budget.tmp").c_str());
+  std::remove((dir + "/bolton.journal").c_str());
   return dir;
 }
 

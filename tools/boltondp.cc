@@ -111,7 +111,16 @@ Result<Dataset> LoadTrainingData(const CommonDataFlags& flags) {
   return data;
 }
 
-int Train(int argc, char** argv) {
+/// Reports a command's outcome: a refused input or a failed step prints
+/// "<verb>: <status>" to stderr and exits 1, an ordinary failure rather
+/// than an abort.
+int ExitStatus(const char* verb, const Status& status) {
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "%s: %s\n", verb, status.ToString().c_str());
+  return 1;
+}
+
+Status RunTrain(int argc, char** argv) {
   CommonDataFlags data_flags;
   std::string algo = "ours";
   std::string model_kind = "logistic";
@@ -182,18 +191,18 @@ int Train(int argc, char** argv) {
                    "check, write a bolton-postmortem-v1 report into this "
                    "directory (finish a signal crash with `boltondp "
                    "postmortem finalize --dir DIR`)");
-  parser.Parse(argc, argv).CheckOK();
+  BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp train");
-    return 0;
+    return Status::OK();
   }
 
   SetCurrentThreadName("main");
-  if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
+  if (!log_jsonl.empty()) BOLTON_RETURN_IF_ERROR(OpenLogJsonlFile(log_jsonl));
   if (!postmortem_dir.empty()) {
     obs::PostmortemOptions postmortem;
     postmortem.dir = postmortem_dir;
-    obs::InstallCrashHandler(postmortem).CheckOK();
+    BOLTON_RETURN_IF_ERROR(obs::InstallCrashHandler(postmortem));
   }
   if (metrics) obs::SetMetricsEnabled(true);
   if (!trace_out.empty() || !trace_chrome_out.empty()) {
@@ -214,21 +223,19 @@ int Train(int argc, char** argv) {
     // A live endpoint with nothing recording would scrape all zeros, so
     // --serve-obs implies every pillar.
     obs::SetAllEnabled(true);
-    auto server =
-        obs::ObsServer::Start({.port = static_cast<int>(serve_obs)});
-    server.status().CheckOK();
-    obs_server = server.MoveValue();
+    BOLTON_ASSIGN_OR_RETURN(
+        obs_server,
+        obs::ObsServer::Start({.port = static_cast<int>(serve_obs)}));
     std::printf("obs server listening on 127.0.0.1:%d\n",
                 obs_server->port());
     std::fflush(stdout);
   }
 
-  auto data = LoadTrainingData(data_flags);
-  data.status().CheckOK();
-  std::printf("loaded %s\n", data.value().Summary("train").c_str());
+  BOLTON_ASSIGN_OR_RETURN(const Dataset data, LoadTrainingData(data_flags));
+  std::printf("loaded %s\n", data.Summary("train").c_str());
 
   TrainerConfig config;
-  config.algorithm = ParseAlgorithm(algo).MoveValue();
+  BOLTON_ASSIGN_OR_RETURN(config.algorithm, ParseAlgorithm(algo));
   config.model =
       model_kind == "huber" ? ModelKind::kHuberSvm : ModelKind::kLogistic;
   config.lambda = lambda;
@@ -247,7 +254,7 @@ int Train(int argc, char** argv) {
   if (profiling) {
     obs::ProfilerOptions profile_options;
     profile_options.hz = static_cast<int>(profile_hz);
-    obs::Profiler::Default().Start(profile_options).CheckOK();
+    BOLTON_RETURN_IF_ERROR(obs::Profiler::Default().Start(profile_options));
   }
 
   Rng rng(data_flags.seed + 2);
@@ -256,57 +263,48 @@ int Train(int argc, char** argv) {
     // Crash-safe path: same model as the plain run (checkpointing only
     // observes pass boundaries), but a SIGKILL mid-train can be resumed
     // with --resume for a bit-identical released model.
-    if (data.value().num_classes() > 2) {
-      std::fprintf(stderr,
-                   "--checkpoint-dir supports binary models only\n");
-      return 1;
+    if (data.num_classes() > 2) {
+      return Status::InvalidArgument(
+          "--checkpoint-dir supports binary models only");
     }
-    auto loss = MakeLossForConfig(config);
-    loss.status().CheckOK();
+    BOLTON_ASSIGN_OR_RETURN(auto loss, MakeLossForConfig(config));
     CheckpointOptions ckpt;
     ckpt.dir = checkpoint_dir;
     ckpt.every_passes = static_cast<size_t>(checkpoint_every);
     ckpt.resume = resume;
-    auto run = RunSolverWithCheckpoints(config.algorithm, data.value(),
-                                        *loss.value(), config, &rng, ckpt);
-    run.status().CheckOK();
-    SaveModel(run.value().model, model_path).CheckOK();
+    BOLTON_ASSIGN_OR_RETURN(
+        auto run, RunSolverWithCheckpoints(config.algorithm, data, *loss,
+                                           config, &rng, ckpt));
+    BOLTON_RETURN_IF_ERROR(SaveModel(run.model, model_path));
     std::printf("trained binary %s model with %s in %.2fs%s -> %s\n",
                 model_kind.c_str(), AlgorithmName(config.algorithm),
                 watch.ElapsedSeconds(), resume ? " (resumed)" : "",
                 model_path.c_str());
     std::printf("train %s\n",
-                ComputeBinaryStats(run.value().model, data.value())
-                    .ToString()
-                    .c_str());
-  } else if (data.value().num_classes() > 2) {
-    auto model = TrainMulticlass(data.value(), config, &rng);
-    model.status().CheckOK();
-    SaveModel(model.value(), model_path).CheckOK();
+                ComputeBinaryStats(run.model, data).ToString().c_str());
+  } else if (data.num_classes() > 2) {
+    BOLTON_ASSIGN_OR_RETURN(auto model, TrainMulticlass(data, config, &rng));
+    BOLTON_RETURN_IF_ERROR(SaveModel(model, model_path));
     std::printf("trained %d-class %s model with %s in %.2fs -> %s\n",
-                model.value().num_classes(), model_kind.c_str(),
+                model.num_classes(), model_kind.c_str(),
                 AlgorithmName(config.algorithm), watch.ElapsedSeconds(),
                 model_path.c_str());
-    std::printf("train accuracy: %.4f\n",
-                MulticlassAccuracy(model.value(), data.value()));
+    std::printf("train accuracy: %.4f\n", MulticlassAccuracy(model, data));
   } else {
-    auto model = TrainBinary(data.value(), config, &rng);
-    model.status().CheckOK();
-    SaveModel(model.value(), model_path).CheckOK();
+    BOLTON_ASSIGN_OR_RETURN(auto model, TrainBinary(data, config, &rng));
+    BOLTON_RETURN_IF_ERROR(SaveModel(model, model_path));
     std::printf("trained binary %s model with %s in %.2fs -> %s\n",
                 model_kind.c_str(), AlgorithmName(config.algorithm),
                 watch.ElapsedSeconds(), model_path.c_str());
     std::printf("train %s\n",
-                ComputeBinaryStats(model.value(), data.value())
-                    .ToString()
-                    .c_str());
+                ComputeBinaryStats(model, data).ToString().c_str());
   }
 
   if (profiling) {
     obs::Profiler::Default().Stop();
     const obs::ProfileDump dump = obs::Profiler::Default().Dump();
-    obs::internal::WriteStringToFile(profile_out, obs::RenderCollapsed(dump))
-        .CheckOK();
+    BOLTON_RETURN_IF_ERROR(obs::internal::WriteStringToFile(
+        profile_out, obs::RenderCollapsed(dump)));
     std::printf(
         "wrote profile (%llu samples @ %dHz, %.0f%% symbolized, "
         "%llu dropped) -> %s\n",
@@ -323,21 +321,22 @@ int Train(int argc, char** argv) {
                           .c_str());
   }
   if (!trace_out.empty()) {
-    obs::TraceRecorder::Default().WriteJsonl(trace_out).CheckOK();
+    BOLTON_RETURN_IF_ERROR(
+        obs::TraceRecorder::Default().WriteJsonl(trace_out));
     std::printf("wrote %zu trace spans -> %s\n",
                 obs::TraceRecorder::Default().size(), trace_out.c_str());
   }
   if (!trace_chrome_out.empty()) {
-    obs::internal::WriteStringToFile(
+    BOLTON_RETURN_IF_ERROR(obs::internal::WriteStringToFile(
         trace_chrome_out,
-        obs::RenderChromeTrace(obs::TraceRecorder::Default().Snapshot()))
-        .CheckOK();
+        obs::RenderChromeTrace(obs::TraceRecorder::Default().Snapshot())));
     std::printf("wrote %zu spans as Chrome trace -> %s\n",
                 obs::TraceRecorder::Default().size(),
                 trace_chrome_out.c_str());
   }
   if (!ledger_out.empty()) {
-    obs::PrivacyLedger::Default().WriteJsonl(ledger_out).CheckOK();
+    BOLTON_RETURN_IF_ERROR(
+        obs::PrivacyLedger::Default().WriteJsonl(ledger_out));
     std::printf("wrote %zu ledger events -> %s\n",
                 obs::PrivacyLedger::Default().size(), ledger_out.c_str());
   }
@@ -351,7 +350,11 @@ int Train(int argc, char** argv) {
     std::fflush(stdout);
     obs_server->WaitForQuit(serve_obs_linger);
   }
-  return 0;
+  return Status::OK();
+}
+
+int Train(int argc, char** argv) {
+  return ExitStatus("train", RunTrain(argc, argv));
 }
 
 // Prints the response body; exits non-zero unless the status line says 200.
@@ -435,44 +438,39 @@ int Profile(int argc, char** argv) {
   return 0;
 }
 
-int Evaluate(int argc, char** argv) {
+Status RunEvaluate(int argc, char** argv) {
   CommonDataFlags data_flags;
   std::string model_path = "model.txt";
   FlagParser parser;
   AddDataFlags(&parser, &data_flags);
   parser.AddString("model", &model_path, "model file to evaluate");
-  parser.Parse(argc, argv).CheckOK();
+  BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp evaluate");
-    return 0;
+    return Status::OK();
   }
 
-  auto data = LoadTrainingData(data_flags);
-  if (!data.ok()) {
-    std::fprintf(stderr, "evaluate: %s\n", data.status().ToString().c_str());
-    return 1;
-  }
-  auto model = LoadMulticlassModel(model_path);
-  if (!model.ok()) {
-    std::fprintf(stderr, "evaluate: %s\n", model.status().ToString().c_str());
-    return 1;
-  }
-
-  if (model.value().num_classes() == 1) {
-    const Vector& w = model.value().weights[0];
-    BinaryStats stats = ComputeBinaryStats(w, data.value());
+  BOLTON_ASSIGN_OR_RETURN(const Dataset data, LoadTrainingData(data_flags));
+  BOLTON_ASSIGN_OR_RETURN(const auto model, LoadMulticlassModel(model_path));
+  if (model.num_classes() == 1) {
+    const Vector& w = model.weights[0];
+    BinaryStats stats = ComputeBinaryStats(w, data);
     std::printf("%s\n", stats.ToString().c_str());
-    auto auc = RocAuc(w, data.value());
+    auto auc = RocAuc(w, data);
     if (auc.ok()) std::printf("auc=%.4f\n", auc.value());
   } else {
-    ConfusionMatrix confusion = ComputeConfusion(model.value(), data.value());
+    ConfusionMatrix confusion = ComputeConfusion(model, data);
     std::printf("%s", confusion.ToString().c_str());
     std::printf("accuracy=%.4f\n", confusion.Accuracy());
   }
-  return 0;
+  return Status::OK();
 }
 
-int DataGen(int argc, char** argv) {
+int Evaluate(int argc, char** argv) {
+  return ExitStatus("evaluate", RunEvaluate(argc, argv));
+}
+
+Status RunDataGen(int argc, char** argv) {
   std::string dataset = "protein";
   std::string out = "train.libsvm";
   double scale = 0.1;
@@ -483,20 +481,23 @@ int DataGen(int argc, char** argv) {
   parser.AddString("out", &out, "output LIBSVM file");
   parser.AddDouble("scale", &scale, "dataset scale");
   parser.AddInt("seed", &seed, "RNG seed");
-  parser.Parse(argc, argv).CheckOK();
+  BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp datagen");
-    return 0;
+    return Status::OK();
   }
 
-  auto split = GenerateByName(dataset, scale, seed);
-  split.status().CheckOK();
-  SaveLibsvm(split.value().first, out).CheckOK();
-  SaveLibsvm(split.value().second, out + ".test").CheckOK();
+  BOLTON_ASSIGN_OR_RETURN(const auto split,
+                          GenerateByName(dataset, scale, seed));
+  BOLTON_RETURN_IF_ERROR(SaveLibsvm(split.first, out));
+  BOLTON_RETURN_IF_ERROR(SaveLibsvm(split.second, out + ".test"));
   std::printf("wrote %s (%zu rows) and %s.test (%zu rows)\n", out.c_str(),
-              split.value().first.size(), out.c_str(),
-              split.value().second.size());
-  return 0;
+              split.first.size(), out.c_str(), split.second.size());
+  return Status::OK();
+}
+
+int DataGen(int argc, char** argv) {
+  return ExitStatus("datagen", RunDataGen(argc, argv));
 }
 
 // SIGTERM/SIGINT latch for `serve`: the handler only sets a flag; the main
@@ -508,7 +509,7 @@ void ServeSignalHandler(int) { g_serve_stop.store(true); }
 // /v1/budget (plus the whole obs surface: /metrics, /ledger, /healthz, ...)
 // and runs until SIGTERM/SIGINT or GET /quitquitquit, then drains in-flight
 // requests before exiting.
-int Serve(int argc, char** argv) {
+Status RunServe(int argc, char** argv) {
   int64_t port = 0;
   std::string state_dir;
   double budget_epsilon = 1.0, budget_delta = 1e-6, max_scale = 1.0;
@@ -551,14 +552,14 @@ int Serve(int argc, char** argv) {
   parser.AddString("log-jsonl", &log_jsonl,
                    "also write every log event as structured JSONL to this "
                    "file");
-  parser.Parse(argc, argv).CheckOK();
+  BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp serve");
-    return 0;
+    return Status::OK();
   }
 
   SetCurrentThreadName("main");
-  if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
+  if (!log_jsonl.empty()) BOLTON_RETURN_IF_ERROR(OpenLogJsonlFile(log_jsonl));
   // A daemon without its audit trail is not worth running: every pillar on.
   obs::SetAllEnabled(true);
   obs::InstallFailpointObsBridge();
@@ -577,32 +578,36 @@ int Serve(int argc, char** argv) {
   options.max_training_threads = static_cast<size_t>(training_threads);
   options.max_dataset_scale = max_scale;
 
-  auto daemon = serve::ServeDaemon::Start(options);
-  daemon.status().CheckOK();
+  BOLTON_ASSIGN_OR_RETURN(auto daemon, serve::ServeDaemon::Start(options));
 
   struct sigaction action = {};
   action.sa_handler = ServeSignalHandler;
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
 
-  std::printf("serve listening on 127.0.0.1:%d\n", daemon.value()->port());
+  std::printf("serve listening on 127.0.0.1:%d\n", daemon->port());
   std::fflush(stdout);
 
   while (!g_serve_stop.load(std::memory_order_relaxed) &&
-         !daemon.value()->server().quit_requested()) {
+         !daemon->server().quit_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
   std::printf("serve draining...\n");
   std::fflush(stdout);
-  daemon.value()->Shutdown();
+  daemon->Shutdown();
   if (!ledger_out.empty()) {
-    obs::PrivacyLedger::Default().WriteJsonl(ledger_out).CheckOK();
+    BOLTON_RETURN_IF_ERROR(
+        obs::PrivacyLedger::Default().WriteJsonl(ledger_out));
     std::printf("wrote %zu ledger events -> %s\n",
                 obs::PrivacyLedger::Default().size(), ledger_out.c_str());
   }
   std::printf("serve drained, exiting\n");
-  return 0;
+  return Status::OK();
+}
+
+int Serve(int argc, char** argv) {
+  return ExitStatus("serve", RunServe(argc, argv));
 }
 
 // One HTTP request against a running daemon — the curl stand-in the smoke

@@ -310,6 +310,86 @@ grep '"kind":"budget_recover"' "$WORKDIR/serve_recover.ledger.jsonl" \
     | grep -q '"tenant":"acme"' \
     || { echo "no tenant-keyed budget_recover ledger event"; exit 1; }
 
+echo "== serve SIGKILL under load (journal replay, torn last record) =="
+# Four callers run private trains on four tenants until the daemon is
+# SIGKILLed mid-load; a partial record appended to bolton.journal then
+# stands in for a torn write. SIGKILL keeps the page cache, so this case
+# checks journal replay and the torn-tail drop, not fsync. The restarted
+# daemon must charge each tenant at least the ε of its trains that answered
+# 200 and at most the ε of all the trains it was sent, hold nothing, and
+# name the dropped record in its log.
+KILLDIR="$WORKDIR/serve_kill"
+mkdir -p "$KILLDIR"
+"$CLI" serve --port 0 --state-dir "$KILLDIR" --budget-epsilon 100 \
+    --budget-delta 1e-3 > "$WORKDIR/serve_kill.log" 2>&1 &
+serve_pid=$!
+i=0
+serve_port=""
+while [ $i -lt 300 ]; do
+  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+      "$WORKDIR/serve_kill.log" | head -1)
+  [ -n "$serve_port" ] && break
+  i=$((i + 1)); sleep 0.1
+done
+[ -n "$serve_port" ] || { cat "$WORKDIR/serve_kill.log"; exit 1; }
+loop_pids=""
+for t in 0 1 2 3; do
+  : > "$WORKDIR/kill_k$t.sent"
+  : > "$WORKDIR/kill_k$t.ok"
+  (
+    while :; do
+      echo x >> "$WORKDIR/kill_k$t.sent"
+      "$CLI" call --port "$serve_port" --path /v1/train \
+          --body "{\"tenant\":\"k$t\",\"algorithm\":\"bolton\",\"epsilon\":0.01,\"delta\":1e-7,\"passes\":1,\"scale\":0.02}" \
+          > /dev/null 2>&1 || exit 0
+      echo x >> "$WORKDIR/kill_k$t.ok"
+    done
+  ) &
+  loop_pids="$loop_pids $!"
+done
+sleep 3
+kill -KILL "$serve_pid"
+wait "$serve_pid" 2> /dev/null || true
+for pid in $loop_pids; do wait "$pid"; done
+printf '999999 reserve k0 100 0.001 0.5 0 tor' >> "$KILLDIR/bolton.journal"
+"$CLI" serve --port 0 --state-dir "$KILLDIR" --budget-epsilon 100 \
+    --budget-delta 1e-3 > "$WORKDIR/serve_kill2.log" 2>&1 &
+serve_pid=$!
+i=0
+serve_port=""
+while [ $i -lt 300 ]; do
+  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+      "$WORKDIR/serve_kill2.log" | head -1)
+  [ -n "$serve_port" ] && break
+  i=$((i + 1)); sleep 0.1
+done
+[ -n "$serve_port" ] || { cat "$WORKDIR/serve_kill2.log"; exit 1; }
+"$CLI" call --port "$serve_port" --method GET --path /v1/budget \
+    > "$WORKDIR/serve_kill.budget.json"
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "restarted serve did not drain"; exit 1; }
+grep -q "dropped a torn last record" "$WORKDIR/serve_kill2.log" \
+    || { echo "the torn journal record was not named"; \
+         cat "$WORKDIR/serve_kill2.log"; exit 1; }
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$WORKDIR" <<'PYEOF'
+import json, sys
+workdir = sys.argv[1]
+views = {v["tenant"]: v for v in json.load(open(workdir + "/serve_kill.budget.json"))}
+for t in range(4):
+    count = lambda kind: sum(1 for _ in open(f"{workdir}/kill_k{t}.{kind}"))
+    sent, ok = count("sent"), count("ok")
+    view = views.get(f"k{t}", {"spent_epsilon": 0.0, "reserved_epsilon": 0.0})
+    spent = view["spent_epsilon"]
+    print(f"k{t}: {ok} of {sent} trains answered 200, spent eps {spent:.4g}")
+    assert ok > 0, f"k{t}: no train answered before the kill"
+    assert 0.01 * ok - 1e-9 <= spent <= 0.01 * sent + 1e-9, f"k{t}: spent {spent}"
+    assert view["reserved_epsilon"] == 0.0, f"k{t}: {view['reserved_epsilon']} still reserved"
+PYEOF
+else
+  echo "note: python3 missing, skipping the per-tenant spend check"
+fi
+
 echo "== postmortem pass (failpoint-panic'd train leaves a crash report) =="
 # A train killed mid-run by an armed panic failpoint must leave a raw crash
 # dump that `boltondp postmortem finalize` turns into a schema-valid
@@ -417,19 +497,19 @@ else
   echo "skipped (python3 or BENCH_PR18.json missing)"
 fi
 
-echo "== bench regression gate (serve throughput vs BENCH_PR10.json) =="
+echo "== bench regression gate (serve throughput vs BENCH_PR21.json) =="
 # Same contract as above for the serve daemon: catch order-of-magnitude
 # request-rate collapses, absorb host-to-host (and run-to-run; the daemon
 # numbers are the noisiest in the suite) variance.
-if command -v python3 > /dev/null 2>&1 && [ -f "$ROOT/BENCH_PR10.json" ]; then
+if command -v python3 > /dev/null 2>&1 && [ -f "$ROOT/BENCH_PR21.json" ]; then
   cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bench_serve_throughput
   "$PRIMARY_BUILD/bench/bench_serve_throughput" \
       --json-out "$WORKDIR/serve_throughput.json" > /dev/null 2>&1
   python3 "$ROOT/tools/benchdiff.py" diff \
-      "$ROOT/BENCH_PR10.json" "$WORKDIR/serve_throughput.json" \
+      "$ROOT/BENCH_PR21.json" "$WORKDIR/serve_throughput.json" \
       --threshold 0.75
 else
-  echo "skipped (python3 or BENCH_PR10.json missing)"
+  echo "skipped (python3 or BENCH_PR21.json missing)"
 fi
 
 echo "== sparse PSGD gate (sparse rows >= 4x dense rows at d=10000) =="
