@@ -29,6 +29,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -193,14 +194,25 @@ inline void DumpTelemetry(bool metrics, const std::string& trace_out,
                  obs::MetricsRegistry::Default().Snapshot().ToText().c_str());
   }
   if (!trace_out.empty()) {
-    Status status = obs::TraceRecorder::Default().WriteJsonl(trace_out);
+    const obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
+    Status status = AtomicWriteFile(
+        trace_out, obs::RenderSpansJsonl(recorder.RecentSpans()), 0666);
     if (!status.ok()) {
       std::fprintf(stderr, "trace export failed: %s\n",
                    status.ToString().c_str());
     }
+    const uint64_t overwritten = recorder.SpanRingStats().overwritten();
+    if (overwritten > 0) {
+      std::fprintf(stderr,
+                   "the span ring keeps the newest %zu spans; %llu older "
+                   "ones were overwritten\n",
+                   obs::FlightRecorder::kSpanSlots,
+                   static_cast<unsigned long long>(overwritten));
+    }
   }
   if (!ledger_out.empty()) {
-    Status status = obs::PrivacyLedger::Default().WriteJsonl(ledger_out);
+    Status status = AtomicWriteFile(
+        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666);
     if (!status.ok()) {
       std::fprintf(stderr, "ledger export failed: %s\n",
                    status.ToString().c_str());
@@ -307,8 +319,7 @@ inline void FinishProfiler(const std::string& out_override = "") {
               ? out_env
               : "bench_profile.collapsed";
   }
-  Status status =
-      obs::internal::WriteStringToFile(out, obs::RenderCollapsed(dump));
+  Status status = AtomicWriteFile(out, obs::RenderCollapsed(dump), 0666);
   if (!status.ok()) {
     std::fprintf(stderr, "profile export failed: %s\n",
                  status.ToString().c_str());
@@ -473,7 +484,7 @@ struct CommonFlags {
     SetCurrentThreadName("main");
     obs::SetPerfCountersEnabled(true);
     if (metrics) obs::SetMetricsEnabled(true);
-    if (!trace_out.empty()) obs::TraceRecorder::Default().SetEnabled(true);
+    if (!trace_out.empty()) obs::SetTracingEnabled(true);
     if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
     if (serve_obs >= 0) {
       obs::SetAllEnabled(true);
@@ -501,8 +512,7 @@ struct CommonFlags {
     FinishProfiler(profile_out);  // no-op when the profiler never started
     DumpTelemetry(metrics, trace_out, ledger_out);
     if (!json_out.empty()) {
-      Status status =
-          obs::internal::WriteStringToFile(json_out, BenchResultsToJson());
+      Status status = AtomicWriteFile(json_out, BenchResultsToJson(), 0666);
       if (!status.ok()) {
         std::fprintf(stderr, "bench json export failed: %s\n",
                      status.ToString().c_str());

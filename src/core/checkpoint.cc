@@ -328,14 +328,12 @@ uint64_t SolverSpecHash(Algorithm algorithm, const SolverSpec& spec,
   return h;
 }
 
-CheckpointManager::CheckpointManager(std::string dir) : dir_(std::move(dir)) {
-  path_ = dir_ + "/bolton.ckpt";
-  tmp_path_ = path_ + ".tmp";
-}
+CheckpointManager::CheckpointManager(std::string dir)
+    : path_(std::move(dir) + "/bolton.ckpt") {}
 
 Status CheckpointManager::Save(const CheckpointData& data) const {
   BOLTON_FAILPOINT("checkpoint.save");
-  return AtomicWriteFile(tmp_path_, path_, dir_, RenderCheckpoint(data));
+  return AtomicWriteFile(path_, RenderCheckpoint(data), 0600);
 }
 
 Result<CheckpointData> CheckpointManager::Load() const {

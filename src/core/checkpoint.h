@@ -81,9 +81,7 @@ class CheckpointManager {
   Status Remove() const;
 
  private:
-  std::string dir_;
   std::string path_;
-  std::string tmp_path_;
 };
 
 /// Checkpoint policy for RunSolverWithCheckpoints.

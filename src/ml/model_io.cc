@@ -29,10 +29,7 @@ Status WriteModelFile(const std::vector<const Vector*>& weights,
   }
   std::string content = out.str();
   AppendChecksumLine(&content);
-  const size_t slash = path.rfind('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  return AtomicWriteFile(path + ".tmp", path, dir, content, 0666);
+  return AtomicWriteFile(path, content, 0666);
 }
 
 struct ParsedModel {

@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "obs/telemetry.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -270,15 +269,6 @@ std::string RenderRecordedLogsJsonl(
   return out;
 }
 
-std::string RenderRecordedSpanJson(const RecordedSpan& s) {
-  JsonWriter w;
-  w.BeginObject().Field("name", s.name).Field("id", s.id);
-  w.Field("parent", s.parent_id).Field("start_ns", s.start_ns);
-  w.Field("dur_ns", s.duration_ns).Field("count", s.count);
-  w.Field("thread", s.thread_id).Field("thread_name", s.thread_name);
-  return w.EndObject().str();
-}
-
 std::string RenderRecordedMetricJson(const RecordedMetric& m) {
   JsonWriter w;
   w.BeginObject().Field("name", m.name);
@@ -291,29 +281,6 @@ std::string RenderRingStatsJson(const RingStats& stats) {
   w.BeginObject().Field("capacity", stats.capacity);
   w.Field("appended", stats.appended).Field("dropped", stats.dropped);
   return w.EndObject().str();
-}
-
-std::string RenderFlightRecorderJson(const FlightRecorder& recorder) {
-  JsonWriter w;
-  w.BeginObject().Field("schema", "bolton-flightrecorder-v1");
-  w.Key("log_ring").Raw(RenderRingStatsJson(recorder.LogRingStats()));
-  w.Key("span_ring").Raw(RenderRingStatsJson(recorder.SpanRingStats()));
-  w.Field("metrics_mono_ns", recorder.LatestMetricsTimestampNs());
-  w.Key("recent_logs").BeginArray();
-  for (const RecordedLogEvent& e :
-       recorder.RecentLogs(FlightRecorder::kLogSlots, LogLevel::kDebug)) {
-    w.Raw(RenderRecordedLogJson(e));
-  }
-  w.EndArray().Key("recent_spans").BeginArray();
-  for (const RecordedSpan& s :
-       recorder.RecentSpans(FlightRecorder::kSpanSlots)) {
-    w.Raw(RenderRecordedSpanJson(s));
-  }
-  w.EndArray().Key("metrics").BeginArray();
-  for (const RecordedMetric& m : recorder.LatestMetrics()) {
-    w.Raw(RenderRecordedMetricJson(m));
-  }
-  return w.EndArray().EndObject().str();
 }
 
 std::string RenderSpansJsonl(const std::vector<SpanRecord>& spans) {

@@ -109,20 +109,12 @@ std::string RenderRecordedLogJson(const RecordedLogEvent& event);
 /// One JSON object per line, oldest first (the /logz payload).
 std::string RenderRecordedLogsJsonl(const std::vector<RecordedLogEvent>& events);
 
-/// One retained span as a single-line JSON object (no trailing newline).
-std::string RenderRecordedSpanJson(const RecordedSpan& span);
-
 /// One snapshot metric as a single-line JSON object (no trailing newline).
 std::string RenderRecordedMetricJson(const RecordedMetric& metric);
 
-/// A ring's {"capacity":N,"appended":N,"dropped":N} object, shared by the
-/// flight-recorder and postmortem documents.
+/// A ring's {"capacity":N,"appended":N,"dropped":N} object (the
+/// postmortem's log_ring and span_ring).
 std::string RenderRingStatsJson(const RingStats& stats);
-
-/// The whole flight recorder as one "bolton-flightrecorder-v1" JSON
-/// document: ring stats, recent logs and spans, and the latest metrics
-/// snapshot. The /flightrecorder endpoint serves exactly this.
-std::string RenderFlightRecorderJson(const FlightRecorder& recorder);
 
 /// Chrome trace-event JSON (the array form): "M" metadata events naming
 /// the process and each thread track, then one "X" complete event per

@@ -66,6 +66,12 @@ double BitsToDouble(uint64_t bits) {
   return v;
 }
 
+/// The PerfCounterDelta fields a span slot stores, in slot order.
+constexpr uint64_t PerfCounterDelta::*kCounterFields[] = {
+    &PerfCounterDelta::cycles,          &PerfCounterDelta::instructions,
+    &PerfCounterDelta::cache_references, &PerfCounterDelta::cache_misses,
+    &PerfCounterDelta::branch_misses,   &PerfCounterDelta::task_clock_ns};
+
 }  // namespace
 
 FlightRecorder& FlightRecorder::Default() {
@@ -135,10 +141,18 @@ void FlightRecorder::RecordSpan(const SpanRecord& record) {
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.id.store(record.id, std::memory_order_relaxed);
   slot.parent_id.store(record.parent_id, std::memory_order_relaxed);
+  slot.depth.store(static_cast<uint64_t>(record.depth),
+                   std::memory_order_relaxed);
   slot.start_ns.store(record.start_ns, std::memory_order_relaxed);
   slot.duration_ns.store(record.duration_ns, std::memory_order_relaxed);
-  slot.count.store(record.count, std::memory_order_relaxed);
   slot.thread_id.store(record.thread_id, std::memory_order_relaxed);
+  slot.counter_flags.store(
+      (record.has_counters ? 1u : 0u) | (record.counters.available ? 2u : 0u),
+      std::memory_order_relaxed);
+  for (size_t i = 0; i < SpanSlot::kCounterWords; ++i) {
+    slot.counters[i].store(record.counters.*kCounterFields[i],
+                           std::memory_order_relaxed);
+  }
   slot.name.Store(record.name.c_str());
   slot.thread_name.Store(record.thread_name.c_str());
   slot.gen.store(gen + 2, std::memory_order_release);
@@ -166,7 +180,6 @@ void FlightRecorder::SnapshotMetricsNow() {
     ++n;
   }
   buf.count.store(n, std::memory_order_relaxed);
-  buf.mono_ns.store(MonotonicNanos(), std::memory_order_relaxed);
   active_metric_buffer_.store(next, std::memory_order_release);
 }
 
@@ -204,22 +217,30 @@ std::vector<RecordedLogEvent> FlightRecorder::RecentLogs(
   return out;
 }
 
-std::vector<RecordedSpan> FlightRecorder::RecentSpans(size_t max) const {
+std::vector<SpanRecord> FlightRecorder::RecentSpans(size_t max) const {
   const uint64_t appended = spans_appended_.load(std::memory_order_acquire);
   const uint64_t begin = appended > kSpanSlots ? appended - kSpanSlots : 0;
-  std::vector<RecordedSpan> out;
+  std::vector<SpanRecord> out;
   for (uint64_t seq = begin; seq < appended; ++seq) {
     const SpanSlot& slot = span_slots_[seq % kSpanSlots];
     const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
     if ((gen1 & 1) != 0) continue;
-    RecordedSpan span;
+    SpanRecord span;
     const uint64_t slot_seq = slot.seq.load(std::memory_order_relaxed);
     span.id = slot.id.load(std::memory_order_relaxed);
     span.parent_id = slot.parent_id.load(std::memory_order_relaxed);
+    span.depth =
+        static_cast<int>(slot.depth.load(std::memory_order_relaxed));
     span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
     span.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    span.count = slot.count.load(std::memory_order_relaxed);
     span.thread_id = slot.thread_id.load(std::memory_order_relaxed);
+    const uint64_t flags = slot.counter_flags.load(std::memory_order_relaxed);
+    span.has_counters = (flags & 1) != 0;
+    span.counters.available = (flags & 2) != 0;
+    for (size_t i = 0; i < SpanSlot::kCounterWords; ++i) {
+      span.counters.*kCounterFields[i] =
+          slot.counters[i].load(std::memory_order_relaxed);
+    }
     char text[48];
     slot.name.LoadTo(text);
     span.name = text;
@@ -253,12 +274,6 @@ std::vector<RecordedMetric> FlightRecorder::LatestMetrics() const {
     out.push_back(std::move(metric));
   }
   return out;
-}
-
-uint64_t FlightRecorder::LatestMetricsTimestampNs() const {
-  const MetricBuffer& buf =
-      metric_buffers_[active_metric_buffer_.load(std::memory_order_acquire)];
-  return buf.mono_ns.load(std::memory_order_relaxed);
 }
 
 RingStats FlightRecorder::LogRingStats() const {
@@ -336,18 +351,17 @@ void FlightRecorder::WriteRawTo(int fd) const {
     if ((gen1 & 1) != 0) continue;
     if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
     char text[48];
-    line.Text("flspan ");
-    line.Uint(slot.id.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.parent_id.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.start_ns.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.duration_ns.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.count.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.thread_id.load(std::memory_order_relaxed));
+    line.Text("flspan");
+    for (const std::atomic<uint64_t>* field :
+         {&slot.id, &slot.parent_id, &slot.depth, &slot.start_ns,
+          &slot.duration_ns, &slot.thread_id, &slot.counter_flags}) {
+      line.Text(" ");
+      line.Uint(field->load(std::memory_order_relaxed));
+    }
+    for (const std::atomic<uint64_t>& counter : slot.counters) {
+      line.Text(" ");
+      line.Uint(counter.load(std::memory_order_relaxed));
+    }
     line.Text(" ");
     slot.thread_name.LoadTo(text);
     line.Token(text);
@@ -360,11 +374,6 @@ void FlightRecorder::WriteRawTo(int fd) const {
   const MetricBuffer& buf =
       metric_buffers_[active_metric_buffer_.load(std::memory_order_acquire)];
   const uint64_t n = buf.count.load(std::memory_order_relaxed);
-  if (n > 0) {
-    line.Text("flmetricts ");
-    line.Uint(buf.mono_ns.load(std::memory_order_relaxed));
-    line.Flush(fd);
-  }
   for (uint64_t i = 0; i < n && i < kMetricEntries; ++i) {
     const uint64_t kind = buf.entries[i].kind.load(std::memory_order_relaxed);
     if (kind == 0) continue;

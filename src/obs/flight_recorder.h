@@ -14,12 +14,13 @@ namespace bolton {
 namespace obs {
 
 /// Always-on in-memory flight recorder: fixed-capacity rings of the most
-/// recent log events, completed trace spans, and a periodic metrics
-/// snapshot. Unlike the opt-in telemetry pillars this runs in every
-/// process, because its whole purpose is the run nobody planned to debug —
-/// the crash handler (obs/postmortem.h) dumps the rings into the
-/// postmortem, and the obs HTTP server serves them live at /logz and
-/// /flightrecorder.
+/// recent log events and finished trace spans, and a periodic metrics
+/// snapshot. The log ring runs in every process, because its whole purpose
+/// is the run nobody planned to debug; the span ring is the one store of
+/// finished spans, filled while tracing is on (obs/trace.h). The crash
+/// handler (obs/postmortem.h) dumps the rings into the postmortem, the obs
+/// HTTP server serves them live at /logz and /spans, and --trace-out
+/// writes the span ring to a file.
 ///
 /// Concurrency follows the drop-not-block idiom of util/sample_ring.h,
 /// adapted to a wrapping ring: writers claim a slot by sequence number and
@@ -84,18 +85,6 @@ struct RecordedLogEvent {
   std::string message;
 };
 
-/// A retained completed span, copied out of the ring.
-struct RecordedSpan {
-  uint64_t id = 0;
-  uint64_t parent_id = 0;
-  uint64_t start_ns = 0;
-  uint64_t duration_ns = 0;
-  uint64_t count = 1;
-  uint64_t thread_id = 0;
-  std::string name;
-  std::string thread_name;
-};
-
 /// One metric from the latest snapshot. kind is 'c' (counter, value is an
 /// integral count) or 'g' (gauge).
 struct RecordedMetric {
@@ -111,6 +100,11 @@ struct RingStats {
   uint64_t capacity = 0;
   uint64_t appended = 0;
   uint64_t dropped = 0;
+
+  /// Events pushed out of the ring by newer ones.
+  uint64_t overwritten() const {
+    return appended > capacity ? appended - capacity : 0;
+  }
 };
 
 namespace internal {
@@ -177,7 +171,10 @@ class LineBuilder {
 class FlightRecorder : public LogSink {
  public:
   static constexpr size_t kLogSlots = 256;
-  static constexpr size_t kSpanSlots = 128;
+  /// Holds every span of a traced CLI or bench run (a sharded train
+  /// closes a few dozen) and a daemon's last ~500 requests (about eight
+  /// spans each), in ~0.75 MiB.
+  static constexpr size_t kSpanSlots = 4096;
   static constexpr size_t kMetricEntries = 64;
   /// Auto-snapshot the metrics registry at most this often, piggybacked on
   /// the log write path (no poller thread).
@@ -191,8 +188,9 @@ class FlightRecorder : public LogSink {
   /// the metrics snapshot. Called under the logger's dispatch lock.
   void Write(const LogEvent& event) override;
 
-  /// Copies a completed span into the span ring (called by
-  /// TraceRecorder::Record for every finished span).
+  /// Copies a finished span into the span ring, overwriting the oldest
+  /// once it is full (called by every ScopedSpan that traced). The name
+  /// is kept to 47 bytes and the thread name to 23.
   void RecordSpan(const SpanRecord& record);
 
   /// Snapshots the default metrics registry (counters and gauges; the
@@ -206,19 +204,21 @@ class FlightRecorder : public LogSink {
   /// mid-read is skipped, not blocked on.
   std::vector<RecordedLogEvent> RecentLogs(size_t max,
                                            LogLevel min_level) const;
-  std::vector<RecordedSpan> RecentSpans(size_t max) const;
+  /// The most recent retained spans in completion order, oldest first,
+  /// at most `max`.
+  std::vector<SpanRecord> RecentSpans(size_t max = kSpanSlots) const;
   std::vector<RecordedMetric> LatestMetrics() const;
-  /// MonotonicNanos timestamp of the latest metrics snapshot, 0 if none.
-  uint64_t LatestMetricsTimestampNs() const;
 
   RingStats LogRingStats() const;
   RingStats SpanRingStats() const;
 
   /// Dumps the rings to `fd` as plain ASCII lines ("fllog ...",
-  /// "flspan ...", "flmetric ...", "flstats ..."). Uses only atomic loads,
-  /// stack buffers, and write(2) — async-signal-safe, which is the whole
-  /// point: the crash handler calls this with the process in an arbitrary
-  /// state. The postmortem finalizer parses the lines back.
+  /// "flspan <id> <parent> <depth> <start> <dur> <tid> <counter flags>
+  /// <6 counters> <thread> <name>", "flmetric ...", "flstats ..."). Uses
+  /// only atomic loads, stack buffers, and write(2) — async-signal-safe,
+  /// which is the whole point: the crash handler calls this with the
+  /// process in an arbitrary state. The postmortem finalizer parses the
+  /// lines back.
   void WriteRawTo(int fd) const;
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -240,15 +240,22 @@ class FlightRecorder : public LogSink {
     AtomicText<192> message;
   };
 
+  /// Every SpanRecord field but `count`, which is always 1.
   struct SpanSlot {
+    /// The counter fields, in PerfCounterDelta order: cycles,
+    /// instructions, cache_references, cache_misses, branch_misses,
+    /// task_clock_ns.
+    static constexpr size_t kCounterWords = 6;
     std::atomic<uint64_t> gen{0};
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> id{0};
     std::atomic<uint64_t> parent_id{0};
+    std::atomic<uint64_t> depth{0};
     std::atomic<uint64_t> start_ns{0};
     std::atomic<uint64_t> duration_ns{0};
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> thread_id{0};
+    std::atomic<uint64_t> counter_flags{0};  // 1 = has_counters, 2 = available
+    std::atomic<uint64_t> counters[kCounterWords] = {};
     AtomicText<48> name;
     AtomicText<24> thread_name;
   };
@@ -260,7 +267,6 @@ class FlightRecorder : public LogSink {
   };
   struct MetricBuffer {
     std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> mono_ns{0};
     MetricEntry entries[kMetricEntries];
   };
 

@@ -226,7 +226,7 @@ HttpResponse HandleHealthz(uint64_t start_ns) {
   w.BeginObject().Field("status", "ok");
   w.Field("uptime_ns", MonotonicNanos() - start_ns);
   w.Field("metrics_enabled", MetricsEnabled());
-  w.Field("trace_enabled", TraceRecorder::Default().enabled());
+  w.Field("trace_enabled", TracingEnabled());
   w.Field("ledger_enabled", PrivacyLedger::Default().enabled());
   w.Key("privacy_spend").BeginObject().Field("events", totals.events);
   w.Field("noise_draws", totals.noise_draws).Field("charges", totals.charges);
@@ -253,16 +253,15 @@ HttpResponse HandleLedger(const HttpRequest& request) {
 
 HttpResponse HandleSpans(const HttpRequest& request) {
   const std::string format = request.QueryParam("format").value_or("jsonl");
-  if (format == "chrome") {
-    return MakeResponse(200, "application/json",
-                        RenderChromeTrace(TraceRecorder::Default().Snapshot()));
-  }
-  if (format != "jsonl") {
+  if (format != "jsonl" && format != "chrome") {
     return MakeResponse(400, kPlainText,
                         "format must be 'jsonl' or 'chrome'\n");
   }
-  return MakeResponse(200, "application/jsonl",
-                      RenderSpansJsonl(TraceRecorder::Default().Snapshot()));
+  const std::vector<SpanRecord> spans = FlightRecorder::Default().RecentSpans();
+  if (format == "chrome") {
+    return MakeResponse(200, "application/json", RenderChromeTrace(spans));
+  }
+  return MakeResponse(200, "application/jsonl", RenderSpansJsonl(spans));
 }
 
 HttpResponse HandleLogz(const HttpRequest& request) {
@@ -284,14 +283,6 @@ HttpResponse HandleLogz(const HttpRequest& request) {
       200, "application/jsonl",
       RenderRecordedLogsJsonl(
           FlightRecorder::Default().RecentLogs(max, min_level)));
-}
-
-HttpResponse HandleFlightRecorder(const HttpRequest&) {
-  // Refresh the snapshot so the payload's metrics are current, not up to
-  // a second stale.
-  FlightRecorder::Default().SnapshotMetricsNow();
-  return MakeResponse(200, "application/json",
-                      RenderFlightRecorderJson(FlightRecorder::Default()));
 }
 
 HttpResponse HandleBuildz(const HttpRequest&) {
@@ -351,7 +342,6 @@ Result<std::unique_ptr<ObsServer>> ObsServer::Start(
   self->RegisterHandler("GET", "/ledger", &HandleLedger);
   self->RegisterHandler("GET", "/spans", &HandleSpans);
   self->RegisterHandler("GET", "/logz", &HandleLogz);
-  self->RegisterHandler("GET", "/flightrecorder", &HandleFlightRecorder);
   self->RegisterHandler("GET", "/buildz", &HandleBuildz);
   self->RegisterHandler("GET", "/profile", [self](const HttpRequest& request) {
     return HandleProfile(request, self->stop_);
@@ -583,7 +573,7 @@ HttpResponse ObsServer::Dispatch(const HttpRequest& request) {
     return MakeResponse(
         404, kPlainText,
         StrFormat("no handler for '%s'; try /metrics /healthz /ledger /spans "
-                  "/logz /flightrecorder /buildz /profile\n",
+                  "/logz /buildz /profile\n",
                   request.path.c_str()));
   }
   HttpResponse response = MakeResponse(

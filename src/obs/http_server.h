@@ -79,13 +79,12 @@ struct ObsServerOptions {
 ///                   privacy-spend totals from the ledger.
 ///   /ledger?tail=N  Last N privacy-ledger events as JSONL (default 100,
 ///                   tail=0 for everything).
-///   /spans          The completed-span buffer as JSONL.
+///   /spans?format=F The flight recorder's span ring, oldest first: JSONL
+///                   (default) or a Chrome trace (format=chrome).
 ///   /logz?tail=N&level=L
 ///                   Last N retained log events from the flight recorder
 ///                   as JSONL (default 100), at or above level L
 ///                   ("D"/"I"/"W"/"E" or the long names; default all).
-///   /flightrecorder One JSON document: ring statistics, recent logs and
-///                   spans, and the latest metrics snapshot.
 ///   /buildz         Build/runtime identity JSON (git sha, compiler,
 ///                   build type, SIMD level, perf-counter tier).
 ///   /quitquitquit   Asks the owner to stop lingering (see WaitForQuit);

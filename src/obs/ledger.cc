@@ -49,9 +49,5 @@ std::string PrivacyLedger::ToJsonl() const {
   return RenderLedgerJsonl(Snapshot());
 }
 
-Status PrivacyLedger::WriteJsonl(const std::string& path) const {
-  return internal::WriteStringToFile(path, ToJsonl());
-}
-
 }  // namespace obs
 }  // namespace bolton

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace bolton {
 namespace obs {
 
@@ -96,7 +94,6 @@ class PrivacyLedger {
 
   /// One JSON object per event, in record order.
   std::string ToJsonl() const;
-  Status WriteJsonl(const std::string& path) const;
 
   PrivacyLedger() = default;
   PrivacyLedger(const PrivacyLedger&) = delete;

@@ -18,6 +18,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -250,7 +251,7 @@ void FillCommonState(PostmortemReport* report) {
   recorder.SnapshotMetricsNow();
   report->recent_logs =
       recorder.RecentLogs(FlightRecorder::kLogSlots, LogLevel::kDebug);
-  report->recent_spans = recorder.RecentSpans(FlightRecorder::kSpanSlots);
+  report->recent_spans = recorder.RecentSpans();
   report->metrics = recorder.LatestMetrics();
   report->log_ring = recorder.LogRingStats();
   report->span_ring = recorder.SpanRingStats();
@@ -366,7 +367,7 @@ void WritePostmortemNow(const char* fatal_message) {
   const std::string path = StrFormat("%s/postmortem.json", g_dir);
   // Nothing useful to do with a write failure here: the process is about
   // to abort either way.
-  (void)WriteStringToFile(path, RenderPostmortemJson(report));
+  (void)AtomicWriteFile(path, RenderPostmortemJson(report), 0666);
 }
 
 }  // namespace internal
@@ -405,8 +406,8 @@ std::string RenderPostmortemJson(const PostmortemReport& report) {
   }
   w.EndArray().Key("log_ring").Raw(RenderRingStatsJson(report.log_ring));
   w.Key("recent_spans").BeginArray();
-  for (const RecordedSpan& span : report.recent_spans) {
-    w.Raw(RenderRecordedSpanJson(span));
+  for (const SpanRecord& span : report.recent_spans) {
+    w.Raw(RenderSpanJson(span));
   }
   w.EndArray().Key("span_ring").Raw(RenderRingStatsJson(report.span_ring));
   w.Key("metrics").BeginArray();
@@ -574,16 +575,26 @@ Status FinalizePostmortem(const std::string& dir) {
       event.file = DecodeToken(tokens[8]);
       event.message = message;
       report.recent_logs.push_back(std::move(event));
-    } else if (tag == "flspan" && tokens.size() >= 9) {
-      RecordedSpan span;
+    } else if (tag == "flspan" && tokens.size() >= 16) {
+      SpanRecord span;
       span.id = ParseUintToken(tokens[1]);
       span.parent_id = ParseUintToken(tokens[2]);
-      span.start_ns = ParseUintToken(tokens[3]);
-      span.duration_ns = ParseUintToken(tokens[4]);
-      span.count = ParseUintToken(tokens[5]);
+      span.depth = static_cast<int>(ParseUintToken(tokens[3]));
+      span.start_ns = ParseUintToken(tokens[4]);
+      span.duration_ns = ParseUintToken(tokens[5]);
       span.thread_id = ParseUintToken(tokens[6]);
-      span.thread_name = DecodeToken(tokens[7]);
-      span.name = DecodeToken(tokens[8]);
+      const uint64_t counter_flags = ParseUintToken(tokens[7]);
+      span.has_counters = (counter_flags & 1) != 0;
+      PerfCounterDelta& c = span.counters;
+      c.available = (counter_flags & 2) != 0;
+      c.cycles = ParseUintToken(tokens[8]);
+      c.instructions = ParseUintToken(tokens[9]);
+      c.cache_references = ParseUintToken(tokens[10]);
+      c.cache_misses = ParseUintToken(tokens[11]);
+      c.branch_misses = ParseUintToken(tokens[12]);
+      c.task_clock_ns = ParseUintToken(tokens[13]);
+      span.thread_name = DecodeToken(tokens[14]);
+      span.name = DecodeToken(tokens[15]);
       report.recent_spans.push_back(std::move(span));
     } else if (tag == "flmetric" && tokens.size() >= 4) {
       RecordedMetric metric;
@@ -601,8 +612,7 @@ Status FinalizePostmortem(const std::string& dir) {
     }
   }
 
-  return internal::WriteStringToFile(json_path,
-                                     RenderPostmortemJson(report));
+  return AtomicWriteFile(json_path, RenderPostmortemJson(report), 0666);
 }
 
 }  // namespace obs

@@ -74,7 +74,7 @@ struct PostmortemReport {
   std::vector<std::pair<uint64_t, std::string>> active_spans;
 
   std::vector<RecordedLogEvent> recent_logs;
-  std::vector<RecordedSpan> recent_spans;
+  std::vector<SpanRecord> recent_spans;
   std::vector<RecordedMetric> metrics;
   RingStats log_ring;
   RingStats span_ring;

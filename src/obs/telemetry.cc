@@ -11,7 +11,6 @@
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
-#include "util/strings.h"
 
 namespace bolton {
 namespace obs {
@@ -27,7 +26,7 @@ uint64_t MonotonicNanos() {
 
 void SetAllEnabled(bool enabled) {
   SetMetricsEnabled(enabled);
-  TraceRecorder::Default().SetEnabled(enabled);
+  SetTracingEnabled(enabled);
   PrivacyLedger::Default().SetEnabled(enabled);
   SetPerfCountersEnabled(enabled);
 }
@@ -91,22 +90,5 @@ void InstallFailpointObsBridge() {
       });
 }
 
-namespace internal {
-
-Status WriteStringToFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal(
-        StrFormat("cannot open '%s' for writing", path.c_str()));
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != content.size() || !close_ok) {
-    return Status::Internal(StrFormat("short write to '%s'", path.c_str()));
-  }
-  return Status::OK();
-}
-
-}  // namespace internal
 }  // namespace obs
 }  // namespace bolton

@@ -2,9 +2,6 @@
 #define BOLTON_OBS_TELEMETRY_H_
 
 #include <cstdint>
-#include <string>
-
-#include "util/status.h"
 
 namespace bolton {
 namespace obs {
@@ -41,12 +38,6 @@ void UpdateProcessMemoryGauges();
 /// label), hit count (as step), and action. Idempotent; installed by the
 /// CLI/bench surfaces that enable telemetry.
 void InstallFailpointObsBridge();
-
-namespace internal {
-/// Overwrites `path` with `content`; the pillars' JSONL/text exporters all
-/// funnel through this one writer.
-Status WriteStringToFile(const std::string& path, const std::string& content);
-}  // namespace internal
 
 }  // namespace obs
 }  // namespace bolton

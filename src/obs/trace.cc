@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
-#include "obs/export.h"
+#include <atomic>
+
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
 #include "util/thread_name.h"
@@ -8,45 +9,20 @@
 namespace bolton {
 namespace obs {
 
-TraceRecorder& TraceRecorder::Default() {
-  static TraceRecorder* recorder = [] {
-    // Give the logger its span-id provider here so any process that traces
-    // also correlates log lines to spans, without util/ knowing about obs/.
+namespace {
+std::atomic<bool> g_tracing{false};
+std::atomic<uint64_t> g_next_span_id{1};
+}  // namespace
+
+bool TracingEnabled() { return g_tracing.load(std::memory_order_relaxed); }
+
+void SetTracingEnabled(bool enabled) {
+  // Installed here, not in util/, so log lines correlate to spans without
+  // util/ knowing about obs/.
+  if (enabled) {
     bolton::internal::SetLogSpanIdProvider(&internal::CurrentSpanIdForLog);
-    return new TraceRecorder();
-  }();
-  return *recorder;
-}
-
-void TraceRecorder::Record(SpanRecord record) {
-  // Completed spans also land in the flight recorder's recent-span ring so
-  // a crash report can show what the process was doing just before dying.
-  FlightRecorder::Default().RecordSpan(record);
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(std::move(record));
-}
-
-std::vector<SpanRecord> TraceRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-size_t TraceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
-}
-
-std::string TraceRecorder::ToJsonl() const {
-  return RenderSpansJsonl(Snapshot());
-}
-
-Status TraceRecorder::WriteJsonl(const std::string& path) const {
-  return internal::WriteStringToFile(path, ToJsonl());
+  }
+  g_tracing.store(enabled, std::memory_order_relaxed);
 }
 
 namespace internal {
@@ -59,8 +35,7 @@ uint64_t CurrentSpanIdForLog() { return ThreadState().current_id; }
 }  // namespace internal
 
 ScopedSpan::ScopedSpan(const char* name) : name_(name) {
-  TraceRecorder& recorder = TraceRecorder::Default();
-  traced_ = recorder.enabled();
+  traced_ = TracingEnabled();
   counted_ = PerfCountersEnabled();
   if (!traced_ && !counted_) return;
   internal::ThreadSpanState& tls = internal::ThreadState();
@@ -71,7 +46,7 @@ ScopedSpan::ScopedSpan(const char* name) : name_(name) {
   if (!traced_) return;
   parent_ = tls.current_id;
   depth_ = tls.depth;
-  id_ = recorder.NextSpanId();
+  id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   tls.current_id = id_;
   tls.depth = depth_ + 1;
   if (depth_ < internal::ThreadSpanState::kMaxStack) {
@@ -110,7 +85,7 @@ ScopedSpan::~ScopedSpan() {
   record.thread_name = CurrentThreadName();
   record.has_counters = counted_;
   record.counters = counters;
-  TraceRecorder::Default().Record(std::move(record));
+  FlightRecorder::Default().RecordSpan(record);
 }
 
 }  // namespace obs

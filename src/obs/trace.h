@@ -1,15 +1,11 @@
 #ifndef BOLTON_OBS_TRACE_H_
 #define BOLTON_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/perf_counters.h"
 #include "obs/telemetry.h"
-#include "util/status.h"
 
 namespace bolton {
 namespace obs {
@@ -21,6 +17,11 @@ namespace obs {
 /// (engine.run → engine.epoch → engine.scan → …). Spans mark coarse work
 /// (a run, a pass, a shard), never a single batch: a run's span count does
 /// not grow with its update count.
+///
+/// A finished span is copied into the flight recorder's span ring
+/// (obs/flight_recorder.h), the one place it lives: the ring keeps the
+/// newest kSpanSlots spans, and every reader — /spans, --trace-out, the
+/// postmortem — reads them from there.
 ///
 /// A span is also the one perf-counter scope (obs/perf_counters.h): while
 /// that pillar is on, it reads the thread's counters at open and close,
@@ -50,40 +51,11 @@ struct SpanRecord {
   PerfCounterDelta counters;
 };
 
-/// Collects finished spans; thread-safe appends, JSONL export.
-class TraceRecorder {
- public:
-  static TraceRecorder& Default();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-
-  uint64_t NextSpanId() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void Record(SpanRecord record);
-
-  std::vector<SpanRecord> Snapshot() const;
-  size_t size() const;
-  void Clear();
-
-  /// One JSON object per span, in completion order.
-  std::string ToJsonl() const;
-  Status WriteJsonl(const std::string& path) const;
-
-  TraceRecorder() = default;
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
- private:
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_id_{1};
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> spans_;
-};
+/// Kill switch for the trace pillar. Off by default. Switching it on also
+/// gives the logger its span-id provider, so every log line a traced
+/// process writes names the span it was written in.
+bool TracingEnabled();
+void SetTracingEnabled(bool enabled);
 
 namespace internal {
 /// Per-thread innermost-open-span bookkeeping for parent/child linking,

@@ -343,13 +343,11 @@ Status TenantBudgetManager::WriteSnapshot(const std::string& snapshot) {
   // Snapshot first, then a fresh journal: after a crash between the two,
   // the old journal's records all lie below the new snapshot's next_hold,
   // so replay skips them.
-  BOLTON_RETURN_IF_ERROR(AtomicWriteFile(path_ + ".tmp", path_,
-                                         options_.state_dir, snapshot));
+  BOLTON_RETURN_IF_ERROR(AtomicWriteFile(path_, snapshot, 0600));
   if (journal_fd_ >= 0) ::close(journal_fd_);
   journal_fd_ = -1;
-  BOLTON_RETURN_IF_ERROR(
-      AtomicWriteFile(journal_path_ + ".tmp", journal_path_,
-                      options_.state_dir, std::string(kJournalMagic) + "\n"));
+  BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
+      journal_path_, std::string(kJournalMagic) + "\n", 0600));
   journal_fd_ = ::open(journal_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (journal_fd_ < 0) {
     return Status::IOError(StrFormat("cannot open %s: %s",

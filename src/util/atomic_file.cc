@@ -101,6 +101,14 @@ Status AtomicWriteFile(const std::string& tmp_path, const std::string& path,
   return Status::OK();
 }
 
+Status AtomicWriteFile(const std::string& path, const std::string& content,
+                       mode_t mode) {
+  const size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  return AtomicWriteFile(path + ".tmp", path, dir, content, mode);
+}
+
 uint64_t Fnv1a64(std::string_view data) {
   uint64_t h = 14695981039346656037ull;
   for (unsigned char c : data) {

@@ -16,12 +16,19 @@ namespace bolton {
 /// Crash-safe whole-file replacement: write `content` to `tmp_path`
 /// (created with `mode` less the umask), fsync, rename over `path`, then
 /// fsync `dir` so the rename itself is durable. After a crash at any point
-/// the destination holds either the old contents or the new, never a mix.
-/// Checkpoints and the serve budget store keep the owner-only default;
-/// released model files pass 0666 like any other output file.
+/// the destination holds either the old contents or the new, never a mix,
+/// and a failed write leaves the old contents in place.
 Status AtomicWriteFile(const std::string& tmp_path, const std::string& path,
                        const std::string& dir, const std::string& content,
                        mode_t mode = 0600);
+
+/// The same, through `path` + ".tmp" in `path`'s own directory: the one
+/// place every output file derives its temp path and directory.
+/// Checkpoints and the serve budget store pass the owner-only 0600;
+/// released models and telemetry exports pass 0666 like any other output
+/// file.
+Status AtomicWriteFile(const std::string& path, const std::string& content,
+                       mode_t mode);
 
 /// 64-bit FNV-1a hash of `data`.
 uint64_t Fnv1a64(std::string_view data);

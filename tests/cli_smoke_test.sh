@@ -231,6 +231,10 @@ expect_refusal "^train: io-error: cannot open $WORKDIR/missing.libsvm" \
     "$CLI" train --data "$WORKDIR/missing.libsvm"
 expect_refusal "^train: invalid-argument: unknown flag --no-such-flag" \
     "$CLI" train --no-such-flag
+expect_refusal "^call: invalid-argument: unknown flag --bogus" \
+    "$CLI" call --bogus
+expect_refusal "^scrape: invalid-argument: unknown flag --bogus" \
+    "$CLI" scrape --bogus
 mkdir -p "$WORKDIR/v1_state"
 printf 'bolton-budget v1\nnext_hold 1\naccounts 0\nholds 0\nchecksum 0000000000000000\n' \
     > "$WORKDIR/v1_state/bolton.budget"

@@ -211,7 +211,7 @@ TEST_F(LoggingTest, JsonlSinkWritesOneObjectPerLine) {
 
 TEST_F(LoggingTest, LogEventsCarryCurrentSpanId) {
   SetLogLevel(LogLevel::kInfo);
-  obs::TraceRecorder::Default().SetEnabled(true);
+  obs::SetTracingEnabled(true);
   CapturingSink sink;
   ScopedSink registration(&sink);
 
@@ -223,7 +223,7 @@ TEST_F(LoggingTest, LogEventsCarryCurrentSpanId) {
   }
   BOLTON_LOG(kInfo) << "outside again";
   ::testing::internal::GetCapturedStderr();
-  obs::TraceRecorder::Default().SetEnabled(false);
+  obs::SetTracingEnabled(false);
 
   ASSERT_EQ(sink.events.size(), 3u);
   EXPECT_EQ(sink.events[0].span_id, 0u);

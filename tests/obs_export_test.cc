@@ -1,12 +1,19 @@
 #include "obs/export.h"
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <csignal>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "util/atomic_file.h"
 
 namespace bolton {
 namespace obs {
@@ -245,6 +252,38 @@ TEST_F(ObsExportTest, ChromeTraceEmptySnapshotIsValidArray) {
   EXPECT_EQ(trace,
             "[{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
             "\"args\":{\"name\":\"boltondp\"}}]\n");
+}
+
+// Every export replaces its file whole: one that fails part-way leaves the
+// previous export byte for byte, where a truncating writer would leave a
+// torn prefix.
+TEST_F(ObsExportTest, FailedExportLeavesPreviousFileIntact) {
+  const std::string path = ::testing::TempDir() + "obs_export_test.jsonl";
+  SpanRecord span;
+  span.name = "export.span";
+  const std::string previous = RenderSpansJsonl({span});
+  ASSERT_TRUE(AtomicWriteFile(path, previous, 0666).ok());
+
+  // A file-size cap far below the new export's size makes the write fail
+  // part-way, as a full disk would. SIGXFSZ is ignored so the write
+  // returns EFBIG instead of killing the process.
+  const std::string larger =
+      RenderSpansJsonl(std::vector<SpanRecord>(100, span));
+  struct rlimit saved_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  struct rlimit capped = saved_limit;
+  capped.rlim_cur = 1024;
+  auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status written = AtomicWriteFile(path, larger, 0666);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  std::signal(SIGXFSZ, saved_handler);
+  std::remove((path + ".tmp").c_str());
+
+  EXPECT_FALSE(written.ok());
+  std::ifstream in(path);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), previous);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -102,7 +102,6 @@ class ObsHttpTest : public ::testing::Test {
   void SetUp() override {
     MetricsRegistry::Default().Reset();
     PrivacyLedger::Default().Clear();
-    TraceRecorder::Default().Clear();
     SetAllEnabled(true);
     auto server = ObsServer::Start({.port = 0});  // ephemeral port
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -114,7 +113,6 @@ class ObsHttpTest : public ::testing::Test {
     SetAllEnabled(false);
     MetricsRegistry::Default().Reset();
     PrivacyLedger::Default().Clear();
-    TraceRecorder::Default().Clear();
   }
 
   std::unique_ptr<ObsServer> server_;
@@ -297,6 +295,27 @@ TEST_F(ObsHttpTest, SpansEndpointDumpsCompletedSpans) {
   EXPECT_NE(response.body.find("\"parent\":"), std::string::npos);
 }
 
+TEST_F(ObsHttpTest, SpansEndpointIsBounded) {
+  // The span ring is the only span store: once more spans have closed
+  // than it holds, /spans serves exactly the newest kSpanSlots of them.
+  uint64_t newest = 0;
+  for (size_t i = 0; i < FlightRecorder::kSpanSlots + 10; ++i) {
+    ScopedSpan span("http_test.bounded");
+    newest = span.id();
+  }
+  HttpReply response = Get(server_->port(), "/spans");
+  ASSERT_EQ(response.status, 200);
+  std::vector<std::string> lines;
+  for (const std::string& line : StrSplit(response.body, '\n')) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), FlightRecorder::kSpanSlots);
+  EXPECT_NE(lines.back().find(StrFormat(
+                "\"id\":%llu,", static_cast<unsigned long long>(newest))),
+            std::string::npos)
+      << lines.back();
+}
+
 TEST_F(ObsHttpTest, SpansChromeFormatRendersTraceEventJson) {
   SetCurrentThreadName("http-test");
   { ScopedSpan span("http_test.chrome"); }
@@ -349,28 +368,6 @@ TEST_F(ObsHttpTest, LogzRejectsMalformedParams) {
   EXPECT_EQ(Get(server_->port(), "/logz?level=verbose").status, 400);
   // A well-formed request still works afterwards.
   EXPECT_EQ(Get(server_->port(), "/logz?tail=5&level=D").status, 200);
-}
-
-TEST_F(ObsHttpTest, FlightRecorderEndpointDumpsRingsAndMetrics) {
-  MetricsRegistry::Default().GetCounter("flightrec.test_counter")
-      ->Increment(3);
-  ::testing::internal::CaptureStderr();
-  BOLTON_LOG(kInfo) << "flightrecorder marker";
-  ::testing::internal::GetCapturedStderr();
-  { ScopedSpan span("flightrec.span"); }
-
-  HttpReply response = Get(server_->port(), "/flightrecorder");
-  ASSERT_EQ(response.status, 200);
-  EXPECT_NE(response.head.find("application/json"), std::string::npos);
-  EXPECT_NE(response.body.find("\"schema\":\"bolton-flightrecorder-v1\""),
-            std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"log_ring\":{"), std::string::npos);
-  EXPECT_NE(response.body.find("\"span_ring\":{"), std::string::npos);
-  EXPECT_NE(response.body.find("flightrecorder marker"), std::string::npos);
-  EXPECT_NE(response.body.find("flightrec.span"), std::string::npos);
-  // The endpoint refreshes the metrics snapshot before rendering.
-  EXPECT_NE(response.body.find("flightrec.test_counter"), std::string::npos);
 }
 
 TEST_F(ObsHttpTest, BuildzReportsBuildIdentity) {
@@ -430,14 +427,23 @@ TEST_F(ObsHttpTest, ScrapesWhileRecordingThreadsAreHot) {
       PrivacyLedger::Default().Record(event);
     }
   });
+  // A span writer laps the ring while /spans reads it.
+  std::thread span_writer([&] {
+    while (!done.load()) {
+      ScopedSpan span("hot.span");
+    }
+  });
   for (int i = 0; i < 20; ++i) {
-    HttpReply response = Get(server_->port(), "/metrics");
-    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(Get(server_->port(), "/metrics").status, 200);
+    EXPECT_EQ(Get(server_->port(), "/spans").status, 200);
   }
   done.store(true);
   writer.join();
+  span_writer.join();
   HttpReply response = Get(server_->port(), "/metrics");
   EXPECT_NE(response.body.find("hot_counter"), std::string::npos);
+  const HttpReply spans = Get(server_->port(), "/spans");
+  EXPECT_NE(spans.body.find("\"name\":\"hot.span\""), std::string::npos);
 }
 
 TEST_F(ObsHttpTest, SilentClientIsDroppedAndServerStaysResponsive) {

@@ -1,10 +1,12 @@
 #include "obs/perf_counters.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -22,30 +24,38 @@ void SpinSomeWork() {
   g_sink = acc;
 }
 
-/// The one recorded span named `name`; fails the test when absent.
-SpanRecord RecordNamed(const std::string& name) {
-  for (const SpanRecord& span : TraceRecorder::Default().Snapshot()) {
-    if (span.name == name) return span;
-  }
-  ADD_FAILURE() << "no span named " << name;
-  return SpanRecord();
-}
-
 class PerfCountersTest : public ::testing::Test {
  protected:
   void SetUp() override {
     MetricsRegistry::Default().Reset();
-    TraceRecorder::Default().Clear();
+    mark_ = FlightRecorder::Default().SpanRingStats().appended;
     SetPerfCountersEnabled(true);
   }
   void TearDown() override {
     internal::ForcePerfUnavailableForTest(false);
     SetPerfCountersEnabled(false);
     SetMetricsEnabled(false);
-    TraceRecorder::Default().SetEnabled(false);
-    TraceRecorder::Default().Clear();
+    SetTracingEnabled(false);
     MetricsRegistry::Default().Reset();
   }
+
+  /// The spans this test closed: those appended to the ring since SetUp.
+  std::vector<SpanRecord> Spans() const {
+    const FlightRecorder& recorder = FlightRecorder::Default();
+    return recorder.RecentSpans(recorder.SpanRingStats().appended - mark_);
+  }
+
+  /// The one span named `name` this test closed; fails the test when
+  /// absent.
+  SpanRecord RecordNamed(const std::string& name) const {
+    for (const SpanRecord& span : Spans()) {
+      if (span.name == name) return span;
+    }
+    ADD_FAILURE() << "no span named " << name;
+    return SpanRecord();
+  }
+
+  uint64_t mark_ = 0;
 };
 
 TEST_F(PerfCountersTest, ProbeIsStableAndExplained) {
@@ -65,7 +75,7 @@ TEST_F(PerfCountersTest, DisabledPillarYieldsInvalidReadings) {
 }
 
 TEST_F(PerfCountersTest, SpanMeasuresOnCpuTimeAtEveryTier) {
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
   {
     ScopedSpan span("perf.spin");
     SpinSomeWork();
@@ -86,7 +96,7 @@ TEST_F(PerfCountersTest, SpanMeasuresOnCpuTimeAtEveryTier) {
 TEST_F(PerfCountersTest, ForcedUnavailableFallsBackToTaskClockOnly) {
   internal::ForcePerfUnavailableForTest(true);
   EXPECT_FALSE(PerfHardwareAvailable());
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
   {
     ScopedSpan span("perf.spin");
     SpinSomeWork();
@@ -117,13 +127,13 @@ TEST_F(PerfCountersTest, ForcedUnavailableDrivesPerfAvailableGaugeToZero) {
 }
 
 TEST_F(PerfCountersTest, SpanCarriesDeltaAndThreadName) {
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
   SetCurrentThreadName("perf-test-main");
   {
     ScopedSpan span("perf.test_span");
     SpinSomeWork();
   }
-  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  const std::vector<SpanRecord> spans = Spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "perf.test_span");
   EXPECT_EQ(spans[0].thread_name, "perf-test-main");
@@ -133,7 +143,7 @@ TEST_F(PerfCountersTest, SpanCarriesDeltaAndThreadName) {
 }
 
 TEST_F(PerfCountersTest, NestedSpansAccumulateProcessTotalsOnce) {
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
   const PerfCounterDelta before = ProcessPerfTotals();
   {
     ScopedSpan outer("perf.outer");
@@ -165,12 +175,12 @@ TEST_F(PerfCountersTest, UntracedSpanRecordsNothingButGrowsTotals) {
     EXPECT_EQ(span.id(), 0u);
     SpinSomeWork();
   }
-  EXPECT_EQ(TraceRecorder::Default().size(), 0u);
+  EXPECT_EQ(Spans().size(), 0u);
   EXPECT_GT(ProcessPerfTotals().task_clock_ns, before.task_clock_ns);
 }
 
 TEST_F(PerfCountersTest, NestedSpansLinkParentAndDepth) {
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
   uint64_t outer_id = 0;
   uint64_t inner_id = 0;
   {
@@ -211,7 +221,7 @@ TEST_F(PerfCountersTest, SpanWithEveryPillarOffRecordsNothing) {
     EXPECT_EQ(span.id(), 0u);
     SpinSomeWork();
   }
-  EXPECT_EQ(TraceRecorder::Default().size(), 0u);
+  EXPECT_EQ(Spans().size(), 0u);
   const PerfCounterDelta after = ProcessPerfTotals();
   EXPECT_EQ(after.task_clock_ns, before.task_clock_ns);
   EXPECT_EQ(after.cycles, before.cycles);

@@ -61,8 +61,10 @@ std::string FreshDir(const char* tag) {
       .Configure("psgd.pass:error@7")
       .CheckOK();
   BOLTON_LOG(kInfo) << "about to crash with signal " << signal_number;
-  TraceRecorder::Default().SetEnabled(true);
+  SetTracingEnabled(true);
+  SetPerfCountersEnabled(true);
   ScopedSpan span("doomed-span");
+  { ScopedSpan finished("finished-span"); }
   raise(signal_number);
   // The handler re-raises with SIG_DFL; we never get here.
   _exit(97);
@@ -156,6 +158,15 @@ TEST_P(PostmortemSignalDeathTest, SignalLeavesFinalizablePostmortem) {
             std::string::npos);
   EXPECT_NE(json.find("\"thread_name\":\"crasher\""), std::string::npos);
   EXPECT_NE(json.find("doomed-span"), std::string::npos);
+  // The finished child comes back from the raw ring dump whole: depth and
+  // counter delta included.
+  const size_t finished = json.find("{\"name\":\"finished-span\"");
+  ASSERT_NE(finished, std::string::npos) << json;
+  const std::string record =
+      json.substr(finished, json.find('}', finished) - finished);
+  EXPECT_NE(record.find("\"depth\":1,"), std::string::npos) << record;
+  EXPECT_NE(record.find("\"counters\":{\"available\":"), std::string::npos)
+      << record;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "data/loaders.h"
@@ -46,6 +47,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "serve/daemon.h"
+#include "util/atomic_file.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -206,7 +208,7 @@ Status RunTrain(int argc, char** argv) {
   }
   if (metrics) obs::SetMetricsEnabled(true);
   if (!trace_out.empty() || !trace_chrome_out.empty()) {
-    obs::TraceRecorder::Default().SetEnabled(true);
+    obs::SetTracingEnabled(true);
   }
   if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
   // Hardware counters ride along with whichever pillar is on: spans gain
@@ -303,8 +305,8 @@ Status RunTrain(int argc, char** argv) {
   if (profiling) {
     obs::Profiler::Default().Stop();
     const obs::ProfileDump dump = obs::Profiler::Default().Dump();
-    BOLTON_RETURN_IF_ERROR(obs::internal::WriteStringToFile(
-        profile_out, obs::RenderCollapsed(dump)));
+    BOLTON_RETURN_IF_ERROR(
+        AtomicWriteFile(profile_out, obs::RenderCollapsed(dump), 0666));
     std::printf(
         "wrote profile (%llu samples @ %dHz, %.0f%% symbolized, "
         "%llu dropped) -> %s\n",
@@ -320,23 +322,33 @@ Status RunTrain(int argc, char** argv) {
                           .ToText()
                           .c_str());
   }
-  if (!trace_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(
-        obs::TraceRecorder::Default().WriteJsonl(trace_out));
-    std::printf("wrote %zu trace spans -> %s\n",
-                obs::TraceRecorder::Default().size(), trace_out.c_str());
-  }
-  if (!trace_chrome_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(obs::internal::WriteStringToFile(
-        trace_chrome_out,
-        obs::RenderChromeTrace(obs::TraceRecorder::Default().Snapshot())));
-    std::printf("wrote %zu spans as Chrome trace -> %s\n",
-                obs::TraceRecorder::Default().size(),
-                trace_chrome_out.c_str());
+  if (!trace_out.empty() || !trace_chrome_out.empty()) {
+    const obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
+    const std::vector<obs::SpanRecord> spans = recorder.RecentSpans();
+    if (!trace_out.empty()) {
+      BOLTON_RETURN_IF_ERROR(
+          AtomicWriteFile(trace_out, obs::RenderSpansJsonl(spans), 0666));
+      std::printf("wrote %zu trace spans -> %s\n", spans.size(),
+                  trace_out.c_str());
+    }
+    if (!trace_chrome_out.empty()) {
+      BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
+          trace_chrome_out, obs::RenderChromeTrace(spans), 0666));
+      std::printf("wrote %zu spans as Chrome trace -> %s\n", spans.size(),
+                  trace_chrome_out.c_str());
+    }
+    const uint64_t overwritten = recorder.SpanRingStats().overwritten();
+    if (overwritten > 0) {
+      std::fprintf(stderr,
+                   "train: the span ring keeps the newest %zu spans; %llu "
+                   "older ones were overwritten\n",
+                   obs::FlightRecorder::kSpanSlots,
+                   static_cast<unsigned long long>(overwritten));
+    }
   }
   if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(
-        obs::PrivacyLedger::Default().WriteJsonl(ledger_out));
+    BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
+        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666));
     std::printf("wrote %zu ledger events -> %s\n",
                 obs::PrivacyLedger::Default().size(), ledger_out.c_str());
   }
@@ -370,7 +382,9 @@ int Scrape(int argc, char** argv) {
   parser.AddInt("timeout-ms", &timeout_ms,
                 "send and receive deadline; raise it for blocking endpoints "
                 "like /profile");
-  parser.Parse(argc, argv).CheckOK();
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return ExitStatus("scrape", parsed);
+  }
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp scrape");
     return 0;
@@ -378,10 +392,7 @@ int Scrape(int argc, char** argv) {
 
   auto reply = obs::HttpCall(static_cast<int>(port), "GET", path, "",
                              static_cast<int>(timeout_ms));
-  if (!reply.ok()) {
-    std::fprintf(stderr, "scrape: %s\n", reply.status().message().c_str());
-    return 1;
-  }
+  if (!reply.ok()) return ExitStatus("scrape", reply.status());
   std::printf("%s", reply.value().body.c_str());
   return reply.value().status == 200 ? 0 : 1;
 }
@@ -405,7 +416,9 @@ int Profile(int argc, char** argv) {
                    "summary)");
   parser.AddInt("top", &top, "frames in the json summary");
   parser.AddString("out", &out, "write the profile here instead of stdout");
-  parser.Parse(argc, argv).CheckOK();
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return ExitStatus("profile", parsed);
+  }
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp profile");
     return 0;
@@ -420,10 +433,7 @@ int Profile(int argc, char** argv) {
   const int timeout_ms = static_cast<int>(seconds) * 1000 + 5000;
   auto reply = obs::HttpCall(static_cast<int>(port), "GET", path, "",
                              timeout_ms);
-  if (!reply.ok()) {
-    std::fprintf(stderr, "profile: %s\n", reply.status().message().c_str());
-    return 1;
-  }
+  if (!reply.ok()) return ExitStatus("profile", reply.status());
   if (reply.value().status != 200) {
     std::fprintf(stderr, "profile: server answered non-200:\n%s\n",
                  reply.value().body.c_str());
@@ -433,7 +443,10 @@ int Profile(int argc, char** argv) {
     std::printf("%s", reply.value().body.c_str());
     return 0;
   }
-  obs::internal::WriteStringToFile(out, reply.value().body).CheckOK();
+  if (const Status written = AtomicWriteFile(out, reply.value().body, 0666);
+      !written.ok()) {
+    return ExitStatus("profile", written);
+  }
   std::printf("wrote profile -> %s\n", out.c_str());
   return 0;
 }
@@ -597,8 +610,8 @@ Status RunServe(int argc, char** argv) {
   std::fflush(stdout);
   daemon->Shutdown();
   if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(
-        obs::PrivacyLedger::Default().WriteJsonl(ledger_out));
+    BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
+        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666));
     std::printf("wrote %zu ledger events -> %s\n",
                 obs::PrivacyLedger::Default().size(), ledger_out.c_str());
   }
@@ -625,7 +638,9 @@ int Call(int argc, char** argv) {
                    "read the request body from this file instead");
   parser.AddInt("timeout-ms", &timeout_ms,
                 "send and receive deadline; the request is not retried");
-  parser.Parse(argc, argv).CheckOK();
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return ExitStatus("call", parsed);
+  }
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp call");
     return 0;
@@ -643,10 +658,7 @@ int Call(int argc, char** argv) {
 
   auto reply = obs::HttpCall(static_cast<int>(port), method, path, body,
                              static_cast<int>(timeout_ms));
-  if (!reply.ok()) {
-    std::fprintf(stderr, "call: %s\n", reply.status().message().c_str());
-    return 1;
-  }
+  if (!reply.ok()) return ExitStatus("call", reply.status());
   // Status line to stderr (diagnostics), body to stdout (data): scripts can
   // pipe the JSON while still seeing the HTTP outcome.
   const size_t eol = reply.value().head.find("\r\n");
@@ -670,19 +682,19 @@ int Postmortem(int argc, char** argv) {
   FlagParser parser;
   parser.AddString("dir", &dir,
                    "directory holding postmortem.raw from a crashed run");
-  parser.Parse(argc - 1, argv + 1).CheckOK();
+  if (const Status parsed = parser.Parse(argc - 1, argv + 1); !parsed.ok()) {
+    return ExitStatus("postmortem", parsed);
+  }
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp postmortem finalize");
     return 0;
   }
   if (dir.empty()) {
-    std::fprintf(stderr, "--dir is required\n");
-    return 1;
+    return ExitStatus("postmortem",
+                      Status::InvalidArgument("--dir is required"));
   }
-  const Status status = obs::FinalizePostmortem(dir);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+  if (const Status status = obs::FinalizePostmortem(dir); !status.ok()) {
+    return ExitStatus("postmortem", status);
   }
   std::printf("wrote %s/postmortem.json\n", dir.c_str());
   return 0;

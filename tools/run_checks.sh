@@ -87,19 +87,22 @@ awk '
   END { if (NR == 0) { print "empty ledger"; exit 1 } }
 ' "$WORKDIR/ledger.jsonl"
 
-# Every trace line must be one JSON span carrying the full schema: name,
-# id, parent link, start time, and duration (the parent/start fields are
-# what the span-tree consumers key on).
-awk '
-  !/^\{"name":"/ || !/\}$/ { bad = 1 }
-  !/"id":[0-9]+/ || !/"parent":[0-9]+/ { bad = 1 }
-  !/"start_ns":[0-9]+/ || !/"dur_ns":[0-9]+/ { bad = 1 }
-  !/"count":[0-9]+/ || !/"thread":[0-9]+/ { bad = 1 }
-  bad { print "malformed trace line " NR ": " $0; exit 1 }
-  END { if (NR == 0) { print "empty trace"; exit 1 } }
-' "$WORKDIR/trace.jsonl"
+# check_trace FILE: every line of FILE is one JSON span carrying the full
+# schema: name, id, parent link, start time, and duration (the parent/start
+# fields are what the span-tree consumers key on).
+check_trace() {
+  awk '
+    !/^\{"name":"/ || !/\}$/ { bad = 1 }
+    !/"id":[0-9]+/ || !/"parent":[0-9]+/ { bad = 1 }
+    !/"start_ns":[0-9]+/ || !/"dur_ns":[0-9]+/ { bad = 1 }
+    !/"count":[0-9]+/ || !/"thread":[0-9]+/ { bad = 1 }
+    bad { print "malformed trace line " NR ": " $0; exit 1 }
+    END { if (NR == 0) { print "empty trace"; exit 1 } }
+  ' "$1" || exit 1
+  check_json --lines "$1"
+}
+check_trace "$WORKDIR/trace.jsonl"
 check_json --lines "$WORKDIR/ledger.jsonl"
-check_json --lines "$WORKDIR/trace.jsonl"
 
 # The live scrape surface must serve valid exposition during a train run.
 "$CLI" train --data "$WORKDIR/train.libsvm" --algo scs13 \
@@ -118,14 +121,13 @@ port=$(sed -n 's/^obs server listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
     | grep -q 'psgd_pass_seconds_bucket{le="+Inf"}'
 # The flight-recorder surfaces must serve during the same linger: /logz
 # replays the recent-log ring as JSONL (the request-path rate-limited log
-# guarantees at least one event by now), /buildz identifies the binary.
+# guarantees at least one event by now), /spans the span ring in the
+# --trace-out schema, and /buildz identifies the binary.
 "$CLI" scrape --port "$port" --path "/logz?tail=50" > "$WORKDIR/logz.jsonl"
 grep -q '"msg":' "$WORKDIR/logz.jsonl"
 check_json --lines "$WORKDIR/logz.jsonl"
-"$CLI" scrape --port "$port" --path /flightrecorder \
-    > "$WORKDIR/flightrecorder.json"
-grep -q '"schema":"bolton-flightrecorder-v1"' "$WORKDIR/flightrecorder.json"
-check_json "$WORKDIR/flightrecorder.json"
+"$CLI" scrape --port "$port" --path /spans > "$WORKDIR/spans.jsonl"
+check_trace "$WORKDIR/spans.jsonl"
 "$CLI" scrape --port "$port" --path /buildz > "$WORKDIR/buildz.json"
 grep -q '"git_sha":' "$WORKDIR/buildz.json"
 check_json "$WORKDIR/buildz.json"
