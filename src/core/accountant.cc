@@ -90,12 +90,8 @@ PrivacyAccountant::PrivacyAccountant(PrivacyParams total_budget)
 Status PrivacyAccountant::Charge(const PrivacyParams& cost,
                                  const std::string& label) {
   BOLTON_RETURN_IF_ERROR(cost.Validate());
-  PrivacyParams spent = Spent();
-  // A tiny relative tolerance keeps N charges of budget/N from tripping on
-  // floating-point accumulation.
-  const double slack = 1e-12;
-  if (spent.epsilon + cost.epsilon > budget_.epsilon * (1.0 + slack) ||
-      spent.delta + cost.delta > budget_.delta + slack * (budget_.delta + 1.0)) {
+  const PrivacyParams spent = Spent();
+  if (!FitsBudget(spent, cost, budget_)) {
     RecordChargeTelemetry(cost, label, spent, /*accepted=*/false);
     return Status::FailedPrecondition(StrFormat(
         "charge '%s' (eps=%g, delta=%g) exceeds remaining budget "

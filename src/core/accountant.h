@@ -43,7 +43,8 @@ PrivacyParams ParallelComposition(const std::vector<PrivacyParams>& parts);
 
 /// A budget ledger for multi-query sessions: construct with the total
 /// budget, `Charge` each private release, and the accountant refuses
-/// charges that would exceed the budget under basic composition.
+/// charges that would exceed the budget under basic composition
+/// (`FitsBudget`, core/privacy.h).
 ///
 ///     PrivacyAccountant accountant({1.0, 1e-6});
 ///     BOLTON_RETURN_IF_ERROR(accountant.Charge({0.3, 0.0}, "model-v1"));
@@ -52,7 +53,7 @@ class PrivacyAccountant {
   explicit PrivacyAccountant(PrivacyParams total_budget);
 
   /// Records a charge. Fails with FailedPrecondition (and records nothing)
-  /// if the running basic-composition total would exceed the budget.
+  /// if the charge does not fit what is left (`FitsBudget`).
   Status Charge(const PrivacyParams& cost, const std::string& label);
 
   /// Budget consumed so far (basic composition over all charges).

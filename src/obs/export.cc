@@ -147,7 +147,8 @@ LedgerTotals SummarizeLedger(const std::vector<LedgerEvent>& events) {
     if (!e.accepted) ++totals.rejected;
     if (e.kind == "noise_draw") {
       ++totals.noise_draws;
-    } else if (e.kind == "accountant_charge") {
+    } else if (e.kind == "accountant_charge" || e.kind == "budget_commit" ||
+               e.kind == "budget_recover") {
       ++totals.charges;
       if (e.accepted) {
         totals.epsilon_charged += e.epsilon;

@@ -57,8 +57,9 @@ struct LedgerTotals {
   uint64_t charges = 0;
   uint64_t rejected = 0;
   uint64_t calibrations = 0;
-  /// Sums over *accepted* accountant charges only — draws describe noise
-  /// that was added, charges describe budget that was spent.
+  /// `charges` counts accountant charges, budget commits and recoveries;
+  /// the sums cover the accepted ones only — draws describe noise that was
+  /// added, charges describe budget that was spent.
   double epsilon_charged = 0.0;
   double delta_charged = 0.0;
 };

@@ -25,16 +25,16 @@ struct LedgerEvent {
   uint64_t seq = 0;
   uint64_t time_ns = 0;
 
-  /// "noise_draw" | "accountant_charge" | "calibration" — the privacy
-  /// events proper — plus the robustness audit trail: "fault" (an injected
-  /// or real fault observed at a failpoint site), "checkpoint"
-  /// (pass-boundary state persisted), "resume" (a run continued from a
-  /// checkpoint) — plus the serve budget lifecycle: "budget_reserve"
-  /// (write-ahead hold before a private release), "budget_commit" (hold
-  /// converted to spend), "budget_refund" (hold released, provably no
-  /// noise drawn), "budget_refusal" (request refused as over budget;
-  /// accepted=false), "budget_recover" (a pending hold found at restart,
-  /// conservatively promoted to spend).
+  /// "noise_draw" | "accountant_charge" (a library PrivacyAccountant
+  /// charge) | "calibration" — the privacy events proper — plus the
+  /// robustness audit trail: "fault" (an injected or real fault observed
+  /// at a failpoint site), "checkpoint" (pass-boundary state persisted),
+  /// "resume" (a run continued from a checkpoint) — plus the serve budget
+  /// lifecycle: "budget_reserve" (write-ahead hold before a private
+  /// release), "budget_commit" (hold converted to spend), "budget_refund"
+  /// (hold released, provably no noise drawn), "budget_refusal" (request
+  /// refused as over budget; accepted=false), "budget_recover" (a pending
+  /// hold found at restart, conservatively promoted to spend).
   std::string kind;
   /// "laplace" | "gaussian" | "gaussian_per_step" | "" (charges).
   std::string mechanism;
@@ -64,7 +64,7 @@ struct LedgerEvent {
   /// dump identifies which generator state produced each noise vector.
   uint64_t rng_fingerprint = 0;
 
-  /// False for accountant charges rejected as over budget.
+  /// False for an over-budget accountant charge and for a budget_refusal.
   bool accepted = true;
 };
 

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -37,11 +38,6 @@ constexpr char kMagic[] = "bolton-budget v2";
 /// carry the tenant's budget, so that replay grants an account the budget
 /// it was created with. Doubles are printed shortest-round-trip.
 constexpr char kJournalMagic[] = "bolton-journal v1";
-
-/// Tolerance for the over-budget comparison: ε/δ sums accumulate float
-/// error across many holds; a request within one part in 10⁹ of the line
-/// is admitted rather than refused on rounding noise.
-constexpr double kBudgetSlack = 1e-9;
 
 /// Persist retry on I/O failure: up to kPersistAttempts writes; retry r
 /// (1-based) first sleeps kPersistBackoffMs·2^(r−1) ms, stretched by a
@@ -87,38 +83,69 @@ std::string AccountRecord(const char* kind, const std::string& tenant,
   return out;
 }
 
-void RecordBudgetEvent(const std::string& kind, const std::string& tenant,
-                       const std::string& label, const PrivacyParams& cost,
-                       bool accepted) {
+/// Parses the (ε, δ) of a recorded spend or hold, which Reserve() only
+/// ever admits finite and non-negative.
+Result<PrivacyParams> ParseAmounts(const std::string& epsilon,
+                                   const std::string& delta) {
+  PrivacyParams amounts;
+  BOLTON_ASSIGN_OR_RETURN(amounts.epsilon, ParseDouble(epsilon));
+  BOLTON_ASSIGN_OR_RETURN(amounts.delta, ParseDouble(delta));
+  if (!(amounts.epsilon >= 0.0 && amounts.delta >= 0.0) ||
+      !std::isfinite(amounts.epsilon) || !std::isfinite(amounts.delta)) {
+    return Status::InvalidArgument(
+        StrFormat("amount (%s, %s) is negative or not finite",
+                  epsilon.c_str(), delta.c_str()));
+  }
+  return amounts;
+}
+
+/// Basic composition, one running sum: `sum` += `cost` in ε and in δ.
+void AddTo(const PrivacyParams& cost, PrivacyParams* sum) {
+  sum->epsilon += cost.epsilon;
+  sum->delta += cost.delta;
+}
+
+enum class Transition { kReserve, kCommit, kRefund, kRefusal, kRecover };
+
+/// Counts `transition` on its serve.budget_* counter and records its one
+/// tenant-keyed ledger event; only a refusal is not accepted.
+void Note(Transition transition, const std::string& tenant,
+          const PrivacyParams& cost, const std::string& label) {
+  struct Kind {
+    const char* event;
+    obs::Counter* counter;
+  };
+  auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Default().GetCounter(name);
+  };
+  static const Kind kKinds[] = {
+      {"budget_reserve", counter("serve.budget_reserves")},
+      {"budget_commit", counter("serve.budget_commits")},
+      {"budget_refund", counter("serve.budget_refunds")},
+      {"budget_refusal", counter("serve.budget_refusals")},
+      {"budget_recover", counter("serve.budget_recovered")},
+  };
+  const Kind& kind = kKinds[static_cast<int>(transition)];
+  kind.counter->Increment();
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   if (!ledger.enabled()) return;
   obs::LedgerEvent event;
-  event.kind = kind;
+  event.kind = kind.event;
   event.label = label;
   event.tenant = tenant;
   event.epsilon = cost.epsilon;
   event.delta = cost.delta;
-  event.accepted = accepted;
+  event.accepted = transition != Transition::kRefusal;
   ledger.Record(std::move(event));
 }
 
-struct BudgetMetrics {
-  obs::Counter* reserves;
-  obs::Counter* commits;
-  obs::Counter* refunds;
-  obs::Counter* refusals;
-  obs::Counter* recovered;
-  obs::Counter* persist_retries;
-  obs::Counter* persist_errors;
+struct PersistMetrics {
+  obs::Counter* retries;
+  obs::Counter* errors;
 };
 
-BudgetMetrics& Metrics() {
-  static BudgetMetrics* m = new BudgetMetrics{
-      obs::MetricsRegistry::Default().GetCounter("serve.budget_reserves"),
-      obs::MetricsRegistry::Default().GetCounter("serve.budget_commits"),
-      obs::MetricsRegistry::Default().GetCounter("serve.budget_refunds"),
-      obs::MetricsRegistry::Default().GetCounter("serve.budget_refusals"),
-      obs::MetricsRegistry::Default().GetCounter("serve.budget_recovered"),
+PersistMetrics& Metrics() {
+  static PersistMetrics* m = new PersistMetrics{
       obs::MetricsRegistry::Default().GetCounter("serve.persist_retries"),
       obs::MetricsRegistry::Default().GetCounter("serve.persist_errors"),
   };
@@ -188,26 +215,15 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
   // Crash recovery: every hold still pending on disk may have released
   // noise before the commit persisted — promote it to spend. Charging an
   // unreleased run over-counts ε (safe); forgetting a released one would
-  // under-count (a privacy violation), so pending always promotes.
+  // under-count (a privacy violation), so pending always promotes. Reserve()
+  // admitted the hold, so its promotion is not checked again.
   for (const auto& entry : manager->holds_) {
     const Hold& hold = entry.second;
     AccountState& account = manager->accounts_.at(hold.tenant);
-    Status charged =
-        account.accountant.Charge(hold.cost, hold.label + " (recovered)");
-    if (!charged.ok()) {
-      // A reserve was only ever admitted within budget, so this means the
-      // state file is inconsistent; surface it rather than dropping spend.
-      return charged.WithContext(
-          StrFormat("promoting recovered hold for tenant '%s'",
-                    hold.tenant.c_str()));
-    }
-    account.reserved.epsilon -= hold.cost.epsilon;
-    account.reserved.delta -= hold.cost.delta;
+    AddTo(hold.cost, &account.spent);
     account.recovered += 1;
     manager->recovered_holds_ += 1;
-    Metrics().recovered->Increment();
-    RecordBudgetEvent("budget_recover", hold.tenant, hold.label, hold.cost,
-                      true);
+    Note(Transition::kRecover, hold.tenant, hold.cost, hold.label);
     BOLTON_LOG(kWarning) << "budget recovery: promoted pending hold ("
                          << hold.tenant << ", eps=" << hold.cost.epsilon
                          << ") to committed spend";
@@ -233,20 +249,16 @@ TenantBudgetManager::AccountState& TenantBudgetManager::GetOrCreateLocked(
 }
 
 void TenantBudgetManager::HoldLocked(uint64_t id, Hold hold) {
-  AccountState& account = accounts_.at(hold.tenant);
-  account.reserved.epsilon += hold.cost.epsilon;
-  account.reserved.delta += hold.cost.delta;
+  AddTo(hold.cost, &accounts_.at(hold.tenant).reserved);
   holds_[id] = std::move(hold);
 }
 
-Status TenantBudgetManager::CommitLocked(
+void TenantBudgetManager::CommitLocked(
     std::map<uint64_t, Hold>::iterator hold) {
   AccountState& account = accounts_.at(hold->second.tenant);
-  BOLTON_RETURN_IF_ERROR(
-      account.accountant.Charge(hold->second.cost, hold->second.label));
+  AddTo(hold->second.cost, &account.spent);
   account.commits += 1;
   ReleaseLocked(hold);
-  return Status::OK();
 }
 
 void TenantBudgetManager::ReleaseLocked(
@@ -287,7 +299,7 @@ Status TenantBudgetManager::FlushLocked(std::unique_lock<std::mutex>* lock) {
   Status status;
   for (size_t attempt = 1; attempt <= kPersistAttempts; ++attempt) {
     if (attempt > 1) {
-      Metrics().persist_retries->Increment();
+      Metrics().retries->Increment();
       lock->unlock();
       SleepBeforeRetry(attempt - 1, &jitter_rng_);
       lock->lock();
@@ -373,11 +385,9 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
 
   std::unique_lock<std::mutex> lock(mu_);
   AccountState& account = GetOrCreateLocked(tenant, options_.default_budget);
-  const PrivacyParams remaining = account.accountant.Remaining();
-  const double epsilon_free = remaining.epsilon - account.reserved.epsilon;
-  const double delta_free = remaining.delta - account.reserved.delta;
-  if (cost.epsilon > epsilon_free + kBudgetSlack ||
-      cost.delta > delta_free + kBudgetSlack) {
+  PrivacyParams committed = account.spent;
+  AddTo(account.reserved, &committed);
+  if (!FitsBudget(committed, cost, account.budget)) {
     account.refusals += 1;
     // A refusal holds no spend, so nobody waits for its record: it reaches
     // disk with the next flush, or now if refusals alone fill the queue.
@@ -385,13 +395,13 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
     if (queue_.size() >= kJournalCompactBytes && !flushing_) {
       FlushLocked(&lock);
     }
-    Metrics().refusals->Increment();
-    RecordBudgetEvent("budget_refusal", tenant, label, cost, false);
+    Note(Transition::kRefusal, tenant, cost, label);
     return Status::FailedPrecondition(StrFormat(
         "budget_exhausted: tenant '%s' asked for (ε=%g, δ=%g) with only "
         "(ε=%g, δ=%g) uncommitted",
-        tenant.c_str(), cost.epsilon, cost.delta, std::max(0.0, epsilon_free),
-        std::max(0.0, delta_free)));
+        tenant.c_str(), cost.epsilon, cost.delta,
+        std::max(0.0, account.budget.epsilon - committed.epsilon),
+        std::max(0.0, account.budget.delta - committed.delta)));
   }
 
   std::string record = AccountRecord("reserve", tenant, account.budget);
@@ -408,8 +418,7 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
   // already rolled the hold back.
   BOLTON_RETURN_IF_ERROR(AwaitLocked(&waiter, &lock).WithContext(
       "budget reserve write-ahead"));
-  Metrics().reserves->Increment();
-  RecordBudgetEvent("budget_reserve", tenant, label, cost, true);
+  Note(Transition::kReserve, tenant, cost, label);
   return waiter.hold;
 }
 
@@ -432,23 +441,20 @@ Status TenantBudgetManager::Commit(uint64_t hold_id) {
 
   // The in-memory transition happens unconditionally: by commit time the
   // noisy model has been (or is about to be) released, so the spend is a
-  // fact. Only the persist below can fail, and that failure is tolerable —
-  // the disk still shows the hold as pending and recovery promotes it.
-  // Reserve guaranteed capacity, so a refused charge is bookkeeping
-  // corruption.
-  BOLTON_RETURN_IF_ERROR(CommitLocked(it).WithContext("budget commit"));
+  // fact, and Reserve() admitted it. Only the persist below can fail, and
+  // that failure is tolerable — the disk still shows the hold as pending
+  // and recovery promotes it.
+  CommitLocked(it);
   Waiter waiter;
   AppendLocked(StrFormat("commit %llu",
                          static_cast<unsigned long long>(hold_id)),
                inject.ok() ? &waiter : nullptr);
-  Metrics().commits->Increment();
-  RecordBudgetEvent("budget_commit", hold.tenant, hold.label, hold.cost,
-                    true);
+  Note(Transition::kCommit, hold.tenant, hold.cost, hold.label);
 
   Status persisted = inject.ok() ? AwaitLocked(&waiter, &lock) : inject;
   lock.unlock();  // the warning below writes to the log
   if (!persisted.ok()) {
-    Metrics().persist_errors->Increment();
+    Metrics().errors->Increment();
     BOLTON_LOG(kWarning)
         << "budget commit persisted lazily (state file still shows the "
         << "hold; recovery would promote it): " << persisted.ToString();
@@ -471,16 +477,14 @@ Status TenantBudgetManager::Refund(uint64_t hold_id) {
   AppendLocked(StrFormat("refund %llu",
                          static_cast<unsigned long long>(hold_id)),
                &waiter);
-  Metrics().refunds->Increment();
-  RecordBudgetEvent("budget_refund", hold.tenant, hold.label, hold.cost,
-                    true);
+  Note(Transition::kRefund, hold.tenant, hold.cost, hold.label);
   // Best-effort persist: a failure leaves the hold pending on disk, and a
   // later crash would conservatively promote it — an over-charge, never an
   // under-charge.
   Status persisted = AwaitLocked(&waiter, &lock);
   lock.unlock();  // the warning below writes to the log
   if (!persisted.ok()) {
-    Metrics().persist_errors->Increment();
+    Metrics().errors->Increment();
     BOLTON_LOG(kWarning) << "budget refund persist failed (refund stands "
                          << "in memory; a crash before the next persist "
                          << "re-charges it): " << persisted.ToString();
@@ -493,7 +497,7 @@ TenantAccountView TenantBudgetManager::ViewLocked(
   TenantAccountView view;
   view.tenant = tenant;
   view.budget = account.budget;
-  view.spent = account.accountant.Spent();
+  view.spent = account.spent;
   view.reserved = account.reserved;
   view.commits = account.commits;
   view.refunds = account.refunds;
@@ -533,11 +537,10 @@ std::string TenantBudgetManager::RenderLocked() const {
   out += StrFormat("accounts %zu\n", accounts_.size());
   for (const auto& entry : accounts_) {
     const AccountState& a = entry.second;
-    const PrivacyParams spent = a.accountant.Spent();
     out += StrFormat(
         "account %s %.17g %.17g %.17g %.17g %llu %llu %llu %llu\n",
         EncodeToken(entry.first).c_str(), a.budget.epsilon, a.budget.delta,
-        spent.epsilon, spent.delta,
+        a.spent.epsilon, a.spent.delta,
         static_cast<unsigned long long>(a.commits),
         static_cast<unsigned long long>(a.refunds),
         static_cast<unsigned long long>(a.refusals),
@@ -593,18 +596,13 @@ Status TenantBudgetManager::RestoreLocked(const std::string& body) {
       return Status::InvalidArgument("bad account line");
     }
     const std::string tenant = DecodeToken(tokens[1]);
-    PrivacyParams budget, spent;
+    PrivacyParams budget;
     BOLTON_ASSIGN_OR_RETURN(budget.epsilon, ParseDouble(tokens[2]));
     BOLTON_ASSIGN_OR_RETURN(budget.delta, ParseDouble(tokens[3]));
-    BOLTON_ASSIGN_OR_RETURN(spent.epsilon, ParseDouble(tokens[4]));
-    BOLTON_ASSIGN_OR_RETURN(spent.delta, ParseDouble(tokens[5]));
+    BOLTON_ASSIGN_OR_RETURN(const PrivacyParams spent,
+                            ParseAmounts(tokens[4], tokens[5]));
     auto account = accounts_.emplace(tenant, AccountState(budget)).first;
-    if (spent.epsilon > 0.0 || spent.delta > 0.0) {
-      BOLTON_RETURN_IF_ERROR(
-          account->second.accountant.Charge(spent, "restored")
-              .WithContext(StrFormat("restoring spend for tenant '%s'",
-                                     tenant.c_str())));
-    }
+    AddTo(spent, &account->second.spent);
     BOLTON_ASSIGN_OR_RETURN(account->second.commits,
                             ParseU64(tokens[6]));
     BOLTON_ASSIGN_OR_RETURN(account->second.refunds,
@@ -624,13 +622,10 @@ Status TenantBudgetManager::RestoreLocked(const std::string& body) {
   for (uint64_t i = 0; i < hold_count; ++i) {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("hold"));
     if (tokens.size() != 6) return Status::InvalidArgument("bad hold line");
-    uint64_t id = 0;
-    BOLTON_ASSIGN_OR_RETURN(id, ParseU64(tokens[1]));
-    Hold hold;
-    hold.tenant = DecodeToken(tokens[2]);
-    BOLTON_ASSIGN_OR_RETURN(hold.cost.epsilon, ParseDouble(tokens[3]));
-    BOLTON_ASSIGN_OR_RETURN(hold.cost.delta, ParseDouble(tokens[4]));
-    hold.label = DecodeToken(tokens[5]);
+    BOLTON_ASSIGN_OR_RETURN(const uint64_t id, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(const PrivacyParams cost,
+                            ParseAmounts(tokens[3], tokens[4]));
+    Hold hold{DecodeToken(tokens[2]), cost, DecodeToken(tokens[5])};
     if (accounts_.find(hold.tenant) == accounts_.end()) {
       return Status::InvalidArgument(
           StrFormat("hold for unknown tenant '%s'", hold.tenant.c_str()));
@@ -670,10 +665,9 @@ Status TenantBudgetManager::ReplayLocked(
         account.refusals += 1;
         continue;
       }
-      Hold hold{fields[2], PrivacyParams{0.0, 0.0}, DecodeToken(fields[7])};
-      BOLTON_ASSIGN_OR_RETURN(hold.cost.epsilon, ParseDouble(fields[5]));
-      BOLTON_ASSIGN_OR_RETURN(hold.cost.delta, ParseDouble(fields[6]));
-      HoldLocked(seq, std::move(hold));
+      BOLTON_ASSIGN_OR_RETURN(const PrivacyParams cost,
+                              ParseAmounts(fields[5], fields[6]));
+      HoldLocked(seq, Hold{fields[2], cost, DecodeToken(fields[7])});
     } else if ((kind == "commit" || kind == "refund") && fields.size() == 3) {
       BOLTON_ASSIGN_OR_RETURN(const uint64_t hold_id, ParseU64(fields[2]));
       auto hold = holds_.find(hold_id);
@@ -684,9 +678,7 @@ Status TenantBudgetManager::ReplayLocked(
             static_cast<unsigned long long>(hold_id)));
       }
       if (kind == "commit") {
-        BOLTON_RETURN_IF_ERROR(CommitLocked(hold).WithContext(
-            StrFormat("replaying record %llu",
-                      static_cast<unsigned long long>(seq))));
+        CommitLocked(hold);
       } else {
         accounts_.at(hold->second.tenant).refunds += 1;
         ReleaseLocked(hold);

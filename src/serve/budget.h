@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/accountant.h"
 #include "core/privacy.h"
 #include "random/rng.h"
 #include "util/result.h"
@@ -40,7 +39,7 @@ struct TenantBudgetOptions {
 struct TenantAccountView {
   std::string tenant;
   PrivacyParams budget;
-  PrivacyParams spent{0.0, 0.0};     // committed + recovered charges
+  PrivacyParams spent{0.0, 0.0};     // committed + recovered holds
   PrivacyParams reserved{0.0, 0.0};  // in-flight holds
   uint64_t commits = 0;
   uint64_t refunds = 0;
@@ -53,12 +52,16 @@ struct TenantAccountView {
 /// one-account-per-dataset-owner contract (Theorem 1's calibration assumes
 /// the budget it spends was actually available).
 ///
+/// Reserve() is the only budget check (`FitsBudget`, core/privacy.h); every
+/// later transition of an admitted hold applies it unchecked, so none can
+/// refuse.
+///
 /// Exactly-once spend across crashes:
 ///   * Reserve() makes the hold durable (write-ahead) BEFORE any work
 ///     runs — a crash after the noise draw can never forget the charge;
-///   * Commit() converts the hold to spend on the tenant's
-///     PrivacyAccountant (core/accountant). A persist failure at commit is
-///     tolerated: the disk still shows the hold, and recovery promotes it;
+///   * Commit() adds the hold to the tenant's spend. A persist failure at
+///     commit is tolerated: the disk still shows the hold, and recovery
+///     promotes it;
 ///   * Refund() releases a hold — callers may only refund when provably no
 ///     noise was drawn (the black-box algorithms draw noise only at
 ///     release; a run cancelled or failed before release is refundable);
@@ -79,10 +82,10 @@ struct TenantAccountView {
 /// kJournalCompactBytes, and after a failed write, which may have left a
 /// torn record behind: the journal is never appended to after a failure.
 ///
-/// Every transition is recorded on the privacy ledger keyed by tenant
-/// (budget_reserve / budget_commit / budget_refund / budget_refusal /
-/// budget_recover). An over-budget Reserve() refuses with
-/// FailedPrecondition and records a refusal (accepted=false).
+/// Every transition bumps its serve.budget_* counter and records one ledger
+/// event keyed by tenant (budget_reserve / budget_commit / budget_refund /
+/// budget_refusal, with accepted=false / budget_recover). Open() records
+/// only its budget_recover events.
 ///
 /// Thread-safe; all methods may be called from concurrent handler threads.
 class TenantBudgetManager {
@@ -96,10 +99,11 @@ class TenantBudgetManager {
   /// pending holds as described above, then writes a fresh snapshot and
   /// an empty journal. A torn last journal record (never acknowledged) is
   /// dropped with a warning. A snapshot of another format version, one
-  /// that fails its checksum, a bad journal record before the last line,
-  /// a gap in the record sequence and a journal without a snapshot are
-  /// refused, with both files left on disk untouched. IOError naming the
-  /// path when the directory cannot be written.
+  /// that fails its checksum, a negative or non-finite spend or hold, a
+  /// bad journal record before the last line, a gap in the record
+  /// sequence and a journal without a snapshot are refused, with both
+  /// files left on disk untouched. IOError naming the path when the
+  /// directory cannot be written.
   static Result<std::unique_ptr<TenantBudgetManager>> Open(
       const TenantBudgetOptions& options);
 
@@ -107,18 +111,19 @@ class TenantBudgetManager {
   /// refusals and unwaited commits can be) are lost, as in a crash.
   ~TenantBudgetManager();
 
-  /// Places a write-ahead hold of `cost` against `tenant`'s remaining
-  /// budget (basic composition over spend + existing holds). Returns the
-  /// hold id for Commit/Refund. InvalidArgument for a bad cost, or for a
-  /// tenant id outside [A-Za-z0-9._-]+ or equal to "-" (the state file
-  /// could not store it intact). FailedPrecondition when the hold would
+  /// Places a write-ahead hold of `cost` against `tenant`'s budget if it
+  /// fits on top of the spend and the pending holds (`FitsBudget`).
+  /// Returns the hold id for Commit/Refund. InvalidArgument for a bad cost,
+  /// or for a tenant id outside [A-Za-z0-9._-]+ or equal to "-" (the state
+  /// file could not store it intact). FailedPrecondition when the hold would
   /// overspend (the refusal is ledgered and counted); IOError when the
   /// write-ahead persist fails after retries (nothing is held).
   Result<uint64_t> Reserve(const std::string& tenant,
                            const PrivacyParams& cost,
                            const std::string& label);
 
-  /// Converts a hold to committed spend. NotFound for an unknown id.
+  /// Converts a hold to committed spend; Reserve() admitted it, so this
+  /// never refuses. NotFound for an unknown id.
   Status Commit(uint64_t hold_id);
 
   /// Releases a hold without spending. Only legal when no noise was drawn
@@ -140,12 +145,12 @@ class TenantBudgetManager {
 
  private:
   struct AccountState {
-    explicit AccountState(const PrivacyParams& budget)
-        : budget(budget), accountant(budget) {}
+    explicit AccountState(const PrivacyParams& budget) : budget(budget) {}
     PrivacyParams budget;
-    PrivacyAccountant accountant;  // committed spend + refusal bookkeeping
-    /// Sum of this tenant's pending holds. NB: PrivacyParams defaults to
-    /// ε=1, so the zero must be explicit.
+    /// Running sums, in commit order, of the committed and recovered holds
+    /// and of the pending ones. NB: PrivacyParams defaults to ε=1, so the
+    /// zeros must be explicit.
+    PrivacyParams spent{0.0, 0.0};
     PrivacyParams reserved{0.0, 0.0};
     uint64_t commits = 0;
     uint64_t refunds = 0;
@@ -175,7 +180,7 @@ class TenantBudgetManager {
   /// The transitions of a hold, shared by the live calls and journal
   /// replay, so that replay repeats the live arithmetic bit for bit.
   void HoldLocked(uint64_t id, Hold hold);
-  Status CommitLocked(std::map<uint64_t, Hold>::iterator hold);
+  void CommitLocked(std::map<uint64_t, Hold>::iterator hold);
   void ReleaseLocked(std::map<uint64_t, Hold>::iterator hold);
   /// Takes the next sequence number and returns it; with a state_dir,
   /// queues `record` (the fields after the sequence number) for the next

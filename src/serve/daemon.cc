@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -69,15 +70,57 @@ HttpResponse AdmissionRefusal(const Status& status) {
   return response;
 }
 
-HttpResponse BudgetRefusal(const std::string& tenant,
-                           const TenantAccountView& account,
-                           const Status& status) {
-  JsonWriter w;
-  w.BeginObject().Field("error", "budget_exhausted").Field("tenant", tenant);
-  w.Field("budget_epsilon", account.budget.epsilon);
-  w.Field("spent_epsilon", account.spent.epsilon);
-  w.Field("reserved_epsilon", account.reserved.epsilon);
-  return JsonReply(429, w.Field("detail", status.message()).EndObject());
+/// Reads a request's flat fields: after the first one of the wrong type,
+/// the rest are skipped and `status` names it (answered 400).
+struct FieldReader {
+  template <typename V, typename T>
+  void operator()(Result<V> result, T* out) {
+    if (!status.ok()) return;
+    if (result.ok()) {
+      *out = result.value();
+    } else {
+      status = result.status();
+    }
+  }
+  Status status;
+};
+
+/// The spend fields that end a private write's answer.
+JsonWriter& WriteSpend(const TenantAccountView& account, JsonWriter* w) {
+  w->Field("spent_epsilon", account.spent.epsilon);
+  return w->Field("remaining_epsilon", account.budget.epsilon -
+                                           account.spent.epsilon -
+                                           account.reserved.epsilon);
+}
+
+/// Places the budget hold of a private write and sets `*hold_id`, or
+/// returns the answer to a refusal: 429 budget_exhausted, 400 for a
+/// malformed cost or tenant id, 500 when the write-ahead persist failed.
+std::optional<HttpResponse> Reserve(TenantBudgetManager* budget,
+                                    const std::string& tenant,
+                                    const PrivacyParams& cost,
+                                    const std::string& label,
+                                    uint64_t* hold_id) {
+  auto reserved = budget->Reserve(tenant, cost, label);
+  if (reserved.ok()) {
+    *hold_id = reserved.value();
+    return std::nullopt;
+  }
+  const Status& status = reserved.status();
+  if (status.code() == StatusCode::kFailedPrecondition) {
+    const TenantAccountView account = budget->Account(tenant);
+    JsonWriter w;
+    w.BeginObject().Field("error", "budget_exhausted").Field("tenant", tenant);
+    w.Field("budget_epsilon", account.budget.epsilon);
+    w.Field("spent_epsilon", account.spent.epsilon);
+    w.Field("reserved_epsilon", account.reserved.epsilon);
+    return JsonReply(429, w.Field("detail", status.message()).EndObject());
+  }
+  if (status.code() == StatusCode::kInvalidArgument) {
+    // Malformed (ε, δ) or tenant id in the request, not a server fault.
+    return JsonError(400, "bad_request", status.message());
+  }
+  return JsonError(500, "budget_unavailable", status.message());
 }
 
 /// True for the algorithms whose only noise draw happens at release
@@ -153,15 +196,17 @@ Result<std::unique_ptr<ServeDaemon>> ServeDaemon::Start(
                           obs::ObsServer::Start(server_options));
 
   ServeDaemon* d = daemon.get();
-  daemon->server_->RegisterHandler(
-      "POST", "/v1/train",
-      [d](const HttpRequest& request) { return d->HandleTrain(request); });
-  daemon->server_->RegisterHandler(
-      "POST", "/v1/predict",
-      [d](const HttpRequest& request) { return d->HandlePredict(request); });
-  daemon->server_->RegisterHandler(
-      "POST", "/v1/aggregate",
-      [d](const HttpRequest& request) { return d->HandleAggregate(request); });
+  const std::pair<const char*, PostHandler> posts[] = {
+      {"/v1/train", &ServeDaemon::Train},
+      {"/v1/predict", &ServeDaemon::Predict},
+      {"/v1/aggregate", &ServeDaemon::Aggregate},
+  };
+  for (const auto& [path, handle] : posts) {
+    daemon->server_->RegisterHandler(
+        "POST", path, [d, handle = handle](const HttpRequest& request) {
+          return d->HandlePost(request, handle);
+        });
+  }
   daemon->server_->RegisterHandler(
       "GET", "/v1/budget",
       [d](const HttpRequest& request) { return d->HandleBudget(request); });
@@ -220,7 +265,8 @@ ServeDaemon::DatasetFor(const std::string& name, double scale, uint64_t seed) {
   return inserted.first->second;
 }
 
-HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
+HttpResponse ServeDaemon::HandlePost(const HttpRequest& request,
+                                     PostHandler handle) {
   Metrics().requests->Increment();
   if (draining_.load(std::memory_order_acquire)) {
     Metrics().draining->Increment();
@@ -232,47 +278,40 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   if (!parsed.ok()) {
     return JsonError(400, "bad_request", parsed.status().message());
   }
-  const JsonValue& body = parsed.value();
-
-  auto tenant = body.GetString("tenant", "");
+  auto tenant = parsed.value().GetString("tenant", "");
   if (!tenant.ok()) return JsonError(400, "bad_request", tenant.status().message());
   if (tenant.value().empty()) {
     return JsonError(400, "bad_request", "missing required field: tenant");
   }
+  return (this->*handle)(parsed.value(), tenant.value());
+}
 
+HttpResponse ServeDaemon::Train(const JsonValue& body,
+                                const std::string& tenant) {
   // Flat-field extraction; any type mismatch answers 400 naming the field.
   TrainerConfig config;
   std::string dataset_name, algorithm_name, model_name;
   double scale = 0.0, epsilon = 0.0, delta = 0.0;
   int64_t data_seed = 0, train_seed = 0, timeout_ms = 0, positive_class = 0;
   int64_t passes = 0, batch_size = 0, shards = 0;
-  Status field = Status::OK();
-  {
-    auto bind = [&field](auto result, auto* out) {
-      if (field.ok()) {
-        if (result.ok()) {
-          *out = result.value();
-        } else {
-          field = result.status();
-        }
-      }
-    };
-    bind(body.GetString("dataset", "protein"), &dataset_name);
-    bind(body.GetString("algorithm", "bolton"), &algorithm_name);
-    bind(body.GetString("model", "logistic"), &model_name);
-    bind(body.GetNumber("scale", 0.01), &scale);
-    bind(body.GetNumber("epsilon", 1.0), &epsilon);
-    bind(body.GetNumber("delta", 1e-6), &delta);
-    bind(body.GetNumber("lambda", 0.01), &config.lambda);
-    bind(body.GetInt("passes", 3), &passes);
-    bind(body.GetInt("batch_size", 50), &batch_size);
-    bind(body.GetInt("shards", 1), &shards);
-    bind(body.GetInt("data_seed", 42), &data_seed);
-    bind(body.GetInt("seed", 1), &train_seed);
-    bind(body.GetInt("timeout_ms", 0), &timeout_ms);
-    bind(body.GetInt("positive_class", 0), &positive_class);
+  FieldReader bind;
+  bind(body.GetString("dataset", "protein"), &dataset_name);
+  bind(body.GetString("algorithm", "bolton"), &algorithm_name);
+  bind(body.GetString("model", "logistic"), &model_name);
+  bind(body.GetNumber("scale", 0.01), &scale);
+  bind(body.GetNumber("epsilon", 1.0), &epsilon);
+  bind(body.GetNumber("delta", 1e-6), &delta);
+  bind(body.GetNumber("lambda", 0.01), &config.lambda);
+  bind(body.GetInt("passes", 3), &passes);
+  bind(body.GetInt("batch_size", 50), &batch_size);
+  bind(body.GetInt("shards", 1), &shards);
+  bind(body.GetInt("data_seed", 42), &data_seed);
+  bind(body.GetInt("seed", 1), &train_seed);
+  bind(body.GetInt("timeout_ms", 0), &timeout_ms);
+  bind(body.GetInt("positive_class", 0), &positive_class);
+  if (!bind.status.ok()) {
+    return JsonError(400, "bad_request", bind.status.message());
   }
-  if (!field.ok()) return JsonError(400, "bad_request", field.message());
   if (passes < 1 || batch_size < 1 || shards < 1 || timeout_ms < 0) {
     return JsonError(400, "bad_request",
                      "passes, batch_size, shards must be >= 1 and "
@@ -299,7 +338,7 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   config.executor.max_threads = options_.max_training_threads;
 
   // Admission: refuse-fast before any expensive work.
-  auto ticket = admission_->Admit(tenant.value());
+  auto ticket = admission_->Admit(tenant);
   if (!ticket.ok()) {
     return AdmissionRefusal(ticket.status());
   }
@@ -324,26 +363,17 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   }
 
   // Budget: write-ahead reserve before the run. Noiseless runs release
-  // nothing private and spend nothing.
+  // nothing private and spend nothing. A label holds no whitespace, which
+  // the state file would store as '_'.
   const bool is_private = config.algorithm != Algorithm::kNoiseless;
   uint64_t hold_id = 0;
   if (is_private) {
-    auto reserved = budget_->Reserve(
-        tenant.value(), config.privacy,
-        StrFormat("train %s/%s", dataset_name.c_str(),
-                  AlgorithmName(config.algorithm)));
-    if (!reserved.ok()) {
-      if (reserved.status().code() == StatusCode::kFailedPrecondition) {
-        return BudgetRefusal(tenant.value(), budget_->Account(tenant.value()),
-                             reserved.status());
-      }
-      if (reserved.status().code() == StatusCode::kInvalidArgument) {
-        // Malformed (ε, δ) in the request, not a server fault.
-        return JsonError(400, "bad_request", reserved.status().message());
-      }
-      return JsonError(500, "budget_unavailable", reserved.status().message());
+    if (auto refused = Reserve(budget_.get(), tenant, config.privacy,
+                               StrFormat("train:%s/%s", dataset_name.c_str(),
+                                         AlgorithmName(config.algorithm)),
+                               &hold_id)) {
+      return *refused;
     }
-    hold_id = reserved.value();
   }
 
   // Fault gate between reserve and the run: an injected dispatch error
@@ -394,65 +424,40 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
     }
     return JsonError(500, "train_failed", trained.status().message());
   }
-  if (is_private) {
-    Status committed = budget_->Commit(hold_id);
-    if (!committed.ok()) {
-      // Unreachable by construction (the hold exists and reserve
-      // guaranteed capacity); surface rather than release unaccounted.
-      return JsonError(500, "budget_commit_failed", committed.message());
-    }
-  }
+  // Reserve() admitted the hold, so its commit cannot refuse.
+  if (is_private) budget_->Commit(hold_id).CheckOK();
 
   std::string model_id;
   {
     std::lock_guard<std::mutex> lock(models_mu_);
-    model_id = StrFormat("%s-%llu", tenant.value().c_str(),
+    model_id = StrFormat("%s-%llu", tenant.c_str(),
                          static_cast<unsigned long long>(next_model_seq_++));
     StoredModel stored;
-    stored.tenant = tenant.value();
+    stored.tenant = tenant;
     stored.weights = std::move(trained).value();
     stored.algorithm = AlgorithmName(config.algorithm);
     stored.dataset = dataset_name;
     models_[model_id] = std::move(stored);
   }
 
-  const TenantAccountView account = budget_->Account(tenant.value());
   JsonWriter w;
-  w.BeginObject().Field("model_id", model_id).Field("tenant", tenant.value());
+  w.BeginObject().Field("model_id", model_id).Field("tenant", tenant);
   w.Field("algorithm", AlgorithmName(config.algorithm));
   w.Field("dataset", dataset_name).Field("dim", train->dim());
   w.Key("elapsed_ms").Fixed(elapsed_ms, 3);
   w.Field("epsilon", is_private ? epsilon : 0.0);
   w.Field("delta", is_private ? delta : 0.0);
-  w.Field("spent_epsilon", account.spent.epsilon);
-  w.Field("remaining_epsilon", account.budget.epsilon - account.spent.epsilon -
-                                   account.reserved.epsilon);
-  return JsonReply(200, w.EndObject());
+  return JsonReply(200, WriteSpend(budget_->Account(tenant), &w).EndObject());
 }
 
-HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
-  Metrics().requests->Increment();
-  if (draining_.load(std::memory_order_acquire)) {
-    Metrics().draining->Increment();
-    return JsonError(503, "draining", "daemon is shutting down");
-  }
-  RequestScope scope(&inflight_mu_, &inflight_cv_, &inflight_);
-
-  auto parsed = ParseJson(request.body);
-  if (!parsed.ok()) {
-    return JsonError(400, "bad_request", parsed.status().message());
-  }
-  const JsonValue& body = parsed.value();
-  auto tenant = body.GetString("tenant", "");
+HttpResponse ServeDaemon::Predict(const JsonValue& body,
+                                  const std::string& tenant) {
   auto model_id = body.GetString("model_id", "");
-  if (!tenant.ok() || !model_id.ok()) {
-    return JsonError(400, "bad_request",
-                     (!tenant.ok() ? tenant.status() : model_id.status())
-                         .message());
+  if (!model_id.ok()) {
+    return JsonError(400, "bad_request", model_id.status().message());
   }
-  if (tenant.value().empty() || model_id.value().empty()) {
-    return JsonError(400, "bad_request",
-                     "missing required field: tenant and model_id");
+  if (model_id.value().empty()) {
+    return JsonError(400, "bad_request", "missing required field: model_id");
   }
   const JsonValue* features = body.Find("features");
   if (features == nullptr || !features->is_array()) {
@@ -476,7 +481,7 @@ HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
     auto it = models_.find(model_id.value());
     // A foreign tenant's model id answers the same 404 as a missing one:
     // existence of another tenant's model is not disclosed.
-    if (it == models_.end() || it->second.tenant != tenant.value()) {
+    if (it == models_.end() || it->second.tenant != tenant) {
       return JsonError(404, "model_not_found",
                        "no such model for this tenant");
     }
@@ -502,55 +507,29 @@ HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
   return JsonReply(200, w.EndObject());
 }
 
-HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
-  Metrics().requests->Increment();
-  if (draining_.load(std::memory_order_acquire)) {
-    Metrics().draining->Increment();
-    return JsonError(503, "draining", "daemon is shutting down");
-  }
-  RequestScope scope(&inflight_mu_, &inflight_cv_, &inflight_);
-
-  auto parsed = ParseJson(request.body);
-  if (!parsed.ok()) {
-    return JsonError(400, "bad_request", parsed.status().message());
-  }
-  const JsonValue& body = parsed.value();
-  auto tenant = body.GetString("tenant", "");
-  if (!tenant.ok()) return JsonError(400, "bad_request", tenant.status().message());
-  if (tenant.value().empty()) {
-    return JsonError(400, "bad_request", "missing required field: tenant");
-  }
-
+HttpResponse ServeDaemon::Aggregate(const JsonValue& body,
+                                    const std::string& tenant) {
   std::string dataset_name, op;
   double scale = 0.0, epsilon = 0.0, delta = 0.0;
   int64_t data_seed = 0, noise_seed = 0, column = 0;
-  Status field = Status::OK();
-  {
-    auto bind = [&field](auto result, auto* out) {
-      if (field.ok()) {
-        if (result.ok()) {
-          *out = result.value();
-        } else {
-          field = result.status();
-        }
-      }
-    };
-    bind(body.GetString("dataset", "protein"), &dataset_name);
-    bind(body.GetString("op", "count"), &op);
-    bind(body.GetNumber("scale", 0.01), &scale);
-    bind(body.GetNumber("epsilon", 0.1), &epsilon);
-    bind(body.GetNumber("delta", 0.0), &delta);
-    bind(body.GetInt("data_seed", 42), &data_seed);
-    bind(body.GetInt("seed", 1), &noise_seed);
-    bind(body.GetInt("column", 0), &column);
+  FieldReader bind;
+  bind(body.GetString("dataset", "protein"), &dataset_name);
+  bind(body.GetString("op", "count"), &op);
+  bind(body.GetNumber("scale", 0.01), &scale);
+  bind(body.GetNumber("epsilon", 0.1), &epsilon);
+  bind(body.GetNumber("delta", 0.0), &delta);
+  bind(body.GetInt("data_seed", 42), &data_seed);
+  bind(body.GetInt("seed", 1), &noise_seed);
+  bind(body.GetInt("column", 0), &column);
+  if (!bind.status.ok()) {
+    return JsonError(400, "bad_request", bind.status.message());
   }
-  if (!field.ok()) return JsonError(400, "bad_request", field.message());
   if (op != "count" && op != "feature_mean") {
     return JsonError(400, "bad_request",
                      "op must be \"count\" or \"feature_mean\"");
   }
 
-  auto ticket = admission_->Admit(tenant.value());
+  auto ticket = admission_->Admit(tenant);
   if (!ticket.ok()) {
     return AdmissionRefusal(ticket.status());
   }
@@ -573,20 +552,13 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
   }
 
   const PrivacyParams cost{epsilon, delta};
-  auto reserved = budget_->Reserve(
-      tenant.value(), cost,
-      StrFormat("aggregate %s/%s", dataset_name.c_str(), op.c_str()));
-  if (!reserved.ok()) {
-    if (reserved.status().code() == StatusCode::kFailedPrecondition) {
-      return BudgetRefusal(tenant.value(), budget_->Account(tenant.value()),
-                           reserved.status());
-    }
-    if (reserved.status().code() == StatusCode::kInvalidArgument) {
-      return JsonError(400, "bad_request", reserved.status().message());
-    }
-    return JsonError(500, "budget_unavailable", reserved.status().message());
+  uint64_t hold_id = 0;
+  if (auto refused = Reserve(
+          budget_.get(), tenant, cost,
+          StrFormat("aggregate:%s/%s", dataset_name.c_str(), op.c_str()),
+          &hold_id)) {
+    return *refused;
   }
-  const uint64_t hold_id = reserved.value();
 
   Rng rng(static_cast<uint64_t>(noise_seed));
   Result<PrivateScalar> released =
@@ -599,19 +571,12 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
     budget_->Refund(hold_id).CheckOK();
     return JsonError(500, "aggregate_failed", released.status().message());
   }
-  Status committed = budget_->Commit(hold_id);
-  if (!committed.ok()) {
-    return JsonError(500, "budget_commit_failed", committed.message());
-  }
-  const TenantAccountView account = budget_->Account(tenant.value());
+  budget_->Commit(hold_id).CheckOK();
   JsonWriter w;
   w.BeginObject().Field("op", op).Field("dataset", dataset_name);
   w.Field("value", released.value().noisy);
   w.Field("epsilon", epsilon).Field("delta", delta);
-  w.Field("spent_epsilon", account.spent.epsilon);
-  w.Field("remaining_epsilon", account.budget.epsilon - account.spent.epsilon -
-                                   account.reserved.epsilon);
-  return JsonReply(200, w.EndObject());
+  return JsonReply(200, WriteSpend(budget_->Account(tenant), &w).EndObject());
 }
 
 HttpResponse ServeDaemon::HandleBudget(const HttpRequest& request) {

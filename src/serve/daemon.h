@@ -16,6 +16,7 @@
 #include "serve/admission.h"
 #include "serve/budget.h"
 #include "util/cancellation.h"
+#include "util/json.h"
 #include "util/result.h"
 
 namespace bolton {
@@ -113,11 +114,23 @@ class ServeDaemon {
     std::string dataset;
   };
 
+  /// A POST endpoint's body, called with the request's parsed JSON and its
+  /// tenant.
+  using PostHandler = obs::HttpResponse (ServeDaemon::*)(
+      const JsonValue& body, const std::string& tenant);
+
   explicit ServeDaemon(const ServeOptions& options);
 
-  obs::HttpResponse HandleTrain(const obs::HttpRequest& request);
-  obs::HttpResponse HandlePredict(const obs::HttpRequest& request);
-  obs::HttpResponse HandleAggregate(const obs::HttpRequest& request);
+  /// The prologue every POST endpoint shares: counts the request, answers
+  /// 503 while draining, holds a drain scope for the call, parses the JSON
+  /// body and reads its required "tenant" field, then answers with
+  /// `handle`.
+  obs::HttpResponse HandlePost(const obs::HttpRequest& request,
+                               PostHandler handle);
+  obs::HttpResponse Train(const JsonValue& body, const std::string& tenant);
+  obs::HttpResponse Predict(const JsonValue& body, const std::string& tenant);
+  obs::HttpResponse Aggregate(const JsonValue& body,
+                              const std::string& tenant);
   obs::HttpResponse HandleBudget(const obs::HttpRequest& request);
 
   /// The shared synthetic-dataset cache: generating "protein" at scale 0.1

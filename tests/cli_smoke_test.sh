@@ -242,6 +242,16 @@ expect_refusal "^serve: invalid-argument: .*found 'bolton-budget v1'" \
     timeout 20 "$CLI" serve --port 0 --state-dir "$WORKDIR/v1_state"
 expect_refusal "^serve: io-error: .*$WORKDIR/no_such_dir/bolton.budget" \
     timeout 20 "$CLI" serve --port 0 --state-dir "$WORKDIR/no_such_dir"
+# A non-finite ε or a NaN δ is refused before anything is calibrated.
+for flags in "--epsilon nan" "--epsilon inf" \
+    "--lambda 0.01 --epsilon 0.5 --delta nan"; do
+  # $flags is left unquoted: it holds several flags.
+  expect_refusal "^train: invalid-argument: " \
+      "$CLI" train --dataset protein --scale 0.01 $flags \
+      --model "$WORKDIR/nonfinite.model"
+done
+expect_refusal "^serve: invalid-argument: tenant default budget: epsilon" \
+    timeout 20 "$CLI" serve --port 0 --budget-epsilon nan
 
 # A LIBSVM line that repeats an index is refused, naming the line.
 printf '1 1:0.5 2:0.25\n-1 3:0.5 3:0.7\n' > "$WORKDIR/dup.libsvm"
@@ -253,6 +263,21 @@ fi
 grep -q "line 2: duplicate index 3" "$WORKDIR/dup.err" \
     || { echo "duplicate-index error does not name the line" >&2; \
          cat "$WORKDIR/dup.err" >&2; exit 1; }
+
+# listening_port LOG: waits up to 10 s for serve's listening line in LOG and
+# prints its port (nothing if it never appears).
+listening_port() {
+  port=""
+  i=0
+  while [ $i -lt 100 ]; do
+    port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+        "$1" | head -1)
+    [ -n "$port" ] && break
+    i=$((i + 1))
+    sleep 0.1
+  done
+  echo "$port"
+}
 
 # --- serve: the multi-tenant daemon end to end ------------------------------
 # Start on an ephemeral port with a persistent budget store, train within
@@ -266,16 +291,7 @@ BOLTON_FAILPOINTS="psgd.pass:delay@200" "$CLI" serve --port 0 \
     --ledger-out "$WORKDIR/serve.ledger.jsonl" \
     > "$WORKDIR/serve.log" 2>&1 &
 serve_pid=$!
-
-serve_port=""
-i=0
-while [ $i -lt 100 ]; do
-  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-      "$WORKDIR/serve.log" | head -1)
-  [ -n "$serve_port" ] && break
-  i=$((i + 1))
-  sleep 0.1
-done
+serve_port=$(listening_port "$WORKDIR/serve.log")
 if [ -z "$serve_port" ]; then
   echo "serve port line never appeared" >&2
   cat "$WORKDIR/serve.log" >&2
@@ -341,15 +357,7 @@ grep '"kind":"budget_refusal"' "$WORKDIR/serve.ledger.jsonl" \
     --budget-epsilon 1.0 --budget-delta 1e-5 \
     > "$WORKDIR/serve2.log" 2>&1 &
 serve2_pid=$!
-serve_port=""
-i=0
-while [ $i -lt 100 ]; do
-  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-      "$WORKDIR/serve2.log" | head -1)
-  [ -n "$serve_port" ] && break
-  i=$((i + 1))
-  sleep 0.1
-done
+serve_port=$(listening_port "$WORKDIR/serve2.log")
 test -n "$serve_port"
 "$CLI" call --port "$serve_port" --method GET \
     --path "/v1/budget?tenant=acme" > "$WORKDIR/serve.budget2.json"
@@ -365,5 +373,64 @@ if "$CLI" call --port "$serve_port" --path /v1/train \
 fi
 kill -TERM "$serve2_pid"
 wait "$serve2_pid" || { echo "second serve did not drain" >&2; exit 1; }
+
+# --- serve: requests at the edge of the budget ------------------------------
+# One state dir, the default budget (ε = 1, δ = 1e-6) and no failpoints.
+# Reserve is the only budget check, with a tolerance of one part in 10⁹ of
+# the budget, so a request it admits always commits and the state reloads.
+edgedir="$WORKDIR/serve_edge"
+mkdir -p "$edgedir"
+"$CLI" serve --port 0 --state-dir "$edgedir" > "$WORKDIR/edge.log" 2>&1 &
+edge_pid=$!
+serve_port=$(listening_port "$WORKDIR/edge.log")
+[ -n "$serve_port" ] || { cat "$WORKDIR/edge.log" >&2; exit 1; }
+# An aggregate within the tolerance is answered and spent.
+"$CLI" call --port "$serve_port" --path /v1/aggregate \
+    --body '{"tenant":"a","op":"count","epsilon":1.0000000005}' \
+    > "$WORKDIR/edge.aggregate.json"
+grep -q '"spent_epsilon":1.0000000005,' "$WORKDIR/edge.aggregate.json"
+# A white-box train the solver refuses answers its error and is charged
+# (its noise may be drawn), and the daemon keeps serving.
+status=0
+"$CLI" call --port "$serve_port" --path /v1/train \
+    --body '{"tenant":"e","algorithm":"objective","model":"huber_svm","epsilon":1.0000000005,"delta":0,"scale":0.02}' \
+    > "$WORKDIR/edge.train.json" 2> /dev/null || status=$?
+if [ "$status" != "1" ] ||
+    ! grep -q '"error":"train_failed"' "$WORKDIR/edge.train.json"; then
+  echo "objective/huber_svm train exited $status, expected train_failed:" >&2
+  cat "$WORKDIR/edge.train.json" "$WORKDIR/edge.log" >&2
+  exit 1
+fi
+"$CLI" call --port "$serve_port" --method GET --path "/v1/budget?tenant=e" \
+    > "$WORKDIR/edge.budget.json"
+grep -q '"spent_epsilon":1.0000000005,' "$WORKDIR/edge.budget.json"
+grep -q '"reserved_epsilon":0,' "$WORKDIR/edge.budget.json"
+kill -TERM "$edge_pid"
+wait "$edge_pid" || { echo "edge serve did not drain" >&2; exit 1; }
+# The restart on the same dir comes up. Loading the state charges nothing:
+# /healthz counts no charge and the ledger stays empty until a request.
+"$CLI" serve --port 0 --state-dir "$edgedir" \
+    --ledger-out "$WORKDIR/edge2.ledger.jsonl" > "$WORKDIR/edge2.log" 2>&1 &
+edge_pid=$!
+serve_port=$(listening_port "$WORKDIR/edge2.log")
+if [ -z "$serve_port" ]; then
+  echo "serve refused its own state dir on restart:" >&2
+  cat "$WORKDIR/edge2.log" >&2
+  exit 1
+fi
+"$CLI" scrape --port "$serve_port" --path /healthz > "$WORKDIR/edge2.healthz.json"
+grep -q '"charges":0,' "$WORKDIR/edge2.healthz.json" \
+    || { echo "restart reported charges:" >&2; \
+         cat "$WORKDIR/edge2.healthz.json" >&2; exit 1; }
+"$CLI" call --port "$serve_port" --method GET --path "/v1/budget?tenant=a" \
+    | grep -q '"spent_epsilon":1.0000000005,'
+kill -TERM "$edge_pid"
+wait "$edge_pid" || { echo "restarted edge serve did not drain" >&2; exit 1; }
+test -f "$WORKDIR/edge2.ledger.jsonl"
+if [ -s "$WORKDIR/edge2.ledger.jsonl" ]; then
+  echo "loading the state dir recorded ledger events:" >&2
+  cat "$WORKDIR/edge2.ledger.jsonl" >&2
+  exit 1
+fi
 
 echo "cli smoke test passed (noiseless acc=$acc)"

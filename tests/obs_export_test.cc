@@ -160,6 +160,25 @@ TEST_F(ObsExportTest, LedgerTotalsSplitByKindAndAcceptance) {
   EXPECT_DOUBLE_EQ(totals.delta_charged, 1e-6);
 }
 
+TEST_F(ObsExportTest, ServeCommitsAndRecoveriesCountAsCharges) {
+  std::vector<LedgerEvent> events;
+  for (const char* kind : {"budget_reserve", "budget_commit", "budget_refund",
+                           "budget_refusal", "budget_recover"}) {
+    LedgerEvent event;
+    event.kind = kind;
+    event.tenant = "acme";
+    event.epsilon = 0.25;
+    event.accepted = std::string(kind) != "budget_refusal";
+    events.push_back(event);
+  }
+  LedgerTotals totals = SummarizeLedger(events);
+  EXPECT_EQ(totals.events, 5u);
+  EXPECT_EQ(totals.charges, 2u);
+  EXPECT_EQ(totals.rejected, 1u);
+  // A reserve, a refund and a refusal spend nothing.
+  EXPECT_DOUBLE_EQ(totals.epsilon_charged, 0.5);
+}
+
 // The refactor contract: the legacy member serializers and the shared
 // renderers are the same bytes.
 TEST_F(ObsExportTest, MemberSerializersDelegateToSharedRenderers) {

@@ -1,5 +1,8 @@
 #include "core/privacy.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace bolton {
@@ -17,6 +20,13 @@ TEST(PrivacyParamsTest, Validation) {
   EXPECT_FALSE((PrivacyParams{-1.0, 0.0}).Validate().ok());
   EXPECT_FALSE((PrivacyParams{1.0, -0.1}).Validate().ok());
   EXPECT_FALSE((PrivacyParams{1.0, 1.0}).Validate().ok());
+  // Non-finite ε and NaN or infinite δ are refused.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE((PrivacyParams{nan, 0.0}).Validate().ok());
+  EXPECT_FALSE((PrivacyParams{inf, 0.0}).Validate().ok());
+  EXPECT_FALSE((PrivacyParams{0.5, nan}).Validate().ok());
+  EXPECT_FALSE((PrivacyParams{0.5, inf}).Validate().ok());
 }
 
 TEST(PrivacyParamsTest, SplitEvenlyBasicComposition) {

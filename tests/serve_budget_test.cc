@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/export.h"
 #include "obs/ledger.h"
 #include "random/rng.h"
+#include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -168,6 +170,56 @@ TEST(TenantBudgetTest, ExactBudgetFits) {
   }
   auto over = manager->Reserve("alice", {0.1, 0.0}, "one too many");
   EXPECT_FALSE(over.ok());
+}
+
+TEST(TenantBudgetTest, ReserveWithinToleranceCommitsAndReopens) {
+  TenantBudgetOptions options = InMemory(1.0, 1e-6);
+  options.state_dir = MakeStateDir("budget_tolerance");
+  const double within = 1.0 + 5e-10;  // inside one part in 10⁹ of the budget
+  std::vector<TenantAccountView> live;
+  {
+    auto manager = TenantBudgetManager::Open(options).MoveValue();
+    auto hold = manager->Reserve("a", {within, 0.0}, "edge");
+    ASSERT_TRUE(hold.ok()) << hold.status().ToString();
+    ASSERT_TRUE(manager->Commit(hold.value()).ok());
+    EXPECT_EQ(manager->Account("a").spent.epsilon, within);
+    EXPECT_EQ(manager->Account("a").reserved.epsilon, 0.0);
+    live = manager->Snapshot();
+  }
+  {
+    auto reopened = TenantBudgetManager::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectSameAccounts(live, reopened.value()->Snapshot());
+    // A hold of the same size left pending promotes at the next Open.
+    ASSERT_TRUE(reopened.value()->Reserve("b", {within, 0.0}, "edge").ok());
+  }
+  auto promoted = TenantBudgetManager::Open(options);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(promoted.value()->recovered_holds(), 1u);
+  EXPECT_EQ(promoted.value()->Account("b").spent.epsilon, within);
+  EXPECT_EQ(promoted.value()->Account("a").spent.epsilon, within);
+}
+
+TEST(TenantBudgetTest, ExhaustedTenantStopsAtTolerance) {
+  auto manager = TenantBudgetManager::Open(InMemory(1.0, 1e-6)).MoveValue();
+  ASSERT_TRUE(
+      manager->Commit(manager->Reserve("a", {1.0, 0.0}, "all").MoveValue())
+          .ok());
+  // 1 + 4e-10 and 1 + 8e-10 stay within 1 + 10⁻⁹; 1 + 1.2e-9 does not.
+  double spent = 1.0;
+  for (int i = 0; i < 2; ++i) {
+    auto hold = manager->Reserve("a", {4e-10, 0.0}, "crumb");
+    ASSERT_TRUE(hold.ok()) << i << ": " << hold.status().ToString();
+    ASSERT_TRUE(manager->Commit(hold.value()).ok()) << i;
+    spent += 4e-10;
+  }
+  auto refused = manager->Reserve("a", {4e-10, 0.0}, "crumb");
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  const TenantAccountView view = manager->Account("a");
+  EXPECT_EQ(view.spent.epsilon, spent);
+  EXPECT_EQ(view.reserved.epsilon, 0.0);
+  EXPECT_EQ(view.commits, 3u);
+  EXPECT_EQ(view.refusals, 1u);
 }
 
 TEST(TenantBudgetTest, TenantsAreIsolated) {
@@ -647,6 +699,65 @@ TEST(TenantBudgetTest, BudgetEventsAreTenantKeyed) {
   EXPECT_EQ(commits, 1);
   EXPECT_EQ(refusals, 1);
   ledger.Clear();
+}
+
+TEST(TenantBudgetTest, ReopenRecordsNoCharges) {
+  obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
+  ledger.SetEnabled(false);
+  TenantBudgetOptions options = InMemory(1.0, 1e-6);
+  options.state_dir = MakeStateDir("budget_reopen_ledger");
+  for (const char* tenant : {"a", "b"}) {
+    // "a"'s commit reaches the snapshot at the second Open; "b"'s stays in
+    // the journal.
+    auto manager = TenantBudgetManager::Open(options).MoveValue();
+    ASSERT_TRUE(
+        manager->Commit(manager->Reserve(tenant, {0.1, 0.0}, "x").MoveValue())
+            .ok());
+  }
+  ledger.Clear();
+  ledger.SetEnabled(true);
+  {
+    auto reopened = TenantBudgetManager::Open(options).MoveValue();
+    EXPECT_EQ(ledger.size(), 0u) << obs::RenderLedgerJsonl(ledger.Snapshot());
+    EXPECT_EQ(reopened->Account("a").spent.epsilon, 0.1);
+    EXPECT_EQ(reopened->Account("b").spent.epsilon, 0.1);
+    ASSERT_TRUE(reopened->Reserve("c", {0.2, 1e-7}, "pending").ok());
+  }
+  ledger.Clear();
+  auto recovered = TenantBudgetManager::Open(options).MoveValue();
+  const std::vector<obs::LedgerEvent> events = ledger.Snapshot();
+  ledger.SetEnabled(false);
+  ledger.Clear();
+  ASSERT_EQ(events.size(), 1u) << obs::RenderLedgerJsonl(events);
+  EXPECT_EQ(events[0].kind, "budget_recover");
+  EXPECT_EQ(events[0].tenant, "c");
+  EXPECT_EQ(events[0].label, "pending");
+  EXPECT_EQ(events[0].epsilon, 0.2);
+  EXPECT_EQ(events[0].delta, 1e-7);
+  EXPECT_EQ(recovered->recovered_holds(), 1u);
+}
+
+TEST(TenantBudgetTest, NegativeOrNonFiniteSpendRefusedAtOpen) {
+  TenantBudgetOptions options = InMemory(1.0, 1e-6);
+  options.state_dir = MakeStateDir("budget_bad_spend");
+  for (const char* spent : {"-0.25 0", "nan 0", "0.25 inf"}) {
+    SCOPED_TRACE(spent);
+    std::string snapshot = StrFormat(
+        "bolton-budget v2\n"
+        "next_hold 2\n"
+        "accounts 1\n"
+        "account alice 1 1e-06 %s 1 0 0 0\n"
+        "holds 0\n",
+        spent);
+    AppendChecksumLine(&snapshot);
+    WriteFile(options.state_dir + "/bolton.budget", snapshot);
+    auto opened = TenantBudgetManager::Open(options);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("negative or not finite"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 TEST(TenantBudgetTest, SnapshotListsEveryTenant) {

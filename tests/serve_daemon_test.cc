@@ -5,11 +5,14 @@
 
 #include <sys/stat.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/ledger.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/strings.h"
@@ -286,6 +289,65 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
   EXPECT_EQ(Train(R"({"tenant":"bob","epsilon":0.4,"passes":1,"scale":0.02,)"
                   R"("timeout_ms":18446744073709})").status,
             200);
+}
+
+TEST_F(ServeDaemonTest, WhiteBoxTrainTheSolverRefusesIsChargedAndAnswered) {
+  StartDaemon();  // default budget: ε = 1, δ = 1e-6
+  // Within one part in 10⁹ of the budget, so Reserve admits it; objective
+  // perturbation then refuses huber_svm. White-box runs commit on failure.
+  HttpReply failed = Train(
+      R"({"tenant":"e","algorithm":"objective","model":"huber_svm",)"
+      R"("epsilon":1.0000000005,"delta":0,"scale":0.02})");
+  EXPECT_EQ(failed.status, 500) << failed.body;
+  EXPECT_EQ(ParseBody(failed).GetString("error", "").MoveValue(),
+            "train_failed");
+  const TenantAccountView view = daemon_->budget().Account("e");
+  EXPECT_EQ(view.spent.epsilon, 1.0000000005);
+  EXPECT_EQ(view.reserved.epsilon, 0.0);
+  EXPECT_EQ(view.commits, 1u);
+  // The daemon keeps serving, and the spent tenant is refused at Reserve.
+  EXPECT_EQ(Call(daemon_->port(), "GET", "/v1/budget?tenant=e", "").status,
+            200);
+  HttpReply refused = Call(daemon_->port(), "POST", "/v1/aggregate",
+                           R"({"tenant":"e","epsilon":1e-9,"scale":0.02})");
+  EXPECT_EQ(refused.status, 429) << refused.body;
+}
+
+TEST_F(ServeDaemonTest, RecoveredHoldKeepsTheLabelReserveWasGiven) {
+  obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
+  ledger.Clear();
+  ledger.SetEnabled(true);
+  ServeOptions options;
+  options.budget.state_dir = ::testing::TempDir() + "serve_recover_label";
+  ::mkdir(options.budget.state_dir.c_str(), 0700);
+  std::remove((options.budget.state_dir + "/bolton.budget").c_str());
+  std::remove((options.budget.state_dir + "/bolton.journal").c_str());
+  StartDaemon(options);
+  // The commit record is queued but never written, as in a crash between
+  // the spend and its persist: the restart finds the hold pending.
+  ASSERT_TRUE(FailpointRegistry::Default()
+                  .Configure("serve.budget_commit:error@1")
+                  .ok());
+  ASSERT_EQ(Train(R"({"tenant":"alice","algorithm":"bolton","epsilon":0.4,)"
+                  R"("passes":1,"scale":0.02})")
+                .status,
+            200);
+  FailpointRegistry::Default().Clear();
+  daemon_->Shutdown();
+  daemon_.reset();
+  StartDaemon(options);
+  std::vector<obs::LedgerEvent> events = ledger.Snapshot();
+  ledger.SetEnabled(false);
+  ledger.Clear();
+
+  std::string reserved, recovered;
+  for (const obs::LedgerEvent& event : events) {
+    if (event.kind == "budget_reserve") reserved = event.label;
+    if (event.kind == "budget_recover") recovered = event.label;
+  }
+  EXPECT_FALSE(reserved.empty());
+  EXPECT_EQ(recovered, reserved);
+  EXPECT_EQ(daemon_->budget().Account("alice").recovered, 1u);
 }
 
 TEST_F(ServeDaemonTest, ShutdownIsIdempotentAndStopsServing) {

@@ -311,6 +311,15 @@ wait "$serve_pid" || { echo "recovered serve did not drain"; exit 1; }
 grep '"kind":"budget_recover"' "$WORKDIR/serve_recover.ledger.jsonl" \
     | grep -q '"tenant":"acme"' \
     || { echo "no tenant-keyed budget_recover ledger event"; exit 1; }
+# Loading the state charges nothing: the promotion's budget_recover is the
+# one charge-kind event, and no accountant charge is replayed beside it.
+charges=$(grep -cE '"kind":"(accountant_charge|budget_commit|budget_recover)"' \
+    "$WORKDIR/serve_recover.ledger.jsonl" || true)
+if [ "$charges" != "1" ] ||
+    grep -q '"kind":"accountant_charge"' "$WORKDIR/serve_recover.ledger.jsonl"; then
+  echo "recovered ledger holds $charges charge events, expected its one budget_recover"
+  cat "$WORKDIR/serve_recover.ledger.jsonl"; exit 1
+fi
 
 echo "== serve SIGKILL under load (journal replay, torn last record) =="
 # Four callers run private trains on four tenants until the daemon is
