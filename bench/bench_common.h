@@ -183,10 +183,10 @@ inline double TimedSeconds(const char* name, Fn&& fn) {
 }
 
 /// Dumps whatever telemetry is enabled: metrics text to stderr (stdout
-/// carries the figure rows), trace/ledger JSONL to the given paths when
-/// non-empty.
-inline void DumpTelemetry(bool metrics, const std::string& trace_out,
-                          const std::string& ledger_out) {
+/// carries the figure rows), trace JSONL to `trace_out` when non-empty.
+/// Then closes the ledger file, whose lines were appended as each event
+/// happened, and reports a line that failed to write.
+inline void DumpTelemetry(bool metrics, const std::string& trace_out) {
   if (metrics) {
     obs::UpdateProcessMemoryGauges();
     obs::UpdatePerfGauges();
@@ -210,13 +210,10 @@ inline void DumpTelemetry(bool metrics, const std::string& trace_out,
                    static_cast<unsigned long long>(overwritten));
     }
   }
-  if (!ledger_out.empty()) {
-    Status status = AtomicWriteFile(
-        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666);
-    if (!status.ok()) {
-      std::fprintf(stderr, "ledger export failed: %s\n",
-                   status.ToString().c_str());
-    }
+  Status ledger = obs::PrivacyLedger::Default().CloseFile();
+  if (!ledger.ok()) {
+    std::fprintf(stderr, "ledger export failed: %s\n",
+                 ledger.ToString().c_str());
   }
 }
 
@@ -247,10 +244,11 @@ inline void EnableCrashReportingFromEnv() {
 }
 
 /// google-benchmark binaries have no FlagParser pass; BOLTON_TELEMETRY=1 in
-/// the environment turns on all three pillars instead. Returns whether it
-/// did, so main can DumpTelemetry at shutdown. BOLTON_OBS_PORT=N
-/// additionally serves the live observability endpoint on 127.0.0.1:N
-/// (N=0 for an ephemeral port, printed to stderr) for the whole run.
+/// the environment turns on every pillar instead. Returns whether it did,
+/// so main can open its ledger file and DumpTelemetry at shutdown.
+/// BOLTON_OBS_PORT=N additionally serves the live observability endpoint
+/// on 127.0.0.1:N (N=0 for an ephemeral port, printed to stderr) for the
+/// whole run.
 inline bool EnableTelemetryFromEnv() {
   bool enabled = false;
   EnableCrashReportingFromEnv();
@@ -446,7 +444,8 @@ struct CommonFlags {
     parser.AddString("trace-out", &trace_out,
                      "write trace spans as JSONL to this file on exit");
     parser.AddString("ledger-out", &ledger_out,
-                     "write the privacy-spend ledger as JSONL on exit");
+                     "append each privacy-ledger event to this JSONL file "
+                     "as it happens (never truncated)");
     parser.AddString("json-out", &json_out,
                      "write machine-readable result rows as JSON on exit "
                      "(tools/benchdiff.py consumes these)");
@@ -485,7 +484,10 @@ struct CommonFlags {
     obs::SetPerfCountersEnabled(true);
     if (metrics) obs::SetMetricsEnabled(true);
     if (!trace_out.empty()) obs::SetTracingEnabled(true);
-    if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
+    if (!ledger_out.empty()) {
+      BOLTON_RETURN_IF_ERROR(
+          obs::PrivacyLedger::Default().OpenFile(ledger_out));
+    }
     if (serve_obs >= 0) {
       obs::SetAllEnabled(true);
       BOLTON_RETURN_IF_ERROR(
@@ -510,7 +512,7 @@ struct CommonFlags {
   /// Every bench exports on exit without per-binary dump code.
   ~CommonFlags() {
     FinishProfiler(profile_out);  // no-op when the profiler never started
-    DumpTelemetry(metrics, trace_out, ledger_out);
+    DumpTelemetry(metrics, trace_out);
     if (!json_out.empty()) {
       Status status = AtomicWriteFile(json_out, BenchResultsToJson(), 0666);
       if (!status.ok()) {

@@ -145,6 +145,15 @@ int main(int argc, char** argv) {
   // BOLTON_TELEMETRY=1 enables the obs pillars for a profiling run; left
   // off, instrumentation inside the timed loops is a branch per call site.
   const bool telemetry = bolton::bench::EnableTelemetryFromEnv();
+  if (telemetry) {
+    const bolton::Status opened =
+        bolton::obs::PrivacyLedger::Default().OpenFile(
+            "bench_fig5.ledger.jsonl");
+    if (!opened.ok()) {
+      std::fprintf(stderr, "ledger file not opened: %s\n",
+                   opened.ToString().c_str());
+    }
+  }
   // BOLTON_PROFILE=HZ samples the whole run; the collapsed profile lands in
   // BOLTON_PROFILE_OUT (default bench_profile.collapsed).
   bolton::bench::EnableProfilerFromEnv();
@@ -154,8 +163,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   bolton::bench::FinishProfilerFromEnv();
   if (telemetry) {
-    bolton::bench::DumpTelemetry(true, "bench_fig5.trace.jsonl",
-                                 "bench_fig5.ledger.jsonl");
+    bolton::bench::DumpTelemetry(true, "bench_fig5.trace.jsonl");
   }
   return 0;
 }

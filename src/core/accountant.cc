@@ -32,13 +32,9 @@ void RecordChargeTelemetry(const PrivacyParams& cost, const std::string& label,
 
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   if (!ledger.enabled()) return;
-  obs::LedgerEvent event;
-  event.kind = "accountant_charge";
-  event.label = label;
-  event.epsilon = cost.epsilon;
-  event.delta = cost.delta;
-  event.accepted = accepted;
-  ledger.Record(std::move(event));
+  ledger.Record({.kind = "accountant_charge", .label = label,
+                 .epsilon = cost.epsilon, .delta = cost.delta,
+                 .accepted = accepted});
 }
 
 }  // namespace

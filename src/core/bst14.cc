@@ -40,16 +40,10 @@ class Bst14Noise final : public GradientNoiseSource {
     if (!ledger.enabled()) return SampleGaussianVector(dim, sigma_, rng);
     const uint64_t fingerprint = rng->StateFingerprint();
     Vector noise = SampleGaussianVector(dim, sigma_, rng);
-    obs::LedgerEvent event;
-    event.kind = "noise_draw";
-    event.mechanism = "gaussian_per_step";
-    event.label = "bst14.per_step";
-    event.noise_scale = sigma_;
-    event.noise_norm = noise.Norm();
-    event.dim = dim;
-    event.step = step;
-    event.rng_fingerprint = fingerprint;
-    ledger.Record(std::move(event));
+    ledger.Record({.kind = "noise_draw", .mechanism = "gaussian_per_step",
+                   .label = "bst14.per_step", .noise_scale = sigma_,
+                   .noise_norm = noise.Norm(), .dim = dim, .step = step,
+                   .rng_fingerprint = fingerprint});
     return noise;
   }
 
@@ -66,11 +60,7 @@ struct Calibration {
 
 Result<Calibration> Calibrate(const PrivacyParams& privacy, size_t m,
                               size_t T, size_t batch_size) {
-  if (privacy.delta <= 0.0) {
-    return Status::FailedPrecondition(
-        "BST14 requires delta > 0 (it relies on advanced composition of "
-        "(eps,delta)-DP; see the paper's Remark in §3.2.4)");
-  }
+  BOLTON_RETURN_IF_ERROR(CheckBst14Privacy(privacy));
   Calibration cal;
   cal.delta1 = privacy.delta / static_cast<double>(T);  // line 4
   BOLTON_ASSIGN_OR_RETURN(cal.epsilon1,
@@ -86,15 +76,11 @@ Result<Calibration> Calibrate(const PrivacyParams& privacy, size_t m,
   if (obs::PrivacyLedger::Default().enabled()) {
     // Audit trail for the line 4-7 solve: ε₁ in `epsilon`, δ₁ in `delta`,
     // pre-localization σ in `noise_scale`.
-    obs::LedgerEvent event;
-    event.kind = "calibration";
-    event.mechanism = "gaussian_per_step";
-    event.label = "bst14.calibration";
-    event.epsilon = cal.epsilon1;
-    event.delta = cal.delta1;
-    event.noise_scale = std::sqrt(cal.sigma_squared);
-    event.step = T;
-    obs::PrivacyLedger::Default().Record(std::move(event));
+    obs::PrivacyLedger::Default().Record(
+        {.kind = "calibration", .mechanism = "gaussian_per_step",
+         .label = "bst14.calibration", .epsilon = cal.epsilon1,
+         .delta = cal.delta1, .noise_scale = std::sqrt(cal.sigma_squared),
+         .step = T});
   }
   return cal;
 }
@@ -139,6 +125,13 @@ Result<double> SolveBst14Epsilon1(double epsilon, double delta1, size_t T) {
     }
   }
   return 0.5 * (lo + hi);
+}
+
+Status CheckBst14Privacy(const PrivacyParams& privacy) {
+  if (privacy.delta > 0.0) return Status::OK();
+  return Status::FailedPrecondition(
+      "BST14 requires delta > 0 (it relies on advanced composition of "
+      "(eps,delta)-DP; see the paper's Remark in §3.2.4)");
 }
 
 Result<Bst14Output> RunBst14Convex(const Dataset& data,

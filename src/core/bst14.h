@@ -46,6 +46,10 @@ struct Bst14Output {
 /// The left side is strictly increasing in ε₁, so the root is unique.
 Result<double> SolveBst14Epsilon1(double epsilon, double delta1, size_t T);
 
+/// BST14's privacy precondition: δ > 0, since it relies on advanced
+/// composition. FailedPrecondition otherwise.
+Status CheckBst14Privacy(const PrivacyParams& privacy);
+
 /// Convex BST14 with constant epochs (Algorithm 4): with-replacement SGD
 /// where every update perturbs the gradient with N(0, σ²ι I_d) and steps
 /// η_t = 2R/(G√t), G = √(dσ²ι + L²). Requires a convex (γ = 0) loss.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/private_sgd.h"
+#include "obs/ledger.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -17,7 +18,7 @@ namespace bolton {
 
 namespace {
 
-constexpr char kMagic[] = "bolton-checkpoint v1";
+constexpr char kMagic[] = "bolton-checkpoint v2";
 constexpr char kPrivacyMarker[] =
     "UNRELEASED_PRIVATE pre-noise training state; not differentially "
     "private; never release";
@@ -130,29 +131,7 @@ std::string RenderCheckpoint(const CheckpointData& data) {
   out += "order";
   AppendU64(&out, data.state.order.size());
   for (size_t index : data.state.order) AppendU64(&out, index);
-  out += "\nledger";
-  AppendU64(&out, data.ledger.size());
   out += "\n";
-  for (const obs::LedgerEvent& event : data.ledger) {
-    out += "event";
-    AppendU64(&out, event.seq);
-    AppendU64(&out, event.time_ns);
-    out += " " + EncodeToken(event.kind);
-    out += " " + EncodeToken(event.mechanism);
-    out += " " + EncodeToken(event.label);
-    out += " " + EncodeToken(event.tenant);
-    AppendDouble(&out, event.epsilon);
-    AppendDouble(&out, event.delta);
-    AppendDouble(&out, event.sensitivity);
-    AppendDouble(&out, event.noise_scale);
-    AppendDouble(&out, event.noise_norm);
-    AppendU64(&out, event.dim);
-    AppendU64(&out, event.step);
-    AppendU64(&out, event.shards);
-    AppendU64(&out, event.rng_fingerprint);
-    AppendU64(&out, event.accepted ? 1 : 0);
-    out += "\n";
-  }
   AppendChecksumLine(&out);
   return out;
 }
@@ -166,9 +145,11 @@ Result<CheckpointData> ParseCheckpoint(const std::string& body,
   lines.pop_back();
   // Expected line order (see RenderCheckpoint): privacy marker, spec_hash,
   // algorithm, cursor, stats, sensitivity, rng, outer_rng, w, iterate_sum,
-  // order, ledger count, events.
-  if (lines.size() < 12) {
-    return Status::InvalidArgument(path + ": truncated checkpoint");
+  // order.
+  if (lines.size() != 11) {
+    return Status::InvalidArgument(
+        StrFormat("%s: checkpoint has %zu lines, want 11", path.c_str(),
+                  lines.size()));
   }
   if (!StartsWith(lines[0], "UNRELEASED_PRIVATE")) {
     return Status::InvalidArgument(path + ": missing UNRELEASED_PRIVATE marker");
@@ -258,47 +239,6 @@ Result<CheckpointData> ParseCheckpoint(const std::string& body,
       BOLTON_ASSIGN_OR_RETURN(uint64_t index, ParseU64(tokens[i + 2]));
       data.state.order[i] = index;
     }
-  }
-  uint64_t ledger_count = 0;
-  {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(11, "ledger"));
-    if (tokens.size() != 2) return Status::InvalidArgument("bad ledger line");
-    BOLTON_ASSIGN_OR_RETURN(ledger_count, ParseU64(tokens[1]));
-  }
-  if (lines.size() < 12 + ledger_count) {
-    return Status::InvalidArgument("truncated ledger events");
-  }
-  data.ledger.reserve(ledger_count);
-  for (uint64_t i = 0; i < ledger_count; ++i) {
-    BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(12 + i, "event"));
-    // 17 fields since the tenant column was added; 16-field events from
-    // pre-tenant checkpoints parse with an empty tenant.
-    if (tokens.size() != 16 && tokens.size() != 17) {
-      return Status::InvalidArgument(
-          StrFormat("ledger event %llu has %zu fields, want 16 or 17",
-                    static_cast<unsigned long long>(i), tokens.size()));
-    }
-    const bool has_tenant = tokens.size() == 17;
-    size_t t = 1;
-    obs::LedgerEvent event;
-    BOLTON_ASSIGN_OR_RETURN(event.seq, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.time_ns, ParseU64(tokens[t++]));
-    event.kind = DecodeToken(tokens[t++]);
-    event.mechanism = DecodeToken(tokens[t++]);
-    event.label = DecodeToken(tokens[t++]);
-    if (has_tenant) event.tenant = DecodeToken(tokens[t++]);
-    BOLTON_ASSIGN_OR_RETURN(event.epsilon, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.delta, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.sensitivity, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.noise_scale, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.noise_norm, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.dim, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.step, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.shards, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.rng_fingerprint, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(uint64_t accepted, ParseU64(tokens[t++]));
-    event.accepted = accepted != 0;
-    data.ledger.push_back(std::move(event));
   }
   return data;
 }
@@ -424,15 +364,9 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     BOLTON_LOG(kInfo) << "resuming from checkpoint " << manager.path()
                       << " at pass " << loaded.state.completed_passes << "/"
                       << spec.passes;
-    obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
-    if (ledger.enabled()) {
-      ledger.Restore(loaded.ledger);
-      obs::LedgerEvent event;
-      event.kind = "resume";
-      event.label = "checkpoint.resume";
-      event.step = loaded.state.completed_passes;
-      ledger.Record(std::move(event));
-    }
+    obs::PrivacyLedger::Default().Record(
+        {.kind = "resume", .label = "checkpoint.resume",
+         .step = loaded.state.completed_passes});
     // The perturbation draw must come from the same generator state the
     // uninterrupted run would have used (post-Split, untouched during
     // training).
@@ -461,15 +395,9 @@ Result<SolverOutput> RunSolverWithCheckpoints(
       out.has_outer_rng = true;
       out.outer_rng = rng->SaveState();
     }
-    obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
-    if (ledger.enabled()) {
-      obs::LedgerEvent event;
-      event.kind = "checkpoint";
-      event.label = "checkpoint.save";
-      event.step = state.completed_passes;
-      ledger.Record(std::move(event));
-      out.ledger = ledger.Snapshot();
-    }
+    obs::PrivacyLedger::Default().Record(
+        {.kind = "checkpoint", .label = "checkpoint.save",
+         .step = state.completed_passes});
     Status saved = manager.Save(out);
     if (saved.ok()) {
       BOLTON_LOG(kInfo) << "checkpoint saved at pass "

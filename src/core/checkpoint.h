@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/solver.h"
-#include "obs/ledger.h"
 #include "optim/psgd.h"
 #include "random/rng.h"
 #include "util/result.h"
@@ -19,9 +17,10 @@ namespace bolton {
 /// the solver layer needs to finish the run bit-identically to one that
 /// was never interrupted: the solver-spec hash (so a resume under a
 /// different configuration is rejected instead of silently producing a
-/// model with the wrong privacy calibration), the outer rng that will
-/// draw the bolt-on output perturbation, and a privacy-ledger snapshot so
-/// the audit trail of the resumed run is continuous.
+/// model with the wrong privacy calibration) and the outer rng that will
+/// draw the bolt-on output perturbation. The privacy ledger is not in it:
+/// a resumed run appends to the `--ledger-out` file its interrupted run
+/// wrote, so the combined file is the continuous audit trail.
 ///
 /// PRIVACY: a checkpoint holds the PRE-NOISE iterate. It is not
 /// differentially private and must never be released — the file leads
@@ -47,9 +46,6 @@ struct CheckpointData {
   /// Δ₂ the run calibrated at start (kBoltOn; 0 otherwise). Stored so a
   /// resume reuses the original calibration instead of re-recording one.
   double sensitivity = 0.0;
-  /// Privacy-ledger snapshot at save time (empty when the ledger is
-  /// disabled); restored on resume so calibration events survive a crash.
-  std::vector<obs::LedgerEvent> ledger;
 };
 
 /// 64-bit digest of everything the resume contract requires to be
@@ -67,7 +63,8 @@ uint64_t SolverSpecHash(Algorithm algorithm, const SolverSpec& spec,
 /// `<dir>/bolton.ckpt`, fsync the directory — a crash at any point leaves
 /// either the previous checkpoint or the new one, never a torn file. A
 /// trailing FNV-1a checksum line rejects corrupt or truncated files on
-/// load.
+/// load, and a file of another version (a `bolton-checkpoint v1`, which
+/// carried a ledger copy) is refused by name.
 class CheckpointManager {
  public:
   explicit CheckpointManager(std::string dir);

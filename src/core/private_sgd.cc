@@ -39,16 +39,13 @@ Result<double> BoltOnSensitivity(const LossFunction& loss, double eta,
   if (obs::PrivacyLedger::Default().enabled()) {
     // Audit trail: the Δ₂ the single output draw below will be calibrated
     // to, including the shard count the Lemma 10 argument was applied with.
-    obs::LedgerEvent event;
-    event.kind = "calibration";
-    event.mechanism = privacy.IsPure() ? "laplace" : "gaussian";
-    event.label =
-        shards > 1 ? "bolton.sharded_sensitivity" : "bolton.sensitivity";
-    event.epsilon = privacy.epsilon;
-    event.delta = privacy.delta;
-    event.sensitivity = sensitivity;
-    event.shards = shards;
-    obs::PrivacyLedger::Default().Record(std::move(event));
+    obs::PrivacyLedger::Default().Record(
+        {.kind = "calibration",
+         .mechanism = privacy.IsPure() ? "laplace" : "gaussian",
+         .label = shards > 1 ? "bolton.sharded_sensitivity"
+                             : "bolton.sensitivity",
+         .epsilon = privacy.epsilon, .delta = privacy.delta,
+         .sensitivity = sensitivity, .shards = shards});
   }
   return sensitivity;
 }

@@ -63,17 +63,14 @@ Result<Scs13Output> RunScs13(const Dataset& data, const LossFunction& loss,
   obs::ScopedSpan run_span("scs13.run");
   if (obs::PrivacyLedger::Default().enabled()) {
     // Audit trail for the per-step budget split the draws below will use.
-    obs::LedgerEvent event;
-    event.kind = "calibration";
-    event.mechanism =
-        mechanism == NoiseMechanism::kLaplace ? "laplace" : "gaussian";
-    event.label = "scs13.per_step_budget";
-    event.epsilon = eps_step;
-    event.delta = delta_step;
-    event.sensitivity = sensitivity;
     auto scale = noise.NoiseScale();
-    event.noise_scale = scale.ok() ? scale.value() : 0.0;
-    obs::PrivacyLedger::Default().Record(std::move(event));
+    obs::PrivacyLedger::Default().Record(
+        {.kind = "calibration",
+         .mechanism =
+             mechanism == NoiseMechanism::kLaplace ? "laplace" : "gaussian",
+         .label = "scs13.per_step_budget", .epsilon = eps_step,
+         .delta = delta_step, .sensitivity = sensitivity,
+         .noise_scale = scale.ok() ? scale.value() : 0.0});
   }
 
   BOLTON_ASSIGN_OR_RETURN(auto schedule,

@@ -37,14 +37,6 @@ std::string ValidAlgorithmNames() {
   return out;
 }
 
-Status RejectShards(Algorithm algorithm, size_t shards) {
-  if (shards == 1) return Status::OK();
-  return Status::InvalidArgument(StrFormat(
-      "algorithm '%s' perturbs inside the optimization loop and has no "
-      "sharded-averaging privacy argument; shards must be 1 (got %zu)",
-      AlgorithmName(algorithm), shards));
-}
-
 Result<SolverOutput> RunNoiseless(const Dataset& data,
                                   const LossFunction& loss,
                                   const SolverSpec& spec, Rng* rng) {
@@ -80,9 +72,34 @@ Result<Algorithm> ParseAlgorithm(const std::string& name) {
                           ValidAlgorithmNames() + ")");
 }
 
+Status CheckSolverParameters(Algorithm algorithm, const LossFunction& loss,
+                             const SolverSpec& spec) {
+  if (algorithm == Algorithm::kNoiseless || algorithm == Algorithm::kBoltOn) {
+    return Status::OK();
+  }
+  if (spec.shards != 1) {
+    return Status::InvalidArgument(StrFormat(
+        "algorithm '%s' perturbs inside the optimization loop and has no "
+        "sharded-averaging privacy argument; shards must be 1 (got %zu)",
+        AlgorithmName(algorithm), spec.shards));
+  }
+  if (algorithm == Algorithm::kBst14) return CheckBst14Privacy(spec.privacy);
+  if (algorithm == Algorithm::kObjective &&
+      loss.name().rfind("logistic", 0) != 0) {
+    return Status::FailedPrecondition(
+        "objective perturbation is implemented for logistic loss only");
+  }
+  if (algorithm == Algorithm::kObjective && !spec.privacy.IsPure()) {
+    return Status::FailedPrecondition(
+        "objective perturbation provides pure eps-DP only");
+  }
+  return Status::OK();
+}
+
 Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
                                       const LossFunction& loss,
                                       const SolverSpec& spec, Rng* rng) {
+  BOLTON_RETURN_IF_ERROR(CheckSolverParameters(algorithm, loss, spec));
   if (data.empty()) return Status::InvalidArgument("empty training set");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
@@ -107,7 +124,6 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
     }
 
     case Algorithm::kScs13: {
-      BOLTON_RETURN_IF_ERROR(RejectShards(algorithm, spec.shards));
       Scs13Options options;
       options.privacy = spec.privacy;
       options.passes = spec.passes;
@@ -121,7 +137,6 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
     }
 
     case Algorithm::kBst14: {
-      BOLTON_RETURN_IF_ERROR(RejectShards(algorithm, spec.shards));
       Bst14Options options;
       options.privacy = spec.privacy;
       options.passes = spec.passes;
@@ -138,15 +153,6 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
     }
 
     case Algorithm::kObjective: {
-      BOLTON_RETURN_IF_ERROR(RejectShards(algorithm, spec.shards));
-      if (loss.name().rfind("logistic", 0) != 0) {
-        return Status::FailedPrecondition(
-            "objective perturbation is implemented for logistic loss only");
-      }
-      if (!spec.privacy.IsPure()) {
-        return Status::FailedPrecondition(
-            "objective perturbation provides pure eps-DP only");
-      }
       ObjectivePerturbationOptions options;
       options.epsilon = spec.privacy.epsilon;
       // Logistic regularization strength doubles as γ, so the loss already

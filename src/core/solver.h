@@ -56,14 +56,24 @@ struct SolverOutput {
   size_t shards = 1;
 };
 
+/// The refusals RunPrivateSolver makes from its parameters alone, before
+/// it reads a row or draws noise: a white-box algorithm (SCS13, BST14,
+/// objective) with shards > 1, objective perturbation off the logistic
+/// loss or with δ > 0, and BST14 with δ = 0. RunPrivateSolver runs it
+/// first; the serve daemon runs it before reserving budget, so a request
+/// refused here spends nothing.
+Status CheckSolverParameters(Algorithm algorithm, const LossFunction& loss,
+                             const SolverSpec& spec);
+
 /// The single dispatch point for every training algorithm, with the Table 4
 /// step-size conventions applied per (algorithm, convexity):
 ///   noiseless: PlanBlackBoxRun's schedule (convex 1/√m, strongly convex
 ///              1/(γt)) — sharded when spec.shards > 1;
 ///   bolt-on:   Algorithms 1/2 via PrivatePsgd (sharding per Lemma 10);
-///   SCS13:     1/√t per-update noise — rejects shards > 1;
-///   BST14:     Algorithm 4/5 schedules — rejects shards > 1;
-///   objective: logistic loss + pure ε-DP only — rejects shards > 1.
+///   SCS13:     1/√t per-update noise;
+///   BST14:     Algorithm 4/5 schedules;
+///   objective: logistic loss + pure ε-DP only.
+/// The white-box three run serially (see CheckSolverParameters).
 /// ml/TrainBinary and the bench/example surfaces are thin wrappers over
 /// this entry point.
 Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,

@@ -140,27 +140,6 @@ std::string RenderLedgerJsonl(const std::vector<LedgerEvent>& events) {
   return out;
 }
 
-LedgerTotals SummarizeLedger(const std::vector<LedgerEvent>& events) {
-  LedgerTotals totals;
-  totals.events = events.size();
-  for (const LedgerEvent& e : events) {
-    if (!e.accepted) ++totals.rejected;
-    if (e.kind == "noise_draw") {
-      ++totals.noise_draws;
-    } else if (e.kind == "accountant_charge" || e.kind == "budget_commit" ||
-               e.kind == "budget_recover") {
-      ++totals.charges;
-      if (e.accepted) {
-        totals.epsilon_charged += e.epsilon;
-        totals.delta_charged += e.delta;
-      }
-    } else if (e.kind == "calibration") {
-      ++totals.calibrations;
-    }
-  }
-  return totals;
-}
-
 std::string RenderCollapsed(const ProfileDump& dump) {
   std::string out;
   for (const ProfileStack& stack : dump.stacks) {

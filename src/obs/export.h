@@ -49,23 +49,6 @@ std::string RenderLedgerEventJson(const LedgerEvent& event);
 /// One JSON object per line, in record order.
 std::string RenderLedgerJsonl(const std::vector<LedgerEvent>& events);
 
-/// Spend totals accumulated over a ledger snapshot; the /healthz liveness
-/// payload reports these so the budget is visible while the process runs.
-struct LedgerTotals {
-  uint64_t events = 0;
-  uint64_t noise_draws = 0;
-  uint64_t charges = 0;
-  uint64_t rejected = 0;
-  uint64_t calibrations = 0;
-  /// `charges` counts accountant charges, budget commits and recoveries;
-  /// the sums cover the accepted ones only — draws describe noise that was
-  /// added, charges describe budget that was spent.
-  double epsilon_charged = 0.0;
-  double delta_charged = 0.0;
-};
-
-LedgerTotals SummarizeLedger(const std::vector<LedgerEvent>& events);
-
 /// -------- Profiles --------
 
 /// Brendan Gregg collapsed-stack format: one line per distinct stack,

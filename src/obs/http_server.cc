@@ -220,8 +220,7 @@ HttpResponse HandleMetrics(const HttpRequest&) {
 }
 
 HttpResponse HandleHealthz(uint64_t start_ns) {
-  const LedgerTotals totals =
-      SummarizeLedger(PrivacyLedger::Default().Snapshot());
+  const LedgerTotals totals = PrivacyLedger::Default().Totals();
   JsonWriter w;
   w.BeginObject().Field("status", "ok");
   w.Field("uptime_ns", MonotonicNanos() - start_ns);
@@ -243,12 +242,11 @@ HttpResponse HandleLedger(const HttpRequest& request) {
     return MakeResponse(400, kPlainText,
                         "tail must be a non-negative integer\n");
   }
-  std::vector<LedgerEvent> events = PrivacyLedger::Default().Snapshot();
-  if (tail.value() > 0 && static_cast<size_t>(tail.value()) < events.size()) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<size_t>(tail.value()));
-  }
-  return MakeResponse(200, "application/jsonl", RenderLedgerJsonl(events));
+  const size_t max = tail.value() == 0 ? PrivacyLedger::kLedgerSlots
+                                        : static_cast<size_t>(tail.value());
+  return MakeResponse(
+      200, "application/jsonl",
+      RenderLedgerJsonl(PrivacyLedger::Default().Snapshot(max)));
 }
 
 HttpResponse HandleSpans(const HttpRequest& request) {

@@ -76,9 +76,9 @@ struct ObsServerOptions {
 ///                   snapshot (cumulative buckets, _sum/_count, +Inf,
 ///                   derived p50/p95/p99 gauges).
 ///   /healthz        JSON liveness: uptime, pillar enablement, and the
-///                   privacy-spend totals from the ledger.
+///                   ledger's running privacy-spend totals.
 ///   /ledger?tail=N  Last N privacy-ledger events as JSONL (default 100,
-///                   tail=0 for everything).
+///                   tail=0 for the whole in-memory ring).
 ///   /spans?format=F The flight recorder's span ring, oldest first: JSONL
 ///                   (default) or a Chrome trace (format=chrome).
 ///   /logz?tail=N&level=L

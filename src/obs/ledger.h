@@ -3,25 +3,33 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace bolton {
 namespace obs {
 
-/// The privacy-spend ledger: a structured, append-only record of every
-/// privacy-relevant action the library takes — each DP noise draw (bolt-on
-/// output perturbation, SCS13/BST14 per-iteration noise), every accountant
+/// The privacy-spend ledger: a structured record of every privacy-relevant
+/// action the library takes — each DP noise draw (bolt-on output
+/// perturbation, SCS13/BST14 per-iteration noise), every accountant
 /// charge, and the per-run noise calibrations — with the parameters that
-/// were actually used. Dump to JSONL for offline audit; see DESIGN.md
-/// "Observability" for the event schema.
+/// were actually used. The complete record is the JSONL file opened with
+/// OpenFile (`--ledger-out`), appended to as each event happens; memory
+/// keeps only the newest kLedgerSlots events plus running totals. See
+/// DESIGN.md "Observability" for the event schema.
 ///
 /// Off by default; a disabled call site pays one relaxed load + branch.
 
-/// One auditable event.
+/// One auditable event. Call sites name the fields they set
+/// (`Record({.kind = "fault", .label = site})`); every member has a default
+/// initializer, so the ones left out compile without a warning.
 struct LedgerEvent {
-  /// Assigned by the ledger: 1-based sequence number and monotonic time.
+  /// Assigned by the ledger: 1-based sequence number and monotonic time,
+  /// both counting this process's events only.
   uint64_t seq = 0;
   uint64_t time_ns = 0;
 
@@ -35,16 +43,16 @@ struct LedgerEvent {
   /// (hold released, provably no noise drawn), "budget_refusal" (request
   /// refused as over budget; accepted=false), "budget_recover" (a pending
   /// hold found at restart, conservatively promoted to spend).
-  std::string kind;
+  std::string kind{};
   /// "laplace" | "gaussian" | "gaussian_per_step" | "" (charges).
-  std::string mechanism;
+  std::string mechanism{};
   /// Call-site tag ("dp_noise.spherical_laplace", "bst14.per_step", …) or
   /// the accountant charge label.
-  std::string label;
+  std::string label{};
   /// Owning tenant for multi-tenant serve traffic ("" for single-run CLI
   /// events). Budget events (budget_reserve/commit/refund/refusal/recover)
   /// always carry it, so a dump can be audited per account.
-  std::string tenant;
+  std::string tenant{};
 
   double epsilon = 0.0;
   double delta = 0.0;
@@ -68,9 +76,32 @@ struct LedgerEvent {
   bool accepted = true;
 };
 
-/// Thread-safe append-only event log.
+/// Spend totals over every event recorded since the last Clear; the
+/// /healthz liveness payload reports these so the budget is visible while
+/// the process runs.
+struct LedgerTotals {
+  uint64_t events = 0;
+  uint64_t noise_draws = 0;
+  uint64_t charges = 0;
+  uint64_t rejected = 0;
+  uint64_t calibrations = 0;
+  /// `charges` counts accountant charges, budget commits and recoveries;
+  /// the sums cover the accepted ones only — draws describe noise that was
+  /// added, charges describe budget that was spent.
+  double epsilon_charged = 0.0;
+  double delta_charged = 0.0;
+
+  /// Folds one event in.
+  void Add(const LedgerEvent& event);
+};
+
+/// Thread-safe event log: a fixed ring in memory, an append-only file on
+/// disk.
 class PrivacyLedger {
  public:
+  /// Events kept in memory for /ledger; older ones live only in the file.
+  static constexpr size_t kLedgerSlots = 4096;
+
   static PrivacyLedger& Default();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -78,32 +109,43 @@ class PrivacyLedger {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Appends `event`, assigning seq and time_ns. No-op while disabled.
+  /// Assigns seq and time_ns, keeps `event` in the ring, folds it into the
+  /// totals, and appends its JSONL line to the open file with one write(2)
+  /// after the ring's mutex is released. No-op while disabled.
   void Record(LedgerEvent event);
 
-  std::vector<LedgerEvent> Snapshot() const;
-  size_t size() const;
+  /// The newest `max` events in the ring, oldest first.
+  std::vector<LedgerEvent> Snapshot(size_t max = kLedgerSlots) const;
+  LedgerTotals Totals() const;
+  /// Empties the ring and the totals and restarts seq at 1; the open file,
+  /// if any, stays open.
   void Clear();
 
-  /// Replaces the log with `events` (a prior Snapshot), continuing seq
-  /// numbering after the largest restored seq. Used by checkpoint resume
-  /// (core/checkpoint.h) so a recovered run's audit trail is continuous —
-  /// calibration events recorded before the crash survive into the dump of
-  /// the resumed process.
-  void Restore(std::vector<LedgerEvent> events);
-
-  /// One JSON object per event, in record order.
-  std::string ToJsonl() const;
-
-  PrivacyLedger() = default;
-  PrivacyLedger(const PrivacyLedger&) = delete;
-  PrivacyLedger& operator=(const PrivacyLedger&) = delete;
+  /// Enables the ledger and appends every later event to `path` (created
+  /// 0666 less the umask, never truncated, so a resumed run continues the
+  /// file its interrupted run wrote). Replaces a file opened before.
+  Status OpenFile(const std::string& path);
+  /// Stops appending. IOError naming the file when any line failed to
+  /// write in full since OpenFile; OK when no file was open.
+  Status CloseFile();
 
  private:
+  /// Closes its descriptor when the last Record writing to it is done.
+  struct File {
+    int fd;
+    std::string path;
+    std::atomic<uint64_t> failed_writes{0};
+    ~File();
+  };
+
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::vector<LedgerEvent> events_;
+  /// Grows to kLedgerSlots, then event `seq` overwrites slot
+  /// (seq - 1) % kLedgerSlots.
+  std::vector<LedgerEvent> ring_;
+  LedgerTotals totals_;
   uint64_t next_seq_ = 1;
+  std::shared_ptr<File> file_;
 };
 
 }  // namespace obs

@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -33,18 +32,11 @@ void SetAllEnabled(bool enabled) {
 
 void UpdateProcessMemoryGauges() {
   if (!MetricsEnabled()) return;
-  static Gauge* max_rss =
-      MetricsRegistry::Default().GetGauge("process.max_rss_bytes");
   static Gauge* rss = MetricsRegistry::Default().GetGauge("process.rss_bytes");
   static Gauge* vm = MetricsRegistry::Default().GetGauge("process.vm_bytes");
   static Gauge* peak_rss =
       MetricsRegistry::Default().GetGauge("process.peak_rss_bytes");
 
-  struct rusage usage {};
-  if (::getrusage(RUSAGE_SELF, &usage) == 0) {
-    // ru_maxrss is kilobytes on Linux.
-    max_rss->Set(static_cast<double>(usage.ru_maxrss) * 1024.0);
-  }
   // /proc/self/statm: "size resident ..." in pages.
   std::FILE* f = std::fopen("/proc/self/statm", "r");
   if (f != nullptr) {
@@ -56,9 +48,8 @@ void UpdateProcessMemoryGauges() {
     }
     std::fclose(f);
   }
-  // /proc/self/status VmHWM: the peak resident set, which ru_maxrss can
-  // under-report after memory is returned (it is never reset, but VmHWM
-  // is the kernel's authoritative high-water mark).
+  // /proc/self/status VmHWM: the kernel's high-water mark of the resident
+  // set.
   std::FILE* status = std::fopen("/proc/self/status", "r");
   if (status != nullptr) {
     char line[256];
@@ -79,14 +70,8 @@ void InstallFailpointObsBridge() {
         static Counter* fired =
             MetricsRegistry::Default().GetCounter("failpoints_fired");
         fired->Increment();
-        PrivacyLedger& ledger = PrivacyLedger::Default();
-        if (!ledger.enabled()) return;
-        LedgerEvent event;
-        event.kind = "fault";
-        event.mechanism = action;
-        event.label = site;
-        event.step = hit;
-        ledger.Record(std::move(event));
+        PrivacyLedger::Default().Record(
+            {.kind = "fault", .mechanism = action, .label = site, .step = hit});
       });
 }
 

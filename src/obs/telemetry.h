@@ -23,9 +23,9 @@ uint64_t MonotonicNanos();
 void SetAllEnabled(bool enabled);
 
 /// Refreshes the process memory gauges — process.rss_bytes and
-/// process.vm_bytes from /proc/self/statm, process.max_rss_bytes from
-/// getrusage(2), process.peak_rss_bytes from VmHWM in /proc/self/status
-/// — in the default registry. Polled on read: the obs HTTP
+/// process.vm_bytes from /proc/self/statm, process.peak_rss_bytes from
+/// VmHWM in /proc/self/status — in the default registry. Polled on read:
+/// the obs HTTP
 /// server calls this on every /metrics scrape and the CLI/bench dump paths
 /// call it before rendering, so the gauges are fresh wherever they are
 /// observed without a dedicated poller thread.

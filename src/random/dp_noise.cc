@@ -19,18 +19,11 @@ void RecordDrawEvent(const char* mechanism, const char* label, size_t dim,
                      uint64_t fingerprint) {
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   if (!ledger.enabled()) return;
-  obs::LedgerEvent event;
-  event.kind = "noise_draw";
-  event.mechanism = mechanism;
-  event.label = label;
-  event.epsilon = epsilon;
-  event.delta = delta;
-  event.sensitivity = sensitivity;
-  event.noise_scale = noise_scale;
-  event.noise_norm = noise_norm;
-  event.dim = dim;
-  event.rng_fingerprint = fingerprint;
-  ledger.Record(std::move(event));
+  ledger.Record({.kind = "noise_draw", .mechanism = mechanism, .label = label,
+                 .epsilon = epsilon, .delta = delta,
+                 .sensitivity = sensitivity, .noise_scale = noise_scale,
+                 .noise_norm = noise_norm, .dim = dim,
+                 .rng_fingerprint = fingerprint});
 }
 
 }  // namespace

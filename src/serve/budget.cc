@@ -108,7 +108,9 @@ void AddTo(const PrivacyParams& cost, PrivacyParams* sum) {
 enum class Transition { kReserve, kCommit, kRefund, kRefusal, kRecover };
 
 /// Counts `transition` on its serve.budget_* counter and records its one
-/// tenant-keyed ledger event; only a refusal is not accepted.
+/// tenant-keyed ledger event; only a refusal is not accepted. Called with
+/// the state mutex released: the event's line is written to the ledger
+/// file, and no lock shared across tenants is held across that write.
 void Note(Transition transition, const std::string& tenant,
           const PrivacyParams& cost, const std::string& label) {
   struct Kind {
@@ -129,14 +131,9 @@ void Note(Transition transition, const std::string& tenant,
   kind.counter->Increment();
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   if (!ledger.enabled()) return;
-  obs::LedgerEvent event;
-  event.kind = kind.event;
-  event.label = label;
-  event.tenant = tenant;
-  event.epsilon = cost.epsilon;
-  event.delta = cost.delta;
-  event.accepted = transition != Transition::kRefusal;
-  ledger.Record(std::move(event));
+  ledger.Record({.kind = kind.event, .label = label, .tenant = tenant,
+                 .epsilon = cost.epsilon, .delta = cost.delta,
+                 .accepted = transition != Transition::kRefusal});
 }
 
 struct PersistMetrics {
@@ -217,18 +214,18 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
   // unreleased run over-counts ε (safe); forgetting a released one would
   // under-count (a privacy violation), so pending always promotes. Reserve()
   // admitted the hold, so its promotion is not checked again.
-  for (const auto& entry : manager->holds_) {
+  std::map<uint64_t, Hold> recovered;
+  recovered.swap(manager->holds_);
+  for (const auto& entry : recovered) {
     const Hold& hold = entry.second;
     AccountState& account = manager->accounts_.at(hold.tenant);
     AddTo(hold.cost, &account.spent);
     account.recovered += 1;
     manager->recovered_holds_ += 1;
-    Note(Transition::kRecover, hold.tenant, hold.cost, hold.label);
     BOLTON_LOG(kWarning) << "budget recovery: promoted pending hold ("
                          << hold.tenant << ", eps=" << hold.cost.epsilon
                          << ") to committed spend";
   }
-  manager->holds_.clear();
   for (auto& entry : manager->accounts_) {
     entry.second.reserved = PrivacyParams{0.0, 0.0};
   }
@@ -236,6 +233,11 @@ Result<std::unique_ptr<TenantBudgetManager>> TenantBudgetManager::Open(
   // journal (snapshot_due_ starts true), so a dropped torn record is gone
   // before anything is appended; a dir that cannot be written fails here.
   BOLTON_RETURN_IF_ERROR(manager->FlushLocked(&lock));
+  lock.unlock();
+  for (const auto& entry : recovered) {
+    const Hold& hold = entry.second;
+    Note(Transition::kRecover, hold.tenant, hold.cost, hold.label);
+  }
   return manager;
 }
 
@@ -395,13 +397,15 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
     if (queue_.size() >= kJournalCompactBytes && !flushing_) {
       FlushLocked(&lock);
     }
-    Note(Transition::kRefusal, tenant, cost, label);
-    return Status::FailedPrecondition(StrFormat(
+    Status refused = Status::FailedPrecondition(StrFormat(
         "budget_exhausted: tenant '%s' asked for (ε=%g, δ=%g) with only "
         "(ε=%g, δ=%g) uncommitted",
         tenant.c_str(), cost.epsilon, cost.delta,
         std::max(0.0, account.budget.epsilon - committed.epsilon),
         std::max(0.0, account.budget.delta - committed.delta)));
+    lock.unlock();
+    Note(Transition::kRefusal, tenant, cost, label);
+    return refused;
   }
 
   std::string record = AccountRecord("reserve", tenant, account.budget);
@@ -418,6 +422,7 @@ Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
   // already rolled the hold back.
   BOLTON_RETURN_IF_ERROR(AwaitLocked(&waiter, &lock).WithContext(
       "budget reserve write-ahead"));
+  lock.unlock();
   Note(Transition::kReserve, tenant, cost, label);
   return waiter.hold;
 }
@@ -449,10 +454,10 @@ Status TenantBudgetManager::Commit(uint64_t hold_id) {
   AppendLocked(StrFormat("commit %llu",
                          static_cast<unsigned long long>(hold_id)),
                inject.ok() ? &waiter : nullptr);
-  Note(Transition::kCommit, hold.tenant, hold.cost, hold.label);
 
   Status persisted = inject.ok() ? AwaitLocked(&waiter, &lock) : inject;
-  lock.unlock();  // the warning below writes to the log
+  lock.unlock();
+  Note(Transition::kCommit, hold.tenant, hold.cost, hold.label);
   if (!persisted.ok()) {
     Metrics().errors->Increment();
     BOLTON_LOG(kWarning)
@@ -477,12 +482,12 @@ Status TenantBudgetManager::Refund(uint64_t hold_id) {
   AppendLocked(StrFormat("refund %llu",
                          static_cast<unsigned long long>(hold_id)),
                &waiter);
-  Note(Transition::kRefund, hold.tenant, hold.cost, hold.label);
   // Best-effort persist: a failure leaves the hold pending on disk, and a
   // later crash would conservatively promote it — an over-charge, never an
   // under-charge.
   Status persisted = AwaitLocked(&waiter, &lock);
-  lock.unlock();  // the warning below writes to the log
+  lock.unlock();
+  Note(Transition::kRefund, hold.tenant, hold.cost, hold.label);
   if (!persisted.ok()) {
     Metrics().errors->Increment();
     BOLTON_LOG(kWarning) << "budget refund persist failed (refund stands "

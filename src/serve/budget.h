@@ -84,8 +84,9 @@ struct TenantAccountView {
 ///
 /// Every transition bumps its serve.budget_* counter and records one ledger
 /// event keyed by tenant (budget_reserve / budget_commit / budget_refund /
-/// budget_refusal, with accepted=false / budget_recover). Open() records
-/// only its budget_recover events.
+/// budget_refusal, with accepted=false / budget_recover) once the state
+/// mutex is released, so no tenant waits on another's ledger-file write.
+/// Open() records only its budget_recover events.
 ///
 /// Thread-safe; all methods may be called from concurrent handler threads.
 class TenantBudgetManager {

@@ -336,6 +336,13 @@ HttpResponse ServeDaemon::Train(const JsonValue& body,
   config.batch_size = static_cast<size_t>(batch_size);
   config.shards = static_cast<size_t>(shards);
   config.executor.max_threads = options_.max_training_threads;
+  // Parameters the solver refuses before any noise are refused here, before
+  // the budget hold, so they spend nothing.
+  auto loss = MakeLossForConfig(config);
+  Status refused = loss.ok() ? CheckSolverParameters(config.algorithm,
+                                                     *loss.value(), config)
+                             : loss.status();
+  if (!refused.ok()) return JsonError(400, "bad_request", refused.message());
 
   // Admission: refuse-fast before any expensive work.
   auto ticket = admission_->Admit(tenant);
@@ -395,7 +402,8 @@ HttpResponse ServeDaemon::Train(const JsonValue& body,
 
   const auto started = std::chrono::steady_clock::now();
   Rng rng(static_cast<uint64_t>(train_seed));
-  auto trained = TrainBinary(*train, config, &rng);
+  auto trained = RunPrivateSolver(config.algorithm, *train, *loss.value(),
+                                  config, &rng);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)
@@ -434,7 +442,7 @@ HttpResponse ServeDaemon::Train(const JsonValue& body,
                          static_cast<unsigned long long>(next_model_seq_++));
     StoredModel stored;
     stored.tenant = tenant;
-    stored.weights = std::move(trained).value();
+    stored.weights = std::move(trained).value().model;
     stored.algorithm = AlgorithmName(config.algorithm);
     stored.dataset = dataset_name;
     models_[model_id] = std::move(stored);

@@ -59,19 +59,6 @@ CheckpointData MakeSampleData() {
   Rng outer(11);
   data.outer_rng = outer.SaveState();
   data.sensitivity = 0.0625;
-  obs::LedgerEvent event;
-  event.seq = 1;
-  event.kind = "calibration";
-  event.mechanism = "laplace";
-  event.label = "bolton.sensitivity";
-  event.epsilon = 1.0;
-  event.sensitivity = 0.0625;
-  event.shards = 1;
-  event.accepted = true;
-  data.ledger.push_back(event);
-  obs::LedgerEvent unlabeled;  // empty strings must round-trip too
-  unlabeled.seq = 2;
-  data.ledger.push_back(unlabeled);
   return data;
 }
 
@@ -117,16 +104,6 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   actual.RestoreState(got.outer_rng);
   EXPECT_EQ(expected.Gaussian(), actual.Gaussian());
 
-  ASSERT_EQ(got.ledger.size(), 2u);
-  EXPECT_EQ(got.ledger[0].kind, "calibration");
-  EXPECT_EQ(got.ledger[0].mechanism, "laplace");
-  EXPECT_EQ(got.ledger[0].label, "bolton.sensitivity");
-  EXPECT_EQ(got.ledger[0].epsilon, 1.0);
-  EXPECT_EQ(got.ledger[0].sensitivity, 0.0625);
-  EXPECT_TRUE(got.ledger[0].accepted);
-  EXPECT_EQ(got.ledger[1].kind, "");
-  EXPECT_EQ(got.ledger[1].label, "");
-
   ASSERT_TRUE(manager.Remove().ok());
   EXPECT_FALSE(manager.Exists());
   // Remove is idempotent.
@@ -146,7 +123,7 @@ TEST_F(CheckpointTest, FileIsPrivateAndCarriesPrivacyMarker) {
   std::string magic, marker;
   ASSERT_TRUE(std::getline(in, magic));
   ASSERT_TRUE(std::getline(in, marker));
-  EXPECT_EQ(magic, "bolton-checkpoint v1");
+  EXPECT_EQ(magic, "bolton-checkpoint v2");
   EXPECT_EQ(marker.find("UNRELEASED_PRIVATE"), 0u);
   // The atomic write leaves no temp file behind.
   EXPECT_NE(::access((manager.path() + ".tmp").c_str(), F_OK), 0);
@@ -206,16 +183,17 @@ TEST_F(CheckpointTest, SpecHashTracksTheResumeContract) {
 }
 
 TEST_F(CheckpointTest, OnDiskBytesAndSpecHashArePinned) {
-  // Golden values from the v1 format as first shipped: any change to the
-  // framing, the token codec or the hash behind SolverSpecHash shows up
-  // here, and such a change needs a new magic version.
+  // Golden values from the v2 format (v1 without its ledger section): any
+  // change to the framing, the token codec or the hash behind
+  // SolverSpecHash shows up here, and such a change needs a new magic
+  // version.
   CheckpointManager manager(MakeCheckpointDir("ckpt_golden"));
   ASSERT_TRUE(manager.Save(MakeSampleData()).ok());
   std::ifstream in(manager.path(), std::ios::binary);
   const std::string content((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-  const std::string checksum_line = "checksum bdb356ff2affa8ca\n";
-  EXPECT_EQ(content.size(), 630u);
+  const std::string checksum_line = "checksum cf3b7bd05db62c1c\n";
+  EXPECT_EQ(content.size(), 507u);
   ASSERT_GE(content.size(), checksum_line.size());
   EXPECT_EQ(content.substr(content.size() - checksum_line.size()),
             checksum_line);
@@ -228,6 +206,26 @@ TEST_F(CheckpointTest, OnDiskBytesAndSpecHashArePinned) {
   spec.privacy = PrivacyParams{1.0, 0.0};
   EXPECT_EQ(SolverSpecHash(Algorithm::kBoltOn, spec, *loss, data),
             0x949e8523f956e5f4ull);
+}
+
+TEST_F(CheckpointTest, V1CheckpointIsRefusedByName) {
+  // A v1 file carried a copy of the privacy ledger; v2 has none, and a v1
+  // file is refused by its version, not misread or reported as corrupt.
+  CheckpointManager manager(MakeCheckpointDir("ckpt_v1"));
+  {
+    std::ofstream out(manager.path(), std::ios::trunc);
+    out << "bolton-checkpoint v1\nUNRELEASED_PRIVATE\nchecksum "
+           "0000000000000000\n";
+  }
+  auto loaded = manager.Load();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(
+                "expected a 'bolton-checkpoint v2' file, found "
+                "'bolton-checkpoint v1'"),
+            std::string::npos)
+      << loaded.status().ToString();
+  ASSERT_TRUE(manager.Remove().ok());
 }
 
 /// The logistic loss at λ: Algorithm 2's R = 1/λ when λ > 0, otherwise

@@ -6,7 +6,12 @@ set -eu
 
 CLI="$1"
 WORKDIR="$(mktemp -d)"
-trap 'rm -rf "$WORKDIR"' EXIT
+# Every process the script starts in the background (daemons, lingering and
+# killed trains) is listed here, so a failed assertion inside a section
+# does not leave it running.
+BG_PIDS=""
+trap 'for pid in $BG_PIDS; do kill -KILL "$pid" 2> /dev/null || true; done
+      rm -rf "$WORKDIR"' EXIT
 
 # Generate a small dataset pair.
 "$CLI" datagen --dataset protein --scale 0.01 --seed 3 \
@@ -86,6 +91,7 @@ grep -q '"rng_fingerprint":' "$WORKDIR/ledger.jsonl"
     --serve-obs 0 --serve-obs-linger 30000 \
     > "$WORKDIR/obs.train.log" 2>&1 &
 obs_pid=$!
+BG_PIDS="$BG_PIDS $!"
 
 # The CLI prints the bound port as its first line; poll for it.
 port=""
@@ -138,8 +144,9 @@ fi
 
 # Crash-safety: SIGKILL a checkpointed train mid-run, resume it, and demand
 # the final model match the uninterrupted run ($WORKDIR/ours.model above
-# used the same data, flags, and default seed) byte for byte — with exactly
-# one noise draw across the killed + resumed halves.
+# used the same data, flags, and default seed) byte for byte. Both halves
+# append to one --ledger-out, which must hold exactly one calibration (the
+# killed half's) and one noise draw (the resumed half's).
 ckptdir="$WORKDIR/ckpt"
 mkdir -p "$ckptdir"
 # The delay failpoint stretches every pass so the kill lands mid-train; it
@@ -149,8 +156,10 @@ BOLTON_FAILPOINTS="psgd.pass:delay@750" "$CLI" train \
     --epsilon 4 --lambda 0.01 --passes 5 --batch 10 \
     --model "$WORKDIR/resumed.model" \
     --checkpoint-dir "$ckptdir" --checkpoint-every 1 \
+    --ledger-out "$WORKDIR/resume.ledger.jsonl" \
     > "$WORKDIR/killed.train.log" 2>&1 &
 train_pid=$!
+BG_PIDS="$BG_PIDS $!"
 i=0
 while [ $i -lt 300 ]; do
   [ -f "$ckptdir/bolton.ckpt" ] && break
@@ -179,11 +188,15 @@ if ! cmp -s "$WORKDIR/ours.model" "$WORKDIR/resumed.model"; then
   echo "resumed model differs from the uninterrupted run" >&2
   exit 1
 fi
-noise_draws=$(grep -c '"kind":"noise_draw"' "$WORKDIR/resume.ledger.jsonl")
-if [ "$noise_draws" -ne 1 ]; then
-  echo "expected exactly 1 noise_draw across kill+resume, got $noise_draws" >&2
-  exit 1
-fi
+for kind in calibration noise_draw; do
+  count=$(grep -c "\"kind\":\"$kind\"" "$WORKDIR/resume.ledger.jsonl" || true)
+  if [ "$count" != "1" ]; then
+    echo "expected exactly 1 $kind across kill+resume, got $count" >&2
+    cat "$WORKDIR/resume.ledger.jsonl" >&2
+    exit 1
+  fi
+done
+grep -q '"kind":"checkpoint"' "$WORKDIR/resume.ledger.jsonl"
 grep -q '"kind":"resume"' "$WORKDIR/resume.ledger.jsonl"
 if [ -f "$ckptdir/bolton.ckpt" ]; then
   echo "checkpoint left behind after a successful resume" >&2
@@ -220,7 +233,7 @@ expect_refusal() {
   needle="$1"
   shift
   status=0
-  "$@" > /dev/null 2> "$WORKDIR/refusal.err" || status=$?
+  "$@" > "$WORKDIR/refusal.out" 2> "$WORKDIR/refusal.err" || status=$?
   if [ "$status" != "1" ] || ! grep -q "$needle" "$WORKDIR/refusal.err"; then
     echo "'$*' exited $status, expected 1 and '$needle' on stderr:" >&2
     cat "$WORKDIR/refusal.err" >&2
@@ -252,6 +265,20 @@ for flags in "--epsilon nan" "--epsilon inf" \
 done
 expect_refusal "^serve: invalid-argument: tenant default budget: epsilon" \
     timeout 20 "$CLI" serve --port 0 --budget-epsilon nan
+# An unwritable --ledger-out is refused before any work: train writes no
+# model, and serve never listens.
+expect_refusal "^train: io-error: cannot open ledger file $WORKDIR/no_such_dir/" \
+    "$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
+    --model "$WORKDIR/unledgered.model" \
+    --ledger-out "$WORKDIR/no_such_dir/ledger.jsonl"
+test ! -e "$WORKDIR/unledgered.model"
+expect_refusal "^serve: io-error: cannot open ledger file $WORKDIR/no_such_dir/" \
+    timeout 20 "$CLI" serve --port 0 \
+    --ledger-out "$WORKDIR/no_such_dir/ledger.jsonl"
+if grep -q "listening" "$WORKDIR/refusal.out"; then
+  echo "serve listened before refusing its --ledger-out" >&2
+  exit 1
+fi
 
 # A LIBSVM line that repeats an index is refused, naming the line.
 printf '1 1:0.5 2:0.25\n-1 3:0.5 3:0.7\n' > "$WORKDIR/dup.libsvm"
@@ -291,6 +318,7 @@ BOLTON_FAILPOINTS="psgd.pass:delay@200" "$CLI" serve --port 0 \
     --ledger-out "$WORKDIR/serve.ledger.jsonl" \
     > "$WORKDIR/serve.log" 2>&1 &
 serve_pid=$!
+BG_PIDS="$BG_PIDS $!"
 serve_port=$(listening_port "$WORKDIR/serve.log")
 if [ -z "$serve_port" ]; then
   echo "serve port line never appeared" >&2
@@ -331,7 +359,7 @@ if "$CLI" call --port "$serve_port" --timeout-ms 100 \
   exit 1
 fi
 
-# SIGTERM drains gracefully: clean exit, drain lines, ledger flushed.
+# SIGTERM drains gracefully: clean exit, drain lines, ledger file closed.
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
   echo "serve did not exit cleanly on SIGTERM" >&2
@@ -357,6 +385,7 @@ grep '"kind":"budget_refusal"' "$WORKDIR/serve.ledger.jsonl" \
     --budget-epsilon 1.0 --budget-delta 1e-5 \
     > "$WORKDIR/serve2.log" 2>&1 &
 serve2_pid=$!
+BG_PIDS="$BG_PIDS $!"
 serve_port=$(listening_port "$WORKDIR/serve2.log")
 test -n "$serve_port"
 "$CLI" call --port "$serve_port" --method GET \
@@ -374,14 +403,51 @@ fi
 kill -TERM "$serve2_pid"
 wait "$serve2_pid" || { echo "second serve did not drain" >&2; exit 1; }
 
+# --- serve: a SIGKILLed daemon's ledger file ---------------------------------
+# --ledger-out is appended to as events happen, so a daemon killed without a
+# drain leaves the whole trail of every train it answered: the tenant's
+# reserve and commit, and the run's calibration and noise draw.
+killdir="$WORKDIR/serve_kill"
+mkdir -p "$killdir"
+"$CLI" serve --port 0 --state-dir "$killdir" \
+    --ledger-out "$WORKDIR/kill.ledger.jsonl" > "$WORKDIR/kill.log" 2>&1 &
+kill_pid=$!
+BG_PIDS="$BG_PIDS $!"
+serve_port=$(listening_port "$WORKDIR/kill.log")
+[ -n "$serve_port" ] || { cat "$WORKDIR/kill.log" >&2; exit 1; }
+"$CLI" call --port "$serve_port" --path /v1/train \
+    --body '{"tenant":"k","epsilon":0.5,"passes":1,"scale":0.02}' \
+    > /dev/null
+kill -KILL "$kill_pid"
+wait "$kill_pid" 2> /dev/null || true
+for kind in budget_reserve budget_commit; do
+  if ! grep "\"kind\":\"$kind\"" "$WORKDIR/kill.ledger.jsonl" |
+      grep -q '"tenant":"k"'; then
+    echo "the killed daemon's ledger lacks tenant k's $kind:" >&2
+    cat "$WORKDIR/kill.ledger.jsonl" >&2
+    exit 1
+  fi
+done
+for kind in calibration noise_draw; do
+  count=$(grep -c "\"kind\":\"$kind\"" "$WORKDIR/kill.ledger.jsonl" || true)
+  if [ "$count" != "1" ]; then
+    echo "the killed daemon's ledger holds $count $kind lines, expected 1:" >&2
+    cat "$WORKDIR/kill.ledger.jsonl" >&2
+    exit 1
+  fi
+done
+
 # --- serve: requests at the edge of the budget ------------------------------
-# One state dir, the default budget (ε = 1, δ = 1e-6) and no failpoints.
-# Reserve is the only budget check, with a tolerance of one part in 10⁹ of
-# the budget, so a request it admits always commits and the state reloads.
+# One state dir and the default budget (ε = 1, δ = 1e-6). Reserve is the
+# only budget check, with a tolerance of one part in 10⁹ of the budget, so a
+# request it admits always commits and the state reloads. The second PSGD
+# pass of the daemon's life fails, which only the scs13 train below reaches.
 edgedir="$WORKDIR/serve_edge"
 mkdir -p "$edgedir"
-"$CLI" serve --port 0 --state-dir "$edgedir" > "$WORKDIR/edge.log" 2>&1 &
+BOLTON_FAILPOINTS="psgd.pass:error@2" "$CLI" serve --port 0 \
+    --state-dir "$edgedir" > "$WORKDIR/edge.log" 2>&1 &
 edge_pid=$!
+BG_PIDS="$BG_PIDS $!"
 serve_port=$(listening_port "$WORKDIR/edge.log")
 [ -n "$serve_port" ] || { cat "$WORKDIR/edge.log" >&2; exit 1; }
 # An aggregate within the tolerance is answered and spent.
@@ -389,15 +455,29 @@ serve_port=$(listening_port "$WORKDIR/edge.log")
     --body '{"tenant":"a","op":"count","epsilon":1.0000000005}' \
     > "$WORKDIR/edge.aggregate.json"
 grep -q '"spent_epsilon":1.0000000005,' "$WORKDIR/edge.aggregate.json"
-# A white-box train the solver refuses answers its error and is charged
-# (its noise may be drawn), and the daemon keeps serving.
+# A white-box train the solver refuses from its parameters alone answers
+# 400 before the budget hold and is not charged.
 status=0
 "$CLI" call --port "$serve_port" --path /v1/train \
     --body '{"tenant":"e","algorithm":"objective","model":"huber_svm","epsilon":1.0000000005,"delta":0,"scale":0.02}' \
+    > "$WORKDIR/edge.refused.json" 2> /dev/null || status=$?
+if [ "$status" != "1" ] ||
+    ! grep -q '"error":"bad_request"' "$WORKDIR/edge.refused.json"; then
+  echo "objective/huber_svm train exited $status, expected bad_request:" >&2
+  cat "$WORKDIR/edge.refused.json" "$WORKDIR/edge.log" >&2
+  exit 1
+fi
+"$CLI" call --port "$serve_port" --method GET --path "/v1/budget?tenant=e" \
+    | grep -q '"spent_epsilon":0,'
+# A white-box train that fails after it started (its noise may be drawn)
+# answers its error and is charged, and the daemon keeps serving.
+status=0
+"$CLI" call --port "$serve_port" --path /v1/train \
+    --body '{"tenant":"e","algorithm":"scs13","epsilon":1.0000000005,"delta":0,"passes":2,"scale":0.02}' \
     > "$WORKDIR/edge.train.json" 2> /dev/null || status=$?
 if [ "$status" != "1" ] ||
     ! grep -q '"error":"train_failed"' "$WORKDIR/edge.train.json"; then
-  echo "objective/huber_svm train exited $status, expected train_failed:" >&2
+  echo "failing scs13 train exited $status, expected train_failed:" >&2
   cat "$WORKDIR/edge.train.json" "$WORKDIR/edge.log" >&2
   exit 1
 fi
@@ -412,6 +492,7 @@ wait "$edge_pid" || { echo "edge serve did not drain" >&2; exit 1; }
 "$CLI" serve --port 0 --state-dir "$edgedir" \
     --ledger-out "$WORKDIR/edge2.ledger.jsonl" > "$WORKDIR/edge2.log" 2>&1 &
 edge_pid=$!
+BG_PIDS="$BG_PIDS $!"
 serve_port=$(listening_port "$WORKDIR/edge2.log")
 if [ -z "$serve_port" ]; then
   echo "serve refused its own state dir on restart:" >&2

@@ -131,6 +131,13 @@ TEST_F(ObsExportTest, PrometheusEmitsQuantileGauges) {
   EXPECT_NE(text.find("lat_p99 "), std::string::npos);
 }
 
+/// The totals PrivacyLedger::Record folds in, over `events`.
+LedgerTotals Totals(const std::vector<LedgerEvent>& events) {
+  LedgerTotals totals;
+  for (const LedgerEvent& event : events) totals.Add(event);
+  return totals;
+}
+
 TEST_F(ObsExportTest, LedgerTotalsSplitByKindAndAcceptance) {
   std::vector<LedgerEvent> events;
   LedgerEvent draw;
@@ -149,7 +156,7 @@ TEST_F(ObsExportTest, LedgerTotalsSplitByKindAndAcceptance) {
   calibration.kind = "calibration";
   events.push_back(calibration);
 
-  LedgerTotals totals = SummarizeLedger(events);
+  LedgerTotals totals = Totals(events);
   EXPECT_EQ(totals.events, 4u);
   EXPECT_EQ(totals.noise_draws, 1u);
   EXPECT_EQ(totals.charges, 2u);
@@ -171,7 +178,7 @@ TEST_F(ObsExportTest, ServeCommitsAndRecoveriesCountAsCharges) {
     event.accepted = std::string(kind) != "budget_refusal";
     events.push_back(event);
   }
-  LedgerTotals totals = SummarizeLedger(events);
+  LedgerTotals totals = Totals(events);
   EXPECT_EQ(totals.events, 5u);
   EXPECT_EQ(totals.charges, 2u);
   EXPECT_EQ(totals.rejected, 1u);

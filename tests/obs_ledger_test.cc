@@ -1,5 +1,10 @@
 #include "obs/ledger.h"
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/accountant.h"
@@ -21,10 +26,26 @@ class ObsLedgerTest : public ::testing::Test {
     PrivacyLedger::Default().SetEnabled(true);
   }
   void TearDown() override {
+    EXPECT_TRUE(PrivacyLedger::Default().CloseFile().ok());
     PrivacyLedger::Default().SetEnabled(false);
     PrivacyLedger::Default().Clear();
   }
 };
+
+/// A path under the gtest temp root, removed first so each test starts
+/// without the file.
+std::string FreshPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
 
 Dataset MakeData(size_t m = 200) {
   SyntheticConfig config;
@@ -90,7 +111,7 @@ TEST_F(ObsLedgerTest, DisabledLedgerRecordsNothing) {
   PrivacyLedger::Default().SetEnabled(false);
   Rng rng(8);
   ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
-  EXPECT_EQ(PrivacyLedger::Default().size(), 0u);
+  EXPECT_EQ(PrivacyLedger::Default().Snapshot().size(), 0u);
 }
 
 TEST_F(ObsLedgerTest, AccountantChargesAreAudited) {
@@ -160,31 +181,101 @@ TEST_F(ObsLedgerTest, Bst14RunLogsCalibrationPlusEveryDraw) {
 }
 
 TEST_F(ObsLedgerTest, JsonlHasOneObjectPerEvent) {
+  const std::string path = FreshPath("ledger_jsonl.jsonl");
+  ASSERT_TRUE(PrivacyLedger::Default().OpenFile(path).ok());
   Rng rng(11);
   ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
   ASSERT_TRUE(SampleGaussianMechanism(4, 0.1, 0.5, 1e-6, &rng).ok());
+  // Each line is on disk as its event is recorded, before any close.
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("{\"seq\":1,", 0), 0u);
+  EXPECT_EQ(lines[1].rfind("{\"seq\":2,", 0), 0u);
+  EXPECT_NE(lines[0].find("\"kind\":\"noise_draw\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"mechanism\":\"laplace\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"mechanism\":\"gaussian\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"rng_fingerprint\":"), std::string::npos);
+  EXPECT_TRUE(PrivacyLedger::Default().CloseFile().ok());
+}
 
-  std::string jsonl = PrivacyLedger::Default().ToJsonl();
-  size_t lines = 0;
-  for (size_t pos = 0; (pos = jsonl.find('\n', pos)) != std::string::npos;
-       ++pos) {
-    ++lines;
+TEST_F(ObsLedgerTest, RingKeepsTheNewestSlotsWhileTotalsCountEveryEvent) {
+  constexpr size_t kSlots = PrivacyLedger::kLedgerSlots;
+  for (size_t i = 0; i < kSlots + 10; ++i) {
+    LedgerEvent event;
+    event.kind = "budget_commit";
+    event.epsilon = 0.5;
+    PrivacyLedger::Default().Record(std::move(event));
   }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_EQ(jsonl.rfind("{\"seq\":1,", 0), 0u);
-  EXPECT_NE(jsonl.find("\"kind\":\"noise_draw\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"mechanism\":\"laplace\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"mechanism\":\"gaussian\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"rng_fingerprint\":"), std::string::npos);
+  const std::vector<LedgerEvent> events = PrivacyLedger::Default().Snapshot();
+  ASSERT_EQ(events.size(), kSlots);
+  EXPECT_EQ(events.front().seq, 11u);  // the ten oldest were overwritten
+  EXPECT_EQ(events.back().seq, kSlots + 10);  // newest last
+  for (size_t i = 1; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+  }
+  const std::vector<LedgerEvent> tail = PrivacyLedger::Default().Snapshot(3);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.front().seq, kSlots + 8);
+  const LedgerTotals totals = PrivacyLedger::Default().Totals();
+  EXPECT_EQ(totals.events, kSlots + 10);
+  EXPECT_EQ(totals.charges, kSlots + 10);
+  EXPECT_DOUBLE_EQ(totals.epsilon_charged, 0.5 * (kSlots + 10));
+}
+
+TEST_F(ObsLedgerTest, FileOpenedTwiceIsAppendedNotTruncated) {
+  const std::string path = FreshPath("ledger_twice.jsonl");
+  Rng rng(13);
+  ASSERT_TRUE(PrivacyLedger::Default().OpenFile(path).ok());
+  ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
+  ASSERT_TRUE(PrivacyLedger::Default().CloseFile().ok());
+  // Closed: later events stay in memory only.
+  ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
+  ASSERT_EQ(ReadLines(path).size(), 1u);
+
+  // A second process (here: a second open after a Clear) continues the
+  // file, numbering its own events from 1 again.
+  PrivacyLedger::Default().Clear();
+  ASSERT_TRUE(PrivacyLedger::Default().OpenFile(path).ok());
+  ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
+  ASSERT_TRUE(PrivacyLedger::Default().CloseFile().ok());
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("{\"seq\":1,", 0), 0u);
+  EXPECT_EQ(lines[1].rfind("{\"seq\":1,", 0), 0u);
+}
+
+TEST_F(ObsLedgerTest, FailedWritesFailTheClose) {
+  // Every write to /dev/full fails with ENOSPC.
+  ASSERT_TRUE(PrivacyLedger::Default().OpenFile("/dev/full").ok());
+  Rng rng(14);
+  ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
+  // The event is still kept in memory.
+  EXPECT_EQ(PrivacyLedger::Default().Snapshot().size(), 1u);
+  const Status closed = PrivacyLedger::Default().CloseFile();
+  EXPECT_EQ(closed.code(), StatusCode::kIOError);
+  EXPECT_NE(closed.message().find("1 ledger lines failed to write to "
+                                  "/dev/full"),
+            std::string::npos)
+      << closed.ToString();
+  // Nothing is open any more.
+  EXPECT_TRUE(PrivacyLedger::Default().CloseFile().ok());
+}
+
+TEST_F(ObsLedgerTest, UnopenableFileIsRefusedAtOpen) {
+  const Status opened = PrivacyLedger::Default().OpenFile(
+      ::testing::TempDir() + "no_such_dir/ledger.jsonl");
+  EXPECT_EQ(opened.code(), StatusCode::kIOError);
+  EXPECT_NE(opened.message().find("cannot open ledger file"),
+            std::string::npos);
 }
 
 TEST_F(ObsLedgerTest, ClearEmptiesAndRestartsSequence) {
   Rng rng(12);
   ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
   PrivacyLedger::Default().Clear();
-  EXPECT_EQ(PrivacyLedger::Default().size(), 0u);
+  EXPECT_EQ(PrivacyLedger::Default().Snapshot().size(), 0u);
   ASSERT_TRUE(SampleSphericalLaplace(4, 0.1, 1.0, &rng).ok());
-  ASSERT_EQ(PrivacyLedger::Default().size(), 1u);
+  ASSERT_EQ(PrivacyLedger::Default().Snapshot().size(), 1u);
   EXPECT_EQ(PrivacyLedger::Default().Snapshot()[0].seq, 1u);
 }
 

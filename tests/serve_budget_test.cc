@@ -718,7 +718,8 @@ TEST(TenantBudgetTest, ReopenRecordsNoCharges) {
   ledger.SetEnabled(true);
   {
     auto reopened = TenantBudgetManager::Open(options).MoveValue();
-    EXPECT_EQ(ledger.size(), 0u) << obs::RenderLedgerJsonl(ledger.Snapshot());
+    EXPECT_EQ(ledger.Snapshot().size(), 0u)
+        << obs::RenderLedgerJsonl(ledger.Snapshot());
     EXPECT_EQ(reopened->Account("a").spent.epsilon, 0.1);
     EXPECT_EQ(reopened->Account("b").spent.epsilon, 0.1);
     ASSERT_TRUE(reopened->Reserve("c", {0.2, 1e-7}, "pending").ok());

@@ -118,15 +118,22 @@ TEST_F(ServeDaemonTest, MalformedRequestsGet400) {
   }
   // Parameters the trainer refuses (the default ε=1 with δ>0, a batch
   // larger than the data) are client errors too, and bolt-on refunds them.
+  // Parameters the solver refuses before any noise (objective perturbation
+  // at the default δ=1e-6, a sharded white-box run) are refused before the
+  // budget hold, so they spend nothing either.
   const double spent = daemon_->budget().Account("a").spent.epsilon;
   for (const char* body :
-       {R"({"tenant":"a"})", R"({"tenant":"a","batch_size":100000})"}) {
+       {R"({"tenant":"a"})", R"({"tenant":"a","batch_size":100000})",
+        R"({"tenant":"a","algorithm":"objective"})",
+        R"({"tenant":"b","algorithm":"scs13","shards":4,"epsilon":0.5})"}) {
     HttpReply refused = Train(body);
     EXPECT_EQ(refused.status, 400) << body << " -> " << refused.body;
     EXPECT_EQ(ParseBody(refused).GetString("error", "").MoveValue(),
               "bad_request");
   }
   EXPECT_EQ(daemon_->budget().Account("a").spent.epsilon, spent);
+  EXPECT_EQ(daemon_->budget().Account("b").spent.epsilon, 0.0);
+  EXPECT_EQ(daemon_->budget().Account("b").commits, 0u);
   JsonValue error = ParseBody(Train("{not json"));
   EXPECT_EQ(error.GetString("error", "").MoveValue(), "bad_request");
 }
@@ -291,26 +298,42 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
             200);
 }
 
-TEST_F(ServeDaemonTest, WhiteBoxTrainTheSolverRefusesIsChargedAndAnswered) {
+TEST_F(ServeDaemonTest, WhiteBoxRefusedUpFrontIsFreeAndAFailedRunIsCharged) {
   StartDaemon();  // default budget: ε = 1, δ = 1e-6
-  // Within one part in 10⁹ of the budget, so Reserve admits it; objective
-  // perturbation then refuses huber_svm. White-box runs commit on failure.
-  HttpReply failed = Train(
+  // Within one part in 10⁹ of the budget, so Reserve would admit it; but
+  // objective perturbation refuses huber_svm from its parameters alone,
+  // before the hold, so nothing is charged.
+  HttpReply refused = Train(
       R"({"tenant":"e","algorithm":"objective","model":"huber_svm",)"
       R"("epsilon":1.0000000005,"delta":0,"scale":0.02})");
+  EXPECT_EQ(refused.status, 400) << refused.body;
+  EXPECT_EQ(ParseBody(refused).GetString("error", "").MoveValue(),
+            "bad_request");
+  TenantAccountView view = daemon_->budget().Account("e");
+  EXPECT_EQ(view.spent.epsilon, 0.0);
+  EXPECT_EQ(view.commits, 0u);
+
+  // A white-box run that fails after it started may have drawn noise: it
+  // commits, answers its error, and the daemon keeps serving.
+  ASSERT_TRUE(
+      FailpointRegistry::Default().Configure("psgd.pass:error@2").ok());
+  HttpReply failed = Train(
+      R"({"tenant":"e","algorithm":"scs13","epsilon":1.0000000005,)"
+      R"("delta":0,"passes":2,"scale":0.02})");
+  FailpointRegistry::Default().Clear();
   EXPECT_EQ(failed.status, 500) << failed.body;
   EXPECT_EQ(ParseBody(failed).GetString("error", "").MoveValue(),
             "train_failed");
-  const TenantAccountView view = daemon_->budget().Account("e");
+  view = daemon_->budget().Account("e");
   EXPECT_EQ(view.spent.epsilon, 1.0000000005);
   EXPECT_EQ(view.reserved.epsilon, 0.0);
   EXPECT_EQ(view.commits, 1u);
-  // The daemon keeps serving, and the spent tenant is refused at Reserve.
+  // The spent tenant is refused at Reserve.
   EXPECT_EQ(Call(daemon_->port(), "GET", "/v1/budget?tenant=e", "").status,
             200);
-  HttpReply refused = Call(daemon_->port(), "POST", "/v1/aggregate",
-                           R"({"tenant":"e","epsilon":1e-9,"scale":0.02})");
-  EXPECT_EQ(refused.status, 429) << refused.body;
+  HttpReply exhausted = Call(daemon_->port(), "POST", "/v1/aggregate",
+                             R"({"tenant":"e","epsilon":1e-9,"scale":0.02})");
+  EXPECT_EQ(exhausted.status, 429) << exhausted.body;
 }
 
 TEST_F(ServeDaemonTest, RecoveredHoldKeepsTheLabelReserveWasGiven) {

@@ -122,6 +122,17 @@ int ExitStatus(const char* verb, const Status& status) {
   return 1;
 }
 
+/// Closes the --ledger-out file, whose lines were appended as each event
+/// happened; a line that failed to write fails the command here.
+Status CloseLedgerFile(const std::string& path) {
+  BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().CloseFile());
+  std::printf("appended %llu ledger events -> %s\n",
+              static_cast<unsigned long long>(
+                  obs::PrivacyLedger::Default().Totals().events),
+              path.c_str());
+  return Status::OK();
+}
+
 Status RunTrain(int argc, char** argv) {
   CommonDataFlags data_flags;
   std::string algo = "ours";
@@ -165,7 +176,9 @@ Status RunTrain(int argc, char** argv) {
                    "write the span timeline as Chrome trace-event JSON "
                    "(loadable in chrome://tracing / ui.perfetto.dev)");
   parser.AddString("ledger-out", &ledger_out,
-                   "write the privacy-spend ledger as JSONL to this file");
+                   "append each privacy-ledger event to this JSONL file as "
+                   "it happens (opened before any work; never truncated, "
+                   "so a --resume continues its interrupted run's file)");
   parser.AddInt("serve-obs", &serve_obs,
                 "serve live observability HTTP on 127.0.0.1:PORT "
                 "(0 = ephemeral port, -1 = off)");
@@ -210,7 +223,9 @@ Status RunTrain(int argc, char** argv) {
   if (!trace_out.empty() || !trace_chrome_out.empty()) {
     obs::SetTracingEnabled(true);
   }
-  if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
+  if (!ledger_out.empty()) {
+    BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().OpenFile(ledger_out));
+  }
   // Hardware counters ride along with whichever pillar is on: spans gain
   // counter deltas, the metrics dump gains the perf_* gauges.
   if (metrics || !trace_out.empty() || !trace_chrome_out.empty()) {
@@ -347,10 +362,7 @@ Status RunTrain(int argc, char** argv) {
     }
   }
   if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
-        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666));
-    std::printf("wrote %zu ledger events -> %s\n",
-                obs::PrivacyLedger::Default().size(), ledger_out.c_str());
+    BOLTON_RETURN_IF_ERROR(CloseLedgerFile(ledger_out));
   }
   if (obs_server != nullptr && serve_obs_linger > 0) {
     // Keep the scrape surface up past training so an external collector
@@ -560,8 +572,9 @@ Status RunServe(int argc, char** argv) {
   parser.AddDouble("max-scale", &max_scale,
                    "largest synthetic-dataset scale a request may ask for");
   parser.AddString("ledger-out", &ledger_out,
-                   "write the tenant-keyed privacy ledger as JSONL here on "
-                   "shutdown");
+                   "append each tenant-keyed privacy-ledger event to this "
+                   "JSONL file as it happens (opened before listening; "
+                   "never truncated)");
   parser.AddString("log-jsonl", &log_jsonl,
                    "also write every log event as structured JSONL to this "
                    "file");
@@ -576,6 +589,9 @@ Status RunServe(int argc, char** argv) {
   // A daemon without its audit trail is not worth running: every pillar on.
   obs::SetAllEnabled(true);
   obs::InstallFailpointObsBridge();
+  if (!ledger_out.empty()) {
+    BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().OpenFile(ledger_out));
+  }
 
   serve::ServeOptions options;
   options.port = static_cast<int>(port);
@@ -610,10 +626,7 @@ Status RunServe(int argc, char** argv) {
   std::fflush(stdout);
   daemon->Shutdown();
   if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
-        ledger_out, obs::PrivacyLedger::Default().ToJsonl(), 0666));
-    std::printf("wrote %zu ledger events -> %s\n",
-                obs::PrivacyLedger::Default().size(), ledger_out.c_str());
+    BOLTON_RETURN_IF_ERROR(CloseLedgerFile(ledger_out));
   }
   std::printf("serve drained, exiting\n");
   return Status::OK();

@@ -224,9 +224,10 @@ cmp "$WORKDIR/model_simd_scalar.txt" "$WORKDIR/model_simd_avx2.txt" \
 
 echo "== fault-injection pass (failpoints + checkpoint/resume, sanitized) =="
 # An armed failpoint must abort the run with a clean injected error while
-# leaving a resumable checkpoint behind. --ledger-out enables the ledger so
-# the interrupted run's calibration survives into the checkpoint snapshot
-# (the file itself is never written on the failing run).
+# leaving a resumable checkpoint behind. Both runs append to one
+# --ledger-out as their events happen: the failing run leaves its
+# calibration, checkpoint and fault lines there, and the resume adds its
+# own after them.
 CKPT="$WORKDIR/ckpt"
 mkdir -p "$CKPT"
 if BOLTON_FAILPOINTS="psgd.pass:error@3" "$CLI" train \
@@ -240,9 +241,10 @@ if BOLTON_FAILPOINTS="psgd.pass:error@3" "$CLI" train \
 fi
 grep -q "failpoint 'psgd.pass'" "$WORKDIR/fault.log"
 [ -f "$CKPT/bolton.ckpt" ] || { echo "no checkpoint left behind"; exit 1; }
-# Resume must finish the run and carry the whole fault-tolerance trail:
-# the restored calibration, checkpoint + resume markers, and exactly one
-# noise draw for the entire (interrupted + resumed) release.
+# Resume must finish the run, and the combined file must carry the whole
+# fault-tolerance trail: the one calibration, checkpoint + resume markers,
+# and exactly one noise draw for the entire (interrupted + resumed)
+# release.
 "$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
     --epsilon 2 --lambda 0.01 --passes 5 --batch 10 \
     --model "$WORKDIR/fault_model.txt" \
@@ -328,11 +330,15 @@ echo "== serve SIGKILL under load (journal replay, torn last record) =="
 # checks journal replay and the torn-tail drop, not fsync. The restarted
 # daemon must charge each tenant at least the ε of its trains that answered
 # 200 and at most the ε of all the trains it was sent, hold nothing, and
-# name the dropped record in its log.
+# name the dropped record in its log. The killed daemon's --ledger-out,
+# appended to as events happen, must hold a budget_commit for every train
+# that answered 200 and none beyond the trains sent, in lines that all
+# parse but for a torn last one.
 KILLDIR="$WORKDIR/serve_kill"
 mkdir -p "$KILLDIR"
 "$CLI" serve --port 0 --state-dir "$KILLDIR" --budget-epsilon 100 \
-    --budget-delta 1e-3 > "$WORKDIR/serve_kill.log" 2>&1 &
+    --budget-delta 1e-3 --ledger-out "$WORKDIR/serve_kill.ledger.jsonl" \
+    > "$WORKDIR/serve_kill.log" 2>&1 &
 serve_pid=$!
 i=0
 serve_port=""
@@ -384,18 +390,34 @@ grep -q "dropped a torn last record" "$WORKDIR/serve_kill2.log" \
          cat "$WORKDIR/serve_kill2.log"; exit 1; }
 if command -v python3 > /dev/null 2>&1; then
   python3 - "$WORKDIR" <<'PYEOF'
-import json, sys
+import collections, json, sys
 workdir = sys.argv[1]
 views = {v["tenant"]: v for v in json.load(open(workdir + "/serve_kill.budget.json"))}
+lines = open(workdir + "/serve_kill.ledger.jsonl").read().split("\n")
+commits = collections.Counter()
+for i, line in enumerate(lines):
+    try:
+        event = json.loads(line)
+    except ValueError:
+        # Only the last line may be torn (the empty string after the final
+        # newline is one).
+        assert i == len(lines) - 1, f"ledger line {i + 1} does not parse: {line!r}"
+        continue
+    if event["kind"] == "budget_commit":
+        commits[event["tenant"]] += 1
 for t in range(4):
     count = lambda kind: sum(1 for _ in open(f"{workdir}/kill_k{t}.{kind}"))
     sent, ok = count("sent"), count("ok")
     view = views.get(f"k{t}", {"spent_epsilon": 0.0, "reserved_epsilon": 0.0})
     spent = view["spent_epsilon"]
-    print(f"k{t}: {ok} of {sent} trains answered 200, spent eps {spent:.4g}")
+    ledgered = commits[f"k{t}"]
+    print(f"k{t}: {ok} of {sent} trains answered 200, spent eps {spent:.4g}, "
+          f"{ledgered} budget_commit lines")
     assert ok > 0, f"k{t}: no train answered before the kill"
     assert 0.01 * ok - 1e-9 <= spent <= 0.01 * sent + 1e-9, f"k{t}: spent {spent}"
     assert view["reserved_epsilon"] == 0.0, f"k{t}: {view['reserved_epsilon']} still reserved"
+    assert ok <= ledgered <= sent, f"k{t}: {ledgered} budget_commit lines"
+
 PYEOF
 else
   echo "note: python3 missing, skipping the per-tenant spend check"
