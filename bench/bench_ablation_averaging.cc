@@ -16,8 +16,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_ablation_averaging").CheckOK();
+  CommonFlags flags("bench_ablation_averaging");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   std::printf("== Ablation: model averaging (Lemma 10; convex eps-DP, "
@@ -48,7 +48,7 @@ int Run(int argc, char** argv) {
       std::printf("  %-8.3g %-14.4f %-14.4f\n", epsilon, accs[0], accs[1]);
     }
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

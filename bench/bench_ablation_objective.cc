@@ -19,8 +19,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_ablation_objective").CheckOK();
+  CommonFlags flags("bench_ablation_objective");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("protein", flags.scale, flags.seed);
@@ -68,7 +68,7 @@ int Run(int argc, char** argv) {
               "assumes the EXACT minimizer; this run approximates it with "
               "10 PSGD passes, so its epsilon is heuristic. Ours holds for "
               "whatever the black box returns.\n");
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

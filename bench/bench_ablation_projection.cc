@@ -17,8 +17,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_ablation_projection").CheckOK();
+  CommonFlags flags("bench_ablation_projection");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   MnistLikeSpec spec;
@@ -62,7 +62,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("\nTheorem 2: Laplace noise norm scales linearly with d — the "
               "private column should peak at an intermediate dimension.\n");
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

@@ -24,8 +24,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_ablation_sensitivity").CheckOK();
+  CommonFlags flags("bench_ablation_sensitivity");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("protein", flags.scale, flags.seed);
@@ -107,7 +107,7 @@ int Run(int argc, char** argv) {
                 accs[1],
                 BinaryAccuracy(reference.value().noiseless_model, test));
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

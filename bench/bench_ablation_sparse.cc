@@ -92,16 +92,13 @@ BENCHMARK(BM_SparsePsgd)->Arg(100)->Arg(1000)->Arg(10000)->MinTime(0.1)
 }  // namespace
 }  // namespace bolton
 
-// Expanded BENCHMARK_MAIN so BOLTON_PROFILE=HZ can sample the run (the
-// collapsed profile lands in BOLTON_PROFILE_OUT, default
-// bench_profile.collapsed).
+// Expanded BENCHMARK_MAIN: the arguments google-benchmark leaves are the
+// telemetry flags (--metrics, --trace-out, --profile-out, ...).
 int main(int argc, char** argv) {
-  bolton::bench::EnableTelemetryFromEnv();
-  bolton::bench::EnableProfilerFromEnv();
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  bolton::bench::FinishProfilerFromEnv();
-  return 0;
+  return bolton::bench::RunWithTelemetry(
+      argc, argv, "bench_ablation_sparse", [] {
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+      });
 }

@@ -27,8 +27,8 @@ struct ScheduleCase {
 };
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_ablation_stepsize").CheckOK();
+  CommonFlags flags("bench_ablation_stepsize");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("protein", flags.scale, flags.seed);
@@ -93,7 +93,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

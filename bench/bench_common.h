@@ -21,20 +21,15 @@
 #include "ml/trainer.h"
 #include "obs/build_info.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
-#include "obs/http_server.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
-#include "obs/postmortem.h"
+#include "obs/perf_counters.h"
 #include "obs/profiler.h"
+#include "obs/session.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
 #include "util/flags.h"
 #include "util/json.h"
-#include "util/logging.h"
 #include "util/strings.h"
-#include "util/thread_name.h"
 
 namespace bolton {
 namespace bench {
@@ -182,157 +177,6 @@ inline double TimedSeconds(const char* name, Fn&& fn) {
   return static_cast<double>(obs::MonotonicNanos() - start_ns) * 1e-9;
 }
 
-/// Dumps whatever telemetry is enabled: metrics text to stderr (stdout
-/// carries the figure rows), trace JSONL to `trace_out` when non-empty.
-/// Then closes the ledger file, whose lines were appended as each event
-/// happened, and reports a line that failed to write.
-inline void DumpTelemetry(bool metrics, const std::string& trace_out) {
-  if (metrics) {
-    obs::UpdateProcessMemoryGauges();
-    obs::UpdatePerfGauges();
-    std::fprintf(stderr, "%s",
-                 obs::MetricsRegistry::Default().Snapshot().ToText().c_str());
-  }
-  if (!trace_out.empty()) {
-    const obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
-    Status status = AtomicWriteFile(
-        trace_out, obs::RenderSpansJsonl(recorder.RecentSpans()), 0666);
-    if (!status.ok()) {
-      std::fprintf(stderr, "trace export failed: %s\n",
-                   status.ToString().c_str());
-    }
-    const uint64_t overwritten = recorder.SpanRingStats().overwritten();
-    if (overwritten > 0) {
-      std::fprintf(stderr,
-                   "the span ring keeps the newest %zu spans; %llu older "
-                   "ones were overwritten\n",
-                   obs::FlightRecorder::kSpanSlots,
-                   static_cast<unsigned long long>(overwritten));
-    }
-  }
-  Status ledger = obs::PrivacyLedger::Default().CloseFile();
-  if (!ledger.ok()) {
-    std::fprintf(stderr, "ledger export failed: %s\n",
-                 ledger.ToString().c_str());
-  }
-}
-
-/// google-benchmark binaries (and any bench run where editing flags is
-/// awkward) pick up the structured-logging surfaces from the environment:
-/// BOLTON_LOG_JSONL=FILE mirrors every log event to FILE as JSONL, and
-/// BOLTON_POSTMORTEM_DIR=DIR arms the crash handler so a dying bench leaves
-/// a bolton-postmortem-v1 report behind. Both are no-ops when unset.
-inline void EnableCrashReportingFromEnv() {
-  const char* jsonl = std::getenv("BOLTON_LOG_JSONL");
-  if (jsonl != nullptr && jsonl[0] != '\0') {
-    Status status = OpenLogJsonlFile(jsonl);
-    if (!status.ok()) {
-      std::fprintf(stderr, "BOLTON_LOG_JSONL ignored: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-  const char* dir = std::getenv("BOLTON_POSTMORTEM_DIR");
-  if (dir != nullptr && dir[0] != '\0') {
-    obs::PostmortemOptions options;
-    options.dir = dir;
-    Status status = obs::InstallCrashHandler(options);
-    if (!status.ok()) {
-      std::fprintf(stderr, "BOLTON_POSTMORTEM_DIR ignored: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-}
-
-/// google-benchmark binaries have no FlagParser pass; BOLTON_TELEMETRY=1 in
-/// the environment turns on every pillar instead. Returns whether it did,
-/// so main can open its ledger file and DumpTelemetry at shutdown.
-/// BOLTON_OBS_PORT=N additionally serves the live observability endpoint
-/// on 127.0.0.1:N (N=0 for an ephemeral port, printed to stderr) for the
-/// whole run.
-inline bool EnableTelemetryFromEnv() {
-  bool enabled = false;
-  EnableCrashReportingFromEnv();
-  const char* env = std::getenv("BOLTON_TELEMETRY");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-    obs::SetAllEnabled(true);
-    enabled = true;
-  }
-  const char* obs_port = std::getenv("BOLTON_OBS_PORT");
-  if (obs_port != nullptr && obs_port[0] != '\0') {
-    auto port = ParseInt(obs_port);
-    if (port.ok() && port.value() >= 0) {
-      obs::SetAllEnabled(true);
-      enabled = true;
-      Status status =
-          obs::StartDefaultObsServer(static_cast<int>(port.value()));
-      if (status.ok()) {
-        std::fprintf(stderr, "obs server listening on 127.0.0.1:%d\n",
-                     obs::DefaultObsServer()->port());
-      } else {
-        std::fprintf(stderr, "obs server failed: %s\n",
-                     status.ToString().c_str());
-      }
-    }
-  }
-  return enabled;
-}
-
-/// BOLTON_PROFILE=HZ starts the in-process sampling profiler for the whole
-/// bench run (1 means "on at the default 97 Hz"; any other value in
-/// [2, 1000] is the frequency). Returns whether it started, so main can
-/// FinishProfilerFromEnv at shutdown. While the profiler runs, every
-/// AddBenchResult row carries a compact profile summary of its window —
-/// that is how boltondp-bench-v1 baselines pick up per-configuration
-/// profiles for tools/benchdiff.py.
-inline bool EnableProfilerFromEnv() {
-  const char* env = std::getenv("BOLTON_PROFILE");
-  if (env == nullptr || env[0] == '\0') return false;
-  auto hz = ParseInt(env);
-  if (!hz.ok() || hz.value() <= 0) return false;
-  obs::ProfilerOptions options;
-  if (hz.value() > 1) options.hz = static_cast<int>(hz.value());
-  Status status = obs::Profiler::Default().Start(options);
-  if (!status.ok()) {
-    std::fprintf(stderr, "BOLTON_PROFILE ignored: %s\n",
-                 status.ToString().c_str());
-    return false;
-  }
-  std::fprintf(stderr, "profiler sampling at %dHz (BOLTON_PROFILE)\n",
-               options.hz);
-  return true;
-}
-
-/// Stops a running profiler and writes the whole-run collapsed-stack
-/// profile to `out_override`, or — when empty — to BOLTON_PROFILE_OUT
-/// (default "bench_profile.collapsed" in the working directory).
-inline void FinishProfiler(const std::string& out_override = "") {
-  obs::Profiler& profiler = obs::Profiler::Default();
-  if (!profiler.running()) return;
-  profiler.Stop().CheckOK();
-  const obs::ProfileDump dump = profiler.Dump();
-  std::string out = out_override;
-  if (out.empty()) {
-    const char* out_env = std::getenv("BOLTON_PROFILE_OUT");
-    out = (out_env != nullptr && out_env[0] != '\0')
-              ? out_env
-              : "bench_profile.collapsed";
-  }
-  Status status = AtomicWriteFile(out, obs::RenderCollapsed(dump), 0666);
-  if (!status.ok()) {
-    std::fprintf(stderr, "profile export failed: %s\n",
-                 status.ToString().c_str());
-    return;
-  }
-  std::fprintf(stderr,
-               "wrote profile (%llu samples @ %dHz, %.0f%% symbolized, "
-               "%llu dropped) -> %s\n",
-               static_cast<unsigned long long>(dump.samples), dump.hz,
-               dump.leaf_symbolized_fraction * 100.0,
-               static_cast<unsigned long long>(dump.dropped), out.c_str());
-}
-
-inline void FinishProfilerFromEnv() { FinishProfiler(); }
-
 /// -------- Machine-readable bench results (the perf-trajectory pipeline)
 ///
 /// Benches accumulate one row per measured configuration; `--json-out=FILE`
@@ -416,116 +260,99 @@ inline std::string BenchResultsToJson() {
   return w.EndArray().EndObject().str() + "\n";
 }
 
-/// Standard flags shared by the accuracy benches.
-struct CommonFlags {
+/// Parses argv into `parser`'s flags and starts `session` on `flags`. --help
+/// prints the flags and exits 0; a refused flag or argument, or a failed
+/// start, prints "<program>: <status>" to stderr and returns false.
+inline bool ParseAndStart(const char* program, int argc, char** argv,
+                          FlagParser* parser, const obs::TelemetryFlags& flags,
+                          obs::TelemetrySession* session) {
+  Status status = parser->Parse(argc, argv);
+  if (status.ok() && parser->help_requested()) {
+    parser->PrintHelp(program);
+    std::exit(0);
+  }
+  if (status.ok() && !parser->positional().empty()) {
+    status = Status::InvalidArgument("unexpected argument '" +
+                                     parser->positional().front() + "'");
+  }
+  if (status.ok()) status = session->Start(flags);
+  return ExitStatus(program, status) == 0;
+}
+
+/// Standard flags shared by the accuracy benches, and the bench's telemetry
+/// session, which reports on stderr: stdout carries the figure rows.
+class CommonFlags {
+ public:
   double scale = 1.0;    // multiplies the per-dataset default scale
   int64_t repeats = 3;   // accuracy is averaged over this many seeds
   int64_t seed = 7;
   std::string datasets = "mnist,protein,covertype";
-  bool metrics = false;
-  std::string trace_out;
-  std::string ledger_out;
-  std::string json_out;
-  int64_t serve_obs = -1;
-  std::string profile_out;
-  int64_t profile_hz = 0;
-  std::string log_jsonl;
-  std::string postmortem_dir;
 
-  Status Parse(int argc, char** argv, const char* program) {
+  explicit CommonFlags(const char* program)
+      : program_(program), session_(program, stderr) {}
+
+  /// Parses the flags and starts the telemetry session; false (after
+  /// printing why) when the bench must exit 1.
+  bool Parse(int argc, char** argv) {
     FlagParser parser;
     parser.AddDouble("scale", &scale,
                      "multiplier on the default dataset scale");
     parser.AddInt("repeats", &repeats, "seeds to average accuracy over");
     parser.AddInt("seed", &seed, "base RNG seed");
     parser.AddString("datasets", &datasets, "comma-separated dataset list");
-    parser.AddBool("metrics", &metrics,
-                   "print a metrics dump to stderr on exit");
-    parser.AddString("trace-out", &trace_out,
-                     "write trace spans as JSONL to this file on exit");
-    parser.AddString("ledger-out", &ledger_out,
-                     "append each privacy-ledger event to this JSONL file "
-                     "as it happens (never truncated)");
-    parser.AddString("json-out", &json_out,
+    parser.AddString("json-out", &json_out_,
                      "write machine-readable result rows as JSON on exit "
-                     "(tools/benchdiff.py consumes these)");
-    parser.AddInt("serve-obs", &serve_obs,
-                  "serve live observability HTTP on 127.0.0.1:PORT for the "
-                  "run (0 = ephemeral, -1 = off)");
-    parser.AddString("profile-out", &profile_out,
-                     "sample the whole run and write a collapsed-stack "
-                     "profile here; rows in --json-out gain per-row "
-                     "profile summaries");
-    parser.AddInt("profile-hz", &profile_hz,
-                  "per-thread sampling frequency for --profile-out "
-                  "(0 = the 97Hz default)");
-    parser.AddString("log-jsonl", &log_jsonl,
-                     "mirror every log event to this file as JSONL");
-    parser.AddString("postmortem-dir", &postmortem_dir,
-                     "arm the crash handler; a crash leaves a "
-                     "bolton-postmortem-v1 report in this directory");
-    BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
-    if (parser.help_requested()) {
-      parser.PrintHelp(program);
-      std::exit(0);
-    }
-    EnableCrashReportingFromEnv();
-    if (!log_jsonl.empty()) BOLTON_RETURN_IF_ERROR(OpenLogJsonlFile(log_jsonl));
-    if (!postmortem_dir.empty()) {
-      obs::PostmortemOptions postmortem;
-      postmortem.dir = postmortem_dir;
-      BOLTON_RETURN_IF_ERROR(obs::InstallCrashHandler(postmortem));
-    }
+                     "(tools/benchdiff.py consumes these; with "
+                     "--profile-out each row carries its own profile)");
+    telemetry_.AddFlags(&parser);
     // Benches always run with the counter pillar on: rows in --json-out
     // carry per-row counter deltas (an explicit {"available":false,...}
     // object when the PMU is unreachable), and the per-scope reads are two
     // fd reads per span — noise at bench granularity.
-    SetCurrentThreadName("main");
     obs::SetPerfCountersEnabled(true);
-    if (metrics) obs::SetMetricsEnabled(true);
-    if (!trace_out.empty()) obs::SetTracingEnabled(true);
-    if (!ledger_out.empty()) {
-      BOLTON_RETURN_IF_ERROR(
-          obs::PrivacyLedger::Default().OpenFile(ledger_out));
-    }
-    if (serve_obs >= 0) {
-      obs::SetAllEnabled(true);
-      BOLTON_RETURN_IF_ERROR(
-          obs::StartDefaultObsServer(static_cast<int>(serve_obs)));
-      std::fprintf(stderr, "obs server listening on 127.0.0.1:%d\n",
-                   obs::DefaultObsServer()->port());
-    }
-    if (!profile_out.empty() || profile_hz > 0) {
-      obs::ProfilerOptions options;
-      if (profile_hz > 0) options.hz = static_cast<int>(profile_hz);
-      BOLTON_RETURN_IF_ERROR(obs::Profiler::Default().Start(options));
-    } else {
-      EnableProfilerFromEnv();
-    }
-    return Status::OK();
+    return ParseAndStart(program_, argc, argv, &parser, telemetry_, &session_);
   }
 
   std::vector<std::string> DatasetList() const {
     return StrSplit(datasets, ',');
   }
 
-  /// Every bench exports on exit without per-binary dump code.
-  ~CommonFlags() {
-    FinishProfiler(profile_out);  // no-op when the profiler never started
-    DumpTelemetry(metrics, trace_out);
-    if (!json_out.empty()) {
-      Status status = AtomicWriteFile(json_out, BenchResultsToJson(), 0666);
-      if (!status.ok()) {
-        std::fprintf(stderr, "bench json export failed: %s\n",
-                     status.ToString().c_str());
-      } else {
-        std::fprintf(stderr, "wrote %zu bench result rows -> %s\n",
-                     BenchResults().size(), json_out.c_str());
-      }
+  /// Writes the session's exports and --json-out. Returns the bench's exit
+  /// code: 1 once any of them failed, each failure printed as
+  /// "<program>: <status>".
+  int Finish() {
+    const int exported = ExitStatus(program_, session_.Finish());
+    if (json_out_.empty()) return exported;
+    const Status written =
+        AtomicWriteFile(json_out_, BenchResultsToJson(), 0666);
+    if (written.ok()) {
+      std::fprintf(stderr, "wrote %zu bench result rows -> %s\n",
+                   BenchResults().size(), json_out_.c_str());
     }
-    obs::StopDefaultObsServer();
+    return ExitStatus(program_, written) | exported;
   }
+
+ private:
+  const char* program_;
+  std::string json_out_;
+  obs::TelemetryFlags telemetry_;
+  obs::TelemetrySession session_;
 };
+
+/// main() of a google-benchmark binary once benchmark::Initialize has taken
+/// its --benchmark_* flags: the arguments left are the telemetry flags, and
+/// `run_benchmarks` runs inside their session.
+template <typename Fn>
+int RunWithTelemetry(int argc, char** argv, const char* program,
+                     Fn run_benchmarks) {
+  FlagParser parser;
+  obs::TelemetryFlags flags;
+  flags.AddFlags(&parser);
+  obs::TelemetrySession session(program, stderr);
+  if (!ParseAndStart(program, argc, argv, &parser, flags, &session)) return 1;
+  run_benchmarks();
+  return ExitStatus(program, session.Finish());
+}
 
 /// Mean test accuracy over `repeats` seeds.
 inline Result<double> MeanAccuracy(const BenchData& data,

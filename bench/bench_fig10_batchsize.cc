@@ -13,8 +13,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig10_batchsize").CheckOK();
+  CommonFlags flags("bench_fig10_batchsize");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("mnist", flags.scale, flags.seed);
@@ -42,7 +42,7 @@ int Run(int argc, char** argv) {
       PrintAccuracyRow(epsilon, accuracies, /*has_bst14=*/true);
     }
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

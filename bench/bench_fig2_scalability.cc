@@ -98,8 +98,8 @@ void RunPanel(const char* title, StorageMode mode,
 }
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig2_scalability").CheckOK();
+  CommonFlags flags("bench_fig2_scalability");
+  if (!flags.Parse(argc, argv)) return 1;
 
   std::printf("== Figure 2: Scalability (per-epoch runtime, seconds; "
               "b=1, d=50, strongly convex (eps,delta)-DP) ==\n\n");
@@ -113,7 +113,7 @@ int Run(int argc, char** argv) {
            StorageMode::kDisk, sizes, flags.seed + 1);
   std::printf("\nShape check: runtimes grow linearly in m; SCS13/BST14 carry "
               "per-update sampling overhead that Ours avoids entirely.\n");
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig3_accuracy_public").CheckOK();
+  CommonFlags flags("bench_fig3_accuracy_public");
+  if (!flags.Parse(argc, argv)) return 1;
 
   std::printf("== Figure 3: Accuracy vs epsilon (tuning with public data) "
               "==\n");
@@ -74,7 +74,7 @@ int Run(int argc, char** argv) {
                   max_ratio);
     }
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

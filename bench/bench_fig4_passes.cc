@@ -40,8 +40,8 @@ void PrintSweep(const char* title, const BenchData& data,
 }
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig4_passes").CheckOK();
+  CommonFlags flags("bench_fig4_passes");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("mnist", flags.scale, flags.seed);
@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

@@ -141,29 +141,14 @@ void RegisterAll() {
 }  // namespace bench
 }  // namespace bolton
 
+// Telemetry stays off unless a flag asks for it: inside the timed loops each
+// instrumented call site is then one branch.
 int main(int argc, char** argv) {
-  // BOLTON_TELEMETRY=1 enables the obs pillars for a profiling run; left
-  // off, instrumentation inside the timed loops is a branch per call site.
-  const bool telemetry = bolton::bench::EnableTelemetryFromEnv();
-  if (telemetry) {
-    const bolton::Status opened =
-        bolton::obs::PrivacyLedger::Default().OpenFile(
-            "bench_fig5.ledger.jsonl");
-    if (!opened.ok()) {
-      std::fprintf(stderr, "ledger file not opened: %s\n",
-                   opened.ToString().c_str());
-    }
-  }
-  // BOLTON_PROFILE=HZ samples the whole run; the collapsed profile lands in
-  // BOLTON_PROFILE_OUT (default bench_profile.collapsed).
-  bolton::bench::EnableProfilerFromEnv();
   bolton::bench::RegisterAll();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  bolton::bench::FinishProfilerFromEnv();
-  if (telemetry) {
-    bolton::bench::DumpTelemetry(true, "bench_fig5.trace.jsonl");
-  }
-  return 0;
+  return bolton::bench::RunWithTelemetry(
+      argc, argv, "bench_fig5_runtime", [] {
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+      });
 }

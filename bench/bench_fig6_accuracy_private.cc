@@ -13,11 +13,11 @@
 #include "bench/private_tuning_harness.h"
 
 int main(int argc, char** argv) {
-  bolton::bench::CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig6_accuracy_private").CheckOK();
+  bolton::bench::CommonFlags flags("bench_fig6_accuracy_private");
+  if (!flags.Parse(argc, argv)) return 1;
   std::printf("== Figure 6: Accuracy vs epsilon (private tuning, "
               "Algorithm 3, logistic regression) ==\n");
   bolton::bench::RunPrivateTunedFigure(flags, bolton::ModelKind::kLogistic,
                                        "fig6_accuracy_private");
-  return 0;
+  return flags.Finish();
 }

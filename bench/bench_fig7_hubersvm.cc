@@ -9,11 +9,11 @@
 #include "bench/private_tuning_harness.h"
 
 int main(int argc, char** argv) {
-  bolton::bench::CommonFlags flags;
-  flags.Parse(argc, argv, "bench_fig7_hubersvm").CheckOK();
+  bolton::bench::CommonFlags flags("bench_fig7_hubersvm");
+  if (!flags.Parse(argc, argv)) return 1;
   std::printf("== Figure 7: Accuracy vs epsilon (private tuning, "
               "Algorithm 3, Huber SVM h=0.1) ==\n");
   bolton::bench::RunPrivateTunedFigure(flags, bolton::ModelKind::kHuberSvm,
                                        "fig7_hubersvm");
-  return 0;
+  return flags.Finish();
 }

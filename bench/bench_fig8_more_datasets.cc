@@ -16,9 +16,9 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
+  CommonFlags flags("bench_fig8_more_datasets");
   flags.datasets = "higgs,kddcup";
-  flags.Parse(argc, argv, "bench_fig8_more_datasets").CheckOK();
+  if (!flags.Parse(argc, argv)) return 1;
 
   std::printf("== Figure 8: Additional datasets, tuning with public data "
               "==\n");
@@ -46,7 +46,7 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

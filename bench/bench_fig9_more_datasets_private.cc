@@ -9,12 +9,12 @@
 #include "bench/private_tuning_harness.h"
 
 int main(int argc, char** argv) {
-  bolton::bench::CommonFlags flags;
+  bolton::bench::CommonFlags flags("bench_fig9_more_datasets_private");
   flags.datasets = "higgs,kddcup";
-  flags.Parse(argc, argv, "bench_fig9_more_datasets_private").CheckOK();
+  if (!flags.Parse(argc, argv)) return 1;
   std::printf("== Figure 9: Additional datasets, private tuning "
               "(Algorithm 3) ==\n");
   bolton::bench::RunPrivateTunedFigure(flags, bolton::ModelKind::kLogistic,
                                        "fig9_more_datasets_private");
-  return 0;
+  return flags.Finish();
 }

@@ -75,8 +75,8 @@ void AddRow(const char* name_fmt, size_t shards_or_zero, size_t m,
 }
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_parallel_scaling").CheckOK();
+  CommonFlags flags("bench_parallel_scaling");
+  if (!flags.Parse(argc, argv)) return 1;
 
   std::printf("== Parallel scaling: sharded bolt-on PSGD (total wall "
               "seconds; b=1, d=50, k=2, strongly convex (eps,delta)-DP) "
@@ -131,7 +131,7 @@ int Run(int argc, char** argv) {
               "drops ~s x at s shards; on a single core the pool keeps "
               "shard rows tracking the serial row (same arithmetic, "
               "serialized, no per-run thread spawn).\n");
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

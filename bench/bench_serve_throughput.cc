@@ -57,12 +57,8 @@ double Percentile(std::vector<double> sorted, double p) {
 }  // namespace
 
 int Main(int argc, char** argv) {
-  CommonFlags flags;
-  Status parsed = flags.Parse(argc, argv, "bench_serve_throughput");
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-    return 1;
-  }
+  CommonFlags flags("bench_serve_throughput");
+  if (!flags.Parse(argc, argv)) return 1;
 
   // Enough requests per tenant that p99 means something and every row
   // lasts over benchdiff's 50 ms floor, scaled by --scale.
@@ -179,7 +175,7 @@ int Main(int argc, char** argv) {
     daemon.value()->Shutdown();
     std::filesystem::remove_all(state_dir.value());
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace bench

@@ -75,8 +75,8 @@ ExcessRisks MeasureExcess(const Dataset& data, const LossFunction& loss,
 }
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_table2_convergence").CheckOK();
+  CommonFlags flags("bench_table2_convergence");
+  if (!flags.Parse(argc, argv)) return 1;
   const int repeats = static_cast<int>(flags.repeats);
 
   std::printf("== Table 2: Excess empirical risk vs m, (eps,delta)-DP, "
@@ -124,7 +124,7 @@ int Run(int argc, char** argv) {
     std::printf("  %-8zu %-14.5f %-14.5f %-8.2f\n", m, excess.ours,
                 excess.bst14, excess.bst14 / std::max(1e-9, excess.ours));
   }
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

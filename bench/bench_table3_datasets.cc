@@ -19,8 +19,8 @@ struct PaperRow {
 };
 
 int Run(int argc, char** argv) {
-  CommonFlags flags;
-  flags.Parse(argc, argv, "bench_table3_datasets").CheckOK();
+  CommonFlags flags("bench_table3_datasets");
+  if (!flags.Parse(argc, argv)) return 1;
 
   std::printf("== Table 3: Datasets ==\n\n");
   std::printf("Paper reference (scale = 1):\n");
@@ -50,7 +50,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("\nAll feature vectors normalized to the unit L2 ball, as the "
               "paper's analysis assumes.\n");
-  return 0;
+  return flags.Finish();
 }
 
 }  // namespace

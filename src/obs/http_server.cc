@@ -618,35 +618,5 @@ Result<HttpReply> HttpCall(int port, const std::string& method,
   return reply;
 }
 
-namespace {
-std::mutex g_default_server_mu;
-std::unique_ptr<ObsServer>& DefaultServerSlot() {
-  static std::unique_ptr<ObsServer>* slot =
-      new std::unique_ptr<ObsServer>();
-  return *slot;
-}
-}  // namespace
-
-Status StartDefaultObsServer(int port) {
-  std::lock_guard<std::mutex> lock(g_default_server_mu);
-  std::unique_ptr<ObsServer>& slot = DefaultServerSlot();
-  if (slot != nullptr) {
-    return Status::FailedPrecondition(StrFormat(
-        "obs server already running on port %d", slot->port()));
-  }
-  BOLTON_ASSIGN_OR_RETURN(slot, ObsServer::Start({.port = port}));
-  return Status::OK();
-}
-
-ObsServer* DefaultObsServer() {
-  std::lock_guard<std::mutex> lock(g_default_server_mu);
-  return DefaultServerSlot().get();
-}
-
-void StopDefaultObsServer() {
-  std::lock_guard<std::mutex> lock(g_default_server_mu);
-  DefaultServerSlot().reset();
-}
-
 }  // namespace obs
 }  // namespace bolton

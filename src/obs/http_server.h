@@ -183,13 +183,6 @@ Result<HttpReply> HttpCall(int port, const std::string& method,
                            const std::string& target,
                            const std::string& body = "", int timeout_ms = -1);
 
-/// Process-wide server instance for flag/env wiring (`--serve-obs`,
-/// BOLTON_OBS_PORT): benches and tools that have no natural owner for the
-/// server share this one.
-Status StartDefaultObsServer(int port);
-ObsServer* DefaultObsServer();
-void StopDefaultObsServer();
-
 }  // namespace obs
 }  // namespace bolton
 

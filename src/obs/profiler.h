@@ -69,8 +69,8 @@ struct ProfileDump {
 
 class Profiler {
  public:
-  /// The process-wide profiler every surface (CLI flags, /profile endpoint,
-  /// BOLTON_PROFILE env) shares; concurrent users are serialized by the
+  /// The process-wide profiler every surface (the --profile-out flag, the
+  /// /profile endpoint) shares; concurrent users are serialized by the
   /// running state (second Start fails until Stop).
   static Profiler& Default();
 

@@ -80,9 +80,8 @@ void RemoveLogSink(LogSink* sink);
 /// writes every emitted event as one JSON object per line:
 ///   {"mono_ns":N,"level":"I","tid":1,"thread":"main","file":"x.cc",
 ///    "line":7,"span":0,"msg":"..."}
-/// Wired to `boltondp train --log-jsonl=FILE` and the BOLTON_LOG_JSONL
-/// environment variable (benches). Calling it again switches to the new
-/// file.
+/// Wired to the --log-jsonl=FILE flag of `boltondp train`, `serve` and the
+/// benches. Calling it again switches to the new file.
 Status OpenLogJsonlFile(const std::string& path);
 
 /// One event as the JSON object above, without a trailing newline. The

@@ -48,4 +48,10 @@ void Status::CheckOK() const {
   std::abort();
 }
 
+int ExitStatus(const char* program, const Status& status) {
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "%s: %s\n", program, status.ToString().c_str());
+  return 1;
+}
+
 }  // namespace bolton

@@ -127,6 +127,11 @@ class Status {
   std::unique_ptr<State> state_;
 };
 
+/// A command's exit code for `status`: 0 when OK; otherwise prints
+/// "<program>: <status>" to stderr and returns 1, an ordinary failure
+/// rather than CheckOK's abort.
+int ExitStatus(const char* program, const Status& status);
+
 /// Evaluates `expr` (a Status expression) and returns it from the enclosing
 /// function if it is an error.
 #define BOLTON_RETURN_IF_ERROR(expr)                  \

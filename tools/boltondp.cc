@@ -21,11 +21,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/checkpoint.h"
 #include "data/loaders.h"
@@ -37,22 +35,16 @@
 #include "ml/model_io.h"
 #include "ml/trainer.h"
 #include "obs/build_info.h"
-#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/http_server.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/postmortem.h"
-#include "obs/profiler.h"
+#include "obs/session.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "serve/daemon.h"
 #include "util/atomic_file.h"
 #include "util/flags.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_name.h"
 
 namespace bolton {
 namespace {
@@ -113,26 +105,6 @@ Result<Dataset> LoadTrainingData(const CommonDataFlags& flags) {
   return data;
 }
 
-/// Reports a command's outcome: a refused input or a failed step prints
-/// "<verb>: <status>" to stderr and exits 1, an ordinary failure rather
-/// than an abort.
-int ExitStatus(const char* verb, const Status& status) {
-  if (status.ok()) return 0;
-  std::fprintf(stderr, "%s: %s\n", verb, status.ToString().c_str());
-  return 1;
-}
-
-/// Closes the --ledger-out file, whose lines were appended as each event
-/// happened; a line that failed to write fails the command here.
-Status CloseLedgerFile(const std::string& path) {
-  BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().CloseFile());
-  std::printf("appended %llu ledger events -> %s\n",
-              static_cast<unsigned long long>(
-                  obs::PrivacyLedger::Default().Totals().events),
-              path.c_str());
-  return Status::OK();
-}
-
 Status RunTrain(int argc, char** argv) {
   CommonDataFlags data_flags;
   std::string algo = "ours";
@@ -140,15 +112,11 @@ Status RunTrain(int argc, char** argv) {
   std::string model_path = "model.txt";
   double epsilon = 1.0, delta = 0.0, lambda = 0.0, huber_h = 0.1;
   int64_t passes = 10, batch = 50, shards = 1, threads = 0;
-  bool metrics = false;
-  std::string trace_out, trace_chrome_out, ledger_out;
-  int64_t serve_obs = -1, serve_obs_linger = 0;
+  obs::TelemetryFlags telemetry;
+  int64_t serve_obs_linger = 0;
   std::string checkpoint_dir;
   int64_t checkpoint_every = 1;
   bool resume = false;
-  std::string profile_out;
-  int64_t profile_hz = 97;
-  std::string log_jsonl, postmortem_dir;
 
   FlagParser parser;
   AddDataFlags(&parser, &data_flags);
@@ -169,19 +137,10 @@ Status RunTrain(int argc, char** argv) {
                 "process thread pool (0 = auto: one per shard, up to the "
                 "pool's capacity); never changes the released model, only "
                 "speed");
-  parser.AddBool("metrics", &metrics, "print a metrics dump after training");
-  parser.AddString("trace-out", &trace_out,
-                   "write trace spans as JSONL to this file");
-  parser.AddString("trace-chrome-out", &trace_chrome_out,
+  telemetry.AddFlags(&parser);
+  parser.AddString("trace-chrome-out", &telemetry.trace_chrome_out,
                    "write the span timeline as Chrome trace-event JSON "
                    "(loadable in chrome://tracing / ui.perfetto.dev)");
-  parser.AddString("ledger-out", &ledger_out,
-                   "append each privacy-ledger event to this JSONL file as "
-                   "it happens (opened before any work; never truncated, "
-                   "so a --resume continues its interrupted run's file)");
-  parser.AddInt("serve-obs", &serve_obs,
-                "serve live observability HTTP on 127.0.0.1:PORT "
-                "(0 = ephemeral port, -1 = off)");
   parser.AddInt("serve-obs-linger", &serve_obs_linger,
                 "after training, keep the obs server up this many ms "
                 "(or until GET /quitquitquit)");
@@ -193,60 +152,14 @@ Status RunTrain(int argc, char** argv) {
   parser.AddBool("resume", &resume,
                  "continue from the checkpoint in --checkpoint-dir instead "
                  "of starting fresh");
-  parser.AddString("profile-out", &profile_out,
-                   "sample the whole training run and write a collapsed-"
-                   "stack profile (flamegraph.pl input) to this file");
-  parser.AddInt("profile-hz", &profile_hz,
-                "per-thread sampling frequency for --profile-out");
-  parser.AddString("log-jsonl", &log_jsonl,
-                   "also write every log event as structured JSONL to this "
-                   "file");
-  parser.AddString("postmortem-dir", &postmortem_dir,
-                   "arm the crash handler: on a fatal signal or failed "
-                   "check, write a bolton-postmortem-v1 report into this "
-                   "directory (finish a signal crash with `boltondp "
-                   "postmortem finalize --dir DIR`)");
   BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     parser.PrintHelp("boltondp train");
     return Status::OK();
   }
 
-  SetCurrentThreadName("main");
-  if (!log_jsonl.empty()) BOLTON_RETURN_IF_ERROR(OpenLogJsonlFile(log_jsonl));
-  if (!postmortem_dir.empty()) {
-    obs::PostmortemOptions postmortem;
-    postmortem.dir = postmortem_dir;
-    BOLTON_RETURN_IF_ERROR(obs::InstallCrashHandler(postmortem));
-  }
-  if (metrics) obs::SetMetricsEnabled(true);
-  if (!trace_out.empty() || !trace_chrome_out.empty()) {
-    obs::SetTracingEnabled(true);
-  }
-  if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().OpenFile(ledger_out));
-  }
-  // Hardware counters ride along with whichever pillar is on: spans gain
-  // counter deltas, the metrics dump gains the perf_* gauges.
-  if (metrics || !trace_out.empty() || !trace_chrome_out.empty()) {
-    obs::SetPerfCountersEnabled(true);
-  }
-  // Injected faults (BOLTON_FAILPOINTS) show up in the metrics snapshot and
-  // the privacy ledger; free when no failpoint is armed.
-  obs::InstallFailpointObsBridge();
-
-  std::unique_ptr<obs::ObsServer> obs_server;
-  if (serve_obs >= 0) {
-    // A live endpoint with nothing recording would scrape all zeros, so
-    // --serve-obs implies every pillar.
-    obs::SetAllEnabled(true);
-    BOLTON_ASSIGN_OR_RETURN(
-        obs_server,
-        obs::ObsServer::Start({.port = static_cast<int>(serve_obs)}));
-    std::printf("obs server listening on 127.0.0.1:%d\n",
-                obs_server->port());
-    std::fflush(stdout);
-  }
+  obs::TelemetrySession session("train", stdout);
+  BOLTON_RETURN_IF_ERROR(session.Start(telemetry));
 
   BOLTON_ASSIGN_OR_RETURN(const Dataset data, LoadTrainingData(data_flags));
   std::printf("loaded %s\n", data.Summary("train").c_str());
@@ -262,17 +175,6 @@ Status RunTrain(int argc, char** argv) {
   config.shards = static_cast<size_t>(shards);
   config.executor.max_threads = static_cast<size_t>(threads);
   config.privacy = PrivacyParams{epsilon, delta};
-
-  // The profiler brackets the training call itself: sampling starts after
-  // data loading so the flamegraph answers "where does TRAINING time go",
-  // not "how slow is the loader". Worker threads self-register via
-  // ProfiledThreadScope inside the sharded executor.
-  const bool profiling = !profile_out.empty();
-  if (profiling) {
-    obs::ProfilerOptions profile_options;
-    profile_options.hz = static_cast<int>(profile_hz);
-    BOLTON_RETURN_IF_ERROR(obs::Profiler::Default().Start(profile_options));
-  }
 
   Rng rng(data_flags.seed + 2);
   Stopwatch watch;
@@ -317,54 +219,8 @@ Status RunTrain(int argc, char** argv) {
                 ComputeBinaryStats(model, data).ToString().c_str());
   }
 
-  if (profiling) {
-    obs::Profiler::Default().Stop();
-    const obs::ProfileDump dump = obs::Profiler::Default().Dump();
-    BOLTON_RETURN_IF_ERROR(
-        AtomicWriteFile(profile_out, obs::RenderCollapsed(dump), 0666));
-    std::printf(
-        "wrote profile (%llu samples @ %dHz, %.0f%% symbolized, "
-        "%llu dropped) -> %s\n",
-        static_cast<unsigned long long>(dump.samples), dump.hz,
-        dump.leaf_symbolized_fraction * 100.0,
-        static_cast<unsigned long long>(dump.dropped), profile_out.c_str());
-  }
-
-  if (metrics) {
-    obs::UpdateProcessMemoryGauges();
-    obs::UpdatePerfGauges();
-    std::printf("%s", obs::MetricsRegistry::Default().Snapshot()
-                          .ToText()
-                          .c_str());
-  }
-  if (!trace_out.empty() || !trace_chrome_out.empty()) {
-    const obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
-    const std::vector<obs::SpanRecord> spans = recorder.RecentSpans();
-    if (!trace_out.empty()) {
-      BOLTON_RETURN_IF_ERROR(
-          AtomicWriteFile(trace_out, obs::RenderSpansJsonl(spans), 0666));
-      std::printf("wrote %zu trace spans -> %s\n", spans.size(),
-                  trace_out.c_str());
-    }
-    if (!trace_chrome_out.empty()) {
-      BOLTON_RETURN_IF_ERROR(AtomicWriteFile(
-          trace_chrome_out, obs::RenderChromeTrace(spans), 0666));
-      std::printf("wrote %zu spans as Chrome trace -> %s\n", spans.size(),
-                  trace_chrome_out.c_str());
-    }
-    const uint64_t overwritten = recorder.SpanRingStats().overwritten();
-    if (overwritten > 0) {
-      std::fprintf(stderr,
-                   "train: the span ring keeps the newest %zu spans; %llu "
-                   "older ones were overwritten\n",
-                   obs::FlightRecorder::kSpanSlots,
-                   static_cast<unsigned long long>(overwritten));
-    }
-  }
-  if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(CloseLedgerFile(ledger_out));
-  }
-  if (obs_server != nullptr && serve_obs_linger > 0) {
+  BOLTON_RETURN_IF_ERROR(session.Finish());
+  if (session.server() != nullptr && serve_obs_linger > 0) {
     // Keep the scrape surface up past training so an external collector
     // (or the smoke test) can read the final state; /quitquitquit ends the
     // linger early.
@@ -372,7 +228,7 @@ Status RunTrain(int argc, char** argv) {
                 "stop)\n",
                 static_cast<long long>(serve_obs_linger));
     std::fflush(stdout);
-    obs_server->WaitForQuit(serve_obs_linger);
+    session.server()->WaitForQuit(serve_obs_linger);
   }
   return Status::OK();
 }
@@ -542,7 +398,7 @@ Status RunServe(int argc, char** argv) {
   int64_t max_inflight = 8, max_inflight_per_tenant = 2;
   int64_t default_timeout_ms = 0, drain_timeout_ms = 5000;
   int64_t training_threads = 0;
-  std::string ledger_out, log_jsonl;
+  obs::TelemetryFlags telemetry;
 
   FlagParser parser;
   parser.AddInt("port", &port, "listen on 127.0.0.1:PORT (0 = ephemeral)");
@@ -571,11 +427,11 @@ Status RunServe(int argc, char** argv) {
                 "worker-pool thread cap per training request (0 = auto)");
   parser.AddDouble("max-scale", &max_scale,
                    "largest synthetic-dataset scale a request may ask for");
-  parser.AddString("ledger-out", &ledger_out,
+  parser.AddString("ledger-out", &telemetry.ledger_out,
                    "append each tenant-keyed privacy-ledger event to this "
                    "JSONL file as it happens (opened before listening; "
                    "never truncated)");
-  parser.AddString("log-jsonl", &log_jsonl,
+  parser.AddString("log-jsonl", &telemetry.log_jsonl,
                    "also write every log event as structured JSONL to this "
                    "file");
   BOLTON_RETURN_IF_ERROR(parser.Parse(argc, argv));
@@ -584,14 +440,10 @@ Status RunServe(int argc, char** argv) {
     return Status::OK();
   }
 
-  SetCurrentThreadName("main");
-  if (!log_jsonl.empty()) BOLTON_RETURN_IF_ERROR(OpenLogJsonlFile(log_jsonl));
+  obs::TelemetrySession session("serve", stdout);
+  BOLTON_RETURN_IF_ERROR(session.Start(telemetry));
   // A daemon without its audit trail is not worth running: every pillar on.
   obs::SetAllEnabled(true);
-  obs::InstallFailpointObsBridge();
-  if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(obs::PrivacyLedger::Default().OpenFile(ledger_out));
-  }
 
   serve::ServeOptions options;
   options.port = static_cast<int>(port);
@@ -625,9 +477,7 @@ Status RunServe(int argc, char** argv) {
   std::printf("serve draining...\n");
   std::fflush(stdout);
   daemon->Shutdown();
-  if (!ledger_out.empty()) {
-    BOLTON_RETURN_IF_ERROR(CloseLedgerFile(ledger_out));
-  }
+  BOLTON_RETURN_IF_ERROR(session.Finish());
   std::printf("serve drained, exiting\n");
   return Status::OK();
 }

@@ -536,6 +536,10 @@ echo "== bench regression gate (serve throughput vs BENCH_PR21.json) =="
 # numbers are the noisiest in the suite) variance.
 if command -v python3 > /dev/null 2>&1 && [ -f "$ROOT/BENCH_PR21.json" ]; then
   cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bench_serve_throughput
+  # The bench's daemons fdatasync their budget journals. On a fresh checkout
+  # those syncs would queue behind the writeback of the trees this sweep
+  # just built, so flush it first: the gate then measures the code.
+  sync
   "$PRIMARY_BUILD/bench/bench_serve_throughput" \
       --json-out "$WORKDIR/serve_throughput.json" > /dev/null 2>&1
   python3 "$ROOT/tools/benchdiff.py" diff \
