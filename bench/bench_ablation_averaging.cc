@@ -25,7 +25,7 @@ int Run(int argc, char** argv) {
   for (const std::string& dataset : {std::string("protein"),
                                      std::string("covertype")}) {
     auto data = LoadBenchData(dataset, flags.scale, flags.seed);
-    data.status().CheckOK();
+    if (!data.ok()) return flags.Fail(data.status());
     std::printf("\n-- %s (m=%zu) --\n", dataset.c_str(),
                 data.value().train.size());
     std::printf("  %-8s %-14s %-14s\n", "epsilon", "last-iterate",

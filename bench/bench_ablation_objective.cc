@@ -24,7 +24,7 @@ int Run(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("protein", flags.scale, flags.seed);
-  data.status().CheckOK();
+  if (!data.ok()) return flags.Fail(data.status());
   const Dataset& train = data.value().train;
   const Dataset& test = data.value().test;
   const double lambda = 0.01;

@@ -25,7 +25,7 @@ int Run(int argc, char** argv) {
   spec.scale = 0.25 * flags.scale;
   spec.seed = flags.seed;
   auto split = GenerateMnistLike(spec);
-  split.status().CheckOK();
+  if (!split.ok()) return flags.Fail(split.status());
 
   std::printf("== Ablation: projection dimension (mnist-like 784 -> d, "
               "one-vs-all, strongly convex eps-DP, lambda=1e-3) ==\n\n");

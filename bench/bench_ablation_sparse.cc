@@ -100,5 +100,6 @@ int main(int argc, char** argv) {
       argc, argv, "bench_ablation_sparse", [] {
         benchmark::RunSpecifiedBenchmarks();
         benchmark::Shutdown();
+        return bolton::Status::OK();
       });
 }

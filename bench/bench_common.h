@@ -313,6 +313,11 @@ class CommonFlags {
     return ParseAndStart(program_, argc, argv, &parser, telemetry_, &session_);
   }
 
+  /// For a body that stops early on `status`: prints "<program>: <status>"
+  /// and returns the bench's exit code, 1. The session still writes its
+  /// exports when these flags go out of scope.
+  int Fail(const Status& status) { return ExitStatus(program_, status); }
+
   std::vector<std::string> DatasetList() const {
     return StrSplit(datasets, ',');
   }
@@ -341,7 +346,8 @@ class CommonFlags {
 
 /// main() of a google-benchmark binary once benchmark::Initialize has taken
 /// its --benchmark_* flags: the arguments left are the telemetry flags, and
-/// `run_benchmarks` runs inside their session.
+/// `run_benchmarks` runs inside their session. A failure it returns is the
+/// exit status; the session's exports are written either way.
 template <typename Fn>
 int RunWithTelemetry(int argc, char** argv, const char* program,
                      Fn run_benchmarks) {
@@ -350,7 +356,8 @@ int RunWithTelemetry(int argc, char** argv, const char* program,
   flags.AddFlags(&parser);
   obs::TelemetrySession session(program, stderr);
   if (!ParseAndStart(program, argc, argv, &parser, flags, &session)) return 1;
-  run_benchmarks();
+  const Status ran = run_benchmarks();
+  if (!ran.ok()) return ExitStatus(program, ran);
   return ExitStatus(program, session.Finish());
 }
 

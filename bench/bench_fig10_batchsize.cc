@@ -18,7 +18,7 @@ int Run(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("mnist", flags.scale, flags.seed);
-  data.status().CheckOK();
+  if (!data.ok()) return flags.Fail(data.status());
   const size_t m = data.value().train.size();
   std::printf("== Figure 10: Mini-batch size vs accuracy (mnist-like, "
               "m=%zu, strongly convex (eps,delta)-DP) ==\n",

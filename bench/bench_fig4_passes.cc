@@ -45,7 +45,7 @@ int Run(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.repeats);
 
   auto data = LoadBenchData("mnist", flags.scale, flags.seed);
-  data.status().CheckOK();
+  if (!data.ok()) return flags.Fail(data.status());
   std::printf("== Figure 4: Effect of passes and mini-batch size "
               "(mnist-like, m=%zu) ==\n\n",
               data.value().train.size());

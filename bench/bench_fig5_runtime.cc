@@ -39,23 +39,37 @@ class Bst14StyleNoise final : public GradientNoiseSource {
   }
 };
 
+/// The first data load that failed; main returns it as the exit status.
+Status& LoadFailure() {
+  static Status* failure = new Status();
+  return *failure;
+}
+
 // One cached table per dataset (building them inside the benchmark loop
-// would swamp the timings).
-const BenchData& CachedData(const std::string& name) {
+// would swamp the timings). Null when the load failed.
+const BenchData* CachedData(const std::string& name) {
   static std::map<std::string, BenchData>* cache =
       new std::map<std::string, BenchData>();
   auto it = cache->find(name);
   if (it == cache->end()) {
     auto data = LoadBenchData(name, 1.0, 7);
-    data.status().CheckOK();
+    if (!data.ok()) {
+      if (LoadFailure().ok()) LoadFailure() = data.status();
+      return nullptr;
+    }
     it = cache->emplace(name, std::move(data).value()).first;
   }
-  return it->second;
+  return &it->second;
 }
 
 void RunEngine(benchmark::State& state, const std::string& dataset,
                int algo, size_t epochs, size_t batch) {
-  const BenchData& data = CachedData(dataset);
+  const BenchData* loaded = CachedData(dataset);
+  if (loaded == nullptr) {
+    state.SkipWithError(LoadFailure().ToString().c_str());
+    return;
+  }
+  const BenchData& data = *loaded;
   auto table = MakeTable(data.train, StorageMode::kMemory).MoveValue();
   auto loss = MakeLogisticLoss(1e-4, 1e4).MoveValue();
   auto schedule =
@@ -150,5 +164,6 @@ int main(int argc, char** argv) {
       argc, argv, "bench_fig5_runtime", [] {
         benchmark::RunSpecifiedBenchmarks();
         benchmark::Shutdown();
+        return bolton::bench::LoadFailure();
       });
 }

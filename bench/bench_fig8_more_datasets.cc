@@ -24,7 +24,7 @@ int Run(int argc, char** argv) {
               "==\n");
   for (const std::string& dataset : flags.DatasetList()) {
     auto data = LoadBenchData(dataset, flags.scale, flags.seed);
-    data.status().CheckOK();
+    if (!data.ok()) return flags.Fail(data.status());
     const size_t m = data.value().train.size();
     std::printf("\n-- %s (m=%zu, d=%zu) --\n", dataset.c_str(), m,
                 data.value().train.dim());

@@ -43,7 +43,7 @@ int Run(int argc, char** argv) {
   for (const char* name :
        {"mnist", "protein", "covertype", "higgs", "kddcup"}) {
     auto data = LoadBenchData(name, flags.scale, flags.seed);
-    data.status().CheckOK();
+    if (!data.ok()) return flags.Fail(data.status());
     std::printf("  train: %s\n",
                 data.value().train.Summary(name).c_str());
     std::printf("  test:  %s\n", data.value().test.Summary(name).c_str());

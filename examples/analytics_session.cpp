@@ -5,17 +5,18 @@
 // example runs a session end to end:
 //
 //   1. load the training set into an engine table,
-//   2. open a PrivacyAccountant with the session's total (ε, δ) budget,
+//   2. open an in-memory budget store (the one `boltondp serve` charges)
+//      with the session's total (ε, δ) budget,
 //   3. answer a private COUNT, a private column mean, and train a private
-//      model, charging each release to the accountant,
-//   4. show the accountant refusing a query that would overspend.
+//      model, charging each release to the session's account,
+//   4. show the store refusing a query that would overspend.
 #include <cstdio>
 
-#include "core/accountant.h"
 #include "data/synthetic.h"
 #include "engine/bolt_on_driver.h"
 #include "engine/private_aggregates.h"
 #include "ml/metrics.h"
+#include "serve/budget.h"
 #include "util/flags.h"
 
 using namespace bolton;
@@ -39,13 +40,23 @@ int main(int argc, char** argv) {
   std::printf("table forest   : %zu rows, d=%zu\n", table->num_rows(),
               table->dim());
 
-  // 2. One budget for the whole session.
-  PrivacyAccountant accountant(PrivacyParams{total_epsilon, 0.0});
+  // 2. One budget for the whole session: the account "session" in an
+  // in-memory store (no state_dir), charged before each release.
+  serve::TenantBudgetOptions budget_options;
+  budget_options.default_budget = PrivacyParams{total_epsilon, 0.0};
+  auto opened = serve::TenantBudgetManager::Open(budget_options);
+  opened.status().CheckOK();
+  serve::TenantBudgetManager& budget = *opened.value();
+  auto charge = [&](const PrivacyParams& cost, const std::string& label) {
+    BOLTON_ASSIGN_OR_RETURN(uint64_t hold,
+                            budget.Reserve("session", cost, label));
+    return budget.Commit(hold);
+  };
   Rng rng(62);
 
   // 3a. Private COUNT (cheap: spend 5% of the budget).
   PrivacyParams count_budget{0.05 * total_epsilon, 0.0};
-  accountant.Charge(count_budget, "count(forest)").CheckOK();
+  charge(count_budget, "count(forest)").CheckOK();
   auto count = PrivateCount(*table, count_budget, &rng);
   count.status().CheckOK();
   std::printf("private COUNT  : %.1f (true %zu)\n", count.value().noisy,
@@ -53,7 +64,7 @@ int main(int argc, char** argv) {
 
   // 3b. Private mean of the first feature column (15%).
   PrivacyParams mean_budget{0.15 * total_epsilon, 0.0};
-  accountant.Charge(mean_budget, "avg(x0)").CheckOK();
+  charge(mean_budget, "avg(x0)").CheckOK();
   auto mean = PrivateFeatureMean(*table, /*column=*/0, mean_budget, &rng);
   mean.status().CheckOK();
   std::printf("private AVG(x0): %.4f\n", mean.value().noisy);
@@ -61,7 +72,7 @@ int main(int argc, char** argv) {
   // 3c. Private model (the remaining 80%), trained through the engine's
   // black-box bolt-on driver.
   PrivacyParams model_budget{0.8 * total_epsilon, 0.0};
-  accountant.Charge(model_budget, "train(logistic)").CheckOK();
+  charge(model_budget, "train(logistic)").CheckOK();
   const double lambda = 1e-3;
   auto loss = MakeLogisticLoss(lambda, 1.0 / lambda);
   loss.status().CheckOK();
@@ -78,9 +89,12 @@ int main(int argc, char** argv) {
               model.value().driver.epochs_run);
 
   // 4. The budget is now exhausted; further queries are refused.
-  Status refused =
-      accountant.Charge(PrivacyParams{0.01, 0.0}, "one-more-query");
-  std::printf("\n%s", accountant.LedgerToString().c_str());
+  Status refused = charge(PrivacyParams{0.01, 0.0}, "one-more-query");
+  const serve::TenantAccountView account = budget.Account("session");
+  std::printf("\nspent %s of %s in %llu charges\n",
+              account.spent.ToString().c_str(),
+              account.budget.ToString().c_str(),
+              static_cast<unsigned long long>(account.commits));
   std::printf("extra query    : %s\n", refused.ToString().c_str());
   return 0;
 }

@@ -14,7 +14,8 @@ namespace bolton {
 /// mean-style summaries are the others (§4.6's multi-query setting). These
 /// helpers answer them under the same (ε, δ) machinery — Laplace for pure
 /// ε-DP, Gaussian for (ε, δ)-DP — so a session can charge every release to
-/// one PrivacyAccountant. Results are DP under the paper's neighboring
+/// one budget account (serve::TenantBudgetManager, which `/v1/aggregate`
+/// charges). Results are DP under the paper's neighboring
 /// relation (replace one row), which keeps the table size m public: COUNT
 /// is offered for completeness of the query surface, not because m needs
 /// protecting under this relation.

@@ -46,8 +46,6 @@ const char* PerfTierName(PerfTier tier) {
   switch (tier) {
     case PerfTier::kHardwareGroup:
       return "hardware-group";
-    case PerfTier::kTaskClockOnly:
-      return "task-clock";
     case PerfTier::kClockFallback:
       return "clock-fallback";
   }

@@ -20,7 +20,7 @@ struct BuildInfo {
   /// or "scalar".
   std::string simd;
   /// Perf-counter capability tier of this host (obs/perf_counters.h):
-  /// "hardware-group", "task-clock", or "clock-fallback".
+  /// "hardware-group" or "clock-fallback".
   std::string perf_tier;
 };
 

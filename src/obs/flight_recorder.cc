@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -54,16 +55,18 @@ size_t FormatHex(uint64_t v, char* out) {
 
 namespace {
 
+/// Copies `text` into `out`, truncated to N - 1 bytes and NUL-terminated.
+template <size_t N>
+void CopyText(char (&out)[N], const char* text) {
+  size_t i = 0;
+  for (; i + 1 < N && text[i] != '\0'; ++i) out[i] = text[i];
+  out[i] = '\0';
+}
+
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 /// The PerfCounterDelta fields a span slot stores, in slot order.
@@ -86,30 +89,18 @@ FlightRecorder& FlightRecorder::Default() {
 }
 
 void FlightRecorder::Write(const LogEvent& event) {
-  const uint64_t seq = logs_appended_.fetch_add(1, std::memory_order_relaxed);
-  LogSlot& slot = log_slots_[seq % kLogSlots];
-  uint64_t gen = slot.gen.load(std::memory_order_relaxed);
-  if ((gen & 1) != 0 ||
-      !slot.gen.compare_exchange_strong(gen, gen + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    // Another writer owns this slot right now; drop rather than block.
-    logs_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.mono_ns.store(event.mono_ns, std::memory_order_relaxed);
-  slot.level.store(static_cast<uint64_t>(event.level),
-                   std::memory_order_relaxed);
-  slot.thread_id.store(event.thread_id, std::memory_order_relaxed);
-  slot.span_id.store(event.span_id, std::memory_order_relaxed);
-  slot.line.store(event.line, std::memory_order_relaxed);
-  slot.thread_name.Store(event.thread_name);
-  slot.file.Store(event.file);
+  LogEntry entry{};
+  entry.mono_ns = event.mono_ns;
+  entry.level = static_cast<uint64_t>(event.level);
+  entry.thread_id = event.thread_id;
+  entry.span_id = event.span_id;
+  entry.line = event.line;
+  CopyText(entry.thread_name, event.thread_name);
+  CopyText(entry.file, event.file);
   // The event's message pointer is only valid for this call; the ring's
   // copy (truncated to the slot width) is what survives.
-  slot.message.Store(event.message);
-  slot.gen.store(gen + 2, std::memory_order_release);
+  CopyText(entry.message, event.message);
+  logs_.Append(entry);
 
   // Piggyback the periodic metrics snapshot on the log path: no poller
   // thread, and a process that logs at all keeps its snapshot fresh to
@@ -127,35 +118,21 @@ void FlightRecorder::Write(const LogEvent& event) {
 }
 
 void FlightRecorder::RecordSpan(const SpanRecord& record) {
-  const uint64_t seq =
-      spans_appended_.fetch_add(1, std::memory_order_relaxed);
-  SpanSlot& slot = span_slots_[seq % kSpanSlots];
-  uint64_t gen = slot.gen.load(std::memory_order_relaxed);
-  if ((gen & 1) != 0 ||
-      !slot.gen.compare_exchange_strong(gen, gen + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  SpanEntry entry{};
+  entry.id = record.id;
+  entry.parent_id = record.parent_id;
+  entry.depth = static_cast<uint64_t>(record.depth);
+  entry.start_ns = record.start_ns;
+  entry.duration_ns = record.duration_ns;
+  entry.thread_id = record.thread_id;
+  entry.counter_flags =
+      (record.has_counters ? 1u : 0u) | (record.counters.available ? 2u : 0u);
+  for (size_t i = 0; i < std::size(kCounterFields); ++i) {
+    entry.counters[i] = record.counters.*kCounterFields[i];
   }
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.id.store(record.id, std::memory_order_relaxed);
-  slot.parent_id.store(record.parent_id, std::memory_order_relaxed);
-  slot.depth.store(static_cast<uint64_t>(record.depth),
-                   std::memory_order_relaxed);
-  slot.start_ns.store(record.start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(record.duration_ns, std::memory_order_relaxed);
-  slot.thread_id.store(record.thread_id, std::memory_order_relaxed);
-  slot.counter_flags.store(
-      (record.has_counters ? 1u : 0u) | (record.counters.available ? 2u : 0u),
-      std::memory_order_relaxed);
-  for (size_t i = 0; i < SpanSlot::kCounterWords; ++i) {
-    slot.counters[i].store(record.counters.*kCounterFields[i],
-                           std::memory_order_relaxed);
-  }
-  slot.name.Store(record.name.c_str());
-  slot.thread_name.Store(record.thread_name.c_str());
-  slot.gen.store(gen + 2, std::memory_order_release);
+  CopyText(entry.name, record.name.c_str());
+  CopyText(entry.thread_name, record.thread_name.c_str());
+  spans_.Append(entry);
 }
 
 void FlightRecorder::SnapshotMetricsNow() {
@@ -164,20 +141,17 @@ void FlightRecorder::SnapshotMetricsNow() {
       1u - active_metric_buffer_.load(std::memory_order_relaxed);
   MetricBuffer& buf = metric_buffers_[next];
   uint64_t n = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (n >= kMetricEntries) break;
-    buf.entries[n].name.Store(name.c_str());
-    buf.entries[n].kind.store('c', std::memory_order_relaxed);
-    buf.entries[n].value_bits.store(value, std::memory_order_relaxed);
-    ++n;
-  }
+  auto add = [&](const std::string& name, char kind, uint64_t bits) {
+    if (n >= kMetricEntries) return;
+    MetricEntry entry{};
+    CopyText(entry.name, name.c_str());
+    entry.kind = static_cast<uint64_t>(kind);
+    entry.value_bits = bits;
+    buf.entries[n++].Store(entry);
+  };
+  for (const auto& [name, value] : snapshot.counters) add(name, 'c', value);
   for (const auto& [name, value] : snapshot.gauges) {
-    if (n >= kMetricEntries) break;
-    buf.entries[n].name.Store(name.c_str());
-    buf.entries[n].kind.store('g', std::memory_order_relaxed);
-    buf.entries[n].value_bits.store(DoubleBits(value),
-                                    std::memory_order_relaxed);
-    ++n;
+    add(name, 'g', DoubleBits(value));
   }
   buf.count.store(n, std::memory_order_relaxed);
   active_metric_buffer_.store(next, std::memory_order_release);
@@ -185,207 +159,118 @@ void FlightRecorder::SnapshotMetricsNow() {
 
 std::vector<RecordedLogEvent> FlightRecorder::RecentLogs(
     size_t max, LogLevel min_level) const {
-  const uint64_t appended = logs_appended_.load(std::memory_order_acquire);
-  const uint64_t begin = appended > kLogSlots ? appended - kLogSlots : 0;
   std::vector<RecordedLogEvent> out;
-  for (uint64_t seq = begin; seq < appended; ++seq) {
-    const LogSlot& slot = log_slots_[seq % kLogSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;  // mid-write; skip, never wait
+  logs_.ForEach([&](uint64_t seq, const LogEntry& entry) {
+    const LogLevel level = static_cast<LogLevel>(entry.level);
+    if (level < min_level) return;
     RecordedLogEvent event;
-    event.seq = slot.seq.load(std::memory_order_relaxed);
-    event.mono_ns = slot.mono_ns.load(std::memory_order_relaxed);
-    event.level = static_cast<LogLevel>(
-        slot.level.load(std::memory_order_relaxed));
-    event.thread_id = slot.thread_id.load(std::memory_order_relaxed);
-    event.span_id = slot.span_id.load(std::memory_order_relaxed);
-    event.line =
-        static_cast<int>(slot.line.load(std::memory_order_relaxed));
-    char text[192];
-    slot.thread_name.LoadTo(text);
-    event.thread_name = text;
-    slot.file.LoadTo(text);
-    event.file = text;
-    slot.message.LoadTo(text);
-    event.message = text;
-    const uint64_t gen2 = slot.gen.load(std::memory_order_acquire);
-    if (gen1 != gen2 || event.seq != seq) continue;  // torn or lapped
-    if (event.level < min_level) continue;
+    event.seq = seq;
+    event.mono_ns = entry.mono_ns;
+    event.level = level;
+    event.thread_id = entry.thread_id;
+    event.span_id = entry.span_id;
+    event.line = static_cast<int>(entry.line);
+    event.thread_name = entry.thread_name;
+    event.file = entry.file;
+    event.message = entry.message;
     out.push_back(std::move(event));
-  }
+  });
   if (out.size() > max) out.erase(out.begin(), out.end() - max);
   return out;
 }
 
 std::vector<SpanRecord> FlightRecorder::RecentSpans(size_t max) const {
-  const uint64_t appended = spans_appended_.load(std::memory_order_acquire);
-  const uint64_t begin = appended > kSpanSlots ? appended - kSpanSlots : 0;
   std::vector<SpanRecord> out;
-  for (uint64_t seq = begin; seq < appended; ++seq) {
-    const SpanSlot& slot = span_slots_[seq % kSpanSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
+  spans_.ForEach([&](uint64_t, const SpanEntry& entry) {
     SpanRecord span;
-    const uint64_t slot_seq = slot.seq.load(std::memory_order_relaxed);
-    span.id = slot.id.load(std::memory_order_relaxed);
-    span.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-    span.depth =
-        static_cast<int>(slot.depth.load(std::memory_order_relaxed));
-    span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    span.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    span.thread_id = slot.thread_id.load(std::memory_order_relaxed);
-    const uint64_t flags = slot.counter_flags.load(std::memory_order_relaxed);
-    span.has_counters = (flags & 1) != 0;
-    span.counters.available = (flags & 2) != 0;
-    for (size_t i = 0; i < SpanSlot::kCounterWords; ++i) {
-      span.counters.*kCounterFields[i] =
-          slot.counters[i].load(std::memory_order_relaxed);
+    span.id = entry.id;
+    span.parent_id = entry.parent_id;
+    span.depth = static_cast<int>(entry.depth);
+    span.start_ns = entry.start_ns;
+    span.duration_ns = entry.duration_ns;
+    span.thread_id = entry.thread_id;
+    span.has_counters = (entry.counter_flags & 1) != 0;
+    span.counters.available = (entry.counter_flags & 2) != 0;
+    for (size_t i = 0; i < std::size(kCounterFields); ++i) {
+      span.counters.*kCounterFields[i] = entry.counters[i];
     }
-    char text[48];
-    slot.name.LoadTo(text);
-    span.name = text;
-    slot.thread_name.LoadTo(text);
-    span.thread_name = text;
-    const uint64_t gen2 = slot.gen.load(std::memory_order_acquire);
-    if (gen1 != gen2 || slot_seq != seq) continue;
+    span.name = entry.name;
+    span.thread_name = entry.thread_name;
     out.push_back(std::move(span));
-  }
+  });
   if (out.size() > max) out.erase(out.begin(), out.end() - max);
   return out;
 }
 
-std::vector<RecordedMetric> FlightRecorder::LatestMetrics() const {
-  const MetricBuffer& buf =
-      metric_buffers_[active_metric_buffer_.load(std::memory_order_acquire)];
-  const uint64_t n = buf.count.load(std::memory_order_relaxed);
-  std::vector<RecordedMetric> out;
-  out.reserve(n);
-  for (uint64_t i = 0; i < n && i < kMetricEntries; ++i) {
-    RecordedMetric metric;
-    char name[48];
-    buf.entries[i].name.LoadTo(name);
-    metric.name = name;
-    metric.kind = static_cast<char>(
-        buf.entries[i].kind.load(std::memory_order_relaxed));
-    const uint64_t bits =
-        buf.entries[i].value_bits.load(std::memory_order_relaxed);
-    metric.value = metric.kind == 'c' ? static_cast<double>(bits)
-                                      : BitsToDouble(bits);
-    out.push_back(std::move(metric));
-  }
-  return out;
-}
-
-RingStats FlightRecorder::LogRingStats() const {
-  return RingStats{kLogSlots,
-                   logs_appended_.load(std::memory_order_relaxed),
-                   logs_dropped_.load(std::memory_order_relaxed)};
-}
-
-RingStats FlightRecorder::SpanRingStats() const {
-  return RingStats{kSpanSlots,
-                   spans_appended_.load(std::memory_order_relaxed),
-                   spans_dropped_.load(std::memory_order_relaxed)};
-}
-
 void FlightRecorder::WriteRawTo(int fd) const {
   internal::LineBuilder line;
+  auto stats_line = [&](const char* tag, const RingStats& stats) {
+    line.Text("flstats ");
+    line.Text(tag);
+    line.Uint(stats.capacity);
+    line.Text(" ");
+    line.Uint(stats.appended);
+    line.Text(" ");
+    line.Uint(stats.dropped);
+    line.Flush(fd);
+  };
+  stats_line("logs ", logs_.Stats());
+  stats_line("spans ", spans_.Stats());
 
-  line.Text("flstats logs ");
-  line.Uint(kLogSlots);
-  line.Text(" ");
-  line.Uint(logs_appended_.load(std::memory_order_relaxed));
-  line.Text(" ");
-  line.Uint(logs_dropped_.load(std::memory_order_relaxed));
-  line.Flush(fd);
-
-  line.Text("flstats spans ");
-  line.Uint(kSpanSlots);
-  line.Text(" ");
-  line.Uint(spans_appended_.load(std::memory_order_relaxed));
-  line.Text(" ");
-  line.Uint(spans_dropped_.load(std::memory_order_relaxed));
-  line.Flush(fd);
-
-  const uint64_t logs_end = logs_appended_.load(std::memory_order_acquire);
-  const uint64_t logs_begin =
-      logs_end > kLogSlots ? logs_end - kLogSlots : 0;
-  for (uint64_t seq = logs_begin; seq < logs_end; ++seq) {
-    const LogSlot& slot = log_slots_[seq % kLogSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
-    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
-    char text[192];
+  logs_.ForEach([&](uint64_t seq, const LogEntry& entry) {
     line.Text("fllog ");
     line.Uint(seq);
     line.Text(" ");
-    line.Uint(slot.mono_ns.load(std::memory_order_relaxed));
+    line.Uint(entry.mono_ns);
     line.Text(" ");
-    line.Text(LogLevelTag(static_cast<LogLevel>(
-        slot.level.load(std::memory_order_relaxed))));
+    line.Text(LogLevelTag(static_cast<LogLevel>(entry.level)));
     line.Text(" ");
-    line.Uint(slot.thread_id.load(std::memory_order_relaxed));
+    line.Uint(entry.thread_id);
     line.Text(" ");
-    line.Uint(slot.span_id.load(std::memory_order_relaxed));
+    line.Uint(entry.span_id);
     line.Text(" ");
-    line.Uint(static_cast<uint64_t>(
-        slot.line.load(std::memory_order_relaxed)));
+    line.Uint(static_cast<uint64_t>(entry.line));
     line.Text(" ");
-    slot.thread_name.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.thread_name);
     line.Text(" ");
-    slot.file.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.file);
     line.Text(" |");
-    slot.message.LoadTo(text);
-    line.Message(text);
+    line.Message(entry.message);
     line.Flush(fd);
-  }
+  });
 
-  const uint64_t spans_end = spans_appended_.load(std::memory_order_acquire);
-  const uint64_t spans_begin =
-      spans_end > kSpanSlots ? spans_end - kSpanSlots : 0;
-  for (uint64_t seq = spans_begin; seq < spans_end; ++seq) {
-    const SpanSlot& slot = span_slots_[seq % kSpanSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
-    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
-    char text[48];
+  spans_.ForEach([&](uint64_t, const SpanEntry& entry) {
     line.Text("flspan");
-    for (const std::atomic<uint64_t>* field :
-         {&slot.id, &slot.parent_id, &slot.depth, &slot.start_ns,
-          &slot.duration_ns, &slot.thread_id, &slot.counter_flags}) {
+    for (const uint64_t field :
+         {entry.id, entry.parent_id, entry.depth, entry.start_ns,
+          entry.duration_ns, entry.thread_id, entry.counter_flags}) {
       line.Text(" ");
-      line.Uint(field->load(std::memory_order_relaxed));
+      line.Uint(field);
     }
-    for (const std::atomic<uint64_t>& counter : slot.counters) {
+    for (const uint64_t counter : entry.counters) {
       line.Text(" ");
-      line.Uint(counter.load(std::memory_order_relaxed));
+      line.Uint(counter);
     }
     line.Text(" ");
-    slot.thread_name.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.thread_name);
     line.Text(" ");
-    slot.name.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.name);
     line.Flush(fd);
-  }
+  });
 
   const MetricBuffer& buf =
       metric_buffers_[active_metric_buffer_.load(std::memory_order_acquire)];
   const uint64_t n = buf.count.load(std::memory_order_relaxed);
   for (uint64_t i = 0; i < n && i < kMetricEntries; ++i) {
-    const uint64_t kind = buf.entries[i].kind.load(std::memory_order_relaxed);
-    if (kind == 0) continue;
-    char name[48];
-    buf.entries[i].name.LoadTo(name);
+    const MetricEntry entry = buf.entries[i].Load();
+    if (entry.kind == 0) continue;
     line.Text("flmetric ");
-    const char kind_text[2] = {static_cast<char>(kind), '\0'};
+    const char kind_text[2] = {static_cast<char>(entry.kind), '\0'};
     line.Text(kind_text);
     line.Text(" ");
-    line.Hex(buf.entries[i].value_bits.load(std::memory_order_relaxed));
+    line.Hex(entry.value_bits);
     line.Text(" ");
-    line.Token(name);
+    line.Token(entry.name);
     line.Flush(fd);
   }
 }

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/trace.h"
@@ -21,55 +23,37 @@ namespace obs {
 /// handler (obs/postmortem.h) dumps the rings into the postmortem, the obs
 /// HTTP server serves them live at /logz and /spans, and --trace-out
 /// writes the span ring to a file.
-///
-/// Concurrency follows the drop-not-block idiom of util/sample_ring.h,
-/// adapted to a wrapping ring: writers claim a slot by sequence number and
-/// take a per-slot generation from even to odd with one CAS; a writer that
-/// loses the CAS drops its event (counted) instead of blocking. Every slot
-/// field — including the text, packed into arrays of atomic words — is a
-/// relaxed atomic, so readers never race with writers in the data-race
-/// sense: a torn slot is detected by the generation check and skipped.
-/// That same property makes the rings readable from a signal handler;
-/// WriteRawTo() below does exactly that.
 
-/// Fixed-capacity text field made of atomic words. Store() is for normal
-/// context; LoadTo() does only relaxed loads and plain char stores, so it
-/// is async-signal-safe. The text is truncated to kBytes - 1 characters.
-template <size_t kBytes>
-class AtomicText {
+/// A trivially copyable T held as relaxed atomic words, so a reader racing
+/// a writer never data-races: it may copy out a torn value, which the
+/// owner's protocol must detect. Load() does only relaxed loads and a
+/// memcpy into a stack value, so it is async-signal-safe.
+template <typename T>
+class AtomicImage {
  public:
-  static_assert(kBytes % 8 == 0, "kBytes must be a multiple of 8");
-  static constexpr size_t kCapacity = kBytes;
+  static_assert(std::is_trivially_copyable_v<T>);
 
-  void Store(const char* text) {
-    char packed[kBytes] = {0};
-    for (size_t i = 0; i + 1 < kBytes && text[i] != '\0'; ++i) {
-      packed[i] = text[i];
-    }
-    for (size_t w = 0; w < kBytes / 8; ++w) {
-      uint64_t word = 0;
-      for (size_t b = 0; b < 8; ++b) {
-        word |= static_cast<uint64_t>(
-                    static_cast<unsigned char>(packed[w * 8 + b]))
-                << (8 * b);
-      }
-      words_[w].store(word, std::memory_order_relaxed);
+  void Store(const T& value) {
+    uint64_t words[kWords] = {};
+    std::memcpy(words, &value, sizeof(T));
+    for (size_t i = 0; i < kWords; ++i) {
+      words_[i].store(words[i], std::memory_order_relaxed);
     }
   }
 
-  /// `out` must hold at least kBytes; always NUL-terminated on return.
-  void LoadTo(char* out) const {
-    for (size_t w = 0; w < kBytes / 8; ++w) {
-      const uint64_t word = words_[w].load(std::memory_order_relaxed);
-      for (size_t b = 0; b < 8; ++b) {
-        out[w * 8 + b] = static_cast<char>((word >> (8 * b)) & 0xff);
-      }
+  T Load() const {
+    uint64_t words[kWords];
+    for (size_t i = 0; i < kWords; ++i) {
+      words[i] = words_[i].load(std::memory_order_relaxed);
     }
-    out[kBytes - 1] = '\0';
+    T value;
+    std::memcpy(&value, words, sizeof(T));
+    return value;
   }
 
  private:
-  std::atomic<uint64_t> words_[kBytes / 8] = {};
+  static constexpr size_t kWords = (sizeof(T) + 7) / 8;
+  std::atomic<uint64_t> words_[kWords] = {};
 };
 
 /// A retained log event, copied out of the ring (strings owned).
@@ -105,6 +89,75 @@ struct RingStats {
   uint64_t overwritten() const {
     return appended > capacity ? appended - capacity : 0;
   }
+};
+
+/// The one lock-free ring of the flight recorder's stores: kSlots
+/// entries, overwriting the oldest once full.
+///
+/// Concurrency follows the drop-not-block idiom of util/sample_ring.h,
+/// adapted to a wrapping ring: a writer claims a slot by sequence number
+/// and takes the slot's generation from even to odd with one CAS; a writer
+/// that loses the CAS drops its entry (counted) instead of blocking. The
+/// entry itself is an AtomicImage, so readers never race with writers in
+/// the data-race sense: a torn or lapped slot is detected by the
+/// generation and sequence checks and skipped. That same property makes
+/// the ring readable from a signal handler; FlightRecorder::WriteRawTo()
+/// does exactly that.
+template <typename Entry, size_t kSlots>
+class AtomicRing {
+ public:
+  void Append(const Entry& entry) {
+    const uint64_t seq = appended_.fetch_add(1, std::memory_order_relaxed);
+    Slot& slot = slots_[seq % kSlots];
+    uint64_t gen = slot.gen.load(std::memory_order_relaxed);
+    if ((gen & 1) != 0 ||
+        !slot.gen.compare_exchange_strong(gen, gen + 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+      // Another writer owns this slot right now; drop rather than block.
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    slot.seq.store(seq, std::memory_order_relaxed);
+    slot.entry.Store(entry);
+    slot.gen.store(gen + 2, std::memory_order_release);
+  }
+
+  /// Calls `visit(seq, entry)` with a stack copy of each retained entry,
+  /// oldest first, skipping one that is mid-write or was overwritten
+  /// mid-read: never waits. Async-signal-safe when `visit` is.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    const uint64_t end = appended_.load(std::memory_order_acquire);
+    for (uint64_t seq = end > kSlots ? end - kSlots : 0; seq < end; ++seq) {
+      const Slot& slot = slots_[seq % kSlots];
+      const uint64_t gen = slot.gen.load(std::memory_order_acquire);
+      if ((gen & 1) != 0) continue;
+      const uint64_t slot_seq = slot.seq.load(std::memory_order_relaxed);
+      const Entry entry = slot.entry.Load();
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot.gen.load(std::memory_order_relaxed) != gen || slot_seq != seq) {
+        continue;  // torn or lapped
+      }
+      visit(seq, entry);
+    }
+  }
+
+  RingStats Stats() const {
+    return RingStats{kSlots, appended_.load(std::memory_order_relaxed),
+                     dropped_.load(std::memory_order_relaxed)};
+  }
+
+ private:
+  struct Slot {
+    std::atomic<uint64_t> gen{0};  // seqlock: odd = write in progress
+    std::atomic<uint64_t> seq{0};
+    AtomicImage<Entry> entry;
+  };
+
+  Slot slots_[kSlots];
+  std::atomic<uint64_t> appended_{0};
+  std::atomic<uint64_t> dropped_{0};
 };
 
 namespace internal {
@@ -195,8 +248,8 @@ class FlightRecorder : public LogSink {
 
   /// Snapshots the default metrics registry (counters and gauges; the
   /// first kMetricEntries of each) into the double-buffered slot now.
-  /// The postmortem writer calls this before rendering so the report
-  /// carries fresh values.
+  /// A failed check calls this before writing its raw postmortem record
+  /// so the report carries fresh values.
   void SnapshotMetricsNow();
 
   /// The most recent retained events at or above `min_level`, oldest
@@ -207,10 +260,9 @@ class FlightRecorder : public LogSink {
   /// The most recent retained spans in completion order, oldest first,
   /// at most `max`.
   std::vector<SpanRecord> RecentSpans(size_t max = kSpanSlots) const;
-  std::vector<RecordedMetric> LatestMetrics() const;
 
-  RingStats LogRingStats() const;
-  RingStats SpanRingStats() const;
+  RingStats LogRingStats() const { return logs_.Stats(); }
+  RingStats SpanRingStats() const { return spans_.Stats(); }
 
   /// Dumps the rings to `fd` as plain ASCII lines ("fllog ...",
   /// "flspan <id> <parent> <depth> <start> <dur> <tid> <counter flags>
@@ -227,55 +279,47 @@ class FlightRecorder : public LogSink {
  private:
   FlightRecorder() = default;
 
-  struct LogSlot {
-    std::atomic<uint64_t> gen{0};  // seqlock: odd = write in progress
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> mono_ns{0};
-    std::atomic<uint64_t> level{0};
-    std::atomic<uint64_t> thread_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<int64_t> line{0};
-    AtomicText<24> thread_name;
-    AtomicText<40> file;
-    AtomicText<192> message;
+  /// One LogEvent, its text truncated to the field widths.
+  struct LogEntry {
+    uint64_t mono_ns;
+    uint64_t level;
+    uint64_t thread_id;
+    uint64_t span_id;
+    int64_t line;
+    char thread_name[24];
+    char file[40];
+    char message[192];
   };
 
   /// Every SpanRecord field but `count`, which is always 1.
-  struct SpanSlot {
+  struct SpanEntry {
+    uint64_t id;
+    uint64_t parent_id;
+    uint64_t depth;
+    uint64_t start_ns;
+    uint64_t duration_ns;
+    uint64_t thread_id;
+    uint64_t counter_flags;  // 1 = has_counters, 2 = available
     /// The counter fields, in PerfCounterDelta order: cycles,
     /// instructions, cache_references, cache_misses, branch_misses,
     /// task_clock_ns.
-    static constexpr size_t kCounterWords = 6;
-    std::atomic<uint64_t> gen{0};
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> id{0};
-    std::atomic<uint64_t> parent_id{0};
-    std::atomic<uint64_t> depth{0};
-    std::atomic<uint64_t> start_ns{0};
-    std::atomic<uint64_t> duration_ns{0};
-    std::atomic<uint64_t> thread_id{0};
-    std::atomic<uint64_t> counter_flags{0};  // 1 = has_counters, 2 = available
-    std::atomic<uint64_t> counters[kCounterWords] = {};
-    AtomicText<48> name;
-    AtomicText<24> thread_name;
+    uint64_t counters[6];
+    char name[48];
+    char thread_name[24];
   };
 
   struct MetricEntry {
-    AtomicText<48> name;
-    std::atomic<uint64_t> kind{0};  // 'c' or 'g', 0 = empty
-    std::atomic<uint64_t> value_bits{0};
+    char name[48];
+    uint64_t kind;  // 'c' or 'g', 0 = empty
+    uint64_t value_bits;
   };
   struct MetricBuffer {
     std::atomic<uint64_t> count{0};
-    MetricEntry entries[kMetricEntries];
+    AtomicImage<MetricEntry> entries[kMetricEntries];
   };
 
-  LogSlot log_slots_[kLogSlots];
-  SpanSlot span_slots_[kSpanSlots];
-  std::atomic<uint64_t> logs_appended_{0};
-  std::atomic<uint64_t> logs_dropped_{0};
-  std::atomic<uint64_t> spans_appended_{0};
-  std::atomic<uint64_t> spans_dropped_{0};
+  AtomicRing<LogEntry, kLogSlots> logs_;
+  AtomicRing<SpanEntry, kSpanSlots> spans_;
 
   MetricBuffer metric_buffers_[2];
   std::atomic<uint32_t> active_metric_buffer_{0};

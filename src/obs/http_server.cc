@@ -432,7 +432,8 @@ void ObsServer::AcceptLoop() {
 }
 
 void ObsServer::ShedConnection(int fd) {
-  shed_count_.fetch_add(1, std::memory_order_relaxed);
+  // Counted on http.shed_total: connections refused because the pending
+  // queue was full.
   static Counter* shed_total =
       MetricsRegistry::Default().GetCounter("http.shed_total");
   shed_total->Increment();

@@ -127,11 +127,6 @@ class ObsServer {
   /// long enough to be scraped without hanging forever.
   bool WaitForQuit(int64_t timeout_ms);
 
-  /// Connections refused with 503 because the pending queue was full.
-  uint64_t shed_count() const {
-    return shed_count_.load(std::memory_order_relaxed);
-  }
-
   ObsServer(const ObsServer&) = delete;
   ObsServer& operator=(const ObsServer&) = delete;
 
@@ -161,7 +156,6 @@ class ObsServer {
   std::map<std::string, std::map<std::string, HttpHandler>> handlers_;
 
   std::atomic<uint64_t> request_count_{0};
-  std::atomic<uint64_t> shed_count_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> quit_{false};
   std::mutex quit_mu_;

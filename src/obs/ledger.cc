@@ -19,8 +19,7 @@ void LedgerTotals::Add(const LedgerEvent& e) {
   if (!e.accepted) ++rejected;
   if (e.kind == "noise_draw") {
     ++noise_draws;
-  } else if (e.kind == "accountant_charge" || e.kind == "budget_commit" ||
-             e.kind == "budget_recover") {
+  } else if (e.kind == "budget_commit" || e.kind == "budget_recover") {
     ++charges;
     if (e.accepted) {
       epsilon_charged += e.epsilon;

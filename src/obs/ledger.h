@@ -15,9 +15,9 @@ namespace obs {
 
 /// The privacy-spend ledger: a structured record of every privacy-relevant
 /// action the library takes — each DP noise draw (bolt-on output
-/// perturbation, SCS13/BST14 per-iteration noise), every accountant
-/// charge, and the per-run noise calibrations — with the parameters that
-/// were actually used. The complete record is the JSONL file opened with
+/// perturbation, SCS13/BST14 per-iteration noise), every budget
+/// transition, and the per-run noise calibrations — with the parameters
+/// that were actually used. The complete record is the JSONL file opened with
 /// OpenFile (`--ledger-out`), appended to as each event happens; memory
 /// keeps only the newest kLedgerSlots events plus running totals. See
 /// DESIGN.md "Observability" for the event schema.
@@ -33,8 +33,7 @@ struct LedgerEvent {
   uint64_t seq = 0;
   uint64_t time_ns = 0;
 
-  /// "noise_draw" | "accountant_charge" (a library PrivacyAccountant
-  /// charge) | "calibration" — the privacy events proper — plus the
+  /// "noise_draw" | "calibration" — the privacy events proper — plus the
   /// robustness audit trail: "fault" (an injected or real fault observed
   /// at a failpoint site), "checkpoint" (pass-boundary state persisted),
   /// "resume" (a run continued from a checkpoint) — plus the serve budget
@@ -47,7 +46,7 @@ struct LedgerEvent {
   /// "laplace" | "gaussian" | "gaussian_per_step" | "" (charges).
   std::string mechanism{};
   /// Call-site tag ("dp_noise.spherical_laplace", "bst14.per_step", …) or
-  /// the accountant charge label.
+  /// the budget hold's label.
   std::string label{};
   /// Owning tenant for multi-tenant serve traffic ("" for single-run CLI
   /// events). Budget events (budget_reserve/commit/refund/refusal/recover)
@@ -72,7 +71,7 @@ struct LedgerEvent {
   /// dump identifies which generator state produced each noise vector.
   uint64_t rng_fingerprint = 0;
 
-  /// False for an over-budget accountant charge and for a budget_refusal.
+  /// False only for a budget_refusal.
   bool accepted = true;
 };
 
@@ -85,7 +84,7 @@ struct LedgerTotals {
   uint64_t charges = 0;
   uint64_t rejected = 0;
   uint64_t calibrations = 0;
-  /// `charges` counts accountant charges, budget commits and recoveries;
+  /// `charges` counts budget commits and recoveries;
   /// the sums cover the accepted ones only — draws describe noise that was
   /// added, charges describe budget that was spent.
   double epsilon_charged = 0.0;

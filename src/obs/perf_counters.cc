@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 
@@ -61,7 +60,7 @@ int OpenPerfEvent(uint32_t type, uint64_t config, int group_fd,
   attr.exclude_kernel = 1;
   attr.exclude_hv = 1;
   // The leader starts disabled; the whole group is enabled with one ioctl
-  // after every sibling opened, so all six counts cover the same interval.
+  // after every sibling opened, so all five counts cover the same interval.
   attr.disabled = group_leader ? 1 : 0;
   if (group_leader) attr.read_format = PERF_FORMAT_GROUP;
   return static_cast<int>(::syscall(SYS_perf_event_open, &attr, /*pid=*/0,
@@ -82,16 +81,14 @@ int ReadParanoidLevel() {
 /// The thread_local destructor closes them when the thread exits.
 struct ThreadPerfState {
   bool initialized = false;
-  int group_fd = -1;                       // hardware group leader (cycles)
+  int group_fd = -1;  // hardware group leader (cycles)
   int sibling_fds[kHwEventCount - 1] = {-1, -1, -1, -1};
-  int task_clock_fd = -1;                  // separate software event
 
   ~ThreadPerfState() {
     if (group_fd >= 0) ::close(group_fd);
     for (int fd : sibling_fds) {
       if (fd >= 0) ::close(fd);
     }
-    if (task_clock_fd >= 0) ::close(task_clock_fd);
   }
 };
 
@@ -126,13 +123,7 @@ bool OpenHardwareGroup(ThreadPerfState* state) {
   return true;
 }
 
-int OpenTaskClock() {
-  int fd = OpenPerfEvent(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK,
-                         /*group_fd=*/-1, /*group_leader=*/false);
-  if (fd >= 0) ::ioctl(fd, PERF_EVENT_IOC_ENABLE, 0);
-  return fd;
-}
-
+/// The task clock of every tier: the calling thread's on-CPU time.
 uint64_t ThreadCpuClockNs() {
   timespec ts{};
   if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
@@ -142,13 +133,6 @@ uint64_t ThreadCpuClockNs() {
 
 PerfCapability Probe() {
   PerfCapability caps;
-  const char* env = std::getenv("BOLTON_PERF");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    caps.tier = PerfTier::kClockFallback;
-    caps.detail = "disabled by BOLTON_PERF=0; task clock from "
-                  "CLOCK_THREAD_CPUTIME_ID";
-    return caps;
-  }
   ThreadPerfState probe_state;
   if (OpenHardwareGroup(&probe_state)) {
     caps.tier = PerfTier::kHardwareGroup;
@@ -157,42 +141,20 @@ PerfCapability Probe() {
       if (!names.empty()) names += ",";
       names += event.name;
     }
-    caps.detail = StrFormat("hardware group [%s] + task-clock",
-                            names.c_str());
+    caps.detail = StrFormat(
+        "hardware group [%s]; task clock from CLOCK_THREAD_CPUTIME_ID",
+        names.c_str());
     // probe_state's destructor closes the probe fds; every thread opens
     // its own group on first read.
     return caps;
   }
   const int hw_errno = errno;
-  const int task_clock_fd = OpenTaskClock();
-  if (task_clock_fd >= 0) {
-    ::close(task_clock_fd);
-    caps.tier = PerfTier::kTaskClockOnly;
-    caps.detail = StrFormat(
-        "hardware counters unavailable (%s; perf_event_paranoid=%d); "
-        "software task-clock only",
-        std::strerror(hw_errno), ReadParanoidLevel());
-    return caps;
-  }
   caps.tier = PerfTier::kClockFallback;
   caps.detail = StrFormat(
-      "perf_event_open unavailable (%s; perf_event_paranoid=%d); task "
+      "hardware counters unavailable (%s; perf_event_paranoid=%d); task "
       "clock from CLOCK_THREAD_CPUTIME_ID",
-      std::strerror(errno), ReadParanoidLevel());
+      std::strerror(hw_errno), ReadParanoidLevel());
   return caps;
-}
-
-/// Opens the calling thread's counters at the probed tier, degrading this
-/// one thread (never the process) if its own open fails — e.g. fd
-/// exhaustion late in a run.
-void InitThreadPerf(ThreadPerfState* state) {
-  state->initialized = true;
-  const PerfTier tier = PerfCaps().tier;
-  if (tier == PerfTier::kClockFallback) return;
-  if (tier == PerfTier::kHardwareGroup && !OpenHardwareGroup(state)) {
-    // fall through to the task-clock attempt below
-  }
-  state->task_clock_fd = OpenTaskClock();
 }
 
 bool ReadExactly(int fd, void* buffer, size_t size) {
@@ -272,7 +234,14 @@ PerfReading ReadCurrentThreadPerf() {
     return reading;
   }
   ThreadPerfState& state = TlsPerf();
-  if (!state.initialized) InitThreadPerf(&state);
+  if (!state.initialized) {
+    // A thread whose own open fails (e.g. fd exhaustion late in a run)
+    // degrades alone, never the process.
+    state.initialized = true;
+    if (PerfCaps().tier == PerfTier::kHardwareGroup) {
+      OpenHardwareGroup(&state);
+    }
+  }
   if (state.group_fd >= 0) {
     // PERF_FORMAT_GROUP layout: { u64 nr; u64 values[nr]; } in open order.
     uint64_t buffer[1 + kHwEventCount] = {0};
@@ -282,13 +251,6 @@ PerfReading ReadCurrentThreadPerf() {
       for (size_t i = 0; i < kHwEventCount; ++i) {
         reading.values[i] = buffer[1 + i];
       }
-    }
-  }
-  if (state.task_clock_fd >= 0) {
-    uint64_t value = 0;  // PERF_COUNT_SW_TASK_CLOCK counts nanoseconds
-    if (ReadExactly(state.task_clock_fd, &value, sizeof(value))) {
-      reading.task_clock_ns = value;
-      return reading;
     }
   }
   reading.task_clock_ns = ThreadCpuClockNs();

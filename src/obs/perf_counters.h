@@ -11,21 +11,19 @@ namespace obs {
 ///
 /// Each thread lazily opens one per-thread counter group (leader = CPU
 /// cycles; siblings = instructions, cache-references, cache-misses,
-/// branch-misses; read atomically via PERF_FORMAT_GROUP) plus a separate
-/// PERF_COUNT_SW_TASK_CLOCK event. Every ScopedSpan (obs/trace.h) reads
-/// the calling thread's counters at open and close while this pillar is
-/// on, so the span tree answers not just "where did the wall time go" but
-/// "was that phase memory-bound (cache misses), dispatch-bound (low IPC),
-/// or compute-bound".
+/// branch-misses; read atomically via PERF_FORMAT_GROUP). Every
+/// ScopedSpan (obs/trace.h) reads the calling thread's counters at open
+/// and close while this pillar is on, so the span tree answers not just
+/// "where did the wall time go" but "was that phase memory-bound (cache
+/// misses), dispatch-bound (low IPC), or compute-bound".
 ///
-/// Degradation is graceful and observable (DESIGN.md §11 has the matrix):
+/// The task clock (on-CPU nanoseconds) comes from CLOCK_THREAD_CPUTIME_ID
+/// on every tier, so degradation only ever loses the hardware fields
+/// (DESIGN.md §11 has the matrix):
 ///  * kHardwareGroup — the full group opened; every field is real.
-///  * kTaskClockOnly — the PMU is unavailable (perf_event_paranoid,
-///    containers without a virtualized PMU) but the software task-clock
-///    event works; deltas carry task_clock_ns only, available = false.
-///  * kClockFallback — perf_event_open itself is unusable (seccomp,
-///    paranoid >= 3); task_clock_ns falls back to
-///    CLOCK_THREAD_CPUTIME_ID, which every Linux provides.
+///  * kClockFallback — the PMU or perf_event_open is unavailable
+///    (perf_event_paranoid, seccomp, containers without a virtualized
+///    PMU); deltas carry task_clock_ns only, available = false.
 /// The one-time capability probe result is exported as the
 /// `perf.available` gauge (1 only at kHardwareGroup) so a counter-less
 /// environment is visible in every metrics dump rather than silently
@@ -35,9 +33,8 @@ namespace obs {
 /// disabled a span reads no counters.
 
 enum class PerfTier {
-  kHardwareGroup,  // full hardware group + task-clock
-  kTaskClockOnly,  // software task-clock perf event only
-  kClockFallback,  // no perf_event_open; CLOCK_THREAD_CPUTIME_ID
+  kHardwareGroup,  // full hardware group + task clock
+  kClockFallback,  // task clock only
 };
 
 struct PerfCapability {
@@ -48,8 +45,7 @@ struct PerfCapability {
 };
 
 /// One-time process-wide capability probe (first call probes, later calls
-/// return the cached result). Honors BOLTON_PERF=0, which forces
-/// kClockFallback without touching the syscall.
+/// return the cached result).
 const PerfCapability& PerfCaps();
 
 /// Kill switch for the counter pillar. Off by default.
@@ -113,7 +109,7 @@ void UpdatePerfGauges();
 namespace internal {
 /// Test hook: while set, every reading takes the kClockFallback path and
 /// PerfHardwareAvailable() is false, regardless of the real probe — the
-/// CI-portable way to exercise the task-clock-only degradation.
+/// CI-portable way to exercise the clock-fallback degradation.
 void ForcePerfUnavailableForTest(bool force);
 }  // namespace internal
 

@@ -54,10 +54,10 @@ char g_dir[256] = {0};
 char g_raw_path[320] = {0};
 std::atomic<int> g_raw_fd{-1};
 std::atomic<bool> g_installed{false};
-/// Set by the in-process check-failure path so the subsequent SIGABRT
-/// does not also write a raw report over the finished json.
-std::atomic<bool> g_fatal_handled{false};
-std::atomic<int> g_in_handler{0};
+/// One postmortem per process: set by the first crash path to run, so the
+/// SIGABRT that follows a failed check, or a fatal signal raised while a
+/// record is being written, goes straight to the default action.
+std::atomic<bool> g_crashed{false};
 FlightRecorder* g_recorder = nullptr;
 
 int CaptureModule(struct dl_phdr_info* info, size_t, void*) {
@@ -148,32 +148,32 @@ void RestoreAndReraise(int sig) {
   ::raise(sig);
 }
 
-void CrashSignalHandler(int sig, siginfo_t* info, void*) {
-  // One postmortem per process; a second fatal signal (including one
-  // raised by this very handler) goes straight to the default action.
-  if (g_in_handler.exchange(1) != 0) {
-    RestoreAndReraise(sig);
-    return;
-  }
-  const int fd = g_raw_fd.load(std::memory_order_acquire);
-  if (fd < 0 || g_fatal_handled.load(std::memory_order_acquire)) {
-    RestoreAndReraise(sig);
-    return;
-  }
-
+/// Writes the raw record (`pmraw` ... `pmend`) that FinalizePostmortem
+/// renders, with write(2) only: the one crash-report writer, run by the
+/// signal handler and by a failed check alike. A failed check passes its
+/// message and writes a `fatal |<message>` line; a signal writes its
+/// `signal` and `fault` lines instead.
+void WriteRawRecord(int fd, int sig, const void* fault_addr,
+                    const char* fatal_message) {
   // One line per record, built by the flight recorder's signal-safe
   // writer (obs/flight_recorder.h).
   internal::LineBuilder line;
   line.Text("pmraw bolton-postmortem-raw-v1");
   line.Flush(fd);
-  line.Text("signal ");
-  line.Uint(static_cast<uint64_t>(sig));
-  line.Text(" ");
-  line.Text(SignalName(sig));
-  line.Flush(fd);
-  line.Text("fault ");
-  line.Hex(info != nullptr ? reinterpret_cast<uint64_t>(info->si_addr) : 0);
-  line.Flush(fd);
+  if (fatal_message != nullptr) {
+    line.Text("fatal |");
+    line.Message(fatal_message);
+    line.Flush(fd);
+  } else {
+    line.Text("signal ");
+    line.Uint(static_cast<uint64_t>(sig));
+    line.Text(" ");
+    line.Text(SignalName(sig));
+    line.Flush(fd);
+    line.Text("fault ");
+    line.Hex(reinterpret_cast<uint64_t>(fault_addr));
+    line.Flush(fd);
+  }
 
   line.Text("crash ");
   line.Uint(bolton::internal::LogMonotonicNanos());
@@ -226,6 +226,14 @@ void CrashSignalHandler(int sig, siginfo_t* info, void*) {
   line.Text("pmend");
   line.Flush(fd);
   ::fsync(fd);
+}
+
+void CrashSignalHandler(int sig, siginfo_t* info, void*) {
+  const int fd = g_raw_fd.load(std::memory_order_acquire);
+  if (fd >= 0 && !g_crashed.exchange(true)) {
+    WriteRawRecord(fd, sig, info != nullptr ? info->si_addr : nullptr,
+                   nullptr);
+  }
   RestoreAndReraise(sig);
 }
 
@@ -240,23 +248,16 @@ void CleanExitCleanup() {
   if (empty && g_raw_path[0] != '\0') ::unlink(g_raw_path);
 }
 
+/// A failed BOLTON_CHECK, in normal context: the same raw record as a
+/// signal, rendered at once so postmortem.json exists before abort().
 void FatalHook(const char* message) {
-  internal::WritePostmortemNow(message);
-}
-
-/// Fills the report fields that both postmortem paths share: the flight
-/// recorder rings, metrics, peak RSS, and the armed failpoints.
-void FillCommonState(PostmortemReport* report) {
-  FlightRecorder& recorder = FlightRecorder::Default();
-  recorder.SnapshotMetricsNow();
-  report->recent_logs =
-      recorder.RecentLogs(FlightRecorder::kLogSlots, LogLevel::kDebug);
-  report->recent_spans = recorder.RecentSpans();
-  report->metrics = recorder.LatestMetrics();
-  report->log_ring = recorder.LogRingStats();
-  report->span_ring = recorder.SpanRingStats();
-  report->peak_rss_bytes = PeakRssBytesSignalSafe();
-  report->failpoints = ArmedFailpointSpecCStr();
+  const int fd = g_raw_fd.load(std::memory_order_acquire);
+  if (fd < 0 || g_crashed.exchange(true)) return;
+  g_recorder->SnapshotMetricsNow();
+  WriteRawRecord(fd, 0, nullptr, message != nullptr ? message : "");
+  // Nothing useful to do with a failure here: the process is about to
+  // abort either way, and the raw record stays for a later finalize.
+  (void)FinalizePostmortem(g_dir);
 }
 
 }  // namespace
@@ -318,59 +319,6 @@ Status InstallCrashHandler(const PostmortemOptions& options) {
   std::atexit(&CleanExitCleanup);
   return Status::OK();
 }
-
-namespace internal {
-
-void WritePostmortemNow(const char* fatal_message) {
-  if (g_dir[0] == '\0') return;  // handler never installed
-  if (g_fatal_handled.exchange(true)) return;
-
-  PostmortemReport report;
-  report.reason = "check_failure";
-  report.fatal_message = fatal_message != nullptr ? fatal_message : "";
-  report.mono_ns = bolton::internal::LogMonotonicNanos();
-  report.thread_id = CurrentThreadSmallId();
-  report.thread_name = bolton::internal::CurrentThreadNameCStr();
-
-  const obs::internal::ThreadSpanState& spans = obs::internal::ThreadState();
-  const int depth = spans.depth < obs::internal::ThreadSpanState::kMaxStack
-                        ? spans.depth
-                        : obs::internal::ThreadSpanState::kMaxStack;
-  for (int i = 0; i < depth; ++i) {
-    if (spans.stack_names[i] == nullptr) continue;
-    report.active_spans.emplace_back(spans.stack_ids[i],
-                                     spans.stack_names[i]);
-  }
-
-  // Normal context: symbolize right here, fully, in-process.
-  void* pcs[kMaxFrames];
-  const int n_frames = ::backtrace(pcs, kMaxFrames);
-  std::vector<void*> frame_pcs(pcs, pcs + (n_frames > 0 ? n_frames : 0));
-  std::map<void*, SymbolizedPc> symbols = SymbolizePcs(frame_pcs);
-  for (void* pc : frame_pcs) {
-    PostmortemReport::Frame frame;
-    const uintptr_t addr = reinterpret_cast<uintptr_t>(pc);
-    if (const Module* module = FindModule(addr)) {
-      frame.module = module->path;
-      frame.offset = addr - module->base;
-    }
-    frame.pc = addr;
-    const auto it = symbols.find(pc);
-    if (it != symbols.end()) {
-      frame.symbol = it->second.name;
-      frame.resolved = it->second.resolved;
-    }
-    report.frames.push_back(std::move(frame));
-  }
-
-  FillCommonState(&report);
-  const std::string path = StrFormat("%s/postmortem.json", g_dir);
-  // Nothing useful to do with a write failure here: the process is about
-  // to abort either way.
-  (void)AtomicWriteFile(path, RenderPostmortemJson(report), 0666);
-}
-
-}  // namespace internal
 
 std::string RenderPostmortemJson(const PostmortemReport& report) {
   JsonWriter w;
@@ -499,10 +447,6 @@ Status FinalizePostmortem(const std::string& dir) {
     std::fclose(raw);
   }
   if (content.empty()) {
-    // The in-process check-failure path renders the json directly and
-    // leaves the raw file empty.
-    struct stat st;
-    if (::stat(json_path.c_str(), &st) == 0) return Status::OK();
     return Status::NotFound(
         StrFormat("no crash recorded in '%s'", dir.c_str()));
   }
@@ -514,19 +458,23 @@ Status FinalizePostmortem(const std::string& dir) {
   report.reason = "signal";
   for (const std::string& line : StrSplit(content, '\n')) {
     if (line.empty()) continue;
-    // The message part of an fllog line may contain spaces; split it off
-    // at the " |" delimiter before tokenizing.
+    // The message part of an fllog or fatal line may contain spaces;
+    // split it off at the " |" delimiter before tokenizing.
     std::string head = line;
     std::string message;
     const size_t bar = line.find(" |");
-    if (bar != std::string::npos && StartsWith(line, "fllog ")) {
+    if (bar != std::string::npos &&
+        (StartsWith(line, "fllog ") || StartsWith(line, "fatal "))) {
       head = line.substr(0, bar);
       message = line.substr(bar + 2);
     }
     const std::vector<std::string> tokens = StrSplit(head, ' ');
     if (tokens.empty()) continue;
     const std::string& tag = tokens[0];
-    if (tag == "signal" && tokens.size() >= 3) {
+    if (tag == "fatal") {
+      report.reason = "check_failure";
+      report.fatal_message = message;
+    } else if (tag == "signal" && tokens.size() >= 3) {
       report.signal_number = static_cast<int>(ParseUintToken(tokens[1]));
       report.signal_name = tokens[2];
     } else if (tag == "fault" && tokens.size() >= 2) {

@@ -19,16 +19,14 @@ namespace obs {
 /// failpoint configuration — enough to start debugging a dead training
 /// run without reproducing it.
 ///
-/// Two paths, because signal handlers can do almost nothing safely:
-///  * BOLTON_CHECK failures run in normal context: the logger's fatal hook
-///    renders the full postmortem.json in-process before abort().
-///  * Fatal signals (SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT) run in the
-///    handler, which only emits raw facts — frame addresses as
-///    module+offset, the flight recorder's ASCII ring dump — to a
-///    pre-opened fd using write(2). `boltondp postmortem finalize`
-///    (or FinalizePostmortem) symbolizes and renders afterwards, in a
-///    fresh process of the same binary: module+offset survives ASLR,
-///    raw pointers would not.
+/// One path, because signal handlers can do almost nothing safely: a fatal
+/// signal (SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT) and a failed BOLTON_CHECK
+/// both write the same raw record — frame addresses as module+offset, the
+/// flight recorder's ASCII ring dump — to a pre-opened fd using write(2).
+/// FinalizePostmortem symbolizes and renders it: a failed check runs it in
+/// process before abort(); after a signal, `boltondp postmortem finalize`
+/// runs it in a fresh process of the same binary (module+offset survives
+/// ASLR, raw pointers would not).
 
 struct PostmortemOptions {
   /// Directory for postmortem.raw / postmortem.json. Created if missing.
@@ -43,20 +41,17 @@ struct PostmortemOptions {
 /// directory.
 Status InstallCrashHandler(const PostmortemOptions& options);
 
-/// Turns <dir>/postmortem.raw (written by the signal handler) into
-/// <dir>/postmortem.json. OK if the json already exists and there is no
-/// raw data (the in-process check-failure path), NotFound when the
-/// directory holds no crash at all.
+/// Turns <dir>/postmortem.raw into <dir>/postmortem.json. NotFound when
+/// the raw file is missing or empty: the directory holds no crash.
 Status FinalizePostmortem(const std::string& dir);
 
-/// Everything a postmortem report carries; filled either by the raw-file
-/// parser (signal path) or directly in-process (check-failure path).
+/// Everything a postmortem report carries, as parsed from the raw record.
 struct PostmortemReport {
   std::string reason;  // "signal" or "check_failure"
   int signal_number = 0;
   std::string signal_name;
-  std::string fault_addr;     // "0x..." (signal path only)
-  std::string fatal_message;  // check-failure path only
+  std::string fault_addr;     // "0x..." (signals only)
+  std::string fatal_message;  // failed checks only
   uint64_t mono_ns = 0;
   uint64_t thread_id = 0;
   std::string thread_name;
@@ -82,16 +77,8 @@ struct PostmortemReport {
   std::string failpoints;  // armed spec, "" when none
 };
 
-/// Renders the report as a bolton-postmortem-v1 JSON document — the one
-/// rendering path shared by both postmortem paths.
+/// Renders the report as a bolton-postmortem-v1 JSON document.
 std::string RenderPostmortemJson(const PostmortemReport& report);
-
-namespace internal {
-/// The check-failure path: builds and writes a fully symbolized
-/// postmortem.json for the installed directory, in normal context.
-/// Exposed for tests; installed as the logger's fatal hook.
-void WritePostmortemNow(const char* fatal_message);
-}  // namespace internal
 
 }  // namespace obs
 }  // namespace bolton

@@ -60,6 +60,10 @@ void TelemetryFlags::AddFlags(FlagParser* parser) {
 TelemetrySession::TelemetrySession(const char* program, std::FILE* report)
     : program_(program), report_(report) {}
 
+TelemetrySession::~TelemetrySession() {
+  if (started_ && !finished_) ExitStatus(program_, Finish());
+}
+
 Status TelemetrySession::Start(const TelemetryFlags& flags) {
   flags_ = flags;
   SetCurrentThreadName("main");
@@ -94,10 +98,12 @@ Status TelemetrySession::Start(const TelemetryFlags& flags) {
     BOLTON_RETURN_IF_ERROR(Profiler::Default().Start(
         {.hz = static_cast<int>(flags.profile_hz)}));
   }
+  started_ = true;
   return Status::OK();
 }
 
 Status TelemetrySession::Finish() {
+  finished_ = true;
   // Every step is attempted: the first failure is the result, a later one
   // is printed.
   Status first;

@@ -46,6 +46,12 @@ class TelemetrySession {
   /// stderr for a bench, whose stdout is its figure rows.
   TelemetrySession(const char* program, std::FILE* report);
 
+  /// Runs Finish() when Start() succeeded and Finish() has not run, so a
+  /// command that fails after its session started still writes the
+  /// evidence of its failure. A failed export is printed as
+  /// "<program>: <status>" on stderr.
+  ~TelemetrySession();
+
   /// Arms, in order: the log mirror and the crash handler; the pillars the
   /// flags ask for and the failpoint bridge; the ledger file; the obs
   /// server; the profiler, which samples until Finish. Perf counters ride
@@ -65,10 +71,15 @@ class TelemetrySession {
   /// The server --serve-obs started, or nullptr.
   ObsServer* server() const { return server_.get(); }
 
+  TelemetrySession(const TelemetrySession&) = delete;
+  TelemetrySession& operator=(const TelemetrySession&) = delete;
+
  private:
   const char* program_;
   std::FILE* report_;
   TelemetryFlags flags_;
+  bool started_ = false;
+  bool finished_ = false;
   std::unique_ptr<ObsServer> server_;
 };
 

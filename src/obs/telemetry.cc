@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -32,22 +31,8 @@ void SetAllEnabled(bool enabled) {
 
 void UpdateProcessMemoryGauges() {
   if (!MetricsEnabled()) return;
-  static Gauge* rss = MetricsRegistry::Default().GetGauge("process.rss_bytes");
-  static Gauge* vm = MetricsRegistry::Default().GetGauge("process.vm_bytes");
   static Gauge* peak_rss =
       MetricsRegistry::Default().GetGauge("process.peak_rss_bytes");
-
-  // /proc/self/statm: "size resident ..." in pages.
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f != nullptr) {
-    unsigned long long vm_pages = 0, rss_pages = 0;
-    if (std::fscanf(f, "%llu %llu", &vm_pages, &rss_pages) == 2) {
-      const double page = static_cast<double>(::sysconf(_SC_PAGESIZE));
-      vm->Set(static_cast<double>(vm_pages) * page);
-      rss->Set(static_cast<double>(rss_pages) * page);
-    }
-    std::fclose(f);
-  }
   // /proc/self/status VmHWM: the kernel's high-water mark of the resident
   // set.
   std::FILE* status = std::fopen("/proc/self/status", "r");

@@ -22,12 +22,10 @@ uint64_t MonotonicNanos();
 /// recording together.
 void SetAllEnabled(bool enabled);
 
-/// Refreshes the process memory gauges — process.rss_bytes and
-/// process.vm_bytes from /proc/self/statm, process.peak_rss_bytes from
-/// VmHWM in /proc/self/status — in the default registry. Polled on read:
-/// the obs HTTP
-/// server calls this on every /metrics scrape and the CLI/bench dump paths
-/// call it before rendering, so the gauges are fresh wherever they are
+/// Refreshes the process memory gauge process.peak_rss_bytes (VmHWM in
+/// /proc/self/status) in the default registry. Polled on read: the obs
+/// HTTP server calls this on every /metrics scrape and the CLI/bench dump
+/// paths call it before rendering, so the gauge is fresh wherever it is
 /// observed without a dedicated poller thread.
 void UpdateProcessMemoryGauges();
 

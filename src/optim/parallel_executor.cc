@@ -116,7 +116,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   obs::Gauge* worker_count_gauge =
       obs::MetricsRegistry::Default().GetGauge("psgd.worker_count");
   // Per-worker hardware-counter distributions (only observed when the PMU
-  // delivered real counts — a task-clock-only run records nothing here).
+  // delivered real counts — a clock-fallback run records nothing here).
   obs::Histogram* worker_ipc = obs::MetricsRegistry::Default().GetHistogram(
       "psgd.worker_ipc",
       {0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0});

@@ -216,6 +216,11 @@ Result<PsgdOutput> RunLoop(
   Vector iterate_sum(dim);
 
   PsgdStats stats;
+  // The work done reaches the metrics on every return, a failed run's too.
+  struct FlushOnExit {
+    const PsgdStats& stats;
+    ~FlushOnExit() { FlushPsgdStats(stats); }
+  } flush_on_exit{stats};
   std::vector<size_t> order;
   size_t step = 0;  // 1-based after increment; indexes the schedule
   size_t first_pass = 1;
@@ -346,8 +351,6 @@ Result<PsgdOutput> RunLoop(
       }
     }
   }
-
-  FlushPsgdStats(stats);
 
   PsgdOutput out;
   out.stats = stats;

@@ -50,8 +50,6 @@ ThreadPool::ThreadPool(ThreadPoolOptions options)
   dispatch_wait_seconds_ = registry.GetHistogram(
       "pool.dispatch_wait_seconds", obs::LatencySecondsBuckets());
   tasks_total_ = registry.GetCounter("pool.tasks_total");
-  spawned_total_ = registry.GetCounter("pool.threads_spawned_total");
-  retired_total_ = registry.GetCounter("pool.threads_retired_total");
   live_gauge_ = registry.GetGauge("pool.threads_live");
 }
 
@@ -126,7 +124,6 @@ void ThreadPool::EnsureWorkersLocked() {
     slot.exited = false;
     ++live_threads_;
     ++stats_.threads_spawned;
-    spawned_total_->Increment();
     live_gauge_->Set(static_cast<double>(live_threads_));
     slot.thread = std::thread([this, index] { WorkerMain(index); });
     ++available;
@@ -161,7 +158,6 @@ void ThreadPool::WorkerMain(size_t slot) {
         // Idle spin-down: retire this worker; EnsureWorkersLocked respawns
         // on demand and reaps the joinable remains.
         ++stats_.threads_retired;
-        retired_total_->Increment();
         break;
       }
     }

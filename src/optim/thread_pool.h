@@ -133,8 +133,6 @@ class ThreadPool {
   // pool.* family aggregates across every pool in the process.
   obs::Histogram* dispatch_wait_seconds_;
   obs::Counter* tasks_total_;
-  obs::Counter* spawned_total_;
-  obs::Counter* retired_total_;
   obs::Gauge* live_gauge_;
 };
 

@@ -15,7 +15,6 @@ struct AdmissionMetrics {
   obs::Counter* admitted;
   obs::Counter* overloaded;
   obs::Counter* tenant_busy;
-  obs::Gauge* inflight;
 };
 
 AdmissionMetrics& Metrics() {
@@ -23,7 +22,6 @@ AdmissionMetrics& Metrics() {
       obs::MetricsRegistry::Default().GetCounter("serve.admitted_total"),
       obs::MetricsRegistry::Default().GetCounter("serve.overloaded_total"),
       obs::MetricsRegistry::Default().GetCounter("serve.tenant_busy_total"),
-      obs::MetricsRegistry::Default().GetGauge("serve.inflight"),
   };
   return *m;
 }
@@ -75,7 +73,6 @@ Result<AdmissionTicket> AdmissionController::Admit(const std::string& tenant) {
   ++mine;
   ++total_inflight_;
   Metrics().admitted->Increment();
-  Metrics().inflight->Set(static_cast<double>(total_inflight_));
   return AdmissionTicket(this, tenant);
 }
 
@@ -86,7 +83,6 @@ void AdmissionController::Release(const std::string& tenant) {
     if (--it->second == 0) tenant_inflight_.erase(it);
   }
   if (total_inflight_ > 0) --total_inflight_;
-  Metrics().inflight->Set(static_cast<double>(total_inflight_));
 }
 
 size_t AdmissionController::inflight() const {

@@ -117,15 +117,13 @@ void Note(Transition transition, const std::string& tenant,
     const char* event;
     obs::Counter* counter;
   };
-  auto counter = [](const char* name) {
-    return obs::MetricsRegistry::Default().GetCounter(name);
-  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   static const Kind kKinds[] = {
-      {"budget_reserve", counter("serve.budget_reserves")},
-      {"budget_commit", counter("serve.budget_commits")},
-      {"budget_refund", counter("serve.budget_refunds")},
-      {"budget_refusal", counter("serve.budget_refusals")},
-      {"budget_recover", counter("serve.budget_recovered")},
+      {"budget_reserve", registry.GetCounter("serve.budget_reserves")},
+      {"budget_commit", registry.GetCounter("serve.budget_commits")},
+      {"budget_refund", registry.GetCounter("serve.budget_refunds")},
+      {"budget_refusal", registry.GetCounter("serve.budget_refusals")},
+      {"budget_recover", registry.GetCounter("serve.budget_recovered")},
   };
   const Kind& kind = kKinds[static_cast<int>(transition)];
   kind.counter->Increment();

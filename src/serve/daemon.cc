@@ -29,7 +29,6 @@ using obs::HttpResponse;
 struct ServeMetrics {
   obs::Counter* requests;
   obs::Counter* cancelled;
-  obs::Counter* draining;
   obs::Histogram* request_seconds;
 };
 
@@ -37,7 +36,6 @@ ServeMetrics& Metrics() {
   static ServeMetrics* m = new ServeMetrics{
       obs::MetricsRegistry::Default().GetCounter("serve.requests_total"),
       obs::MetricsRegistry::Default().GetCounter("serve.cancelled_total"),
-      obs::MetricsRegistry::Default().GetCounter("serve.draining_total"),
       obs::MetricsRegistry::Default().GetHistogram(
           "serve.request_seconds", obs::LatencySecondsBuckets()),
   };
@@ -269,7 +267,6 @@ HttpResponse ServeDaemon::HandlePost(const HttpRequest& request,
                                      PostHandler handle) {
   Metrics().requests->Increment();
   if (draining_.load(std::memory_order_acquire)) {
-    Metrics().draining->Increment();
     return JsonError(503, "draining", "daemon is shutting down");
   }
   RequestScope scope(&inflight_mu_, &inflight_cv_, &inflight_);

@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test of the benches' telemetry flags: a CommonFlags bench
 # and a google-benchmark bench each write the exports their flags ask for,
-# telemetry leaves the figure rows on stdout untouched, and a refused flag or
-# a failed export exits 1 with "<bench>: <status>" instead of aborting.
+# telemetry leaves the figure rows on stdout untouched, and a refused flag, a
+# refused data input or a failed export exits 1 with "<bench>: <status>"
+# instead of aborting.
 # Invoked by ctest with the bench binaries' directory as $1.
 set -eu
 
@@ -93,5 +94,8 @@ if ! grep -q "^appended [1-9][0-9]* ledger events" "$WORKDIR/refusal.err" ||
   exit 1
 fi
 expect_refusal "$BENCH/bench_ablation_sparse" --bogus
+# A refused data input is the bench's status too, not an abort.
+expect_refusal "$FIG3" --scale 0.02 --repeats 1 --datasets nope
+grep -q "^bench_fig3_accuracy_public: not-found: " "$WORKDIR/refusal.err"
 
 echo "bench smoke test passed"

@@ -83,6 +83,24 @@ grep -q '"kind":"noise_draw"' "$WORKDIR/ledger.jsonl"
 grep -q '"mechanism":"laplace"' "$WORKDIR/ledger.jsonl"
 grep -q '"rng_fingerprint":' "$WORKDIR/ledger.jsonl"
 
+# A train that fails after its telemetry session started still writes its
+# exports: the trace holds the spans of the pass that ran, and the dump the
+# work done before the failure.
+status=0
+BOLTON_FAILPOINTS="psgd.pass:error@2" "$CLI" train --dataset protein \
+    --scale 0.2 --algo ours --lambda 0.01 --model "$WORKDIR/failed.model" \
+    --trace-out "$WORKDIR/failed.trace.jsonl" --metrics \
+    > "$WORKDIR/failed.train.log" 2> "$WORKDIR/failed.train.err" || status=$?
+if [ "$status" != "1" ]; then
+  echo "a train failed by psgd.pass:error@2 exited $status, expected 1" >&2
+  exit 1
+fi
+grep -qx "train: io-error: failpoint 'psgd.pass': injected error (hit 2)" \
+    "$WORKDIR/failed.train.err"
+grep -q '"name":"psgd.pass"' "$WORKDIR/failed.trace.jsonl"
+grep -q '^gradient_evaluations ' "$WORKDIR/failed.train.log"
+test ! -e "$WORKDIR/failed.model"
+
 # Live observability: train with --serve-obs on an ephemeral port, scrape
 # /metrics and /healthz while the server lingers, then tell it to quit.
 "$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \

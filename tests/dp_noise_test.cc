@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace bolton {
 namespace {
 
@@ -118,6 +120,21 @@ TEST(GaussianMechanismTest, NoiseHasCorrectVariance) {
   }
   double expected = dim * sigma * sigma;
   EXPECT_NEAR(sum_sq / n, expected, 0.03 * expected);
+}
+
+TEST(GaussianMechanismTest, EveryDrawIsCounted) {
+  obs::SetMetricsEnabled(true);
+  const obs::Counter* draws =
+      obs::MetricsRegistry::Default().GetCounter("dp_noise.gaussian_draws");
+  const uint64_t before = draws->Value();
+  Rng rng(39);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(SampleGaussianMechanism(4, 1.0, 0.5, 1e-6, &rng).ok());
+  }
+  // A refused draw (ε ≥ 1) draws nothing and is not counted.
+  EXPECT_FALSE(SampleGaussianMechanism(4, 1.0, 2.0, 1e-6, &rng).ok());
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(draws->Value() - before, 3u);
 }
 
 TEST(DispatchTest, SelectsMechanism) {

@@ -145,7 +145,7 @@ TEST_F(ObsExportTest, LedgerTotalsSplitByKindAndAcceptance) {
   draw.epsilon = 1.0;
   events.push_back(draw);
   LedgerEvent charge;
-  charge.kind = "accountant_charge";
+  charge.kind = "budget_commit";
   charge.epsilon = 0.5;
   charge.delta = 1e-6;
   events.push_back(charge);

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,7 +172,7 @@ TEST_F(ObsHttpTest, MetricsScrapeIsValidExposition) {
 
 TEST_F(ObsHttpTest, HealthzReportsLivenessAndSpendTotals) {
   LedgerEvent charge;
-  charge.kind = "accountant_charge";
+  charge.kind = "budget_commit";
   charge.epsilon = 0.5;
   PrivacyLedger::Default().Record(charge);
   LedgerEvent draw;
@@ -464,6 +466,49 @@ TEST_F(ObsHttpTest, SilentClientIsDroppedAndServerStaysResponsive) {
 
   // And the next client is served normally.
   EXPECT_EQ(Get(port, "/healthz").status, 200);
+}
+
+TEST_F(ObsHttpTest, FullQueueShedsWith503AndRetryAfter) {
+  // Holds the one handler thread inside a request until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  auto started =
+      ObsServer::Start({.port = 0, .handler_threads = 1, .max_pending = 1});
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<ObsServer> server = started.MoveValue();
+  const int port = server->port();
+  server->RegisterHandler("GET", "/block", [&](const HttpRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+    return HttpResponse();
+  });
+  std::thread blocked([&] { EXPECT_EQ(Get(port, "/block").status, 200); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  // A silent peer fills the one pending slot: its connect completes before
+  // the next one starts, so the accept thread queues it first.
+  auto queued = net::ConnectTcp(static_cast<uint16_t>(port));
+  EXPECT_TRUE(queued.ok());
+
+  HttpReply shed = Get(port, "/healthz");
+  EXPECT_EQ(shed.status, 503) << shed.body;
+  EXPECT_NE(shed.head.find("Retry-After:"), std::string::npos) << shed.head;
+  EXPECT_EQ(MetricsRegistry::Default().GetCounter("http.shed_total")->Value(),
+            1u);
+
+  if (queued.ok()) net::CloseFd(queued.value());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  blocked.join();
 }
 
 TEST_F(ObsHttpTest, ClientStallingMidRequestHeadIsDropped) {

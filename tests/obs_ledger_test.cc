@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/accountant.h"
 #include "core/bst14.h"
 #include "core/scs13.h"
 #include "data/synthetic.h"
 #include "random/dp_noise.h"
+#include "serve/budget.h"
 
 namespace bolton {
 namespace obs {
@@ -114,24 +114,31 @@ TEST_F(ObsLedgerTest, DisabledLedgerRecordsNothing) {
   EXPECT_EQ(PrivacyLedger::Default().Snapshot().size(), 0u);
 }
 
-TEST_F(ObsLedgerTest, AccountantChargesAreAudited) {
-  PrivacyAccountant accountant(PrivacyParams{1.0, 0.0});
-  ASSERT_TRUE(accountant.Charge({0.4, 0.0}, "query-1").ok());
-  ASSERT_FALSE(accountant.Charge({0.8, 0.0}, "query-2").ok());
-  ASSERT_TRUE(accountant.Charge({0.6, 0.0}, "query-3").ok());
+TEST_F(ObsLedgerTest, BudgetChargesAreAudited) {
+  serve::TenantBudgetOptions options;
+  options.default_budget = PrivacyParams{1.0, 0.0};
+  auto budget = serve::TenantBudgetManager::Open(options).MoveValue();
+  auto first = budget->Reserve("t", {0.4, 0.0}, "query-1");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(budget->Commit(first.value()).ok());
+  ASSERT_FALSE(budget->Reserve("t", {0.8, 0.0}, "query-2").ok());
+  auto third = budget->Reserve("t", {0.6, 0.0}, "query-3");
+  ASSERT_TRUE(third.ok());
+  ASSERT_TRUE(budget->Commit(third.value()).ok());
 
+  // reserve + commit, refusal, reserve + commit.
   std::vector<LedgerEvent> events = PrivacyLedger::Default().Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, "accountant_charge");
-  EXPECT_EQ(events[0].label, "query-1");
-  EXPECT_DOUBLE_EQ(events[0].epsilon, 0.4);
-  EXPECT_TRUE(events[0].accepted);
-  EXPECT_EQ(events[1].label, "query-2");
-  EXPECT_FALSE(events[1].accepted);
-  EXPECT_TRUE(events[2].accepted);
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events[1].kind, "budget_commit");
+  EXPECT_EQ(events[1].label, "query-1");
+  EXPECT_DOUBLE_EQ(events[1].epsilon, 0.4);
+  EXPECT_TRUE(events[1].accepted);
+  EXPECT_EQ(events[2].label, "query-2");
+  EXPECT_FALSE(events[2].accepted);
+  EXPECT_TRUE(events[4].accepted);
   // Sequence numbers are assigned in record order.
-  EXPECT_EQ(events[1].seq, 2u);
   EXPECT_EQ(events[2].seq, 3u);
+  EXPECT_EQ(events[4].seq, 5u);
 }
 
 TEST_F(ObsLedgerTest, Scs13RunLogsCalibrationPlusEveryDraw) {

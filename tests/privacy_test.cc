@@ -46,5 +46,33 @@ TEST(PrivacyParamsTest, ToStringMentionsBudget) {
             std::string::npos);
 }
 
+TEST(FitsBudgetTest, ToleranceIsOnePartInABillionOfTheBudget) {
+  const PrivacyParams none{0.0, 0.0};
+  for (const PrivacyParams& budget :
+       {PrivacyParams{1.0, 1e-6}, PrivacyParams{8.0, 0.25}}) {
+    SCOPED_TRACE(budget.ToString());
+    const double eps_in = budget.epsilon * (1.0 + 5e-10);
+    const double eps_out = budget.epsilon * (1.0 + 2e-9);
+    const double delta_in = budget.delta * (1.0 + 5e-10);
+    const double delta_out = budget.delta * (1.0 + 2e-9);
+    EXPECT_TRUE(FitsBudget(none, {eps_in, 0.0}, budget));
+    EXPECT_FALSE(FitsBudget(none, {eps_out, 0.0}, budget));
+    EXPECT_TRUE(FitsBudget(none, {0.1, delta_in}, budget));
+    EXPECT_FALSE(FitsBudget(none, {0.1, delta_out}, budget));
+  }
+}
+
+TEST(FitsBudgetTest, NothingFitsPastTheLineAndNaNNeverFits) {
+  const PrivacyParams budget{1.0, 1e-6};
+  // A spend already past the line is not clamped back to it.
+  EXPECT_FALSE(FitsBudget({1.0 + 8e-10, 0.0}, {4e-10, 0.0}, budget));
+  EXPECT_TRUE(FitsBudget({1.0 + 4e-10, 0.0}, {4e-10, 0.0}, budget));
+  const double nan = std::nan("");
+  EXPECT_FALSE(FitsBudget({0.0, 0.0}, {nan, 0.0}, budget));
+  EXPECT_FALSE(FitsBudget({0.0, 0.0}, {0.1, nan}, budget));
+  EXPECT_FALSE(FitsBudget({nan, 0.0}, {0.1, 0.0}, budget));
+  EXPECT_FALSE(FitsBudget({0.0, 0.0}, {0.1, 0.0}, {nan, 1e-6}));
+}
+
 }  // namespace
 }  // namespace bolton

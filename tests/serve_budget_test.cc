@@ -14,6 +14,7 @@
 
 #include "obs/export.h"
 #include "obs/ledger.h"
+#include "obs/metrics.h"
 #include "random/rng.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
@@ -127,9 +128,15 @@ TEST(TenantBudgetTest, ReserveCommitSpends) {
 }
 
 TEST(TenantBudgetTest, RefundRestoresCapacity) {
+  obs::SetMetricsEnabled(true);
+  const obs::Counter* refunds =
+      obs::MetricsRegistry::Default().GetCounter("serve.budget_refunds");
+  const uint64_t refunds_before = refunds->Value();
   auto manager = TenantBudgetManager::Open(InMemory()).MoveValue();
   uint64_t hold = manager->Reserve("bob", {0.9, 0.0}, "t").MoveValue();
   ASSERT_TRUE(manager->Refund(hold).ok());
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(refunds->Value() - refunds_before, 1u);
   TenantAccountView view = manager->Account("bob");
   EXPECT_DOUBLE_EQ(view.spent.epsilon, 0.0);
   EXPECT_DOUBLE_EQ(view.reserved.epsilon, 0.0);
@@ -272,8 +279,14 @@ TEST(TenantBudgetTest, PendingHoldPromotedToSpendAtRecovery) {
     // Reserve persists the hold write-ahead; "crash" before Commit.
     ASSERT_TRUE(manager->Reserve("alice", {0.5, 0.0}, "doomed").ok());
   }
+  obs::SetMetricsEnabled(true);
+  const obs::Counter* promoted =
+      obs::MetricsRegistry::Default().GetCounter("serve.budget_recovered");
+  const uint64_t promoted_before = promoted->Value();
   auto recovered = TenantBudgetManager::Open(options).MoveValue();
+  obs::SetMetricsEnabled(false);
   EXPECT_EQ(recovered->recovered_holds(), 1u);
+  EXPECT_EQ(promoted->Value() - promoted_before, 1u);
   TenantAccountView view = recovered->Account("alice");
   // Promoted exactly once: spent the held 0.5, nothing still reserved.
   EXPECT_DOUBLE_EQ(view.spent.epsilon, 0.5);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/ledger.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/strings.h"
@@ -50,6 +51,12 @@ class ServeDaemonTest : public ::testing::Test {
   void TearDown() override {
     FailpointRegistry::Default().Clear();
     if (daemon_) daemon_->Shutdown();
+    obs::SetMetricsEnabled(false);
+  }
+
+  /// A daemon counter's value; tests that read one turn metrics on first.
+  static uint64_t Count(const char* name) {
+    return obs::MetricsRegistry::Default().GetCounter(name)->Value();
   }
 
   HttpReply Train(const std::string& json) {
@@ -238,6 +245,13 @@ TEST_F(ServeDaemonTest, SaturatedTenantGets429OthersProceed) {
   options.admission.max_inflight = 4;
   options.admission.max_inflight_per_tenant = 1;
   StartDaemon(options);
+  obs::SetMetricsEnabled(true);
+  const uint64_t requests = Count("serve.requests_total");
+  const uint64_t admitted = Count("serve.admitted_total");
+  const uint64_t busy_before = Count("serve.tenant_busy_total");
+  const obs::Histogram* latency = obs::MetricsRegistry::Default().GetHistogram(
+      "serve.request_seconds", obs::LatencySecondsBuckets());
+  const uint64_t timed = latency->TotalCount();
   // Occupy alice's one slot out-of-band: her next request must bounce with
   // tenant_busy while bob is unaffected. Deterministic — no racing threads.
   auto ticket = daemon_->admission().Admit("alice");
@@ -251,6 +265,12 @@ TEST_F(ServeDaemonTest, SaturatedTenantGets429OthersProceed) {
                   R"("passes":1,"scale":0.02})")
                 .status,
             200);
+  // Both trains were requests, and both were timed; alice's out-of-band
+  // ticket and bob's train were admitted.
+  EXPECT_EQ(Count("serve.requests_total") - requests, 2u);
+  EXPECT_EQ(latency->TotalCount() - timed, 2u);
+  EXPECT_EQ(Count("serve.admitted_total") - admitted, 2u);
+  EXPECT_EQ(Count("serve.tenant_busy_total") - busy_before, 1u);
 }
 
 TEST_F(ServeDaemonTest, OverloadedDaemonShedsWithRetryAfter) {
@@ -258,6 +278,8 @@ TEST_F(ServeDaemonTest, OverloadedDaemonShedsWithRetryAfter) {
   options.admission.max_inflight = 2;
   options.admission.max_inflight_per_tenant = 2;
   StartDaemon(options);
+  obs::SetMetricsEnabled(true);
+  const uint64_t overloaded = Count("serve.overloaded_total");
   auto slot1 = daemon_->admission().Admit("x");
   auto slot2 = daemon_->admission().Admit("y");
   ASSERT_TRUE(slot1.ok());
@@ -267,6 +289,7 @@ TEST_F(ServeDaemonTest, OverloadedDaemonShedsWithRetryAfter) {
   EXPECT_EQ(shed.status, 503);
   EXPECT_EQ(ParseBody(shed).GetString("error", "").MoveValue(), "overloaded");
   EXPECT_NE(shed.head.find("Retry-After:"), std::string::npos) << shed.head;
+  EXPECT_EQ(Count("serve.overloaded_total") - overloaded, 1u);
 }
 
 TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
@@ -276,6 +299,8 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
   // and — bolton draws noise only at release — the hold must be refunded.
   ASSERT_TRUE(
       FailpointRegistry::Default().Configure("psgd.pass:delay@300").ok());
+  obs::SetMetricsEnabled(true);
+  const uint64_t cancelled = Count("serve.cancelled_total");
   HttpReply timed_out = Train(
       R"({"tenant":"alice","algorithm":"bolton","epsilon":0.4,)"
       R"("passes":3,"scale":0.02,"timeout_ms":50})");
@@ -283,6 +308,7 @@ TEST_F(ServeDaemonTest, DeadlineCancelsTrainingAndRefunds) {
   ASSERT_EQ(timed_out.status, 408) << timed_out.body;
   EXPECT_EQ(ParseBody(timed_out).GetString("error", "").MoveValue(),
             "timeout");
+  EXPECT_EQ(Count("serve.cancelled_total") - cancelled, 1u);
   TenantAccountView view = daemon_->budget().Account("alice");
   EXPECT_DOUBLE_EQ(view.spent.epsilon, 0.0);
   EXPECT_DOUBLE_EQ(view.reserved.epsilon, 0.0);

@@ -37,6 +37,24 @@ if [ -n "$STRAY" ]; then
   exit 1
 fi
 
+echo "== metric-read check (every metric src/ registers is read somewhere) =="
+# Every literal name passed to GetCounter, GetGauge or GetHistogram in src/,
+# also when the call breaks across lines, must appear in tests/, tools/,
+# bench/, perfbench/ or DESIGN.md: a metric that nothing reads is a number
+# that nothing checks.
+UNREAD=""
+for name in $(cd "$ROOT" &&
+    grep -rhozE 'Get(Counter|Gauge|Histogram)\([[:space:]]*"[^"]+"' src |
+    tr '\n\0' ' \n' | sed -E 's/.*"([^"]+)"$/\1/' | sort -u); do
+  (cd "$ROOT" && grep -rqF "$name" tests tools bench perfbench DESIGN.md) ||
+    UNREAD="$UNREAD $name"
+done
+if [ -n "$UNREAD" ]; then
+  echo "metrics registered in src/ that no test, tool, bench or DESIGN.md reads:"
+  echo "$UNREAD"
+  exit 1
+fi
+
 echo "== configure (Debug, -fsanitize=address,undefined) =="
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -80,7 +98,7 @@ CLI="$BUILD/tools/boltondp"
 # Every ledger line must be one JSON object carrying the full event schema.
 awk '
   !/^\{"seq":[0-9]+,/ || !/\}$/ { bad = 1 }
-  !/"kind":"(noise_draw|accountant_charge|calibration|fault|checkpoint|resume|budget_reserve|budget_commit|budget_refund|budget_refusal|budget_recover)"/ { bad = 1 }
+  !/"kind":"(noise_draw|calibration|fault|checkpoint|resume|budget_reserve|budget_commit|budget_refund|budget_refusal|budget_recover)"/ { bad = 1 }
   !/"epsilon":/ || !/"sensitivity":/ || !/"noise_norm":/ { bad = 1 }
   !/"rng_fingerprint":/ || !/"accepted":(true|false)/ { bad = 1 }
   bad { print "malformed ledger line " NR ": " $0; exit 1 }
@@ -188,8 +206,8 @@ if grep -Eq '^perf\.available[[:space:]]+1' "$WORKDIR/perf.log"; then
   grep -q '"counters":{"available":true' "$WORKDIR/trace_chrome.json"
 else
   echo "NOTE: hardware counters unavailable here (perf.available=0 —" \
-       "perf_event_paranoid or missing PMU); task-clock-only checks ran," \
-       "hardware-count assertions skipped"
+       "perf_event_paranoid or missing PMU); only the task-clock checks" \
+       "ran, hardware-count assertions skipped"
 fi
 # Perf without tracing (the --metrics-only path): no span is recorded, but
 # every span still reads its thread's counters, so the process on-CPU
