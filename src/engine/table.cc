@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <vector>
 
+#include "data/prefetch.h"
 #include "random/permutation.h"
 #include "util/strings.h"
 
@@ -11,28 +13,53 @@ namespace bolton {
 
 namespace {
 
+// Reads the rows of a shared Dataset in place. Shuffle() runs Fisher–Yates
+// over `order_` rather than over the rows, so a scan visits
+// (*rows_)[order_[k]], the row that a shuffle of the rows themselves with
+// the same Rng would have put at k.
 class MemoryTable final : public Table {
  public:
-  explicit MemoryTable(std::vector<Example> rows, size_t dim)
-      : rows_(std::move(rows)), dim_(dim) {}
+  explicit MemoryTable(std::shared_ptr<const Dataset> rows)
+      : rows_(std::move(rows)) {}
 
-  size_t num_rows() const override { return rows_.size(); }
-  size_t dim() const override { return dim_; }
+  size_t num_rows() const override { return rows_->size(); }
+  size_t dim() const override { return rows_->dim(); }
   StorageMode mode() const override { return StorageMode::kMemory; }
 
   Status Shuffle(Rng* rng) override {
-    ShuffleInPlace(&rows_, rng);
+    if (order_.empty()) {
+      order_.resize(rows_->size());
+      std::iota(order_.begin(), order_.end(), size_t{0});
+    }
+    ShuffleInPlace(&order_, rng);
     return Status::OK();
   }
 
+  // A shuffled scan reads ahead along order_ as PSGD's batch loop does
+  // (DESIGN.md §8): each row it reaches is a scattered Example and then
+  // the features that Example points to.
   Status Scan(const RowFn& fn) const override {
-    for (const Example& row : rows_) fn(row);
+    const Dataset& rows = *rows_;
+    if (order_.empty()) {
+      for (const Example& row : rows.examples()) fn(row);
+      return Status::OK();
+    }
+    const size_t m = order_.size();
+    for (size_t k = 0; k < m; ++k) {
+      if (k + 2 * kPrefetchDistance < m) {
+        PrefetchExample(rows[order_[k + 2 * kPrefetchDistance]]);
+      }
+      if (k + kPrefetchDistance < m) {
+        PrefetchFeatures(rows[order_[k + kPrefetchDistance]], rows.dim());
+      }
+      fn(rows[order_[k]]);
+    }
     return Status::OK();
   }
 
  private:
-  std::vector<Example> rows_;
-  size_t dim_;
+  std::shared_ptr<const Dataset> rows_;
+  std::vector<size_t> order_;  // empty until the first Shuffle()
 };
 
 // Fixed-width binary row: dim feature doubles followed by the label as a
@@ -189,14 +216,25 @@ Result<Dataset> Table::ToDataset(int num_classes) const {
   return out;
 }
 
+Result<std::unique_ptr<Table>> MakeTable(std::shared_ptr<const Dataset> data,
+                                         StorageMode mode,
+                                         const std::string& spill_path,
+                                         size_t page_rows) {
+  if (data == nullptr || data->empty()) {
+    return Status::InvalidArgument("empty dataset");
+  }
+  if (mode == StorageMode::kDisk) {
+    return MakeTable(*data, mode, spill_path, page_rows);
+  }
+  return std::unique_ptr<Table>(new MemoryTable(std::move(data)));
+}
+
 Result<std::unique_ptr<Table>> MakeTable(const Dataset& data, StorageMode mode,
                                          const std::string& spill_path,
                                          size_t page_rows) {
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   if (mode == StorageMode::kMemory) {
-    std::vector<Example> rows(data.examples());
-    return std::unique_ptr<Table>(
-        new MemoryTable(std::move(rows), data.dim()));
+    return MakeTable(std::make_shared<const Dataset>(data), mode);
   }
   if (spill_path.empty()) {
     return Status::InvalidArgument("disk tables need a spill_path");

@@ -28,7 +28,7 @@ enum class StorageMode {
 ///
 /// The access pattern matches Bismarck's: `Shuffle()` materializes a
 /// random row order (the `ORDER BY RANDOM()` step, run once before
-/// training), after which every epoch performs one sequential `Scan()`.
+/// training), after which every epoch performs one `Scan()` in that order.
 class Table {
  public:
   using RowFn = std::function<void(const Example&)>;
@@ -39,22 +39,37 @@ class Table {
   virtual size_t dim() const = 0;
   virtual StorageMode mode() const = 0;
 
-  /// Materializes a uniformly random row order (Fisher–Yates for memory
-  /// tables; for disk tables the shuffle rewrites the backing file so later
+  /// Materializes a uniformly random row order (Fisher–Yates over the
+  /// memory table's row order, the same swaps a shuffle of the rows would
+  /// make; for disk tables the shuffle rewrites the backing file so later
   /// scans stay sequential, like `CREATE TABLE ... AS SELECT ... ORDER BY
   /// RANDOM()`).
   virtual Status Shuffle(Rng* rng) = 0;
 
-  /// One sequential pass over the rows in their current order.
+  /// One pass over the rows in their current order. A disk table reads
+  /// its file sequentially; a shuffled memory table reads its row order
+  /// sequentially and each row where the shared dataset holds it,
+  /// prefetching a few rows ahead.
   virtual Status Scan(const RowFn& fn) const = 0;
 
   /// Copies all rows (current order) into a Dataset. Primarily for tests.
   Result<Dataset> ToDataset(int num_classes = 2) const;
 };
 
-/// Creates a table from a dataset. `spill_path` names the backing file for
-/// kDisk mode (required then; ignored for kMemory). `page_rows` is the
-/// number of rows per I/O page for kDisk (default 1024).
+/// Creates a table over `data`'s rows. A kMemory table shares them: it
+/// keeps `data` alive, never writes to it, and scans the `Example`s it
+/// holds in place, so any number of tables (and threads) can read one
+/// dataset without a copy. Its `Shuffle()` permutes a row order of its
+/// own. `spill_path` names the backing file for kDisk mode (required then;
+/// ignored for kMemory). `page_rows` is the number of rows per I/O page for
+/// kDisk (default 1024).
+Result<std::unique_ptr<Table>> MakeTable(std::shared_ptr<const Dataset> data,
+                                         StorageMode mode,
+                                         const std::string& spill_path = "",
+                                         size_t page_rows = 1024);
+
+/// As above over a copy of `data`, so the table owns its rows and `data`
+/// may go away.
 Result<std::unique_ptr<Table>> MakeTable(const Dataset& data, StorageMode mode,
                                          const std::string& spill_path = "",
                                          size_t page_rows = 1024);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "data/prefetch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "random/permutation.h"
@@ -53,24 +54,6 @@ void FlushPsgdStats(const PsgdStats& stats) {
 
 namespace {
 
-// How many positions of the permutation the batch loop reads ahead: the
-// features of order[k + kPrefetchDistance] and the Example of
-// order[k + 2 * kPrefetchDistance] are requested while row order[k] is
-// processed.
-constexpr size_t kPrefetchDistance = 8;
-
-// Requests the cache line holding `p`; a hint that never faults. GCC 12
-// at -O2 deletes a __builtin_prefetch whose loop does nothing else (as in
-// DenseRows::PrefetchFeatures), so on x86-64 the instruction is emitted as
-// asm volatile, which the compiler must keep.
-inline void PrefetchLine(const void* p) {
-#if defined(__x86_64__)
-  asm volatile("prefetcht0 (%0)" : : "r"(p));
-#else
-  __builtin_prefetch(p);
-#endif
-}
-
 // The row sources RunLoop is instantiated over. Each supplies the
 // per-example gradient and the two steps whose cost depends on where the
 // batch gradient can be nonzero: zeroing it before a batch, and applying
@@ -97,25 +80,9 @@ class DenseRows {
     if (slice_.empty()) return;
     for (size_t& k : *order) k = slice_[k];
   }
-  // Both lines an Example may span: where it straddles a line boundary,
-  // its label sits in the second.
-  void PrefetchExample(size_t i) const {
-    const char* e = reinterpret_cast<const char*>(&data_[i]);
-    PrefetchLine(e);
-    PrefetchLine(e + sizeof(Example) - 1);
-  }
-  // The first kMaxLines lines of the row's features: the hardware
-  // streamer fetches the rest of a longer row.
+  void PrefetchExample(size_t i) const { bolton::PrefetchExample(data_[i]); }
   void PrefetchFeatures(size_t i) const {
-    constexpr uintptr_t kLine = 64;
-    constexpr uintptr_t kMaxLines = 8;
-    const auto begin = reinterpret_cast<uintptr_t>(data_[i].x.data());
-    const uintptr_t first = begin & ~(kLine - 1);
-    const uintptr_t end = std::min(begin + data_.dim() * sizeof(double),
-                                   first + kMaxLines * kLine);
-    for (uintptr_t line = first; line < end; line += kLine) {
-      PrefetchLine(reinterpret_cast<const void*>(line));
-    }
+    bolton::PrefetchFeatures(data_[i], data_.dim());
   }
   void BeginBatch(Vector* grad) { grad->SetZero(); }
   void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {

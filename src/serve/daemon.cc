@@ -143,6 +143,12 @@ void WriteAccountView(const TenantAccountView& view, JsonWriter* w) {
   w->EndObject();
 }
 
+/// The heap a dataset's rows hold: each row's Example and its features
+/// (allocator overhead aside).
+size_t DatasetBytes(const Dataset& data) {
+  return data.size() * (sizeof(Example) + data.dim() * sizeof(double));
+}
+
 /// Tracks a request for drain accounting and latency metrics.
 class RequestScope {
  public:
@@ -238,29 +244,56 @@ void ServeDaemon::Shutdown() {
   if (server_ != nullptr) server_->Stop();
 }
 
-Result<std::shared_ptr<const std::pair<Dataset, Dataset>>>
-ServeDaemon::DatasetFor(const std::string& name, double scale, uint64_t seed) {
+size_t ServeDaemon::cached_dataset_bytes() {
+  std::lock_guard<std::mutex> lock(data_mu_);
+  return dataset_bytes_;
+}
+
+Result<ServeDaemon::SharedDatasets> ServeDaemon::DatasetFor(
+    const std::string& name, double scale, uint64_t seed) {
   if (!(scale > 0.0) || scale > options_.max_dataset_scale) {
     return Status::InvalidArgument(StrFormat(
         "scale must be in (0, %g], got %g", options_.max_dataset_scale,
         scale));
   }
-  const std::string key =
-      StrFormat("%s@%.6g#%llu", name.c_str(), scale,
-                static_cast<unsigned long long>(seed));
+  const DatasetKey key(name, scale, seed);
   {
     std::lock_guard<std::mutex> lock(data_mu_);
-    auto it = datasets_.find(key);
-    if (it != datasets_.end()) return it->second;
+    auto it = dataset_index_.find(key);
+    if (it != dataset_index_.end()) {
+      datasets_.splice(datasets_.begin(), datasets_, it->second);
+      return it->second->data;
+    }
   }
   // Generated outside the lock: two tenants racing on a cold key both
   // generate (identical seeds → identical data); one insert wins.
   BOLTON_ASSIGN_OR_RETURN(auto generated, GenerateByName(name, scale, seed));
-  auto shared = std::make_shared<const std::pair<Dataset, Dataset>>(
+  const size_t bytes =
+      DatasetBytes(generated.first) + DatasetBytes(generated.second);
+  SharedDatasets shared = std::make_shared<const std::pair<Dataset, Dataset>>(
       std::move(generated));
+  // Declared before the lock, so the evicted pairs (and a losing racer's
+  // copy) are freed after data_mu_ is released: freeing a large dataset
+  // never stalls another request's lookup.
+  std::vector<SharedDatasets> evicted;
   std::lock_guard<std::mutex> lock(data_mu_);
-  auto inserted = datasets_.emplace(key, std::move(shared));
-  return inserted.first->second;
+  auto [it, inserted] = dataset_index_.try_emplace(key);
+  if (!inserted) {
+    datasets_.splice(datasets_.begin(), datasets_, it->second);
+    return it->second->data;
+  }
+  datasets_.push_front(CachedDataset{key, shared, bytes});
+  it->second = datasets_.begin();
+  dataset_bytes_ += bytes;
+  // The newest pair stays even when it alone is over the budget.
+  while (dataset_bytes_ > kDatasetCacheBytes && datasets_.size() > 1) {
+    CachedDataset& oldest = datasets_.back();
+    dataset_bytes_ -= oldest.bytes;
+    dataset_index_.erase(oldest.key);
+    evicted.push_back(std::move(oldest.data));
+    datasets_.pop_back();
+  }
+  return shared;
 }
 
 HttpResponse ServeDaemon::HandlePost(const HttpRequest& request,
@@ -546,7 +579,11 @@ HttpResponse ServeDaemon::Aggregate(const JsonValue& body,
         data.status().code() == StatusCode::kNotFound ? 404 : 400;
     return JsonError(status, "bad_dataset", data.status().message());
   }
-  auto table = MakeTable(data.value()->first, StorageMode::kMemory);
+  // The table reads the cached training rows in place, and its pointer
+  // keeps them alive should the cache evict them before the scan ends.
+  auto table = MakeTable(
+      std::shared_ptr<const Dataset>(data.value(), &data.value()->first),
+      StorageMode::kMemory);
   if (!table.ok()) {
     return JsonError(500, "table_failed", table.status().message());
   }

@@ -3,11 +3,14 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "data/dataset.h"
@@ -103,6 +106,15 @@ class ServeDaemon {
   AdmissionController& admission() { return *admission_; }
   obs::ObsServer& server() { return *server_; }
 
+  /// Bytes of generated datasets the daemon keeps between requests. Past
+  /// it the least recently used go. It holds both datasets of every
+  /// perfbench serve workload and two full-scale protein sets; a dataset
+  /// larger than it is still served, and kept alone until the next one.
+  static constexpr size_t kDatasetCacheBytes = size_t{128} << 20;
+
+  /// What the dataset cache holds now, by the estimate it evicts on.
+  size_t cached_dataset_bytes();
+
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
@@ -133,10 +145,24 @@ class ServeDaemon {
                               const std::string& tenant);
   obs::HttpResponse HandleBudget(const obs::HttpRequest& request);
 
-  /// The shared synthetic-dataset cache: generating "protein" at scale 0.1
-  /// once per daemon, not once per request. Keyed by (name, scale, seed).
-  Result<std::shared_ptr<const std::pair<Dataset, Dataset>>> DatasetFor(
-      const std::string& name, double scale, uint64_t seed);
+  /// A generated (train, test) pair, shared by the cache and every request
+  /// reading it: an evicted pair lives on until its last request ends.
+  using SharedDatasets = std::shared_ptr<const std::pair<Dataset, Dataset>>;
+  /// (name, scale, seed): the scale's exact value, since two scales that
+  /// print alike can generate different row counts.
+  using DatasetKey = std::tuple<std::string, double, uint64_t>;
+  struct CachedDataset {
+    DatasetKey key;
+    SharedDatasets data;
+    size_t bytes;
+  };
+
+  /// The shared synthetic-dataset cache, within kDatasetCacheBytes: a hit
+  /// generates nothing. A miss generates outside data_mu_, so concurrent
+  /// first requests for one key may each generate it; the first insert is
+  /// kept.
+  Result<SharedDatasets> DatasetFor(const std::string& name, double scale,
+                                    uint64_t seed);
 
   ServeOptions options_;
   std::unique_ptr<TenantBudgetManager> budget_;
@@ -154,8 +180,9 @@ class ServeDaemon {
   size_t inflight_ = 0;
 
   std::mutex data_mu_;
-  std::map<std::string, std::shared_ptr<const std::pair<Dataset, Dataset>>>
-      datasets_;
+  std::list<CachedDataset> datasets_;  // most recently used first
+  std::map<DatasetKey, std::list<CachedDataset>::iterator> dataset_index_;
+  size_t dataset_bytes_ = 0;
 
   std::mutex models_mu_;
   std::map<std::string, StoredModel> models_;

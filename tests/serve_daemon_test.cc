@@ -218,6 +218,79 @@ TEST_F(ServeDaemonTest, AggregateSpendsUnderTheSameBudget) {
   EXPECT_DOUBLE_EQ(daemon_->budget().Account("alice").spent.epsilon, 0.2);
 }
 
+TEST_F(ServeDaemonTest, AggregateAnswersAreByteIdenticalToTheirGoldens) {
+  // Bodies answered when each aggregate copied the cached rows into a table
+  // of its own; reading them in place must not change a byte.
+  ServeOptions options;
+  options.budget.default_budget = PrivacyParams{2.0, 1e-5};
+  StartDaemon(options);
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"tenant":"alice","op":"count","epsilon":0.2,"scale":0.02,)"
+       R"("seed":3})",
+       R"({"op":"count","dataset":"protein","value":727.6237967609284,)"
+       R"("epsilon":0.2,"delta":0,"spent_epsilon":0.2,)"
+       R"("remaining_epsilon":1.8})"},
+      {R"({"tenant":"alice","op":"feature_mean","column":5,"epsilon":0.5,)"
+       R"("scale":0.02,"seed":4})",
+       R"({"op":"feature_mean","dataset":"protein",)"
+       R"("value":0.0020493345791463315,"epsilon":0.5,"delta":0,)"
+       R"("spent_epsilon":0.7,"remaining_epsilon":1.3})"},
+      {R"({"tenant":"bob","op":"feature_mean","column":0,"epsilon":0.3,)"
+       R"("delta":1e-6,"scale":0.03,"data_seed":7,"seed":9})",
+       R"({"op":"feature_mean","dataset":"protein",)"
+       R"("value":-0.00037101991269229695,"epsilon":0.3,"delta":1e-06,)"
+       R"("spent_epsilon":0.3,"remaining_epsilon":1.7})"},
+      {R"({"tenant":"bob","dataset":"covertype","op":"count",)"
+       R"("epsilon":0.25,"scale":0.001,"seed":11})",
+       R"({"op":"count","dataset":"covertype","value":494.2407922492169,)"
+       R"("epsilon":0.25,"delta":0,"spent_epsilon":0.55,)"
+       R"("remaining_epsilon":1.45})"},
+  };
+  for (const auto& [request, golden] : cases) {
+    HttpReply reply = Call(daemon_->port(), "POST", "/v1/aggregate", request);
+    EXPECT_EQ(reply.status, 200) << request;
+    EXPECT_EQ(reply.body, std::string(golden) + "\n") << request;
+  }
+}
+
+TEST_F(ServeDaemonTest, DatasetCacheStaysWithinItsByteBudget) {
+  ServeOptions options;
+  options.budget.default_budget = PrivacyParams{100.0, 1e-5};
+  StartDaemon(options);
+  auto mean = [&](int data_seed, const char* scale) {
+    HttpReply reply = Call(
+        daemon_->port(), "POST", "/v1/aggregate",
+        StrFormat(R"({"tenant":"alice","op":"feature_mean","epsilon":0.01,)"
+                  R"("scale":%s,"data_seed":%d})",
+                  scale, data_seed));
+    EXPECT_EQ(reply.status, 200) << reply.body;
+    return ParseBody(reply).GetNumber("value", 0.0).MoveValue();
+  };
+  // Scales that print alike to six digits are still different datasets.
+  mean(1, "0.02");
+  const size_t small = daemon_->cached_dataset_bytes();
+  ASSERT_GT(small, 0u);
+  mean(1, "0.0200000001");
+  EXPECT_EQ(daemon_->cached_dataset_bytes(), 2 * small);
+
+  // protein@0.5 with one data_seed after another, past what the budget
+  // holds: the cache keeps the newest that fit and never holds more.
+  const double first = mean(1, "0.5");
+  const size_t per_seed = daemon_->cached_dataset_bytes() - 2 * small;
+  ASSERT_GT(per_seed, 0u);
+  const size_t fits = ServeDaemon::kDatasetCacheBytes / per_seed;
+  ASSERT_GE(fits, 2u);
+  for (int seed = 2; seed <= static_cast<int>(fits) + 3; ++seed) {
+    mean(seed, "0.5");
+    EXPECT_LE(daemon_->cached_dataset_bytes(), ServeDaemon::kDatasetCacheBytes)
+        << "after data_seed " << seed;
+  }
+  EXPECT_EQ(daemon_->cached_dataset_bytes(), fits * per_seed);
+  // An evicted dataset is generated again, row for row.
+  EXPECT_EQ(mean(1, "0.5"), first);
+  EXPECT_LE(daemon_->cached_dataset_bytes(), ServeDaemon::kDatasetCacheBytes);
+}
+
 TEST_F(ServeDaemonTest, BudgetEndpointReportsAccounts) {
   StartDaemon();
   ASSERT_EQ(Train(R"({"tenant":"alice","algorithm":"bolton","epsilon":0.3,)"

@@ -470,7 +470,7 @@ grep -q '"failpoints":"psgd.pass:panic@2"' "$PM/postmortem.json"
 # Finalizing twice is safe; a crash-free armed run leaves nothing behind.
 "$CLI" postmortem finalize --dir "$PM" > /dev/null
 
-echo "== ThreadSanitizer pass (obs server, registries, pool, executor) =="
+echo "== ThreadSanitizer pass (obs server, registries, pool, executor, shared tables) =="
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
@@ -481,9 +481,10 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" \
   -t profiler_test -t perf_counters_test -t thread_pool_test \
   -t parallel_executor_test -t solver_test -t failpoint_test \
   -t checkpoint_test -t logging_test -t postmortem_test \
-  -t serve_budget_test -t serve_chaos_test -t serve_daemon_test
+  -t serve_budget_test -t serve_chaos_test -t serve_daemon_test \
+  -t table_test -t private_aggregates_test
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-  -R '^(obs_(metrics|ledger|export|http)|profiler|perf_counters|thread_pool|parallel_executor|solver|failpoint|checkpoint|logging|postmortem|serve_(budget|chaos|daemon))_test$'
+  -R '^(obs_(metrics|ledger|export|http)|profiler|perf_counters|thread_pool|parallel_executor|solver|failpoint|checkpoint|logging|postmortem|serve_(budget|chaos|daemon)|table|private_aggregates)_test$'
 
 # The checks below run the primary, unsanitized build: the bench baselines
 # were captured without sanitizers, and the prefetch check reads the
@@ -491,27 +492,40 @@ ctest --test-dir "$TSAN_BUILD" --output-on-failure \
 cmake -S "$ROOT" -B "$PRIMARY_BUILD" > "$WORKDIR/primary.configure.log" 2>&1 \
     || { cat "$WORKDIR/primary.configure.log"; exit 1; }
 
-echo "== prefetch check (PSGD's dense batch loop keeps its row prefetch) =="
+echo "== prefetch check (PSGD's dense batch loop and the memory-table scan keep their row prefetch) =="
 # RunLoop<DenseRows> (optim/psgd.cc) prefetches the rows its permutation
-# reads next. Released models are the same with or without it, so no test
-# can see a compiler drop it; only speed is lost. The source issues three
-# prefetches: both lines an Example may span, and one per feature line in
-# a loop of its own. GCC 12 at -O2 deletes a __builtin_prefetch whose loop
-# does nothing else, which leaves two.
-cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bolton_optim
+# reads next, and a shuffled memory table's Scan (engine/table.cc) the
+# rows its order reads next, both through data/prefetch.h. Models are the
+# same with or without it, so no test can see a compiler drop it; only
+# speed is lost. The source issues three prefetches: both lines an
+# Example may span, and one per feature line in a loop of its own. GCC 12
+# at -O2 deletes a __builtin_prefetch whose loop does nothing else, which
+# leaves two.
+cmake --build "$PRIMARY_BUILD" -j "$JOBS" -t bolton_optim -t bolton_engine
 if [ "$(uname -m)" != "x86_64" ]; then
   echo "skipped (prefetcht0 is x86-64; this host is $(uname -m))"
 elif ! command -v objdump > /dev/null 2>&1; then
   echo "skipped (objdump missing)"
 else
-  prefetches=$(objdump -d -C \
+  # Usage: count_prefetches OBJECT FUNCTION_REGEX
+  count_prefetches() {
+    objdump -d -C "$1" \
+        | awk -v fn="$2" '/^[0-9a-f]+ </ { inside = $0 ~ fn }
+                          inside && /prefetcht0/ { n++ }
+                          END { print n + 0 }'
+  }
+  prefetches=$(count_prefetches \
       "$PRIMARY_BUILD/src/optim/CMakeFiles/bolton_optim.dir/psgd.cc.o" \
-      | awk '/^[0-9a-f]+ </ { inside = /RunLoop<[^>]*DenseRows>/ }
-             inside && /prefetcht0/ { n++ }
-             END { print n + 0 }')
+      'RunLoop<[^>]*DenseRows>')
   echo "RunLoop<DenseRows> issues $prefetches prefetcht0"
   [ "$prefetches" -ge 3 ] \
       || { echo "RunLoop<DenseRows> lost its row prefetch (want >= 3)"; exit 1; }
+  prefetches=$(count_prefetches \
+      "$PRIMARY_BUILD/src/engine/CMakeFiles/bolton_engine.dir/table.cc.o" \
+      'MemoryTable::Scan')
+  echo "MemoryTable::Scan issues $prefetches prefetcht0"
+  [ "$prefetches" -ge 3 ] \
+      || { echo "MemoryTable::Scan lost its row prefetch (want >= 3)"; exit 1; }
 fi
 
 echo "== bench regression gate (parallel scaling vs BENCH_PR18.json) =="
