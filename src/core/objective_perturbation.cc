@@ -12,56 +12,46 @@ namespace bolton {
 
 namespace {
 
-// Numerically stable ln(1 + e^z), as in optim/loss.cc's logistic loss.
-double Log1pExp(double z) {
-  if (z > 0.0) return z + std::log1p(std::exp(-z));
-  return std::log1p(std::exp(z));
-}
-
 // Logistic loss + (λ/2)‖w‖² + ⟨b, w⟩/m per example, so the empirical risk
 // is exactly CMS11's perturbed objective J(w).
 class PerturbedLogisticLoss final : public LossFunction {
  public:
   PerturbedLogisticLoss(double lambda, double radius, Vector b, size_t m)
-      : lambda_(lambda), radius_(radius), b_(std::move(b)),
-        inv_m_(1.0 / static_cast<double>(m)) {}
+      : LossFunction(lambda, std::move(b), 1.0 / static_cast<double>(m)),
+        radius_(radius) {}
 
-  double Loss(const Vector& w, const Example& example) const override {
-    double loss = Log1pExp(-example.label * Dot(w, example.x));
-    loss += 0.5 * lambda_ * w.SquaredNorm();
-    loss += inv_m_ * Dot(b_, w);
-    return loss;
+  double Value(double prediction, double label) const override {
+    return LogisticValue(prediction, label);
   }
-
-  void AddGradient(const Vector& w, const Example& example, double scale,
-                   Vector* grad) const override {
-    double margin = example.label * Dot(w, example.x);
-    grad->Axpy(scale * -example.label * Sigmoid(-margin), example.x);
-    grad->Axpy(scale * lambda_, w);
-    grad->Axpy(scale * inv_m_, b_);
+  double Derivative(double prediction, double label) const override {
+    return LogisticDerivative(prediction, label);
   }
 
   double lipschitz() const override {
-    return 1.0 + lambda_ * radius_ + b_.Norm() * inv_m_;
+    return 1.0 + lambda() * radius_ + linear_term()->Norm() * linear_weight();
   }
-  double smoothness() const override { return 1.0 + lambda_; }
-  double strong_convexity() const override { return lambda_; }
+  double smoothness() const override { return 1.0 + lambda(); }
+  double strong_convexity() const override { return lambda(); }
   double radius() const override { return radius_; }
   std::string name() const override {
-    return StrFormat("perturbed_logistic(lambda=%g)", lambda_);
+    return StrFormat("perturbed_logistic(lambda=%g)", lambda());
   }
   std::unique_ptr<LossFunction> Clone() const override {
     return std::make_unique<PerturbedLogisticLoss>(*this);
   }
 
  private:
-  double lambda_;
   double radius_;
-  Vector b_;
-  double inv_m_;
 };
 
 }  // namespace
+
+std::unique_ptr<LossFunction> MakePerturbedLogisticLoss(double lambda,
+                                                        double radius,
+                                                        Vector b, size_t m) {
+  return std::make_unique<PerturbedLogisticLoss>(lambda, radius, std::move(b),
+                                                 m);
+}
 
 Result<ObjectivePerturbationOutput> RunObjectivePerturbation(
     const Dataset& data, const ObjectivePerturbationOptions& options,
@@ -103,18 +93,18 @@ Result<ObjectivePerturbationOutput> RunObjectivePerturbation(
 
   // Approximate argmin J(w) with strongly convex projected PSGD.
   const double radius = 1.0 / out.effective_lambda;
-  PerturbedLogisticLoss loss(out.effective_lambda, radius, std::move(b),
-                             data.size());
+  const auto loss = MakePerturbedLogisticLoss(out.effective_lambda, radius,
+                                              std::move(b), data.size());
   BOLTON_ASSIGN_OR_RETURN(
       auto schedule,
-      MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
+      MakeInverseTimeStep(loss->strong_convexity(), loss->smoothness()));
   PsgdOptions psgd;
   psgd.passes = options.passes;
   psgd.batch_size = std::min(options.batch_size, data.size());
   psgd.radius = radius;
   Rng psgd_rng = rng->Split();
   BOLTON_ASSIGN_OR_RETURN(PsgdOutput run,
-                          RunPsgd(data, loss, *schedule, psgd, &psgd_rng));
+                          RunPsgd(data, *loss, *schedule, psgd, &psgd_rng));
   out.model = std::move(run.model);
   out.stats = run.stats;
   return out;

@@ -1,8 +1,11 @@
 #ifndef BOLTON_CORE_OBJECTIVE_PERTURBATION_H_
 #define BOLTON_CORE_OBJECTIVE_PERTURBATION_H_
 
+#include <memory>
+
 #include "core/privacy.h"
 #include "data/dataset.h"
+#include "optim/loss.h"
 #include "optim/psgd.h"
 #include "random/rng.h"
 #include "util/result.h"
@@ -48,6 +51,13 @@ struct ObjectivePerturbationOutput {
   double perturbation_norm = 0.0;
   PsgdStats stats;
 };
+
+/// CMS11's perturbed objective per example: the logistic loss plus
+/// (λ/2)‖w‖² and the linear term ⟨b, w⟩/m, so its empirical risk over m
+/// rows is J(w) above.
+std::unique_ptr<LossFunction> MakePerturbedLogisticLoss(double lambda,
+                                                        double radius,
+                                                        Vector b, size_t m);
 
 /// Runs objective perturbation for logistic regression. Requires ε > 0,
 /// λ ≥ 0, non-empty unit-ball data.

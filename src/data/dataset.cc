@@ -1,5 +1,6 @@
 #include "data/dataset.h"
 
+#include <iterator>
 #include <utility>
 
 #include "random/permutation.h"
@@ -44,13 +45,13 @@ Dataset Dataset::Subset(const std::vector<size_t>& indices) const {
   return out;
 }
 
-std::pair<Dataset, Dataset> Dataset::SplitAt(size_t count) const {
+std::pair<Dataset, Dataset> Dataset::SplitAt(size_t count) && {
   BOLTON_CHECK(count <= examples_.size());
-  Dataset head(dim_, num_classes_);
   Dataset tail(dim_, num_classes_);
-  head.examples_.assign(examples_.begin(), examples_.begin() + count);
-  tail.examples_.assign(examples_.begin() + count, examples_.end());
-  return {std::move(head), std::move(tail)};
+  tail.examples_.assign(std::make_move_iterator(examples_.begin() + count),
+                        std::make_move_iterator(examples_.end()));
+  examples_.resize(count);
+  return {std::move(*this), std::move(tail)};
 }
 
 void Dataset::Shuffle(Rng* rng) { ShuffleInPlace(&examples_, rng); }

@@ -57,8 +57,9 @@ class Dataset {
   /// Returns the examples whose indices are listed, in that order.
   Dataset Subset(const std::vector<size_t>& indices) const;
 
-  /// Returns {first `count` examples, the rest}. Requires count <= size().
-  std::pair<Dataset, Dataset> SplitAt(size_t count) const;
+  /// Moves the examples into {first `count` examples, the rest}, copying
+  /// no features. Requires count <= size().
+  std::pair<Dataset, Dataset> SplitAt(size_t count) &&;
 
   /// Shuffles example order uniformly (Fisher–Yates) using `rng`.
   void Shuffle(Rng* rng);

@@ -25,7 +25,7 @@ Result<std::pair<Dataset, Dataset>> GenerateSplit(SyntheticConfig config,
   size_t train_count = config.num_examples;
   config.num_examples = train_count + test_count;
   BOLTON_ASSIGN_OR_RETURN(Dataset all, GenerateSynthetic(config));
-  return all.SplitAt(train_count);
+  return std::move(all).SplitAt(train_count);
 }
 
 }  // namespace

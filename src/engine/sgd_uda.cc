@@ -26,7 +26,7 @@ void SgdUda::Initialize(const Vector& state) {
 
 void SgdUda::Transition(const Example& row) {
   if (!status_.ok()) return;
-  loss_.AddGradient(model_, row, 1.0, &batch_grad_);
+  loss_.AddGradient(model_, row.x, row.label, 1.0, &batch_grad_);
   ++stats_.gradient_evaluations;
   ++batch_fill_;
   if (batch_fill_ == options_.batch_size) ApplyUpdate();

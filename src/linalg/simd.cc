@@ -7,14 +7,13 @@
 #include "util/logging.h"
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
 #define BOLTON_SIMD_X86 1
 #endif
 
 // This file is compiled with -ffp-contract=off (see src/linalg/CMakeLists):
 // the bit-identity contract requires every multiply and add to round
-// separately, and a compiler-introduced FMA would round once. The intrinsic
-// kernels likewise never use FMA instructions.
+// separately, and a compiler-introduced FMA would round once. The vector
+// kernels spell out each multiply and add, and no FMA is ever asked for.
 
 namespace bolton {
 
@@ -96,317 +95,358 @@ void SubScalar(double* y, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] -= x[i];
 }
 
+void BatchMarginsScalar(const double* const* rows, size_t batch,
+                        const double* w, size_t n, double* margins) {
+  for (size_t k = 0; k < batch; ++k) margins[k] = DotScalar(rows[k], w, n);
+}
+
+double BatchStepScalar(const double* const* rows, const double* coeffs,
+                       size_t batch, const SimdStepTerms& terms, double* w,
+                       size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double g = 0.0;
+    for (size_t k = 0; k < batch; ++k) {
+      g += coeffs[k] * rows[k][i];
+      if (terms.reg != 0.0) g += terms.reg * w[i];
+      if (terms.linear != nullptr) g += terms.linear_coeff * terms.linear[i];
+    }
+    if (terms.noise != nullptr) g += terms.noise[i];
+    w[i] += terms.neg_eta * g;
+  }
+  return SquaredNormScalar(w, n);
+}
+
 #ifdef BOLTON_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE2: the 8 virtual lanes live in 4 xmm registers — a01 = (l0,l1),
-// a23 = (l2,l3), a45 = (l4,l5), a67 = (l6,l7). a01+a45 yields (c0,c1) and
-// a23+a67 yields (c2,c3), matching the scalar combine tree exactly.
+// The vector tiers. Each kernel is written once over a GCC vector type V of
+// kW = 2 (SSE2), 4 (AVX2) or 8 (AVX-512) doubles and inlined into one
+// target function per tier, so every tier runs the same code at its own
+// width. The 8 canonical lanes live in 8 / kW registers: lane j in element
+// j mod kW of register j / kW. Elementwise kernels are bit-identical by
+// construction; reductions combine the lanes in the scalar tree.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("sse2"))) double DotSse2(const double* x,
-                                               const double* y, size_t n) {
-  __m128d a01 = _mm_setzero_pd(), a23 = _mm_setzero_pd();
-  __m128d a45 = _mm_setzero_pd(), a67 = _mm_setzero_pd();
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    a01 = _mm_add_pd(a01, _mm_mul_pd(_mm_loadu_pd(x + i),
-                                     _mm_loadu_pd(y + i)));
-    a23 = _mm_add_pd(a23, _mm_mul_pd(_mm_loadu_pd(x + i + 2),
-                                     _mm_loadu_pd(y + i + 2)));
-    a45 = _mm_add_pd(a45, _mm_mul_pd(_mm_loadu_pd(x + i + 4),
-                                     _mm_loadu_pd(y + i + 4)));
-    a67 = _mm_add_pd(a67, _mm_mul_pd(_mm_loadu_pd(x + i + 6),
-                                     _mm_loadu_pd(y + i + 6)));
-  }
-  const __m128d c01 = _mm_add_pd(a01, a45);  // (c0, c1)
-  const __m128d c23 = _mm_add_pd(a23, a67);  // (c2, c3)
-  const double c0 = _mm_cvtsd_f64(c01);
-  const double c1 = _mm_cvtsd_f64(_mm_unpackhi_pd(c01, c01));
-  const double c2 = _mm_cvtsd_f64(c23);
-  const double c3 = _mm_cvtsd_f64(_mm_unpackhi_pd(c23, c23));
-  double total = (c0 + c1) + (c2 + c3);
-  for (; i < n; ++i) total += x[i] * y[i];
-  return total;
+typedef double Vec2 __attribute__((vector_size(16)));
+typedef double Vec4 __attribute__((vector_size(32)));
+typedef double Vec8 __attribute__((vector_size(64)));
+
+template <typename V>
+[[gnu::always_inline]] inline void LoadV(V* v, const double* p) {
+  __builtin_memcpy(v, p, sizeof(V));
 }
 
-__attribute__((target("sse2"))) double SquaredNormSse2(const double* x,
-                                                       size_t n) {
-  return DotSse2(x, x, n);
+template <typename V>
+[[gnu::always_inline]] inline void StoreV(double* p, const V& v) {
+  __builtin_memcpy(p, &v, sizeof(V));
 }
 
-__attribute__((target("sse2"))) double SquaredDistanceSse2(const double* x,
-                                                           const double* y,
-                                                           size_t n) {
-  __m128d a01 = _mm_setzero_pd(), a23 = _mm_setzero_pd();
-  __m128d a45 = _mm_setzero_pd(), a67 = _mm_setzero_pd();
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    const __m128d d01 = _mm_sub_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(y + i));
-    const __m128d d23 =
-        _mm_sub_pd(_mm_loadu_pd(x + i + 2), _mm_loadu_pd(y + i + 2));
-    const __m128d d45 =
-        _mm_sub_pd(_mm_loadu_pd(x + i + 4), _mm_loadu_pd(y + i + 4));
-    const __m128d d67 =
-        _mm_sub_pd(_mm_loadu_pd(x + i + 6), _mm_loadu_pd(y + i + 6));
-    a01 = _mm_add_pd(a01, _mm_mul_pd(d01, d01));
-    a23 = _mm_add_pd(a23, _mm_mul_pd(d23, d23));
-    a45 = _mm_add_pd(a45, _mm_mul_pd(d45, d45));
-    a67 = _mm_add_pd(a67, _mm_mul_pd(d67, d67));
-  }
-  const __m128d c01 = _mm_add_pd(a01, a45);
-  const __m128d c23 = _mm_add_pd(a23, a67);
-  const double c0 = _mm_cvtsd_f64(c01);
-  const double c1 = _mm_cvtsd_f64(_mm_unpackhi_pd(c01, c01));
-  const double c2 = _mm_cvtsd_f64(c23);
-  const double c3 = _mm_cvtsd_f64(_mm_unpackhi_pd(c23, c23));
-  double total = (c0 + c1) + (c2 + c3);
-  for (; i < n; ++i) {
-    const double d = x[i] - y[i];
-    total += d * d;
-  }
-  return total;
-}
-
-__attribute__((target("sse2"))) void AxpySse2(double a, const double* x,
-                                              double* y, size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  size_t i = 0;
-  const size_t n2 = n & ~static_cast<size_t>(1);
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                                    _mm_mul_pd(av, _mm_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-__attribute__((target("sse2"))) void ScaleSse2(double* x, double a, size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  size_t i = 0;
-  const size_t n2 = n & ~static_cast<size_t>(1);
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(x + i, _mm_mul_pd(_mm_loadu_pd(x + i), av));
-  }
-  for (; i < n; ++i) x[i] *= a;
-}
-
-__attribute__((target("sse2"))) void AddSse2(double* y, const double* x,
-                                             size_t n) {
-  size_t i = 0;
-  const size_t n2 = n & ~static_cast<size_t>(1);
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-__attribute__((target("sse2"))) void SubSse2(double* y, const double* x,
-                                             size_t n) {
-  size_t i = 0;
-  const size_t n2 = n & ~static_cast<size_t>(1);
-  for (; i < n2; i += 2) {
-    _mm_storeu_pd(y + i, _mm_sub_pd(_mm_loadu_pd(y + i), _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-// ---------------------------------------------------------------------------
-// AVX2: lanes in 2 ymm registers — a0123 = (l0..l3), a4567 = (l4..l7).
-// Their elementwise sum is (c0,c1,c2,c3); the 128-bit halves finish the tree.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) double ReduceC0123Avx2(__m256d c) {
-  const __m128d lo = _mm256_castpd256_pd128(c);      // (c0, c1)
-  const __m128d hi = _mm256_extractf128_pd(c, 1);    // (c2, c3)
-  const double c0 = _mm_cvtsd_f64(lo);
-  const double c1 = _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-  const double c2 = _mm_cvtsd_f64(hi);
-  const double c3 = _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+// total = (c0 + c1) + (c2 + c3) over the 8 canonical lanes.
+[[gnu::always_inline]] inline double CombineLanes(const double* l) {
+  const double c0 = l[0] + l[4], c1 = l[1] + l[5], c2 = l[2] + l[6],
+               c3 = l[3] + l[7];
   return (c0 + c1) + (c2 + c3);
 }
 
-__attribute__((target("avx2"))) double DotAvx2(const double* x,
-                                               const double* y, size_t n) {
-  __m256d a0123 = _mm256_setzero_pd(), a4567 = _mm256_setzero_pd();
-  size_t i = 0;
+// out[r] = ⟨rows[r], w⟩ for kRows rows at once, sharing each load of w.
+template <typename V, size_t kRows>
+[[gnu::always_inline]] inline void DotRowsV(const double* const* rows,
+                                            const double* w, size_t n,
+                                            double* out) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
+  constexpr size_t kRegs = 8 / kW;
+  V acc[kRows][kRegs] = {};
   const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    a0123 = _mm256_add_pd(
-        a0123, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-    a4567 = _mm256_add_pd(a4567, _mm256_mul_pd(_mm256_loadu_pd(x + i + 4),
-                                               _mm256_loadu_pd(y + i + 4)));
+  for (size_t i = 0; i < n8; i += 8) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kRegs; ++j) {
+      V wv;
+      LoadV(&wv, w + i + j * kW);
+#pragma GCC unroll 8
+      for (size_t r = 0; r < kRows; ++r) {
+        V xv;
+        LoadV(&xv, rows[r] + i + j * kW);
+        acc[r][j] = acc[r][j] + xv * wv;
+      }
+    }
   }
-  double total = ReduceC0123Avx2(_mm256_add_pd(a0123, a4567));
-  for (; i < n; ++i) total += x[i] * y[i];
+  for (size_t r = 0; r < kRows; ++r) {
+    double lanes[8];
+    __builtin_memcpy(lanes, acc[r], sizeof(lanes));
+    double total = CombineLanes(lanes);
+    for (size_t i = n8; i < n; ++i) total += rows[r][i] * w[i];
+    out[r] = total;
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void BatchMarginsV(const double* const* rows,
+                                                 size_t batch,
+                                                 const double* w, size_t n,
+                                                 double* margins) {
+  size_t k = 0;
+  for (; k + 4 <= batch; k += 4) DotRowsV<V, 4>(rows + k, w, n, margins + k);
+  for (; k < batch; ++k) DotRowsV<V, 1>(rows + k, w, n, margins + k);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline double DotV(const double* x, const double* y,
+                                          size_t n) {
+  double total;
+  DotRowsV<V, 1>(&x, y, n, &total);
   return total;
 }
 
-__attribute__((target("avx2"))) double SquaredNormAvx2(const double* x,
-                                                       size_t n) {
-  return DotAvx2(x, x, n);
-}
-
-__attribute__((target("avx2"))) double SquaredDistanceAvx2(const double* x,
-                                                           const double* y,
-                                                           size_t n) {
-  __m256d a0123 = _mm256_setzero_pd(), a4567 = _mm256_setzero_pd();
-  size_t i = 0;
+template <typename V>
+[[gnu::always_inline]] inline double SquaredDistanceV(const double* x,
+                                                      const double* y,
+                                                      size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
+  constexpr size_t kRegs = 8 / kW;
+  V acc[kRegs] = {};
   const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    const __m256d d0123 =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    const __m256d d4567 =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4));
-    a0123 = _mm256_add_pd(a0123, _mm256_mul_pd(d0123, d0123));
-    a4567 = _mm256_add_pd(a4567, _mm256_mul_pd(d4567, d4567));
+  for (size_t i = 0; i < n8; i += 8) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kRegs; ++j) {
+      V xv, yv;
+      LoadV(&xv, x + i + j * kW);
+      LoadV(&yv, y + i + j * kW);
+      const V d = xv - yv;
+      acc[j] = acc[j] + d * d;
+    }
   }
-  double total = ReduceC0123Avx2(_mm256_add_pd(a0123, a4567));
-  for (; i < n; ++i) {
+  double lanes[8];
+  __builtin_memcpy(lanes, acc, sizeof(lanes));
+  double total = CombineLanes(lanes);
+  for (size_t i = n8; i < n; ++i) {
     const double d = x[i] - y[i];
     total += d * d;
   }
   return total;
 }
 
-__attribute__((target("avx2"))) void AxpyAvx2(double a, const double* x,
-                                              double* y, size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
+template <typename V>
+[[gnu::always_inline]] inline void AxpyV(double a, const double* x, double* y,
+                                         size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
   size_t i = 0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (; i < n4; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(av, _mm256_loadu_pd(x + i))));
+  for (; i + kW <= n; i += kW) {
+    V xv, yv;
+    LoadV(&xv, x + i);
+    LoadV(&yv, y + i);
+    StoreV(y + i, yv + a * xv);
   }
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-__attribute__((target("avx2"))) void ScaleAvx2(double* x, double a, size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
+template <typename V>
+[[gnu::always_inline]] inline void ScaleV(double* x, double a, size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
   size_t i = 0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (; i < n4; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), av));
+  for (; i + kW <= n; i += kW) {
+    V xv;
+    LoadV(&xv, x + i);
+    StoreV(x + i, xv * a);
   }
   for (; i < n; ++i) x[i] *= a;
 }
 
-__attribute__((target("avx2"))) void AddAvx2(double* y, const double* x,
-                                             size_t n) {
+template <typename V>
+[[gnu::always_inline]] inline void AddV(double* y, const double* x,
+                                        size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
   size_t i = 0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (; i < n4; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
+  for (; i + kW <= n; i += kW) {
+    V xv, yv;
+    LoadV(&xv, x + i);
+    LoadV(&yv, y + i);
+    StoreV(y + i, yv + xv);
   }
   for (; i < n; ++i) y[i] += x[i];
 }
 
-__attribute__((target("avx2"))) void SubAvx2(double* y, const double* x,
-                                             size_t n) {
+template <typename V>
+[[gnu::always_inline]] inline void SubV(double* y, const double* x,
+                                        size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
   size_t i = 0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (; i < n4; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
+  for (; i + kW <= n; i += kW) {
+    V xv, yv;
+    LoadV(&xv, x + i);
+    LoadV(&yv, y + i);
+    StoreV(y + i, yv - xv);
   }
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512: all 8 lanes in one zmm register. The 256-bit halves are (l0..l3)
-// and (l4..l7); adding them gives (c0..c3) and the AVX2 finisher applies.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f,avx2"))) double DotAvx512(const double* x,
-                                                         const double* y,
-                                                         size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i)));
+// Steps the kU·kW coordinates from i: each coordinate's gradient stays in
+// a register across the batch's rows, and register u of the stepped w is
+// squared into the canonical lanes norm[u % (8 / kW)]. A group of four
+// registers starts on a multiple of 8; a single register is passed the
+// lanes of its own coordinates.
+template <typename V, size_t kU, bool kReg, bool kLinear>
+[[gnu::always_inline]] inline void StepLanesV(const double* const* rows,
+                                              const double* coeffs,
+                                              size_t batch,
+                                              const SimdStepTerms& terms,
+                                              double* w, size_t i, V* norm) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
+  constexpr size_t kRegs = 8 / kW;
+  V wv[kU], g[kU] = {}, reg[kU] = {}, lin[kU] = {};
+#pragma GCC unroll 8
+  for (size_t u = 0; u < kU; ++u) {
+    LoadV(&wv[u], w + i + u * kW);
+    if constexpr (kReg) reg[u] = terms.reg * wv[u];
+    if constexpr (kLinear) {
+      LoadV(&lin[u], terms.linear + i + u * kW);
+      lin[u] = terms.linear_coeff * lin[u];
+    }
   }
-  const __m256d lo = _mm512_castpd512_pd256(acc);       // (l0..l3)
-  const __m256d hi = _mm512_extractf64x4_pd(acc, 1);    // (l4..l7)
-  double total = ReduceC0123Avx2(_mm256_add_pd(lo, hi));
-  for (; i < n; ++i) total += x[i] * y[i];
-  return total;
+  for (size_t k = 0; k < batch; ++k) {
+    const double* x = rows[k] + i;
+    const double c = coeffs[k];
+#pragma GCC unroll 8
+    for (size_t u = 0; u < kU; ++u) {
+      V xv;
+      LoadV(&xv, x + u * kW);
+      g[u] = g[u] + c * xv;
+      if constexpr (kReg) g[u] = g[u] + reg[u];
+      if constexpr (kLinear) g[u] = g[u] + lin[u];
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t u = 0; u < kU; ++u) {
+    if (terms.noise != nullptr) {
+      V z;
+      LoadV(&z, terms.noise + i + u * kW);
+      g[u] = g[u] + z;
+    }
+    wv[u] = wv[u] + terms.neg_eta * g[u];
+    StoreV(w + i + u * kW, wv[u]);
+    norm[u % kRegs] = norm[u % kRegs] + wv[u] * wv[u];
+  }
 }
 
-__attribute__((target("avx512f,avx2"))) double SquaredNormAvx512(
-    const double* x, size_t n) {
-  return DotAvx512(x, x, n);
-}
-
-__attribute__((target("avx512f,avx2"))) double SquaredDistanceAvx512(
-    const double* x, const double* y, size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  size_t i = 0;
+template <typename V, bool kReg, bool kLinear>
+[[gnu::always_inline]] inline double BatchStepV(const double* const* rows,
+                                               const double* coeffs,
+                                               size_t batch,
+                                               const SimdStepTerms& terms,
+                                               double* w, size_t n) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
+  constexpr size_t kRegs = 8 / kW;
+  // A group of four registers keeps four vectors of sums in flight.
+  constexpr size_t kGroupRegs = 4;
+  constexpr size_t kGroup = kGroupRegs * kW;
+  V norm[kRegs] = {};
   const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    const __m512d d =
-        _mm512_sub_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(d, d));
+  size_t i = 0;
+  for (; i + kGroup <= n8; i += kGroup) {
+    StepLanesV<V, kGroupRegs, kReg, kLinear>(rows, coeffs, batch, terms, w,
+                                             i, norm);
   }
-  const __m256d lo = _mm512_castpd512_pd256(acc);
-  const __m256d hi = _mm512_extractf64x4_pd(acc, 1);
-  double total = ReduceC0123Avx2(_mm256_add_pd(lo, hi));
+  // Registers left under a whole group, then the tail of under 8
+  // coordinates in index order, as the scalar reference steps them.
+  for (; i < n8; i += kW) {
+    StepLanesV<V, 1, kReg, kLinear>(rows, coeffs, batch, terms, w, i,
+                                    norm + (i % 8) / kW);
+  }
+  double lanes[8];
+  __builtin_memcpy(lanes, norm, sizeof(lanes));
+  double total = CombineLanes(lanes);
   for (; i < n; ++i) {
-    const double d = x[i] - y[i];
-    total += d * d;
+    double g = 0.0;
+    for (size_t k = 0; k < batch; ++k) {
+      g += coeffs[k] * rows[k][i];
+      if constexpr (kReg) g += terms.reg * w[i];
+      if constexpr (kLinear) g += terms.linear_coeff * terms.linear[i];
+    }
+    if (terms.noise != nullptr) g += terms.noise[i];
+    w[i] += terms.neg_eta * g;
+    total += w[i] * w[i];
   }
   return total;
 }
 
-__attribute__((target("avx512f"))) void AxpyAvx512(double a, const double* x,
-                                                   double* y, size_t n) {
-  const __m512d av = _mm512_set1_pd(a);
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i),
-                             _mm512_mul_pd(av, _mm512_loadu_pd(x + i))));
+template <typename V, bool kReg, bool kLinear>
+[[gnu::always_inline]] inline double BatchStepRowsV(const double* const* rows,
+                                                   const double* coeffs,
+                                                   size_t batch,
+                                                   const SimdStepTerms& terms,
+                                                   double* w, size_t n) {
+  // A one-row batch (b = 1, or a pass's one-row last batch) gets its own
+  // copy of the loop with the row loop fixed at one.
+  if (batch == 1) {
+    return BatchStepV<V, kReg, kLinear>(rows, coeffs, 1, terms, w, n);
   }
-  for (; i < n; ++i) y[i] += a * x[i];
+  return BatchStepV<V, kReg, kLinear>(rows, coeffs, batch, terms, w, n);
 }
 
-__attribute__((target("avx512f"))) void ScaleAvx512(double* x, double a,
-                                                    size_t n) {
-  const __m512d av = _mm512_set1_pd(a);
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    _mm512_storeu_pd(x + i, _mm512_mul_pd(_mm512_loadu_pd(x + i), av));
+// The regularizer and the linear term are fixed for a whole run, so each
+// combination gets its own loop rather than a test per row.
+template <typename V>
+[[gnu::always_inline]] inline double BatchStepDispatchV(
+    const double* const* rows, const double* coeffs, size_t batch,
+    const SimdStepTerms& terms, double* w, size_t n) {
+  if (terms.linear != nullptr) {
+    return terms.reg != 0.0
+               ? BatchStepRowsV<V, true, true>(rows, coeffs, batch, terms, w,
+                                               n)
+               : BatchStepRowsV<V, false, true>(rows, coeffs, batch, terms, w,
+                                                n);
   }
-  for (; i < n; ++i) x[i] *= a;
+  return terms.reg != 0.0
+             ? BatchStepRowsV<V, true, false>(rows, coeffs, batch, terms, w, n)
+             : BatchStepRowsV<V, false, false>(rows, coeffs, batch, terms, w,
+                                               n);
 }
 
-__attribute__((target("avx512f"))) void AddAvx512(double* y, const double* x,
-                                                  size_t n) {
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), _mm512_loadu_pd(x + i)));
+// One target function per kernel and tier, each the generic body above.
+#define BOLTON_TIER_KERNELS(Tier, V, target_spec)                              \
+  __attribute__((target(target_spec))) double Dot##Tier(                      \
+      const double* x, const double* y, size_t n) {                           \
+    return DotV<V>(x, y, n);                                                  \
+  }                                                                           \
+  __attribute__((target(target_spec))) double SquaredNorm##Tier(              \
+      const double* x, size_t n) {                                            \
+    return DotV<V>(x, x, n);                                                  \
+  }                                                                           \
+  __attribute__((target(target_spec))) double SquaredDistance##Tier(          \
+      const double* x, const double* y, size_t n) {                           \
+    return SquaredDistanceV<V>(x, y, n);                                      \
+  }                                                                           \
+  __attribute__((target(target_spec))) void Axpy##Tier(                       \
+      double a, const double* x, double* y, size_t n) {                       \
+    AxpyV<V>(a, x, y, n);                                                     \
+  }                                                                           \
+  __attribute__((target(target_spec))) void Scale##Tier(double* x, double a,  \
+                                                        size_t n) {           \
+    ScaleV<V>(x, a, n);                                                       \
+  }                                                                           \
+  __attribute__((target(target_spec))) void Add##Tier(                        \
+      double* y, const double* x, size_t n) {                                 \
+    AddV<V>(y, x, n);                                                         \
+  }                                                                           \
+  __attribute__((target(target_spec))) void Sub##Tier(                        \
+      double* y, const double* x, size_t n) {                                 \
+    SubV<V>(y, x, n);                                                         \
+  }                                                                           \
+  __attribute__((target(target_spec))) void BatchMargins##Tier(               \
+      const double* const* rows, size_t batch, const double* w, size_t n,     \
+      double* margins) {                                                      \
+    BatchMarginsV<V>(rows, batch, w, n, margins);                             \
+  }                                                                           \
+  __attribute__((target(target_spec))) double BatchStep##Tier(                \
+      const double* const* rows, const double* coeffs, size_t batch,          \
+      const SimdStepTerms& terms, double* w, size_t n) {                      \
+    return BatchStepDispatchV<V>(rows, coeffs, batch, terms, w, n);           \
   }
-  for (; i < n; ++i) y[i] += x[i];
-}
 
-__attribute__((target("avx512f"))) void SubAvx512(double* y, const double* x,
-                                                  size_t n) {
-  size_t i = 0;
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  for (; i < n8; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_sub_pd(_mm512_loadu_pd(y + i), _mm512_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
+BOLTON_TIER_KERNELS(Sse2, Vec2, "sse2")
+BOLTON_TIER_KERNELS(Avx2, Vec4, "avx2")
+BOLTON_TIER_KERNELS(Avx512, Vec8, "avx512f,avx2")
+
+#undef BOLTON_TIER_KERNELS
 
 #endif  // BOLTON_SIMD_X86
 
@@ -423,6 +463,10 @@ struct KernelTable {
   void (*scale)(double*, double, size_t);
   void (*add)(double*, const double*, size_t);
   void (*sub)(double*, const double*, size_t);
+  void (*batch_margins)(const double* const*, size_t, const double*, size_t,
+                        double*);
+  double (*batch_step)(const double* const*, const double*, size_t,
+                       const SimdStepTerms&, double*, size_t);
 };
 
 const KernelTable kScalarTable = {SimdTier::kScalar,
@@ -432,7 +476,9 @@ const KernelTable kScalarTable = {SimdTier::kScalar,
                                   AxpyScalar,
                                   ScaleScalar,
                                   AddScalar,
-                                  SubScalar};
+                                  SubScalar,
+                                  BatchMarginsScalar,
+                                  BatchStepScalar};
 
 #ifdef BOLTON_SIMD_X86
 const KernelTable kSse2Table = {SimdTier::kSse2,
@@ -442,7 +488,9 @@ const KernelTable kSse2Table = {SimdTier::kSse2,
                                 AxpySse2,
                                 ScaleSse2,
                                 AddSse2,
-                                SubSse2};
+                                SubSse2,
+                                BatchMarginsSse2,
+                                BatchStepSse2};
 
 const KernelTable kAvx2Table = {SimdTier::kAvx2,
                                 DotAvx2,
@@ -451,7 +499,9 @@ const KernelTable kAvx2Table = {SimdTier::kAvx2,
                                 AxpyAvx2,
                                 ScaleAvx2,
                                 AddAvx2,
-                                SubAvx2};
+                                SubAvx2,
+                                BatchMarginsAvx2,
+                                BatchStepAvx2};
 
 const KernelTable kAvx512Table = {SimdTier::kAvx512,
                                   DotAvx512,
@@ -460,7 +510,9 @@ const KernelTable kAvx512Table = {SimdTier::kAvx512,
                                   AxpyAvx512,
                                   ScaleAvx512,
                                   AddAvx512,
-                                  SubAvx512};
+                                  SubAvx512,
+                                  BatchMarginsAvx512,
+                                  BatchStepAvx512};
 #endif
 
 const KernelTable* TableForTier(SimdTier tier) {
@@ -642,6 +694,17 @@ void SimdAdd(double* y, const double* x, size_t n) {
 
 void SimdSub(double* y, const double* x, size_t n) {
   ActiveTable()->sub(y, x, n);
+}
+
+void SimdBatchMargins(const double* const* rows, size_t batch,
+                      const double* w, size_t n, double* margins) {
+  ActiveTable()->batch_margins(rows, batch, w, n, margins);
+}
+
+double SimdBatchStep(const double* const* rows, const double* coeffs,
+                     size_t batch, const SimdStepTerms& terms, double* w,
+                     size_t n) {
+  return ActiveTable()->batch_step(rows, coeffs, batch, terms, w, n);
 }
 
 double SimdSparseDot(const std::pair<size_t, double>* entries, size_t nnz,

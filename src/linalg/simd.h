@@ -9,7 +9,8 @@ namespace bolton {
 
 /// Runtime-dispatched SIMD kernels for the dense double-precision loops that
 /// dominate gradient work (dot, axpy, scale, elementwise add/sub, squared
-/// norm/distance).
+/// norm/distance) and for PSGD's fused step (a batch's margins, then one
+/// pass that builds each coordinate's gradient, steps w and takes ‖w‖²).
 ///
 /// ## Bit-identity contract
 ///
@@ -28,13 +29,22 @@ namespace bolton {
 ///     c0 = l0+l4   c1 = l1+l5   c2 = l2+l6   c3 = l3+l7
 ///     total = (c0 + c1) + (c2 + c3)
 ///
-/// and fold the remaining tail elements in index order. The same tree is
-/// realized as 4×2-lane registers under SSE2, 2×4-lane under AVX2, and
-/// 1×8-lane under AVX-512, so every tier performs the exact same sequence of
-/// rounded double operations. Elementwise kernels (axpy, scale, add, sub) are
-/// bit-identical by construction. No FMA is ever used (a fused multiply-add
-/// rounds once where the contract requires twice); the translation unit is
-/// compiled with -ffp-contract=off to keep the compiler from introducing one.
+/// and fold the remaining tail elements in index order. The 8 lanes live in
+/// 4×2-lane registers under SSE2, 2×4-lane under AVX2, and 1×8-lane under
+/// AVX-512 (each tier is one generic body at its vector width), so every
+/// tier performs the exact same sequence of rounded double operations.
+/// Elementwise kernels (axpy, scale, add, sub) are bit-identical by
+/// construction. No FMA is ever used (a fused multiply-add rounds once where
+/// the contract requires twice); the translation unit is compiled with
+/// -ffp-contract=off to keep the compiler from introducing one.
+///
+/// The step kernel (SimdBatchStep) is elementwise in each coordinate i: it
+/// keeps the per-coordinate operation sequence of the row-by-row gradient
+/// it replaces. g starts at +0.0 and takes, for row k = 1..b in order,
+/// + c_k·x_k[i], then + (reg·w[i]) when reg ≠ 0, then
+/// + (linear_coeff·linear[i]) when linear is set; then + noise[i] once;
+/// then w[i] += neg_eta·g. ‖w‖² of the stepped w is the canonical
+/// reduction above. Wider tiers only handle more coordinates at once.
 ///
 /// ## Dispatch
 ///
@@ -130,6 +140,34 @@ void SimdSub(double* y, const double* x, size_t n);
 /// vector registers, is the contract here.
 double SimdSparseDot(const std::pair<size_t, double>* entries, size_t nnz,
                      const double* y, size_t n);
+
+/// margins[k] = ⟨rows[k], w⟩ for k < batch, each bit-identical to
+/// SimdDot(rows[k], w, n).
+void SimdBatchMargins(const double* const* rows, size_t batch,
+                      const double* w, size_t n, double* margins);
+
+/// What a PSGD step adds to each coordinate's gradient besides the rows'
+/// x terms, and its step size.
+struct SimdStepTerms {
+  /// Coefficient of w[i] in every row's gradient (scale·λ); 0 adds none.
+  double reg = 0.0;
+  /// A vector every row's gradient carries, times linear_coeff
+  /// (objective perturbation's b, times scale/m); null adds none.
+  const double* linear = nullptr;
+  double linear_coeff = 0.0;
+  /// Added once after the rows (a white-box noise draw); null adds none.
+  const double* noise = nullptr;
+  /// −η: w[i] += neg_eta·g[i].
+  double neg_eta = 0.0;
+};
+
+/// One fused step of mini-batch PSGD over n coordinates: builds each
+/// coordinate's gradient g[i] from the rows' x terms coeffs[k]·rows[k][i]
+/// and `terms` in the order the contract above fixes, steps
+/// w[i] += neg_eta·g[i], and returns ‖w‖² of the stepped w.
+double SimdBatchStep(const double* const* rows, const double* coeffs,
+                     size_t batch, const SimdStepTerms& terms, double* w,
+                     size_t n);
 
 }  // namespace bolton
 

@@ -91,8 +91,12 @@ Vector ProjectToL2Ball(const Vector& v, double radius) {
 }
 
 void ProjectToL2BallInPlace(Vector* v, double radius) {
+  ProjectToL2BallInPlace(v, radius, v->SquaredNorm());
+}
+
+void ProjectToL2BallInPlace(Vector* v, double radius, double squared_norm) {
   BOLTON_CHECK(radius >= 0.0);
-  double n = v->Norm();
+  const double n = std::sqrt(squared_norm);
   if (n > radius && n > 0.0) *v *= (radius / n);
 }
 

@@ -109,6 +109,10 @@ Vector ProjectToL2Ball(const Vector& v, double radius);
 /// In-place variant of ProjectToL2Ball.
 void ProjectToL2BallInPlace(Vector* v, double radius);
 
+/// ProjectToL2BallInPlace when the caller already holds ‖v‖² (a fused
+/// PSGD step returns it).
+void ProjectToL2BallInPlace(Vector* v, double radius, double squared_norm);
+
 }  // namespace bolton
 
 #endif  // BOLTON_LINALG_VECTOR_H_

@@ -9,7 +9,7 @@ namespace bolton {
 Vector GradientUpdate(const LossFunction& loss, const Example& example,
                       double eta, const Vector& w) {
   Vector out = w;
-  loss.AddGradient(w, example, -eta, &out);
+  loss.AddGradient(w, example.x, example.label, -eta, &out);
   return out;
 }
 

@@ -25,6 +25,14 @@ Status ValidateRegularization(double lambda, double radius) {
   return Status::OK();
 }
 
+// Numerically stable logistic sigmoid 1 / (1 + e^{−z}).
+double Sigmoid(double z) {
+  // Both arms of the stable form, 1/(1 + e^{−z}) for z ≥ 0 and
+  // e^z/(1 + e^z) below, evaluate e^{−|z|}; only the numerator differs.
+  const double e = std::exp(-std::fabs(z));
+  return (z >= 0.0 ? 1.0 : e) / (1.0 + e);
+}
+
 // Numerically stable ln(1 + e^z).
 double Log1pExp(double z) {
   if (z > 0.0) return z + std::log1p(std::exp(-z));
@@ -33,68 +41,52 @@ double Log1pExp(double z) {
 
 class LogisticLoss final : public LossFunction {
  public:
-  LogisticLoss(double lambda, double radius) : lambda_(lambda), radius_(radius) {}
+  LogisticLoss(double lambda, double radius)
+      : LossFunction(lambda), radius_(radius) {}
 
-  double Loss(const Vector& w, const Example& example) const override {
-    double z = -example.label * Dot(w, example.x);
-    double loss = Log1pExp(z);
-    if (lambda_ > 0.0) loss += 0.5 * lambda_ * w.SquaredNorm();
-    return loss;
+  double Value(double prediction, double label) const override {
+    return LogisticValue(prediction, label);
   }
-
-  void AddGradient(const Vector& w, const Example& example, double scale,
-                   Vector* grad) const override {
-    // ∇ℓ = −y·σ(−y⟨w,x⟩)·x + λw.
-    double margin = example.label * Dot(w, example.x);
-    double coeff = -example.label * Sigmoid(-margin);
-    grad->Axpy(scale * coeff, example.x);
-    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
+  double Derivative(double prediction, double label) const override {
+    return LogisticDerivative(prediction, label);
   }
 
   // Paper §2: λ=0 ⇒ (L, β, γ) = (1, 1, 0); λ>0 ⇒ (1+λR, 1+λ, λ).
   double lipschitz() const override {
-    return lambda_ > 0.0 ? 1.0 + lambda_ * radius_ : 1.0;
+    return lambda() > 0.0 ? 1.0 + lambda() * radius_ : 1.0;
   }
-  double smoothness() const override { return 1.0 + lambda_; }
-  double strong_convexity() const override { return lambda_; }
+  double smoothness() const override { return 1.0 + lambda(); }
+  double strong_convexity() const override { return lambda(); }
   double radius() const override { return radius_; }
 
   std::string name() const override {
-    return StrFormat("logistic(lambda=%g)", lambda_);
+    return StrFormat("logistic(lambda=%g)", lambda());
   }
   std::unique_ptr<LossFunction> Clone() const override {
     return std::make_unique<LogisticLoss>(*this);
   }
 
  private:
-  double lambda_;
   double radius_;
 };
 
 class HuberSvmLoss final : public LossFunction {
  public:
   HuberSvmLoss(double h, double lambda, double radius)
-      : h_(h), lambda_(lambda), radius_(radius) {}
+      : LossFunction(lambda), h_(h), radius_(radius) {}
 
-  double Loss(const Vector& w, const Example& example) const override {
-    double z = example.label * Dot(w, example.x);
-    double loss;
-    if (z > 1.0 + h_) {
-      loss = 0.0;
-    } else if (z < 1.0 - h_) {
-      loss = 1.0 - z;
-    } else {
-      double gap = 1.0 + h_ - z;
-      loss = gap * gap / (4.0 * h_);
-    }
-    if (lambda_ > 0.0) loss += 0.5 * lambda_ * w.SquaredNorm();
-    return loss;
+  double Value(double prediction, double label) const override {
+    const double z = label * prediction;
+    if (z > 1.0 + h_) return 0.0;
+    if (z < 1.0 - h_) return 1.0 - z;
+    const double gap = 1.0 + h_ - z;
+    return gap * gap / (4.0 * h_);
   }
 
-  void AddGradient(const Vector& w, const Example& example, double scale,
-                   Vector* grad) const override {
-    double z = example.label * Dot(w, example.x);
-    double dz;  // dℓ/dz
+  // dℓ/dz · y with z = y·p; y = ±1, so the product is exact.
+  double Derivative(double prediction, double label) const override {
+    const double z = label * prediction;
+    double dz;
     if (z > 1.0 + h_) {
       dz = 0.0;
     } else if (z < 1.0 - h_) {
@@ -102,20 +94,19 @@ class HuberSvmLoss final : public LossFunction {
     } else {
       dz = -(1.0 + h_ - z) / (2.0 * h_);
     }
-    if (dz != 0.0) grad->Axpy(scale * dz * example.label, example.x);
-    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
+    return dz * label;
   }
 
   // Appendix B: L ≤ 1, β ≤ 1/(2h) for ‖x‖ ≤ 1; regularizer adds λR / λ / λ.
   double lipschitz() const override {
-    return lambda_ > 0.0 ? 1.0 + lambda_ * radius_ : 1.0;
+    return lambda() > 0.0 ? 1.0 + lambda() * radius_ : 1.0;
   }
-  double smoothness() const override { return 1.0 / (2.0 * h_) + lambda_; }
-  double strong_convexity() const override { return lambda_; }
+  double smoothness() const override { return 1.0 / (2.0 * h_) + lambda(); }
+  double strong_convexity() const override { return lambda(); }
   double radius() const override { return radius_; }
 
   std::string name() const override {
-    return StrFormat("huber_svm(h=%g,lambda=%g)", h_, lambda_);
+    return StrFormat("huber_svm(h=%g,lambda=%g)", h_, lambda());
   }
   std::unique_ptr<LossFunction> Clone() const override {
     return std::make_unique<HuberSvmLoss>(*this);
@@ -123,60 +114,73 @@ class HuberSvmLoss final : public LossFunction {
 
  private:
   double h_;
-  double lambda_;
   double radius_;
 };
 
 class SquaredLoss final : public LossFunction {
  public:
-  SquaredLoss(double lambda, double radius) : lambda_(lambda), radius_(radius) {}
+  SquaredLoss(double lambda, double radius)
+      : LossFunction(lambda), radius_(radius) {}
 
-  double Loss(const Vector& w, const Example& example) const override {
-    double r = Dot(w, example.x) - example.label;
-    double loss = 0.5 * r * r;
-    if (lambda_ > 0.0) loss += 0.5 * lambda_ * w.SquaredNorm();
-    return loss;
+  double Value(double prediction, double label) const override {
+    const double r = prediction - label;
+    return 0.5 * r * r;
   }
-
-  void AddGradient(const Vector& w, const Example& example, double scale,
-                   Vector* grad) const override {
-    double r = Dot(w, example.x) - example.label;
-    grad->Axpy(scale * r, example.x);
-    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
+  double Derivative(double prediction, double label) const override {
+    return prediction - label;
   }
 
   // |⟨w,x⟩ − y| ≤ R + 1 with ‖x‖ ≤ 1, |y| ≤ 1, ‖w‖ ≤ R.
   double lipschitz() const override {
     double base = std::isfinite(radius_) ? radius_ + 1.0 : kInf;
-    return lambda_ > 0.0 ? base + lambda_ * radius_ : base;
+    return lambda() > 0.0 ? base + lambda() * radius_ : base;
   }
-  double smoothness() const override { return 1.0 + lambda_; }
-  double strong_convexity() const override { return lambda_; }
+  double smoothness() const override { return 1.0 + lambda(); }
+  double strong_convexity() const override { return lambda(); }
   double radius() const override { return radius_; }
 
   std::string name() const override {
-    return StrFormat("squared(lambda=%g)", lambda_);
+    return StrFormat("squared(lambda=%g)", lambda());
   }
   std::unique_ptr<LossFunction> Clone() const override {
     return std::make_unique<SquaredLoss>(*this);
   }
 
  private:
-  double lambda_;
   double radius_;
 };
 
 }  // namespace
 
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  double e = std::exp(z);
-  return e / (1.0 + e);
+double LogisticValue(double prediction, double label) {
+  return Log1pExp(-label * prediction);
 }
 
-Vector LossFunction::Gradient(const Vector& w, const Example& example) const {
+double LogisticDerivative(double prediction, double label) {
+  return -label * Sigmoid(-(label * prediction));
+}
+
+double LossFunction::Loss(const Vector& w, const Vector& x, double y) const {
+  double loss = Value(Dot(w, x), y);
+  if (lambda() > 0.0) loss += 0.5 * lambda() * w.SquaredNorm();
+  if (const Vector* u = linear_term()) loss += linear_weight() * Dot(*u, w);
+  return loss;
+}
+
+void LossFunction::AddGradient(const Vector& w, const Vector& x, double y,
+                               double scale, Vector* grad) const {
+  const double derivative = Derivative(Dot(w, x), y);
+  if (derivative != 0.0) grad->Axpy(scale * derivative, x);
+  if (lambda() > 0.0) grad->Axpy(scale * lambda(), w);
+  if (const Vector* u = linear_term()) {
+    grad->Axpy(scale * linear_weight(), *u);
+  }
+}
+
+Vector LossFunction::Gradient(const Vector& w, const Vector& x,
+                              double y) const {
   Vector grad(w.dim());
-  AddGradient(w, example, 1.0, &grad);
+  AddGradient(w, x, y, 1.0, &grad);
   return grad;
 }
 
@@ -184,7 +188,9 @@ double LossFunction::EmpiricalRisk(const Vector& w,
                                    const Dataset& dataset) const {
   if (dataset.empty()) return 0.0;
   double acc = 0.0;
-  for (size_t i = 0; i < dataset.size(); ++i) acc += Loss(w, dataset[i]);
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    acc += Loss(w, dataset[i].x, dataset[i].label);
+  }
   return acc / static_cast<double>(dataset.size());
 }
 

@@ -2,7 +2,9 @@
 #define BOLTON_OPTIM_LOSS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "data/dataset.h"
 #include "linalg/vector.h"
@@ -10,8 +12,15 @@
 
 namespace bolton {
 
-/// A per-example convex loss ℓ(w, (x, y)) together with the optimization
-/// constants the paper's analysis consumes:
+/// A per-example convex loss of a linear model,
+///
+///   ℓ(w, (x, y)) = φ(⟨w, x⟩, y) + (λ/2)‖w‖² [+ a·⟨u, w⟩],
+///
+/// given by its scalar link φ (Value, Derivative), its λ and, for
+/// objective perturbation only, a linear term a·⟨u, w⟩. The link is
+/// virtual; λ and the linear term are held here, so a gradient makes one
+/// virtual call. The PSGD step (optim/psgd.cc) reads only these. The
+/// paper's analysis reads the optimization constants:
 ///
 ///  * `lipschitz()`     — L:  ‖∇ℓ(u) − ∇ℓ(v)‖-free bound ‖∇ℓ(w)‖ ≤ L.
 ///  * `smoothness()`    — β:  ‖∇ℓ(u) − ∇ℓ(v)‖ ≤ β‖u − v‖.
@@ -24,17 +33,34 @@ class LossFunction {
  public:
   virtual ~LossFunction() = default;
 
-  /// ℓ(w, example).
-  virtual double Loss(const Vector& w, const Example& example) const = 0;
+  /// φ(p, y) at prediction p = ⟨w, x⟩ and label y.
+  virtual double Value(double prediction, double label) const = 0;
 
-  /// Accumulates scale · ∇ℓ(w, example) into *grad (which must have w's
-  /// dimension). Accumulation form avoids per-step allocations in the
-  /// mini-batch inner loop.
-  virtual void AddGradient(const Vector& w, const Example& example,
-                           double scale, Vector* grad) const = 0;
+  /// ∂φ/∂p at (p, y): the data term's gradient in w is Derivative·x.
+  virtual double Derivative(double prediction, double label) const = 0;
 
-  /// ∇ℓ(w, example) as a fresh vector.
-  Vector Gradient(const Vector& w, const Example& example) const;
+  /// λ of the (λ/2)‖w‖² term every example carries; 0 when unregularized.
+  double lambda() const { return lambda_; }
+
+  /// The linear term's vector u, or null when the loss has none.
+  const Vector* linear_term() const {
+    return linear_term_.has_value() ? &*linear_term_ : nullptr;
+  }
+  /// The linear term's weight a.
+  double linear_weight() const { return linear_weight_; }
+
+  /// ℓ(w, (x, y)).
+  double Loss(const Vector& w, const Vector& x, double y) const;
+
+  /// Accumulates scale · ∇ℓ(w, (x, y)) into *grad (which must have w's
+  /// dimension): the x term (skipped when the derivative is 0), then λw
+  /// when λ > 0, then a·u. This is the reference the fused PSGD step
+  /// keeps per coordinate (linalg/simd.h).
+  void AddGradient(const Vector& w, const Vector& x, double y, double scale,
+                   Vector* grad) const;
+
+  /// ∇ℓ(w, (x, y)) as a fresh vector.
+  Vector Gradient(const Vector& w, const Vector& x, double y) const;
 
   virtual double lipschitz() const = 0;
   virtual double smoothness() const = 0;
@@ -52,12 +78,26 @@ class LossFunction {
 
   /// Mean loss over a dataset: the empirical risk L_S(w).
   double EmpiricalRisk(const Vector& w, const Dataset& dataset) const;
+
+ protected:
+  explicit LossFunction(double lambda) : lambda_(lambda) {}
+  LossFunction(double lambda, Vector linear_term, double linear_weight)
+      : lambda_(lambda),
+        linear_term_(std::move(linear_term)),
+        linear_weight_(linear_weight) {}
+
+ private:
+  double lambda_;
+  std::optional<Vector> linear_term_;
+  double linear_weight_ = 0.0;
 };
 
-/// Numerically stable logistic sigmoid 1 / (1 + e^{-z}). Every logistic
-/// gradient (dense, sparse, objective perturbation) calls this one, so they
-/// round alike.
-double Sigmoid(double z);
+/// The logistic link: φ(p, y) = ln(1 + e^{−yp}), and its derivative
+/// −y·σ(−yp), both in numerically stable forms. Every logistic gradient
+/// (dense, sparse, objective perturbation) calls these, so they round
+/// alike.
+double LogisticValue(double prediction, double label);
+double LogisticDerivative(double prediction, double label);
 
 /// Logistic loss, optionally L2-regularized (paper Eq. 1):
 ///   ℓ(w,(x,y)) = ln(1 + exp(−y⟨w,x⟩)) + (λ/2)‖w‖²,  y ∈ {±1}.

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "data/prefetch.h"
+#include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "random/permutation.h"
@@ -54,18 +55,20 @@ void FlushPsgdStats(const PsgdStats& stats) {
 
 namespace {
 
-// The row sources RunLoop is instantiated over. Each supplies the
-// per-example gradient and the two steps whose cost depends on where the
-// batch gradient can be nonzero: zeroing it before a batch, and applying
-// it to the iterate. It also supplies the two prefetches of a row the
-// batch loop will read: PrefetchExample for the record that holds the
+// The row sources RunLoop is instantiated over. The loop names a batch's
+// rows one by one (Add), then has the source apply the step (Step): w −=
+// η·(the batch's mean gradient + a white-box noise draw), projected onto
+// the radius ball. Each source also supplies the two prefetches of a row
+// the batch loop will read: PrefetchExample for the record that holds the
 // row's feature pointer, and PrefetchFeatures for the features it points
 // to once that record is in cache.
 
-// Dataset rows under any LossFunction; every step is dense. A nonempty
-// slice restricts the run to data[slice[k]], k < slice.size(): MapOrder
-// turns each permutation of [size()) into data indices once per draw, so
-// the batch loop reads data_ directly. An empty slice means every row.
+// Dataset rows under any LossFunction, stepped by the kernels of
+// linalg/simd.h: a batch takes its margins in one call, maps them through
+// the loss's Derivative and steps in one more. A nonempty slice restricts
+// the run to data[slice[k]], k < slice.size(): MapOrder turns each
+// permutation of [size()) into data indices once per draw, so the batch
+// loop reads data_ directly. An empty slice means every row.
 class DenseRows {
  public:
   DenseRows(const Dataset& data, const LossFunction& loss,
@@ -84,73 +87,101 @@ class DenseRows {
   void PrefetchFeatures(size_t i) const {
     bolton::PrefetchFeatures(data_[i], data_.dim());
   }
-  void BeginBatch(Vector* grad) { grad->SetZero(); }
-  void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {
-    loss_.AddGradient(w, data_[i], scale, grad);
+  void Add(size_t i) {
+    rows_.push_back(data_[i].x.data());
+    labels_.push_back(data_[i].label);
   }
-  void Step(double neg_eta, const Vector& grad, Vector* w) {
-    w->Axpy(neg_eta, grad);
+  void Step(double neg_eta, const Vector* noise, double radius, Vector* w) {
+    const size_t b = rows_.size();
+    const double scale = 1.0 / static_cast<double>(b);
+    SimdStepTerms terms;
+    if (loss_.lambda() > 0.0) terms.reg = scale * loss_.lambda();
+    if (const Vector* u = loss_.linear_term()) {
+      terms.linear = u->data();
+      terms.linear_coeff = scale * loss_.linear_weight();
+    }
+    if (noise != nullptr) terms.noise = noise->data();
+    terms.neg_eta = neg_eta;
+    coeffs_.resize(b);
+    SimdBatchMargins(rows_.data(), b, w->data(), w->dim(), coeffs_.data());
+    for (size_t k = 0; k < b; ++k) {
+      coeffs_[k] = scale * loss_.Derivative(coeffs_[k], labels_[k]);
+    }
+    const double squared_norm = SimdBatchStep(rows_.data(), coeffs_.data(), b,
+                                              terms, w->data(), w->dim());
+    rows_.clear();
+    labels_.clear();
+    if (std::isfinite(radius)) ProjectToL2BallInPlace(w, radius, squared_norm);
   }
 
  private:
   const Dataset& data_;
   const LossFunction& loss_;
   std::span<const size_t> slice_;
+  // The batch: its rows' features and labels, then margins → coefficients.
+  std::vector<const double*> rows_;
+  std::vector<double> labels_;
+  std::vector<double> coeffs_;
 };
 
 // SparseDataset rows under the logistic loss. With no regularizer and no
 // noise densifying the gradient, it is zero off the batch's touched
-// coordinates, so the step and the next batch's reset visit only those;
+// coordinates, so the step and the reset after it visit only those;
 // elsewhere they would apply an exact −η·0.
 class SparseLogisticRows {
  public:
   SparseLogisticRows(const SparseDataset& data, double lambda,
                      bool sparse_steps)
-      : data_(data), lambda_(lambda), sparse_steps_(sparse_steps) {}
+      : data_(data),
+        lambda_(lambda),
+        sparse_steps_(sparse_steps),
+        grad_(data.dim()) {}
 
   size_t size() const { return data_.size(); }
   size_t dim() const { return data_.dim(); }
   void MapOrder(std::vector<size_t>*) const {}
   void PrefetchExample(size_t) const {}
   void PrefetchFeatures(size_t) const {}
-  void BeginBatch(Vector* grad) {
+  void Add(size_t i) { batch_.push_back(i); }
+  void Step(double neg_eta, const Vector* noise, double radius, Vector* w) {
+    const double scale = 1.0 / static_cast<double>(batch_.size());
+    for (size_t i : batch_) {
+      const SparseExample& e = data_[i];
+      // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
+      e.x.AxpyInto(scale * LogisticDerivative(Dot(e.x, *w), e.label), &grad_);
+      for (const auto& [index, value] : e.x.entries()) {
+        (void)value;
+        touched_.push_back(index);
+      }
+      if (lambda_ > 0.0) grad_.Axpy(scale * lambda_, *w);
+    }
+    batch_.clear();
+    if (noise != nullptr) grad_ += *noise;
     if (sparse_steps_) {
-      for (size_t index : touched_) (*grad)[index] = 0.0;
+      // Examples in a batch can share coordinates, so dedupe first — each
+      // coordinate must be stepped exactly once.
+      std::sort(touched_.begin(), touched_.end());
+      touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                     touched_.end());
+      for (size_t index : touched_) {
+        (*w)[index] += neg_eta * grad_[index];
+        grad_[index] = 0.0;
+      }
     } else {
-      grad->SetZero();
+      w->Axpy(neg_eta, grad_);
+      grad_.SetZero();
     }
     touched_.clear();
-  }
-  void AddGradient(const Vector& w, size_t i, double scale, Vector* grad) {
-    const SparseExample& e = data_[i];
-    // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
-    double margin = e.label * Dot(e.x, w);
-    double coeff = -e.label * Sigmoid(-margin);
-    e.x.AxpyInto(scale * coeff, grad);
-    for (const auto& [index, value] : e.x.entries()) {
-      (void)value;
-      touched_.push_back(index);
-    }
-    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
-  }
-  void Step(double neg_eta, const Vector& grad, Vector* w) {
-    if (!sparse_steps_) {
-      w->Axpy(neg_eta, grad);
-      return;
-    }
-    // Examples in a batch can share coordinates, so dedupe first — each
-    // coordinate must be stepped exactly once.
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-    for (size_t index : touched_) (*w)[index] += neg_eta * grad[index];
+    if (std::isfinite(radius)) ProjectToL2BallInPlace(w, radius);
   }
 
  private:
   const SparseDataset& data_;
   double lambda_;
   bool sparse_steps_;
-  std::vector<size_t> touched_;  // grad coordinates the batch wrote
+  Vector grad_;
+  std::vector<size_t> batch_;
+  std::vector<size_t> touched_;  // grad_ coordinates the batch wrote
 };
 
 // The one pass/batch loop of the optimizer layer.
@@ -176,10 +207,8 @@ Result<PsgdOutput> RunLoop(
   const size_t m = rows.size();
   const size_t dim = rows.dim();
   const size_t b = options.batch_size;
-  const bool project = std::isfinite(options.radius);
 
   Vector w(dim);
-  Vector grad(dim);
   Vector iterate_sum(dim);
 
   PsgdStats stats;
@@ -252,8 +281,6 @@ Result<PsgdOutput> RunLoop(
               : b;
       ++step;
 
-      rows.BeginBatch(&grad);
-      const double scale = 1.0 / static_cast<double>(batch_len);
       for (size_t j = 0; j < batch_len; ++j) {
         size_t idx;
         if (options.sampling == SamplingMode::kPermutation) {
@@ -271,13 +298,13 @@ Result<PsgdOutput> RunLoop(
         } else {
           idx = rng->UniformInt(m);
         }
-        rows.AddGradient(w, idx, scale, &grad);
+        rows.Add(idx);
         ++stats.gradient_evaluations;
       }
 
+      Vector z;
       if (noise != nullptr) {
-        BOLTON_ASSIGN_OR_RETURN(Vector z, noise->Sample(step, dim, rng));
-        grad += z;
+        BOLTON_ASSIGN_OR_RETURN(z, noise->Sample(step, dim, rng));
         ++stats.noise_samples;
       }
 
@@ -287,8 +314,7 @@ Result<PsgdOutput> RunLoop(
             StrFormat("schedule '%s' produced invalid step size %g at t=%zu",
                       schedule.name().c_str(), eta, step));
       }
-      rows.Step(-eta, grad, &w);
-      if (project) ProjectToL2BallInPlace(&w, options.radius);
+      rows.Step(-eta, noise != nullptr ? &z : nullptr, options.radius, &w);
 
       ++stats.updates;
       if (options.output == OutputMode::kAverageAll) iterate_sum += w;

@@ -249,6 +249,11 @@ size_t ServeDaemon::cached_dataset_bytes() {
   return dataset_bytes_;
 }
 
+size_t ServeDaemon::datasets_generated() {
+  std::lock_guard<std::mutex> lock(data_mu_);
+  return datasets_generated_;
+}
+
 Result<ServeDaemon::SharedDatasets> ServeDaemon::DatasetFor(
     const std::string& name, double scale, uint64_t seed) {
   if (!(scale > 0.0) || scale > options_.max_dataset_scale) {
@@ -257,43 +262,58 @@ Result<ServeDaemon::SharedDatasets> ServeDaemon::DatasetFor(
         scale));
   }
   const DatasetKey key(name, scale, seed);
+  // Made on a miss only: a promise allocates its shared state.
+  std::optional<std::promise<Result<SharedDatasets>>> generation;
   {
-    std::lock_guard<std::mutex> lock(data_mu_);
+    std::unique_lock<std::mutex> lock(data_mu_);
     auto it = dataset_index_.find(key);
     if (it != dataset_index_.end()) {
       datasets_.splice(datasets_.begin(), datasets_, it->second);
       return it->second->data;
     }
+    auto [pending, first] = generating_.try_emplace(key);
+    if (!first) {
+      // Another request is generating this key: wait for its result
+      // without holding up other keys' lookups.
+      const std::shared_future<Result<SharedDatasets>> result =
+          pending->second;
+      lock.unlock();
+      return result.get();
+    }
+    pending->second = generation.emplace().get_future().share();
+    ++datasets_generated_;
   }
-  // Generated outside the lock: two tenants racing on a cold key both
-  // generate (identical seeds → identical data); one insert wins.
-  BOLTON_ASSIGN_OR_RETURN(auto generated, GenerateByName(name, scale, seed));
-  const size_t bytes =
-      DatasetBytes(generated.first) + DatasetBytes(generated.second);
-  SharedDatasets shared = std::make_shared<const std::pair<Dataset, Dataset>>(
-      std::move(generated));
-  // Declared before the lock, so the evicted pairs (and a losing racer's
-  // copy) are freed after data_mu_ is released: freeing a large dataset
-  // never stalls another request's lookup.
+  Result<SharedDatasets> result = [&]() -> Result<SharedDatasets> {
+    BOLTON_ASSIGN_OR_RETURN(auto generated, GenerateByName(name, scale, seed));
+    return std::make_shared<const std::pair<Dataset, Dataset>>(
+        std::move(generated));
+  }();
+  // Declared before the lock, so the evicted pairs are freed after
+  // data_mu_ is released: freeing a large dataset never stalls another
+  // request's lookup.
   std::vector<SharedDatasets> evicted;
-  std::lock_guard<std::mutex> lock(data_mu_);
-  auto [it, inserted] = dataset_index_.try_emplace(key);
-  if (!inserted) {
-    datasets_.splice(datasets_.begin(), datasets_, it->second);
-    return it->second->data;
+  {
+    std::lock_guard<std::mutex> lock(data_mu_);
+    generating_.erase(key);
+    if (result.ok()) {
+      const SharedDatasets& shared = result.value();
+      const size_t bytes =
+          DatasetBytes(shared->first) + DatasetBytes(shared->second);
+      datasets_.push_front(CachedDataset{key, shared, bytes});
+      dataset_index_[key] = datasets_.begin();
+      dataset_bytes_ += bytes;
+      // The newest pair stays even when it alone is over the budget.
+      while (dataset_bytes_ > kDatasetCacheBytes && datasets_.size() > 1) {
+        CachedDataset& oldest = datasets_.back();
+        dataset_bytes_ -= oldest.bytes;
+        dataset_index_.erase(oldest.key);
+        evicted.push_back(std::move(oldest.data));
+        datasets_.pop_back();
+      }
+    }
   }
-  datasets_.push_front(CachedDataset{key, shared, bytes});
-  it->second = datasets_.begin();
-  dataset_bytes_ += bytes;
-  // The newest pair stays even when it alone is over the budget.
-  while (dataset_bytes_ > kDatasetCacheBytes && datasets_.size() > 1) {
-    CachedDataset& oldest = datasets_.back();
-    dataset_bytes_ -= oldest.bytes;
-    dataset_index_.erase(oldest.key);
-    evicted.push_back(std::move(oldest.data));
-    datasets_.pop_back();
-  }
-  return shared;
+  generation->set_value(result);
+  return result;
 }
 
 HttpResponse ServeDaemon::HandlePost(const HttpRequest& request,

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -115,6 +116,10 @@ class ServeDaemon {
   /// What the dataset cache holds now, by the estimate it evicts on.
   size_t cached_dataset_bytes();
 
+  /// Dataset generations started so far: one per cold key, however many
+  /// requests miss on it at once.
+  size_t datasets_generated();
+
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
@@ -158,9 +163,10 @@ class ServeDaemon {
   };
 
   /// The shared synthetic-dataset cache, within kDatasetCacheBytes: a hit
-  /// generates nothing. A miss generates outside data_mu_, so concurrent
-  /// first requests for one key may each generate it; the first insert is
-  /// kept.
+  /// generates nothing. The first miss on a key generates it outside
+  /// data_mu_; requests that miss on that key meanwhile wait for its
+  /// result, also outside data_mu_. A failed generation is not cached:
+  /// its waiters get its status and the next request tries again.
   Result<SharedDatasets> DatasetFor(const std::string& name, double scale,
                                     uint64_t seed);
 
@@ -183,6 +189,10 @@ class ServeDaemon {
   std::list<CachedDataset> datasets_;  // most recently used first
   std::map<DatasetKey, std::list<CachedDataset>::iterator> dataset_index_;
   size_t dataset_bytes_ = 0;
+  /// Keys being generated, with the result their waiters read.
+  std::map<DatasetKey, std::shared_future<Result<SharedDatasets>>>
+      generating_;
+  size_t datasets_generated_ = 0;
 
   std::mutex models_mu_;
   std::map<std::string, StoredModel> models_;

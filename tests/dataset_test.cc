@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "random/rng.h"
@@ -56,11 +58,12 @@ TEST(DatasetTest, SubsetSelectsInOrder) {
 
 TEST(DatasetTest, SplitAtPartitions) {
   Dataset ds = MakeSmall();
-  auto [head, tail] = ds.SplitAt(1);
+  auto [head, tail] = std::move(ds).SplitAt(1);
   EXPECT_EQ(head.size(), 1u);
   EXPECT_EQ(tail.size(), 2u);
   EXPECT_EQ(head[0].label, +1);
   EXPECT_EQ(tail[0].label, -1);
+  EXPECT_EQ(tail[1].x, (Vector{3.0, 4.0}));
 }
 
 TEST(DatasetTest, SplitEvenBalances) {

@@ -44,7 +44,7 @@ TEST(SgdUdaTest, SingleTransitionMatchesManualUpdate) {
   uda.Transition(e);
   Vector w1 = uda.Terminate();
 
-  Vector expected = w0 - 0.25 * loss->Gradient(w0, e);
+  Vector expected = w0 - 0.25 * loss->Gradient(w0, e.x, e.label);
   EXPECT_NEAR(Distance(w1, expected), 0.0, 1e-12);
 }
 
@@ -63,7 +63,8 @@ TEST(SgdUdaTest, MiniBatchAveragesGradients) {
   uda.Transition(b);
   Vector w1 = uda.Terminate();
 
-  Vector grad = 0.5 * (loss->Gradient(w0, a) + loss->Gradient(w0, b));
+  Vector grad = 0.5 * (loss->Gradient(w0, a.x, a.label) +
+                       loss->Gradient(w0, b.x, b.label));
   Vector expected = w0 - 0.5 * grad;
   EXPECT_NEAR(Distance(w1, expected), 0.0, 1e-12);
 }

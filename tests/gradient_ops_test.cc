@@ -18,7 +18,7 @@ TEST(GradientUpdateTest, MatchesManualStep) {
   Example e{Vector{1.0, 0.0}, +1};
   double eta = 0.1;
   Vector updated = GradientUpdate(*loss, e, eta, w);
-  Vector expected = w - eta * loss->Gradient(w, e);
+  Vector expected = w - eta * loss->Gradient(w, e.x, e.label);
   EXPECT_NEAR(Distance(updated, expected), 0.0, 1e-12);
 }
 

@@ -13,6 +13,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+double LossAt(const LossFunction& loss, const Vector& w, const Example& e) {
+  return loss.Loss(w, e.x, e.label);
+}
+
+Vector GradientAt(const LossFunction& loss, const Vector& w,
+                  const Example& e) {
+  return loss.Gradient(w, e.x, e.label);
+}
+
 // Central finite-difference gradient for validation.
 Vector NumericGradient(const LossFunction& loss, const Vector& w,
                        const Example& e) {
@@ -22,7 +31,7 @@ Vector NumericGradient(const LossFunction& loss, const Vector& w,
     Vector plus = w, minus = w;
     plus[i] += h;
     minus[i] -= h;
-    grad[i] = (loss.Loss(plus, e) - loss.Loss(minus, e)) / (2.0 * h);
+    grad[i] = (LossAt(loss, plus, e) - LossAt(loss, minus, e)) / (2.0 * h);
   }
   return grad;
 }
@@ -55,7 +64,7 @@ TEST_P(LossPropertyTest, GradientMatchesFiniteDifference) {
   for (int trial = 0; trial < 20; ++trial) {
     Vector w = SampleGaussianVector(5, 0.5, &rng);
     Example e{SampleUnitSphere(5, &rng), (trial % 2 == 0) ? +1 : -1};
-    Vector analytic = loss->Gradient(w, e);
+    Vector analytic = GradientAt(*loss, w, e);
     Vector numeric = NumericGradient(*loss, w, e);
     for (size_t i = 0; i < w.dim(); ++i) {
       EXPECT_NEAR(analytic[i], numeric[i], 1e-5)
@@ -72,8 +81,8 @@ TEST_P(LossPropertyTest, FirstOrderConvexity) {
     Vector u = SampleGaussianVector(4, 1.0, &rng);
     Vector v = SampleGaussianVector(4, 1.0, &rng);
     Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
-    double lhs = loss->Loss(u, e);
-    double rhs = loss->Loss(v, e) + Dot(loss->Gradient(v, e), u - v);
+    double lhs = LossAt(*loss, u, e);
+    double rhs = LossAt(*loss, v, e) + Dot(GradientAt(*loss, v, e), u - v);
     EXPECT_GE(lhs, rhs - 1e-9) << GetParam().label;
   }
 }
@@ -87,7 +96,8 @@ TEST_P(LossPropertyTest, GradientIsBetaSmooth) {
     Vector u = SampleGaussianVector(4, 1.0, &rng);
     Vector v = SampleGaussianVector(4, 1.0, &rng);
     Example e{SampleUnitSphere(4, &rng), +1};
-    double grad_gap = Distance(loss->Gradient(u, e), loss->Gradient(v, e));
+    double grad_gap =
+        Distance(GradientAt(*loss, u, e), GradientAt(*loss, v, e));
     EXPECT_LE(grad_gap, beta * Distance(u, v) + 1e-9) << GetParam().label;
   }
 }
@@ -103,7 +113,7 @@ TEST_P(LossPropertyTest, GradientNormWithinLipschitzConstant) {
       ProjectToL2BallInPlace(&w, loss->radius());
     }
     Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
-    EXPECT_LE(loss->Gradient(w, e).Norm(), L + 1e-9) << GetParam().label;
+    EXPECT_LE(GradientAt(*loss, w, e).Norm(), L + 1e-9) << GetParam().label;
   }
 }
 
@@ -118,8 +128,8 @@ TEST_P(LossPropertyTest, StrongConvexityWhenRegularized) {
     Vector v = SampleGaussianVector(4, 1.0, &rng);
     Example e{SampleUnitSphere(4, &rng), +1};
     double gap = Distance(u, v);
-    double lhs = loss->Loss(u, e);
-    double rhs = loss->Loss(v, e) + Dot(loss->Gradient(v, e), u - v) +
+    double lhs = LossAt(*loss, u, e);
+    double rhs = LossAt(*loss, v, e) + Dot(GradientAt(*loss, v, e), u - v) +
                  0.5 * gamma * gap * gap;
     EXPECT_GE(lhs, rhs - 1e-9) << GetParam().label;
   }
@@ -158,7 +168,7 @@ TEST(LogisticLossTest, PaperConstantsRegularized) {
 TEST(LogisticLossTest, ValueAtZeroIsLogTwo) {
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   Example e{Vector{0.5, 0.5}, +1};
-  EXPECT_NEAR(loss->Loss(Vector(2), e), std::log(2.0), 1e-12);
+  EXPECT_NEAR(LossAt(*loss, Vector(2), e), std::log(2.0), 1e-12);
 }
 
 TEST(LogisticLossTest, NumericallyStableAtExtremeMargins) {
@@ -166,9 +176,9 @@ TEST(LogisticLossTest, NumericallyStableAtExtremeMargins) {
   Vector w{1000.0};
   Example pos{Vector{1.0}, +1};
   Example neg{Vector{1.0}, -1};
-  EXPECT_NEAR(loss->Loss(w, pos), 0.0, 1e-12);
-  EXPECT_NEAR(loss->Loss(w, neg), 1000.0, 1e-9);
-  EXPECT_TRUE(std::isfinite(loss->Gradient(w, neg)[0]));
+  EXPECT_NEAR(LossAt(*loss, w, pos), 0.0, 1e-12);
+  EXPECT_NEAR(LossAt(*loss, w, neg), 1000.0, 1e-9);
+  EXPECT_TRUE(std::isfinite(GradientAt(*loss, w, neg)[0]));
 }
 
 TEST(HuberSvmLossTest, PaperConstants) {
@@ -182,23 +192,23 @@ TEST(HuberSvmLossTest, ThreeRegimes) {
   auto loss = MakeHuberSvmLoss(0.1, 0.0, kInf).MoveValue();
   // z = y⟨w,x⟩ with x = (1), y = +1, so z = w₀.
   Example e{Vector{1.0}, +1};
-  EXPECT_DOUBLE_EQ(loss->Loss(Vector{2.0}, e), 0.0);        // z > 1+h
-  EXPECT_DOUBLE_EQ(loss->Loss(Vector{0.0}, e), 1.0);        // z < 1−h
+  EXPECT_DOUBLE_EQ(LossAt(*loss, Vector{2.0}, e), 0.0);        // z > 1+h
+  EXPECT_DOUBLE_EQ(LossAt(*loss, Vector{0.0}, e), 1.0);        // z < 1−h
   // |1−z| ≤ h: value (1+h−z)²/(4h) at z=1 is h/4.
-  EXPECT_NEAR(loss->Loss(Vector{1.0}, e), 0.1 / 4.0, 1e-12);
+  EXPECT_NEAR(LossAt(*loss, Vector{1.0}, e), 0.1 / 4.0, 1e-12);
   // Gradient is 0 / −y x / interpolated in the three regimes.
-  EXPECT_DOUBLE_EQ(loss->Gradient(Vector{2.0}, e)[0], 0.0);
-  EXPECT_DOUBLE_EQ(loss->Gradient(Vector{0.0}, e)[0], -1.0);
+  EXPECT_DOUBLE_EQ(GradientAt(*loss, Vector{2.0}, e)[0], 0.0);
+  EXPECT_DOUBLE_EQ(GradientAt(*loss, Vector{0.0}, e)[0], -1.0);
 }
 
 TEST(HuberSvmLossTest, ContinuousAtRegimeBoundaries) {
   auto loss = MakeHuberSvmLoss(0.1, 0.0, kInf).MoveValue();
   Example e{Vector{1.0}, +1};
   const double eps = 1e-9;
-  EXPECT_NEAR(loss->Loss(Vector{1.1 - eps}, e), loss->Loss(Vector{1.1 + eps}, e),
-              1e-7);
-  EXPECT_NEAR(loss->Loss(Vector{0.9 - eps}, e), loss->Loss(Vector{0.9 + eps}, e),
-              1e-7);
+  EXPECT_NEAR(LossAt(*loss, Vector{1.1 - eps}, e),
+              LossAt(*loss, Vector{1.1 + eps}, e), 1e-7);
+  EXPECT_NEAR(LossAt(*loss, Vector{0.9 - eps}, e),
+              LossAt(*loss, Vector{0.9 + eps}, e), 1e-7);
 }
 
 TEST(LossValidationTest, RejectsBadArguments) {

@@ -172,9 +172,9 @@ TEST(PrivatePsgdTest, StronglyConvexPassCountDoesNotChangeSensitivity) {
 /// LossFunction may report; the built-in factories refuse to build one.
 class UnconstrainedStronglyConvexLoss : public LossFunction {
  public:
-  double Loss(const Vector&, const Example&) const override { return 0.0; }
-  void AddGradient(const Vector&, const Example&, double,
-                   Vector*) const override {}
+  UnconstrainedStronglyConvexLoss() : LossFunction(0.0) {}
+  double Value(double, double) const override { return 0.0; }
+  double Derivative(double, double) const override { return 0.0; }
   double lipschitz() const override { return 1.0; }
   double smoothness() const override { return 1.25; }
   double strong_convexity() const override { return 0.01; }

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/objective_perturbation.h"
 #include "data/synthetic.h"
+#include "linalg/simd.h"
 #include "ml/metrics.h"
 #include "optim/schedule.h"
+#include "random/distributions.h"
 #include "random/permutation.h"
 
 namespace bolton {
@@ -135,7 +138,7 @@ TEST(PsgdTest, FullBatchEqualsGradientDescent) {
   Vector w(data.dim());
   Vector grad(data.dim());
   for (size_t i = 0; i < data.size(); ++i) {
-    loss->AddGradient(w, data[i], 1.0 / data.size(), &grad);
+    loss->AddGradient(w, data[i].x, data[i].label, 1.0 / data.size(), &grad);
   }
   w.Axpy(-0.3, grad);
   EXPECT_NEAR(Distance(run.value().model, w), 0.0, 1e-12);
@@ -333,12 +336,14 @@ TEST(PsgdTest, RowSliceValidation) {
 
 // PSGD over data[slice[k]], k < slice.size(), rebuilt from public pieces:
 // a permutation of the slice for the run (or one per pass), a mini-batch
-// gradient over each run of it, the scheduled step, the projection, then
+// gradient over each run of it (the loss's reference AddGradient, row by
+// row), a white-box noise draw, the scheduled step, the projection, then
 // the last iterate or the average of all of them.
 Vector HandRolledPsgd(const Dataset& data, std::span<const size_t> slice,
                       const LossFunction& loss,
                       const StepSizeSchedule& schedule,
-                      const PsgdOptions& options, Rng* rng) {
+                      const PsgdOptions& options, Rng* rng,
+                      GradientNoiseSource* noise = nullptr) {
   const size_t m = slice.size();
   Vector w(data.dim());
   Vector grad(data.dim());
@@ -353,10 +358,13 @@ Vector HandRolledPsgd(const Dataset& data, std::span<const size_t> slice,
       const size_t end = std::min(m, begin + options.batch_size);
       grad.SetZero();
       for (size_t k = begin; k < end; ++k) {
-        loss.AddGradient(w, data[slice[order[k]]],
+        const Example& row = data[slice[order[k]]];
+        loss.AddGradient(w, row.x, row.label,
                          1.0 / static_cast<double>(end - begin), &grad);
       }
-      w.Axpy(-schedule.StepSize(++t), grad);
+      ++t;
+      if (noise != nullptr) grad += noise->Sample(t, w.dim(), rng).MoveValue();
+      w.Axpy(-schedule.StepSize(t), grad);
       ProjectToL2BallInPlace(&w, options.radius);
       iterate_sum += w;
     }
@@ -417,6 +425,116 @@ TEST(PsgdTest, LoopMatchesHandRolledUpdateRule) {
       }
     }
   }
+}
+
+// White-box noise that draws from the run's rng, as SCS13 and BST14 do.
+class GaussianStepNoise final : public GradientNoiseSource {
+ public:
+  Result<Vector> Sample(size_t, size_t dim, Rng* rng) override {
+    return SampleGaussianVector(dim, 0.05, rng);
+  }
+};
+
+// The fused batch step is the row-by-row update rule for every loss, on
+// every tier: each loss (Huber with rows in its flat zero-derivative
+// regime, and objective perturbation's logistic with its linear term) ×
+// λ = 0 and > 0 × noise off and on × b ∈ {1, 3, 50} × dims around the
+// 8-lane blocks. m = 101 leaves a one-row last batch at b = 50.
+TEST(PsgdTest, FusedStepMatchesHandRolledUpdateRuleForEveryLoss) {
+  constexpr size_t kRows = 101;
+  auto schedule = MakeInverseSqrtStep(0.8).MoveValue();
+  for (size_t dim : {1u, 7u, 8u, 9u, 74u}) {
+    SyntheticConfig config;
+    config.num_examples = kRows;
+    config.dim = dim;
+    config.margin = 3.0;
+    config.noise_stddev = 0.3;
+    config.seed = 20 + dim;
+    const Dataset data = GenerateSynthetic(config).MoveValue();
+    std::vector<size_t> all(kRows);
+    std::iota(all.begin(), all.end(), size_t{0});
+    Rng direction(21);
+    Vector b = SampleUnitSphere(dim, &direction);
+    b *= 7.0;
+    for (double lambda : {0.0, 0.05}) {
+      const double radius = lambda > 0.0 ? 4.0 : kInf;
+      std::vector<std::pair<std::string, std::unique_ptr<LossFunction>>>
+          losses;
+      losses.emplace_back("logistic",
+                          MakeLogisticLoss(lambda, radius).MoveValue());
+      losses.emplace_back("huber",
+                          MakeHuberSvmLoss(0.1, lambda, radius).MoveValue());
+      losses.emplace_back("squared",
+                          MakeSquaredLoss(lambda, 4.0).MoveValue());
+      losses.emplace_back("perturbed",
+                          MakePerturbedLogisticLoss(lambda, 4.0, b, kRows));
+      for (const auto& [name, loss] : losses) {
+        for (bool noisy : {false, true}) {
+          for (size_t batch : {1u, 3u, 50u}) {
+            PsgdOptions options;
+            options.passes = 2;
+            options.batch_size = batch;
+            options.radius = radius;
+            const std::string where =
+                name + " d=" + std::to_string(dim) +
+                " lambda=" + std::to_string(lambda) +
+                " noise=" + std::to_string(noisy) +
+                " b=" + std::to_string(batch);
+            GaussianStepNoise noise;
+            GaussianStepNoise* source = noisy ? &noise : nullptr;
+            Vector expected;
+            uint64_t expected_next;
+            {
+              ScopedSimdTier scalar(SimdTier::kScalar);
+              Rng ref_rng(22);
+              expected = HandRolledPsgd(data, all, *loss, *schedule, options,
+                                        &ref_rng, source);
+              expected_next = ref_rng.Next();
+            }
+            for (SimdTier tier : {SimdTier::kScalar, SimdTier::kSse2,
+                                  SimdTier::kAvx2, SimdTier::kAvx512}) {
+              if (!SimdTierSupported(tier)) continue;
+              ScopedSimdTier forced(tier);
+              Rng run_rng(22);
+              auto run = RunPsgd(data, *loss, *schedule, options, &run_rng,
+                                 source);
+              ASSERT_TRUE(run.ok()) << run.status().ToString();
+              EXPECT_EQ(run.value().model, expected)
+                  << where << " tier=" << SimdTierName(tier);
+              EXPECT_EQ(run_rng.Next(), expected_next) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The Huber case above reaches its flat regime: a trained model leaves
+// rows whose derivative is exactly 0, which the fused step adds as +0.
+TEST(PsgdTest, HuberRowsReachTheZeroDerivativeRegime) {
+  SyntheticConfig config;
+  config.num_examples = 101;
+  config.dim = 9;
+  config.margin = 3.0;
+  config.noise_stddev = 0.3;
+  config.seed = 29;
+  const Dataset data = GenerateSynthetic(config).MoveValue();
+  auto loss = MakeHuberSvmLoss(0.1, 0.0, kInf).MoveValue();
+  auto schedule = MakeInverseSqrtStep(0.8).MoveValue();
+  PsgdOptions options;
+  options.passes = 2;
+  options.batch_size = 3;
+  Rng rng(22);
+  auto run = RunPsgd(data, *loss, *schedule, options, &rng);
+  ASSERT_TRUE(run.ok());
+  size_t flat = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    const double p = Dot(run.value().model, data[i].x);
+    if (loss->Derivative(p, data[i].label) == 0.0) ++flat;
+  }
+  EXPECT_GT(flat, 0u);
+  EXPECT_LT(flat, data.size());
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,9 +42,9 @@ JsonValue ParseBody(const HttpReply& response) {
 
 class ServeDaemonTest : public ::testing::Test {
  protected:
-  void StartDaemon(ServeOptions options = {}) {
+  void StartDaemon(ServeOptions options = {}, size_t handler_threads = 2) {
     options.port = 0;
-    options.handler_threads = 2;
+    options.handler_threads = handler_threads;
     auto daemon = ServeDaemon::Start(options);
     ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
     daemon_ = daemon.MoveValue();
@@ -289,6 +291,54 @@ TEST_F(ServeDaemonTest, DatasetCacheStaysWithinItsByteBudget) {
   // An evicted dataset is generated again, row for row.
   EXPECT_EQ(mean(1, "0.5"), first);
   EXPECT_LE(daemon_->cached_dataset_bytes(), ServeDaemon::kDatasetCacheBytes);
+}
+
+TEST_F(ServeDaemonTest, ConcurrentFirstRequestsGenerateTheirDatasetOnce) {
+  ServeOptions options;
+  options.budget.default_budget = PrivacyParams{100.0, 1e-5};
+  constexpr int kCallers = 4;
+  StartDaemon(options, kCallers);
+  // Every caller misses on the same cold key at once; protein@0.3 takes
+  // tens of milliseconds to generate, so the misses overlap.
+  auto count_from_callers = [&](const char* dataset) {
+    std::vector<HttpReply> replies(kCallers);
+    std::vector<std::thread> callers;
+    std::latch start(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        start.arrive_and_wait();
+        replies[c] = Call(
+            daemon_->port(), "POST", "/v1/aggregate",
+            StrFormat(R"({"tenant":"t%d","dataset":"%s","op":"count",)"
+                      R"("epsilon":0.01,"scale":0.3,"data_seed":9})",
+                      c, dataset));
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    return replies;
+  };
+  for (const HttpReply& reply : count_from_callers("protein")) {
+    EXPECT_EQ(reply.status, 200) << reply.body;
+  }
+  EXPECT_EQ(daemon_->datasets_generated(), 1u);
+  const size_t cached = daemon_->cached_dataset_bytes();
+  EXPECT_GT(cached, 0u);
+
+  // A failed generation reaches every caller and is not cached: the next
+  // request for the key tries again.
+  for (const HttpReply& reply : count_from_callers("nope")) {
+    EXPECT_EQ(reply.status, 404) << reply.body;
+    EXPECT_EQ(ParseBody(reply).GetString("error", "").MoveValue(),
+              "bad_dataset");
+  }
+  EXPECT_EQ(daemon_->cached_dataset_bytes(), cached);
+  const size_t generated = daemon_->datasets_generated();
+  EXPECT_EQ(Call(daemon_->port(), "POST", "/v1/aggregate",
+                 R"({"tenant":"t0","dataset":"nope","op":"count",)"
+                 R"("epsilon":0.01,"scale":0.3,"data_seed":9})")
+                .status,
+            404);
+  EXPECT_EQ(daemon_->datasets_generated(), generated + 1);
 }
 
 TEST_F(ServeDaemonTest, BudgetEndpointReportsAccounts) {

@@ -32,6 +32,14 @@ std::vector<double> RandomValues(size_t n, Rng* rng) {
   return values;
 }
 
+// Row pointers into `rows`, as the PSGD step passes a batch.
+std::vector<const double*> RowPointers(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<const double*> pointers;
+  for (const std::vector<double>& row : rows) pointers.push_back(row.data());
+  return pointers;
+}
+
 const std::vector<size_t>& Lengths() {
   static const std::vector<size_t> lengths = {0,  1,  2,  3,  4,  5,  7, 8,
                                               9,  12, 15, 16, 17, 24, 31, 32,
@@ -101,6 +109,30 @@ TEST(SimdTest, ReductionsBitCompatibleAcrossTiers) {
       EXPECT_EQ(SimdSquaredDistance(x.data(), y.data(), n), expected_dist)
           << "squared_distance n=" << n << " tier=" << SimdTierName(tier);
     }
+    // Batch margins: batches around the four-row groups, each margin
+    // SimdDot's canonical reduction.
+    for (size_t batch : {1u, 3u, 4u, 5u, 9u}) {
+      std::vector<std::vector<double>> rows;
+      for (size_t k = 0; k < batch; ++k) rows.push_back(RandomValues(n, &rng));
+      const std::vector<const double*> pointers = RowPointers(rows);
+      std::vector<double> expected_margins(batch);
+      {
+        ScopedSimdTier scalar(SimdTier::kScalar);
+        SimdBatchMargins(pointers.data(), batch, y.data(), n,
+                         expected_margins.data());
+        for (size_t k = 0; k < batch; ++k) {
+          EXPECT_EQ(expected_margins[k], SimdDot(rows[k].data(), y.data(), n));
+        }
+      }
+      for (SimdTier tier : SupportedTiers()) {
+        ScopedSimdTier forced(tier);
+        std::vector<double> margins(batch);
+        SimdBatchMargins(pointers.data(), batch, y.data(), n, margins.data());
+        EXPECT_EQ(margins, expected_margins)
+            << "batch_margins n=" << n << " batch=" << batch
+            << " tier=" << SimdTierName(tier);
+      }
+    }
   }
 }
 
@@ -137,6 +169,80 @@ TEST(SimdTest, ElementwiseBitCompatibleAcrossTiers) {
       EXPECT_EQ(sub_out, sub_ref)
           << "sub n=" << n << " tier=" << SimdTierName(tier);
     }
+
+    // The fused step under every combination of its optional terms, over
+    // batches around the register groups; w and ‖w‖² must both match.
+    const std::vector<double> linear = RandomValues(n, &rng);
+    const std::vector<double> noise = RandomValues(n, &rng);
+    for (size_t batch : {1u, 3u, 50u}) {
+      std::vector<std::vector<double>> rows;
+      for (size_t k = 0; k < batch; ++k) rows.push_back(RandomValues(n, &rng));
+      const std::vector<const double*> pointers = RowPointers(rows);
+      const std::vector<double> coeffs = RandomValues(batch, &rng);
+      for (int mask = 0; mask < 8; ++mask) {
+        SimdStepTerms terms;
+        terms.reg = (mask & 1) != 0 ? 0.013 : 0.0;
+        terms.linear = (mask & 2) != 0 ? linear.data() : nullptr;
+        terms.linear_coeff = 0.25;
+        terms.noise = (mask & 4) != 0 ? noise.data() : nullptr;
+        terms.neg_eta = a;
+        std::vector<double> step_ref = y;
+        double norm_ref;
+        {
+          ScopedSimdTier scalar(SimdTier::kScalar);
+          norm_ref = SimdBatchStep(pointers.data(), coeffs.data(), batch,
+                                   terms, step_ref.data(), n);
+          EXPECT_EQ(norm_ref, SimdSquaredNorm(step_ref.data(), n));
+        }
+        for (SimdTier tier : SupportedTiers()) {
+          ScopedSimdTier forced(tier);
+          std::vector<double> step_out = y;
+          const double norm = SimdBatchStep(pointers.data(), coeffs.data(),
+                                            batch, terms, step_out.data(), n);
+          const std::string where = " n=" + std::to_string(n) +
+                                    " batch=" + std::to_string(batch) +
+                                    " terms=" + std::to_string(mask) +
+                                    " tier=" + SimdTierName(tier);
+          EXPECT_EQ(step_out, step_ref) << "batch_step" << where;
+          EXPECT_EQ(norm, norm_ref) << "batch_step norm" << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTest, StepKeepsTheRowByRowOrder) {
+  // Per coordinate, the fused step is the row-by-row gradient it replaces:
+  // each row's x term then its λw term, accumulated from +0.0, then the
+  // noise, then the step. Rebuilt here from the elementwise kernels.
+  Rng rng(5150);
+  for (size_t n : Lengths()) {
+    const std::vector<double> w = RandomValues(n, &rng);
+    const std::vector<double> noise = RandomValues(n, &rng);
+    std::vector<std::vector<double>> rows;
+    for (size_t k = 0; k < 5; ++k) rows.push_back(RandomValues(n, &rng));
+    const std::vector<const double*> pointers = RowPointers(rows);
+    const std::vector<double> coeffs = RandomValues(rows.size(), &rng);
+    SimdStepTerms terms;
+    terms.reg = 0.02;
+    terms.noise = noise.data();
+    terms.neg_eta = -0.3;
+    std::vector<double> grad(n, 0.0), expected = w;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      SimdAxpy(coeffs[k], rows[k].data(), grad.data(), n);
+      SimdAxpy(terms.reg, w.data(), grad.data(), n);
+    }
+    SimdAdd(grad.data(), noise.data(), n);
+    SimdAxpy(terms.neg_eta, grad.data(), expected.data(), n);
+    for (SimdTier tier : SupportedTiers()) {
+      ScopedSimdTier forced(tier);
+      std::vector<double> out = w;
+      const double norm = SimdBatchStep(pointers.data(), coeffs.data(),
+                                        rows.size(), terms, out.data(), n);
+      EXPECT_EQ(out, expected) << "n=" << n << " tier=" << SimdTierName(tier);
+      EXPECT_EQ(norm, SimdSquaredNorm(expected.data(), n))
+          << "n=" << n << " tier=" << SimdTierName(tier);
+    }
   }
 }
 
@@ -163,6 +269,53 @@ TEST(SimdTest, SpecialValuesPropagateIdentically) {
     } else {
       EXPECT_EQ(got, expected) << SimdTierName(tier);
     }
+  }
+
+  // The step kernels on the same values: a row holding an infinity and
+  // products past the double range, a margin that overflows, and steps of
+  // two rows and of one whose ‖w‖² is infinite. Finite entries must match
+  // bit for bit and non-finite ones by class.
+  auto same = [](const std::vector<double>& got,
+                 const std::vector<double>& want, const char* what,
+                 SimdTier tier) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (std::isnan(want[i])) {
+        EXPECT_TRUE(std::isnan(got[i])) << what << " i=" << i << " "
+                                        << SimdTierName(tier);
+      } else {
+        EXPECT_EQ(got[i], want[i]) << what << " i=" << i << " "
+                                   << SimdTierName(tier);
+      }
+    }
+  };
+  const std::vector<const double*> rows = {x.data(), y.data()};
+  const std::vector<double> coeffs = {1e10, -0.5};
+  SimdStepTerms terms;
+  terms.reg = 0.5;
+  terms.neg_eta = -1.0;
+  std::vector<double> margins_ref(2), step_ref = y, row_ref = y;
+  double norm_ref, row_norm_ref;
+  {
+    ScopedSimdTier scalar(SimdTier::kScalar);
+    SimdBatchMargins(rows.data(), 2, y.data(), n, margins_ref.data());
+    norm_ref = SimdBatchStep(rows.data(), coeffs.data(), 2, terms,
+                             step_ref.data(), n);
+    row_norm_ref = SimdBatchStep(rows.data(), coeffs.data(), 1, terms,
+                                 row_ref.data(), n);
+  }
+  for (SimdTier tier : SupportedTiers()) {
+    ScopedSimdTier forced(tier);
+    std::vector<double> margins(2), step_out = y, row_out = y;
+    SimdBatchMargins(rows.data(), 2, y.data(), n, margins.data());
+    const double norm = SimdBatchStep(rows.data(), coeffs.data(), 2, terms,
+                                      step_out.data(), n);
+    const double row_norm = SimdBatchStep(rows.data(), coeffs.data(), 1,
+                                          terms, row_out.data(), n);
+    same(margins, margins_ref, "batch_margins", tier);
+    same(step_out, step_ref, "batch_step", tier);
+    same(row_out, row_ref, "one_row_step", tier);
+    same({norm, row_norm}, {norm_ref, row_norm_ref}, "norms", tier);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "data/synthetic.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "ml/trainer.h"
@@ -144,6 +146,34 @@ TEST(DatasetStandInsTest, ShapesMatchTable3) {
   ASSERT_TRUE(mnist.ok());
   EXPECT_EQ(mnist.value().first.dim(), 784u);
   EXPECT_EQ(mnist.value().first.num_classes(), 10);
+}
+
+TEST(DatasetStandInsTest, SplitIsTheGeneratedSetCutInTwo) {
+  // A stand-in's (train, test) pair is one generated set cut after the
+  // training rows. The cut moves the rows; every byte must be what the
+  // generator made, as the copying split gave it. Protein's config at
+  // scale 0.01: 364 rows for each side.
+  SyntheticConfig config;
+  config.num_examples = 2 * 364;
+  config.dim = 74;
+  config.num_classes = 2;
+  config.margin = 2.5;
+  config.noise_stddev = 1.0;
+  config.label_flip_prob = 0.01;
+  config.seed = 5;
+  const Dataset all = GenerateSynthetic(config).MoveValue();
+  auto [train, test] = GenerateByName("protein", 0.01, 5).MoveValue();
+  ASSERT_EQ(train.size(), 364u);
+  ASSERT_EQ(test.size(), 364u);
+  for (size_t i = 0; i < all.size(); ++i) {
+    const Example& row = i < train.size() ? train[i] : test[i - train.size()];
+    EXPECT_EQ(row.label, all[i].label) << "row " << i;
+    ASSERT_EQ(row.x.dim(), all[i].x.dim());
+    EXPECT_EQ(std::memcmp(row.x.data(), all[i].x.data(),
+                          row.x.dim() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
 }
 
 TEST(DatasetStandInsTest, GenerateByNameDispatches) {

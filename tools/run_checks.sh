@@ -223,22 +223,29 @@ awk '
 ' "$WORKDIR/metrics_only.log"
 
 echo "== kernel-dispatch pass (BOLTON_SIMD tiers release identical models) =="
-# The SIMD bit-identity contract, end to end: the same sharded train forced
-# onto scalar, SSE2, and AVX2 gradient kernels must release byte-identical
-# model files. An unsupported tier clamps to the best available with a
-# warning (never fails), so this passes on any host — on a machine without
-# AVX2 the avx2 leg simply re-runs the best supported tier.
+# The SIMD bit-identity contract, end to end: the same sharded trains
+# forced onto the scalar, SSE2, AVX2 and AVX-512 kernels must release
+# byte-identical model files. --batch 10 runs the batch step (margins,
+# then the fused step) and --batch 1 the one-row step. An unsupported tier
+# clamps to the best available with a warning (never fails), so this
+# passes on any host — on a machine without AVX-512 the avx512 leg simply
+# re-runs the best supported tier.
 "$CLI" version | grep -Eq 'scalar|sse2|avx2|avx512' \
     || { echo "version line does not name the SIMD tier"; exit 1; }
-for tier in scalar sse2 avx2; do
-  BOLTON_SIMD="$tier" "$CLI" train --data "$WORKDIR/train.libsvm" \
-      --algo ours --epsilon 2 --lambda 0.01 --passes 3 --batch 10 \
-      --shards 2 --model "$WORKDIR/model_simd_$tier.txt" > /dev/null
+for batch in 10 1; do
+  for tier in scalar sse2 avx2 avx512; do
+    BOLTON_SIMD="$tier" "$CLI" train --data "$WORKDIR/train.libsvm" \
+        --algo ours --epsilon 2 --lambda 0.01 --passes 3 --batch "$batch" \
+        --shards 2 --model "$WORKDIR/model_simd_${tier}_b$batch.txt" \
+        > /dev/null
+  done
+  for tier in sse2 avx2 avx512; do
+    cmp "$WORKDIR/model_simd_scalar_b$batch.txt" \
+        "$WORKDIR/model_simd_${tier}_b$batch.txt" \
+        || { echo "$tier kernels released a different model at --batch" \
+                  "$batch"; exit 1; }
+  done
 done
-cmp "$WORKDIR/model_simd_scalar.txt" "$WORKDIR/model_simd_sse2.txt" \
-    || { echo "sse2 kernels released a different model"; exit 1; }
-cmp "$WORKDIR/model_simd_scalar.txt" "$WORKDIR/model_simd_avx2.txt" \
-    || { echo "avx2 kernels released a different model"; exit 1; }
 
 echo "== fault-injection pass (failpoints + checkpoint/resume, sanitized) =="
 # An armed failpoint must abort the run with a clean injected error while
