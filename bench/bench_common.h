@@ -8,6 +8,8 @@
 // scales (minutes for the full suite); pass --scale to grow them toward the
 // paper's sizes. Seeds are fixed so runs are reproducible.
 
+#include <stdlib.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -163,6 +165,19 @@ inline void PrintAccuracyRow(double epsilon,
   } else {
     std::printf("%-10s\n", "-");
   }
+}
+
+/// A fresh, empty directory `<$TMPDIR or /tmp>/<prefix>.XXXXXX` of this
+/// run's own, so two runs at once never share a file. The caller removes
+/// it.
+inline Result<std::string> MakeTempDir(const std::string& prefix) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string dir = (tmpdir != nullptr && *tmpdir != '\0') ? tmpdir : "/tmp";
+  dir += "/" + prefix + ".XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    return Status::IOError("cannot create a directory from " + dir);
+  }
+  return dir;
 }
 
 /// Times `fn` and emits a trace span named `name` (with a hardware-counter

@@ -7,10 +7,7 @@
 //
 // Rows land in --json-out as figure "serve_throughput" for benchdiff.
 
-#include <stdlib.h>
-
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -34,17 +31,6 @@ int PostTrain(int port, const std::string& body) {
   const Result<obs::HttpReply> reply =
       obs::HttpCall(port, "POST", "/v1/train", body, 30000);
   return reply.ok() ? reply.value().status : 0;
-}
-
-/// A fresh, empty budget state directory under $TMPDIR (default /tmp).
-Result<std::string> MakeStateDir() {
-  const char* tmpdir = std::getenv("TMPDIR");
-  std::string dir = (tmpdir != nullptr && *tmpdir != '\0') ? tmpdir : "/tmp";
-  dir += "/bolton_serve_bench.XXXXXX";
-  if (::mkdtemp(dir.data()) == nullptr) {
-    return Status::IOError("cannot create a state dir from " + dir);
-  }
-  return dir;
 }
 
 double Percentile(std::vector<double> sorted, double p) {
@@ -83,7 +69,7 @@ int Main(int argc, char** argv) {
     options.budget.default_budget = PrivacyParams{1e9, 1e-3};
     options.admission.max_inflight = 8;
     options.admission.max_inflight_per_tenant = 2;
-    Result<std::string> state_dir = MakeStateDir();
+    Result<std::string> state_dir = MakeTempDir("bolton_serve_bench");
     if (!state_dir.ok()) {
       std::fprintf(stderr, "%s\n", state_dir.status().ToString().c_str());
       return 1;

@@ -415,7 +415,7 @@ Result<SolverOutput> RunSolverWithCheckpoints(
   BOLTON_ASSIGN_OR_RETURN(
       PsgdOutput run,
       RunPsgd(data, loss, *black_box.schedule, black_box.psgd, psgd_rng,
-              /*noise=*/nullptr, /*pass_callback=*/nullptr, &plan));
+              /*noise=*/nullptr, &plan));
 
   SolverOutput out;
   if (bolton) {

@@ -1,7 +1,7 @@
 #include "core/multiclass.h"
 
 #include <limits>
-#include <thread>
+#include <string>
 
 #include "util/logging.h"
 
@@ -23,57 +23,25 @@ int MulticlassModel::Predict(const Vector& x) const {
 
 Result<MulticlassModel> TrainOneVsAll(const Dataset& data,
                                       const PrivacyParams& total_budget,
-                                      const BinaryTrainFn& train, Rng* rng,
-                                      size_t threads) {
+                                      const BinaryTrainFn& train, Rng* rng) {
   BOLTON_RETURN_IF_ERROR(total_budget.Validate());
   if (!train) return Status::InvalidArgument("null train function");
   if (data.num_classes() < 2) {
     return Status::InvalidArgument("need at least 2 classes");
   }
-  if (threads < 1) return Status::InvalidArgument("threads must be >= 1");
   const int num_classes = data.num_classes();
   const PrivacyParams per_model = total_budget.SplitEvenly(num_classes);
-
-  // Split every per-class RNG up front from the shared stream so the
-  // results are identical regardless of thread count or scheduling.
-  std::vector<Rng> class_rngs;
-  class_rngs.reserve(num_classes);
-  for (int c = 0; c < num_classes; ++c) class_rngs.push_back(rng->Split());
-
-  std::vector<Result<Vector>> results(num_classes,
-                                      Result<Vector>(Vector()));
-  auto train_class = [&](int c) {
-    Dataset binary = data.OneVsAllView(c);
-    results[c] = train(binary, per_model, &class_rngs[c]);
-  };
-
-  if (threads <= 1 || num_classes == 2) {
-    for (int c = 0; c < num_classes; ++c) train_class(c);
-  } else {
-    // Static round-robin assignment: class c goes to worker c % threads.
-    std::vector<std::thread> workers;
-    size_t worker_count =
-        std::min(threads, static_cast<size_t>(num_classes));
-    workers.reserve(worker_count);
-    for (size_t w = 0; w < worker_count; ++w) {
-      workers.emplace_back([&, w]() {
-        for (int c = static_cast<int>(w); c < num_classes;
-             c += static_cast<int>(worker_count)) {
-          train_class(c);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
 
   MulticlassModel model;
   model.weights.reserve(num_classes);
   for (int c = 0; c < num_classes; ++c) {
-    if (!results[c].ok()) {
-      return results[c].status().WithContext(
-          "training one-vs-all class " + std::to_string(c));
+    Rng class_rng = rng->Split();
+    Result<Vector> weights = train(data.OneVsAllView(c), per_model, &class_rng);
+    if (!weights.ok()) {
+      return weights.status().WithContext("training one-vs-all class " +
+                                          std::to_string(c));
     }
-    model.weights.push_back(results[c].MoveValue());
+    model.weights.push_back(weights.MoveValue());
   }
   return model;
 }

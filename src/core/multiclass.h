@@ -34,15 +34,12 @@ using BinaryTrainFn = std::function<Result<Vector>(
 /// paper's MNIST strategy ("we used the simplest composition theorem, and
 /// divide the privacy budget evenly", §4.3).
 ///
-/// `threads` > 1 trains sub-models concurrently (they are independent —
-/// disjoint budgets, per-class RNG streams split up front), producing
-/// BIT-IDENTICAL models to the serial run. `train` must then be
-/// thread-safe for concurrent calls on distinct data (every trainer in
-/// this library is: they share no mutable state).
+/// Classes train in order, class c on the c-th stream split from `rng`;
+/// parallelism lives inside `train` (a sharded solve runs on the thread
+/// pool). The first class that fails stops the run with its status.
 Result<MulticlassModel> TrainOneVsAll(const Dataset& data,
                                       const PrivacyParams& total_budget,
-                                      const BinaryTrainFn& train, Rng* rng,
-                                      size_t threads = 1);
+                                      const BinaryTrainFn& train, Rng* rng);
 
 }  // namespace bolton
 

@@ -10,7 +10,7 @@ namespace bolton {
 
 namespace {
 
-// Default error counter: binary sign errors of a linear model.
+// Binary sign errors of a linear model: the χ_i of Algorithm 3.
 size_t CountBinarySignErrors(const Vector& model, const Dataset& validation) {
   size_t errors = 0;
   for (size_t i = 0; i < validation.size(); ++i) {
@@ -66,8 +66,7 @@ std::vector<TuningCandidate> MakeTuningGrid(
 Result<TuningOutput> PrivatelyTunedSgd(const Dataset& data,
                                        const std::vector<TuningCandidate>& grid,
                                        const PrivacyParams& privacy,
-                                       const TuningTrainFn& train, Rng* rng,
-                                       const TuningErrorFn& errors) {
+                                       const TuningTrainFn& train, Rng* rng) {
   BOLTON_RETURN_IF_ERROR(privacy.Validate());
   if (grid.empty()) return Status::InvalidArgument("empty tuning grid");
   if (!train) return Status::InvalidArgument("null train function");
@@ -83,7 +82,6 @@ Result<TuningOutput> PrivatelyTunedSgd(const Dataset& data,
   const Dataset& holdout = portions.back();
 
   // Line 3: train w_i on S_i with θ_i.  Line 4: count errors on S_{l+1}.
-  TuningErrorFn count = errors ? errors : CountBinarySignErrors;
   std::vector<Vector> models;
   std::vector<size_t> error_counts;
   models.reserve(l);
@@ -92,7 +90,7 @@ Result<TuningOutput> PrivatelyTunedSgd(const Dataset& data,
     Rng candidate_rng = rng->Split();
     BOLTON_ASSIGN_OR_RETURN(Vector w, train(portions[i], grid[i],
                                             &candidate_rng));
-    error_counts.push_back(count(w, holdout));
+    error_counts.push_back(CountBinarySignErrors(w, holdout));
     models.push_back(std::move(w));
   }
 
@@ -110,22 +108,20 @@ Result<TuningOutput> PrivatelyTunedSgd(const Dataset& data,
 Result<TuningOutput> PublicGridSearch(const Dataset& train_data,
                                       const Dataset& validation,
                                       const std::vector<TuningCandidate>& grid,
-                                      const TuningTrainFn& train, Rng* rng,
-                                      const TuningErrorFn& errors) {
+                                      const TuningTrainFn& train, Rng* rng) {
   if (grid.empty()) return Status::InvalidArgument("empty tuning grid");
   if (!train) return Status::InvalidArgument("null train function");
   if (validation.empty()) {
     return Status::InvalidArgument("empty validation set");
   }
 
-  TuningErrorFn count = errors ? errors : CountBinarySignErrors;
   TuningOutput out;
   size_t best_errors = std::numeric_limits<size_t>::max();
   for (size_t i = 0; i < grid.size(); ++i) {
     Rng candidate_rng = rng->Split();
     BOLTON_ASSIGN_OR_RETURN(Vector w,
                             train(train_data, grid[i], &candidate_rng));
-    size_t e = count(w, validation);
+    size_t e = CountBinarySignErrors(w, validation);
     out.error_counts.push_back(e);
     if (e < best_errors) {
       best_errors = e;

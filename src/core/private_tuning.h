@@ -33,11 +33,6 @@ std::vector<TuningCandidate> MakeTuningGrid(
 using TuningTrainFn = std::function<Result<Vector>(
     const Dataset& portion, const TuningCandidate& candidate, Rng* rng)>;
 
-/// Counts classification errors of `model` on `validation`. The default
-/// (nullptr) counts binary sign errors: sign⟨w, x⟩ ≠ y.
-using TuningErrorFn =
-    std::function<size_t(const Vector& model, const Dataset& validation)>;
-
 /// Output of the private tuning run.
 struct TuningOutput {
   /// The privately selected hypothesis.
@@ -52,18 +47,17 @@ struct TuningOutput {
 /// Algorithm 3 — private hyperparameter tuning.
 ///
 /// Splits S into l+1 equal portions; trains hypothesis w_i on portion S_i
-/// with candidate θ_i via `train`; counts errors χ_i on the held-out
-/// portion S_{l+1}; selects w_i with probability ∝ exp(−ε χ_i / 2) (the
-/// exponential mechanism). Because the portions are disjoint, parallel
-/// composition makes the whole procedure (ε, δ)-DP when each training call
-/// is (ε, δ)-DP and the selection uses the same ε.
+/// with candidate θ_i via `train`; counts sign errors χ_i (sign⟨w, x⟩ ≠ y)
+/// on the held-out portion S_{l+1}; selects w_i with probability
+/// ∝ exp(−ε χ_i / 2) (the exponential mechanism). Because the portions are
+/// disjoint, parallel composition makes the whole procedure (ε, δ)-DP when
+/// each training call is (ε, δ)-DP and the selection uses the same ε.
 ///
 /// Requires at least l+1 examples and a non-empty grid.
 Result<TuningOutput> PrivatelyTunedSgd(const Dataset& data,
                                        const std::vector<TuningCandidate>& grid,
                                        const PrivacyParams& privacy,
-                                       const TuningTrainFn& train, Rng* rng,
-                                       const TuningErrorFn& errors = nullptr);
+                                       const TuningTrainFn& train, Rng* rng);
 
 /// The exponential-mechanism selection step of Algorithm 3 (line 5) on its
 /// own: samples index i with probability ∝ exp(−ε χ_i / 2). Exposed so
@@ -75,13 +69,12 @@ size_t SampleExponentialMechanism(const std::vector<size_t>& error_counts,
 
 /// Non-private grid search on a public validation set ("Tuning using Public
 /// Data", §4.1): trains every candidate on `train_data` and returns the one
-/// with the fewest validation errors. Only private if `validation` is
+/// with the fewest validation sign errors. Only private if `validation` is
 /// public data.
 Result<TuningOutput> PublicGridSearch(const Dataset& train_data,
                                       const Dataset& validation,
                                       const std::vector<TuningCandidate>& grid,
-                                      const TuningTrainFn& train, Rng* rng,
-                                      const TuningErrorFn& errors = nullptr);
+                                      const TuningTrainFn& train, Rng* rng);
 
 }  // namespace bolton
 

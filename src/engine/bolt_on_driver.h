@@ -29,10 +29,9 @@ struct BoltOnDriverOutput {
 /// private SGD") — `tolerance` MAY be set to stop early on convergence
 /// with options.passes as the cap K.
 ///
-/// options.shards > 1 runs s copies of the unchanged black box over
-/// disjoint shards of the table and averages them (Lemma 10), with the
-/// noise calibrated to the max per-shard sensitivity; tolerance must then
-/// be 0 (each shard runs fixed epochs).
+/// The driver is serial: options.shards other than 1 is refused with
+/// InvalidArgument before any work, since Δ₂ is the serial run's (the
+/// shard-parallel release is PrivatePsgd's, over a Dataset).
 Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
                                                   const LossFunction& loss,
                                                   const BoltOnOptions& options,

@@ -1,8 +1,6 @@
 #include "engine/sgd_uda.h"
 
-#include <cmath>
-
-#include "util/strings.h"
+#include "util/logging.h"
 
 namespace bolton {
 
@@ -20,44 +18,51 @@ SgdUda::SgdUda(const LossFunction& loss, const StepSizeSchedule& schedule,
 
 void SgdUda::Initialize(const Vector& state) {
   model_ = state;
-  batch_grad_ = Vector(state.dim());
-  batch_fill_ = 0;
+  copies_.clear();
+  labels_.clear();
 }
 
 void SgdUda::Transition(const Example& row) {
   if (!status_.ok()) return;
-  loss_.AddGradient(model_, row.x, row.label, 1.0, &batch_grad_);
   ++stats_.gradient_evaluations;
-  ++batch_fill_;
-  if (batch_fill_ == options_.batch_size) ApplyUpdate();
+  labels_.push_back(row.label);
+  if (labels_.size() == options_.batch_size) {
+    ApplyUpdate(&row);
+  } else {
+    copies_.insert(copies_.end(), row.x.data(), row.x.data() + row.x.dim());
+  }
 }
 
 Vector SgdUda::Terminate() {
   // Flush a trailing partial batch, as Bismarck's terminate function does.
-  if (status_.ok() && batch_fill_ > 0) ApplyUpdate();
+  if (status_.ok() && !labels_.empty()) ApplyUpdate(nullptr);
   return model_;
 }
 
-void SgdUda::ApplyUpdate() {
+void SgdUda::ApplyUpdate(const Example* last) {
   ++step_;
-  batch_grad_ *= 1.0 / static_cast<double>(batch_fill_);
+  Vector z;
   if (noise_ != nullptr) {
-    auto z = noise_->Sample(step_, model_.dim(), noise_rng_);
-    if (!z.ok()) {
-      status_ = z.status().WithContext("white-box noise at transition");
+    auto sampled = noise_->Sample(step_, model_.dim(), noise_rng_);
+    if (!sampled.ok()) {
+      status_ = sampled.status().WithContext("white-box noise at transition");
       return;
     }
-    batch_grad_ += z.value();
+    z = sampled.MoveValue();
     ++stats_.noise_samples;
   }
-  double eta = schedule_.StepSize(step_);
-  model_.Axpy(-eta, batch_grad_);
-  if (std::isfinite(options_.radius)) {
-    ProjectToL2BallInPlace(&model_, options_.radius);
+  const size_t copied = labels_.size() - (last != nullptr ? 1 : 0);
+  rows_.clear();
+  for (size_t k = 0; k < copied; ++k) {
+    rows_.push_back(copies_.data() + k * model_.dim());
   }
+  if (last != nullptr) rows_.push_back(last->x.data());
+  PsgdBatchStep(loss_, rows_.data(), labels_.data(), labels_.size(),
+                -schedule_.StepSize(step_), noise_ != nullptr ? &z : nullptr,
+                options_.radius, &coeffs_, &model_);
   ++stats_.updates;
-  batch_grad_.SetZero();
-  batch_fill_ = 0;
+  copies_.clear();
+  labels_.clear();
 }
 
 }  // namespace bolton

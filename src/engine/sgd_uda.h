@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "engine/uda.h"
 #include "optim/loss.h"
@@ -22,12 +23,17 @@ struct SgdUdaOptions {
   double radius = std::numeric_limits<double>::infinity();
 };
 
-/// The SGD UDA of Figure 1: aggregation state is the model vector w plus a
-/// mini-batch gradient accumulator. `noise` is the white-box extension
-/// point (Figure 1C) — when non-null, every mini-batch update first draws a
+/// The SGD UDA of Figure 1: aggregation state is the model vector w plus
+/// the current mini-batch's rows; there is no gradient accumulator. The
+/// rows before the one that completes a batch are copied (a disk scan's
+/// row dies when Transition returns); that last row is read in place,
+/// and the batch is stepped by PsgdBatchStep, RunPsgd's own step, while
+/// the scan still holds it. So over the same row order a noiseless run
+/// releases RunPsgd's exact bits. `noise` is the white-box extension point
+/// (Figure 1C) — when non-null, every mini-batch update first draws a
 /// noise vector and adds it to the averaged gradient, exactly the deep
 /// change SCS13/BST14 require inside the transition function. The bolt-on
-/// algorithms leave it null and the UDA byte-for-byte matches noiseless SGD.
+/// algorithms leave it null.
 class SgdUda final : public Uda {
  public:
   /// `loss` and `schedule` must outlive the UDA. The UDA owns no data.
@@ -48,7 +54,8 @@ class SgdUda final : public Uda {
   const Status& status() const { return status_; }
 
  private:
-  void ApplyUpdate();
+  /// Steps the batch: the copied rows, then `last` (null at Terminate).
+  void ApplyUpdate(const Example* last);
 
   const LossFunction& loss_;
   const StepSizeSchedule& schedule_;
@@ -57,8 +64,12 @@ class SgdUda final : public Uda {
   Rng* noise_rng_;
 
   Vector model_;
-  Vector batch_grad_;
-  size_t batch_fill_ = 0;
+  // The batch: copies of its rows' features (dim each) before the last
+  // one, every row's label, then the step's row pointers and coefficients.
+  std::vector<double> copies_;
+  std::vector<double> labels_;
+  std::vector<const double*> rows_;
+  std::vector<double> coeffs_;
   size_t step_ = 0;  // global update counter across epochs
   PsgdStats stats_;
   Status status_;

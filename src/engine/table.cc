@@ -209,13 +209,6 @@ Status DiskTable::Shuffle(Rng* rng) {
 
 }  // namespace
 
-Result<Dataset> Table::ToDataset(int num_classes) const {
-  Dataset out(dim(), num_classes);
-  Status scan = Scan([&out](const Example& e) { out.Add(e); });
-  BOLTON_RETURN_IF_ERROR(scan);
-  return out;
-}
-
 Result<std::unique_ptr<Table>> MakeTable(std::shared_ptr<const Dataset> data,
                                          StorageMode mode,
                                          const std::string& spill_path,

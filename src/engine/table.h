@@ -51,9 +51,6 @@ class Table {
   /// sequentially and each row where the shared dataset holds it,
   /// prefetching a few rows ahead.
   virtual Status Scan(const RowFn& fn) const = 0;
-
-  /// Copies all rows (current order) into a Dataset. Primarily for tests.
-  Result<Dataset> ToDataset(int num_classes = 2) const;
 };
 
 /// Creates a table over `data`'s rows. A kMemory table shares them: it

@@ -50,8 +50,7 @@ Result<MulticlassModel> TrainMulticlass(const Dataset& train,
   if (config.algorithm == Algorithm::kNoiseless && budget.epsilon <= 0.0) {
     budget = PrivacyParams{1.0, 0.0};
   }
-  return TrainOneVsAll(train, budget, train_fn, rng,
-                       config.training_threads);
+  return TrainOneVsAll(train, budget, train_fn, rng);
 }
 
 }  // namespace bolton

@@ -38,9 +38,6 @@ struct TrainerConfig : SolverSpec {
   double lambda = 0.0;
   /// Huber smoothing width (Appendix B uses h = 0.1).
   double huber_h = 0.1;
-  /// Threads for one-vs-all sub-model training (1 = serial; results are
-  /// bit-identical at any thread count).
-  size_t training_threads = 1;
 };
 
 /// Builds the loss for a config: logistic or Huber SVM, with L2 strength

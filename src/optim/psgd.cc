@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "data/prefetch.h"
-#include "linalg/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "random/permutation.h"
@@ -63,9 +62,8 @@ namespace {
 // row's feature pointer, and PrefetchFeatures for the features it points
 // to once that record is in cache.
 
-// Dataset rows under any LossFunction, stepped by the kernels of
-// linalg/simd.h: a batch takes its margins in one call, maps them through
-// the loss's Derivative and steps in one more. A nonempty slice restricts
+// Dataset rows under any LossFunction, stepped by PsgdBatchStep over the
+// batch's feature pointers, read in place. A nonempty slice restricts
 // the run to data[slice[k]], k < slice.size(): MapOrder turns each
 // permutation of [size()) into data indices once per draw, so the batch
 // loop reads data_ directly. An empty slice means every row.
@@ -92,26 +90,10 @@ class DenseRows {
     labels_.push_back(data_[i].label);
   }
   void Step(double neg_eta, const Vector* noise, double radius, Vector* w) {
-    const size_t b = rows_.size();
-    const double scale = 1.0 / static_cast<double>(b);
-    SimdStepTerms terms;
-    if (loss_.lambda() > 0.0) terms.reg = scale * loss_.lambda();
-    if (const Vector* u = loss_.linear_term()) {
-      terms.linear = u->data();
-      terms.linear_coeff = scale * loss_.linear_weight();
-    }
-    if (noise != nullptr) terms.noise = noise->data();
-    terms.neg_eta = neg_eta;
-    coeffs_.resize(b);
-    SimdBatchMargins(rows_.data(), b, w->data(), w->dim(), coeffs_.data());
-    for (size_t k = 0; k < b; ++k) {
-      coeffs_[k] = scale * loss_.Derivative(coeffs_[k], labels_[k]);
-    }
-    const double squared_norm = SimdBatchStep(rows_.data(), coeffs_.data(), b,
-                                              terms, w->data(), w->dim());
+    PsgdBatchStep(loss_, rows_.data(), labels_.data(), rows_.size(), neg_eta,
+                  noise, radius, &coeffs_, w);
     rows_.clear();
     labels_.clear();
-    if (std::isfinite(radius)) ProjectToL2BallInPlace(w, radius, squared_norm);
   }
 
  private:
@@ -186,11 +168,10 @@ class SparseLogisticRows {
 
 // The one pass/batch loop of the optimizer layer.
 template <typename Rows>
-Result<PsgdOutput> RunLoop(
-    Rows& rows, const StepSizeSchedule& schedule, const PsgdOptions& options,
-    Rng* rng, GradientNoiseSource* noise,
-    const std::function<void(size_t, const Vector&)>& pass_callback,
-    const PsgdCheckpointPlan* checkpoint) {
+Result<PsgdOutput> RunLoop(Rows& rows, const StepSizeSchedule& schedule,
+                           const PsgdOptions& options, Rng* rng,
+                           GradientNoiseSource* noise,
+                           const PsgdCheckpointPlan* checkpoint) {
   BOLTON_RETURN_IF_ERROR(ValidateOptions(rows.size(), options));
   const PsgdResumeState* resume =
       checkpoint != nullptr ? checkpoint->resume : nullptr;
@@ -321,7 +302,6 @@ Result<PsgdOutput> RunLoop(
     }
     pass_seconds->Observe(
         static_cast<double>(obs::MonotonicNanos() - pass_start) * 1e-9);
-    if (pass_callback) pass_callback(pass, w);
 
     if (checkpoint != nullptr && checkpoint->every_passes > 0 &&
         checkpoint->sink && pass < options.passes &&
@@ -361,12 +341,9 @@ Result<PsgdOutput> RunLoop(
 Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
     const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
-    GradientNoiseSource* noise,
-    const std::function<void(size_t, const Vector&)>& pass_callback,
-    const PsgdCheckpointPlan* checkpoint) {
+    GradientNoiseSource* noise, const PsgdCheckpointPlan* checkpoint) {
   DenseRows rows(data, loss);
-  return RunLoop(rows, schedule, options, rng, noise, pass_callback,
-                 checkpoint);
+  return RunLoop(rows, schedule, options, rng, noise, checkpoint);
 }
 
 Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
@@ -387,7 +364,7 @@ Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
     }
   }
   DenseRows dense(data, loss, rows);
-  return RunLoop(dense, schedule, options, rng, nullptr, nullptr, nullptr);
+  return RunLoop(dense, schedule, options, rng, nullptr, nullptr);
 }
 
 Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
@@ -397,7 +374,7 @@ Result<PsgdOutput> RunSparseLogisticPsgd(const SparseDataset& data,
                                          GradientNoiseSource* noise) {
   if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
   SparseLogisticRows rows(data, lambda, lambda == 0.0 && noise == nullptr);
-  return RunLoop(rows, schedule, options, rng, noise, nullptr, nullptr);
+  return RunLoop(rows, schedule, options, rng, noise, nullptr);
 }
 
 }  // namespace bolton

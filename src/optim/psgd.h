@@ -1,12 +1,15 @@
 #ifndef BOLTON_OPTIM_PSGD_H_
 #define BOLTON_OPTIM_PSGD_H_
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/sparse_dataset.h"
+#include "linalg/simd.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/schedule.h"
@@ -109,6 +112,38 @@ struct PsgdCheckpointPlan {
   const PsgdResumeState* resume = nullptr;
 };
 
+/// One mini-batch step, the only one RunPsgd's loop and the engine's SGD
+/// aggregate apply: w ← Π_R(w + neg_eta·[Σ_k ∇ℓ(w; x_k, y_k)/b + z]) over
+/// the b rows rows[k] (each w->dim() features) with labels[k]. It takes the
+/// b margins in one call, maps them through the loss's Derivative times
+/// 1/b into `coeffs` (resized to b), and builds, steps and measures w in
+/// one SimdBatchStep, whose ‖w‖² the projection reuses. `noise` (z) may be
+/// null; radius = +inf skips the projection. Always inlined, so RunPsgd's
+/// batch loop makes no call for it.
+[[gnu::always_inline]] inline void PsgdBatchStep(
+    const LossFunction& loss, const double* const* rows, const double* labels,
+    size_t b, double neg_eta, const Vector* noise, double radius,
+    std::vector<double>* coeffs, Vector* w) {
+  const double scale = 1.0 / static_cast<double>(b);
+  SimdStepTerms terms;
+  if (loss.lambda() > 0.0) terms.reg = scale * loss.lambda();
+  if (const Vector* u = loss.linear_term()) {
+    terms.linear = u->data();
+    terms.linear_coeff = scale * loss.linear_weight();
+  }
+  if (noise != nullptr) terms.noise = noise->data();
+  terms.neg_eta = neg_eta;
+  coeffs->resize(b);
+  double* c = coeffs->data();
+  SimdBatchMargins(rows, b, w->data(), w->dim(), c);
+  for (size_t k = 0; k < b; ++k) {
+    c[k] = scale * loss.Derivative(c[k], labels[k]);
+  }
+  const double squared_norm =
+      SimdBatchStep(rows, c, b, terms, w->data(), w->dim());
+  if (std::isfinite(radius)) ProjectToL2BallInPlace(w, radius, squared_norm);
+}
+
 /// Runs k-pass mini-batch permutation-based SGD:
 ///
 ///   w_t = Π_R( w_{t−1} − η_t · [ (1/|B_t|) Σ_{i∈B_t} ∇ℓ_i(w_{t−1}) + z_t ] )
@@ -116,10 +151,6 @@ struct PsgdCheckpointPlan {
 /// with z_t = 0 unless a GradientNoiseSource is supplied. Starts from w = 0.
 /// This is the black box invoked at line 2 of Algorithms 1 and 2; with a
 /// noise source it also hosts the SCS13/BST14 baselines.
-///
-/// `pass_callback`, when set, is invoked after each completed pass with the
-/// (1-based) pass number and current iterate — used for convergence
-/// tracking and the engine's convergence test.
 ///
 /// `checkpoint`, when set, enables pass-boundary checkpointing and resume
 /// (see PsgdCheckpointPlan); resuming from a sink-captured state continues
@@ -131,15 +162,14 @@ Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
     const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
     GradientNoiseSource* noise = nullptr,
-    const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,
     const PsgdCheckpointPlan* checkpoint = nullptr);
 
 /// RunPsgd over the rows data[rows[0]], …, data[rows[n−1]] without copying
 /// them: bit-for-bit RunPsgd(data.Subset(rows), …) with the same rng. Each
 /// permutation the run draws is over [n) and is mapped through `rows` once,
 /// so the batch loop reads `data` with one indirection. This is the
-/// sharded executor's per-shard black box; it takes no noise source, pass
-/// callback or checkpoint plan. Refuses an empty slice, an index
+/// sharded executor's per-shard black box; it takes no noise source or
+/// checkpoint plan. Refuses an empty slice, an index
 /// >= data.size() and with-replacement sampling.
 Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
                                  std::span<const size_t> rows,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -25,18 +24,6 @@ size_t ResolveMaxThreads(size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;
-}
-
-uint64_t EnvOverrideU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  auto parsed = ParseU64(value);
-  if (!parsed.ok()) {
-    BOLTON_LOG(kWarning) << name << "=" << value
-                         << " is not a number; using default";
-    return fallback;
-  }
-  return parsed.value();
 }
 
 }  // namespace
@@ -199,14 +186,7 @@ ThreadPool& GlobalThreadPool() {
   // from a static destructor would race the teardown of the obs singletons
   // they touch. Parked workers either retire on idle timeout or die with
   // the process.
-  static ThreadPool* pool = [] {
-    ThreadPoolOptions options;
-    options.max_threads = static_cast<size_t>(
-        EnvOverrideU64("BOLTON_POOL_THREADS", 0));
-    options.idle_timeout_ms =
-        EnvOverrideU64("BOLTON_POOL_IDLE_MS", options.idle_timeout_ms);
-    return new ThreadPool(options);
-  }();
+  static ThreadPool* pool = new ThreadPool(ThreadPoolOptions{});
   return *pool;
 }
 

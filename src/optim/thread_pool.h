@@ -140,8 +140,8 @@ class ThreadPool {
 /// every RunShardedPsgd whose ExecutorConfig does not inject a pool —
 /// repeated solver calls (multiclass one-vs-rest, tuning sweeps, a future
 /// serve mode) reuse warm workers instead of paying construction per run.
-/// Size and idle timeout come from BOLTON_POOL_THREADS /
-/// BOLTON_POOL_IDLE_MS when set. Intentionally never destroyed (workers
+/// It has ThreadPoolOptions' defaults: one worker per hardware thread, 2 s
+/// idle timeout. Intentionally never destroyed (workers
 /// park or retire on their own; joining at static destruction would race
 /// other singletons' teardown).
 ThreadPool& GlobalThreadPool();

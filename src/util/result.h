@@ -41,13 +41,26 @@ class Result {
     return ok() ? Status::OK() : std::get<Status>(rep_);
   }
 
-  /// The held value. Requires `ok()`.
-  const T& value() const& { return std::get<T>(rep_); }
-  T& value() & { return std::get<T>(rep_); }
-  T&& value() && { return std::get<T>(std::move(rep_)); }
+  /// The held value. On an error, aborts with Status::CheckOK()'s
+  /// "fatal status: <status>".
+  const T& value() const& {
+    CheckHasValue();
+    return std::get<T>(rep_);
+  }
+  T& value() & {
+    CheckHasValue();
+    return std::get<T>(rep_);
+  }
+  T&& value() && {
+    CheckHasValue();
+    return std::get<T>(std::move(rep_));
+  }
 
-  /// Moves the value out. Requires `ok()`.
-  T MoveValue() { return std::get<T>(std::move(rep_)); }
+  /// Moves the value out; aborts like value() on an error.
+  T MoveValue() {
+    CheckHasValue();
+    return std::get<T>(std::move(rep_));
+  }
 
   /// Returns the value or `fallback` when this result is an error.
   T ValueOr(T fallback) const {
@@ -55,6 +68,10 @@ class Result {
   }
 
  private:
+  void CheckHasValue() const {
+    if (!ok()) std::get<Status>(rep_).CheckOK();
+  }
+
   std::variant<T, Status> rep_;
 };
 

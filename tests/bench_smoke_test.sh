@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test of the benches' telemetry flags: a CommonFlags bench
 # and a google-benchmark bench each write the exports their flags ask for,
-# telemetry leaves the figure rows on stdout untouched, and a refused flag, a
-# refused data input or a failed export exits 1 with "<bench>: <status>"
-# instead of aborting.
+# telemetry leaves the figure rows on stdout untouched, the engine benches
+# (Figures 2 and 5) run, and a refused flag, a refused data input or a
+# failed export exits 1 with "<bench>: <status>" instead of aborting.
 # Invoked by ctest with the bench binaries' directory as $1.
 set -eu
 
@@ -63,6 +63,28 @@ if [ -z "$gradients" ] || [ "$gradients" -eq 0 ]; then
   exit 1
 fi
 grep -q '"name":"psgd.pass"' "$WORKDIR/sparse.trace.jsonl"
+
+# The engine path with disk tables and white-box noise: Figure 2's two
+# panels at a small scale (4 sizes x 4 algorithms x 2 storage modes) and
+# one Figure 5 cell.
+if ! "$BENCH/bench_fig2_scalability" --scale 0.01 --repeats 1 \
+    --json-out "$WORKDIR/fig2.json" > "$WORKDIR/fig2.out" \
+    2> "$WORKDIR/fig2.err"; then
+  cat "$WORKDIR/fig2.err" >&2
+  exit 1
+fi
+rows=$(grep -o '"figure":"fig2_scalability"' "$WORKDIR/fig2.json" | wc -l)
+if [ "$rows" -ne 32 ]; then
+  echo "bench_fig2_scalability wrote $rows rows, expected 32" >&2
+  exit 1
+fi
+if ! "$BENCH/bench_fig5_runtime" \
+    --benchmark_filter='Fig5_BatchSweep/protein/bst14/10/' \
+    > "$WORKDIR/fig5.out" 2> "$WORKDIR/fig5.err"; then
+  cat "$WORKDIR/fig5.err" >&2
+  exit 1
+fi
+grep -q "^Fig5_BatchSweep/protein/bst14/10/" "$WORKDIR/fig5.out"
 
 # expect_refusal BENCH ARGS...: the bench exits 1 and prints
 # "<bench>: <status>" on stderr, an ordinary failure rather than an abort.

@@ -262,6 +262,12 @@ expect_refusal "^train: io-error: cannot open $WORKDIR/missing.libsvm" \
     "$CLI" train --data "$WORKDIR/missing.libsvm"
 expect_refusal "^train: invalid-argument: unknown flag --no-such-flag" \
     "$CLI" train --no-such-flag
+# --loss takes logistic or huber only; the daemon's spelling "huber_svm"
+# is refused, not trained as logistic.
+expect_refusal "^train: invalid-argument: unknown loss 'huber_svm'" \
+    "$CLI" train --data "$WORKDIR/train.libsvm" --loss huber_svm \
+    --model "$WORKDIR/huber_svm.model"
+test ! -e "$WORKDIR/huber_svm.model"
 expect_refusal "^call: invalid-argument: unknown flag --bogus" \
     "$CLI" call --bogus
 expect_refusal "^scrape: invalid-argument: unknown flag --bogus" \

@@ -1,7 +1,12 @@
 #include "engine/driver.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +14,7 @@
 #include "data/synthetic.h"
 #include "engine/bolt_on_driver.h"
 #include "engine/sgd_uda.h"
+#include "linalg/simd.h"
 #include "ml/metrics.h"
 #include "optim/schedule.h"
 #include "random/dp_noise.h"
@@ -113,9 +119,108 @@ TEST(SgdUdaTest, ProjectionApplied) {
   EXPECT_LE(uda.Terminate().Norm(), 0.01 + 1e-12);
 }
 
+// A disk scan hands Transition a row that dies when it returns. Feeding
+// the UDA a temporary that is overwritten and freed after every call
+// steps the bits the dataset's own rows step: full batches, and at b = 7
+// a partial last batch (101 = 14·7 + 3) that Terminate flushes.
+TEST(SgdUdaTest, SgdUdaFedTemporariesMatchesStableRows) {
+  const Dataset data = MakeData(101, 178);
+  auto loss = MakeLogisticLoss(0.05, 1.0).MoveValue();
+  auto schedule =
+      MakeInverseTimeStep(loss->strong_convexity(), loss->smoothness())
+          .MoveValue();
+  for (size_t b : {1u, 7u}) {
+    SgdUdaOptions options;
+    options.batch_size = b;
+    options.radius = loss->radius();
+    SgdUda stable(*loss, *schedule, options);
+    SgdUda fed(*loss, *schedule, options);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      stable.Initialize(epoch == 0 ? Vector(data.dim()) : stable.Terminate());
+      fed.Initialize(epoch == 0 ? Vector(data.dim()) : fed.Terminate());
+      for (size_t i = 0; i < data.size(); ++i) {
+        stable.Transition(data[i]);
+        auto row = std::make_unique<Example>(data[i]);
+        fed.Transition(*row);
+        for (size_t j = 0; j < row->x.dim(); ++j) row->x[j] = std::nan("");
+      }
+    }
+    const Vector expected = stable.Terminate();
+    const Vector got = fed.Terminate();
+    ASSERT_EQ(got.dim(), expected.dim());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.dim() * sizeof(double)),
+              0)
+        << "b=" << b;
+    EXPECT_EQ(fed.stats().updates, stable.stats().updates);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Driver (epoch loop + convergence test).
 // ---------------------------------------------------------------------------
+
+// The engine runs the optimizer's SGD: the driver's one table shuffle is
+// the permutation RunPsgd draws from the same seed, and the UDA steps each
+// batch through PsgdBatchStep, so a noiseless run releases RunPsgd's exact
+// bits, partial last batches included (m = 101 at b = 2, 7, 8 and 50,
+// m = 1000 at b = 7 and 50), on every SIMD tier.
+TEST(DriverTest, NoiselessDriverMatchesRunPsgdBitForBit) {
+  constexpr size_t kEpochs = 3;
+  for (size_t m : {101u, 1000u}) {
+    const auto rows = std::make_shared<const Dataset>(MakeData(m, 177));
+    for (size_t b : {1u, 2u, 7u, 8u, 50u}) {
+      for (double lambda : {0.0, 0.05}) {
+        const double radius = lambda > 0.0 ? 1.0 : kInf;
+        std::vector<std::pair<const char*, std::unique_ptr<LossFunction>>>
+            losses;
+        losses.emplace_back("logistic",
+                            MakeLogisticLoss(lambda, radius).MoveValue());
+        losses.emplace_back("huber",
+                            MakeHuberSvmLoss(0.1, lambda, radius).MoveValue());
+        for (const auto& [name, loss] : losses) {
+          auto schedule =
+              lambda > 0.0 ? MakeInverseTimeStep(lambda, loss->smoothness())
+                                 .MoveValue()
+                           : MakeInverseSqrtStep(0.5).MoveValue();
+          for (SimdTier tier : {SimdTier::kScalar, SimdTier::kSse2,
+                                SimdTier::kAvx2, SimdTier::kAvx512}) {
+            if (!SimdTierSupported(tier)) continue;
+            ScopedSimdTier forced(tier);
+            std::ostringstream where;
+            where << name << " m=" << m << " b=" << b << " lambda=" << lambda
+                  << " tier=" << SimdTierName(tier);
+            PsgdOptions psgd;
+            psgd.passes = kEpochs;
+            psgd.batch_size = b;
+            psgd.radius = loss->radius();
+            Rng psgd_rng(31);
+            auto expected = RunPsgd(*rows, *loss, *schedule, psgd, &psgd_rng);
+            ASSERT_TRUE(expected.ok()) << where.str();
+
+            auto table = MakeTable(rows, StorageMode::kMemory).MoveValue();
+            DriverOptions options;
+            options.max_epochs = kEpochs;
+            options.batch_size = b;
+            options.radius = loss->radius();
+            Rng driver_rng(31);
+            auto got = RunSgdDriver(table.get(), *loss, *schedule, options,
+                                    &driver_rng);
+            ASSERT_TRUE(got.ok()) << where.str();
+            const DriverOutput& have = got.value();
+            const PsgdOutput& want = expected.value();
+            ASSERT_EQ(have.model.dim(), want.model.dim());
+            EXPECT_EQ(std::memcmp(have.model.data(), want.model.data(),
+                                  want.model.dim() * sizeof(double)),
+                      0)
+                << where.str();
+            EXPECT_EQ(have.stats.updates, want.stats.updates) << where.str();
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(DriverTest, TrainsToHighAccuracy) {
   Dataset data = MakeData();
@@ -259,6 +364,27 @@ TEST(BoltOnDriverTest, ConvexRejectsConvergenceStopping) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+}
+
+// The driver's Δ₂ is the serial run's, so a sharded request is refused
+// before any work: no scan, no draw from the caller's rng.
+TEST(BoltOnDriverTest, RefusesShardsBeforeAnyWork) {
+  Dataset data = MakeData(100, 179);
+  auto table = MakeTable(data, StorageMode::kMemory).MoveValue();
+  auto loss = MakeLogisticLoss(0.01, 100.0).MoveValue();
+  for (size_t shards : {0u, 4u}) {
+    BoltOnOptions options;
+    options.privacy = PrivacyParams{1.0, 0.0};
+    options.shards = shards;
+    Rng rng(11);
+    EXPECT_EQ(RunBoltOnPrivateDriver(table.get(), *loss, options,
+                                     /*tolerance=*/0.0, &rng)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "shards " << shards;
+    EXPECT_EQ(rng.Next(), Rng(11).Next()) << "shards " << shards;
+  }
 }
 
 TEST(BoltOnDriverTest, StronglyConvexAllowsEarlyStopWithSameSensitivity) {

@@ -94,39 +94,21 @@ TEST(TrainOneVsAllTest, PrivateTrainingAtLargeEpsilonStaysAccurate) {
   EXPECT_GT(MulticlassAccuracy(model.value(), data), 0.7);
 }
 
-TEST(TrainOneVsAllTest, ParallelTrainingIsBitIdenticalToSerial) {
-  Dataset data = MakeMulticlassData(600, 154);
-  TrainerConfig config;
-  config.algorithm = Algorithm::kBoltOn;
-  config.lambda = 1e-3;
-  config.passes = 3;
-  config.batch_size = 20;
-  config.privacy = PrivacyParams{8.0, 0.0};
-
-  Rng rng_serial(6);
-  auto serial = TrainMulticlass(data, config, &rng_serial);
-  config.training_threads = 3;
-  Rng rng_parallel(6);
-  auto parallel = TrainMulticlass(data, config, &rng_parallel);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  ASSERT_EQ(serial.value().num_classes(), parallel.value().num_classes());
-  for (int c = 0; c < serial.value().num_classes(); ++c) {
-    EXPECT_EQ(serial.value().weights[c], parallel.value().weights[c])
-        << "class " << c;
-  }
-}
-
-TEST(TrainOneVsAllTest, ParallelPropagatesSubTrainerErrors) {
+// Classes train in order, and the first failure stops the run.
+TEST(TrainOneVsAllTest, PropagatesSubTrainerErrors) {
   Dataset data = MakeMulticlassData(200, 155);
-  BinaryTrainFn failing = [](const Dataset&, const PrivacyParams&,
-                             Rng*) -> Result<Vector> {
+  int calls = 0;
+  BinaryTrainFn failing = [&calls](const Dataset&, const PrivacyParams&,
+                                   Rng*) -> Result<Vector> {
+    ++calls;
     return Status::Internal("boom");
   };
   Rng rng(7);
-  auto out = TrainOneVsAll(data, PrivacyParams{1.0, 0.0}, failing, &rng,
-                           /*threads=*/4);
+  auto out = TrainOneVsAll(data, PrivacyParams{1.0, 0.0}, failing, &rng);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(out.status().message(), "training one-vs-all class 0: boom");
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(TrainOneVsAllTest, Validation) {

@@ -144,23 +144,6 @@ TEST(PsgdTest, FullBatchEqualsGradientDescent) {
   EXPECT_NEAR(Distance(run.value().model, w), 0.0, 1e-12);
 }
 
-TEST(PsgdTest, PassCallbackFiresPerPass) {
-  Dataset data = MakeTrainingSet(60);
-  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
-  auto schedule = MakeConstantStep(0.1).MoveValue();
-  PsgdOptions options;
-  options.passes = 4;
-  Rng rng(8);
-  std::vector<size_t> passes_seen;
-  auto run = RunPsgd(data, *loss, *schedule, options, &rng, nullptr,
-                     [&](size_t pass, const Vector& w) {
-                       passes_seen.push_back(pass);
-                       EXPECT_EQ(w.dim(), data.dim());
-                     });
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(passes_seen, (std::vector<size_t>{1, 2, 3, 4}));
-}
-
 TEST(PsgdTest, WithReplacementSamplingRuns) {
   Dataset data = MakeTrainingSet(200);
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();

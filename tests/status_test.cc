@@ -1,5 +1,8 @@
 #include "util/status.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "util/result.h"
@@ -83,6 +86,18 @@ TEST(ResultTest, OkStatusIsRejected) {
   Result<int> r{Status::OK()};
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+}
+
+// Reading the value of an error aborts through CheckOK, naming the status,
+// not in an uncaught std::bad_variant_access that names nothing.
+TEST(ResultTest, ValueOfAnErrorAbortsNamingItsStatus) {
+  Result<std::string> r(Status::NotFound("no spill file"));
+  const Result<std::string>& cr = r;
+  EXPECT_DEATH((void)cr.value(), "fatal status: not-found: no spill file");
+  EXPECT_DEATH((void)r.value(), "fatal status: not-found: no spill file");
+  EXPECT_DEATH((void)std::move(r).value(),
+               "fatal status: not-found: no spill file");
+  EXPECT_DEATH((void)r.MoveValue(), "fatal status: not-found: no spill file");
 }
 
 TEST(ResultTest, MoveValueTransfersOwnership) {

@@ -112,16 +112,6 @@ TEST_P(TableModeTest, RepeatedScansAreStable) {
   EXPECT_EQ(labels_a, labels_b);
 }
 
-TEST_P(TableModeTest, ToDatasetCopiesEverything) {
-  Dataset data = MakeData(50, 164);
-  auto table = Make(data);
-  ASSERT_TRUE(table.ok());
-  auto copied = table.value()->ToDataset();
-  ASSERT_TRUE(copied.ok());
-  EXPECT_EQ(copied.value().size(), data.size());
-  EXPECT_EQ(copied.value().dim(), data.dim());
-}
-
 INSTANTIATE_TEST_SUITE_P(Modes, TableModeTest,
                          ::testing::Values(StorageMode::kMemory,
                                            StorageMode::kDisk),

@@ -166,6 +166,10 @@ Status RunTrain(int argc, char** argv) {
 
   TrainerConfig config;
   BOLTON_ASSIGN_OR_RETURN(config.algorithm, ParseAlgorithm(algo));
+  if (model_kind != "logistic" && model_kind != "huber") {
+    return Status::InvalidArgument("unknown loss '" + model_kind +
+                                   "' (logistic|huber)");
+  }
   config.model =
       model_kind == "huber" ? ModelKind::kHuberSvm : ModelKind::kLogistic;
   config.lambda = lambda;
