@@ -1,23 +1,81 @@
 #include "data/dataset.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "random/permutation.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
+// Linux 6.1's synchronous collapse; glibc's headers before 2.37 lack it.
+#ifndef MADV_COLLAPSE
+#define MADV_COLLAPSE 25
+#endif
+
 namespace bolton {
+
+namespace {
+
+// The PMD page size of x86-64 and of arm64 with 4 KiB pages.
+constexpr uintptr_t kHugePageBytes = uintptr_t{2} << 20;
+
+// Collapses every 2 MiB page that holds row features, one madvise per run
+// of adjacent pages. Rows allocated one after another (generated, loaded
+// or copied) fill a span of pages, so the runs are that span; rows spread
+// over several mappings leave out the pages between them, which hold
+// other threads' stacks or arenas.
+void CollapseRowPages(const std::vector<Example>& rows) {
+  std::vector<uintptr_t> pages;  // page numbers, address / kHugePageBytes
+  for (const Example& row : rows) {
+    if (row.x.empty()) continue;
+    const auto begin = reinterpret_cast<uintptr_t>(row.x.data());
+    const uintptr_t last =
+        (begin + row.x.dim() * sizeof(double) - 1) / kHugePageBytes;
+    for (uintptr_t page = begin / kHugePageBytes; page <= last; ++page) {
+      if (pages.empty() || pages.back() != page) pages.push_back(page);
+    }
+  }
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  for (size_t first = 0; first < pages.size();) {
+    size_t end = first + 1;
+    while (end < pages.size() && pages[end] == pages[end - 1] + 1) ++end;
+    // A hint: EINVAL (no THP), EAGAIN/ENOMEM (no free 2 MiB block, a
+    // page between mappings) leave the rows as they were.
+    (void)madvise(reinterpret_cast<void*>(pages[first] * kHugePageBytes),
+                  (end - first) * kHugePageBytes, MADV_COLLAPSE);
+    first = end;
+  }
+}
+
+}  // namespace
+
+static_assert(std::is_nothrow_move_constructible_v<Dataset>);
 
 void Dataset::Add(Example example) {
   BOLTON_CHECK(example.x.dim() == dim_);
   examples_.push_back(std::move(example));
+  advised_.Reset();
 }
 
 void Dataset::Replace(size_t index, Example example) {
   BOLTON_CHECK(index < examples_.size());
   BOLTON_CHECK(example.x.dim() == dim_);
   examples_[index] = std::move(example);
+  advised_.Reset();
+}
+
+void Dataset::AdviseRandomReads() const {
+  // One load once done; the exchange lets one of racing first callers
+  // act while the others go on reading.
+  if (advised_.done.load() || advised_.done.exchange(true)) return;
+  if (size() * dim() * sizeof(double) < kHugePageFloorBytes) return;
+  CollapseRowPages(examples_);
 }
 
 void Dataset::NormalizeToUnitBall() {

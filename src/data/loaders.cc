@@ -1,7 +1,11 @@
 #include "data/loaders.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -12,6 +16,86 @@
 namespace bolton {
 
 namespace {
+
+// A label written as an integer (`1`, `1.0`, `1e0`). INT_MAX is refused
+// too, so that a class count max + 1 always fits in an int.
+Result<int> IntegralLabel(double value, const std::string& text,
+                          size_t line_no) {
+  if (!std::isfinite(value) || value != std::floor(value)) {
+    return Status::InvalidArgument(
+        StrFormat("line %zu: non-integer label '%s'", line_no, text.c_str()));
+  }
+  if (value < INT_MIN || value >= INT_MAX) {
+    return Status::InvalidArgument(StrFormat(
+        "line %zu: label '%s' is outside int range", line_no, text.c_str()));
+  }
+  return static_cast<int>(value);
+}
+
+// This host's physical memory in bytes; SIZE_MAX when sysconf cannot tell.
+size_t PhysicalMemoryBytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = sysconf(_SC_PAGE_SIZE);
+  return pages > 0 && page_bytes > 0
+             ? static_cast<size_t>(pages) * static_cast<size_t>(page_bytes)
+             : SIZE_MAX;
+}
+
+// Whether a × b × c bytes fit in `memory`; an overflowing product does not.
+bool FitsInMemory(size_t a, size_t b, size_t c, size_t memory) {
+  size_t bytes = 0;
+  return !__builtin_mul_overflow(a, b, &bytes) &&
+         !__builtin_mul_overflow(bytes, c, &bytes) && bytes <= memory;
+}
+
+// One rule for a file's labels, `lines[i]` naming the line of
+// `(*labels)[i]`. A 0/1 file is first mapped to −1/+1. Then a file is
+// binary if its labels lie in {−1, +1}, and multiclass if they are class
+// ids ≥ 0, with K = max + 1 classes. Anything else is refused: a file
+// with a negative label can only be binary, so the line named is its
+// first label outside {−1, +1}. K classes cost K one-vs-all models of
+// `dim` doubles and a K × K confusion matrix, so a K whose models or
+// matrix exceed the host's memory (one stray label of 2·10^9) is refused
+// too, naming the line of the largest label. Returns the class count.
+Result<int> SettleLabels(std::vector<int>* labels,
+                         const std::vector<size_t>& lines, size_t dim) {
+  bool zero_one = true, plus_minus = true, has_zero = false;
+  int min_label = INT_MAX, max_label = INT_MIN;
+  for (int y : *labels) {
+    zero_one = zero_one && (y == 0 || y == 1);
+    plus_minus = plus_minus && (y == -1 || y == 1);
+    has_zero = has_zero || y == 0;
+    min_label = std::min(min_label, y);
+    max_label = std::max(max_label, y);
+  }
+  if (zero_one && has_zero) {
+    for (int& y : *labels) y = (y == 0) ? -1 : +1;
+    return 2;
+  }
+  if (plus_minus) return 2;
+  if (min_label >= 0) {
+    const size_t classes = static_cast<size_t>(max_label) + 1;
+    const size_t memory = PhysicalMemoryBytes();
+    if (FitsInMemory(classes, dim, sizeof(double), memory) &&
+        FitsInMemory(classes, classes, sizeof(size_t), memory)) {
+      return max_label + 1;
+    }
+    const size_t i = static_cast<size_t>(
+        std::find(labels->begin(), labels->end(), max_label) -
+        labels->begin());
+    return Status::OutOfRange(StrFormat(
+        "line %zu: label %d makes %zu classes, whose one-vs-all models "
+        "(dim %zu) and %zu x %zu confusion counts need more than this "
+        "host's %zu bytes of memory",
+        lines[i], max_label, classes, dim, classes, classes, memory));
+  }
+  size_t i = 0;  // some label lies outside {−1, +1}: find the first
+  while ((*labels)[i] == -1 || (*labels)[i] == 1) ++i;
+  return Status::InvalidArgument(StrFormat(
+      "line %zu: label %d fits neither a binary file (labels -1/+1, or 0/1) "
+      "nor a multiclass one (class ids >= 0)",
+      lines[i], (*labels)[i]));
+}
 
 struct LibsvmRow {
   int label;
@@ -26,20 +110,13 @@ Result<LibsvmRow> ParseLibsvmLine(const std::string& line, size_t line_no) {
     return Status::InvalidArgument(
         StrFormat("line %zu: missing label", line_no));
   }
-  auto label = ParseInt(token);
+  auto label = ParseDouble(token);
   if (!label.ok()) {
-    // Some files carry real-valued labels; accept and round integral ones.
-    auto as_double = ParseDouble(token);
-    if (!as_double.ok() || !std::isfinite(as_double.value()) ||
-        as_double.value() != std::floor(as_double.value())) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: non-integer label '%s'", line_no,
-                    token.c_str()));
-    }
-    row.label = static_cast<int>(as_double.value());
-  } else {
-    row.label = static_cast<int>(label.value());
+    return Status::InvalidArgument(
+        StrFormat("line %zu: non-integer label '%s'", line_no, token.c_str()));
   }
+  BOLTON_ASSIGN_OR_RETURN(row.label,
+                          IntegralLabel(label.value(), token, line_no));
   while (in >> token) {
     size_t colon = token.find(':');
     if (colon == std::string::npos) {
@@ -77,11 +154,15 @@ Result<LibsvmRow> ParseLibsvmLine(const std::string& line, size_t line_no) {
   return row;
 }
 
-// Every row of a LIBSVM file, with 0/1 binary labels already mapped to ±1.
+// Every row of a LIBSVM file: entries[i], its label labels[i] (settled by
+// SettleLabels) and the line lines[i] it came from.
 struct LibsvmFile {
   size_t dim = 0;
   int num_classes = 2;
-  std::vector<LibsvmRow> rows;
+  size_t max_index_line = 0;  // the first line that holds index `dim`
+  std::vector<std::vector<SparseVector::Entry>> entries;
+  std::vector<int> labels;
+  std::vector<size_t> lines;
 };
 
 Result<LibsvmFile> ReadLibsvm(const std::string& path, size_t dim) {
@@ -90,9 +171,7 @@ Result<LibsvmFile> ReadLibsvm(const std::string& path, size_t dim) {
   if (!in) return Status::IOError("cannot open " + path);
 
   LibsvmFile file;
-  std::vector<LibsvmRow>& rows = file.rows;
   size_t max_index = 0;
-  bool saw_zero_label = false;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -104,38 +183,58 @@ Result<LibsvmFile> ReadLibsvm(const std::string& path, size_t dim) {
                             ParseLibsvmLine(std::string(stripped), line_no));
     for (const auto& [idx, val] : row.entries) {
       (void)val;
-      if (idx + 1 > max_index) max_index = idx + 1;
+      if (idx + 1 > max_index) {
+        max_index = idx + 1;
+        file.max_index_line = line_no;
+      }
       if (dim != 0 && idx >= dim) {
         return Status::OutOfRange(
             StrFormat("line %zu: index %zu exceeds declared dim %zu", line_no,
                       idx + 1, dim));
       }
     }
-    if (row.label == 0) saw_zero_label = true;
-    rows.push_back(std::move(row));
+    file.entries.push_back(std::move(row.entries));
+    file.labels.push_back(row.label);
+    file.lines.push_back(line_no);
   }
-  if (rows.empty()) return Status::InvalidArgument(path + " holds no examples");
-
+  if (file.entries.empty()) {
+    return Status::InvalidArgument(path + " holds no examples");
+  }
   file.dim = dim == 0 ? max_index : dim;
-  int max_label = 0;
-  for (const LibsvmRow& r : rows) max_label = std::max(max_label, r.label);
-  // 0/1 files: map to ±1. Multiclass files keep labels as class ids.
-  file.num_classes = std::max(2, max_label + (saw_zero_label ? 1 : 0));
-  if (saw_zero_label && max_label <= 1) {
-    for (LibsvmRow& r : rows) r.label = (r.label == 0) ? -1 : +1;
-  }
+  BOLTON_ASSIGN_OR_RETURN(file.num_classes,
+                          SettleLabels(&file.labels, file.lines, file.dim));
   return file;
+}
+
+// Dense rows of `dim` doubles cost rows × dim × 8 bytes up front; refuse a
+// file whose one large index would ask for more than this host's memory,
+// before allocating any of it.
+Status CheckDenseSize(const LibsvmFile& file, bool dim_declared) {
+  const size_t rows = file.entries.size();
+  const size_t memory = PhysicalMemoryBytes();
+  if (FitsInMemory(rows, file.dim, sizeof(double), memory)) {
+    return Status::OK();
+  }
+  const std::string cause =
+      dim_declared ? StrFormat("declared dim %zu", file.dim)
+                   : StrFormat("line %zu: index %zu", file.max_index_line,
+                               file.dim);
+  return Status::OutOfRange(StrFormat(
+      "%s makes %zu dense rows need more than this host's %zu bytes of "
+      "memory (the sparse loader keeps such a file)",
+      cause.c_str(), rows, memory));
 }
 
 }  // namespace
 
 Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
   BOLTON_ASSIGN_OR_RETURN(LibsvmFile file, ReadLibsvm(path, dim));
+  BOLTON_RETURN_IF_ERROR(CheckDenseSize(file, dim != 0));
   Dataset out(file.dim, file.num_classes);
-  for (const LibsvmRow& r : file.rows) {
+  for (size_t i = 0; i < file.entries.size(); ++i) {
     Vector x(file.dim);
-    for (const auto& [idx, val] : r.entries) x[idx] = val;
-    out.Add(Example{std::move(x), r.label});
+    for (const auto& [idx, val] : file.entries[i]) x[idx] = val;
+    out.Add(Example{std::move(x), file.labels[i]});
   }
   return out;
 }
@@ -143,11 +242,11 @@ Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
 Result<SparseDataset> LoadLibsvmSparse(const std::string& path, size_t dim) {
   BOLTON_ASSIGN_OR_RETURN(LibsvmFile file, ReadLibsvm(path, dim));
   SparseDataset out(file.dim, file.num_classes);
-  for (LibsvmRow& r : file.rows) {
+  for (size_t i = 0; i < file.entries.size(); ++i) {
     BOLTON_ASSIGN_OR_RETURN(
         SparseVector x,
-        SparseVector::FromEntries(file.dim, std::move(r.entries)));
-    out.Add(SparseExample{std::move(x), r.label});
+        SparseVector::FromEntries(file.dim, std::move(file.entries[i])));
+    out.Add(SparseExample{std::move(x), file.labels[i]});
   }
   return out;
 }
@@ -158,6 +257,8 @@ Result<Dataset> LoadCsv(const std::string& path) {
   if (!in) return Status::IOError("cannot open " + path);
 
   std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  std::vector<size_t> lines;
   std::string line;
   size_t line_no = 0;
   size_t width = 0;
@@ -219,33 +320,20 @@ Result<Dataset> LoadCsv(const std::string& path) {
           StrFormat("line %zu: expected %zu fields, got %zu", line_no, width,
                     values.size()));
     }
+    BOLTON_ASSIGN_OR_RETURN(
+        int label, IntegralLabel(values.back(), fields.back(), line_no));
+    labels.push_back(label);
+    lines.push_back(line_no);
+    values.pop_back();
     rows.push_back(std::move(values));
   }
   if (rows.empty()) return Status::InvalidArgument(path + " holds no examples");
-
-  int max_label = 0;
-  bool saw_zero = false, saw_negative = false;
-  for (const auto& r : rows) {
-    double raw = r.back();
-    if (raw != std::floor(raw)) {
-      return Status::InvalidArgument("CSV labels must be integers");
-    }
-    int label = static_cast<int>(raw);
-    max_label = std::max(max_label, label);
-    saw_zero |= (label == 0);
-    saw_negative |= (label < 0);
-  }
-  bool binary01 = saw_zero && !saw_negative && max_label <= 1;
-  int num_classes =
-      (binary01 || saw_negative) ? 2 : std::max(2, max_label + (saw_zero ? 1 : 0));
+  BOLTON_ASSIGN_OR_RETURN(int num_classes,
+                          SettleLabels(&labels, lines, width - 1));
 
   Dataset out(width - 1, num_classes);
-  for (auto& r : rows) {
-    Vector x(width - 1);
-    for (size_t i = 0; i + 1 < r.size(); ++i) x[i] = r[i];
-    int label = static_cast<int>(r.back());
-    if (binary01) label = (label == 0) ? -1 : +1;
-    out.Add(Example{std::move(x), label});
+  for (size_t r = 0; r < rows.size(); ++r) {
+    out.Add(Example{Vector(std::move(rows[r])), labels[r]});
   }
   return out;
 }

@@ -13,18 +13,30 @@ namespace bolton {
 ///   <label> <index>:<value> <index>:<value> ...
 /// Indices are 1-based (standard for the format). If `dim` is 0 the
 /// dimension is inferred as the largest index seen; otherwise indices above
-/// `dim` are an error. Labels must be integral (`1` or `1.0`); for binary
-/// files use ±1 (a 0/1 file is accepted and mapped to ∓1/±1). Non-finite
-/// values and an index repeated within a line are refused, naming the line.
+/// `dim` are an error. Non-finite values and an index repeated within a
+/// line are refused, naming the line. A file whose dense rows would need
+/// more bytes than the host's physical memory (one stray index of 10^12)
+/// is OutOfRange, naming the line of the largest index.
+///
+/// Labels (here and in LoadCsv) are integers in int range (`1`, `1.0`).
+/// A 0/1 file is mapped to −1/+1. Then a file is binary (2 classes) if its
+/// labels lie in {−1, +1}, and multiclass (K = max + 1 classes) if they
+/// are class ids ≥ 0. Any other file, e.g. labels {−1, 1, 2}, is refused,
+/// naming the first line whose label fits neither. A class count whose
+/// one-vs-all models (K × dim doubles) or K × K confusion counts exceed the
+/// host's physical memory (one stray label of 2·10^9) is OutOfRange,
+/// naming the line of the largest label.
 Result<Dataset> LoadLibsvm(const std::string& path, size_t dim = 0);
 
 /// LoadLibsvm's reader, keeping the rows sparse (explicit zeros dropped).
+/// Its rows cost their nonzeros only, so it takes any index of a binary
+/// file.
 Result<SparseDataset> LoadLibsvmSparse(const std::string& path,
                                        size_t dim = 0);
 
-/// Loads a dense CSV with the label in the last column. Lines starting with
-/// '#' and blank lines are skipped; an optional non-numeric first row is
-/// treated as a header.
+/// Loads a dense CSV with the label in the last column, under LoadLibsvm's
+/// label rule. Lines starting with '#' and blank lines are skipped; an
+/// optional non-numeric first row is treated as a header.
 Result<Dataset> LoadCsv(const std::string& path);
 
 /// Writes a dataset in LIBSVM format (1-based indices, zeros skipped).

@@ -27,6 +27,7 @@ class MemoryTable final : public Table {
   StorageMode mode() const override { return StorageMode::kMemory; }
 
   Status Shuffle(Rng* rng) override {
+    rows_->AdviseRandomReads();
     if (order_.empty()) {
       order_.resize(rows_->size());
       std::iota(order_.begin(), order_.end(), size_t{0});

@@ -57,7 +57,7 @@ class Table {
 /// keeps `data` alive, never writes to it, and scans the `Example`s it
 /// holds in place, so any number of tables (and threads) can read one
 /// dataset without a copy. Its `Shuffle()` permutes a row order of its
-/// own. `spill_path` names the backing file for kDisk mode (required then;
+/// own, and first calls `data->AdviseRandomReads()`. `spill_path` names the backing file for kDisk mode (required then;
 /// ignored for kMemory). `page_rows` is the number of rows per I/O page for
 /// kDisk (default 1024).
 Result<std::unique_ptr<Table>> MakeTable(std::shared_ptr<const Dataset> data,

@@ -75,6 +75,9 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
 
   const size_t m = data.size();
   const size_t s = options.shards;
+  // Once, on this thread, before any shard reads the rows in random order
+  // (the serial path's RunPsgd makes the same call).
+  data.AdviseRandomReads();
 
   // Partition permutation and the per-shard seed base are drawn from the
   // parent stream BEFORE any worker starts, so results depend only on the

@@ -125,6 +125,10 @@ uint64_t ShardSeed(uint64_t seed_base, size_t shard);
 /// per-update noise source (sharding is for the black-box algorithms; the
 /// white-box baselines compose their budgets per update and have no
 /// shard-level analysis here).
+///
+/// `data.AdviseRandomReads()` is called once, on the calling thread (by
+/// RunPsgd for one shard, before the partition for more), so shards never
+/// race for it.
 Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
                                          const LossFunction& loss,
                                          const StepSizeSchedule& schedule,

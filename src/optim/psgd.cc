@@ -342,6 +342,7 @@ Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
     const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
     GradientNoiseSource* noise, const PsgdCheckpointPlan* checkpoint) {
+  data.AdviseRandomReads();
   DenseRows rows(data, loss);
   return RunLoop(rows, schedule, options, rng, noise, checkpoint);
 }

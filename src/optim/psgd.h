@@ -158,6 +158,8 @@ struct PsgdCheckpointPlan {
 ///
 /// This is the SERIAL black box: options.shards must be 1 (use
 /// RunShardedPsgd in optim/parallel_executor.h for shard-parallel runs).
+/// It reads `data` in random order, so it first calls
+/// data.AdviseRandomReads().
 Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
     const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,

@@ -47,12 +47,17 @@ double Rng::UniformDouble(double lo, double hi) {
 
 uint64_t Rng::UniformInt(uint64_t n) {
   BOLTON_CHECK(n > 0);
-  // Rejection sampling over the largest multiple of n below 2^64.
-  const uint64_t threshold = (~n + 1) % n;  // == 2^64 mod n
-  while (true) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % n;
+  // Rejection sampling over the largest multiple of n below 2^64: a draw
+  // below the threshold 2^64 mod n is rejected. The threshold is below n,
+  // so a draw r >= n is accepted without it, and its division is paid
+  // only when r < n (rare when n is far below 2^64, as a shuffle's n is).
+  // Every accept, reject and value is the same as computing it up front.
+  uint64_t r = Next();
+  if (r < n) {
+    const uint64_t threshold = (~n + 1) % n;  // == 2^64 mod n
+    while (r < threshold) r = Next();
   }
+  return r % n;
 }
 
 double Rng::Gaussian() {

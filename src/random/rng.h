@@ -49,7 +49,7 @@ class Rng {
   double UniformDouble(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0. Uses rejection sampling to
-  /// avoid modulo bias.
+  /// avoid modulo bias; a draw costs one division (r mod n) unless r < n.
   uint64_t UniformInt(uint64_t n);
 
   /// Standard normal deviate (mean 0, variance 1), via the polar

@@ -268,6 +268,18 @@ expect_refusal "^train: invalid-argument: unknown loss 'huber_svm'" \
     "$CLI" train --data "$WORKDIR/train.libsvm" --loss huber_svm \
     --model "$WORKDIR/huber_svm.model"
 test ! -e "$WORKDIR/huber_svm.model"
+# A binary model is calibrated for labels of magnitude 1: a file that mixes
+# -1/+1 with other labels is refused, not trained with too little noise.
+printf -- '-1 1:0.5\n1 2:0.5\n2 1:0.25\n' > "$WORKDIR/labels.libsvm"
+expect_refusal "^train: invalid-argument: line 3: label 2 fits neither" \
+    "$CLI" train --data "$WORKDIR/labels.libsvm" --algo ours --lambda 0.01 \
+    --batch 1 --model "$WORKDIR/labels.model"
+test ! -e "$WORKDIR/labels.model"
+# One index of 10^12 would size every dense row at 8 TB.
+printf '1 1:0.5\n-1 1000000000000:1\n' > "$WORKDIR/wide.libsvm"
+expect_refusal "^train: out-of-range: line 2: index 1000000000000" \
+    "$CLI" train --data "$WORKDIR/wide.libsvm" --model "$WORKDIR/wide.model"
+test ! -e "$WORKDIR/wide.model"
 expect_refusal "^call: invalid-argument: unknown flag --bogus" \
     "$CLI" call --bogus
 expect_refusal "^scrape: invalid-argument: unknown flag --bogus" \

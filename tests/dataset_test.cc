@@ -1,10 +1,25 @@
 #include "data/dataset.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
 #include "random/rng.h"
+
+#ifndef MADV_COLLAPSE
+#define MADV_COLLAPSE 25
+#endif
 
 namespace bolton {
 namespace {
@@ -112,6 +127,109 @@ TEST(DatasetTest, ShuffleKeepsContents) {
   }
   EXPECT_DOUBLE_EQ(sum_before, sum_after);
   EXPECT_TRUE(order_changed);
+}
+
+constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
+
+// The 2 MiB pages (address / 2 MiB) that hold some of a set's features.
+std::set<uintptr_t> RowPages(const Dataset& data) {
+  std::set<uintptr_t> pages;
+  for (const Example& e : data.examples()) {
+    const auto p = reinterpret_cast<uintptr_t>(e.x.data());
+    pages.insert(p / kHugePage);
+    pages.insert((p + e.x.dim() * sizeof(double) - 1) / kHugePage);
+  }
+  return pages;
+}
+
+// AnonHugePages, in KiB, summed over the mappings of /proc/self/smaps
+// that overlap `pages`.
+size_t AnonHugeKib(const std::set<uintptr_t>& pages) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool overlaps = false;
+  size_t total = 0;
+  while (std::getline(smaps, line)) {
+    unsigned long long lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream fields(line);
+    if (line.rfind("AnonHugePages:", 0) == 0) {
+      std::string key;
+      size_t kib = 0;
+      fields >> key >> kib;
+      if (overlaps) total += kib;
+    } else if (fields >> std::hex >> lo >> dash >> hi && dash == '-') {
+      const auto first = pages.lower_bound(lo / kHugePage);
+      overlaps = first != pages.end() && *first * kHugePage < hi;
+    }
+  }
+  return total;
+}
+
+// Empty when MADV_COLLAPSE works on a populated anonymous mapping here;
+// else why not (a kernel before 6.1 or without THP, THP "never").
+std::string CollapseUnavailable() {
+  const size_t bytes = 2 * kHugePage;
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) return std::strerror(errno);
+  const uintptr_t aligned =
+      (reinterpret_cast<uintptr_t>(map) + kHugePage - 1) / kHugePage *
+      kHugePage;
+  std::memset(reinterpret_cast<void*>(aligned), 1, kHugePage);
+  std::string why;
+  if (madvise(reinterpret_cast<void*>(aligned), kHugePage, MADV_COLLAPSE) !=
+      0) {
+    why = std::strerror(errno);
+  }
+  munmap(map, bytes);
+  return why;
+}
+
+TEST(DatasetTest, AdviseRandomReadsPutsALargeSetsRowsOnHugePages) {
+  const std::string unavailable = CollapseUnavailable();
+  if (!unavailable.empty()) {
+    GTEST_SKIP() << "madvise(MADV_COLLAPSE) on an anonymous mapping failed: "
+                 << unavailable;
+  }
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string thp_mode;
+  std::getline(thp, thp_mode);
+  if (thp_mode.find("[always]") != std::string::npos) {
+    GTEST_SKIP() << "THP is in 'always' mode: rows are faulted in on huge "
+                    "pages, so the advice has nothing to show";
+  }
+
+  // 180000 x 50 doubles = 72 MB, above the 64 MiB floor.
+  Dataset data = GenerateTwoGaussians(180000, 50, 1.5, 3).MoveValue();
+  ASSERT_GE(data.size() * data.dim() * sizeof(double),
+            Dataset::kHugePageFloorBytes);
+  const std::set<uintptr_t> pages = RowPages(data);
+  const size_t before = AnonHugeKib(pages);
+  data.AdviseRandomReads();
+  const size_t after = AnonHugeKib(pages);
+  ASSERT_GE(after, before);  // so the gain below cannot wrap
+  EXPECT_GE(after - before, pages.size() * 2048 * 9 / 10)
+      << "KiB gained over " << pages.size() << " pages of rows";
+
+  // A copy's rows are new allocations: its own first call advises the
+  // pages they hold beside the original's, and every value stays.
+  Dataset copy = data;
+  std::set<uintptr_t> fresh = RowPages(copy);
+  for (uintptr_t page : pages) fresh.erase(page);
+  ASSERT_FALSE(fresh.empty());
+  const size_t copy_before = AnonHugeKib(fresh);
+  data.AdviseRandomReads();  // the original's flag is set: a no-op
+  EXPECT_EQ(AnonHugeKib(fresh), copy_before);
+  copy.AdviseRandomReads();
+  const size_t copy_after = AnonHugeKib(fresh);
+  ASSERT_GE(copy_after, copy_before);
+  EXPECT_GE(copy_after - copy_before, fresh.size() * 2048 * 9 / 10)
+      << "KiB gained over " << fresh.size() << " pages of the copy's rows";
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(copy[i].x, data[i].x) << "row " << i;
+    ASSERT_EQ(copy[i].label, data[i].label) << "row " << i;
+  }
 }
 
 TEST(DatasetTest, SummaryMentionsShape) {

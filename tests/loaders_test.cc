@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -231,6 +232,123 @@ TEST_F(LoadersTest, CsvStillSkipsAllTextHeader) {
 
   WriteFile("alpha,beta,label\nalpha,beta,label\n1.0,2.0,1\n");
   EXPECT_FALSE(LoadCsv(path_).ok());
+}
+
+// ---------------------------------------------------------------------------
+// One label rule for both formats: binary labels lie in {-1, +1} (after a
+// 0/1 file is mapped), multiclass labels are class ids >= 0 with K = max + 1,
+// and anything else is refused naming the first line that fits neither.
+// A binary model is calibrated for |y| = 1, so a stray label 2 would get
+// half the noise its gradients need.
+// ---------------------------------------------------------------------------
+
+TEST_F(LoadersTest, PlusMinusOneLabelsAreBinary) {
+  WriteFile("1 1:0.5\n-1 1:0.25\n1 1:1\n");
+  auto libsvm = LoadLibsvm(path_);
+  ASSERT_TRUE(libsvm.ok()) << libsvm.status().ToString();
+  EXPECT_EQ(libsvm.value().num_classes(), 2);
+  EXPECT_EQ(libsvm.value()[1].label, -1);
+  WriteFile("0.5,1\n0.25,-1\n");
+  auto csv = LoadCsv(path_);
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  EXPECT_EQ(csv.value().num_classes(), 2);
+  EXPECT_EQ(csv.value()[1].label, -1);
+}
+
+TEST_F(LoadersTest, NonNegativeClassIdsAreMulticlassWithMaxPlusOneClasses) {
+  // Labels {1, 2, 3} used to load as 3 classes, leaving class 3 outside
+  // [0, 3).
+  WriteFile("1 1:0.5\n2 1:0.25\n3.0 1:1\n");
+  auto libsvm = LoadLibsvm(path_);
+  ASSERT_TRUE(libsvm.ok()) << libsvm.status().ToString();
+  EXPECT_EQ(libsvm.value().num_classes(), 4);
+  EXPECT_EQ(libsvm.value()[2].label, 3);
+  auto sparse = LoadLibsvmSparse(path_);
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_EQ(sparse.value().num_classes(), 4);
+  WriteFile("0.5,1\n0.25,2\n1.0,3\n");
+  auto csv = LoadCsv(path_);
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  EXPECT_EQ(csv.value().num_classes(), 4);
+  EXPECT_EQ(csv.value()[2].label, 3);
+}
+
+TEST_F(LoadersTest, LabelsThatAreNeitherBinaryNorClassIdsAreRefused) {
+  const struct {
+    const char* libsvm;
+    const char* line;
+  } kCases[] = {
+      {"-1 1:0.5\n1 1:0.25\n2 1:1\n", "line 3: label 2"},
+      {"# a comment\n1 1:0.5\n-2 1:0.25\n", "line 3: label -2"},
+      {"-1 1:0.5\n0 1:0.25\n1 1:1\n", "line 2: label 0"},
+  };
+  for (const auto& c : kCases) {
+    WriteFile(c.libsvm);
+    for (const Status& status :
+         {LoadLibsvm(path_).status(), LoadLibsvmSparse(path_).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.libsvm;
+      EXPECT_NE(status.message().find(c.line), std::string::npos)
+          << status.ToString();
+    }
+  }
+  WriteFile("0.5,1\n0.25,-1\n1.0,3\n");
+  const Status csv = LoadCsv(path_).status();
+  EXPECT_EQ(csv.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(csv.message().find("line 3: label 3"), std::string::npos)
+      << csv.ToString();
+}
+
+TEST_F(LoadersTest, LabelsOutsideIntRangeAreRefused) {
+  // 4294967297 used to wrap to 1, and 1e20 went through an undefined
+  // double-to-int cast.
+  for (const char* file :
+       {"1 1:0.5\n4294967297 1:1\n", "1 1:0.5\n1e20 1:1\n",
+        "1 1:0.5\n-1e20 1:1\n", "1 1:0.5\n2147483647 1:1\n"}) {
+    WriteFile(file);
+    const Status status = LoadLibsvm(path_).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << file;
+    EXPECT_NE(status.message().find("line 2"), std::string::npos)
+        << status.ToString();
+  }
+  WriteFile("0.5,1\n0.25,1e20\n");
+  const Status csv = LoadCsv(path_).status();
+  EXPECT_EQ(csv.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(csv.message().find("line 2"), std::string::npos)
+      << csv.ToString();
+}
+
+TEST_F(LoadersTest, ClassCountsLargerThanMemoryAreRefused) {
+  // One stray label of 2*10^9 makes 2*10^9 + 1 classes: their one-vs-all
+  // models and confusion counts (4*10^18 entries) fit no host.
+  WriteFile("0 1:0.5\n1 1:0.25\n2000000000 1:1\n");
+  for (const Status& status :
+       {LoadLibsvm(path_).status(), LoadLibsvmSparse(path_).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    EXPECT_NE(status.message().find("line 3: label 2000000000"),
+              std::string::npos)
+        << status.ToString();
+  }
+  WriteFile("0.5,0\n0.25,2000000000\n1.0,1\n");
+  const Status csv = LoadCsv(path_).status();
+  EXPECT_EQ(csv.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(csv.message().find("line 2: label 2000000000"), std::string::npos)
+      << csv.ToString();
+}
+
+TEST_F(LoadersTest, DenseLibsvmRefusesRowsLargerThanMemory) {
+  // One index of 10^12 would size every dense row at 8 TB; 3*10^18 makes
+  // rows x dim x 8 overflow.
+  for (const char* index : {"1000000000000", "3000000000000000000"}) {
+    WriteFile(std::string("1 1:0.5\n-1 2:1\n1 ") + index + ":1\n-1 3:1\n");
+    const Status status = LoadLibsvm(path_).status();
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << index;
+    EXPECT_NE(status.message().find(std::string("line 3: index ") + index),
+              std::string::npos)
+        << status.ToString();
+    auto sparse = LoadLibsvmSparse(path_);
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(std::to_string(sparse.value().dim()), index);
+  }
 }
 
 TEST_F(LoadersTest, LoaderFailpointsInjectIOErrors) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset.h"
+#include "reference_random.h"
+
 namespace bolton {
 namespace {
 
@@ -51,6 +54,43 @@ TEST(PermutationTest, FirstPositionUniform) {
   }
   for (int c : first_counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 0.1, 0.01);
+  }
+}
+
+TEST(PermutationTest, MatchesTheReferenceFisherYates) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{17},
+                   size_t{1000}, size_t{65537}, size_t{1} << 20}) {
+    for (uint64_t seed : {1u, 7u, 2024u}) {
+      Rng rng(seed);
+      Rng ref = rng;
+      std::vector<size_t> expected(n);
+      std::iota(expected.begin(), expected.end(), size_t{0});
+      reference::Shuffle(&expected, &ref);
+      ASSERT_EQ(RandomPermutation(n, &rng), expected)
+          << "n=" << n << " seed=" << seed;
+      EXPECT_EQ(rng.Next(), ref.Next()) << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+TEST(ShuffleInPlaceTest, ExamplesMatchTheReferenceFisherYates) {
+  for (size_t n : {size_t{2}, size_t{5}, size_t{16}, size_t{17}, size_t{40},
+                   size_t{1000}}) {
+    std::vector<Example> rows;
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back(Example{Vector{static_cast<double>(i), -1.0 * i},
+                             static_cast<int>(i)});
+    }
+    std::vector<Example> expected = rows;
+    Rng rng(n);
+    Rng ref = rng;
+    ShuffleInPlace(&rows, &rng);
+    reference::Shuffle(&expected, &ref);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(rows[i].label, expected[i].label) << "n=" << n << " i=" << i;
+      ASSERT_EQ(rows[i].x, expected[i].x) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(rng.Next(), ref.Next()) << "n=" << n;
   }
 }
 

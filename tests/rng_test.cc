@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_random.h"
+
 namespace bolton {
 namespace {
 
@@ -63,6 +65,22 @@ TEST(RngTest, UniformIntWithinRangeAndHitsAll) {
 TEST(RngTest, UniformIntOneIsAlwaysZero) {
   Rng rng(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.UniformInt(1), 0u);
+}
+
+TEST(RngTest, UniformIntMatchesTheReferenceSampler) {
+  // n near 2^64 makes r < n common, so the threshold's branch runs, and at
+  // 2^63 + 1 about half of all draws are rejected.
+  for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{7},
+                     (uint64_t{1} << 32) - 1, (uint64_t{1} << 32) + 1,
+                     (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    Rng rng(n ^ 0x5eed);
+    Rng ref = rng;
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(rng.UniformInt(n), reference::UniformInt(n, &ref))
+          << "n=" << n << " draw " << i;
+    }
+    EXPECT_EQ(rng.Next(), ref.Next()) << "n=" << n;
+  }
 }
 
 TEST(RngTest, GaussianMoments) {
